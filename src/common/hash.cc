@@ -8,21 +8,14 @@ uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
   uint64_t h = seed;
   for (unsigned char c : data) {
     h ^= c;
-    h *= 0x100000001b3ULL;
+    h *= kFnv1a64Prime;
   }
   return h;
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 Fingerprint128 Fingerprint(std::string_view data) {
   Fingerprint128 fp;
-  fp.lo = SplitMix64(Fnv1a64(data, 0xcbf29ce484222325ULL));
+  fp.lo = SplitMix64(Fnv1a64(data, kFnv1a64Offset));
   fp.hi = SplitMix64(Fnv1a64(data, 0x9e3779b97f4a7c15ULL) ^ data.size());
   return fp;
 }

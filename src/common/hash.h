@@ -8,13 +8,24 @@
 
 namespace dj {
 
+/// FNV-1a 64-bit offset basis and prime, for callers that fold bytes into
+/// an FNV-1a hash inline (e.g. one hash per sliding window).
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
+
 /// 64-bit FNV-1a. Stable across platforms; used for cache keys and MinHash
 /// base hashing.
-uint64_t Fnv1a64(std::string_view data, uint64_t seed = 0xcbf29ce484222325ULL);
+uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1a64Offset);
 
 /// SplitMix64 mixer — turns any 64-bit value into a well-distributed one.
-/// Used to derive independent hash families cheaply.
-uint64_t SplitMix64(uint64_t x);
+/// Used to derive independent hash families cheaply, and as the probe index
+/// of flat hash tables keyed by FNV values (whose low bits are weak).
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// 128-bit fingerprint (two independent FNV streams mixed through SplitMix).
 /// Collision probability is negligible at corpus scale; used for exact

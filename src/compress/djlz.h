@@ -32,12 +32,15 @@ Result<std::string> DecompressBlock(std::string_view block,
 /// therefore the compressed bytes — never depend on the pool width.
 constexpr size_t kFrameBlockSize = 1u << 20;
 
-/// Framed API, version 2: magic + version + raw size + a block table
-/// (per-block compressed size + FNV checksum of the raw block) + the
+/// Framed API. CompressFrame writes version 3: magic + version + raw size +
+/// a block table (per-block compressed size + swar::Hash64 of the
+/// compressed block, checked before the block is decompressed) + the
 /// independently compressed ~1 MiB blocks. Blocks compress and decompress
 /// on `pool` when given; output is byte-identical with or without a pool.
-/// Version-1 single-block frames (written before the block table existed)
-/// still decompress. This is what the cache layer writes to disk.
+/// Older frames still decompress: version 2 (the same layout with an FNV-1a
+/// checksum of each raw block) and version 1 (a single block, written
+/// before the block table existed). This is what the cache layer writes to
+/// disk.
 std::string CompressFrame(std::string_view input, ThreadPool* pool = nullptr);
 Result<std::string> DecompressFrame(std::string_view frame,
                                     ThreadPool* pool = nullptr);

@@ -28,7 +28,7 @@ constexpr uint8_t kDatasetVersionV2 = 2;
 // byte-serial FNV-1a: same corruption coverage, ~4x the checksum speed.
 constexpr uint8_t kDatasetVersionV3 = 3;
 
-/// Sharding defaults for the v2 container. The auto shard count depends
+/// Sharding defaults for the v2/v3 container. The auto shard count depends
 /// only on the row count — never on the pool — so serial and parallel
 /// serialization produce identical bytes.
 constexpr size_t kRowsPerShard = 2048;

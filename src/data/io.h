@@ -38,14 +38,14 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 /// Binary cache codec for datasets (magic "DJDS"). Deterministic; used by
 /// the per-OP cache and checkpoint layers, optionally djlz-compressed there.
 ///
-/// The current container is version 2: a checksummed header (row/column
+/// SerializeDataset writes version 3: a checksummed header (row/column
 /// counts, column names) followed by a shard table and N independently
-/// decodable row-range shards, each with a byte length and FNV checksum.
-/// Shards serialize and
-/// deserialize on `pool` when given; the byte stream depends only on the
-/// dataset and `num_shards` (0 = deterministic auto from the row count), so
-/// serial and parallel runs produce identical blobs. Version-1 blobs
-/// (single unsharded stream) still deserialize.
+/// decodable row-range shards, each with a byte length and a swar::Hash64
+/// checksum. Shards serialize and deserialize on `pool` when given; the
+/// byte stream depends only on the dataset and `num_shards` (0 =
+/// deterministic auto from the row count), so serial and parallel runs
+/// produce identical blobs. Older blobs still deserialize: version 2 (the
+/// same layout with FNV-1a checksums) and version 1 (one unsharded stream).
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,

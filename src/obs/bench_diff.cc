@@ -42,6 +42,15 @@ const char* DirectionName(MetricDirection d) {
   return "?";
 }
 
+/// Which way a delta moved: "better"/"worse" for gated metrics, "same" when
+/// unchanged, "-" for informational ones.
+const char* ChangeWord(const MetricDelta& d) {
+  if (d.direction == MetricDirection::kInformational) return "-";
+  if (d.degradation > 0) return "worse";
+  if (d.degradation < 0) return "better";
+  return "same";
+}
+
 }  // namespace
 
 MetricDirection GuessDirection(std::string_view key) {
@@ -79,7 +88,7 @@ bool BenchDiffReport::has_regression() const {
 std::string BenchDiffReport::ToString() const {
   std::string out = "bench: " + bench + "\n";
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "%-40s %12s %12s %9s %7s %6s  %s\n",
+  std::snprintf(buf, sizeof(buf), "%-40s %12s %12s %16s %7s %6s  %s\n",
                 "metric", "baseline", "current", "change", "tol",
                 "better", "verdict");
   out += buf;
@@ -88,9 +97,11 @@ std::string BenchDiffReport::ToString() const {
         d.direction == MetricDirection::kInformational
             ? "-"
             : (d.regression ? "REGRESSED" : "ok");
-    std::snprintf(buf, sizeof(buf), "%-40s %12.4f %12.4f %+8.1f%% %6.0f%% %6s  %s\n",
-                  d.key.c_str(), d.baseline, d.current, d.degradation * 100,
-                  d.tolerance * 100, DirectionName(d.direction), verdict);
+    std::snprintf(buf, sizeof(buf),
+                  "%-40s %12.4f %12.4f %+8.1f%% %-6s %6.0f%% %6s  %s\n",
+                  d.key.c_str(), d.baseline, d.current, d.change * 100,
+                  ChangeWord(d), d.tolerance * 100,
+                  DirectionName(d.direction), verdict);
     out += buf;
   }
   for (const std::string& key : missing_in_current) {
@@ -139,13 +150,15 @@ Result<BenchDiffReport> BenchDiff(const json::Value& baseline,
     delta.tolerance = tol_it != options.per_metric_tolerance.end()
                           ? tol_it->second
                           : options.default_tolerance;
-    if (delta.direction != MetricDirection::kInformational &&
-        std::abs(delta.baseline) > 0) {
-      double worse = delta.direction == MetricDirection::kLowerIsBetter
-                         ? delta.current - delta.baseline
-                         : delta.baseline - delta.current;
-      delta.degradation = worse / std::abs(delta.baseline);
-      delta.regression = delta.degradation > delta.tolerance;
+    if (std::abs(delta.baseline) > 0) {
+      delta.change =
+          (delta.current - delta.baseline) / std::abs(delta.baseline);
+      if (delta.direction != MetricDirection::kInformational) {
+        delta.degradation = delta.direction == MetricDirection::kLowerIsBetter
+                                ? delta.change
+                                : -delta.change;
+        delta.regression = delta.degradation > delta.tolerance;
+      }
     }
     report.deltas.push_back(std::move(delta));
   }

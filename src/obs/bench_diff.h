@@ -41,6 +41,9 @@ struct MetricDelta {
   std::string key;
   double baseline = 0;
   double current = 0;
+  /// Signed relative change, (current - baseline) / |baseline|: +0.5 means
+  /// the value grew by half, whichever way is better. 0 when baseline == 0.
+  double change = 0;
   /// Relative change toward "worse": positive means degraded, negative
   /// improved, regardless of direction. 0 when informational or
   /// baseline == 0.
@@ -57,7 +60,9 @@ struct BenchDiffReport {
   std::vector<std::string> missing_in_baseline;  ///< new metric (not gated)
 
   bool has_regression() const;
-  /// Human-readable table; regressions marked "REGRESSED".
+  /// Human-readable table: the signed change of each metric followed by
+  /// "better" or "worse" (per its direction), regressions marked
+  /// "REGRESSED".
   std::string ToString() const;
 };
 

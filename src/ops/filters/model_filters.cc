@@ -29,13 +29,11 @@ std::vector<std::string> LanguageIdScoreFilter::StatsKeys() const {
 Status LanguageIdScoreFilter::ComputeStats(data::RowRef row,
                                            SampleContext*) const {
   if (HasStat(row, stats_keys::kLangScore)) return Status::Ok();
-  text::LangScore result = identifier_->Identify(RowText(row, text_key()));
+  text::LangVerdict verdict =
+      identifier_->IdentifyAndScore(RowText(row, text_key()), lang_);
   DJ_RETURN_IF_ERROR(
-      WriteStat(row, stats_keys::kLang, json::Value(result.lang)));
-  double score = result.lang == lang_
-                     ? result.confidence
-                     : identifier_->Score(RowText(row, text_key()), lang_);
-  return WriteStat(row, stats_keys::kLangScore, json::Value(score));
+      WriteStat(row, stats_keys::kLang, json::Value(verdict.best.lang)));
+  return WriteStat(row, stats_keys::kLangScore, json::Value(verdict.score));
 }
 
 Result<bool> LanguageIdScoreFilter::KeepRow(data::RowRef row) const {

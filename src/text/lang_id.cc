@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/hash.h"
-#include "common/string_util.h"
-#include "text/ngram.h"
 #include "text/utf8.h"
 
 namespace dj::text {
@@ -87,38 +85,116 @@ double CjkRatio(std::string_view s) {
                                 static_cast<double>(total);
 }
 
+// Calls f(h) for each 3-byte window of `s`, in order, where h is the
+// FNV-1a hash of the window after AsciiToLower: the hashes
+// HashedCharNgrams(AsciiToLower(s), 3) returns, without either copy.
+template <typename F>
+void ForEachLowerTrigram(std::string_view s, F&& f) {
+  auto lower = [](char c) -> uint64_t {
+    auto b = static_cast<unsigned char>(c);
+    return b >= 'A' && b <= 'Z' ? b + ('a' - 'A') : b;
+  };
+  for (size_t i = 0; i + 3 <= s.size(); ++i) {
+    uint64_t h = kFnv1a64Offset;
+    h = (h ^ lower(s[i])) * kFnv1a64Prime;
+    h = (h ^ lower(s[i + 1])) * kFnv1a64Prime;
+    h = (h ^ lower(s[i + 2])) * kFnv1a64Prime;
+    f(h);
+  }
+}
+
 }  // namespace
 
 LanguageIdentifier::LanguageIdentifier() = default;
 
-void LanguageIdentifier::AddProfile(const std::string& lang,
-                                    std::string_view seed_text) {
-  Profile* profile = nullptr;
-  for (auto& [name, p] : profiles_) {
-    if (name == lang) {
-      profile = &p;
-      break;
+uint32_t LanguageIdentifier::FindRow(uint64_t key) const {
+  if (key == 0) return zero_row_;
+  if (slots_.empty()) return kNoRow;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = SplitMix64(key) & mask;; i = (i + 1) & mask) {
+    if (slots_[i].key == key) return slots_[i].row;
+    if (slots_[i].key == 0) return kNoRow;
+  }
+}
+
+uint32_t LanguageIdentifier::FindOrAddRow(uint64_t key) {
+  uint32_t row = FindRow(key);
+  if (row != kNoRow) return row;
+  row = rows_++;
+  // A new row starts as "no profile has this gram".
+  log_probs_.insert(log_probs_.end(), fallback_log_probs_.begin(),
+                    fallback_log_probs_.end());
+  has_gram_.resize(log_probs_.size(), 0);
+  if (key == 0) {
+    zero_row_ = row;
+    return row;
+  }
+  auto place = [this](Slot slot) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = SplitMix64(slot.key) & mask;
+    while (slots_[i].key != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  };
+  if (2 * static_cast<size_t>(rows_) > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.key != 0) place(slot);
     }
   }
-  if (profile == nullptr) {
-    profiles_.emplace_back(lang, Profile{});
-    profile = &profiles_.back().second;
+  place(Slot{key, row});
+  return row;
+}
+
+void LanguageIdentifier::AddLanguage(const std::string& lang) {
+  // Widen every row by one cell; AddProfile fills the new column.
+  const size_t width = langs_.size();
+  std::vector<double> log_probs(static_cast<size_t>(rows_) * (width + 1));
+  std::vector<uint8_t> has_gram(log_probs.size(), 0);
+  for (size_t r = 0; r < rows_; ++r) {
+    std::copy_n(log_probs_.begin() + r * width, width,
+                log_probs.begin() + r * (width + 1));
+    std::copy_n(has_gram_.begin() + r * width, width,
+                has_gram.begin() + r * (width + 1));
   }
-  std::string lower = AsciiToLower(seed_text);
-  std::unordered_map<uint64_t, double> counts;
-  double total = 0;
-  for (uint64_t h : HashedCharNgrams(lower, 3)) {
-    counts[h] += 1;
-    total += 1;
-  }
+  log_probs_ = std::move(log_probs);
+  has_gram_ = std::move(has_gram);
+  langs_.push_back(lang);
+  fallback_log_probs_.push_back(0.0);
+  cjk_expectations_.push_back(0.0);
+}
+
+void LanguageIdentifier::AddProfile(const std::string& lang,
+                                    std::string_view seed_text) {
+  const size_t p = static_cast<size_t>(
+      std::find(langs_.begin(), langs_.end(), lang) - langs_.begin());
+  if (p == langs_.size()) AddLanguage(lang);
+  const size_t width = langs_.size();
+  // Trigram counts of this seed, by table row.
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> seen;  // rows with a nonzero count
+  size_t total = 0;
+  ForEachLowerTrigram(seed_text, [&](uint64_t h) {
+    uint32_t row = FindOrAddRow(h);
+    if (row >= counts.size()) counts.resize(rows_, 0);
+    if (counts[row]++ == 0) seen.push_back(row);
+    ++total;
+  });
   // Laplace-smoothed log probabilities; unseen grams get a fallback below
-  // the rarest seen gram.
-  double denom = total + static_cast<double>(counts.size()) + 1.0;
-  for (const auto& [h, c] : counts) {
-    profile->log_prob[h] = std::log((c + 1.0) / denom);
+  // the rarest seen gram. A gram from an earlier seed of this profile keeps
+  // its log-prob unless this seed has it too.
+  double denom =
+      static_cast<double>(total) + static_cast<double>(seen.size()) + 1.0;
+  for (uint32_t row : seen) {
+    log_probs_[row * width + p] =
+        std::log((static_cast<double>(counts[row]) + 1.0) / denom);
+    has_gram_[row * width + p] = 1;
   }
-  profile->fallback_log_prob = std::log(1.0 / denom) - 1.0;
-  profile->cjk_expectation = CjkRatio(seed_text);
+  fallback_log_probs_[p] = std::log(1.0 / denom) - 1.0;
+  for (size_t cell = p; cell < log_probs_.size(); cell += width) {
+    if (!has_gram_[cell]) log_probs_[cell] = fallback_log_probs_[p];
+  }
+  cjk_expectations_[p] = CjkRatio(seed_text);
 }
 
 const LanguageIdentifier& LanguageIdentifier::Default() {
@@ -134,72 +210,64 @@ const LanguageIdentifier& LanguageIdentifier::Default() {
   return *instance;
 }
 
-std::vector<std::pair<std::string, double>> LanguageIdentifier::ScoresFor(
-    std::string_view s) const {
-  std::vector<std::pair<std::string, double>> scores;
-  if (profiles_.empty()) return scores;
-  std::string lower = AsciiToLower(s);
-  std::vector<uint64_t> grams = HashedCharNgrams(lower, 3);
+LangVerdict LanguageIdentifier::IdentifyAndScore(std::string_view s,
+                                                 std::string_view lang) const {
+  const size_t width = langs_.size();
+  if (width == 0) return {{"und", 0.0}, 0.0};
+  // Per-language log-likelihood sums, on the stack for the usual handful.
+  constexpr size_t kInlineLanguages = 8;
+  double inline_logp[kInlineLanguages];
+  std::vector<double> heap_logp(width > kInlineLanguages ? width : 0);
+  double* logp = width > kInlineLanguages ? heap_logp.data() : inline_logp;
+  std::fill_n(logp, width, 0.0);
+  size_t grams = 0;
+  ForEachLowerTrigram(s, [&](uint64_t h) {
+    uint32_t row = FindRow(h);
+    const double* cells = row == kNoRow ? fallback_log_probs_.data()
+                                        : &log_probs_[row * width];
+    for (size_t p = 0; p < width; ++p) logp[p] += cells[p];
+    ++grams;
+  });
   double cjk = CjkRatio(s);
-  for (const auto& [lang, profile] : profiles_) {
-    double logp = 0;
-    if (!grams.empty()) {
-      for (uint64_t h : grams) {
-        auto it = profile.log_prob.find(h);
-        logp += it != profile.log_prob.end() ? it->second
-                                             : profile.fallback_log_prob;
-      }
-      logp /= static_cast<double>(grams.size());
-    } else {
-      logp = profile.fallback_log_prob;
-    }
+  for (size_t p = 0; p < width; ++p) {
+    logp[p] = grams == 0 ? fallback_log_probs_[p]
+                         : logp[p] / static_cast<double>(grams);
     // CJK-ratio prior: quadratic penalty for mismatch between the observed
     // CJK density and the language's expectation. Weighted strongly enough
     // to dominate on clearly CJK or clearly Latin text.
-    double mismatch = cjk - profile.cjk_expectation;
-    logp -= 6.0 * mismatch * mismatch;
-    scores.emplace_back(lang, logp);
+    double mismatch = cjk - cjk_expectations_[p];
+    logp[p] -= 6.0 * mismatch * mismatch;
   }
-  return scores;
+  // Temperature-sharpened softmax; the first of equal maxima wins.
+  double max_logp = logp[0];
+  for (size_t p = 0; p < width; ++p) max_logp = std::max(max_logp, logp[p]);
+  double z = 0;
+  size_t best = 0;
+  double best_e = 0;
+  double target = -1;
+  for (size_t p = 0; p < width; ++p) {
+    double e = std::exp((logp[p] - max_logp) * 3.0);
+    z += e;
+    if (p == 0 || best_e < e) {
+      best = p;
+      best_e = e;
+    }
+    if (langs_[p] == lang) target = e;
+  }
+  return {{langs_[best], best_e / z}, target < 0 ? 0.0 : target / z};
 }
 
 LangScore LanguageIdentifier::Identify(std::string_view s) const {
-  auto scores = ScoresFor(s);
-  if (scores.empty()) return {"und", 0.0};
-  double max_logp = scores[0].second;
-  for (const auto& [lang, logp] : scores) max_logp = std::max(max_logp, logp);
-  double z = 0;
-  for (auto& [lang, logp] : scores) {
-    logp = std::exp((logp - max_logp) * 3.0);  // temperature sharpening
-    z += logp;
-  }
-  auto best = std::max_element(
-      scores.begin(), scores.end(),
-      [](const auto& a, const auto& b) { return a.second < b.second; });
-  return {best->first, best->second / z};
+  return IdentifyAndScore(s, {}).best;
 }
 
 double LanguageIdentifier::Score(std::string_view s,
                                  std::string_view lang) const {
-  auto scores = ScoresFor(s);
-  if (scores.empty()) return 0.0;
-  double max_logp = scores[0].second;
-  for (const auto& [l, logp] : scores) max_logp = std::max(max_logp, logp);
-  double z = 0;
-  double target = -1;
-  for (const auto& [l, logp] : scores) {
-    double e = std::exp((logp - max_logp) * 3.0);
-    z += e;
-    if (l == lang) target = e;
-  }
-  if (target < 0) return 0.0;
-  return target / z;
+  return IdentifyAndScore(s, lang).score;
 }
 
 std::vector<std::string> LanguageIdentifier::Languages() const {
-  std::vector<std::string> out;
-  for (const auto& [lang, profile] : profiles_) out.push_back(lang);
-  return out;
+  return langs_;
 }
 
 }  // namespace dj::text

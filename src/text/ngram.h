@@ -26,6 +26,7 @@ std::vector<uint64_t> HashedCharNgrams(std::string_view s, size_t n);
 
 /// Fraction of duplicated n-grams: 1 - unique/total (0 when fewer than one
 /// gram). This is the repetition ratio the paper's repetition filters use.
+/// Counts in one pass over a flat, reused table: no allocation per gram.
 double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes);
 
 /// Jaccard similarity between two hashed n-gram sets.

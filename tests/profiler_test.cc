@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -431,11 +432,32 @@ TEST(ResourceMonitorTest, ReadPeakRssFromStatusFormat) {
   EXPECT_EQ(ResourceMonitor::ReadPeakRssBytesFrom("/nonexistent"), 0u);
 }
 
+// Spins until this process has used `seconds` more CPU time (or 5 s of
+// wall time have passed, so a descheduled host cannot hang the test).
+void BurnCpu(double seconds) {
+  const std::clock_t start = std::clock();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  volatile uint64_t sink = 1;
+  while (static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC <
+             seconds &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 100000; ++i) sink = sink * 6364136223846793005ULL + 1;
+  }
+}
+
 TEST(ResourceMonitorTest, LiveCountersArePlausible) {
   EXPECT_GT(ResourceMonitor::CurrentPeakRssBytes(), 0u);
   EXPECT_GE(ResourceMonitor::CurrentPeakRssBytes(),
             ResourceMonitor::CurrentRssBytes() / 2);
-  EXPECT_GT(ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat"), 0.0);
+  // /proc/self/stat counts CPU in clock ticks (10 ms at the usual 100 Hz),
+  // and a test binary can finish in less than one. Burn several ticks so
+  // the counter must read nonzero, and check that it moved forward.
+  double before = ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat");
+  BurnCpu(0.05);
+  double after = ResourceMonitor::ReadCpuSecondsFrom("/proc/self/stat");
+  EXPECT_GT(after, 0.0);
+  EXPECT_GT(after, before);
 }
 
 // ----------------------------------------------------------- bench diff --
@@ -497,7 +519,32 @@ TEST(BenchDiffTest, ImprovementAndWithinToleranceBothPass) {
   auto report = BenchDiff(base, cur);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report.value().has_regression());
-  EXPECT_LT(report.value().deltas[0].degradation, 0);  // improved
+  // The change column is signed by value, worded by direction: the timing
+  // fell 40% (better), the speedup fell 5% (worse, within tolerance).
+  ASSERT_EQ(report.value().deltas.size(), 2u);
+  const bool timing_first = report.value().deltas[0].key == "x_ms";
+  const obs::MetricDelta& timing = report.value().deltas[timing_first ? 0 : 1];
+  const obs::MetricDelta& speedup = report.value().deltas[timing_first ? 1 : 0];
+  EXPECT_LT(timing.degradation, 0);  // improved
+  EXPECT_NEAR(timing.change, -0.4, 1e-12);
+  EXPECT_NEAR(speedup.change, -0.05, 1e-12);
+  EXPECT_EQ(speedup.degradation, -speedup.change);
+  std::string table = report.value().ToString();
+  EXPECT_NE(table.find("-40.0% better"), std::string::npos) << table;
+  EXPECT_NE(table.find("-5.0% worse"), std::string::npos) << table;
+}
+
+TEST(BenchDiffTest, ImprovedSpeedupPrintsPositiveChange) {
+  // A speedup going 0.97 -> 3.20 is a +229.9% change and better; it used
+  // to print as -229.9% (its degradation).
+  json::Value base = BenchDoc("b", {{"compress_speedup_4t", 0.97}});
+  json::Value cur = BenchDoc("b", {{"compress_speedup_4t", 3.20}});
+  auto report = BenchDiff(base, cur);
+  ASSERT_TRUE(report.ok());
+  std::string table = report.value().ToString();
+  EXPECT_NE(table.find("+229.9% better"), std::string::npos) << table;
+  std::string same = BenchDiff(base, base).value().ToString();
+  EXPECT_NE(same.find("+0.0% same"), std::string::npos) << same;
 }
 
 TEST(BenchDiffTest, PerMetricToleranceAndOverridesApply) {
