@@ -91,7 +91,8 @@ int main() {
 
     // Cache the original dataset (the model's leading "1" term).
     dj::core::CacheManager cache(dir, false);
-    cache.Store(dj::core::CacheManager::InitialKey("space-bench"), data);
+    cache.Store(dj::core::CacheManager::InitialKey("space-bench"),
+                dj::data::SerializeDataset(data));
     auto result = executor.Run(data, ops.value(), nullptr);
     if (!result.ok()) return 1;
 

@@ -66,12 +66,15 @@ Result<data::Dataset> CacheManager::Load(uint64_t key) const {
   return data::DeserializeDataset(blob, pool_);
 }
 
-Status CacheManager::Store(uint64_t key, const data::Dataset& dataset) const {
-  std::string blob = data::SerializeDataset(dataset, pool_);
-  if (compression_) blob = compress::CompressFrame(blob, pool_);
+Status CacheManager::Store(uint64_t key, std::string_view djds) const {
+  std::string frame;
+  if (compression_) {
+    frame = compress::CompressFrame(djds, pool_);
+    djds = frame;
+  }
   Bump("cache.stores");
-  Bump("cache.store_bytes", blob.size());
-  return data::WriteFile(PathFor(key), blob);
+  Bump("cache.store_bytes", djds.size());
+  return data::WriteFile(PathFor(key), djds);
 }
 
 void CacheManager::Evict(uint64_t key) const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "data/dataset.h"
@@ -24,9 +25,13 @@ namespace dj::core {
 /// Thread-compatibility: CacheManager holds no mutex by design. It is safe
 /// to use distinct instances from distinct threads, but a single instance
 /// must be externally synchronized (the executor drives it from the
-/// pipeline thread only). Concurrent Store() calls for the *same* key from
-/// different instances are crash-safe — both go through temp-file + rename
-/// — but the last rename wins.
+/// pipeline thread only). Store() writes the entry in place with
+/// data::WriteFile, not via temp-file + rename, so a crash or a concurrent
+/// Store() of the same key can leave a torn entry. Load() catches that
+/// through the DJDS and djlz checksums and returns an error, and the
+/// executor's cache scan evicts the entry and falls back to a shorter
+/// prefix. Entries are regenerable, so Store skips the fsync + rename that
+/// checkpoints pay for.
 class CacheManager {
  public:
   CacheManager(std::string dir, bool compression)
@@ -58,8 +63,10 @@ class CacheManager {
   /// Loads the cached dataset for `key`; NotFound when absent.
   Result<data::Dataset> Load(uint64_t key) const;
 
-  /// Stores `dataset` under `key` (overwrites).
-  Status Store(uint64_t key, const data::Dataset& dataset) const;
+  /// Stores `djds`, a data::SerializeDataset blob, under `key`
+  /// (overwrites), djlz-compressing it first when compression is on. The
+  /// caller serializes, so one blob can also feed a checkpoint.
+  Status Store(uint64_t key, std::string_view djds) const;
 
   /// Removes the entry for `key` if present.
   void Evict(uint64_t key) const;

@@ -10,6 +10,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_introspect.h"
 #include "core/plan_verify.h"
+#include "data/io.h"
 #include "fault/fault.h"
 #include "json/writer.h"
 
@@ -96,6 +97,13 @@ std::string RunReport::ToString() const {
                 total_seconds, rows_in, rows_out, cache_hits,
                 resumed_from_checkpoint ? ", resumed from checkpoint" : "");
   out += buf;
+  if (cache_stores + checkpoint_saves > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "persist: %.3fs (serialize + %zu cache store(s) + %zu "
+                  "checkpoint save(s))\n",
+                  persist_seconds, cache_stores, checkpoint_saves);
+    out += buf;
+  }
   if (unit_seconds_p50 >= 0) {
     std::snprintf(buf, sizeof(buf),
                   "unit seconds: p50 %.3f, p95 %.3f, p99 %.3f\n",
@@ -397,11 +405,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
                                 : ops::OpKindName(plan[i].op->kind());
     r.rows_in = dataset.NumRows();
 
-    if (options_.inject_failure_at == static_cast<int>(i)) {
-      // Checkpoint (if enabled) holds the state after unit i-1 already.
-      return Status::Internal("injected failure before unit " +
-                              r.name);
-    }
     // Fail-point probe at every OP boundary: an armed "exec.op_abort"
     // kills the pipeline here, after the state before this unit has been
     // checkpointed — the crash window --resume must cover.
@@ -441,25 +444,33 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     }
     rep->op_reports.push_back(std::move(r));
 
-    if (cache.has_value()) {
-      obs::Span store_span(options_.spans, "cache.store", "cache");
-      Status s = cache->Store(key_before[i + 1], dataset);
-      if (!s.ok()) DJ_LOG(Warning) << "cache store failed: " << s.ToString();
-    }
+    // Persist the unit boundary: serialize once, and hand the same DJDS
+    // bytes to the cache (compress + write) and then to the checkpoint
+    // (checksum + crash-atomic write).
     int every = std::max(options_.checkpoint_every_n_units, 1);
     bool checkpoint_due =
-        (i + 1) % static_cast<size_t>(every) == 0 || i + 1 == plan.size();
-    if (checkpoints.has_value() && checkpoint_due) {
-      obs::Span ckpt_span(options_.spans, "checkpoint.save", "checkpoint");
-      CheckpointState state;
-      state.next_op_index = i + 1;
-      state.pipeline_key = key_before[i + 1];
-      state.dataset = dataset;
-      Status s = checkpoints->Save(state);
-      if (!s.ok()) DJ_LOG(Warning) << "checkpoint failed: " << s.ToString();
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetCounter("checkpoint.saves")->Increment();
+        checkpoints.has_value() &&
+        ((i + 1) % static_cast<size_t>(every) == 0 || i + 1 == plan.size());
+    if (cache.has_value() || checkpoint_due) {
+      Stopwatch persist_watch;
+      const std::string djds = data::SerializeDataset(dataset, pool_ptr);
+      if (cache.has_value()) {
+        obs::Span store_span(options_.spans, "cache.store", "cache");
+        Status s = cache->Store(key_before[i + 1], djds);
+        if (!s.ok()) DJ_LOG(Warning) << "cache store failed: " << s.ToString();
+        ++rep->cache_stores;
       }
+      if (checkpoint_due) {
+        obs::Span ckpt_span(options_.spans, "checkpoint.save", "checkpoint");
+        Status s = checkpoints->Save(i + 1, key_before[i + 1],
+                                     dataset.NumRows(), djds);
+        if (!s.ok()) DJ_LOG(Warning) << "checkpoint failed: " << s.ToString();
+        if (options_.metrics != nullptr) {
+          options_.metrics->GetCounter("checkpoint.saves")->Increment();
+        }
+        ++rep->checkpoint_saves;
+      }
+      rep->persist_seconds += persist_watch.ElapsedSeconds();
     }
   }
 

@@ -56,6 +56,12 @@ struct RunReport {
   double unit_seconds_p50 = -1;
   double unit_seconds_p95 = -1;
   double unit_seconds_p99 = -1;
+  /// Time spent persisting unit boundaries outside the OP rows: the one
+  /// DJDS serialization per boundary plus the cache stores and checkpoint
+  /// saves it fed. 0 when neither the cache nor checkpoints are on.
+  double persist_seconds = 0;
+  size_t cache_stores = 0;
+  size_t checkpoint_saves = 0;
 
   std::string ToString() const;
 };
@@ -100,10 +106,6 @@ class Executor {
     /// worker thread with per-unit and per-batch complete events.
     obs::MetricsRegistry* metrics = nullptr;
     obs::SpanRecorder* spans = nullptr;
-
-    /// Test hook: the OP at this pipeline index fails after its unit starts
-    /// (-1 = disabled). Exercises checkpoint-on-failure.
-    int inject_failure_at = -1;
 
     /// Fail-point activation spec applied to the process-wide
     /// fault::FaultRegistry at the start of Run() (same syntax as the

@@ -11,6 +11,12 @@ bool ContainsToken(std::string_view key, std::string_view token) {
   return key.find(token) != std::string_view::npos;
 }
 
+/// Keys that record the shape of the host a bench ran on.
+bool IsHostShape(std::string_view key) {
+  return ContainsToken(key, "hardware_threads") ||
+         ContainsToken(key, "simd_level");
+}
+
 Result<const json::Object*> MetricsOf(const json::Value& doc,
                                       const char* which) {
   if (!doc.is_object()) {
@@ -58,9 +64,8 @@ MetricDirection GuessDirection(std::string_view key) {
   // (thread count, kernel dispatch level, self-check verdicts), not how
   // well, so a host change must never read as a perf regression. The
   // "_ok" rule below would otherwise claim determinism_ok.
-  for (const char* token :
-       {"hardware_threads", "determinism_ok", "simd_level"}) {
-    if (ContainsToken(key, token)) return MetricDirection::kInformational;
+  if (IsHostShape(key) || ContainsToken(key, "determinism_ok")) {
+    return MetricDirection::kInformational;
   }
   // Higher-is-better tokens first: "speedup_ms" should never exist, but a
   // throughput named "rows_per_sec" contains "_sec" and must not be
@@ -83,6 +88,14 @@ bool BenchDiffReport::has_regression() const {
     if (d.regression) return true;
   }
   return false;
+}
+
+std::vector<MetricDelta> BenchDiffReport::HostShapeMismatches() const {
+  std::vector<MetricDelta> out;
+  for (const MetricDelta& d : deltas) {
+    if (IsHostShape(d.key) && d.baseline != d.current) out.push_back(d);
+  }
+  return out;
 }
 
 std::string BenchDiffReport::ToString() const {

@@ -60,6 +60,12 @@ struct BenchDiffReport {
   std::vector<std::string> missing_in_baseline;  ///< new metric (not gated)
 
   bool has_regression() const;
+  /// Host-shape facts (keys naming `hardware_threads` or `simd_level`, such
+  /// as bench_e2e's `env.simd_level`) that both reports carry with
+  /// different values. Non-empty means the reports are not comparable: a
+  /// baseline from another host shape would gate nothing, so the CLI
+  /// refuses to gate (exit 3) instead.
+  std::vector<MetricDelta> HostShapeMismatches() const;
   /// Human-readable table: the signed change of each metric followed by
   /// "better" or "worse" (per its direction), regressions marked
   /// "REGRESSED".

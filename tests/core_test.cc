@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 
+#include "common/swar.h"
+#include "compress/djlz.h"
 #include "core/cache_manager.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
@@ -11,6 +14,7 @@
 #include "core/space_model.h"
 #include "core/tracer.h"
 #include "data/io.h"
+#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
@@ -304,6 +308,9 @@ TEST(ExecutorTest, EndToEndPipelineShrinksNoisyData) {
   EXPECT_EQ(report.rows_out, result.value().NumRows());
   EXPECT_EQ(report.op_reports.size(), ops.size());
   EXPECT_NE(report.ToString().find("total:"), std::string::npos);
+  // Neither cache nor checkpoints: nothing persisted, no persist line.
+  EXPECT_EQ(report.persist_seconds, 0.0);
+  EXPECT_EQ(report.ToString().find("persist:"), std::string::npos);
 }
 
 TEST(ExecutorTest, FusionPreservesResults) {
@@ -442,7 +449,7 @@ TEST(CacheManagerTest, StoreLoadEvict) {
   data::Dataset ds = data::Dataset::FromTexts({"cached row"});
   uint64_t key = CacheManager::InitialKey("src");
   EXPECT_FALSE(cache.Contains(key));
-  ASSERT_TRUE(cache.Store(key, ds).ok());
+  ASSERT_TRUE(cache.Store(key, data::SerializeDataset(ds)).ok());
   EXPECT_TRUE(cache.Contains(key));
   auto loaded = cache.Load(key);
   ASSERT_TRUE(loaded.ok());
@@ -463,8 +470,9 @@ TEST(CacheManagerTest, CompressionShrinksFiles) {
   }
   data::Dataset ds = data::Dataset::FromTexts(texts);
   uint64_t key = 42;
-  ASSERT_TRUE(raw.Store(key, ds).ok());
-  ASSERT_TRUE(zip.Store(key, ds).ok());
+  const std::string djds = data::SerializeDataset(ds);
+  ASSERT_TRUE(raw.Store(key, djds).ok());
+  ASSERT_TRUE(zip.Store(key, djds).ok());
   EXPECT_LT(zip.TotalBytes(), raw.TotalBytes());
   auto loaded = zip.Load(key);
   ASSERT_TRUE(loaded.ok());
@@ -545,11 +553,8 @@ process:
 
 TEST(CheckpointTest, SaveLoadRoundTrip) {
   CheckpointManager mgr(TempDir("ckpt1"));
-  CheckpointState state;
-  state.next_op_index = 2;
-  state.pipeline_key = 777;
-  state.dataset = data::Dataset::FromTexts({"saved"});
-  ASSERT_TRUE(mgr.Save(state).ok());
+  data::Dataset ds = data::Dataset::FromTexts({"saved"});
+  ASSERT_TRUE(mgr.Save(2, 777, ds.NumRows(), data::SerializeDataset(ds)).ok());
   auto loaded = mgr.LoadLatest();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().next_op_index, 2u);
@@ -563,22 +568,24 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
 
 TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   std::string dir = TempDir("ckpt_exec");
-  auto options = [&](int fail_at) {
-    Executor::Options o;
-    o.use_checkpoint = true;
-    o.checkpoint_dir = dir;
-    o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
-    return o;
-  };
-  auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
-  auto failed = failing.Run(NoisyCorpus(), ops1, nullptr);
-  EXPECT_FALSE(failed.ok());
+  Executor::Options options;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = dir;
+  options.dataset_source_id = "corpus-v1";
+  {
+    // exec.op_abort is probed once per unit, so its 8th probe aborts the
+    // run before unit 7.
+    fault::ScopedFaults faults("exec.op_abort=n8");
+    ASSERT_TRUE(faults.status().ok());
+    auto ops1 = FourteenOpPipeline();
+    Executor failing(options);
+    auto failed = failing.Run(NoisyCorpus(), ops1, nullptr);
+    EXPECT_FALSE(failed.ok());
+  }
 
   // Re-run without injection: resumes from the checkpoint after unit 6.
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options);
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -667,26 +674,100 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   // checkpoint is the one from unit 4, so the resumed run re-executes
   // units 4..13 (10 units) instead of 7.
   std::string dir = TempDir("ckpt_freq");
-  auto options = [&](int fail_at) {
-    Executor::Options o;
-    o.use_checkpoint = true;
-    o.checkpoint_dir = dir;
-    o.checkpoint_every_n_units = 4;
-    o.dataset_source_id = "corpus-v1";
-    o.inject_failure_at = fail_at;
-    return o;
-  };
-  auto ops1 = FourteenOpPipeline();
-  Executor failing(options(7));
-  EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
+  Executor::Options options;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every_n_units = 4;
+  options.dataset_source_id = "corpus-v1";
+  {
+    fault::ScopedFaults faults("exec.op_abort=n8");  // aborts before unit 7
+    ASSERT_TRUE(faults.status().ok());
+    auto ops1 = FourteenOpPipeline();
+    Executor failing(options);
+    EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
+  }
 
   auto ops2 = FourteenOpPipeline();
-  Executor resuming(options(-1));
+  Executor resuming(options);
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(report.resumed_from_checkpoint);
   EXPECT_EQ(report.op_reports.size(), ops2.size() - 4);
+}
+
+TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
+  // Each unit boundary serializes once and hands the same DJDS bytes to
+  // both consumers. After the last unit, the checkpoint blob is exactly
+  // the result's DJDS bytes and the deepest cache entry is those bytes
+  // djlz-framed, as when each consumer serialized the dataset itself.
+  std::string dir = TempDir("shared_blob");
+  auto ops = FourteenOpPipeline();
+  Executor::Options options;
+  options.num_workers = 4;
+  options.use_cache = true;
+  options.cache_dir = dir + "/cache";
+  options.cache_compression = true;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = dir + "/ckpt";
+  options.dataset_source_id = "shared-blob";
+  Executor executor(options);
+  RunReport report;
+  auto result = executor.Run(NoisyCorpus(120), ops, &report);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string djds = data::SerializeDataset(result.value());
+
+  auto manifest_text = data::ReadFile(dir + "/ckpt/checkpoint.json");
+  ASSERT_TRUE(manifest_text.ok());
+  auto manifest = json::Parse(manifest_text.value());
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest.value().GetInt("schema", 0), 3);
+  EXPECT_EQ(static_cast<uint64_t>(manifest.value().GetInt("blob_checksum", 0)),
+            swar::Hash64(djds));
+  auto blob = data::ReadFile(dir + "/ckpt/" +
+                             manifest.value().GetString("blob_file", ""));
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_TRUE(blob.value() == djds) << "checkpoint blob differs";
+
+  uint64_t key = CacheManager::InitialKey("shared-blob");
+  for (const auto& op : ops) {
+    key = CacheManager::ExtendKey(key, op->name(), op->config());
+  }
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.djds.djlz",
+                static_cast<unsigned long long>(key));
+  auto entry = data::ReadFile(dir + "/cache/" + name);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_TRUE(entry.value() == compress::CompressFrame(djds))
+      << "deepest cache entry differs";
+
+  EXPECT_EQ(report.cache_stores, ops.size());
+  EXPECT_EQ(report.checkpoint_saves, ops.size());
+  EXPECT_GT(report.persist_seconds, 0.0);
+  EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
+}
+
+TEST(ExecutorTest, PersistLineWithCacheOrCheckpointAlone) {
+  for (bool use_cache : {true, false}) {
+    SCOPED_TRACE(use_cache ? "cache only" : "checkpoint only");
+    std::string dir = TempDir(use_cache ? "persist_cache" : "persist_ckpt");
+    Executor::Options options;
+    options.use_cache = use_cache;
+    options.cache_dir = dir;
+    options.use_checkpoint = !use_cache;
+    options.checkpoint_dir = dir;
+    options.checkpoint_every_n_units = 2;
+    auto ops = MustBuildOps(MustRecipe(kBasicRecipe));
+    Executor executor(options);
+    RunReport report;
+    ASSERT_TRUE(executor.Run(NoisyCorpus(), ops, &report).ok());
+    EXPECT_GT(report.persist_seconds, 0.0);
+    // Three units: a cache store after each, a checkpoint after units 2
+    // and 3 (every second unit, and always the last).
+    EXPECT_EQ(report.cache_stores, use_cache ? 3u : 0u);
+    EXPECT_EQ(report.checkpoint_saves, use_cache ? 0u : 2u);
+    EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
+  }
 }
 
 TEST(ExecutorTest, EmptyDatasetAndEmptyPipeline) {

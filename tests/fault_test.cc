@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "data/io.h"
@@ -174,13 +176,12 @@ TEST(FaultObsTest, TriggersBumpMetricsAndEmitInstants) {
 
 // ------------------------------------------- checkpoint crash windows ----
 
-core::CheckpointState MakeState(size_t next_op_index, uint64_t key,
-                                std::vector<std::string> texts) {
-  core::CheckpointState state;
-  state.next_op_index = next_op_index;
-  state.pipeline_key = key;
-  state.dataset = data::Dataset::FromTexts(std::move(texts));
-  return state;
+// Checkpoints `texts` the way the executor does: serialize, then Save.
+Status SaveTexts(const core::CheckpointManager& mgr, size_t next_op_index,
+                 uint64_t key, std::vector<std::string> texts) {
+  data::Dataset ds = data::Dataset::FromTexts(std::move(texts));
+  return mgr.Save(next_op_index, key, ds.NumRows(),
+                  data::SerializeDataset(ds));
 }
 
 class CheckpointCrashTest : public ::testing::TestWithParam<const char*> {};
@@ -188,12 +189,12 @@ class CheckpointCrashTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
   std::string dir = TempDir(std::string("crash_") + GetParam());
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 111, {"one"})).ok());
+  ASSERT_TRUE(SaveTexts(mgr, 1, 111, {"one"}).ok());
 
   {
     ScopedFaults faults(std::string(GetParam()) + "=n1");
     ASSERT_TRUE(faults.status().ok());
-    Status crashed = mgr.Save(MakeState(2, 222, {"two", "extra"}));
+    Status crashed = SaveTexts(mgr, 2, 222, {"two", "extra"});
     EXPECT_FALSE(crashed.ok());
     EXPECT_NE(crashed.ToString().find(GetParam()), std::string::npos)
         << crashed.ToString();
@@ -207,7 +208,7 @@ TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
   EXPECT_EQ(loaded.value().dataset.NumRows(), 1u);
 
   // And a retried Save (fault cleared) wins cleanly.
-  ASSERT_TRUE(mgr.Save(MakeState(2, 222, {"two", "extra"})).ok());
+  ASSERT_TRUE(SaveTexts(mgr, 2, 222, {"two", "extra"}).ok());
   auto retried = mgr.LoadLatest();
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(retried.value().next_op_index, 2u);
@@ -229,7 +230,7 @@ INSTANTIATE_TEST_SUITE_P(AllCrashWindows, CheckpointCrashTest,
 TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
   std::string dir = TempDir("torn_blob");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(3, 42, {"alpha", "beta", "gamma"})).ok());
+  ASSERT_TRUE(SaveTexts(mgr, 3, 42, {"alpha", "beta", "gamma"}).ok());
 
   // Tear the blob behind the manifest's back.
   std::string blob_path;
@@ -255,7 +256,7 @@ TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
 TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
   std::string dir = TempDir("flipped_blob");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 9, {"payload row"})).ok());
+  ASSERT_TRUE(SaveTexts(mgr, 1, 9, {"payload row"}).ok());
 
   std::string blob_path;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -278,7 +279,7 @@ TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
 TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
   std::string dir = TempDir("torn_manifest");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(mgr.Save(MakeState(1, 9, {"row"})).ok());
+  ASSERT_TRUE(SaveTexts(mgr, 1, 9, {"row"}).ok());
   auto manifest = data::ReadFile(dir + "/checkpoint.json");
   ASSERT_TRUE(manifest.ok());
   ASSERT_TRUE(
@@ -293,26 +294,117 @@ TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
   EXPECT_NE(loaded.status().ToString().find("torn"), std::string::npos);
 }
 
-TEST(CheckpointCorruptionTest, LegacyManifestWithoutChecksumStillLoads) {
-  // Pre-atomic-Save layout: checkpoint.djds + a manifest with no
-  // blob_file/blob_checksum fields.
-  std::string dir = TempDir("legacy");
-  data::Dataset ds = data::Dataset::FromTexts({"old", "format"});
-  ASSERT_TRUE(
-      data::WriteFile(dir + "/checkpoint.djds", data::SerializeDataset(ds))
-          .ok());
-  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
-                              "{\"next_op_index\": 4, \"pipeline_key\": 77, "
-                              "\"num_rows\": 2}")
-                  .ok());
+// Checkpoint layouts written by older builds, which this build refuses:
+// schema 2 is the crash-atomic layout with an FNV-1a blob checksum; the
+// pre-atomic layout is a bare checkpoint.djds beside a manifest with no
+// schema, blob name or checksum.
+enum class OlderLayout { kSchema2, kPreAtomic };
 
-  core::CheckpointManager mgr(dir);
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_op_index, 4u);
-  EXPECT_EQ(loaded.value().pipeline_key, 77u);
-  EXPECT_EQ(loaded.value().dataset.NumRows(), 2u);
+void WriteOlderCheckpoint(const std::string& dir, OlderLayout layout,
+                          size_t next_op_index, uint64_t key,
+                          const data::Dataset& ds) {
+  const std::string blob = data::SerializeDataset(ds);
+  std::string blob_file = "checkpoint.djds";
+  json::Object manifest;
+  manifest.Set("next_op_index",
+               json::Value(static_cast<int64_t>(next_op_index)));
+  manifest.Set("pipeline_key", json::Value(static_cast<int64_t>(key)));
+  manifest.Set("num_rows", json::Value(static_cast<int64_t>(ds.NumRows())));
+  if (layout == OlderLayout::kSchema2) {
+    char name[48];
+    std::snprintf(name, sizeof(name), "checkpoint-%016llx.djds",
+                  static_cast<unsigned long long>(key));
+    blob_file = name;
+    manifest.Set("schema", json::Value(static_cast<int64_t>(2)));
+    manifest.Set("blob_file", json::Value(blob_file));
+    manifest.Set("blob_bytes", json::Value(static_cast<int64_t>(blob.size())));
+    manifest.Set("blob_checksum",
+                 json::Value(static_cast<int64_t>(Fnv1a64(blob))));
+  }
+  ASSERT_TRUE(data::WriteFile(dir + "/" + blob_file, blob).ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
+                              json::Write(json::Value(std::move(manifest))))
+                  .ok());
 }
+
+class OlderCheckpointTest : public ::testing::TestWithParam<OlderLayout> {
+ protected:
+  const char* SchemaText() const {
+    return GetParam() == OlderLayout::kSchema2 ? "schema 2" : "schema (none)";
+  }
+};
+
+TEST_P(OlderCheckpointTest, IsRejectedNamingItsSchema) {
+  std::string dir = TempDir("older_load");
+  WriteOlderCheckpoint(dir, GetParam(), 4, 77,
+                       data::Dataset::FromTexts({"old", "format"}));
+
+  auto loaded = core::CheckpointManager(dir).LoadLatest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().ToString().find(SchemaText()), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_P(OlderCheckpointTest, ExecutorStartsFreshAndCountsTheRejection) {
+  auto recipe = core::Recipe::FromString(R"(
+process:
+  - whitespace_normalization_mapper:
+  - text_length_filter:
+      min: 10
+)");
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+  auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+
+  auto corpus = [] {
+    return data::Dataset::FromTexts(
+        {"  first   document, long enough to keep ", "short",
+         "second document\twith   spacing to normalize"});
+  };
+
+  // The older checkpoint holds a plan-compatible site (after unit 0), so
+  // only the schema check keeps the executor from resuming from it.
+  std::string dir = TempDir("older_exec");
+  uint64_t key = core::CacheManager::InitialKey("older-corpus");
+  key = core::CacheManager::ExtendKey(key, ops.value()[0]->name(),
+                                      ops.value()[0]->config());
+  WriteOlderCheckpoint(dir, GetParam(), 1, key, corpus());
+
+  obs::MetricsRegistry metrics;
+  core::Executor::Options options;
+  options.use_checkpoint = true;
+  options.checkpoint_dir = dir;
+  options.dataset_source_id = "older-corpus";
+  options.metrics = &metrics;
+  core::Executor executor(options);
+  core::RunReport report;
+  auto result = executor.Run(corpus(), ops.value(), &report);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), ops.value().size());
+  ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
+  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
+
+  // The run's own schema-3 checkpoint replaced the older one, whose blob
+  // was collected.
+  auto reloaded = core::CheckpointManager(dir).LoadLatest();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().next_op_index, ops.value().size());
+  size_t blobs = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".djds") ++blobs;
+  }
+  EXPECT_EQ(blobs, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLayouts, OlderCheckpointTest,
+    ::testing::Values(OlderLayout::kSchema2, OlderLayout::kPreAtomic),
+    [](const ::testing::TestParamInfo<OlderLayout>& info) {
+      return info.param == OlderLayout::kSchema2 ? std::string("schema2")
+                                                 : std::string("pre_atomic");
+    });
 
 // ------------------------------------------------------- crash matrix ----
 

@@ -583,6 +583,36 @@ TEST(BenchDiffTest, ShapeAndNameMismatchesAreErrors) {
   EXPECT_FALSE(BenchDiff(good, json::Value(std::move(no_metrics))).ok());
 }
 
+TEST(BenchDiffTest, DifferentHostShapesAreNotComparable) {
+  json::Value base = BenchDoc(
+      "b", {{"x_ms", 10.0}, {"hardware_threads", 1.0}, {"simd_level", 2.0}});
+  json::Value same_host = BenchDoc(
+      "b", {{"x_ms", 10.0}, {"hardware_threads", 1.0}, {"simd_level", 2.0}});
+  auto report = BenchDiff(base, same_host);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().HostShapeMismatches().empty());
+
+  json::Value more_threads = BenchDoc(
+      "b", {{"x_ms", 10.0}, {"hardware_threads", 4.0}, {"simd_level", 2.0}});
+  report = BenchDiff(base, more_threads);
+  ASSERT_TRUE(report.ok());
+  auto mismatches = report.value().HostShapeMismatches();
+  ASSERT_EQ(mismatches.size(), 1u);
+  EXPECT_EQ(mismatches[0].key, "hardware_threads");
+  EXPECT_EQ(mismatches[0].baseline, 1.0);
+  EXPECT_EQ(mismatches[0].current, 4.0);
+
+  // bench_e2e's env.* keys count too; a fact only one report carries does
+  // not make the pair incomparable.
+  report = BenchDiff(BenchDoc("b", {{"env.simd_level", 2.0}}),
+                     BenchDoc("b", {{"env.simd_level", 0.0},
+                                    {"hardware_threads", 8.0}}));
+  ASSERT_TRUE(report.ok());
+  mismatches = report.value().HostShapeMismatches();
+  ASSERT_EQ(mismatches.size(), 1u);
+  EXPECT_EQ(mismatches[0].key, "env.simd_level");
+}
+
 TEST(BenchDiffTest, LedgerBaselineIsPerMetricMedian) {
   std::vector<json::Value> runs;
   runs.push_back(BenchDoc("b", {{"x_ms", 10.0}}));

@@ -20,7 +20,13 @@
 // exists so check.sh can prove the gate actually fails: a self-compare must
 // pass, and the same compare with a hand-degraded metric must not.
 //
-// Exit codes: 0 = no regression, 1 = regression, 2 = usage/parse error.
+// Two reports that both record a host-shape fact (`hardware_threads`,
+// `simd_level`, or a key naming one, like `env.simd_level`) with different
+// values are not comparable: both values are printed and the tool exits 3
+// without gating, since a baseline from another host shape gates nothing.
+//
+// Exit codes: 0 = no regression, 1 = regression, 2 = usage/parse error,
+// 3 = not comparable (different host shapes).
 
 #include <dirent.h>
 
@@ -221,6 +227,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dj_bench_diff: %s\n",
                  report.status().ToString().c_str());
     return 2;
+  }
+  const std::vector<dj::obs::MetricDelta> mismatches =
+      report.value().HostShapeMismatches();
+  if (!mismatches.empty()) {
+    for (const dj::obs::MetricDelta& d : mismatches) {
+      std::fprintf(stderr, "dj_bench_diff: %s: baseline %g, current %g\n",
+                   d.key.c_str(), d.baseline, d.current);
+    }
+    std::fprintf(stderr,
+                 "dj_bench_diff: not comparable: the reports come from "
+                 "different host shapes; not gating\n");
+    return 3;
   }
   std::printf("%s", report.value().ToString().c_str());
   if (report.value().has_regression()) {
