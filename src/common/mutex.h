@@ -5,7 +5,7 @@
 #include <mutex>
 
 #include "common/lock_order.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/thread_annotations.h"
 #include "common/thread_introspect.h"
 

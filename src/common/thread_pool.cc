@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/thread_introspect.h"
 
 namespace dj {

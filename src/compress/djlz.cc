@@ -4,12 +4,10 @@
 #include <cstring>
 #include <vector>
 
-#include "common/hash.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/swar.h"
 #include "common/thread_introspect.h"
-#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -66,13 +64,12 @@ void EmitSequence(const uint8_t* lit, size_t lit_len, size_t match_len,
 }
 
 constexpr char kFrameMagic[4] = {'D', 'J', 'L', 'Z'};
-constexpr uint8_t kFrameVersionV1 = 1;
-constexpr uint8_t kFrameVersionV2 = 2;
-// v3 keeps the v2 layout but block checksums are swar::Hash64 over the
-// *compressed* block bytes (v2: FNV-1a over the raw bytes). Hashing the
-// compressed side touches ~5x fewer bytes at this format's typical ratio
-// and lets the reader reject a corrupt block before decompressing it.
-constexpr uint8_t kFrameVersionV3 = 3;
+// The only frame version read or written. Block checksums are
+// swar::Hash64 over the *compressed* block bytes: that touches ~5x fewer
+// bytes than hashing the raw side at this format's typical ratio, and lets
+// the reader reject a corrupt block before decompressing it. Versions 1
+// (one block) and 2 (FNV-1a over raw blocks) are rejected.
+constexpr uint8_t kFrameVersion = 3;
 
 void PutU64(uint64_t v, std::string* out) {
   for (int i = 0; i < 8; ++i) {
@@ -100,26 +97,6 @@ void RecordIoMetrics(const char* op, uint64_t bytes_in, uint64_t bytes_out,
   m->GetHistogram(prefix + "_seconds")->Observe(seconds);
   // Which kernel level the data plane dispatched to (0=scalar .. 3=neon).
   m->GetGauge("simd.kernel")->Set(swar::ActiveLevelMetric());
-}
-
-/// Legacy single-block frame reader (version 1; written before the block
-/// table existed). Cache/checkpoint files from old runs stay loadable.
-Result<std::string> DecompressFrameV1(std::string_view frame) {
-  const auto* p = reinterpret_cast<const uint8_t*>(frame.data());
-  if (frame.size() < 29) return Status::Corruption("djlz: truncated v1 frame");
-  uint64_t raw_size = GetU64(p + 5);
-  uint64_t block_size = GetU64(p + 13);
-  uint64_t checksum = GetU64(p + 21);
-  if (frame.size() != 29 + block_size) {
-    return Status::Corruption("djlz: frame size mismatch");
-  }
-  DJ_ASSIGN_OR_RETURN(
-      std::string raw,
-      DecompressBlock(frame.substr(29), static_cast<size_t>(raw_size)));
-  if (Fnv1a64(raw) != checksum) {
-    return Status::Corruption("djlz: checksum mismatch");
-  }
-  return raw;
 }
 
 }  // namespace
@@ -327,7 +304,7 @@ std::string CompressFrame(std::string_view input, ThreadPool* pool) {
   std::string frame;
   frame.reserve(21 + num_blocks * 16 + payload);
   frame.append(kFrameMagic, 4);
-  frame.push_back(static_cast<char>(kFrameVersionV3));
+  frame.push_back(static_cast<char>(kFrameVersion));
   PutU64(input.size(), &frame);
   PutU64(num_blocks, &frame);
   for (size_t b = 0; b < num_blocks; ++b) {
@@ -360,17 +337,10 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
     frame = faulted;
   }
   const auto* p = reinterpret_cast<const uint8_t*>(frame.data());
-  if (p[4] == kFrameVersionV1) {
-    auto raw = DecompressFrameV1(frame);
-    if (raw.ok()) {
-      RecordIoMetrics("decompress", frame.size(), raw.value().size(),
-                      watch.ElapsedSeconds());
-    }
-    return raw;
-  }
-  const uint8_t version = p[4];
-  if (version != kFrameVersionV2 && version != kFrameVersionV3) {
-    return Status::Corruption("djlz: unsupported frame version");
+  if (p[4] != kFrameVersion) {
+    return Status::Corruption("djlz: unsupported frame version " +
+                              std::to_string(p[4]) + " (expected " +
+                              std::to_string(kFrameVersion) + ")");
   }
   if (frame.size() < 21) return Status::Corruption("djlz: truncated header");
   uint64_t raw_size = GetU64(p + 5);
@@ -416,10 +386,9 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
   auto decompress_range = [&](size_t begin, size_t end) {
     for (size_t b = begin; b < end; ++b) {
       std::string_view block = frame.substr(offsets[b], block_sizes[b]);
-      // v3 checksums the compressed bytes, so corruption is caught before
-      // the decompressor ever sees the block; v2 checksummed the raw bytes.
-      if (version == kFrameVersionV3 &&
-          swar::Hash64(block.data(), block.size()) != checksums[b]) {
+      // The checksum covers the compressed bytes, so corruption is caught
+      // before the decompressor ever sees the block.
+      if (swar::Hash64(block.data(), block.size()) != checksums[b]) {
         errors[b] = Status::Corruption("djlz: block checksum mismatch");
         continue;
       }
@@ -429,11 +398,6 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
       auto raw = DecompressBlock(block, want);
       if (!raw.ok()) {
         errors[b] = raw.status();
-        continue;
-      }
-      if (version == kFrameVersionV2 &&
-          Fnv1a64(raw.value()) != checksums[b]) {
-        errors[b] = Status::Corruption("djlz: block checksum mismatch");
         continue;
       }
       raws[b] = std::move(raw).value();

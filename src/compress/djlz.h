@@ -37,10 +37,10 @@ constexpr size_t kFrameBlockSize = 1u << 20;
 /// compressed block, checked before the block is decompressed) + the
 /// independently compressed ~1 MiB blocks. Blocks compress and decompress
 /// on `pool` when given; output is byte-identical with or without a pool.
-/// Older frames still decompress: version 2 (the same layout with an FNV-1a
-/// checksum of each raw block) and version 1 (a single block, written
-/// before the block table existed). This is what the cache layer writes to
-/// disk.
+/// DecompressFrame reads version 3 only: any other version byte (1 was a
+/// single block written before the block table existed, 2 the same layout
+/// with an FNV-1a checksum of each raw block) is a Corruption error naming
+/// it. This is what the cache layer writes to disk.
 std::string CompressFrame(std::string_view input, ThreadPool* pool = nullptr);
 Result<std::string> DecompressFrame(std::string_view frame,
                                     ThreadPool* pool = nullptr);

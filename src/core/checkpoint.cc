@@ -4,10 +4,10 @@
 #include <filesystem>
 
 #include "common/file_util.h"
+#include "common/probe.h"
 #include "common/string_util.h"
 #include "common/swar.h"
 #include "data/io.h"
-#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 
@@ -163,16 +163,6 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
         "recorded " + std::to_string(want_rows));
   }
   state.dataset = std::move(dataset).value();
-  return state;
-}
-
-Result<CheckpointState> CheckpointManager::LoadIfCompatible(
-    uint64_t expected_key) const {
-  auto state = LoadLatest();
-  if (!state.ok()) return state;
-  if (state.value().pipeline_key != expected_key) {
-    return Status::NotFound("checkpoint pipeline key mismatch (recipe changed)");
-  }
   return state;
 }
 

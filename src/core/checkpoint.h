@@ -35,7 +35,7 @@ struct CheckpointState {
 /// a torn or mismatched blob is rejected with a clear Corruption error
 /// instead of being decoded into garbage. Hash64 has one value at every
 /// SIMD dispatch level, so a checkpoint written under DJ_FORCE_SCALAR=1
-/// verifies without it. Fail points (src/fault) cover each crash window:
+/// verifies without it. Fail points (common/probe.h) cover each crash window:
 /// ckpt.blob_write, ckpt.after_blob, ckpt.manifest_write.
 ///
 /// Thread-compatibility: CheckpointManager holds no mutex by design — one
@@ -67,11 +67,6 @@ class CheckpointManager {
   /// checkpoint" but the error text tells an operator what actually
   /// happened.
   Result<CheckpointState> LoadLatest() const;
-
-  /// Loads only when the stored pipeline key matches `expected_key` for the
-  /// stored op index — i.e., the recipe prefix is unchanged. Mismatch or
-  /// absence returns NotFound.
-  Result<CheckpointState> LoadIfCompatible(uint64_t expected_key) const;
 
   /// Removes the manifest, every checkpoint blob, and any stale temp files.
   void Clear() const;

@@ -7,15 +7,21 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/thread_introspect.h"
 #include "core/plan_verify.h"
 #include "data/io.h"
-#include "fault/fault.h"
 #include "json/writer.h"
 
 namespace dj::core {
 namespace {
+
+/// How long an armed "exec.stall" fault sleeps at the unit boundary (busy,
+/// without beating the heartbeat) to simulate a hung OP: long enough to
+/// trip a sub-100ms watchdog threshold in tests, short enough to not slow
+/// them down.
+constexpr double kFaultStallSeconds = 0.35;
 
 /// Snapshot of the processed text field of every row (used by the Tracer to
 /// diff Mapper edits and to report removed duplicates).
@@ -258,10 +264,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     introspect::CurrentThreadState()->SetRole("executor");
   }
   Stopwatch total_watch;
-  if (!options_.faults.empty()) {
-    DJ_RETURN_IF_ERROR(fault::FaultRegistry::Global().Configure(
-        options_.faults));
-  }
   RunReport local_report;
   RunReport* rep = report != nullptr ? report : &local_report;
   rep->op_reports.clear();
@@ -417,7 +419,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     // watchdog's detection + dump path, not to kill anything.
     if (DJ_FAULT("exec.stall")) {
       std::this_thread::sleep_for(
-          std::chrono::duration<double>(options_.fault_stall_seconds));
+          std::chrono::duration<double>(kFaultStallSeconds));
     }
     introspect::Heartbeat();
 

@@ -106,21 +106,6 @@ class Executor {
     /// worker thread with per-unit and per-batch complete events.
     obs::MetricsRegistry* metrics = nullptr;
     obs::SpanRecorder* spans = nullptr;
-
-    /// Fail-point activation spec applied to the process-wide
-    /// fault::FaultRegistry at the start of Run() (same syntax as the
-    /// DJ_FAULTS env var, e.g. "seed=7;exec.op_abort=n3"). Empty leaves the
-    /// registry untouched. The executor probes "exec.op_abort" once per
-    /// plan unit, so nth-hit specs kill the pipeline at exact OP
-    /// boundaries; armed points in deeper layers (io.*, ckpt.*,
-    /// compress.*) fire wherever those layers run.
-    std::string faults;
-
-    /// How long an armed "exec.stall" fault sleeps at the unit boundary —
-    /// busy, without beating the heartbeat — to simulate a hung OP. The
-    /// default is long enough to trip a sub-100ms watchdog threshold in
-    /// tests, short enough to not slow them down.
-    double fault_stall_seconds = 0.35;
   };
 
   explicit Executor(Options options);

@@ -6,13 +6,11 @@
 
 #include "common/file_util.h"
 #include "common/swar.h"
-#include "common/hash.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_introspect.h"
 #include "compress/djlz.h"
-#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
@@ -22,13 +20,12 @@ namespace dj::data {
 namespace {
 
 constexpr char kDatasetMagic[4] = {'D', 'J', 'D', 'S'};
-constexpr uint8_t kDatasetVersionV1 = 1;
-constexpr uint8_t kDatasetVersionV2 = 2;
-// v3 is the v2 layout with swar::Hash64 header/shard checksums in place of
-// byte-serial FNV-1a: same corruption coverage, ~4x the checksum speed.
-constexpr uint8_t kDatasetVersionV3 = 3;
+// The only container version read or written: a sharded layout with
+// swar::Hash64 header/shard checksums. Versions 1 (unsharded) and 2
+// (FNV-1a checksums) are rejected; caches and checkpoints regenerate.
+constexpr uint8_t kDatasetVersion = 3;
 
-/// Sharding defaults for the v2/v3 container. The auto shard count depends
+/// Sharding defaults for the container. The auto shard count depends
 /// only on the row count — never on the pool — so serial and parallel
 /// serialization produce identical bytes.
 constexpr size_t kRowsPerShard = 2048;
@@ -347,53 +344,8 @@ void MaybeParallelFor(ThreadPool* pool, size_t n,
   }
 }
 
-Result<Dataset> DeserializeDatasetV1(std::string_view bytes) {
-  size_t pos = 5;
-  uint64_t num_rows = 0, num_cols = 0;
-  if (!GetVarint(bytes, &pos, &num_rows) ||
-      !GetVarint(bytes, &pos, &num_cols)) {
-    return Status::Corruption("truncated DJDS header");
-  }
-  // Every cell costs at least one tag byte and every column a name; counts
-  // beyond the remaining bytes are corrupt (and must not drive reserve()).
-  if (num_cols > bytes.size() - pos) {
-    return Status::Corruption("DJDS column count exceeds payload");
-  }
-  if (num_cols > 0 && num_rows > bytes.size() - pos) {
-    return Status::Corruption("DJDS row count exceeds payload");
-  }
-  std::vector<std::string> col_names;
-  std::vector<std::vector<json::Value>> cols;
-  col_names.reserve(num_cols);
-  cols.reserve(num_cols);
-  for (uint64_t c = 0; c < num_cols; ++c) {
-    std::string name;
-    if (!GetString(bytes, &pos, &name)) {
-      return Status::Corruption("truncated column name");
-    }
-    std::vector<json::Value> cells;
-    cells.reserve(num_rows);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      json::Value v;
-      DJ_RETURN_IF_ERROR(DeserializeValueAt(bytes, &pos, &v, 0));
-      cells.push_back(std::move(v));
-    }
-    col_names.push_back(std::move(name));
-    cols.push_back(std::move(cells));
-  }
-  if (pos != bytes.size()) {
-    return Status::Corruption("trailing bytes in DJDS blob");
-  }
-  return Dataset::FromColumns(std::move(col_names), std::move(cols));
-}
-
-Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
-                                     uint8_t version) {
-  // v2 and v3 share the layout and differ only in checksum function.
-  auto checksum_of = [version](std::string_view s) {
-    return version == kDatasetVersionV3 ? swar::Hash64(s.data(), s.size())
-                                        : Fnv1a64(s);
-  };
+/// Decodes a blob whose magic and version DeserializeDataset has checked.
+Result<Dataset> DeserializeShards(std::string_view bytes, ThreadPool* pool) {
   size_t pos = 5;
   uint64_t num_rows = 0, num_cols = 0;
   if (!GetVarint(bytes, &pos, &num_rows) ||
@@ -412,7 +364,6 @@ Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
     }
     col_names.push_back(std::move(name));
   }
-  size_t header_begin = 0;
   uint64_t num_shards = 0;
   if (!GetVarint(bytes, &pos, &num_shards)) {
     return Status::Corruption("truncated DJDS shard count");
@@ -460,8 +411,7 @@ Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
   if (!GetU64Fixed(bytes, &pos, &header_checksum)) {
     return Status::Corruption("truncated DJDS header checksum");
   }
-  if (checksum_of(bytes.substr(header_begin, header_end)) !=
-      header_checksum) {
+  if (swar::Hash64(bytes.data(), header_end) != header_checksum) {
     return Status::Corruption("DJDS header checksum mismatch");
   }
   if (pos + payload_total != bytes.size()) {
@@ -480,7 +430,7 @@ Result<Dataset> DeserializeDatasetV2(std::string_view bytes, ThreadPool* pool,
     for (size_t s = begin; s < end; ++s) {
       std::string_view payload = bytes.substr(shards[s].offset,
                                               shards[s].length);
-      if (checksum_of(payload) != shards[s].checksum) {
+      if (swar::Hash64(payload.data(), payload.size()) != shards[s].checksum) {
         errors[s] = Status::Corruption("DJDS shard checksum mismatch");
         continue;
       }
@@ -818,21 +768,6 @@ Result<json::Value> DeserializeValue(std::string_view bytes) {
   return v;
 }
 
-std::string SerializeDatasetV1(const Dataset& dataset) {
-  std::string out;
-  out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV1));
-  PutVarint(dataset.NumRows(), &out);
-  std::vector<std::string> names = dataset.ColumnNames();
-  PutVarint(names.size(), &out);
-  for (const std::string& name : names) {
-    PutString(name, &out);
-    const auto* cells = dataset.Column(name);
-    for (const auto& cell : *cells) SerializeValue(cell, &out);
-  }
-  return out;
-}
-
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
                              size_t num_shards) {
   DJ_OBS_SPAN("io.serialize_dataset");
@@ -885,7 +820,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   for (const std::string& p : payloads) payload_total += p.size();
   out.reserve(payload_total + 64 + names.size() * 16);
   out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersionV3));
+  out.push_back(static_cast<char>(kDatasetVersion));
   PutVarint(num_rows, &out);
   PutVarint(names.size(), &out);
   for (const std::string& name : names) PutString(name, &out);
@@ -908,13 +843,13 @@ Result<Dataset> DeserializeDataset(std::string_view bytes, ThreadPool* pool) {
   if (bytes.size() < 5 || std::memcmp(bytes.data(), kDatasetMagic, 4) != 0) {
     return Status::Corruption("not a DJDS dataset blob");
   }
-  uint8_t version = static_cast<uint8_t>(bytes[4]);
-  Result<Dataset> out =
-      version == kDatasetVersionV1 ? DeserializeDatasetV1(bytes)
-      : version == kDatasetVersionV2 || version == kDatasetVersionV3
-          ? DeserializeDatasetV2(bytes, pool, version)
-          : Result<Dataset>(
-                Status::Corruption("unsupported DJDS version"));
+  const uint8_t version = static_cast<uint8_t>(bytes[4]);
+  if (version != kDatasetVersion) {
+    return Status::Corruption("unsupported DJDS version " +
+                              std::to_string(version) + " (expected " +
+                              std::to_string(kDatasetVersion) + ")");
+  }
+  Result<Dataset> out = DeserializeShards(bytes, pool);
   if (out.ok()) {
     RecordIoMetrics("deserialize", out.value().NumRows(), bytes.size(),
                     watch.ElapsedSeconds());

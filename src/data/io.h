@@ -44,16 +44,13 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 /// checksum. Shards serialize and deserialize on `pool` when given; the
 /// byte stream depends only on the dataset and `num_shards` (0 =
 /// deterministic auto from the row count), so serial and parallel runs
-/// produce identical blobs. Older blobs still deserialize: version 2 (the
-/// same layout with FNV-1a checksums) and version 1 (one unsharded stream).
+/// produce identical blobs. DeserializeDataset reads version 3 only: any
+/// other version byte (1 was one unsharded stream, 2 the same layout with
+/// FNV-1a checksums) is a Corruption error naming it.
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,
                                    ThreadPool* pool = nullptr);
-
-/// Legacy version-1 writer, kept for backward-compat tests and tooling that
-/// needs to produce blobs older readers understand.
-std::string SerializeDatasetV1(const Dataset& dataset);
 
 /// Binary codec for a single JSON value (shared with the dataset codec).
 void SerializeValue(const json::Value& v, std::string* out);

@@ -4,7 +4,7 @@
 #include <optional>
 
 #include "common/random.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/stopwatch.h"
 
 namespace dj::dist {

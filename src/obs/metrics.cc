@@ -5,8 +5,9 @@
 
 #include "common/file_util.h"
 #include "common/lock_order.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "json/writer.h"
+#include "obs/span.h"
 
 namespace dj::obs {
 
@@ -155,7 +156,21 @@ Status MetricsRegistry::WriteTo(const std::string& path) const {
 }
 
 namespace {
+
 std::atomic<MetricsRegistry*> g_global_metrics{nullptr};
+
+/// Records a fail-point trigger on whichever global sinks are installed
+/// when it fires.
+void RecordFaultTrigger(std::string_view name) {
+  if (MetricsRegistry* m = GlobalMetrics(); m != nullptr) {
+    m->GetCounter("fault.triggers")->Increment();
+    m->GetCounter("fault." + std::string(name) + ".triggers")->Increment();
+  }
+  if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
+    r->EmitInstant("fault:" + std::string(name), "fault", r->NowMicros());
+  }
+}
+
 }  // namespace
 
 MetricsRegistry* GlobalMetrics() {
@@ -169,8 +184,8 @@ void InstallGlobalMetrics(MetricsRegistry* metrics) {
   // lock-order inversions and schedule perturbations become counters. The
   // callbacks re-resolve GlobalMetrics() at event time, so a stale registry
   // pointer is never captured; both events are rare, so the name lookup is
-  // not a hot path. Re-entrancy is safe: the tracker and the sched registry
-  // both suppress their own probes while running a callback.
+  // not a hot path. Re-entrancy is safe: the tracker and the probe
+  // registries both suppress their own probes while running a callback.
   if (metrics != nullptr) {
     LockOrderRegistry::Global().SetOnInversion(
         [](const LockOrderRegistry::Inversion&) {
@@ -178,15 +193,22 @@ void InstallGlobalMetrics(MetricsRegistry* metrics) {
             m->GetCounter("lockorder.inversions")->Increment();
           }
         });
-    sched::SchedRegistry::Global().SetOnPerturb([] {
+    probe::Sched().SetOnTrigger([](std::string_view) {
       if (MetricsRegistry* m = GlobalMetrics(); m != nullptr) {
         m->GetCounter("sched.perturbations")->Increment();
       }
     });
   } else {
     LockOrderRegistry::Global().SetOnInversion(nullptr);
-    sched::SchedRegistry::Global().SetOnPerturb(nullptr);
+    probe::Sched().SetOnTrigger(nullptr);
   }
+  BridgeFailPoints();
+}
+
+void BridgeFailPoints() {
+  const bool any_sink =
+      GlobalMetrics() != nullptr || GlobalRecorder() != nullptr;
+  probe::Faults().SetOnTrigger(any_sink ? RecordFaultTrigger : nullptr);
 }
 
 }  // namespace dj::obs

@@ -119,6 +119,13 @@ MetricsRegistry* GlobalMetrics();
 /// keeps ownership and must uninstall before destroying the registry.
 void InstallGlobalMetrics(MetricsRegistry* metrics);
 
+/// Bridges fail points (probe::Faults(), below obs in the dependency graph)
+/// onto the installed global sinks: each trigger bumps the "fault.triggers"
+/// and "fault.<name>.triggers" counters and emits a "fault:<name>" trace
+/// instant (category "fault"). Detaches when neither GlobalMetrics() nor
+/// GlobalRecorder() is installed. Both installers call it.
+void BridgeFailPoints();
+
 }  // namespace dj::obs
 
 #endif  // DJ_OBS_METRICS_H_

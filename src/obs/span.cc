@@ -4,6 +4,7 @@
 
 #include "common/file_util.h"
 #include "json/writer.h"
+#include "obs/metrics.h"
 
 namespace dj::obs {
 namespace {
@@ -30,6 +31,7 @@ SpanRecorder* GlobalRecorder() {
 
 void InstallGlobalRecorder(SpanRecorder* recorder) {
   g_global_recorder.store(recorder, std::memory_order_release);
+  BridgeFailPoints();
 }
 
 SpanRecorder::SpanRecorder()

@@ -21,13 +21,11 @@ const LayerPolicy& LayerPolicy::Default() {
       {"analysis", {"common", "data", "ops", "text"}},
       {"baseline", {"common", "data", "ops"}},
       {"common", {}},
-      {"compress", {"common", "fault", "obs"}},
-      {"core", {"common", "compress", "data", "fault", "json", "obs", "ops",
-                "yaml"}},
-      {"data", {"common", "compress", "fault", "json", "obs"}},
+      {"compress", {"common", "obs"}},
+      {"core", {"common", "compress", "data", "json", "obs", "ops", "yaml"}},
+      {"data", {"common", "compress", "json", "obs"}},
       {"dist", {"common", "core", "data", "obs", "ops"}},
       {"eval", {"common", "data", "json", "quality", "text", "workload"}},
-      {"fault", {"common", "obs"}},
       {"hpo", {"common", "data", "ops", "quality", "text"}},
       {"json", {"common"}},
       {"lint", {"common", "core", "data", "json", "ops"}},

@@ -9,7 +9,7 @@
 
 #include "common/lock_order.h"
 #include "common/mutex.h"
-#include "common/sched_point.h"
+#include "common/probe.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -20,9 +20,6 @@
 
 namespace dj {
 namespace {
-
-using sched::ScopedSched;
-using sched::SchedRegistry;
 
 // ----------------------------------------------------------- dj::Mutex ----
 
@@ -274,14 +271,14 @@ TEST(LockOrderTest, InversionSurfacesAsMetric) {
 // ---------------------------------------------------- sched perturbation ----
 
 TEST(SchedTest, DisarmedProbeCostsNothingAndCountsNothing) {
-  SchedRegistry::Global().Reset();
+  probe::Sched().Reset();
   DJ_SCHED_POINT("test.sched.disarmed");
-  EXPECT_EQ(SchedRegistry::Global().Stats("test.sched.disarmed").hits, 0u);
-  EXPECT_EQ(SchedRegistry::Global().TotalPerturbs(), 0u);
+  EXPECT_EQ(probe::Sched().Stats("test.sched.disarmed").hits, 0u);
+  EXPECT_EQ(probe::Sched().TotalTriggers(), 0u);
 }
 
 TEST(SchedTest, ConfigureRejectsJunk) {
-  SchedRegistry& registry = SchedRegistry::Global();
+  probe::Registry& registry = probe::Sched();
   EXPECT_FALSE(registry.Configure("banana").ok());
   EXPECT_FALSE(registry.Configure("p=banana").ok());
   EXPECT_FALSE(registry.Configure("p=1.5").ok());
@@ -291,15 +288,15 @@ TEST(SchedTest, ConfigureRejectsJunk) {
   registry.Reset();
 }
 
-SchedRegistry::PointStats RunSeededPoint(const std::string& spec,
+probe::PointStats RunSeededPoint(const std::string& spec,
                                          const std::string& point,
                                          int hits) {
-  ScopedSched sched(spec);
+  probe::Scoped sched(probe::Sched(), spec);
   EXPECT_TRUE(sched.status().ok()) << sched.status().ToString();
   for (int i = 0; i < hits; ++i) {
     DJ_SCHED_POINT(point);
   }
-  return SchedRegistry::Global().Stats(point);
+  return probe::Sched().Stats(point);
 }
 
 TEST(SchedTest, SameSeedSameDecisionSequence) {
@@ -307,8 +304,8 @@ TEST(SchedTest, SameSeedSameDecisionSequence) {
   auto first = RunSeededPoint(spec, "test.sched.det", 300);
   auto second = RunSeededPoint(spec, "test.sched.det", 300);
   EXPECT_EQ(first.hits, 300u);
-  EXPECT_GT(first.perturbs, 0u);
-  EXPECT_LT(first.perturbs, 300u);
+  EXPECT_GT(first.triggers, 0u);
+  EXPECT_LT(first.triggers, 300u);
   EXPECT_TRUE(first == second);
 }
 
@@ -326,7 +323,7 @@ TEST(SchedTest, DeterminismHoldsAcrossThreads) {
   // sequence (and so the stats) must not.
   const std::string spec = "seed=7;p=0.25;max_us=16";
   auto run = [&] {
-    ScopedSched sched(spec);
+    probe::Scoped sched(probe::Sched(), spec);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([] {
@@ -334,7 +331,7 @@ TEST(SchedTest, DeterminismHoldsAcrossThreads) {
       });
     }
     for (auto& t : threads) t.join();
-    return SchedRegistry::Global().Stats("test.sched.mt");
+    return probe::Sched().Stats("test.sched.mt");
   };
   auto first = run();
   auto second = run();
@@ -343,21 +340,21 @@ TEST(SchedTest, DeterminismHoldsAcrossThreads) {
 }
 
 TEST(SchedTest, OnlyFilterRestrictsPerturbedPoints) {
-  ScopedSched sched("seed=3;p=1;only=io.");
+  probe::Scoped sched(probe::Sched(), "seed=3;p=1;only=io.");
   ASSERT_TRUE(sched.status().ok());
   for (int i = 0; i < 10; ++i) {
     DJ_SCHED_POINT("io.parse.gather");
     DJ_SCHED_POINT("threadpool.dispatch");
   }
-  EXPECT_EQ(SchedRegistry::Global().Stats("io.parse.gather").perturbs, 10u);
-  EXPECT_EQ(SchedRegistry::Global().Stats("threadpool.dispatch").perturbs, 0u);
+  EXPECT_EQ(probe::Sched().Stats("io.parse.gather").triggers, 10u);
+  EXPECT_EQ(probe::Sched().Stats("threadpool.dispatch").triggers, 0u);
 }
 
 TEST(SchedTest, PerturbationSurfacesAsMetric) {
   obs::MetricsRegistry metrics;
   obs::InstallGlobalMetrics(&metrics);  // installs the sched bridge
   {
-    ScopedSched sched("seed=5;p=1;max_us=4");
+    probe::Scoped sched(probe::Sched(), "seed=5;p=1;max_us=4");
     ASSERT_TRUE(sched.status().ok());
     for (int i = 0; i < 5; ++i) DJ_SCHED_POINT("test.sched.metric");
   }
@@ -373,7 +370,8 @@ TEST(ThreadPoolShutdownTest, StragglerSubmittedDuringDrainStillRuns) {
   // A task chain where each link resubmits the next: links can land in the
   // queue during destructor drain, after workers stopped looking. The
   // shutdown contract says every link still runs.
-  ScopedSched sched("seed=11;p=0.2;max_us=50;only=threadpool.");
+  probe::Scoped sched(probe::Sched(),
+                      "seed=11;p=0.2;max_us=50;only=threadpool.");
   ASSERT_TRUE(sched.status().ok());
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> ran{0};
@@ -397,7 +395,8 @@ TEST(ThreadPoolShutdownTest, StragglerSubmittedDuringDrainStillRuns) {
 }
 
 TEST(ThreadPoolShutdownTest, ConstructSubmitDestructHammer) {
-  ScopedSched sched("seed=13;p=0.1;max_us=100;only=threadpool.");
+  probe::Scoped sched(probe::Sched(),
+                      "seed=13;p=0.1;max_us=100;only=threadpool.");
   ASSERT_TRUE(sched.status().ok());
   std::atomic<int> ran{0};
   for (int round = 0; round < 50; ++round) {
@@ -421,7 +420,7 @@ TEST(ThreadPoolShutdownTest, WaitSeesTasksSubmittedWhileWaiting) {
 }
 
 TEST(ThreadPoolNestingTest, NestedParallelForRunsInline) {
-  ScopedSched sched("seed=17;p=0.2;max_us=50");
+  probe::Scoped sched(probe::Sched(), "seed=17;p=0.2;max_us=50");
   ASSERT_TRUE(sched.status().ok());
   ThreadPool pool(4);
   std::atomic<int> inner_total{0};
@@ -453,7 +452,7 @@ TEST(ThreadPoolTest, PoolLocksStayOrderClean) {
   // The pool's internal locking against the logging/metrics mutexes must
   // not create inversions even under perturbation.
   ScopedLockOrderCapture capture;
-  ScopedSched sched("seed=19;p=0.1;max_us=50");
+  probe::Scoped sched(probe::Sched(), "seed=19;p=0.1;max_us=50");
   ASSERT_TRUE(sched.status().ok());
   {
     ThreadPool pool(4);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/probe.h"
 #include "common/swar.h"
 #include "compress/djlz.h"
 #include "core/cache_manager.h"
@@ -14,7 +15,6 @@
 #include "core/space_model.h"
 #include "core/tracer.h"
 #include "data/io.h"
-#include "fault/fault.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
@@ -560,8 +560,6 @@ TEST(CheckpointTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.value().next_op_index, 2u);
   EXPECT_EQ(loaded.value().pipeline_key, 777u);
   EXPECT_EQ(loaded.value().dataset.GetTextAt(0), "saved");
-  EXPECT_TRUE(mgr.LoadIfCompatible(777).ok());
-  EXPECT_FALSE(mgr.LoadIfCompatible(778).ok());
   mgr.Clear();
   EXPECT_FALSE(mgr.LoadLatest().ok());
 }
@@ -575,7 +573,7 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   {
     // exec.op_abort is probed once per unit, so its 8th probe aborts the
     // run before unit 7.
-    fault::ScopedFaults faults("exec.op_abort=n8");
+    probe::Scoped faults(probe::Faults(), "exec.op_abort=n8");
     ASSERT_TRUE(faults.status().ok());
     auto ops1 = FourteenOpPipeline();
     Executor failing(options);
@@ -680,7 +678,8 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   options.checkpoint_every_n_units = 4;
   options.dataset_source_id = "corpus-v1";
   {
-    fault::ScopedFaults faults("exec.op_abort=n8");  // aborts before unit 7
+    // Aborts before unit 7.
+    probe::Scoped faults(probe::Faults(), "exec.op_abort=n8");
     ASSERT_TRUE(faults.status().ok());
     auto ops1 = FourteenOpPipeline();
     Executor failing(options);
@@ -745,6 +744,57 @@ TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
   EXPECT_EQ(report.checkpoint_saves, ops.size());
   EXPECT_GT(report.persist_seconds, 0.0);
   EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
+}
+
+TEST(ExecutorTest, OlderCacheFrameIsEvictedAndRecomputed) {
+  // A cache entry whose djlz frame says version 2 no longer decodes: the
+  // cache scan evicts it, falls back to the next shallower entry, and
+  // recomputes the last unit, byte-identical to a clean run.
+  std::string dir = TempDir("old_frame");
+  Executor::Options options;
+  options.use_cache = true;
+  options.cache_dir = dir;
+  options.cache_compression = true;
+  options.dataset_source_id = "old-frame";
+  auto ops = MustBuildOps(MustRecipe(kBasicRecipe));
+  ASSERT_TRUE(Executor(options).Run(NoisyCorpus(), ops, nullptr).ok());
+
+  uint64_t key = CacheManager::InitialKey("old-frame");
+  for (const auto& op : ops) {
+    key = CacheManager::ExtendKey(key, op->name(), op->config());
+  }
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.djds.djlz",
+                static_cast<unsigned long long>(key));
+  const std::string path = dir + "/" + name;
+  auto entry = data::ReadFile(path);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  std::string old_entry = entry.value();
+  old_entry[4] = 2;  // the frame version byte
+  ASSERT_TRUE(data::WriteFile(path, old_entry).ok());
+
+  RunReport report;
+  auto rerun_ops = MustBuildOps(MustRecipe(kBasicRecipe));
+  auto result = [&] {
+    // Writes fail during the re-run, so the recomputed unit cannot store
+    // its entry again: a missing file afterwards means the scan evicted it.
+    probe::Scoped faults(probe::Faults(), "io.write.fail=always");
+    EXPECT_TRUE(faults.status().ok());
+    return Executor(options).Run(NoisyCorpus(), rerun_ops, &report);
+  }();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_EQ(report.cache_hits, ops.size() - 1);
+  ASSERT_EQ(report.op_reports.size(), ops.size());
+  EXPECT_FALSE(report.op_reports.back().cache_hit);
+
+  auto clean_ops = MustBuildOps(MustRecipe(kBasicRecipe));
+  auto clean = Executor(Executor::Options{}).Run(NoisyCorpus(), clean_ops,
+                                                 nullptr);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_TRUE(data::SerializeDataset(result.value()) ==
+              data::SerializeDataset(clean.value()))
+      << "recomputed output differs from a clean run";
 }
 
 TEST(ExecutorTest, PersistLineWithCacheOrCheckpointAlone) {

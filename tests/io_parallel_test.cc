@@ -1,5 +1,5 @@
 // Tests for the parallel data plane: chunked JSONL parse/serialize, the
-// sharded DJDS v2 container, and the block-parallel djlz frame. The central
+// sharded DJDS v3 container, and the block-parallel djlz frame. The central
 // property throughout is determinism — a pool must never change the bytes.
 
 #include <gtest/gtest.h>
@@ -8,13 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/probe.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "data/dataset.h"
 #include "data/io.h"
-#include "fault/fault.h"
 #include "json/value.h"
 
 namespace dj::data {
@@ -72,11 +71,12 @@ Dataset RandomDataset(Rng* rng, size_t rows, size_t cols) {
   return ds;
 }
 
-/// Canonical byte form for dataset equality (v1 is unsharded, so it is a
-/// stable fingerprint that includes nulls and column order).
-std::string Fingerprint(const Dataset& ds) { return SerializeDatasetV1(ds); }
+/// Canonical byte form for dataset equality (the auto shard count depends
+/// only on the row count, so it is a stable fingerprint that includes nulls
+/// and column order).
+std::string Fingerprint(const Dataset& ds) { return SerializeDataset(ds); }
 
-// ------------------------------------------------------------ DJDS v2 ----
+// ------------------------------------------------------------ DJDS v3 ----
 
 TEST(DjdsV2Test, RoundTripRandomDatasetsAcrossShardCounts) {
   Rng rng(7);
@@ -117,20 +117,33 @@ TEST(DjdsV2Test, AutoShardCountScalesWithRows) {
   auto back = DeserializeDataset(blob);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(Fingerprint(back.value()), Fingerprint(big));
-  // Sharded v2 of a non-trivial dataset must differ from v1 bytes (it
-  // really is the new container, not a relabeled v1).
-  EXPECT_NE(blob, SerializeDatasetV1(big));
 }
 
-TEST(DjdsV2Test, V1BlobStillDeserializes) {
+TEST(DjdsV2Test, OlderBlobAndFrameVersionsAreRejected) {
+  // Only version 3 is read: a v3 blob or djlz frame whose version byte says
+  // 1 or 2 is refused with a Corruption error naming the version.
   Rng rng(17);
-  Dataset ds = RandomDataset(&rng, 200, 3);
-  std::string v1 = SerializeDatasetV1(ds);
+  const std::string blob = SerializeDataset(RandomDataset(&rng, 200, 3));
+  const std::string frame = compress::CompressFrame(blob);
   ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto back = DeserializeDataset(v1, p);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(Fingerprint(back.value()), Fingerprint(ds));
+  for (char version : {1, 2}) {
+    const std::string named = "version " + std::to_string(version);
+    std::string old_blob = blob;
+    old_blob[4] = version;
+    std::string old_frame = frame;
+    old_frame[4] = version;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto ds = DeserializeDataset(old_blob, p);
+      ASSERT_FALSE(ds.ok()) << named;
+      EXPECT_EQ(ds.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(ds.status().message().find(named), std::string::npos)
+          << ds.status().ToString();
+      auto raw = compress::DecompressFrame(old_frame, p);
+      ASSERT_FALSE(raw.ok()) << named;
+      EXPECT_EQ(raw.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(raw.status().message().find(named), std::string::npos)
+          << raw.status().ToString();
+    }
   }
 }
 
@@ -177,7 +190,7 @@ TEST(DjdsV2Test, RejectsOverflowingVarintLengths) {
   // Header claiming a gigantic column-name length must fail without
   // allocating (the old `*pos + len` check could wrap past the size).
   std::string blob("DJDS", 4);
-  blob.push_back(1);             // v1
+  blob.push_back(3);             // v3
   blob.push_back(1);             // num_rows = 1
   blob.push_back(1);             // num_cols = 1
   for (int i = 0; i < 9; ++i) blob.push_back('\xFF');
@@ -254,7 +267,7 @@ TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {
   }
 }
 
-// ------------------------------------------------------------ djlz v2 ----
+// ------------------------------------------------------------ djlz v3 ----
 
 TEST(DjlzBlockParallelTest, MultiBlockFrameRoundTrips) {
   Rng rng(41);
@@ -291,37 +304,14 @@ TEST(DjlzBlockParallelTest, DetectsCorruptionInAnyBlock) {
   }
   // Payload flips specifically must be caught by the per-block checksums;
   // the compress.frame.corrupt fail point injects exactly that flip.
-  fault::ScopedFaults faults("compress.frame.corrupt=always");
+  probe::Scoped faults(probe::Faults(), "compress.frame.corrupt=always");
   ASSERT_TRUE(faults.status().ok());
   EXPECT_FALSE(compress::DecompressFrame(frame).ok());
 }
 
-TEST(DjlzBlockParallelTest, V1SingleBlockFrameStillDecompresses) {
-  std::string input = "legacy frame payload legacy frame payload";
-  // Hand-build the old 29-byte-header single-block frame.
-  std::string block = compress::CompressBlock(input);
-  std::string frame("DJLZ", 4);
-  frame.push_back(1);  // version 1
-  auto put_u64 = [&frame](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  };
-  put_u64(input.size());
-  put_u64(block.size());
-  put_u64(Fnv1a64(input));
-  frame += block;
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto out = compress::DecompressFrame(frame, p);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(out.value(), input);
-  }
-}
-
 TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
   std::string frame("DJLZ", 4);
-  frame.push_back(2);  // version 2
+  frame.push_back(3);  // version 3
   auto put_u64 = [&frame](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       frame.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -334,7 +324,7 @@ TEST(DjlzBlockParallelTest, RejectsFrameWithBogusBlockCount) {
 
 // ------------------------------------------------------ fault injection --
 
-// Corruption scenarios driven by the src/fault fail points instead of
+// Corruption scenarios driven by the DJ_FAULT fail points instead of
 // hand-rolled byte surgery: a torn shard tail on write, a flipped byte on
 // read, and hard I/O errors.
 
@@ -349,7 +339,7 @@ TEST(FaultInjectionTest, TornShardTailWriteIsDetectedOnRead) {
   {
     // io.write.short truncates to 2/3 and still reports success — exactly
     // how a torn write looks to the writer. Only the read path can catch it.
-    fault::ScopedFaults faults("io.write.short=always");
+    probe::Scoped faults(probe::Faults(), "io.write.short=always");
     ASSERT_TRUE(faults.status().ok());
     ASSERT_TRUE(WriteFile(path, SerializeDataset(ds, nullptr, 4)).ok());
   }
@@ -364,7 +354,7 @@ TEST(FaultInjectionTest, FlippedByteOnReadIsDetected) {
   Dataset ds = RandomDataset(&rng, 400, 3);
   std::string path = FaultTempFile("flipped.djds");
   ASSERT_TRUE(WriteFile(path, SerializeDataset(ds, nullptr, 4)).ok());
-  fault::ScopedFaults faults("io.read.corrupt=always");
+  probe::Scoped faults(probe::Faults(), "io.read.corrupt=always");
   ASSERT_TRUE(faults.status().ok());
   // The point flips a mid-file byte — shard payload territory, which the
   // per-shard checksums must catch.
@@ -377,7 +367,7 @@ TEST(FaultInjectionTest, FlippedByteOnReadIsDetected) {
 TEST(FaultInjectionTest, HardIoErrorsSurfaceAsStatus) {
   std::string path = FaultTempFile("hard.bin");
   {
-    fault::ScopedFaults faults("io.write.fail=always");
+    probe::Scoped faults(probe::Faults(), "io.write.fail=always");
     ASSERT_TRUE(faults.status().ok());
     Status s = WriteFile(path, "payload");
     ASSERT_FALSE(s.ok());
@@ -385,7 +375,7 @@ TEST(FaultInjectionTest, HardIoErrorsSurfaceAsStatus) {
   }
   ASSERT_TRUE(WriteFile(path, "payload").ok());
   {
-    fault::ScopedFaults faults("io.read.fail=always");
+    probe::Scoped faults(probe::Faults(), "io.read.fail=always");
     ASSERT_TRUE(faults.status().ok());
     ASSERT_FALSE(ReadFile(path).ok());
   }
@@ -400,8 +390,8 @@ TEST(FaultInjectionTest, ProbabilisticTornWritesAreSeedDeterministic) {
   Dataset ds = RandomDataset(&rng, 50, 2);
   std::string blob = SerializeDataset(ds);
   auto torn_mask = [&](uint64_t seed) {
-    fault::ScopedFaults faults("seed=" + std::to_string(seed) +
-                               ";io.write.short=p0.5");
+    probe::Scoped faults(probe::Faults(), "seed=" + std::to_string(seed) +
+                                              ";io.write.short=p0.5");
     EXPECT_TRUE(faults.status().ok());
     std::vector<bool> out;
     for (int i = 0; i < 32; ++i) {

@@ -24,12 +24,12 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/probe.h"
 #include "common/resource_monitor.h"
 #include "common/thread_introspect.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "data/dataset.h"
-#include "fault/fault.h"
 #include "json/value.h"
 #include "obs/bench_diff.h"
 #include "obs/metrics.h"
@@ -343,7 +343,7 @@ TEST(WatchdogTest, OneReportPerStallEpisode) {
 }
 
 TEST(WatchdogTest, ExecutorStallFaultTripsWatchdog) {
-  fault::ScopedFaults faults("exec.stall=n1");
+  probe::Scoped faults(probe::Faults(), "exec.stall=n1");
   Watchdog::Options options;
   options.stall_seconds = 0.1;
   options.emit_trace_beats = false;
@@ -356,9 +356,7 @@ TEST(WatchdogTest, ExecutorStallFaultTripsWatchdog) {
   std::vector<std::unique_ptr<ops::Op>> pipeline;
   pipeline.push_back(std::move(op).value());
 
-  core::Executor::Options exec_options;
-  exec_options.fault_stall_seconds = 0.35;
-  core::Executor executor(exec_options);
+  core::Executor executor(core::Executor::Options{});
   auto result = executor.Run(data::Dataset::FromTexts({"a", "b", "a"}),
                              pipeline, nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -276,9 +276,10 @@ cmake --build "${tsan_dir}" -j --target \
 "${tsan_dir}/tests/data_test"
 "${tsan_dir}/tests/io_parallel_test"
 "${tsan_dir}/tests/compress_test"
-# The full crash matrix is slow under TSan; run the registry/determinism/
-# checkpoint suites plus one representative recipe matrix.
-"${tsan_dir}/tests/fault_test" --gtest_filter="FaultRegistryTest.*:FaultDeterminismTest.*:FaultObsTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:*CrashMatrixTest*minimal_dedup*"
+# The full crash matrix is slow under TSan; run the fail-point/probe
+# registry, determinism and checkpoint suites plus one representative recipe
+# matrix.
+"${tsan_dir}/tests/fault_test" --gtest_filter="FailPointTest.*:FaultDeterminismTest.*:FaultObsTest.*:ProbeTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:*CrashMatrixTest*minimal_dedup*"
 
 echo "== TSan under schedule perturbation (3 seeds) =="
 # Seeded yield/sleep probes at lock boundaries, pool dispatch, and gather

@@ -19,8 +19,10 @@
 // pipeline key matches the optimized plan, re-running only the suffix.
 // --faults arms fail points (same syntax as the DJ_FAULTS env var, e.g.
 // "seed=7;exec.op_abort=n2;io.write.short=p0.1"); the env var is applied
-// first, then the flag. On a faulted (failed) run the trace/metrics files
-// are still written so the fault instants can be inspected.
+// first, then the flag. DJ_FAULTS is also read at the first fail-point
+// probe, so an io.read.* entry sees the recipe read. On a faulted (failed)
+// run the trace/metrics files are still written so the fault instants can
+// be inspected.
 //
 // --sched arms seeded schedule perturbation (same syntax as the DJ_SCHED
 // env var, e.g. "seed=3;p=0.05;max_us=200"): DJ_SCHED_POINT probes at lock
@@ -50,14 +52,14 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <tuple>
 
+#include "common/probe.h"
 #include "common/resource_monitor.h"
-#include "common/sched_point.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/tracer.h"
 #include "data/io.h"
-#include "fault/fault.h"
 #include "lint/linter.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -265,33 +267,23 @@ int main(int argc, char** argv) {
   dj::obs::Watchdog watchdog(watchdog_options);
   if (watchdog_enabled) watchdog.Start();
 
-  // Fail-point activation: env var first, then the flag (so a flag can
-  // override or extend DJ_FAULTS). Armed before the dataset loads so io.*
-  // points fire on the load path too.
-  if (auto s = dj::fault::FaultRegistry::Global().ConfigureFromEnv();
-      !s.ok()) {
-    std::fprintf(stderr, "DJ_FAULTS error: %s\n", s.ToString().c_str());
-    return 2;
-  }
-  if (!args.faults.empty()) {
-    if (auto s = dj::fault::FaultRegistry::Global().Configure(args.faults);
-        !s.ok()) {
-      std::fprintf(stderr, "--faults error: %s\n", s.ToString().c_str());
-      return 2;
+  // Probe arming, fail points then sched points: the env var first, then
+  // the flag, so a flag can override or extend it. Each registry already
+  // read its variable at its first probe (for DJ_FAULTS, the recipe read);
+  // applying it again here restarts its points' streams and counts, and
+  // everything is armed before the dataset loads so io.* points fire on the
+  // load path too.
+  for (const auto& [registry, flag, spec] :
+       {std::tuple(&dj::probe::Faults(), "--faults", &args.faults),
+        std::tuple(&dj::probe::Sched(), "--sched", &args.sched)}) {
+    dj::Status s = registry->ConfigureFromEnv();
+    const char* source = registry->env_var();
+    if (s.ok() && !spec->empty()) {
+      s = registry->Configure(*spec);
+      source = flag;
     }
-  }
-
-  // Schedule-perturbation activation mirrors fail points: env var first,
-  // then the flag.
-  if (auto s = dj::sched::SchedRegistry::Global().ConfigureFromEnv();
-      !s.ok()) {
-    std::fprintf(stderr, "DJ_SCHED error: %s\n", s.ToString().c_str());
-    return 2;
-  }
-  if (!args.sched.empty()) {
-    if (auto s = dj::sched::SchedRegistry::Global().Configure(args.sched);
-        !s.ok()) {
-      std::fprintf(stderr, "--sched error: %s\n", s.ToString().c_str());
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s error: %s\n", source, s.ToString().c_str());
       return 2;
     }
   }
