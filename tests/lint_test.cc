@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/recipe.h"
+#include "data/io.h"
 #include "json/writer.h"
 #include "lint/explain_plan.h"
 #include "lint/linter.h"
@@ -588,6 +591,56 @@ process:
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_NE(out.value().find("fused("), std::string::npos) << out.value();
+}
+
+// ------------------------------------------------ declared OP surface ----
+// The OP catalog (`dj_lint --ops --json`) and the --explain-plan text of
+// every shipped recipe, rendered in-process and compared byte for byte with
+// fixtures under tests/fixtures/declared_surface/. Any change to an OP's
+// declared name, kind, params, defaults, ranges, docs, effects or cost shows
+// up here; regenerate the fixtures only when that change is intended.
+
+#ifndef DJ_REPO_DIR
+#define DJ_REPO_DIR "."
+#endif
+
+std::string Fixture(const std::string& name) {
+  auto content = data::ReadFile(std::string(DJ_REPO_DIR) +
+                                "/tests/fixtures/declared_surface/" + name);
+  EXPECT_TRUE(content.ok()) << name << ": " << content.status().ToString();
+  return content.ok() ? content.value() : std::string();
+}
+
+TEST(DeclaredSurfaceTest, OpCatalogMatchesFixture) {
+  json::Array catalog;
+  for (const ops::OpSchema* schema : ops::OpRegistry::Global().AllSchemas()) {
+    catalog.push_back(schema->ToJson());
+  }
+  json::Object root;
+  root.Set("ops", json::Value(std::move(catalog)));
+  json::WriteOptions pretty{.pretty = true};
+  EXPECT_EQ(json::Write(json::Value(std::move(root)), pretty) + "\n",
+            Fixture("ops_catalog.json"));
+}
+
+TEST(DeclaredSurfaceTest, ShippedRecipePlansMatchFixtures) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> recipes;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(DJ_REPO_DIR) / "configs" / "recipes")) {
+    if (entry.path().extension() == ".yaml") recipes.push_back(entry.path());
+  }
+  std::sort(recipes.begin(), recipes.end());
+  ASSERT_EQ(recipes.size(), 9u);
+  for (const fs::path& path : recipes) {
+    auto recipe = core::Recipe::FromFile(path.string());
+    ASSERT_TRUE(recipe.ok()) << path << ": " << recipe.status().ToString();
+    auto plan = ExplainPlan(recipe.value(), ops::OpRegistry::Global());
+    ASSERT_TRUE(plan.ok()) << path << ": " << plan.status().ToString();
+    EXPECT_EQ(plan.value(),
+              Fixture(path.stem().string() + ".plan.txt"))
+        << path;
+  }
 }
 
 }  // namespace
