@@ -163,7 +163,8 @@ Result<DataProbe> Analyzer::AnalyzeWith(
   DataProbe probe;
   probe.num_samples = dataset->NumRows();
   for (const auto& filter : filters) {
-    for (const std::string& key : filter->StatsKeys()) {
+    for (const std::string& key :
+         filter->declaration().effects.stats_produced()) {
       std::vector<double> values;
       values.reserve(dataset->NumRows());
       std::string path = std::string(data::kStatsField) + "." + key;

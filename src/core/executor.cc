@@ -277,10 +277,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   // Filters commute"). An unlicensed plan is refused and the run falls
   // back to recipe order.
   if (options_.op_fusion || options_.op_reorder) {
-    const ops::OpRegistry& registry = options_.registry != nullptr
-                                          ? *options_.registry
-                                          : ops::OpRegistry::Global();
-    PlanVerdict verdict = VerifyPlan(ops, plan, registry);
+    PlanVerdict verdict = VerifyPlan(ops, plan);
     if (!verdict.ok) {
       rep->plan_rejected = true;
       DJ_LOG(Warning)

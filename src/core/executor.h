@@ -77,12 +77,6 @@ class Executor {
     bool op_fusion = false;
     bool op_reorder = false;
 
-    /// Registry whose effect signatures license plan transformations
-    /// (core::VerifyPlan); null = ops::OpRegistry::Global(). A plan the
-    /// effects don't license is refused and the run falls back to recipe
-    /// order (reported via RunReport::plan_rejected and obs).
-    const ops::OpRegistry* registry = nullptr;
-
     bool use_cache = false;
     std::string cache_dir;
     bool cache_compression = false;

@@ -34,7 +34,7 @@ void FlushFilterGroup(std::vector<ops::Filter*>* group,
   std::vector<std::pair<std::string, std::vector<ops::Filter*>>> by_field;
   std::vector<ops::Filter*> singles;
   for (ops::Filter* f : *group) {
-    if (!options.enable_fusion || !f->UsesContext()) {
+    if (!options.enable_fusion || !f->declaration().effects.uses_context()) {
       singles.push_back(f);
       continue;
     }

@@ -31,8 +31,8 @@ struct FusionOptions {
 ///
 ///  1. Detect OP groups: maximal runs of consecutive Filters (Filters are
 ///     commutative with each other; Mappers/Deduplicators are barriers).
-///  2. Within each group, fuse the context-sharing Filters
-///     (Filter::UsesContext) into one fused OP.
+///  2. Within each group, fuse the context-sharing Filters (declared with
+///     OpEffects::WithContext) into one fused OP.
 ///  3. Reorder each group: cheap OPs first (by CostEstimate), the fused OP
 ///     last, so expensive stats run on fewer samples after cheap filters
 ///     have discarded some.

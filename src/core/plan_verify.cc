@@ -1,9 +1,6 @@
 #include "core/plan_verify.h"
 
-#include <optional>
 #include <unordered_map>
-
-#include "ops/op_effects.h"
 
 namespace dj::core {
 
@@ -26,25 +23,8 @@ std::string PlanVerdict::ToString() const {
   return out;
 }
 
-namespace {
-
-/// Effects of every plan OP, resolved once up front. `nullopt` = the OP has
-/// no registered signature (or a placeholder failed to resolve) — treated
-/// conservatively by the pair checks.
-std::optional<ops::ResolvedEffects> ResolveFor(
-    const ops::OpRegistry& registry, const ops::Op* op) {
-  const ops::OpEffects* effects = registry.FindEffects(op->name());
-  if (effects == nullptr) return std::nullopt;
-  auto resolved = effects->Resolve(*op);
-  if (!resolved.ok()) return std::nullopt;
-  return std::move(resolved).value();
-}
-
-}  // namespace
-
 PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
-                       const std::vector<PlanUnit>& plan,
-                       const ops::OpRegistry& registry) {
+                       const std::vector<PlanUnit>& plan) {
   PlanVerdict verdict;
 
   // Flatten the plan to execution order (fused members run co-scheduled;
@@ -78,10 +58,12 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
     }
   }
 
-  std::vector<std::optional<ops::ResolvedEffects>> effects;
+  // Effects of every plan OP, resolved once up front; one that does not
+  // resolve is treated conservatively by the pair checks.
+  std::vector<Result<ops::ResolvedEffects>> effects;
   effects.reserve(exec.size());
   for (const ops::Op* op : exec) {
-    effects.push_back(ResolveFor(registry, op));
+    effects.push_back(op->declaration().effects.Resolve(*op));
   }
 
   auto check_pair = [&](size_t earlier, size_t later, bool inverted) {
@@ -98,11 +80,10 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
     SwapRecord record;
     record.moved_op = b->name();
     record.passed_op = a->name();
-    if (!ea.has_value() || !eb.has_value()) {
-      const ops::Op* missing = !ea.has_value() ? a : b;
+    if (!ea.ok() || !eb.ok()) {
       record.allowed = false;
-      record.justification = "'" + missing->name() +
-                             "' has no effect signature; refusing to " +
+      record.justification = (!ea.ok() ? ea : eb).status().message() +
+                             "; refusing to " +
                              (inverted ? "reorder" : "fuse") + " it";
     } else if (std::string conflict = ops::DescribeConflict(*ea, *eb);
                !conflict.empty()) {
@@ -153,12 +134,11 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
 }
 
 PlanVerdict VerifyPlan(const std::vector<std::unique_ptr<ops::Op>>& op_list,
-                       const std::vector<PlanUnit>& plan,
-                       const ops::OpRegistry& registry) {
+                       const std::vector<PlanUnit>& plan) {
   std::vector<ops::Op*> raw;
   raw.reserve(op_list.size());
   for (const auto& op : op_list) raw.push_back(op.get());
-  return VerifyPlan(raw, plan, registry);
+  return VerifyPlan(raw, plan);
 }
 
 }  // namespace dj::core

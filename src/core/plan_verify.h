@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/fusion.h"
-#include "ops/registry.h"
 
 namespace dj::core {
 
@@ -29,8 +28,8 @@ struct PlanVerdict {
   std::string ToString() const;
 };
 
-/// Statically checks `plan` (a PlanFusion output over `op_list`) against the
-/// effect signatures registered in `registry`:
+/// Statically checks `plan` (a PlanFusion output over `op_list`) against
+/// each OP's declared effects:
 ///
 ///  - every OP of `op_list` must appear exactly once in the plan;
 ///  - two OPs whose order was inverted may swap only if their resolved
@@ -38,18 +37,15 @@ struct PlanVerdict {
 ///  - members of a fused unit are co-scheduled, so every pair inside a unit
 ///    must be conflict-free as well.
 ///
-/// OPs without a registered effect signature are handled conservatively:
-/// any inversion or fusion involving them is refused (identity plans always
-/// pass). This replaces the executor's former blanket "all Filters
-/// commute" assumption.
+/// An OP whose effects do not resolve against its config (a placeholder
+/// param set to "") is handled conservatively: any inversion or fusion
+/// involving it is refused (identity plans always pass).
 PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
-                       const std::vector<PlanUnit>& plan,
-                       const ops::OpRegistry& registry);
+                       const std::vector<PlanUnit>& plan);
 
 /// Convenience overload over owned OP lists (core::BuildOps output).
 PlanVerdict VerifyPlan(const std::vector<std::unique_ptr<ops::Op>>& op_list,
-                       const std::vector<PlanUnit>& plan,
-                       const ops::OpRegistry& registry);
+                       const std::vector<PlanUnit>& plan);
 
 }  // namespace dj::core
 

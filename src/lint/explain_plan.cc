@@ -41,7 +41,7 @@ Result<std::string> ExplainPlan(const core::Recipe& recipe,
     return out;
   }
 
-  core::PlanVerdict verdict = core::VerifyPlan(ops, plan, registry);
+  core::PlanVerdict verdict = core::VerifyPlan(ops, plan);
   if (!verdict.swaps.empty()) {
     out += "swaps (" + std::to_string(verdict.swaps.size()) + "):\n";
   }

@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "core/fusion.h"
 #include "data/sample.h"
-#include "ops/op_effects.h"
 
 namespace dj::lint {
 namespace {
@@ -179,7 +178,8 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
   for (size_t i = 0; i < recipe.process.size(); ++i) {
     const core::OpSpec& spec = recipe.process[i];
     const int idx = static_cast<int>(i);
-    if (!registry_.Contains(spec.name)) {
+    const ops::OpDeclaration* declaration = registry_.Find(spec.name);
+    if (declaration == nullptr) {
       std::string suggestion = ClosestMatch(spec.name, op_names);
       add(Severity::kError, idx, spec.name, "unknown OP",
           suggestion.empty() ? "see dj_lint --ops for the full list"
@@ -187,15 +187,12 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
       continue;
     }
 
-    const ops::OpSchema* schema = registry_.FindSchema(spec.name);
-    if (schema == nullptr) {
-      add(Severity::kNote, idx, spec.name,
-          "OP has no declared parameter schema; params not checked");
-    } else if (spec.params.is_object()) {
+    const ops::OpSchema& schema = declaration->schema;
+    if (spec.params.is_object()) {
       for (const auto& [key, value] : spec.params.as_object().entries()) {
-        const ops::ParamSpec* param = schema->Find(key);
+        const ops::ParamSpec* param = schema.Find(key);
         if (param == nullptr) {
-          std::string suggestion = ClosestMatch(key, schema->Keys());
+          std::string suggestion = ClosestMatch(key, schema.Keys());
           add(Severity::kError, idx, spec.name,
               "unknown param '" + key + "' would be silently ignored",
               suggestion.empty() ? "" : "did you mean '" + suggestion + "'?");
@@ -221,8 +218,8 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
 
       // Empty keep-range: effective min above effective max drops every
       // sample (paper recipes rely on [min, max] keep-windows).
-      const ops::ParamSpec* min_spec = schema->Find("min");
-      const ops::ParamSpec* max_spec = schema->Find("max");
+      const ops::ParamSpec* min_spec = schema.Find("min");
+      const ops::ParamSpec* max_spec = schema.Find("max");
       if (min_spec != nullptr && max_spec != nullptr) {
         const json::Value* min_v = spec.params.as_object().Find("min");
         const json::Value* max_v = spec.params.as_object().Find("max");
@@ -303,17 +300,10 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
     std::vector<std::optional<ops::ResolvedEffects>> fx(instances.size());
     for (size_t i = 0; i < instances.size(); ++i) {
       if (instances[i] == nullptr) continue;
-      const int idx = static_cast<int>(i);
-      const ops::OpEffects* effects =
-          registry_.FindEffects(instances[i]->name());
-      if (effects == nullptr) {
-        add(Severity::kNote, idx, recipe.process[i].name,
-            "OP has no declared effect signature; dataflow not checked");
-        continue;
-      }
-      auto resolved = effects->Resolve(*instances[i]);
+      auto resolved =
+          instances[i]->declaration().effects.Resolve(*instances[i]);
       if (!resolved.ok()) {
-        add(Severity::kWarning, idx, recipe.process[i].name,
+        add(Severity::kWarning, static_cast<int>(i), recipe.process[i].name,
             "effect signature does not resolve: " +
                 resolved.status().ToString());
         continue;
@@ -338,12 +328,12 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
         if (is_own_stat(*fx[i], key)) continue;
         if (stat_producer.find(key) != stat_producer.end()) continue;
         std::string hint;
-        for (const ops::OpEffects* e : registry_.AllEffects()) {
-          const auto& produced = e->stats_produced();
+        for (const ops::OpDeclaration* d : registry_.Declarations()) {
+          const auto& produced = d->effects.stats_produced();
           if (std::find(produced.begin(), produced.end(), key) !=
               produced.end()) {
-            hint = "run '" + e->op_name() + "' earlier in the recipe to "
-                   "produce it";
+            hint = "run '" + d->schema.op_name() + "' earlier in the recipe "
+                   "to produce it";
             break;
           }
         }
@@ -467,7 +457,7 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
         size_t k = begin;
         while (instances[k].get() != unit.op) ++k;
         std::string reason =
-            filter->UsesContext()
+            filter->declaration().effects.uses_context()
                 ? "no other context-sharing filter targets field '" +
                       filter->text_key() + "'"
                 : "it computes its stat without the shared sample context";

@@ -61,7 +61,7 @@ struct LintReport {
 ///
 ///   - unknown OP names, with did-you-mean suggestions;
 ///   - unknown / typo'd param keys and type or range violations
-///     (via each OP's registered OpSchema);
+///     (via each OP's declared OpSchema);
 ///   - empty keep-ranges (effective min > max);
 ///   - duplicate identical OPs;
 ///   - use_cache / use_checkpoint without a directory;

@@ -59,13 +59,20 @@ data::Dataset CollectSurvivors(const data::Dataset& ds, UnionFind* uf,
 
 // ------------------------------------------- DocumentExactDeduplicator --
 
-DocumentExactDeduplicator::DocumentExactDeduplicator(const json::Value& config)
-    : Deduplicator("document_exact_deduplicator", config),
-      lowercase_(Param("lowercase", true)),
-      ignore_whitespace_(Param("ignore_whitespace", true)) {
-  SetEffectiveParam("lowercase", json::Value(lowercase_));
-  SetEffectiveParam("ignore_whitespace", json::Value(ignore_whitespace_));
+const OpDeclaration& DocumentExactDeduplicator::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("document_exact_deduplicator", OpKind::kDeduplicator)
+          .Bool("lowercase", true, "lowercase before fingerprinting")
+          .Bool("ignore_whitespace", true,
+                "collapse whitespace before fingerprinting"),
+      OpEffects().Reads("@text_key").ProducesStat("doc_hash")};
+  return d;
 }
+
+DocumentExactDeduplicator::DocumentExactDeduplicator(const json::Value& config)
+    : Deduplicator(Declaration(), config),
+      lowercase_(Param<bool>("lowercase")),
+      ignore_whitespace_(Param<bool>("ignore_whitespace")) {}
 
 Fingerprint128 DocumentExactDeduplicator::FingerprintOf(
     std::string_view text) const {
@@ -127,18 +134,26 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
 
 // ----------------------------------------- DocumentMinHashDeduplicator --
 
+const OpDeclaration& DocumentMinHashDeduplicator::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("document_minhash_deduplicator", OpKind::kDeduplicator)
+          .Int("num_perm", 128, 8, 4096, "MinHash permutations")
+          .Int("shingle_size", 5, 1, kParamInf, "word shingle length")
+          .Double("jaccard_threshold", 0.7, 0, 1,
+                  "similarity above which documents are duplicates")
+          .Bool("lowercase", true, "lowercase before shingling"),
+      OpEffects().Reads("@text_key")};
+  return d;
+}
+
 DocumentMinHashDeduplicator::DocumentMinHashDeduplicator(
     const json::Value& config)
-    : Deduplicator("document_minhash_deduplicator", config),
-      num_perm_(Param("num_perm", static_cast<int64_t>(128))),
-      shingle_size_(Param("shingle_size", static_cast<int64_t>(5))),
-      threshold_(Param("jaccard_threshold", 0.7)),
-      lowercase_(Param("lowercase", true)),
+    : Deduplicator(Declaration(), config),
+      num_perm_(Param<int64_t>("num_perm")),
+      shingle_size_(Param<int64_t>("shingle_size")),
+      threshold_(Param<double>("jaccard_threshold")),
+      lowercase_(Param<bool>("lowercase")),
       hasher_(static_cast<size_t>(num_perm_)) {
-  SetEffectiveParam("num_perm", json::Value(num_perm_));
-  SetEffectiveParam("shingle_size", json::Value(shingle_size_));
-  SetEffectiveParam("jaccard_threshold", json::Value(threshold_));
-  SetEffectiveParam("lowercase", json::Value(lowercase_));
   // Pick (bands, rows): rows such that the LSH S-curve crosses near the
   // Jaccard threshold.
   lsh_.rows = threshold_ >= 0.85 ? 16 : threshold_ >= 0.6 ? 8 : 4;
@@ -201,14 +216,21 @@ Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
 
 // ----------------------------------------- DocumentSimHashDeduplicator --
 
+const OpDeclaration& DocumentSimHashDeduplicator::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("document_simhash_deduplicator", OpKind::kDeduplicator)
+          .Int("shingle_size", 3, 1, kParamInf, "word shingle length")
+          .Int("hamming_threshold", 4, 0, 64,
+               "maximum fingerprint bit distance for duplicates"),
+      OpEffects().Reads("@text_key")};
+  return d;
+}
+
 DocumentSimHashDeduplicator::DocumentSimHashDeduplicator(
     const json::Value& config)
-    : Deduplicator("document_simhash_deduplicator", config),
-      shingle_size_(Param("shingle_size", static_cast<int64_t>(3))),
-      hamming_threshold_(Param("hamming_threshold", static_cast<int64_t>(4))) {
-  SetEffectiveParam("shingle_size", json::Value(shingle_size_));
-  SetEffectiveParam("hamming_threshold", json::Value(hamming_threshold_));
-}
+    : Deduplicator(Declaration(), config),
+      shingle_size_(Param<int64_t>("shingle_size")),
+      hamming_threshold_(Param<int64_t>("hamming_threshold")) {}
 
 Status DocumentSimHashDeduplicator::ComputeHash(data::RowRef row,
                                                 SampleContext* ctx) {
@@ -258,13 +280,20 @@ Result<data::Dataset> DocumentSimHashDeduplicator::Deduplicate(
 
 // ------------------------------------------- NgramOverlapDeduplicator --
 
-NgramOverlapDeduplicator::NgramOverlapDeduplicator(const json::Value& config)
-    : Deduplicator("ngram_overlap_deduplicator", config),
-      shingle_size_(Param("shingle_size", static_cast<int64_t>(3))),
-      threshold_(Param("jaccard_threshold", 0.8)) {
-  SetEffectiveParam("shingle_size", json::Value(shingle_size_));
-  SetEffectiveParam("jaccard_threshold", json::Value(threshold_));
+const OpDeclaration& NgramOverlapDeduplicator::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("ngram_overlap_deduplicator", OpKind::kDeduplicator)
+          .Int("shingle_size", 3, 1, kParamInf, "word n-gram length")
+          .Double("jaccard_threshold", 0.8, 0, 1,
+                  "exact shingle-set similarity threshold"),
+      OpEffects().Reads("@text_key")};
+  return d;
 }
+
+NgramOverlapDeduplicator::NgramOverlapDeduplicator(const json::Value& config)
+    : Deduplicator(Declaration(), config),
+      shingle_size_(Param<int64_t>("shingle_size")),
+      threshold_(Param<double>("jaccard_threshold")) {}
 
 Status NgramOverlapDeduplicator::ComputeHash(data::RowRef row,
                                              SampleContext* ctx) {
@@ -319,46 +348,4 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
   return CollectSurvivors(dataset, &uf, pairs, threshold_);
 }
 
-std::vector<OpSchema> DocumentDedupSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back(
-      OpSchema("document_exact_deduplicator", OpKind::kDeduplicator)
-          .Bool("lowercase", true, "lowercase before fingerprinting")
-          .Bool("ignore_whitespace", true,
-                "collapse whitespace before fingerprinting"));
-  out.emplace_back(
-      OpSchema("document_minhash_deduplicator", OpKind::kDeduplicator)
-          .Int("num_perm", 128, 8, 4096, "MinHash permutations")
-          .Int("shingle_size", 5, 1, kParamInf, "word shingle length")
-          .Double("jaccard_threshold", 0.7, 0, 1,
-                  "similarity above which documents are duplicates")
-          .Bool("lowercase", true, "lowercase before shingling"));
-  out.emplace_back(
-      OpSchema("document_simhash_deduplicator", OpKind::kDeduplicator)
-          .Int("shingle_size", 3, 1, kParamInf, "word shingle length")
-          .Int("hamming_threshold", 4, 0, 64,
-               "maximum fingerprint bit distance for duplicates"));
-  out.emplace_back(
-      OpSchema("ngram_overlap_deduplicator", OpKind::kDeduplicator)
-          .Int("shingle_size", 3, 1, kParamInf, "word n-gram length")
-          .Double("jaccard_threshold", 0.8, 0, 1,
-                  "exact shingle-set similarity threshold"));
-  return out;
-}
-
-
-std::vector<OpEffects> DocumentDedupEffects() {
-  std::vector<OpEffects> out;
-  out.emplace_back(
-      OpEffects("document_exact_deduplicator", Cardinality::kRowMerging)
-          .Reads("@text_key")
-          .ProducesStat("doc_hash"));
-  for (const char* name :
-       {"document_minhash_deduplicator", "document_simhash_deduplicator",
-        "ngram_overlap_deduplicator"}) {
-    out.emplace_back(
-        OpEffects(name, Cardinality::kRowMerging).Reads("@text_key"));
-  }
-  return out;
-}
 }  // namespace dj::ops

@@ -7,8 +7,6 @@
 #include "common/hash.h"
 #include "ops/dedup/minhash.h"
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
@@ -18,6 +16,7 @@ namespace dj::ops {
 /// (bool, default true).
 class DocumentExactDeduplicator : public Deduplicator {
  public:
+  static const OpDeclaration& Declaration();
   explicit DocumentExactDeduplicator(const json::Value& config);
 
   Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
@@ -42,6 +41,7 @@ class DocumentExactDeduplicator : public Deduplicator {
 /// jaccard_threshold (0.7), lowercase (true).
 class DocumentMinHashDeduplicator : public Deduplicator {
  public:
+  static const OpDeclaration& Declaration();
   explicit DocumentMinHashDeduplicator(const json::Value& config);
 
   Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
@@ -67,6 +67,7 @@ class DocumentMinHashDeduplicator : public Deduplicator {
 /// thresholds <= 3 and high-recall at 4.
 class DocumentSimHashDeduplicator : public Deduplicator {
  public:
+  static const OpDeclaration& Declaration();
   explicit DocumentSimHashDeduplicator(const json::Value& config);
 
   Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
@@ -88,6 +89,7 @@ class DocumentSimHashDeduplicator : public Deduplicator {
 /// avoid the quadratic comparison. Params: shingle_size (3).
 class NgramOverlapDeduplicator : public Deduplicator {
  public:
+  static const OpDeclaration& Declaration();
   explicit NgramOverlapDeduplicator(const json::Value& config);
 
   Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
@@ -101,13 +103,6 @@ class NgramOverlapDeduplicator : public Deduplicator {
   double threshold_;
   std::vector<std::vector<uint64_t>> shingles_;
 };
-
-/// Declared parameter schemas of the document deduplicators above.
-std::vector<OpSchema> DocumentDedupSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> DocumentDedupEffects();
 
 }  // namespace dj::ops
 

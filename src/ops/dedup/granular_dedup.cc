@@ -10,11 +10,16 @@
 
 namespace dj::ops {
 
-GranularDeduplicatorBase::GranularDeduplicatorBase(std::string name,
-                                                   const json::Value& config)
-    : Deduplicator(std::move(name), config),
-      min_unit_length_(Param("min_unit_length", static_cast<int64_t>(8))) {
-  SetEffectiveParam("min_unit_length", json::Value(min_unit_length_));
+GranularDeduplicatorBase::GranularDeduplicatorBase(
+    const OpDeclaration& declaration, const json::Value& config)
+    : Deduplicator(declaration, config),
+      min_unit_length_(Param<int64_t>("min_unit_length")) {}
+
+OpDeclaration GranularDeduplicatorBase::Declare(OpSchema schema) {
+  return {std::move(schema.Int(
+              "min_unit_length", 8, 0, kParamInf,
+              "units shorter than this many bytes are never deduped")),
+          OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
 Status GranularDeduplicatorBase::ComputeHash(data::RowRef row,
@@ -104,46 +109,33 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
   return dataset.Select(keep_rows);
 }
 
+const OpDeclaration& ParagraphExactDeduplicator::Declaration() {
+  static const OpDeclaration d = Declare(
+      OpSchema("paragraph_exact_deduplicator", OpKind::kDeduplicator));
+  return d;
+}
+
 ParagraphExactDeduplicator::ParagraphExactDeduplicator(
     const json::Value& config)
-    : GranularDeduplicatorBase("paragraph_exact_deduplicator", config) {}
+    : GranularDeduplicatorBase(Declaration(), config) {}
 
 std::vector<std::string> ParagraphExactDeduplicator::SplitUnits(
     SampleContext* ctx) const {
   return ctx->Paragraphs();
 }
 
+const OpDeclaration& SentenceExactDeduplicator::Declaration() {
+  static const OpDeclaration d = Declare(
+      OpSchema("sentence_exact_deduplicator", OpKind::kDeduplicator));
+  return d;
+}
+
 SentenceExactDeduplicator::SentenceExactDeduplicator(const json::Value& config)
-    : GranularDeduplicatorBase("sentence_exact_deduplicator", config) {}
+    : GranularDeduplicatorBase(Declaration(), config) {}
 
 std::vector<std::string> SentenceExactDeduplicator::SplitUnits(
     SampleContext* ctx) const {
   return ctx->Sentences();
 }
 
-std::vector<OpSchema> GranularDedupSchemas() {
-  std::vector<OpSchema> out;
-  for (const char* name :
-       {"paragraph_exact_deduplicator", "sentence_exact_deduplicator"}) {
-    out.emplace_back(
-        OpSchema(name, OpKind::kDeduplicator)
-            .Int("min_unit_length", 8, 0, kParamInf,
-                 "units shorter than this many bytes are never deduped"));
-  }
-  return out;
-}
-
-
-std::vector<OpEffects> GranularDedupEffects() {
-  std::vector<OpEffects> out;
-  // Granular dedups rewrite the text field (duplicate paragraphs/sentences
-  // are removed in place) on top of their cross-row decisions.
-  for (const char* name :
-       {"paragraph_exact_deduplicator", "sentence_exact_deduplicator"}) {
-    out.emplace_back(OpEffects(name, Cardinality::kRowMerging)
-                         .Reads("@text_key")
-                         .Writes("@text_key"));
-  }
-  return out;
-}
 }  // namespace dj::ops

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
@@ -23,7 +21,13 @@ class GranularDeduplicatorBase : public Deduplicator {
       std::vector<DuplicatePair>* pairs) override;
 
  protected:
-  GranularDeduplicatorBase(std::string name, const json::Value& config);
+  GranularDeduplicatorBase(const OpDeclaration& declaration,
+                           const json::Value& config);
+
+  /// Declaration of a granular dedup: `schema` plus `min_unit_length`; it
+  /// reads the text field and rewrites it with duplicate units removed, on
+  /// top of its cross-row decisions.
+  static OpDeclaration Declare(OpSchema schema);
 
   /// Splits text into units with their joiner preserved on rebuild.
   virtual std::vector<std::string> SplitUnits(SampleContext* ctx) const = 0;
@@ -37,6 +41,7 @@ class GranularDeduplicatorBase : public Deduplicator {
 /// paragraph_exact_deduplicator: corpus-wide paragraph dedup.
 class ParagraphExactDeduplicator : public GranularDeduplicatorBase {
  public:
+  static const OpDeclaration& Declaration();
   explicit ParagraphExactDeduplicator(const json::Value& config);
   double CostEstimate() const override { return 2.0; }
 
@@ -48,6 +53,7 @@ class ParagraphExactDeduplicator : public GranularDeduplicatorBase {
 /// sentence_exact_deduplicator: corpus-wide sentence dedup.
 class SentenceExactDeduplicator : public GranularDeduplicatorBase {
  public:
+  static const OpDeclaration& Declaration();
   explicit SentenceExactDeduplicator(const json::Value& config);
   double CostEstimate() const override { return 3.0; }
 
@@ -55,13 +61,6 @@ class SentenceExactDeduplicator : public GranularDeduplicatorBase {
   std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
   std::string_view Joiner() const override { return " "; }
 };
-
-/// Declared parameter schemas of the granular deduplicators above.
-std::vector<OpSchema> GranularDedupSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> GranularDedupEffects();
 
 }  // namespace dj::ops
 

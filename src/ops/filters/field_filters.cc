@@ -21,18 +21,22 @@ std::vector<std::string> ReadStringList(const json::Value& config,
 
 // --------------------------------------------------------- SuffixFilter --
 
+const OpDeclaration& SuffixFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("suffix_filter", OpKind::kFilter)
+          .Str("field", "meta.suffix", "field holding the suffix")
+          .List("suffixes", "allowed suffixes (empty = all)"),
+      OpEffects().Reads("@field").ProducesStat(stats_keys::kSuffix)};
+  return d;
+}
+
 SuffixFilter::SuffixFilter(const json::Value& config)
-    : Filter("suffix_filter", config),
-      field_(Param("field", "meta.suffix")),
+    : Filter(Declaration(), config),
+      field_(Param<std::string>("field")),
       suffixes_(ReadStringList(config, "suffixes")) {
-  SetEffectiveParam("field", json::Value(field_));
   json::Array echo;
   for (const auto& s : suffixes_) echo.emplace_back(s);
   SetEffectiveParam("suffixes", json::Value(std::move(echo)));
-}
-
-std::vector<std::string> SuffixFilter::StatsKeys() const {
-  return {std::string(stats_keys::kSuffix)};
 }
 
 Status SuffixFilter::ComputeStats(data::RowRef row, SampleContext*) const {
@@ -56,20 +60,26 @@ Result<bool> SuffixFilter::KeepRow(data::RowRef row) const {
 
 // ------------------------------------------------- SpecifiedFieldFilter --
 
+// The specified-field family keeps its predicate on the live field (no
+// stats indirection), so the read set is just the configured field.
+
+const OpDeclaration& SpecifiedFieldFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("specified_field_filter", OpKind::kFilter)
+          .Str("field", "meta.tag", "field to compare")
+          .List("target_values", "values that keep the sample"),
+      OpEffects().Reads("@field")};
+  return d;
+}
+
 SpecifiedFieldFilter::SpecifiedFieldFilter(const json::Value& config)
-    : Filter("specified_field_filter", config),
-      field_(Param("field", "meta.tag")) {
-  SetEffectiveParam("field", json::Value(field_));
+    : Filter(Declaration(), config), field_(Param<std::string>("field")) {
   if (config.is_object()) {
     const json::Value* list = config.as_object().Find("target_values");
     if (list != nullptr && list->is_array()) {
       targets_ = list->as_array();
     }
   }
-}
-
-std::vector<std::string> SpecifiedFieldFilter::StatsKeys() const {
-  return {};  // decision reads the live field; nothing derived to cache
 }
 
 Status SpecifiedFieldFilter::ComputeStats(data::RowRef, SampleContext*) const {
@@ -88,20 +98,24 @@ Result<bool> SpecifiedFieldFilter::KeepRow(data::RowRef row) const {
 
 // ------------------------------------------ SpecifiedNumericFieldFilter --
 
-SpecifiedNumericFieldFilter::SpecifiedNumericFieldFilter(
-    const json::Value& config)
-    : Filter("specified_numeric_field_filter", config),
-      field_(Param("field", "meta.value")),
-      min_(Param("min", std::numeric_limits<double>::lowest())),
-      max_(Param("max", std::numeric_limits<double>::max())) {
-  SetEffectiveParam("field", json::Value(field_));
-  SetEffectiveParam("min", json::Value(min_));
-  SetEffectiveParam("max", json::Value(max_));
+const OpDeclaration& SpecifiedNumericFieldFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("specified_numeric_field_filter", OpKind::kFilter)
+          .Str("field", "meta.value", "numeric field to compare")
+          .Double("min", std::numeric_limits<double>::lowest(), -kParamInf,
+                  kParamInf, "minimum value")
+          .Double("max", std::numeric_limits<double>::max(), -kParamInf,
+                  kParamInf, "maximum value"),
+      OpEffects().Reads("@field")};
+  return d;
 }
 
-std::vector<std::string> SpecifiedNumericFieldFilter::StatsKeys() const {
-  return {};
-}
+SpecifiedNumericFieldFilter::SpecifiedNumericFieldFilter(
+    const json::Value& config)
+    : Filter(Declaration(), config),
+      field_(Param<std::string>("field")),
+      min_(Param<double>("min")),
+      max_(Param<double>("max")) {}
 
 Status SpecifiedNumericFieldFilter::ComputeStats(data::RowRef,
                                                  SampleContext*) const {
@@ -117,12 +131,16 @@ Result<bool> SpecifiedNumericFieldFilter::KeepRow(data::RowRef row) const {
 
 // --------------------------------------------------- FieldExistsFilter --
 
-FieldExistsFilter::FieldExistsFilter(const json::Value& config)
-    : Filter("field_exists_filter", config), field_(Param("field", "text")) {
-  SetEffectiveParam("field", json::Value(field_));
+const OpDeclaration& FieldExistsFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("field_exists_filter", OpKind::kFilter)
+          .Str("field", "text", "field that must be present"),
+      OpEffects().Reads("@field")};
+  return d;
 }
 
-std::vector<std::string> FieldExistsFilter::StatsKeys() const { return {}; }
+FieldExistsFilter::FieldExistsFilter(const json::Value& config)
+    : Filter(Declaration(), config), field_(Param<std::string>("field")) {}
 
 Status FieldExistsFilter::ComputeStats(data::RowRef, SampleContext*) const {
   return Status::Ok();
@@ -133,40 +151,4 @@ Result<bool> FieldExistsFilter::KeepRow(data::RowRef row) const {
   return v != nullptr && !v->is_null();
 }
 
-std::vector<OpSchema> FieldFilterSchemas() {
-  constexpr double kLowest = std::numeric_limits<double>::lowest();
-  constexpr double kMax = std::numeric_limits<double>::max();
-  std::vector<OpSchema> out;
-  out.emplace_back(OpSchema("suffix_filter", OpKind::kFilter)
-                       .Str("field", "meta.suffix", "field holding the suffix")
-                       .List("suffixes", "allowed suffixes (empty = all)"));
-  out.emplace_back(OpSchema("specified_field_filter", OpKind::kFilter)
-                       .Str("field", "meta.tag", "field to compare")
-                       .List("target_values", "values that keep the sample"));
-  out.emplace_back(
-      OpSchema("specified_numeric_field_filter", OpKind::kFilter)
-          .Str("field", "meta.value", "numeric field to compare")
-          .Double("min", kLowest, -kParamInf, kParamInf, "minimum value")
-          .Double("max", kMax, -kParamInf, kParamInf, "maximum value"));
-  out.emplace_back(OpSchema("field_exists_filter", OpKind::kFilter)
-                       .Str("field", "text", "field that must be present"));
-  return out;
-}
-
-
-std::vector<OpEffects> FieldFilterEffects() {
-  std::vector<OpEffects> out;
-  out.emplace_back(OpEffects("suffix_filter", Cardinality::kRowDropping)
-                       .Reads("@field")
-                       .ProducesStat(std::string(stats_keys::kSuffix)));
-  // The specified-field family keeps its predicate on the live field (no
-  // stats indirection), so the read set is just the configured field.
-  for (const char* name :
-       {"specified_field_filter", "specified_numeric_field_filter",
-        "field_exists_filter"}) {
-    out.emplace_back(
-        OpEffects(name, Cardinality::kRowDropping).Reads("@field"));
-  }
-  return out;
-}
 }  // namespace dj::ops

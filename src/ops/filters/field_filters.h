@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 #include "ops/stats_keys.h"
 
 namespace dj::ops {
@@ -15,9 +13,9 @@ namespace dj::ops {
 /// `field`) is in the allowed `suffixes` list (e.g. [".txt", ".md"]).
 class SuffixFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit SuffixFilter(const json::Value& config);
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 0.1; }
@@ -32,9 +30,9 @@ class SuffixFilter : public Filter {
 /// This is the meta-tag filtering of the HPO mixing example (Sec. 5.1).
 class SpecifiedFieldFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit SpecifiedFieldFilter(const json::Value& config);
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 0.1; }
@@ -48,9 +46,9 @@ class SpecifiedFieldFilter : public Filter {
 /// `field` lies within [min, max] (e.g. GitHub star counts, paper Sec. 4.3).
 class SpecifiedNumericFieldFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit SpecifiedNumericFieldFilter(const json::Value& config);
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 0.1; }
@@ -64,9 +62,9 @@ class SpecifiedNumericFieldFilter : public Filter {
 /// field_exists_filter: keeps samples where `field` is present and non-null.
 class FieldExistsFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit FieldExistsFilter(const json::Value& config);
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 0.1; }
@@ -74,13 +72,6 @@ class FieldExistsFilter : public Filter {
  private:
   std::string field_;
 };
-
-/// Declared parameter schemas of the field filters above.
-std::vector<OpSchema> FieldFilterSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> FieldFilterEffects();
 
 }  // namespace dj::ops
 

@@ -6,6 +6,9 @@
 namespace dj::ops {
 namespace {
 
+namespace sk = stats_keys;
+constexpr double kMax = std::numeric_limits<double>::max();
+
 void ExtendFromConfig(const json::Value& config, std::string_view key,
                       text::Lexicon* lexicon) {
   if (!config.is_object()) return;
@@ -20,9 +23,20 @@ void ExtendFromConfig(const json::Value& config, std::string_view key,
 
 // --------------------------------------------------- FlaggedWordsFilter --
 
+const OpDeclaration& FlaggedWordsFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("flagged_words_filter", OpKind::kFilter)
+          .KeepRange(0.0, 0.01, 0, 1, "flagged word ratio")
+          .List("extra_words", "additional flagged words"),
+      OpEffects()
+          .Reads("@text_key")
+          .ProducesStat(sk::kFlaggedWordsRatio)
+          .WithContext()};
+  return d;
+}
+
 FlaggedWordsFilter::FlaggedWordsFilter(const json::Value& config)
-    : RangeStatFilter("flagged_words_filter", config,
-                      std::string(stats_keys::kFlaggedWordsRatio), 0.0, 0.01),
+    : RangeStatFilter(Declaration(), config),
       lexicon_(text::Lexicon::FlaggedWords()) {
   ExtendFromConfig(config, "extra_words", &lexicon_);
 }
@@ -40,9 +54,19 @@ double FlaggedWordsFilter::ComputeValue(std::string_view,
 
 // ------------------------------------------------------ StopwordsFilter --
 
+const OpDeclaration& StopwordsFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("stopwords_filter", OpKind::kFilter)
+          .KeepRange(0.1, 1.0, 0, 1, "stopword ratio"),
+      OpEffects()
+          .Reads("@text_key")
+          .ProducesStat(sk::kStopwordsRatio)
+          .WithContext()};
+  return d;
+}
+
 StopwordsFilter::StopwordsFilter(const json::Value& config)
-    : RangeStatFilter("stopwords_filter", config,
-                      std::string(stats_keys::kStopwordsRatio), 0.1, 1.0) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double StopwordsFilter::ComputeValue(std::string_view,
                                      SampleContext* ctx) const {
@@ -58,10 +82,19 @@ double StopwordsFilter::ComputeValue(std::string_view,
 
 // ----------------------------------------------------- TextActionFilter --
 
+const OpDeclaration& TextActionFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("text_action_filter", OpKind::kFilter)
+          .KeepRange(1, kMax, 0, kParamInf, "action verb count"),
+      OpEffects()
+          .Reads("@text_key")
+          .ProducesStat(sk::kNumActionVerbs)
+          .WithContext()};
+  return d;
+}
+
 TextActionFilter::TextActionFilter(const json::Value& config)
-    : RangeStatFilter("text_action_filter", config,
-                      std::string(stats_keys::kNumActionVerbs), 1,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double TextActionFilter::ComputeValue(std::string_view,
                                       SampleContext* ctx) const {
@@ -75,11 +108,20 @@ double TextActionFilter::ComputeValue(std::string_view,
 
 // ------------------------------------------ TextEntityDependencyFilter --
 
+const OpDeclaration& TextEntityDependencyFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("text_entity_dependency_filter", OpKind::kFilter)
+          .KeepRange(1, kMax, 0, kParamInf, "entity token count"),
+      OpEffects()
+          .Reads("@text_key")
+          .ProducesStat(sk::kNumEntities)
+          .WithContext()};
+  return d;
+}
+
 TextEntityDependencyFilter::TextEntityDependencyFilter(
     const json::Value& config)
-    : RangeStatFilter("text_entity_dependency_filter", config,
-                      std::string(stats_keys::kNumEntities), 1,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double TextEntityDependencyFilter::ComputeValue(std::string_view,
                                                 SampleContext* ctx) const {
@@ -111,42 +153,4 @@ double TextEntityDependencyFilter::ComputeValue(std::string_view,
   return static_cast<double>(entities);
 }
 
-std::vector<OpSchema> LexiconFilterSchemas() {
-  constexpr double kMax = std::numeric_limits<double>::max();
-  std::vector<OpSchema> out;
-  out.push_back(RangeFilterSchema("flagged_words_filter", 0.0, 0.01, 0, 1,
-                                  "flagged word ratio")
-                    .List("extra_words", "additional flagged words"));
-  out.push_back(RangeFilterSchema("stopwords_filter", 0.1, 1.0, 0, 1,
-                                  "stopword ratio"));
-  out.push_back(RangeFilterSchema("text_action_filter", 1, kMax, 0, kParamInf,
-                                  "action verb count"));
-  out.push_back(RangeFilterSchema("text_entity_dependency_filter", 1, kMax, 0,
-                                  kParamInf, "entity token count"));
-  return out;
-}
-
-
-std::vector<OpEffects> LexiconFilterEffects() {
-  namespace sk = stats_keys;
-  std::vector<OpEffects> out;
-  out.emplace_back(OpEffects("flagged_words_filter", Cardinality::kRowDropping)
-                       .Reads("@text_key")
-                       .ProducesStat(std::string(sk::kFlaggedWordsRatio))
-                       .WithContext());
-  out.emplace_back(OpEffects("stopwords_filter", Cardinality::kRowDropping)
-                       .Reads("@text_key")
-                       .ProducesStat(std::string(sk::kStopwordsRatio))
-                       .WithContext());
-  out.emplace_back(OpEffects("text_action_filter", Cardinality::kRowDropping)
-                       .Reads("@text_key")
-                       .ProducesStat(std::string(sk::kNumActionVerbs))
-                       .WithContext());
-  out.emplace_back(
-      OpEffects("text_entity_dependency_filter", Cardinality::kRowDropping)
-          .Reads("@text_key")
-          .ProducesStat(std::string(sk::kNumEntities))
-          .WithContext());
-  return out;
-}
 }  // namespace dj::ops

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "ops/filters/stats_filters.h"
-#include "ops/op_effects.h"
 #include "text/lexicons.h"
 
 namespace dj::ops {
@@ -14,9 +13,9 @@ namespace dj::ops {
 /// with ratio <= max (default 0.01). Extra words via `extra_words` list.
 class FlaggedWordsFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit FlaggedWordsFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.1; }
 
  private:
@@ -28,20 +27,19 @@ class FlaggedWordsFilter : public RangeStatFilter {
 /// (default 0.1).
 class StopwordsFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit StopwordsFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.1; }
-  std::vector<std::string> Tags() const override { return {"en"}; }
 };
 
 /// text_action_filter: number of action verbs present; post-tuning prompts
 /// should contain at least `min` (default 1) actionable verb.
 class TextActionFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TextActionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.0; }
 };
 
@@ -51,18 +49,11 @@ class TextActionFilter : public RangeStatFilter {
 /// with count within [min, max].
 class TextEntityDependencyFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TextEntityDependencyFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.2; }
 };
-
-/// Declared parameter schemas of the lexicon filters above.
-std::vector<OpSchema> LexiconFilterSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> LexiconFilterEffects();
 
 }  // namespace dj::ops
 

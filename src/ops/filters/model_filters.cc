@@ -13,18 +13,24 @@ std::string_view RowText(data::RowRef row, const std::string& key) {
 
 // ----------------------------------------------- LanguageIdScoreFilter --
 
-LanguageIdScoreFilter::LanguageIdScoreFilter(const json::Value& config)
-    : Filter("language_id_score_filter", config),
-      lang_(Param("lang", "en")),
-      min_score_(Param("min_score", 0.8)),
-      identifier_(&text::LanguageIdentifier::Default()) {
-  SetEffectiveParam("lang", json::Value(lang_));
-  SetEffectiveParam("min_score", json::Value(min_score_));
+const OpDeclaration& LanguageIdScoreFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("language_id_score_filter", OpKind::kFilter)
+          .Str("lang", "en", "required language code")
+          .Double("min_score", 0.8, 0, 1,
+                  "minimum identification confidence"),
+      OpEffects()
+          .Reads("@text_key")
+          .ProducesStat(stats_keys::kLang)
+          .ProducesStat(stats_keys::kLangScore)};
+  return d;
 }
 
-std::vector<std::string> LanguageIdScoreFilter::StatsKeys() const {
-  return {std::string(stats_keys::kLang), std::string(stats_keys::kLangScore)};
-}
+LanguageIdScoreFilter::LanguageIdScoreFilter(const json::Value& config)
+    : Filter(Declaration(), config),
+      lang_(Param<std::string>("lang")),
+      min_score_(Param<double>("min_score")),
+      identifier_(&text::LanguageIdentifier::Default()) {}
 
 Status LanguageIdScoreFilter::ComputeStats(data::RowRef row,
                                            SampleContext*) const {
@@ -42,16 +48,19 @@ Result<bool> LanguageIdScoreFilter::KeepRow(data::RowRef row) const {
 
 // ---------------------------------------------------- PerplexityFilter --
 
-PerplexityFilter::PerplexityFilter(const json::Value& config)
-    : Filter("perplexity_filter", config),
-      max_ppl_(Param("max_ppl", 1500.0)),
-      model_(&text::NgramLm::DefaultEnglish()) {
-  SetEffectiveParam("max_ppl", json::Value(max_ppl_));
+const OpDeclaration& PerplexityFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("perplexity_filter", OpKind::kFilter)
+          .Double("max_ppl", 1500.0, 0, kParamInf,
+                  "maximum n-gram LM perplexity"),
+      OpEffects().Reads("@text_key").ProducesStat(stats_keys::kPerplexity)};
+  return d;
 }
 
-std::vector<std::string> PerplexityFilter::StatsKeys() const {
-  return {std::string(stats_keys::kPerplexity)};
-}
+PerplexityFilter::PerplexityFilter(const json::Value& config)
+    : Filter(Declaration(), config),
+      max_ppl_(Param<double>("max_ppl")),
+      model_(&text::NgramLm::DefaultEnglish()) {}
 
 Status PerplexityFilter::ComputeStats(data::RowRef row,
                                       SampleContext*) const {
@@ -66,16 +75,18 @@ Result<bool> PerplexityFilter::KeepRow(data::RowRef row) const {
 
 // -------------------------------------------------- QualityScoreFilter --
 
-QualityScoreFilter::QualityScoreFilter(const json::Value& config)
-    : Filter("quality_score_filter", config),
-      min_score_(Param("min_score", 0.5)),
-      classifier_(&quality::QualityClassifier::DefaultGpt3()) {
-  SetEffectiveParam("min_score", json::Value(min_score_));
+const OpDeclaration& QualityScoreFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("quality_score_filter", OpKind::kFilter)
+          .Double("min_score", 0.5, 0, 1, "minimum quality classifier score"),
+      OpEffects().Reads("@text_key").ProducesStat(stats_keys::kQualityScore)};
+  return d;
 }
 
-std::vector<std::string> QualityScoreFilter::StatsKeys() const {
-  return {std::string(stats_keys::kQualityScore)};
-}
+QualityScoreFilter::QualityScoreFilter(const json::Value& config)
+    : Filter(Declaration(), config),
+      min_score_(Param<double>("min_score")),
+      classifier_(&quality::QualityClassifier::DefaultGpt3()) {}
 
 Status QualityScoreFilter::ComputeStats(data::RowRef row,
                                         SampleContext*) const {
@@ -88,37 +99,4 @@ Result<bool> QualityScoreFilter::KeepRow(data::RowRef row) const {
   return ReadStat(row, stats_keys::kQualityScore, 0.0) >= min_score_;
 }
 
-std::vector<OpSchema> ModelFilterSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back(
-      OpSchema("language_id_score_filter", OpKind::kFilter)
-          .Str("lang", "en", "required language code")
-          .Double("min_score", 0.8, 0, 1,
-                  "minimum identification confidence"));
-  out.emplace_back(OpSchema("perplexity_filter", OpKind::kFilter)
-                       .Double("max_ppl", 1500.0, 0, kParamInf,
-                               "maximum n-gram LM perplexity"));
-  out.emplace_back(OpSchema("quality_score_filter", OpKind::kFilter)
-                       .Double("min_score", 0.5, 0, 1,
-                               "minimum quality classifier score"));
-  return out;
-}
-
-
-std::vector<OpEffects> ModelFilterEffects() {
-  namespace sk = stats_keys;
-  std::vector<OpEffects> out;
-  out.emplace_back(
-      OpEffects("language_id_score_filter", Cardinality::kRowDropping)
-          .Reads("@text_key")
-          .ProducesStat(std::string(sk::kLang))
-          .ProducesStat(std::string(sk::kLangScore)));
-  out.emplace_back(OpEffects("perplexity_filter", Cardinality::kRowDropping)
-                       .Reads("@text_key")
-                       .ProducesStat(std::string(sk::kPerplexity)));
-  out.emplace_back(OpEffects("quality_score_filter", Cardinality::kRowDropping)
-                       .Reads("@text_key")
-                       .ProducesStat(std::string(sk::kQualityScore)));
-  return out;
-}
 }  // namespace dj::ops

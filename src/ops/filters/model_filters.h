@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 #include "ops/stats_keys.h"
 #include "quality/quality_classifier.h"
 #include "text/lang_id.h"
@@ -20,13 +18,12 @@ namespace dj::ops {
 /// Writes both stats.lang and stats.lang_score.
 class LanguageIdScoreFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit LanguageIdScoreFilter(const json::Value& config);
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 3.0; }
-  std::vector<std::string> Tags() const override { return {"general"}; }
 
  private:
   std::string lang_;
@@ -39,11 +36,11 @@ class LanguageIdScoreFilter : public Filter {
 /// garbage scores high.
 class PerplexityFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit PerplexityFilter(const json::Value& config);
   /// Injects a custom LM (e.g. trained on in-domain data). Not owned.
   void set_model(const text::NgramLm* model) { model_ = model; }
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 5.0; }
@@ -57,12 +54,12 @@ class PerplexityFilter : public Filter {
 /// classifier; keeps samples with score >= `min_score` (default 0.5).
 class QualityScoreFilter : public Filter {
  public:
+  static const OpDeclaration& Declaration();
   explicit QualityScoreFilter(const json::Value& config);
   void set_classifier(const quality::QualityClassifier* classifier) {
     classifier_ = classifier;
   }
 
-  std::vector<std::string> StatsKeys() const override;
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
   double CostEstimate() const override { return 5.0; }
@@ -71,13 +68,6 @@ class QualityScoreFilter : public Filter {
   double min_score_;
   const quality::QualityClassifier* classifier_;  // not owned
 };
-
-/// Declared parameter schemas of the model-backed filters above.
-std::vector<OpSchema> ModelFilterSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> ModelFilterEffects();
 
 }  // namespace dj::ops
 

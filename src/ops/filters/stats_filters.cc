@@ -8,18 +8,21 @@
 #include "text/utf8.h"
 
 namespace dj::ops {
+namespace {
+
+namespace sk = stats_keys;
+constexpr double kMax = std::numeric_limits<double>::max();
+
+}  // namespace
 
 // ------------------------------------------------------- RangeStatFilter --
 
-RangeStatFilter::RangeStatFilter(std::string name, const json::Value& config,
-                                 std::string stat_key, double default_min,
-                                 double default_max)
-    : Filter(std::move(name), config), stat_key_(std::move(stat_key)) {
-  min_ = Param("min", default_min);
-  max_ = Param("max", default_max);
-  SetEffectiveParam("min", json::Value(min_));
-  SetEffectiveParam("max", json::Value(max_));
-}
+RangeStatFilter::RangeStatFilter(const OpDeclaration& declaration,
+                                 const json::Value& config)
+    : Filter(declaration, config),
+      stat_key_(declaration.effects.stats_produced().front()),
+      min_(Param<double>("min")),
+      max_(Param<double>("max")) {}
 
 Status RangeStatFilter::ComputeStats(data::RowRef row,
                                      SampleContext* ctx) const {
@@ -43,9 +46,16 @@ Result<bool> RangeStatFilter::KeepRow(data::RowRef row) const {
 
 // --------------------------------------------------- AlphanumericFilter --
 
+const OpDeclaration& AlphanumericFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("alphanumeric_filter", OpKind::kFilter)
+          .KeepRange(0.25, 1.0, 0, 1, "alphanumeric codepoint ratio"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kAlnumRatio)};
+  return d;
+}
+
 AlphanumericFilter::AlphanumericFilter(const json::Value& config)
-    : RangeStatFilter("alphanumeric_filter", config,
-                      std::string(stats_keys::kAlnumRatio), 0.25, 1.0) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double AlphanumericFilter::ComputeValue(std::string_view text,
                                         SampleContext*) const {
@@ -61,10 +71,17 @@ double AlphanumericFilter::ComputeValue(std::string_view text,
 
 // ---------------------------------------------- AverageLineLengthFilter --
 
+const OpDeclaration& AverageLineLengthFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("average_line_length_filter", OpKind::kFilter)
+          .KeepRange(10, kMax, 0, kParamInf, "mean line length"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kAvgLineLength)
+          .WithContext()};
+  return d;
+}
+
 AverageLineLengthFilter::AverageLineLengthFilter(const json::Value& config)
-    : RangeStatFilter("average_line_length_filter", config,
-                      std::string(stats_keys::kAvgLineLength), 10,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double AverageLineLengthFilter::ComputeValue(std::string_view,
                                              SampleContext* ctx) const {
@@ -77,12 +94,18 @@ double AverageLineLengthFilter::ComputeValue(std::string_view,
 
 // -------------------------------------------- CharacterRepetitionFilter --
 
-CharacterRepetitionFilter::CharacterRepetitionFilter(const json::Value& config)
-    : RangeStatFilter("character_repetition_filter", config,
-                      std::string(stats_keys::kCharRepRatio), 0.0, 0.5),
-      rep_len_(Param("rep_len", static_cast<int64_t>(10))) {
-  SetEffectiveParam("rep_len", json::Value(rep_len_));
+const OpDeclaration& CharacterRepetitionFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("character_repetition_filter", OpKind::kFilter)
+          .KeepRange(0.0, 0.5, 0, 1, "duplicated char-n-gram ratio")
+          .Int("rep_len", 10, 1, kParamInf, "character n-gram length"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kCharRepRatio)};
+  return d;
 }
+
+CharacterRepetitionFilter::CharacterRepetitionFilter(const json::Value& config)
+    : RangeStatFilter(Declaration(), config),
+      rep_len_(Param<int64_t>("rep_len")) {}
 
 double CharacterRepetitionFilter::ComputeValue(std::string_view text,
                                                SampleContext*) const {
@@ -92,10 +115,17 @@ double CharacterRepetitionFilter::ComputeValue(std::string_view text,
 
 // ----------------------------------------------- MaximumLineLengthFilter --
 
+const OpDeclaration& MaximumLineLengthFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("maximum_line_length_filter", OpKind::kFilter)
+          .KeepRange(10, kMax, 0, kParamInf, "longest line length"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kMaxLineLength)
+          .WithContext()};
+  return d;
+}
+
 MaximumLineLengthFilter::MaximumLineLengthFilter(const json::Value& config)
-    : RangeStatFilter("maximum_line_length_filter", config,
-                      std::string(stats_keys::kMaxLineLength), 10,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double MaximumLineLengthFilter::ComputeValue(std::string_view,
                                              SampleContext* ctx) const {
@@ -109,9 +139,16 @@ double MaximumLineLengthFilter::ComputeValue(std::string_view,
 
 // ---------------------------------------------- SpecialCharactersFilter --
 
+const OpDeclaration& SpecialCharactersFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("special_characters_filter", OpKind::kFilter)
+          .KeepRange(0.0, 0.25, 0, 1, "special character ratio"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kSpecialCharRatio)};
+  return d;
+}
+
 SpecialCharactersFilter::SpecialCharactersFilter(const json::Value& config)
-    : RangeStatFilter("special_characters_filter", config,
-                      std::string(stats_keys::kSpecialCharRatio), 0.0, 0.25) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double SpecialCharactersFilter::ComputeValue(std::string_view text,
                                              SampleContext*) const {
@@ -130,10 +167,16 @@ double SpecialCharactersFilter::ComputeValue(std::string_view text,
 
 // ------------------------------------------------------ TextLengthFilter --
 
+const OpDeclaration& TextLengthFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("text_length_filter", OpKind::kFilter)
+          .KeepRange(10, kMax, 0, kParamInf, "text length in codepoints"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kTextLength)};
+  return d;
+}
+
 TextLengthFilter::TextLengthFilter(const json::Value& config)
-    : RangeStatFilter("text_length_filter", config,
-                      std::string(stats_keys::kTextLength), 10,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double TextLengthFilter::ComputeValue(std::string_view text,
                                       SampleContext*) const {
@@ -142,10 +185,16 @@ double TextLengthFilter::ComputeValue(std::string_view text,
 
 // -------------------------------------------------------- TokenNumFilter --
 
+const OpDeclaration& TokenNumFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("token_num_filter", OpKind::kFilter)
+          .KeepRange(10, kMax, 0, kParamInf, "approximate token count"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumTokens)};
+  return d;
+}
+
 TokenNumFilter::TokenNumFilter(const json::Value& config)
-    : RangeStatFilter("token_num_filter", config,
-                      std::string(stats_keys::kNumTokens), 10,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double TokenNumFilter::ComputeValue(std::string_view text,
                                     SampleContext*) const {
@@ -154,10 +203,16 @@ double TokenNumFilter::ComputeValue(std::string_view text,
 
 // --------------------------------------------------------- WordNumFilter --
 
+const OpDeclaration& WordNumFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("word_num_filter", OpKind::kFilter)
+          .KeepRange(10, kMax, 0, kParamInf, "word count"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumWords).WithContext()};
+  return d;
+}
+
 WordNumFilter::WordNumFilter(const json::Value& config)
-    : RangeStatFilter("word_num_filter", config,
-                      std::string(stats_keys::kNumWords), 10,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double WordNumFilter::ComputeValue(std::string_view,
                                    SampleContext* ctx) const {
@@ -166,12 +221,19 @@ double WordNumFilter::ComputeValue(std::string_view,
 
 // -------------------------------------------------- WordRepetitionFilter --
 
-WordRepetitionFilter::WordRepetitionFilter(const json::Value& config)
-    : RangeStatFilter("word_repetition_filter", config,
-                      std::string(stats_keys::kWordRepRatio), 0.0, 0.6),
-      rep_len_(Param("rep_len", static_cast<int64_t>(5))) {
-  SetEffectiveParam("rep_len", json::Value(rep_len_));
+const OpDeclaration& WordRepetitionFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("word_repetition_filter", OpKind::kFilter)
+          .KeepRange(0.0, 0.6, 0, 1, "duplicated word-n-gram ratio")
+          .Int("rep_len", 5, 1, kParamInf, "word n-gram length"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kWordRepRatio)
+          .WithContext()};
+  return d;
 }
+
+WordRepetitionFilter::WordRepetitionFilter(const json::Value& config)
+    : RangeStatFilter(Declaration(), config),
+      rep_len_(Param<int64_t>("rep_len")) {}
 
 double WordRepetitionFilter::ComputeValue(std::string_view,
                                           SampleContext* ctx) const {
@@ -181,10 +243,17 @@ double WordRepetitionFilter::ComputeValue(std::string_view,
 
 // ---------------------------------------------------- ParagraphNumFilter --
 
+const OpDeclaration& ParagraphNumFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("paragraph_num_filter", OpKind::kFilter)
+          .KeepRange(1, kMax, 0, kParamInf, "paragraph count"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumParagraphs)
+          .WithContext()};
+  return d;
+}
+
 ParagraphNumFilter::ParagraphNumFilter(const json::Value& config)
-    : RangeStatFilter("paragraph_num_filter", config,
-                      std::string(stats_keys::kNumParagraphs), 1,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double ParagraphNumFilter::ComputeValue(std::string_view,
                                         SampleContext* ctx) const {
@@ -193,102 +262,21 @@ double ParagraphNumFilter::ComputeValue(std::string_view,
 
 // ----------------------------------------------------- SentenceNumFilter --
 
+const OpDeclaration& SentenceNumFilter::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("sentence_num_filter", OpKind::kFilter)
+          .KeepRange(1, kMax, 0, kParamInf, "sentence count"),
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumSentences)
+          .WithContext()};
+  return d;
+}
+
 SentenceNumFilter::SentenceNumFilter(const json::Value& config)
-    : RangeStatFilter("sentence_num_filter", config,
-                      std::string(stats_keys::kNumSentences), 1,
-                      std::numeric_limits<double>::max()) {}
+    : RangeStatFilter(Declaration(), config) {}
 
 double SentenceNumFilter::ComputeValue(std::string_view,
                                        SampleContext* ctx) const {
   return static_cast<double>(ctx->Sentences().size());
 }
 
-// ----------------------------------------------------- declared schemas --
-
-OpSchema RangeFilterSchema(std::string op_name, double default_min,
-                           double default_max, double lo, double hi,
-                           std::string stat_doc) {
-  OpSchema schema(std::move(op_name), OpKind::kFilter);
-  schema.Double("min", default_min, lo, hi, "keep samples with " + stat_doc +
-                                                " >= min");
-  schema.Double("max", default_max, lo, hi,
-                "keep samples with " + stat_doc + " <= max");
-  return schema;
-}
-
-std::vector<OpSchema> StatsFilterSchemas() {
-  constexpr double kMax = std::numeric_limits<double>::max();
-  std::vector<OpSchema> out;
-  out.push_back(RangeFilterSchema("alphanumeric_filter", 0.25, 1.0, 0, 1,
-                                  "alphanumeric codepoint ratio"));
-  out.push_back(RangeFilterSchema("average_line_length_filter", 10, kMax, 0,
-                                  kParamInf, "mean line length"));
-  out.push_back(RangeFilterSchema("character_repetition_filter", 0.0, 0.5, 0,
-                                  1, "duplicated char-n-gram ratio")
-                    .Int("rep_len", 10, 1, kParamInf,
-                         "character n-gram length"));
-  out.push_back(RangeFilterSchema("maximum_line_length_filter", 10, kMax, 0,
-                                  kParamInf, "longest line length"));
-  out.push_back(RangeFilterSchema("special_characters_filter", 0.0, 0.25, 0,
-                                  1, "special character ratio"));
-  out.push_back(RangeFilterSchema("text_length_filter", 10, kMax, 0,
-                                  kParamInf, "text length in codepoints"));
-  out.push_back(RangeFilterSchema("token_num_filter", 10, kMax, 0, kParamInf,
-                                  "approximate token count"));
-  out.push_back(RangeFilterSchema("word_num_filter", 10, kMax, 0, kParamInf,
-                                  "word count"));
-  out.push_back(RangeFilterSchema("word_repetition_filter", 0.0, 0.6, 0, 1,
-                                  "duplicated word-n-gram ratio")
-                    .Int("rep_len", 5, 1, kParamInf, "word n-gram length"));
-  out.push_back(RangeFilterSchema("paragraph_num_filter", 1, kMax, 0,
-                                  kParamInf, "paragraph count"));
-  out.push_back(RangeFilterSchema("sentence_num_filter", 1, kMax, 0,
-                                  kParamInf, "sentence count"));
-  return out;
-}
-
-
-namespace {
-
-/// Shared effect shape of the range-stat filters: read the configured text
-/// field, produce one stat, drop rows outside [min, max].
-OpEffects RangeFilterEffects(const char* op_name, std::string_view stat_key,
-                             bool uses_context) {
-  OpEffects e(op_name, Cardinality::kRowDropping);
-  e.Reads("@text_key").ProducesStat(std::string(stat_key));
-  if (uses_context) e.WithContext();
-  return e;
-}
-
-}  // namespace
-
-std::vector<OpEffects> StatsFilterEffects() {
-  namespace sk = stats_keys;
-  std::vector<OpEffects> out;
-  out.push_back(RangeFilterEffects("alphanumeric_filter", sk::kAlnumRatio,
-                                   /*uses_context=*/false));
-  out.push_back(RangeFilterEffects("average_line_length_filter",
-                                   sk::kAvgLineLength, /*uses_context=*/true));
-  out.push_back(RangeFilterEffects("character_repetition_filter",
-                                   sk::kCharRepRatio,
-                                   /*uses_context=*/false));
-  out.push_back(RangeFilterEffects("maximum_line_length_filter",
-                                   sk::kMaxLineLength, /*uses_context=*/true));
-  out.push_back(RangeFilterEffects("special_characters_filter",
-                                   sk::kSpecialCharRatio,
-                                   /*uses_context=*/false));
-  out.push_back(RangeFilterEffects("text_length_filter", sk::kTextLength,
-                                   /*uses_context=*/false));
-  out.push_back(RangeFilterEffects("token_num_filter", sk::kNumTokens,
-                                   /*uses_context=*/false));
-  out.push_back(RangeFilterEffects("word_num_filter", sk::kNumWords,
-                                   /*uses_context=*/true));
-  out.push_back(RangeFilterEffects("word_repetition_filter", sk::kWordRepRatio,
-                                   /*uses_context=*/true));
-  out.push_back(RangeFilterEffects("paragraph_num_filter", sk::kNumParagraphs,
-                                   /*uses_context=*/true));
-  out.push_back(RangeFilterEffects("sentence_num_filter", sk::kNumSentences,
-                                   /*uses_context=*/true));
-  return out;
-}
 }  // namespace dj::ops

@@ -5,25 +5,21 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 #include "ops/stats_keys.h"
 
 namespace dj::ops {
 
 /// Base for filters whose stat is a single number with [min, max] bounds.
-/// Subclasses implement ComputeValue; configuration supplies `min_<key>` /
-/// `max_<key>` or generic `min` / `max` params.
+/// Subclasses implement ComputeValue and declare the stat they produce plus
+/// the `min` / `max` keep-window (OpSchema::KeepRange).
 class RangeStatFilter : public Filter {
  public:
-  std::vector<std::string> StatsKeys() const override { return {stat_key_}; }
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
 
  protected:
-  RangeStatFilter(std::string name, const json::Value& config,
-                  std::string stat_key, double default_min,
-                  double default_max);
+  /// The stat is the one `declaration` produces.
+  RangeStatFilter(const OpDeclaration& declaration, const json::Value& config);
 
   virtual double ComputeValue(std::string_view text,
                               SampleContext* ctx) const = 0;
@@ -40,6 +36,7 @@ class RangeStatFilter : public Filter {
 /// alphanumeric_filter: ratio of alphanumeric codepoints to all codepoints.
 class AlphanumericFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit AlphanumericFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
   double CostEstimate() const override { return 0.4; }
@@ -48,15 +45,16 @@ class AlphanumericFilter : public RangeStatFilter {
 /// average_line_length_filter: mean line length in codepoints.
 class AverageLineLengthFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit AverageLineLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 0.3; }
 };
 
 /// character_repetition_filter: duplicated char-n-gram ratio (default n=10).
 class CharacterRepetitionFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit CharacterRepetitionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
   double CostEstimate() const override { return 1.2; }
@@ -68,9 +66,9 @@ class CharacterRepetitionFilter : public RangeStatFilter {
 /// maximum_line_length_filter: longest line in codepoints.
 class MaximumLineLengthFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit MaximumLineLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 0.3; }
 };
 
@@ -78,6 +76,7 @@ class MaximumLineLengthFilter : public RangeStatFilter {
 /// non-CJK codepoints.
 class SpecialCharactersFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit SpecialCharactersFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
   double CostEstimate() const override { return 0.4; }
@@ -86,6 +85,7 @@ class SpecialCharactersFilter : public RangeStatFilter {
 /// text_length_filter: length in codepoints.
 class TextLengthFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TextLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
   double CostEstimate() const override { return 0.2; }
@@ -94,6 +94,7 @@ class TextLengthFilter : public RangeStatFilter {
 /// token_num_filter: approximate LLM token count.
 class TokenNumFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TokenNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
   double CostEstimate() const override { return 0.6; }
@@ -102,18 +103,18 @@ class TokenNumFilter : public RangeStatFilter {
 /// word_num_filter: number of word tokens.
 class WordNumFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit WordNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.0; }
 };
 
 /// word_repetition_filter: duplicated word-n-gram ratio (default n=5).
 class WordRepetitionFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit WordRepetitionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 1.4; }
 
  private:
@@ -123,33 +124,20 @@ class WordRepetitionFilter : public RangeStatFilter {
 /// paragraph_num_filter: number of paragraphs.
 class ParagraphNumFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit ParagraphNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 0.3; }
 };
 
 /// sentence_num_filter: number of sentences.
 class SentenceNumFilter : public RangeStatFilter {
  public:
+  static const OpDeclaration& Declaration();
   explicit SentenceNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  bool UsesContext() const override { return true; }
   double CostEstimate() const override { return 0.8; }
 };
-
-/// Declared parameter schemas of the statistics filters above.
-std::vector<OpSchema> StatsFilterSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> StatsFilterEffects();
-
-/// Schema skeleton shared by every RangeStatFilter: `min`/`max` keep-bounds
-/// with the filter's effective defaults and valid range.
-OpSchema RangeFilterSchema(std::string op_name, double default_min,
-                           double default_max, double lo, double hi,
-                           std::string stat_doc);
 
 }  // namespace dj::ops
 

@@ -66,12 +66,24 @@ std::vector<std::string> ParseCsvRecord(std::string_view content, size_t* pos,
   return fields;
 }
 
+/// Formatters materialize rows from external bytes: they populate the text
+/// and meta columns and read nothing from the dataset.
+OpDeclaration Declare(OpSchema schema) {
+  return {std::move(schema), OpEffects().Writes("@text_key").Writes("meta")};
+}
+
 }  // namespace
 
 // ------------------------------------------------------- JsonlFormatter --
 
+const OpDeclaration& JsonlFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("jsonl_formatter", OpKind::kFormatter));
+  return d;
+}
+
 JsonlFormatter::JsonlFormatter(const json::Value& config)
-    : Formatter("jsonl_formatter", config) {}
+    : Formatter(Declaration(), config) {}
 
 Result<data::Dataset> JsonlFormatter::LoadFromString(std::string_view content,
                                                      std::string_view origin) {
@@ -85,8 +97,14 @@ Result<data::Dataset> JsonlFormatter::LoadFromString(std::string_view content,
 
 // -------------------------------------------------------- JsonFormatter --
 
+const OpDeclaration& JsonFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("json_formatter", OpKind::kFormatter));
+  return d;
+}
+
 JsonFormatter::JsonFormatter(const json::Value& config)
-    : Formatter("json_formatter", config) {}
+    : Formatter(Declaration(), config) {}
 
 Result<data::Dataset> JsonFormatter::LoadFromString(std::string_view content,
                                                     std::string_view origin) {
@@ -117,10 +135,16 @@ Result<data::Dataset> JsonFormatter::LoadFromString(std::string_view content,
 
 // --------------------------------------------------------- TxtFormatter --
 
-TxtFormatter::TxtFormatter(const json::Value& config)
-    : Formatter("txt_formatter", config), per_line_(Param("per_line", false)) {
-  SetEffectiveParam("per_line", json::Value(per_line_));
+const OpDeclaration& TxtFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("txt_formatter", OpKind::kFormatter)
+                  .Bool("per_line", false,
+                        "each non-empty line becomes its own sample"));
+  return d;
 }
+
+TxtFormatter::TxtFormatter(const json::Value& config)
+    : Formatter(Declaration(), config), per_line_(Param<bool>("per_line")) {}
 
 Result<data::Dataset> TxtFormatter::LoadFromString(std::string_view content,
                                                    std::string_view origin) {
@@ -143,15 +167,27 @@ Result<data::Dataset> TxtFormatter::LoadFromString(std::string_view content,
 
 // --------------------------------------------------------- CsvFormatter --
 
-CsvFormatter::CsvFormatter(const json::Value& config)
-    : CsvFormatter("csv_formatter", config, ',') {}
+const OpDeclaration& CsvFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("csv_formatter", OpKind::kFormatter));
+  return d;
+}
 
-CsvFormatter::CsvFormatter(std::string name, const json::Value& config,
-                           char sep)
-    : Formatter(std::move(name), config), sep_(sep) {}
+CsvFormatter::CsvFormatter(const json::Value& config)
+    : CsvFormatter(Declaration(), config, ',') {}
+
+CsvFormatter::CsvFormatter(const OpDeclaration& declaration,
+                           const json::Value& config, char sep)
+    : Formatter(declaration, config), sep_(sep) {}
+
+const OpDeclaration& TsvFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("tsv_formatter", OpKind::kFormatter));
+  return d;
+}
 
 TsvFormatter::TsvFormatter(const json::Value& config)
-    : CsvFormatter("tsv_formatter", config, '\t') {}
+    : CsvFormatter(Declaration(), config, '\t') {}
 
 Result<data::Dataset> CsvFormatter::LoadFromString(std::string_view content,
                                                    std::string_view origin) {
@@ -203,8 +239,14 @@ Result<data::Dataset> CsvFormatter::LoadFromString(std::string_view content,
 
 // -------------------------------------------------------- CodeFormatter --
 
+const OpDeclaration& CodeFormatter::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("code_formatter", OpKind::kFormatter));
+  return d;
+}
+
 CodeFormatter::CodeFormatter(const json::Value& config)
-    : Formatter("code_formatter", config) {}
+    : Formatter(Declaration(), config) {}
 
 Result<data::Dataset> CodeFormatter::LoadFromString(std::string_view content,
                                                     std::string_view origin) {
@@ -248,31 +290,4 @@ Result<data::Dataset> LoadDataset(const std::string& path, ThreadPool* pool) {
   return CodeFormatter(empty_config).LoadFile(path);
 }
 
-std::vector<OpSchema> FormatterSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back("jsonl_formatter", OpKind::kFormatter);
-  out.emplace_back("json_formatter", OpKind::kFormatter);
-  out.emplace_back(OpSchema("txt_formatter", OpKind::kFormatter)
-                       .Bool("per_line", false,
-                             "each non-empty line becomes its own sample"));
-  out.emplace_back("csv_formatter", OpKind::kFormatter);
-  out.emplace_back("tsv_formatter", OpKind::kFormatter);
-  out.emplace_back("code_formatter", OpKind::kFormatter);
-  return out;
-}
-
-
-std::vector<OpEffects> FormatterEffects() {
-  std::vector<OpEffects> out;
-  for (const char* name :
-       {"jsonl_formatter", "json_formatter", "txt_formatter", "csv_formatter",
-        "tsv_formatter", "code_formatter"}) {
-    // Formatters materialize rows from external bytes: they populate the
-    // text and meta columns and read nothing from the dataset.
-    out.emplace_back(OpEffects(name, Cardinality::kRowPreserving)
-                         .Writes("@text_key")
-                         .Writes("meta"));
-  }
-  return out;
-}
 }  // namespace dj::ops

@@ -5,14 +5,13 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
 /// jsonl_formatter: one strict-JSON object per line.
 class JsonlFormatter : public Formatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit JsonlFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
                                        std::string_view origin) override;
@@ -21,6 +20,7 @@ class JsonlFormatter : public Formatter {
 /// json_formatter: a JSON array of objects (or one object).
 class JsonFormatter : public Formatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit JsonFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
                                        std::string_view origin) override;
@@ -30,6 +30,7 @@ class JsonFormatter : public Formatter {
 /// sample; otherwise the whole content is one sample.
 class TxtFormatter : public Formatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TxtFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
                                        std::string_view origin) override;
@@ -43,12 +44,14 @@ class TxtFormatter : public Formatter {
 /// go under "meta". Quoted fields with embedded separators are supported.
 class CsvFormatter : public Formatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit CsvFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
                                        std::string_view origin) override;
 
  protected:
-  CsvFormatter(std::string name, const json::Value& config, char sep);
+  CsvFormatter(const OpDeclaration& declaration, const json::Value& config,
+               char sep);
 
  private:
   char sep_;
@@ -56,6 +59,7 @@ class CsvFormatter : public Formatter {
 
 class TsvFormatter : public CsvFormatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit TsvFormatter(const json::Value& config);
 };
 
@@ -63,10 +67,10 @@ class TsvFormatter : public CsvFormatter {
 /// derived from the file suffix and meta.suffix recorded.
 class CodeFormatter : public Formatter {
  public:
+  static const OpDeclaration& Declaration();
   explicit CodeFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
                                        std::string_view origin) override;
-  std::vector<std::string> Tags() const override { return {"code"}; }
 };
 
 /// Dispatches on the path suffix (.jsonl/.json/.txt/.md/.csv/.tsv/code
@@ -75,13 +79,6 @@ class CodeFormatter : public Formatter {
 /// Sec. 4.1. JSONL and binary containers parse/decode on `pool` when given.
 Result<data::Dataset> LoadDataset(const std::string& path,
                                   ThreadPool* pool = nullptr);
-
-/// Declared parameter schemas of the formatter OPs above.
-std::vector<OpSchema> FormatterSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> FormatterEffects();
 
 }  // namespace dj::ops
 

@@ -55,8 +55,14 @@ bool MentionsCopyright(std::string_view block) {
 
 // ------------------------------------------------- CleanCopyrightMapper --
 
+const OpDeclaration& CleanCopyrightMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("clean_copyright_mapper", OpKind::kMapper));
+  return d;
+}
+
 CleanCopyrightMapper::CleanCopyrightMapper(const json::Value& config)
-    : Mapper("clean_copyright_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> CleanCopyrightMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -111,10 +117,15 @@ Result<std::string> CleanCopyrightMapper::TransformText(
 
 // ----------------------------------------------------- CleanEmailMapper --
 
-CleanEmailMapper::CleanEmailMapper(const json::Value& config)
-    : Mapper("clean_email_mapper", config), repl_(Param("repl", "")) {
-  SetEffectiveParam("repl", json::Value(repl_));
+const OpDeclaration& CleanEmailMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("clean_email_mapper", OpKind::kMapper)
+                  .Str("repl", "", "replacement for removed addresses"));
+  return d;
 }
+
+CleanEmailMapper::CleanEmailMapper(const json::Value& config)
+    : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
 Result<std::string> CleanEmailMapper::TransformText(std::string_view input,
                                                     SampleContext*) const {
@@ -139,8 +150,14 @@ Result<std::string> CleanEmailMapper::TransformText(std::string_view input,
 
 // ------------------------------------------------------ CleanHtmlMapper --
 
+const OpDeclaration& CleanHtmlMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("clean_html_mapper", OpKind::kMapper));
+  return d;
+}
+
 CleanHtmlMapper::CleanHtmlMapper(const json::Value& config)
-    : Mapper("clean_html_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> CleanHtmlMapper::TransformText(std::string_view input,
                                                    SampleContext*) const {
@@ -208,10 +225,15 @@ Result<std::string> CleanHtmlMapper::TransformText(std::string_view input,
 
 // -------------------------------------------------------- CleanIpMapper --
 
-CleanIpMapper::CleanIpMapper(const json::Value& config)
-    : Mapper("clean_ip_mapper", config), repl_(Param("repl", "")) {
-  SetEffectiveParam("repl", json::Value(repl_));
+const OpDeclaration& CleanIpMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("clean_ip_mapper", OpKind::kMapper)
+                  .Str("repl", "", "replacement for removed addresses"));
+  return d;
 }
+
+CleanIpMapper::CleanIpMapper(const json::Value& config)
+    : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
 Result<std::string> CleanIpMapper::TransformText(std::string_view input,
                                                  SampleContext*) const {
@@ -269,10 +291,15 @@ Result<std::string> CleanIpMapper::TransformText(std::string_view input,
 
 // ----------------------------------------------------- CleanLinksMapper --
 
-CleanLinksMapper::CleanLinksMapper(const json::Value& config)
-    : Mapper("clean_links_mapper", config), repl_(Param("repl", "")) {
-  SetEffectiveParam("repl", json::Value(repl_));
+const OpDeclaration& CleanLinksMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("clean_links_mapper", OpKind::kMapper)
+                  .Str("repl", "", "replacement for removed links"));
+  return d;
 }
+
+CleanLinksMapper::CleanLinksMapper(const json::Value& config)
+    : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
 Result<std::string> CleanLinksMapper::TransformText(std::string_view input,
                                                     SampleContext*) const {
@@ -323,32 +350,4 @@ Result<std::string> CleanLinksMapper::TransformText(std::string_view input,
   return out;
 }
 
-std::vector<OpSchema> CleanMapperSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back("clean_copyright_mapper", OpKind::kMapper);
-  out.emplace_back(OpSchema("clean_email_mapper", OpKind::kMapper)
-                       .Str("repl", "", "replacement for removed addresses"));
-  out.emplace_back("clean_html_mapper", OpKind::kMapper);
-  out.emplace_back(OpSchema("clean_ip_mapper", OpKind::kMapper)
-                       .Str("repl", "", "replacement for removed addresses"));
-  out.emplace_back(OpSchema("clean_links_mapper", OpKind::kMapper)
-                       .Str("repl", "", "replacement for removed links"));
-  return out;
-}
-
-std::vector<OpEffects> CleanMapperEffects() {
-  std::vector<OpEffects> out;
-  for (const char* name : {
-           "clean_copyright_mapper",
-           "clean_email_mapper",
-           "clean_html_mapper",
-           "clean_ip_mapper",
-           "clean_links_mapper",
-       }) {
-    out.emplace_back(OpEffects(name, Cardinality::kRowPreserving)
-                         .Reads("@text_key")
-                         .Writes("@text_key"));
-  }
-  return out;
-}
 }  // namespace dj::ops

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
@@ -15,10 +13,10 @@ namespace dj::ops {
 /// Params: none beyond text_key.
 class CleanCopyrightMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit CleanCopyrightMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"code"}; }
   double CostEstimate() const override { return 0.3; }
 };
 
@@ -26,6 +24,7 @@ class CleanCopyrightMapper : public Mapper {
 /// Params: repl (string, default "").
 class CleanEmailMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit CleanEmailMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -40,6 +39,7 @@ class CleanEmailMapper : public Mapper {
 /// unescapes common entities.
 class CleanHtmlMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit CleanHtmlMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -50,6 +50,7 @@ class CleanHtmlMapper : public Mapper {
 /// Params: repl (string, default "").
 class CleanIpMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit CleanIpMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -63,6 +64,7 @@ class CleanIpMapper : public Mapper {
 /// Params: repl (string, default "").
 class CleanLinksMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit CleanLinksMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -71,13 +73,6 @@ class CleanLinksMapper : public Mapper {
  private:
   std::string repl_;
 };
-
-/// Declared parameter schemas of the cleaning mappers above.
-std::vector<OpSchema> CleanMapperSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> CleanMapperEffects();
 
 }  // namespace dj::ops
 

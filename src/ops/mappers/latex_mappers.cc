@@ -88,8 +88,14 @@ bool IsTableLine(std::string_view line, int min_cols) {
 
 // --------------------------------------------------- ExpandMacroMapper --
 
+const OpDeclaration& ExpandMacroMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("expand_macro_mapper", OpKind::kMapper));
+  return d;
+}
+
 ExpandMacroMapper::ExpandMacroMapper(const json::Value& config)
-    : Mapper("expand_macro_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> ExpandMacroMapper::TransformText(std::string_view input,
                                                      SampleContext*) const {
@@ -148,8 +154,14 @@ Result<std::string> ExpandMacroMapper::TransformText(std::string_view input,
 
 // -------------------------------------------- RemoveBibliographyMapper --
 
+const OpDeclaration& RemoveBibliographyMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_bibliography_mapper", OpKind::kMapper));
+  return d;
+}
+
 RemoveBibliographyMapper::RemoveBibliographyMapper(const json::Value& config)
-    : Mapper("remove_bibliography_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> RemoveBibliographyMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -175,8 +187,14 @@ Result<std::string> RemoveBibliographyMapper::TransformText(
 
 // ------------------------------------------------ RemoveCommentsMapper --
 
+const OpDeclaration& RemoveCommentsMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_comments_mapper", OpKind::kMapper));
+  return d;
+}
+
 RemoveCommentsMapper::RemoveCommentsMapper(const json::Value& config)
-    : Mapper("remove_comments_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> RemoveCommentsMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -211,8 +229,14 @@ Result<std::string> RemoveCommentsMapper::TransformText(
 
 // -------------------------------------------------- RemoveHeaderMapper --
 
+const OpDeclaration& RemoveHeaderMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_header_mapper", OpKind::kMapper));
+  return d;
+}
+
 RemoveHeaderMapper::RemoveHeaderMapper(const json::Value& config)
-    : Mapper("remove_header_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> RemoveHeaderMapper::TransformText(std::string_view input,
                                                       SampleContext*) const {
@@ -256,11 +280,17 @@ Result<std::string> RemoveHeaderMapper::TransformText(std::string_view input,
 
 // ----------------------------------------------- RemoveTableTextMapper --
 
-RemoveTableTextMapper::RemoveTableTextMapper(const json::Value& config)
-    : Mapper("remove_table_text_mapper", config),
-      min_col_count_(Param("min_col_count", static_cast<int64_t>(2))) {
-  SetEffectiveParam("min_col_count", json::Value(min_col_count_));
+const OpDeclaration& RemoveTableTextMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_table_text_mapper", OpKind::kMapper)
+                  .Int("min_col_count", 2, 1, kParamInf,
+                       "minimum columns for a line to read as a table row"));
+  return d;
 }
+
+RemoveTableTextMapper::RemoveTableTextMapper(const json::Value& config)
+    : Mapper(Declaration(), config),
+      min_col_count_(Param<int64_t>("min_col_count")) {}
 
 Result<std::string> RemoveTableTextMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -290,32 +320,4 @@ Result<std::string> RemoveTableTextMapper::TransformText(
   return out;
 }
 
-std::vector<OpSchema> LatexMapperSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back("expand_macro_mapper", OpKind::kMapper);
-  out.emplace_back("remove_bibliography_mapper", OpKind::kMapper);
-  out.emplace_back("remove_comments_mapper", OpKind::kMapper);
-  out.emplace_back("remove_header_mapper", OpKind::kMapper);
-  out.emplace_back(OpSchema("remove_table_text_mapper", OpKind::kMapper)
-                       .Int("min_col_count", 2, 1, kParamInf,
-                            "minimum columns for a line to read as a table "
-                            "row"));
-  return out;
-}
-
-std::vector<OpEffects> LatexMapperEffects() {
-  std::vector<OpEffects> out;
-  for (const char* name : {
-           "expand_macro_mapper",
-           "remove_bibliography_mapper",
-           "remove_comments_mapper",
-           "remove_header_mapper",
-           "remove_table_text_mapper",
-       }) {
-    out.emplace_back(OpEffects(name, Cardinality::kRowPreserving)
-                         .Reads("@text_key")
-                         .Writes("@text_key"));
-  }
-  return out;
-}
 }  // namespace dj::ops

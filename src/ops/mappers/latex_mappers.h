@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
@@ -15,10 +13,10 @@ namespace dj::ops {
 /// usage: LaTeX source files).
 class ExpandMacroMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit ExpandMacroMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"latex"}; }
   double CostEstimate() const override { return 0.8; }
 };
 
@@ -26,10 +24,10 @@ class ExpandMacroMapper : public Mapper {
 /// (\begin{thebibliography}, \bibliography{...}, or a "References" heading).
 class RemoveBibliographyMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveBibliographyMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"latex"}; }
   double CostEstimate() const override { return 0.2; }
 };
 
@@ -38,10 +36,10 @@ class RemoveBibliographyMapper : public Mapper {
 /// trailing comments trimmed.
 class RemoveCommentsMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveCommentsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"latex"}; }
   double CostEstimate() const override { return 0.3; }
 };
 
@@ -52,10 +50,10 @@ class RemoveCommentsMapper : public Mapper {
 /// are kept unchanged.
 class RemoveHeaderMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveHeaderMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"latex"}; }
   double CostEstimate() const override { return 0.3; }
 };
 
@@ -64,24 +62,15 @@ class RemoveHeaderMapper : public Mapper {
 /// or aligned number columns), which read as noise to language models.
 class RemoveTableTextMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveTableTextMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override {
-    return {"latex", "general"};
-  }
   double CostEstimate() const override { return 0.6; }
 
  private:
   int64_t min_col_count_;
 };
-
-/// Declared parameter schemas of the LaTeX mappers above.
-std::vector<OpSchema> LatexMapperSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> LatexMapperEffects();
 
 }  // namespace dj::ops
 

@@ -44,8 +44,14 @@ std::string RebuildDroppingWords(std::string_view input, DropFn&& drop) {
 
 // ------------------------------------------------------ FixUnicodeMapper --
 
+const OpDeclaration& FixUnicodeMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("fix_unicode_mapper", OpKind::kMapper));
+  return d;
+}
+
 FixUnicodeMapper::FixUnicodeMapper(const json::Value& config)
-    : Mapper("fix_unicode_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> FixUnicodeMapper::TransformText(std::string_view input,
                                                     SampleContext*) const {
@@ -54,8 +60,14 @@ Result<std::string> FixUnicodeMapper::TransformText(std::string_view input,
 
 // ------------------------------------------------------- LowerCaseMapper --
 
+const OpDeclaration& LowerCaseMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("lower_case_mapper", OpKind::kMapper));
+  return d;
+}
+
 LowerCaseMapper::LowerCaseMapper(const json::Value& config)
-    : Mapper("lower_case_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> LowerCaseMapper::TransformText(std::string_view input,
                                                    SampleContext*) const {
@@ -64,9 +76,15 @@ Result<std::string> LowerCaseMapper::TransformText(std::string_view input,
 
 // ------------------------------------- PunctuationNormalizationMapper --
 
+const OpDeclaration& PunctuationNormalizationMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("punctuation_normalization_mapper", OpKind::kMapper));
+  return d;
+}
+
 PunctuationNormalizationMapper::PunctuationNormalizationMapper(
     const json::Value& config)
-    : Mapper("punctuation_normalization_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> PunctuationNormalizationMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -75,11 +93,16 @@ Result<std::string> PunctuationNormalizationMapper::TransformText(
 
 // ------------------------------------------------- RemoveLongWordsMapper --
 
-RemoveLongWordsMapper::RemoveLongWordsMapper(const json::Value& config)
-    : Mapper("remove_long_words_mapper", config),
-      max_len_(Param("max_len", static_cast<int64_t>(50))) {
-  SetEffectiveParam("max_len", json::Value(max_len_));
+const OpDeclaration& RemoveLongWordsMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_long_words_mapper", OpKind::kMapper)
+                  .Int("max_len", 50, 1, kParamInf,
+                       "drop words longer than this many codepoints"));
+  return d;
 }
+
+RemoveLongWordsMapper::RemoveLongWordsMapper(const json::Value& config)
+    : Mapper(Declaration(), config), max_len_(Param<int64_t>("max_len")) {}
 
 Result<std::string> RemoveLongWordsMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -91,14 +114,19 @@ Result<std::string> RemoveLongWordsMapper::TransformText(
 
 // ------------------------------------------- RemoveRepeatSentencesMapper --
 
+const OpDeclaration& RemoveRepeatSentencesMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_repeat_sentences_mapper", OpKind::kMapper)
+                  .Int("min_repeat_sentence_length", 2, 0, kParamInf,
+                       "sentences shorter than this never count as repeats"));
+  return d;
+}
+
 RemoveRepeatSentencesMapper::RemoveRepeatSentencesMapper(
     const json::Value& config)
-    : Mapper("remove_repeat_sentences_mapper", config),
+    : Mapper(Declaration(), config),
       min_repeat_sentence_length_(
-          Param("min_repeat_sentence_length", static_cast<int64_t>(2))) {
-  SetEffectiveParam("min_repeat_sentence_length",
-                    json::Value(min_repeat_sentence_length_));
-}
+          Param<int64_t>("min_repeat_sentence_length")) {}
 
 Result<std::string> RemoveRepeatSentencesMapper::TransformText(
     std::string_view input, SampleContext* ctx) const {
@@ -128,12 +156,22 @@ Result<std::string> RemoveRepeatSentencesMapper::TransformText(
 
 // -------------------------------------------- RemoveSpecificCharsMapper --
 
+const OpDeclaration& RemoveSpecificCharsMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("remove_specific_chars_mapper", OpKind::kMapper)
+                  .StrNoDefault(
+                      "chars_to_remove",
+                      "characters to strip (default: bullet glyphs)"));
+  return d;
+}
+
 RemoveSpecificCharsMapper::RemoveSpecificCharsMapper(const json::Value& config)
-    : Mapper("remove_specific_chars_mapper", config),
-      chars_(Param("chars_to_remove",
-                   "\xE2\x97\x86\xE2\x97\x8F\xE2\x96\xA0\xE2\x96\xBA"
-                   "\xE2\x96\xBC\xE2\x96\xB2\xE2\x9D\x96\xE2\x99\xA1"
-                   "\xE2\x96\xA1\xE2\x98\x85\xE2\x98\x86")) {
+    : Mapper(Declaration(), config),
+      chars_(this->config().GetString(
+          "chars_to_remove",
+          "\xE2\x97\x86\xE2\x97\x8F\xE2\x96\xA0\xE2\x96\xBA"
+          "\xE2\x96\xBC\xE2\x96\xB2\xE2\x9D\x96\xE2\x99\xA1"
+          "\xE2\x96\xA1\xE2\x98\x85\xE2\x98\x86")) {
   SetEffectiveParam("chars_to_remove", json::Value(chars_));
 }
 
@@ -144,9 +182,18 @@ Result<std::string> RemoveSpecificCharsMapper::TransformText(
 
 // --------------------------- RemoveWordsWithIncorrectSubstringsMapper --
 
+const OpDeclaration& RemoveWordsWithIncorrectSubstringsMapper::Declaration() {
+  static const OpDeclaration d = Declare(
+      OpSchema("remove_words_with_incorrect_substrings_mapper",
+               OpKind::kMapper)
+          .List("substrings",
+                "drop words containing any of these substrings"));
+  return d;
+}
+
 RemoveWordsWithIncorrectSubstringsMapper::
     RemoveWordsWithIncorrectSubstringsMapper(const json::Value& config)
-    : Mapper("remove_words_with_incorrect_substrings_mapper", config) {
+    : Mapper(Declaration(), config) {
   const json::Value* list =
       config.is_object() ? config.as_object().Find("substrings") : nullptr;
   if (list != nullptr && list->is_array()) {
@@ -174,8 +221,14 @@ Result<std::string> RemoveWordsWithIncorrectSubstringsMapper::TransformText(
 
 // --------------------------------------------------- SentenceSplitMapper --
 
+const OpDeclaration& SentenceSplitMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("sentence_split_mapper", OpKind::kMapper));
+  return d;
+}
+
 SentenceSplitMapper::SentenceSplitMapper(const json::Value& config)
-    : Mapper("sentence_split_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> SentenceSplitMapper::TransformText(
     std::string_view input, SampleContext* ctx) const {
@@ -191,9 +244,15 @@ Result<std::string> SentenceSplitMapper::TransformText(
 
 // ------------------------------------- WhitespaceNormalizationMapper --
 
+const OpDeclaration& WhitespaceNormalizationMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("whitespace_normalization_mapper", OpKind::kMapper));
+  return d;
+}
+
 WhitespaceNormalizationMapper::WhitespaceNormalizationMapper(
     const json::Value& config)
-    : Mapper("whitespace_normalization_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> WhitespaceNormalizationMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -202,8 +261,14 @@ Result<std::string> WhitespaceNormalizationMapper::TransformText(
 
 // -------------------------------------------------- ChineseConvertMapper --
 
+const OpDeclaration& ChineseConvertMapper::Declaration() {
+  static const OpDeclaration d =
+      Declare(OpSchema("chinese_convert_mapper", OpKind::kMapper));
+  return d;
+}
+
 ChineseConvertMapper::ChineseConvertMapper(const json::Value& config)
-    : Mapper("chinese_convert_mapper", config) {}
+    : Mapper(Declaration(), config) {}
 
 Result<std::string> ChineseConvertMapper::TransformText(
     std::string_view input, SampleContext*) const {
@@ -250,51 +315,4 @@ Result<std::string> ChineseConvertMapper::TransformText(
   return out;
 }
 
-std::vector<OpSchema> TextMapperSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back("fix_unicode_mapper", OpKind::kMapper);
-  out.emplace_back("lower_case_mapper", OpKind::kMapper);
-  out.emplace_back("punctuation_normalization_mapper", OpKind::kMapper);
-  out.emplace_back(OpSchema("remove_long_words_mapper", OpKind::kMapper)
-                       .Int("max_len", 50, 1, kParamInf,
-                            "drop words longer than this many codepoints"));
-  out.emplace_back(
-      OpSchema("remove_repeat_sentences_mapper", OpKind::kMapper)
-          .Int("min_repeat_sentence_length", 2, 0, kParamInf,
-               "sentences shorter than this never count as repeats"));
-  out.emplace_back(
-      OpSchema("remove_specific_chars_mapper", OpKind::kMapper)
-          .StrNoDefault("chars_to_remove",
-                        "characters to strip (default: bullet glyphs)"));
-  out.emplace_back(
-      OpSchema("remove_words_with_incorrect_substrings_mapper",
-               OpKind::kMapper)
-          .List("substrings",
-                "drop words containing any of these substrings"));
-  out.emplace_back("sentence_split_mapper", OpKind::kMapper);
-  out.emplace_back("whitespace_normalization_mapper", OpKind::kMapper);
-  out.emplace_back("chinese_convert_mapper", OpKind::kMapper);
-  return out;
-}
-
-std::vector<OpEffects> TextMapperEffects() {
-  std::vector<OpEffects> out;
-  for (const char* name : {
-           "fix_unicode_mapper",
-           "lower_case_mapper",
-           "punctuation_normalization_mapper",
-           "remove_long_words_mapper",
-           "remove_repeat_sentences_mapper",
-           "remove_specific_chars_mapper",
-           "remove_words_with_incorrect_substrings_mapper",
-           "sentence_split_mapper",
-           "whitespace_normalization_mapper",
-           "chinese_convert_mapper",
-       }) {
-    out.emplace_back(OpEffects(name, Cardinality::kRowPreserving)
-                         .Reads("@text_key")
-                         .Writes("@text_key"));
-  }
-  return out;
-}
 }  // namespace dj::ops

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
@@ -14,6 +12,7 @@ namespace dj::ops {
 /// replacement characters (paper OP example: "fix messy codes").
 class FixUnicodeMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit FixUnicodeMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -23,6 +22,7 @@ class FixUnicodeMapper : public Mapper {
 /// lower_case_mapper: ASCII lower-casing.
 class LowerCaseMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit LowerCaseMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -32,6 +32,7 @@ class LowerCaseMapper : public Mapper {
 /// punctuation_normalization_mapper: unicode punctuation -> ASCII.
 class PunctuationNormalizationMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit PunctuationNormalizationMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -42,6 +43,7 @@ class PunctuationNormalizationMapper : public Mapper {
 /// (default 50) — typically base64 blobs and URLs-in-disguise.
 class RemoveLongWordsMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveLongWordsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -55,6 +57,7 @@ class RemoveLongWordsMapper : public Mapper {
 /// first occurrence (within one sample).
 class RemoveRepeatSentencesMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveRepeatSentencesMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -68,6 +71,7 @@ class RemoveRepeatSentencesMapper : public Mapper {
 /// `chars_to_remove` (default "◆●■►▼▲▴∆▻▷❖♡□"-style bullets).
 class RemoveSpecificCharsMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveSpecificCharsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -81,6 +85,7 @@ class RemoveSpecificCharsMapper : public Mapper {
 /// configured substring (`substrings`, default http/www/.com artifacts).
 class RemoveWordsWithIncorrectSubstringsMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit RemoveWordsWithIncorrectSubstringsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -93,6 +98,7 @@ class RemoveWordsWithIncorrectSubstringsMapper : public Mapper {
 /// sentence_split_mapper: re-segments text to one sentence per line.
 class SentenceSplitMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit SentenceSplitMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -102,6 +108,7 @@ class SentenceSplitMapper : public Mapper {
 /// whitespace_normalization_mapper: collapses whitespace runs.
 class WhitespaceNormalizationMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit WhitespaceNormalizationMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
@@ -112,19 +119,12 @@ class WhitespaceNormalizationMapper : public Mapper {
 /// common characters (a compact stand-in for OpenCC).
 class ChineseConvertMapper : public Mapper {
  public:
+  static const OpDeclaration& Declaration();
   explicit ChineseConvertMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  std::vector<std::string> Tags() const override { return {"zh"}; }
   double CostEstimate() const override { return 0.4; }
 };
-
-/// Declared parameter schemas of the text mappers above.
-std::vector<OpSchema> TextMapperSchemas();
-
-/// Declared effect signatures of this family (registered next to the
-/// schemas; see OpEffects).
-std::vector<OpEffects> TextMapperEffects();
 
 }  // namespace dj::ops
 

@@ -7,29 +7,45 @@
 
 namespace dj::ops {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kFormatter:
-      return "formatter";
-    case OpKind::kMapper:
-      return "mapper";
-    case OpKind::kFilter:
-      return "filter";
-    case OpKind::kDeduplicator:
-      return "deduplicator";
+namespace {
+
+/// `p`'s effective value under `config`, coerced to its declared type the
+/// way json::Value's typed getters coerce (an int where a number is
+/// declared becomes a double; a double where an int is declared truncates).
+json::Value EffectiveValue(const json::Value& config, const ParamSpec& p) {
+  switch (p.type) {
+    case ParamType::kBool:
+      return json::Value(config.GetBool(p.key, p.def.as_bool()));
+    case ParamType::kInt:
+      return json::Value(config.GetInt(p.key, p.def.as_int()));
+    case ParamType::kDouble:
+      return json::Value(config.GetDouble(p.key, p.def.as_double()));
+    case ParamType::kString:
+      return json::Value(config.GetString(p.key, p.def.as_string()));
+    case ParamType::kList:
+      break;
   }
-  return "unknown";
+  const json::Value* v = config.as_object().Find(p.key);
+  return v != nullptr && v->is_array() ? *v : p.def;
 }
 
-Op::Op(std::string name, const json::Value& config)
-    : name_(std::move(name)),
-      config_(config.is_object() ? config : json::Value(json::Object())),
-      text_key_(config_.GetString("text_key", data::kTextField)) {
-  SetEffectiveParam("text_key", json::Value(text_key_));
+}  // namespace
+
+Op::Op(const OpDeclaration& declaration, const json::Value& config)
+    : declaration_(&declaration),
+      config_(config.is_object() ? config : json::Value(json::Object())) {
+  for (const ParamSpec& p : declaration.schema.params()) {
+    if (!p.def.is_null()) SetEffectiveParam(p.key, EffectiveValue(config_, p));
+  }
+  text_key_ = Param<std::string>("text_key");
 }
 
 void Op::SetEffectiveParam(std::string_view key, json::Value value) {
   config_.as_object().Set(std::string(key), std::move(value));
+}
+
+OpDeclaration Mapper::Declare(OpSchema schema) {
+  return {std::move(schema), OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
 Status Mapper::ProcessRow(data::RowRef row, SampleContext* ctx) const {

@@ -4,20 +4,37 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "json/value.h"
+#include "ops/op_effects.h"
+#include "ops/param_spec.h"
 #include "ops/sample_context.h"
 
 namespace dj::ops {
 
-/// Operator categories (paper Table 1).
-enum class OpKind { kFormatter, kMapper, kFilter, kDeduplicator };
-
-const char* OpKindName(OpKind kind);
+/// Everything an OP declares about itself, written once per OP: its schema
+/// (registry name, kind, params with defaults and ranges) and its effects.
+/// Each OP class returns its own from a static Declaration() built once per
+/// process; the registry, the OP's effective config, the linter, fusion and
+/// core::VerifyPlan all read that one object.
+///
+///   const OpDeclaration& LineCountFilter::Declaration() {
+///     static const OpDeclaration d{
+///         OpSchema("line_count_filter", OpKind::kFilter)
+///             .KeepRange(1, kParamInf, 0, kParamInf, "line count"),
+///         OpEffects().Reads("@text_key").ProducesStat("num_lines")
+///             .WithContext()};
+///     return d;
+///   }
+struct OpDeclaration {
+  OpSchema schema;
+  OpEffects effects;
+};
 
 /// Writes "stats.<key>" of `row`, keeping the stats object's keys in
 /// lexicographic order: exported bytes must not depend on the order a plan
@@ -34,8 +51,8 @@ struct DuplicatePair {
 };
 
 /// Base class of all operators. Concrete OPs are configured from a JSON
-/// object (one entry of a recipe's "process" list) in their Configure()
-/// and expose their effective configuration back for hashing/caching.
+/// object (one entry of a recipe's "process" list) and expose their
+/// effective configuration back for hashing/caching.
 ///
 /// Common configuration keys understood by every OP:
 ///   text_key: which dot-path field to process (default "text"); this is the
@@ -48,12 +65,15 @@ class Op {
   Op& operator=(const Op&) = delete;
 
   /// Registry name, e.g. "language_id_score_filter".
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return declaration_->schema.op_name(); }
 
   virtual OpKind kind() const = 0;
 
-  /// Effective configuration (defaults filled in), serialized into cache
-  /// keys. Deterministic.
+  /// The OP's declaration: schema (name, params, defaults) and effects.
+  const OpDeclaration& declaration() const { return *declaration_; }
+
+  /// Effective configuration (declared defaults filled in), serialized into
+  /// cache keys. Deterministic.
   const json::Value& config() const { return config_; }
 
   /// The field this OP processes, e.g. "text" or "text.instruction".
@@ -64,35 +84,33 @@ class Op {
   /// model-backed filters ~5.
   virtual double CostEstimate() const { return 1.0; }
 
-  /// Usage tags for navigation: "general", "latex", "code", "en", "zh", ...
-  virtual std::vector<std::string> Tags() const { return {"general"}; }
-
  protected:
-  Op(std::string name, const json::Value& config);
+  /// Starts the effective config from `config` and fills in every declared
+  /// param that has a default, coerced to its declared type, in declaration
+  /// order. `declaration` must outlive the OP (a function-local static).
+  Op(const OpDeclaration& declaration, const json::Value& config);
 
-  /// Convenience accessors over config() with defaults.
-  double Param(std::string_view key, double def) const {
-    return config_.GetDouble(key, def);
+  /// Effective value of declared param `key`: the recipe's value, else the
+  /// declared default. T is bool, int64_t, double or std::string, matching
+  /// the declared type.
+  template <typename T>
+  T Param(std::string_view key) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      return config_.GetBool(key, false);
+    } else if constexpr (std::is_same_v<T, int64_t>) {
+      return config_.GetInt(key, 0);
+    } else if constexpr (std::is_same_v<T, double>) {
+      return config_.GetDouble(key, 0.0);
+    } else {
+      return config_.GetString(key, "");
+    }
   }
-  int64_t Param(std::string_view key, int64_t def) const {
-    return config_.GetInt(key, def);
-  }
-  bool Param(std::string_view key, bool def) const {
-    return config_.GetBool(key, def);
-  }
-  std::string Param(std::string_view key, std::string_view def) const {
-    return config_.GetString(key, def);
-  }
-  // const char* would otherwise decay to bool; route it to the string
-  // overload explicitly.
-  std::string Param(std::string_view key, const char* def) const {
-    return config_.GetString(key, def);
-  }
-  /// Records an effective value back into the config (for cache keys).
+  /// Records a value the OP computed itself (params declared without a
+  /// default) into the effective config, for cache keys.
   void SetEffectiveParam(std::string_view key, json::Value value);
 
  private:
-  std::string name_;
+  const OpDeclaration* declaration_;
   json::Value config_;
   std::string text_key_;
 };
@@ -103,6 +121,10 @@ class Op {
 class Mapper : public Op {
  public:
   OpKind kind() const override { return OpKind::kMapper; }
+
+  /// A mapper's declaration: `schema` plus the effects every mapper has —
+  /// it reads and rewrites the configured text field.
+  static OpDeclaration Declare(OpSchema schema);
 
   /// Transforms one text value. `ctx` provides shared representations.
   virtual Result<std::string> TransformText(std::string_view input,
@@ -119,13 +141,12 @@ class Mapper : public Op {
 /// Filter: decoupled per-sample statistics computation and keep decision
 /// (paper Listing 1: compute_stats + process). ComputeStats writes into the
 /// "stats" column; KeepRow reads only stats, enabling the Analyzer to reuse
-/// them and the executor to fuse stats passes.
+/// them and the executor to fuse stats passes. The stats keys a filter
+/// writes, and whether it consumes SampleContext (what makes it fusible,
+/// paper Sec. 7), are part of its declared effects.
 class Filter : public Op {
  public:
   OpKind kind() const override { return OpKind::kFilter; }
-
-  /// Stats this filter writes (single key for most filters).
-  virtual std::vector<std::string> StatsKeys() const = 0;
 
   /// Computes and stores stats for one row. Skips recomputation when the
   /// stats key is already present (e.g. from a previous Analyzer pass).
@@ -133,10 +154,6 @@ class Filter : public Op {
 
   /// Pure predicate over previously computed stats.
   virtual Result<bool> KeepRow(data::RowRef row) const = 0;
-
-  /// Whether ComputeStats consumes SampleContext representations (such
-  /// filters benefit from fusion; paper Sec. 7 "fusible OPs").
-  virtual bool UsesContext() const { return false; }
 
  protected:
   using Op::Op;

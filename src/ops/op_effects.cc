@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "data/sample.h"
+#include "ops/op_base.h"
 
 namespace dj::ops {
 
@@ -42,9 +43,6 @@ std::string ResolvedEffects::DescribeSets() const {
   return "reads " + JoinFields(reads) + ", writes " + JoinFields(writes);
 }
 
-OpEffects::OpEffects(std::string op_name, Cardinality cardinality)
-    : op_name_(std::move(op_name)), cardinality_(cardinality) {}
-
 OpEffects& OpEffects::Reads(std::string field) {
   AddUnique(&reads_, std::move(field));
   return *this;
@@ -55,8 +53,8 @@ OpEffects& OpEffects::Writes(std::string field) {
   return *this;
 }
 
-OpEffects& OpEffects::ProducesStat(std::string key) {
-  AddUnique(&stats_, std::move(key));
+OpEffects& OpEffects::ProducesStat(std::string_view key) {
+  AddUnique(&stats_, std::string(key));
   return *this;
 }
 
@@ -67,8 +65,19 @@ OpEffects& OpEffects::WithContext() {
 
 Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
   ResolvedEffects out;
-  out.op_name = op_name_;
-  out.cardinality = cardinality_;
+  out.op_name = op.name();
+  switch (op.kind()) {
+    case OpKind::kFilter:
+      out.cardinality = Cardinality::kRowDropping;
+      break;
+    case OpKind::kDeduplicator:
+      out.cardinality = Cardinality::kRowMerging;
+      break;
+    case OpKind::kFormatter:
+    case OpKind::kMapper:
+      out.cardinality = Cardinality::kRowPreserving;
+      break;
+  }
   out.uses_context = uses_context_;
   auto resolve_field = [&](const std::string& field) -> Result<std::string> {
     if (field.empty() || field[0] != '@') return field;
@@ -76,7 +85,7 @@ Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
     std::string value = op.config().GetString(param, "");
     if (value.empty()) {
       return Status::InvalidArgument(
-          "effect placeholder '" + field + "' of OP '" + op_name_ +
+          "effect placeholder '" + field + "' of OP '" + op.name() +
           "' does not resolve: effective config has no string param '" +
           param + "'");
     }

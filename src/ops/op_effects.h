@@ -6,9 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "ops/op_base.h"
 
 namespace dj::ops {
+
+class Op;
 
 /// How an OP changes the row set of the dataset it processes.
 enum class Cardinality {
@@ -35,25 +36,20 @@ struct ResolvedEffects {
   std::string DescribeSets() const;
 };
 
-/// Declared effect signature of a registered OP: which dataset fields it
-/// reads and writes, which stats keys it produces, how it changes row
-/// cardinality, and whether it consumes SampleContext. Registered alongside
-/// OpSchema so the linter's dataflow pass and core::VerifyPlan can reason
-/// about a plan without touching data.
+/// Declared effect signature of an OP (half of its OpDeclaration): which
+/// dataset fields it reads and writes, which stats keys it produces, and
+/// whether it consumes SampleContext. Its row cardinality follows from the
+/// OP's kind. The linter's dataflow pass, fusion and core::VerifyPlan reason
+/// about a plan from these without touching data.
 ///
 /// Field entries starting with '@' are placeholders naming a string config
 /// param ("@text_key", "@field"); Resolve() substitutes the instance's
 /// effective value. A produced stat key K implies both a write and a
 /// (self-)read of "stats.K" — the keep decision consumes it.
 ///
-///   OpEffects("word_num_filter", Cardinality::kRowDropping)
-///       .Reads("@text_key").ProducesStat("num_words").WithContext();
+///   OpEffects().Reads("@text_key").ProducesStat("num_words").WithContext()
 class OpEffects {
  public:
-  OpEffects(std::string op_name, Cardinality cardinality);
-
-  const std::string& op_name() const { return op_name_; }
-  Cardinality cardinality() const { return cardinality_; }
   bool uses_context() const { return uses_context_; }
   const std::vector<std::string>& reads() const { return reads_; }
   const std::vector<std::string>& writes() const { return writes_; }
@@ -62,17 +58,15 @@ class OpEffects {
   /// Fluent declaration helpers (return *this for chaining).
   OpEffects& Reads(std::string field);
   OpEffects& Writes(std::string field);
-  OpEffects& ProducesStat(std::string key);
+  OpEffects& ProducesStat(std::string_view key);
   OpEffects& WithContext();
 
-  /// Substitutes '@param' placeholders with the instance's effective config
-  /// values. Fails when a placeholder names a param the config does not
-  /// carry as a non-empty string.
+  /// Substitutes '@param' placeholders with `op`'s effective config values.
+  /// Fails when a placeholder names a param the config does not carry as a
+  /// non-empty string.
   Result<ResolvedEffects> Resolve(const Op& op) const;
 
  private:
-  std::string op_name_;
-  Cardinality cardinality_;
   bool uses_context_ = false;
   std::vector<std::string> reads_;
   std::vector<std::string> writes_;

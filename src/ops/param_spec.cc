@@ -2,6 +2,20 @@
 
 namespace dj::ops {
 
+const char* OpKindName(OpKind kind) {
+  switch (kind) {
+    case OpKind::kFormatter:
+      return "formatter";
+    case OpKind::kMapper:
+      return "mapper";
+    case OpKind::kFilter:
+      return "filter";
+    case OpKind::kDeduplicator:
+      return "deduplicator";
+  }
+  return "unknown";
+}
+
 const char* ParamTypeName(ParamType type) {
   switch (type) {
     case ParamType::kBool:
@@ -89,6 +103,15 @@ OpSchema& OpSchema::List(std::string key, std::string doc) {
 OpSchema& OpSchema::StrNoDefault(std::string key, std::string doc) {
   return Add({std::move(key), ParamType::kString, json::Value(), -kParamInf,
               kParamInf, std::move(doc)});
+}
+
+OpSchema& OpSchema::KeepRange(double default_min, double default_max,
+                              double lo, double hi,
+                              const std::string& stat_doc) {
+  Double("min", default_min, lo, hi,
+         "keep samples with " + stat_doc + " >= min");
+  return Double("max", default_max, lo, hi,
+                "keep samples with " + stat_doc + " <= max");
 }
 
 json::Value OpSchema::ToJson() const {

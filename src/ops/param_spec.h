@@ -1,15 +1,20 @@
 #ifndef DJ_OPS_PARAM_SPEC_H_
 #define DJ_OPS_PARAM_SPEC_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "json/value.h"
-#include "ops/op_base.h"
 
 namespace dj::ops {
+
+/// Operator categories (paper Table 1).
+enum class OpKind { kFormatter, kMapper, kFilter, kDeduplicator };
+
+const char* OpKindName(OpKind kind);
 
 /// Declared type of one OP configuration parameter.
 enum class ParamType { kBool, kInt, kDouble, kString, kList };
@@ -21,8 +26,8 @@ const char* ParamTypeName(ParamType type);
 bool ValueMatchesType(const json::Value& value, ParamType type);
 
 /// Declaration of one configuration parameter of an OP: key, type, default,
-/// and (for numbers) the valid range. This is the metadata the recipe linter
-/// checks params against; OPs themselves keep reading config via Op::Param.
+/// and (for numbers) the valid range. The recipe linter checks params
+/// against it, and Op fills its effective config from the defaults.
 struct ParamSpec {
   std::string key;
   ParamType type = ParamType::kDouble;
@@ -40,15 +45,17 @@ struct ParamSpec {
   }
 };
 
-/// The declared configuration surface of one OP. Built with the fluent
-/// helpers below and registered next to the OP's factory, so unknown or
-/// ill-typed recipe params can be diagnosed before a run:
+/// The declared configuration surface of one OP: its registry name, kind and
+/// params. Built with the fluent helpers below as part of the OP's
+/// OpDeclaration, so unknown or ill-typed recipe params can be diagnosed
+/// before a run:
 ///
 ///   OpSchema("text_length_filter", OpKind::kFilter)
 ///       .Double("min", 10, 0, kInf, "minimum text length in codepoints")
 ///       .Double("max", kInf, 0, kInf, "maximum text length in codepoints");
 class OpSchema {
  public:
+  // srclint-allow(dynamic-name): the constructor's own declaration
   OpSchema(std::string op_name, OpKind kind);
 
   const std::string& op_name() const { return op_name_; }
@@ -69,6 +76,10 @@ class OpSchema {
   OpSchema& List(std::string key, std::string doc = "");
   /// String param with no declared default.
   OpSchema& StrNoDefault(std::string key, std::string doc = "");
+  /// A filter's keep-window over `stat_doc`: number params `min` and `max`
+  /// with these defaults, both valid within [lo, hi].
+  OpSchema& KeepRange(double default_min, double default_max, double lo,
+                      double hi, const std::string& stat_doc);
 
   /// {"name": ..., "kind": ..., "params": [{key,type,default,min,max,doc}]}
   json::Value ToJson() const;

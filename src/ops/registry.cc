@@ -23,211 +23,118 @@ OpRegistry& OpRegistry::Global() {
   return *registry;
 }
 
-void OpRegistry::Register(std::string name, Factory factory) {
+void OpRegistry::Register(const OpDeclaration* declaration, Factory factory) {
+  const std::string& name = declaration->schema.op_name();
   for (Entry& entry : entries_) {
-    if (entry.name == name) {
+    if (entry.declaration->schema.op_name() == name) {
       DJ_LOG(Warning) << "re-registering OP '" << name << "'";
-      entry.factory = std::move(factory);
+      entry = {declaration, std::move(factory)};
       return;
     }
   }
-  entries_.push_back(
-      {std::move(name), std::move(factory), std::nullopt, std::nullopt});
-}
-
-void OpRegistry::RegisterSchema(OpSchema schema) {
-  for (Entry& entry : entries_) {
-    if (entry.name == schema.op_name()) {
-      entry.schema = std::move(schema);
-      return;
-    }
-  }
-  DJ_LOG(Warning) << "schema for unregistered OP '" << schema.op_name()
-                  << "' dropped";
-}
-
-void OpRegistry::RegisterEffects(OpEffects effects) {
-  for (Entry& entry : entries_) {
-    if (entry.name == effects.op_name()) {
-      entry.effects = std::move(effects);
-      return;
-    }
-  }
-  DJ_LOG(Warning) << "effects for unregistered OP '" << effects.op_name()
-                  << "' dropped";
+  entries_.push_back({declaration, std::move(factory)});
 }
 
 Result<std::unique_ptr<Op>> OpRegistry::Create(
     std::string_view name, const json::Value& config) const {
   for (const Entry& entry : entries_) {
-    if (entry.name == name) return entry.factory(config);
+    if (entry.declaration->schema.op_name() == name) {
+      return entry.factory(config);
+    }
   }
   return Status::NotFound("unknown OP '" + std::string(name) +
                           "' (see OpRegistry::Names)");
 }
 
 bool OpRegistry::Contains(std::string_view name) const {
-  for (const Entry& entry : entries_) {
-    if (entry.name == name) return true;
-  }
-  return false;
+  return Find(name) != nullptr;
 }
 
 std::vector<std::string> OpRegistry::Names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(entry.name);
+  for (const Entry& entry : entries_) {
+    out.push_back(entry.declaration->schema.op_name());
+  }
   return out;
 }
 
-const OpSchema* OpRegistry::FindSchema(std::string_view name) const {
+const OpDeclaration* OpRegistry::Find(std::string_view name) const {
   for (const Entry& entry : entries_) {
-    if (entry.name == name) {
-      return entry.schema.has_value() ? &*entry.schema : nullptr;
-    }
+    if (entry.declaration->schema.op_name() == name) return entry.declaration;
   }
   return nullptr;
 }
 
-std::vector<const OpSchema*> OpRegistry::AllSchemas() const {
-  std::vector<const OpSchema*> out;
-  for (const Entry& entry : entries_) {
-    if (entry.schema.has_value()) out.push_back(&*entry.schema);
-  }
+std::vector<const OpDeclaration*> OpRegistry::Declarations() const {
+  std::vector<const OpDeclaration*> out;
+  out.reserve(entries_.size());
+  for (const Entry& entry : entries_) out.push_back(entry.declaration);
   return out;
 }
-
-const OpEffects* OpRegistry::FindEffects(std::string_view name) const {
-  for (const Entry& entry : entries_) {
-    if (entry.name == name) {
-      return entry.effects.has_value() ? &*entry.effects : nullptr;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<const OpEffects*> OpRegistry::AllEffects() const {
-  std::vector<const OpEffects*> out;
-  for (const Entry& entry : entries_) {
-    if (entry.effects.has_value()) out.push_back(&*entry.effects);
-  }
-  return out;
-}
-
-namespace {
-
-template <typename T>
-OpRegistry::Factory MakeFactory() {
-  return [](const json::Value& config) -> Result<std::unique_ptr<Op>> {
-    return std::unique_ptr<Op>(new T(config));
-  };
-}
-
-}  // namespace
 
 void RegisterBuiltinOps(OpRegistry* r) {
   // Formatters (6).
-  r->Register("jsonl_formatter", MakeFactory<JsonlFormatter>());
-  r->Register("json_formatter", MakeFactory<JsonFormatter>());
-  r->Register("txt_formatter", MakeFactory<TxtFormatter>());
-  r->Register("csv_formatter", MakeFactory<CsvFormatter>());
-  r->Register("tsv_formatter", MakeFactory<TsvFormatter>());
-  r->Register("code_formatter", MakeFactory<CodeFormatter>());
+  r->Register<JsonlFormatter>();
+  r->Register<JsonFormatter>();
+  r->Register<TxtFormatter>();
+  r->Register<CsvFormatter>();
+  r->Register<TsvFormatter>();
+  r->Register<CodeFormatter>();
 
   // Mappers (20).
-  r->Register("clean_copyright_mapper", MakeFactory<CleanCopyrightMapper>());
-  r->Register("clean_email_mapper", MakeFactory<CleanEmailMapper>());
-  r->Register("clean_html_mapper", MakeFactory<CleanHtmlMapper>());
-  r->Register("clean_ip_mapper", MakeFactory<CleanIpMapper>());
-  r->Register("clean_links_mapper", MakeFactory<CleanLinksMapper>());
-  r->Register("expand_macro_mapper", MakeFactory<ExpandMacroMapper>());
-  r->Register("fix_unicode_mapper", MakeFactory<FixUnicodeMapper>());
-  r->Register("lower_case_mapper", MakeFactory<LowerCaseMapper>());
-  r->Register("punctuation_normalization_mapper",
-              MakeFactory<PunctuationNormalizationMapper>());
-  r->Register("remove_bibliography_mapper",
-              MakeFactory<RemoveBibliographyMapper>());
-  r->Register("remove_comments_mapper", MakeFactory<RemoveCommentsMapper>());
-  r->Register("remove_header_mapper", MakeFactory<RemoveHeaderMapper>());
-  r->Register("remove_long_words_mapper",
-              MakeFactory<RemoveLongWordsMapper>());
-  r->Register("remove_repeat_sentences_mapper",
-              MakeFactory<RemoveRepeatSentencesMapper>());
-  r->Register("remove_specific_chars_mapper",
-              MakeFactory<RemoveSpecificCharsMapper>());
-  r->Register("remove_table_text_mapper",
-              MakeFactory<RemoveTableTextMapper>());
-  r->Register("remove_words_with_incorrect_substrings_mapper",
-              MakeFactory<RemoveWordsWithIncorrectSubstringsMapper>());
-  r->Register("sentence_split_mapper", MakeFactory<SentenceSplitMapper>());
-  r->Register("whitespace_normalization_mapper",
-              MakeFactory<WhitespaceNormalizationMapper>());
-  r->Register("chinese_convert_mapper", MakeFactory<ChineseConvertMapper>());
+  r->Register<CleanCopyrightMapper>();
+  r->Register<CleanEmailMapper>();
+  r->Register<CleanHtmlMapper>();
+  r->Register<CleanIpMapper>();
+  r->Register<CleanLinksMapper>();
+  r->Register<ExpandMacroMapper>();
+  r->Register<FixUnicodeMapper>();
+  r->Register<LowerCaseMapper>();
+  r->Register<PunctuationNormalizationMapper>();
+  r->Register<RemoveBibliographyMapper>();
+  r->Register<RemoveCommentsMapper>();
+  r->Register<RemoveHeaderMapper>();
+  r->Register<RemoveLongWordsMapper>();
+  r->Register<RemoveRepeatSentencesMapper>();
+  r->Register<RemoveSpecificCharsMapper>();
+  r->Register<RemoveTableTextMapper>();
+  r->Register<RemoveWordsWithIncorrectSubstringsMapper>();
+  r->Register<SentenceSplitMapper>();
+  r->Register<WhitespaceNormalizationMapper>();
+  r->Register<ChineseConvertMapper>();
 
   // Filters (22).
-  r->Register("alphanumeric_filter", MakeFactory<AlphanumericFilter>());
-  r->Register("average_line_length_filter",
-              MakeFactory<AverageLineLengthFilter>());
-  r->Register("character_repetition_filter",
-              MakeFactory<CharacterRepetitionFilter>());
-  r->Register("maximum_line_length_filter",
-              MakeFactory<MaximumLineLengthFilter>());
-  r->Register("special_characters_filter",
-              MakeFactory<SpecialCharactersFilter>());
-  r->Register("text_length_filter", MakeFactory<TextLengthFilter>());
-  r->Register("token_num_filter", MakeFactory<TokenNumFilter>());
-  r->Register("word_num_filter", MakeFactory<WordNumFilter>());
-  r->Register("word_repetition_filter", MakeFactory<WordRepetitionFilter>());
-  r->Register("paragraph_num_filter", MakeFactory<ParagraphNumFilter>());
-  r->Register("sentence_num_filter", MakeFactory<SentenceNumFilter>());
-  r->Register("flagged_words_filter", MakeFactory<FlaggedWordsFilter>());
-  r->Register("stopwords_filter", MakeFactory<StopwordsFilter>());
-  r->Register("text_action_filter", MakeFactory<TextActionFilter>());
-  r->Register("text_entity_dependency_filter",
-              MakeFactory<TextEntityDependencyFilter>());
-  r->Register("language_id_score_filter",
-              MakeFactory<LanguageIdScoreFilter>());
-  r->Register("perplexity_filter", MakeFactory<PerplexityFilter>());
-  r->Register("quality_score_filter", MakeFactory<QualityScoreFilter>());
-  r->Register("suffix_filter", MakeFactory<SuffixFilter>());
-  r->Register("specified_field_filter", MakeFactory<SpecifiedFieldFilter>());
-  r->Register("specified_numeric_field_filter",
-              MakeFactory<SpecifiedNumericFieldFilter>());
-  r->Register("field_exists_filter", MakeFactory<FieldExistsFilter>());
+  r->Register<AlphanumericFilter>();
+  r->Register<AverageLineLengthFilter>();
+  r->Register<CharacterRepetitionFilter>();
+  r->Register<MaximumLineLengthFilter>();
+  r->Register<SpecialCharactersFilter>();
+  r->Register<TextLengthFilter>();
+  r->Register<TokenNumFilter>();
+  r->Register<WordNumFilter>();
+  r->Register<WordRepetitionFilter>();
+  r->Register<ParagraphNumFilter>();
+  r->Register<SentenceNumFilter>();
+  r->Register<FlaggedWordsFilter>();
+  r->Register<StopwordsFilter>();
+  r->Register<TextActionFilter>();
+  r->Register<TextEntityDependencyFilter>();
+  r->Register<LanguageIdScoreFilter>();
+  r->Register<PerplexityFilter>();
+  r->Register<QualityScoreFilter>();
+  r->Register<SuffixFilter>();
+  r->Register<SpecifiedFieldFilter>();
+  r->Register<SpecifiedNumericFieldFilter>();
+  r->Register<FieldExistsFilter>();
 
   // Deduplicators (6).
-  r->Register("document_exact_deduplicator",
-              MakeFactory<DocumentExactDeduplicator>());
-  r->Register("document_minhash_deduplicator",
-              MakeFactory<DocumentMinHashDeduplicator>());
-  r->Register("document_simhash_deduplicator",
-              MakeFactory<DocumentSimHashDeduplicator>());
-  r->Register("paragraph_exact_deduplicator",
-              MakeFactory<ParagraphExactDeduplicator>());
-  r->Register("sentence_exact_deduplicator",
-              MakeFactory<SentenceExactDeduplicator>());
-  r->Register("ngram_overlap_deduplicator",
-              MakeFactory<NgramOverlapDeduplicator>());
-
-  // Declared parameter schemas (one block per OP family); these drive the
-  // static recipe linter's unknown-key/type/range diagnostics.
-  for (auto schemas :
-       {FormatterSchemas(), CleanMapperSchemas(), TextMapperSchemas(),
-        LatexMapperSchemas(), StatsFilterSchemas(), LexiconFilterSchemas(),
-        ModelFilterSchemas(), FieldFilterSchemas(), DocumentDedupSchemas(),
-        GranularDedupSchemas()}) {
-    for (OpSchema& schema : schemas) r->RegisterSchema(std::move(schema));
-  }
-
-  // Declared effect signatures (one block per OP family); these drive the
-  // linter's dataflow pass and core::VerifyPlan's swap licensing.
-  for (auto effects :
-       {FormatterEffects(), CleanMapperEffects(), TextMapperEffects(),
-        LatexMapperEffects(), StatsFilterEffects(), LexiconFilterEffects(),
-        ModelFilterEffects(), FieldFilterEffects(), DocumentDedupEffects(),
-        GranularDedupEffects()}) {
-    for (OpEffects& e : effects) r->RegisterEffects(std::move(e));
-  }
+  r->Register<DocumentExactDeduplicator>();
+  r->Register<DocumentMinHashDeduplicator>();
+  r->Register<DocumentSimHashDeduplicator>();
+  r->Register<ParagraphExactDeduplicator>();
+  r->Register<SentenceExactDeduplicator>();
+  r->Register<NgramOverlapDeduplicator>();
 }
 
 }  // namespace dj::ops

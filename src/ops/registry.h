@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,15 +10,14 @@
 #include "common/status.h"
 #include "json/value.h"
 #include "ops/op_base.h"
-#include "ops/op_effects.h"
-#include "ops/param_spec.h"
 
 namespace dj::ops {
 
-/// Factory registry mapping OP names to constructors. Built-in OPs are
-/// registered explicitly by RegisterBuiltinOps (no static-initializer magic,
-/// which is fragile with static libraries); users register their own OPs the
-/// same way — the paper's "Advanced Extension" path.
+/// Factory registry mapping OP names to their declarations and
+/// constructors. Built-in OPs are registered explicitly by
+/// RegisterBuiltinOps (no static-initializer magic, which is fragile with
+/// static libraries); users register their own OPs the same way — the
+/// paper's "Advanced Extension" path.
 class OpRegistry {
  public:
   using Factory =
@@ -28,20 +26,22 @@ class OpRegistry {
   /// Process-wide registry with all built-in OPs registered.
   static OpRegistry& Global();
 
-  /// Registers `factory` under `name`. Re-registering a name replaces the
-  /// factory (useful for tests); a warning is logged.
-  void Register(std::string name, Factory factory);
+  /// Registers one OP: its declaration (schema: name, kind, params with
+  /// defaults and ranges; effects) under the schema's name, and the factory
+  /// that instantiates it. `declaration` is borrowed and must outlive the
+  /// registry — it is the same function-local static the OP's constructor
+  /// passes to Op. Re-registering a name replaces the entry (useful for
+  /// tests); a warning is logged.
+  void Register(const OpDeclaration* declaration, Factory factory);
 
-  /// Attaches a declared parameter schema to the already-registered OP
-  /// `schema.op_name()`. Schemas power static recipe linting (lint::
-  /// RecipeLinter); OPs without one are skipped by param checks.
-  void RegisterSchema(OpSchema schema);
-
-  /// Attaches a declared effect signature to the already-registered OP
-  /// `effects.op_name()`. Effects power the linter's dataflow pass and
-  /// core::VerifyPlan; OPs without one make the plan verifier conservative
-  /// (no reorder involving them is licensed).
-  void RegisterEffects(OpEffects effects);
+  /// Registers OP class T: T::Declaration(), constructed as T(config).
+  template <typename T>
+  void Register() {
+    Register(&T::Declaration(),
+             [](const json::Value& config) -> Result<std::unique_ptr<Op>> {
+               return std::unique_ptr<Op>(new T(config));
+             });
+  }
 
   /// Instantiates the OP `name` with `config` (a JSON object of params).
   Result<std::unique_ptr<Op>> Create(std::string_view name,
@@ -50,22 +50,15 @@ class OpRegistry {
   bool Contains(std::string_view name) const;
   std::vector<std::string> Names() const;
 
-  /// Declared schema of `name`, or nullptr when none was registered.
-  const OpSchema* FindSchema(std::string_view name) const;
-  /// All registered schemas, in registration order.
-  std::vector<const OpSchema*> AllSchemas() const;
-
-  /// Declared effect signature of `name`, or nullptr when none registered.
-  const OpEffects* FindEffects(std::string_view name) const;
-  /// All registered effect signatures, in registration order.
-  std::vector<const OpEffects*> AllEffects() const;
+  /// Declaration of `name`, or nullptr when no such OP is registered.
+  const OpDeclaration* Find(std::string_view name) const;
+  /// Every registered declaration, in registration order.
+  std::vector<const OpDeclaration*> Declarations() const;
 
  private:
   struct Entry {
-    std::string name;
+    const OpDeclaration* declaration;
     Factory factory;
-    std::optional<OpSchema> schema;
-    std::optional<OpEffects> effects;
   };
   std::vector<Entry> entries_;
 };

@@ -13,11 +13,6 @@
 namespace dj::srclint {
 namespace {
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 /// Sends a NameRef (or declare) into the right manifest set.
 void AddName(Manifest* m, RefKind kind, std::string name) {
   switch (kind) {
@@ -48,8 +43,9 @@ void AddName(Manifest* m, RefKind kind, std::string name) {
     case RefKind::kLock:
       m->lock_classes.push_back(std::move(name));
       break;
-    case RefKind::kOpRegister:
-      break;  // handled by the caller (coverage needs the site)
+    case RefKind::kOp:
+      m->ops.push_back(std::move(name));
+      break;
   }
 }
 
@@ -221,22 +217,12 @@ Report Analyze(const SourceTree& tree, const AnalyzeOptions& options) {
   Report report;
   Manifest m;
 
-  std::set<std::string> schema_names;
-  std::set<std::string> effects_names;
-  struct OpReg {
-    std::string file;
-    int line = 0;
-    std::string name;
-    bool is_prefix = false;
-  };
-  std::vector<OpReg> op_regs;
   std::vector<LayerEdge> edges;
   std::set<std::pair<std::string, std::string>> edge_seen;
   std::set<std::string> undeclared_layers;
 
   for (const SourceFile& file : tree.files) {
     FileScan scan = ScanSource(file.path, file.content);
-    bool in_ops_layer = file.path.rfind("src/ops/", 0) == 0;
 
     struct AllowState {
       const Allow* allow;
@@ -291,29 +277,14 @@ Report Analyze(const SourceTree& tree, const AnalyzeOptions& options) {
     std::set<RefKind> declared_kinds;
     for (const Declare& d : scan.declares) {
       declared_kinds.insert(d.kind);
-      if (d.kind == RefKind::kOpRegister) {
-        if (in_ops_layer) {
-          op_regs.push_back({file.path, d.line, d.name, d.is_prefix});
-        }
-        continue;
-      }
       AddName(&m, d.kind, d.is_prefix ? d.name + "*" : d.name);
     }
 
     for (const NameRef& n : scan.names) {
-      if (n.kind == RefKind::kOpRegister) {
-        // Register() on registries outside src/ops (fault registry, lock
-        // registry...) is not an OP registration.
-        if (in_ops_layer) {
-          op_regs.push_back({file.path, n.line, n.name, n.is_prefix});
-        }
-        continue;
-      }
       AddName(&m, n.kind, n.is_prefix ? n.name + "*" : n.name);
     }
 
     for (const DynamicNameSite& d : scan.dynamic_names) {
-      if (d.kind == RefKind::kOpRegister && !in_ops_layer) continue;
       if (declared_kinds.count(d.kind) != 0) continue;
       if (line_allowed("dynamic-name", d.line)) continue;
       report.Add(
@@ -322,14 +293,6 @@ Report Analyze(const SourceTree& tree, const AnalyzeOptions& options) {
                " name — the manifest cannot account for it",
            std::string("add '// srclint-declare(") + RefKindName(d.kind) +
                "): <name-or-prefix*>' naming what this site emits"});
-    }
-
-    for (const FnString& f : scan.fn_strings) {
-      if (EndsWith(f.function, "Schemas")) {
-        schema_names.insert(f.value);
-      } else {
-        effects_names.insert(f.value);
-      }
     }
 
     std::string from = LayerOfPath(file.path);
@@ -370,25 +333,6 @@ Report Analyze(const SourceTree& tree, const AnalyzeOptions& options) {
     report.Add({Severity::kError, "include-cycle", "", 0,
                 "include cycle between layers: " + cycle,
                 "break the cycle by moving the shared piece down the DAG"});
-  }
-
-  for (const OpReg& r : op_regs) {
-    bool has_schema = schema_names.count(r.name) != 0;
-    bool has_effects = effects_names.count(r.name) != 0;
-    m.ops.push_back({r.name, has_schema, has_effects});
-    if (r.is_prefix) continue;  // cannot statically check a family
-    if (!has_schema) {
-      report.Add({Severity::kError, "op-schema", r.file, r.line,
-                  "op '" + r.name + "' has no OpSchema declaration",
-                  "declare it in the matching *Schemas() function in "
-                  "src/ops"});
-    }
-    if (!has_effects) {
-      report.Add({Severity::kError, "op-effects", r.file, r.line,
-                  "op '" + r.name + "' has no OpEffects declaration",
-                  "declare it in the matching *Effects() function in "
-                  "src/ops"});
-    }
   }
 
   m.Normalize();

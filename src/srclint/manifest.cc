@@ -9,7 +9,7 @@
 namespace dj::srclint {
 namespace {
 
-constexpr int kSchemaVersion = 1;
+constexpr int kSchemaVersion = 2;
 
 void SortUnique(std::vector<std::string>* v) {
   std::sort(v->begin(), v->end());
@@ -88,13 +88,7 @@ void Manifest::Normalize() {
   SortUnique(&spans);
   SortUnique(&instants);
   SortUnique(&counter_series);
-  std::sort(ops.begin(), ops.end(),
-            [](const OpEntry& a, const OpEntry& b) { return a.name < b.name; });
-  ops.erase(std::unique(ops.begin(), ops.end(),
-                        [](const OpEntry& a, const OpEntry& b) {
-                          return a.name == b.name;
-                        }),
-            ops.end());
+  SortUnique(&ops);
 }
 
 std::string Manifest::ToText() const {
@@ -117,23 +111,10 @@ std::string Manifest::ToText() const {
   AppendStringSet(&out, "spans", spans, "  ");
   AppendStringSet(&out, "instants", instants, "  ");
   AppendStringSet(&out, "counter_series", counter_series, "  ");
-  out.append("  \"ops\": [");
-  if (ops.empty()) {
-    out.append("]\n");
-  } else {
-    out.push_back('\n');
-    for (size_t i = 0; i < ops.size(); ++i) {
-      out.append("    {\"name\": ");
-      json::EscapeStringTo(ops[i].name, &out);
-      out.append(", \"schema\": ");
-      out.append(ops[i].has_schema ? "true" : "false");
-      out.append(", \"effects\": ");
-      out.append(ops[i].has_effects ? "true" : "false");
-      out.append(i + 1 < ops.size() ? "},\n" : "}\n");
-    }
-    out.append("  ]\n");
-  }
-  out.append("}\n");
+  AppendStringSet(&out, "ops", ops, "  ");
+  // Strip the trailing ",\n" of the last set.
+  out.erase(out.size() - 2);
+  out.append("\n}\n");
   return out;
 }
 
@@ -182,23 +163,7 @@ Result<Manifest> Manifest::FromText(std::string_view text) {
   DJ_RETURN_IF_ERROR(ReadStringSet(root, "instants", &m.instants));
   DJ_RETURN_IF_ERROR(
       ReadStringSet(root, "counter_series", &m.counter_series));
-  const json::Value* ops = root.as_object().Find("ops");
-  if (ops == nullptr || !ops->is_array()) {
-    return Status::InvalidArgument("manifest: missing 'ops' array");
-  }
-  for (const json::Value& entry : ops->as_array()) {
-    if (!entry.is_object()) {
-      return Status::InvalidArgument("manifest: 'ops' entries must be objects");
-    }
-    OpEntry op;
-    op.name = entry.GetString("name", "");
-    if (op.name.empty()) {
-      return Status::InvalidArgument("manifest: op entry without a name");
-    }
-    op.has_schema = entry.GetBool("schema", false);
-    op.has_effects = entry.GetBool("effects", false);
-    m.ops.push_back(std::move(op));
-  }
+  DJ_RETURN_IF_ERROR(ReadStringSet(root, "ops", &m.ops));
   return m;
 }
 
@@ -214,29 +179,7 @@ std::vector<std::string> Manifest::DiffAgainst(
   DiffSet("span", spans, committed.spans, &out);
   DiffSet("instant", instants, committed.instants, &out);
   DiffSet("counter series", counter_series, committed.counter_series, &out);
-  for (const OpEntry& op : ops) {
-    auto it = std::lower_bound(
-        committed.ops.begin(), committed.ops.end(), op.name,
-        [](const OpEntry& e, const std::string& n) { return e.name < n; });
-    if (it == committed.ops.end() || it->name != op.name) {
-      out.push_back("op '" + op.name +
-                    "' is in the tree but not the committed manifest");
-    } else if (it->has_schema != op.has_schema ||
-               it->has_effects != op.has_effects) {
-      out.push_back("op '" + op.name +
-                    "' schema/effects coverage differs from the committed "
-                    "manifest");
-    }
-  }
-  for (const OpEntry& op : committed.ops) {
-    auto it = std::lower_bound(
-        ops.begin(), ops.end(), op.name,
-        [](const OpEntry& e, const std::string& n) { return e.name < n; });
-    if (it == ops.end() || it->name != op.name) {
-      out.push_back("op '" + op.name +
-                    "' is in the committed manifest but not the tree");
-    }
-  }
+  DiffSet("op", ops, committed.ops, &out);
   return out;
 }
 

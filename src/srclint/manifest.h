@@ -9,14 +9,6 @@
 
 namespace dj::srclint {
 
-/// One registered OP and whether the source tree declares its schema and
-/// effects (the static half of the ops_registry_test coverage assertions).
-struct OpEntry {
-  std::string name;
-  bool has_schema = false;
-  bool has_effects = false;
-};
-
 /// The instrumentation manifest: every stringly-named invariant the source
 /// tree uses, by namespace. Entries ending in '*' are prefixes — the code
 /// builds the rest of the name at runtime ("io." + op_name).
@@ -34,7 +26,9 @@ struct Manifest {
   std::vector<std::string> spans;
   std::vector<std::string> instants;
   std::vector<std::string> counter_series;
-  std::vector<OpEntry> ops;
+  /// Built-in OP names: the literal of every OpSchema("name", ...) in
+  /// src/ops.
+  std::vector<std::string> ops;
 
   /// Sorts every set and drops duplicates; ToText() requires it.
   void Normalize();

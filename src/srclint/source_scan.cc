@@ -1,6 +1,5 @@
 #include "srclint/source_scan.h"
 
-#include <array>
 #include <cctype>
 #include <cstring>
 #include <utility>
@@ -16,21 +15,6 @@ struct Tok {
   std::string text;
 };
 
-bool IsControlKeyword(std::string_view s) {
-  static constexpr std::array<std::string_view, 12> kWords = {
-      "if",     "for", "while",  "switch", "catch", "return",
-      "do",     "else", "sizeof", "new",    "delete", "throw"};
-  for (std::string_view w : kWords) {
-    if (s == w) return true;
-  }
-  return false;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string_view Trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -45,7 +29,6 @@ std::string_view Trim(std::string_view s) {
 struct Group {
   char opener = '(';
   int line = 0;
-  std::string ctx1;  // identifier immediately before the opener
   // Name-extraction state for recognized instrumentation contexts.
   bool recognized = false;
   RefKind kind = RefKind::kFault;
@@ -58,11 +41,6 @@ struct Group {
   bool pending_literal = false;
   std::string pending_value;
   int pending_line = 0;
-};
-
-struct Fn {
-  std::string name;
-  size_t brace_count = 0;  // open-brace count just after the function's '{'
 };
 
 class Scanner {
@@ -357,22 +335,12 @@ class Scanner {
   void Emit(Tok tok, int tok_line) {
     FinishPending(tok);
 
-    if (tok.kind == Tok::kString) {
-      // Raw material for the OP schema/effects coverage check.
-      if (!functions_.empty() &&
-          (EndsWith(functions_.back().name, "Schemas") ||
-           EndsWith(functions_.back().name, "Effects"))) {
-        out_.fn_strings.push_back({tok_line, functions_.back().name, tok.text});
-      }
-    }
-
     if (tok.kind == Tok::kPunct && tok.text == "(") {
       OpenGroup('(', tok_line);
       PushHistory(std::move(tok));
       return;
     }
     if (tok.kind == Tok::kPunct && tok.text == "{") {
-      MaybeEnterFunction();
       OpenGroup('{', tok_line);
       PushHistory(std::move(tok));
       return;
@@ -408,7 +376,6 @@ class Scanner {
       }
     }
 
-    if (tok.kind == Tok::kPunct && tok.text == ";") pending_fn_armed_ = false;
     PushHistory(std::move(tok));
   }
 
@@ -451,7 +418,6 @@ class Scanner {
         qualified2 = true;
       }
     }
-    g.ctx1 = ctx1;
 
     if (opener == '(') {
       if (ctx1 == "DJ_FAULT") {
@@ -491,11 +457,13 @@ class Scanner {
           g.recognized = true;
           g.kind = RefKind::kHistogram;
           g.name_arg = 0;
-        } else if (ctx1 == "Register") {
-          g.recognized = true;
-          g.kind = RefKind::kOpRegister;
-          g.name_arg = 0;
         }
+      } else if (ctx1 == "OpSchema" && !(qualified2 && ctx2 == "OpSchema")) {
+        // OpSchema("text_length_filter", kind) names an OP; `OpSchema::
+        // OpSchema(` is the constructor's definition.
+        g.recognized = true;
+        g.kind = RefKind::kOp;
+        g.name_arg = 0;
       } else if (ctx2 == "Span" && !qualified2) {
         // obs::Span guard(recorder, <name>, <category>) — variable
         // declarations only; `Span::Span(` definitions come through '::'.
@@ -524,41 +492,7 @@ class Scanner {
       }
       return;
     }
-    Group g = std::move(groups_.back());
     groups_.pop_back();
-    if (closer == ')') {
-      // A ')' followed (eventually) by '{' starts a function body named by
-      // the identifier before the '('. Control keywords never name one.
-      if (!g.ctx1.empty() && !IsControlKeyword(g.ctx1)) {
-        pending_fn_ = g.ctx1;
-        pending_fn_armed_ = true;
-      } else {
-        // `if (Check())` — the inner call armed a pending function; the
-        // control-flow paren that follows must clear it.
-        pending_fn_armed_ = false;
-      }
-    } else {
-      size_t braces = BraceCount();
-      while (!functions_.empty() && functions_.back().brace_count > braces) {
-        functions_.pop_back();
-      }
-    }
-  }
-
-  size_t BraceCount() const {
-    size_t n = 0;
-    for (const Group& g : groups_) {
-      if (g.opener == '{') ++n;
-    }
-    return n;
-  }
-
-  // Called from Emit *before* the '{' group is pushed.
-  void MaybeEnterFunction() {
-    if (pending_fn_armed_) {
-      functions_.push_back({pending_fn_, BraceCount() + 1});
-      pending_fn_armed_ = false;
-    }
   }
 
   // --- banned-API idents ---------------------------------------------------
@@ -672,9 +606,6 @@ class Scanner {
 
   std::vector<Tok> history_;
   std::vector<Group> groups_;
-  std::vector<Fn> functions_;
-  std::string pending_fn_;
-  bool pending_fn_armed_ = false;
 
   FileScan out_;
 };
@@ -701,7 +632,7 @@ const char* RefKindName(RefKind kind) {
       return "series";
     case RefKind::kLock:
       return "lock";
-    case RefKind::kOpRegister:
+    case RefKind::kOp:
       return "op";
   }
   return "unknown";
@@ -713,7 +644,7 @@ bool RefKindFromName(std::string_view name, RefKind* out) {
       {"span", RefKind::kSpan},           {"instant", RefKind::kInstant},
       {"counter", RefKind::kCounter},     {"gauge", RefKind::kGauge},
       {"histogram", RefKind::kHistogram}, {"series", RefKind::kSeries},
-      {"lock", RefKind::kLock},           {"op", RefKind::kOpRegister},
+      {"lock", RefKind::kLock},           {"op", RefKind::kOp},
   };
   for (const auto& [spelling, kind] : kKinds) {
     if (name == spelling) {

@@ -19,7 +19,7 @@ enum class RefKind {
   kHistogram,   // metrics->GetHistogram("executor.unit_seconds")
   kSeries,      // spans->EmitCounter("rss_mib", ...) counter tracks
   kLock,        // dj::Mutex member_{"ThreadPool.mutex"} lock classes
-  kOpRegister,  // registry->Register("text_length_filter", ...)
+  kOp,          // OpSchema("text_length_filter", ...) in src/ops
 };
 
 const char* RefKindName(RefKind kind);
@@ -85,16 +85,6 @@ struct Declare {
   bool is_prefix = false;
 };
 
-/// A string literal inside a function whose name ends in "Schemas" or
-/// "Effects" — the raw material for the static OP schema/effects coverage
-/// check (declarations go through helpers and loops, so only the enclosing
-/// function name is a reliable signal).
-struct FnString {
-  int line = 0;
-  std::string function;
-  std::string value;
-};
-
 /// A lexical problem (unterminated string/comment, unbalanced brackets,
 /// malformed srclint annotation). Any issue fails the analyzer's
 /// "parses every file" self-check.
@@ -112,7 +102,6 @@ struct FileScan {
   std::vector<BannedUse> banned;
   std::vector<Allow> allows;
   std::vector<Declare> declares;
-  std::vector<FnString> fn_strings;
   std::vector<ParseIssue> issues;
 };
 

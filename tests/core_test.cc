@@ -897,7 +897,7 @@ process:
 TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
   auto ops = FourteenOpPipeline();
   auto plan = PlanFusion(ops, {false, false});
-  PlanVerdict v = VerifyPlan(ops, plan, ops::OpRegistry::Global());
+  PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_TRUE(v.ok) << v.ToString();
   EXPECT_TRUE(v.swaps.empty());
 }
@@ -905,7 +905,7 @@ TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
 TEST(PlanVerifyTest, LicensesEffectDisjointReorder) {
   auto ops = FourteenOpPipeline();
   auto plan = PlanFusion(ops, {true, true});
-  PlanVerdict v = VerifyPlan(ops, plan, ops::OpRegistry::Global());
+  PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_TRUE(v.ok) << v.ToString();
   EXPECT_FALSE(v.swaps.empty());
   for (const SwapRecord& s : v.swaps) {
@@ -930,7 +930,7 @@ process:
   auto plan = PlanFusion(ops, {true, true});
   ASSERT_EQ(plan.size(), 2u);
   ASSERT_EQ(plan[0].op->name(), "specified_numeric_field_filter");
-  PlanVerdict v = VerifyPlan(ops, plan, ops::OpRegistry::Global());
+  PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.violations.empty());
   EXPECT_NE(v.ToString().find("REFUSED"), std::string::npos);
@@ -941,33 +941,40 @@ TEST(PlanVerifyTest, RejectsDroppedOp) {
   auto ops = FourteenOpPipeline();
   auto plan = PlanFusion(ops, {false, false});
   plan.pop_back();
-  PlanVerdict v = VerifyPlan(ops, plan, ops::OpRegistry::Global());
+  PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.violations.empty());
 }
 
-TEST(PlanVerifyTest, MissingEffectsAreConservative) {
-  Recipe r = MustRecipe(R"(
+TEST(PlanVerifyTest, UnresolvedEffectsAreConservative) {
+  auto build = [](std::string_view field) {
+    return MustBuildOps(MustRecipe(R"(
 process:
   - text_length_filter:
       min: 1
-  - word_num_filter:
-      min: 1
-)");
-  auto ops = MustBuildOps(r);
-  ops::OpRegistry no_effects;  // nothing registered
+  - field_exists_filter:
+      field: ")" + std::string(field) + "\"\n"));
+  };
+  auto ops = build("");  // the @field placeholder cannot resolve
 
-  // Identity plans always pass, signatures or not.
+  // Identity plans always pass, resolvable effects or not.
   auto identity = PlanFusion(ops, {false, false});
-  EXPECT_TRUE(VerifyPlan(ops, identity, no_effects).ok);
+  EXPECT_TRUE(VerifyPlan(ops, identity).ok);
 
-  // An inversion involving an unknown-effect OP is refused...
+  // An inversion involving an OP whose effects do not resolve is refused...
   std::vector<PlanUnit> swapped(2);
   swapped[0].op = ops[1].get();
   swapped[1].op = ops[0].get();
-  EXPECT_FALSE(VerifyPlan(ops, swapped, no_effects).ok);
-  // ...but licensed once the signatures prove the fields disjoint.
-  EXPECT_TRUE(VerifyPlan(ops, swapped, ops::OpRegistry::Global()).ok);
+  PlanVerdict refused = VerifyPlan(ops, swapped);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.ToString().find("does not resolve"), std::string::npos)
+      << refused.ToString();
+
+  // ...but licensed once the effects resolve and prove the fields disjoint.
+  auto resolved_ops = build("meta.x");
+  swapped[0].op = resolved_ops[1].get();
+  swapped[1].op = resolved_ops[0].get();
+  EXPECT_TRUE(VerifyPlan(resolved_ops, swapped).ok);
 }
 
 TEST(ExecutorTest, RefusesUnlicensedReorderAndFallsBack) {

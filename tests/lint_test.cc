@@ -613,8 +613,9 @@ std::string Fixture(const std::string& name) {
 
 TEST(DeclaredSurfaceTest, OpCatalogMatchesFixture) {
   json::Array catalog;
-  for (const ops::OpSchema* schema : ops::OpRegistry::Global().AllSchemas()) {
-    catalog.push_back(schema->ToJson());
+  for (const ops::OpDeclaration* d :
+       ops::OpRegistry::Global().Declarations()) {
+    catalog.push_back(d->schema.ToJson());
   }
   json::Object root;
   root.Set("ops", json::Value(std::move(catalog)));

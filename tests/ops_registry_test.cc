@@ -4,6 +4,7 @@
 
 #include "data/io.h"
 #include "json/parser.h"
+#include "json/writer.h"
 #include "ops/formatters/formatters.h"
 #include "ops/registry.h"
 
@@ -56,7 +57,6 @@ TEST(OpRegistryTest, EveryOpInstantiatesWithEmptyConfig) {
     ASSERT_TRUE(op.ok()) << name << ": " << op.status().ToString();
     EXPECT_EQ(op.value()->name(), name);
     EXPECT_GT(op.value()->CostEstimate(), 0.0) << name;
-    EXPECT_FALSE(op.value()->Tags().empty()) << name;
     EXPECT_TRUE(op.value()->config().is_object()) << name;
   }
 }
@@ -74,67 +74,87 @@ TEST(OpRegistryTest, ContainsAndNames) {
 }
 
 // The paper's "Advanced Extension" path: users register their own OPs by
-// deriving from the base classes.
-class ShoutMapper : public Mapper {
+// deriving from the base classes. This is the example of docs/Operators.md
+// ("Writing a custom OP"), verbatim, so the documented snippet compiles.
+class ShoutMapper : public dj::ops::Mapper {
  public:
-  explicit ShoutMapper(const json::Value& config)
-      : Mapper("shout_mapper", config) {}
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext*) const override {
+  static const dj::ops::OpDeclaration& Declaration() {
+    static const dj::ops::OpDeclaration d =
+        Declare(dj::ops::OpSchema("shout_mapper", dj::ops::OpKind::kMapper)
+                    .Str("suffix", "!", "appended to the shouted text"));
+    return d;
+  }
+
+  explicit ShoutMapper(const dj::json::Value& config)
+      : Mapper(Declaration(), config), suffix_(Param<std::string>("suffix")) {}
+
+  dj::Result<std::string> TransformText(
+      std::string_view input, dj::ops::SampleContext*) const override {
     std::string out(input);
     for (char& c : out) c = static_cast<char>(std::toupper(c));
-    return out;
+    return out + suffix_;
   }
+
+ private:
+  std::string suffix_;
 };
 
 TEST(OpRegistryTest, CustomOpRegistration) {
   OpRegistry registry;
-  registry.Register("shout_mapper",
-                    [](const json::Value& config) -> Result<std::unique_ptr<Op>> {
-                      return std::unique_ptr<Op>(new ShoutMapper(config));
-                    });
+  registry.Register<ShoutMapper>();
   auto op = registry.Create("shout_mapper", Config());
   ASSERT_TRUE(op.ok());
   auto* mapper = static_cast<Mapper*>(op.value().get());
   SampleContext ctx("hi");
-  EXPECT_EQ(mapper->TransformText("hi", &ctx).value(), "HI");
+  EXPECT_EQ(mapper->TransformText("hi", &ctx).value(), "HI!");
+  // The declared default reached the effective config (and so cache keys),
+  // and the linter sees the declared schema and effects.
+  EXPECT_EQ(op.value()->config().GetString("suffix", ""), "!");
+  ASSERT_NE(registry.Find("shout_mapper"), nullptr);
+  EXPECT_EQ(registry.Find("shout_mapper"), &ShoutMapper::Declaration());
+  EXPECT_EQ(&op.value()->declaration(), &ShoutMapper::Declaration());
 }
 
 TEST(OpRegistryTest, ReRegisterReplaces) {
   OpRegistry registry;
-  registry.Register("op", [](const json::Value& c) -> Result<std::unique_ptr<Op>> {
-    return std::unique_ptr<Op>(new ShoutMapper(c));
-  });
-  registry.Register("op", [](const json::Value&) -> Result<std::unique_ptr<Op>> {
-    return Status::Internal("replaced");
-  });
+  registry.Register<ShoutMapper>();
+  registry.Register(&ShoutMapper::Declaration(),
+                    [](const json::Value&) -> Result<std::unique_ptr<Op>> {
+                      return Status::Internal("replaced");
+                    });
   EXPECT_EQ(registry.Names().size(), 1u);
-  EXPECT_FALSE(registry.Create("op", Config()).ok());
+  EXPECT_FALSE(registry.Create("shout_mapper", Config()).ok());
+}
+
+TEST(OpRegistryTest, EffectiveConfigFillsDeclaredDefaultsInOrder) {
+  // The effective config is a cache-key input: declared params with a
+  // default appear in declaration order after any recipe keys, each coerced
+  // to its declared type (an int for a number param becomes a double, a
+  // double for an int param truncates).
+  const OpRegistry& registry = OpRegistry::Global();
+  auto filter = registry.Create("character_repetition_filter",
+                                Config(R"({"rep_len": 7.9, "min": 0})"));
+  ASSERT_TRUE(filter.ok());
+  EXPECT_EQ(json::Write(filter.value()->config()),
+            R"({"rep_len":7,"min":0.0,"text_key":"text","max":0.5})");
+  auto mapper = registry.Create("remove_specific_chars_mapper",
+                                Config(R"({"text_key": "text.body"})"));
+  ASSERT_TRUE(mapper.ok());
+  EXPECT_EQ(mapper.value()->text_key(), "text.body");
+  const json::Value* chars =
+      mapper.value()->config().as_object().Find("chars_to_remove");
+  ASSERT_NE(chars, nullptr);  // computed default, echoed by the OP itself
+  EXPECT_FALSE(chars->as_string().empty());
 }
 
 // -------------------------------------------------------------- schemas --
 
-// dj_srclint's op-schema/op-effects checks gate the same coverage
-// statically (every Register call must have matching *Schemas()/*Effects()
-// strings); this runtime test stays as belt-and-braces — it also proves the
-// declarations actually reach the registry at startup.
-TEST(OpSchemaTest, EveryBuiltinOpDeclaresASchema) {
-  const OpRegistry& registry = OpRegistry::Global();
-  for (const std::string& name : registry.Names()) {
-    EXPECT_NE(registry.FindSchema(name), nullptr) << name;
-  }
-  EXPECT_EQ(registry.AllSchemas().size(), registry.Names().size());
-}
-
 TEST(OpSchemaTest, SchemaKindMatchesInstance) {
   const OpRegistry& registry = OpRegistry::Global();
   for (const std::string& name : registry.Names()) {
-    const OpSchema* schema = registry.FindSchema(name);
-    ASSERT_NE(schema, nullptr) << name;
-    EXPECT_EQ(schema->op_name(), name);
     auto op = registry.Create(name, Config());
     ASSERT_TRUE(op.ok()) << name;
-    EXPECT_EQ(schema->kind(), op.value()->kind()) << name;
+    EXPECT_EQ(registry.Find(name)->schema.kind(), op.value()->kind()) << name;
   }
 }
 
@@ -143,62 +163,37 @@ TEST(OpSchemaTest, EffectiveConfigKeysAreDeclared) {
   // its schema — otherwise the linter would reject params the OP reads.
   const OpRegistry& registry = OpRegistry::Global();
   for (const std::string& name : registry.Names()) {
-    const OpSchema* schema = registry.FindSchema(name);
-    ASSERT_NE(schema, nullptr) << name;
+    const OpSchema& schema = registry.Find(name)->schema;
     auto op = registry.Create(name, Config());
     ASSERT_TRUE(op.ok()) << name;
     ASSERT_TRUE(op.value()->config().is_object()) << name;
     for (const auto& [key, value] : op.value()->config().as_object().entries()) {
-      EXPECT_NE(schema->Find(key), nullptr)
+      EXPECT_NE(schema.Find(key), nullptr)
           << name << " echoes undeclared param '" << key << "'";
     }
   }
 }
 
-TEST(OpSchemaTest, DeclaredDefaultsMatchEffectiveConfig) {
-  // Where a schema declares a scalar default and the OP echoes that key,
-  // the two must agree — the linter's keep-range math relies on it.
-  const OpRegistry& registry = OpRegistry::Global();
-  for (const std::string& name : registry.Names()) {
-    const OpSchema* schema = registry.FindSchema(name);
-    ASSERT_NE(schema, nullptr) << name;
-    auto op = registry.Create(name, Config());
-    ASSERT_TRUE(op.ok()) << name;
-    const json::Value& config = op.value()->config();
-    for (const ParamSpec& p : schema->params()) {
-      if (p.def.is_null()) continue;  // OP computes its own default
-      const json::Value* echoed = config.as_object().Find(p.key);
-      if (echoed == nullptr) continue;  // OP doesn't echo this param
-      if (p.def.is_number() && echoed->is_number()) {
-        EXPECT_EQ(p.def.as_double(), echoed->as_double())
-            << name << "." << p.key;
-      } else {
-        EXPECT_EQ(p.def, *echoed) << name << "." << p.key;
-      }
-    }
-  }
-}
-
 TEST(OpSchemaTest, ParamSpecsHaveDocsAndValidRanges) {
-  for (const OpSchema* schema : OpRegistry::Global().AllSchemas()) {
-    for (const ParamSpec& p : schema->params()) {
-      EXPECT_LE(p.min_value, p.max_value)
-          << schema->op_name() << "." << p.key;
+  for (const OpDeclaration* d : OpRegistry::Global().Declarations()) {
+    const OpSchema& schema = d->schema;
+    for (const ParamSpec& p : schema.params()) {
+      EXPECT_LE(p.min_value, p.max_value) << schema.op_name() << "." << p.key;
       if (p.def.is_number() && p.has_range()) {
         EXPECT_GE(p.def.as_double(), p.min_value)
-            << schema->op_name() << "." << p.key;
+            << schema.op_name() << "." << p.key;
         EXPECT_LE(p.def.as_double(), p.max_value)
-            << schema->op_name() << "." << p.key;
+            << schema.op_name() << "." << p.key;
       }
     }
   }
 }
 
 TEST(OpSchemaTest, ToJsonRoundTripsBasics) {
-  const OpSchema* schema =
-      OpRegistry::Global().FindSchema("language_id_score_filter");
-  ASSERT_NE(schema, nullptr);
-  json::Value v = schema->ToJson();
+  const OpDeclaration* d =
+      OpRegistry::Global().Find("language_id_score_filter");
+  ASSERT_NE(d, nullptr);
+  json::Value v = d->schema.ToJson();
   ASSERT_TRUE(v.is_object());
   EXPECT_EQ(v.as_object().Find("name")->as_string(),
             "language_id_score_filter");
@@ -291,55 +286,33 @@ TEST(FormatterTest, LoadDatasetDispatchesOnSuffix) {
 
 // ------------------------------------------------------ effect system ----
 
-TEST(OpEffectsTest, EveryBuiltinOpDeclaresEffects) {
-  const OpRegistry& registry = OpRegistry::Global();
-  for (const std::string& name : registry.Names()) {
-    const OpEffects* effects = registry.FindEffects(name);
-    ASSERT_NE(effects, nullptr) << name << " has no effect signature";
-    EXPECT_EQ(effects->op_name(), name);
-    // No silent empty signatures: every OP must declare at least one field.
-    EXPECT_FALSE(effects->reads().empty() && effects->writes().empty() &&
-                 effects->stats_produced().empty())
-        << name << " declares an empty effect signature";
+TEST(OpEffectsTest, EveryBuiltinOpDeclaresNonEmptyEffects) {
+  // No silent empty signatures: every OP must declare at least one field.
+  for (const OpDeclaration* d : OpRegistry::Global().Declarations()) {
+    const OpEffects& e = d->effects;
+    EXPECT_FALSE(e.reads().empty() && e.writes().empty() &&
+                 e.stats_produced().empty())
+        << d->schema.op_name() << " declares an empty effect signature";
   }
-  EXPECT_EQ(registry.AllEffects().size(), registry.Names().size());
 }
 
-TEST(OpEffectsTest, EffectsConsistentWithSchemaAndInstance) {
+TEST(OpEffectsTest, EffectsConsistentWithKind) {
   const OpRegistry& registry = OpRegistry::Global();
   for (const std::string& name : registry.Names()) {
-    const OpEffects* effects = registry.FindEffects(name);
-    ASSERT_NE(effects, nullptr) << name;
-    const OpSchema* schema = registry.FindSchema(name);
-    ASSERT_NE(schema, nullptr) << name;
     auto op = registry.Create(name, Config());
     ASSERT_TRUE(op.ok()) << name;
-    auto resolved = effects->Resolve(*op.value());
+    auto resolved = op.value()->declaration().effects.Resolve(*op.value());
     ASSERT_TRUE(resolved.ok())
         << name << ": " << resolved.status().ToString();
-
+    const auto& reads = resolved.value().reads;
+    const auto& writes = resolved.value().writes;
     switch (op.value()->kind()) {
-      case OpKind::kFilter: {
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowDropping)
-            << name;
-        auto* filter = static_cast<Filter*>(op.value().get());
-        // Declared stats must match what ComputeStats actually writes.
-        std::vector<std::string> actual = filter->StatsKeys();
-        std::vector<std::string> declared = resolved.value().stats;
-        std::sort(actual.begin(), actual.end());
-        std::sort(declared.begin(), declared.end());
-        EXPECT_EQ(declared, actual) << name;
-        EXPECT_EQ(resolved.value().uses_context, filter->UsesContext())
-            << name;
-        EXPECT_FALSE(resolved.value().reads.empty()) << name;
+      case OpKind::kFilter:
+        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowDropping);
+        EXPECT_FALSE(reads.empty()) << name;
         break;
-      }
       case OpKind::kMapper: {
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowPreserving)
-            << name;
         const std::string& key = op.value()->text_key();
-        const auto& reads = resolved.value().reads;
-        const auto& writes = resolved.value().writes;
         EXPECT_NE(std::find(reads.begin(), reads.end(), key), reads.end())
             << name;
         EXPECT_NE(std::find(writes.begin(), writes.end(), key), writes.end())
@@ -347,14 +320,12 @@ TEST(OpEffectsTest, EffectsConsistentWithSchemaAndInstance) {
         break;
       }
       case OpKind::kDeduplicator:
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowMerging)
-            << name;
-        EXPECT_FALSE(resolved.value().reads.empty()) << name;
+        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowMerging);
+        EXPECT_FALSE(reads.empty()) << name;
         break;
       case OpKind::kFormatter:
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowPreserving)
-            << name;
-        EXPECT_FALSE(resolved.value().writes.empty()) << name;
+        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowPreserving);
+        EXPECT_FALSE(writes.empty()) << name;
         break;
     }
   }
@@ -365,8 +336,8 @@ TEST(OpEffectsTest, PlaceholdersResolveAgainstEffectiveConfig) {
   auto filter = registry.Create("word_num_filter",
                                 Config(R"({"text_key": "text.body"})"));
   ASSERT_TRUE(filter.ok());
-  auto resolved = registry.FindEffects("word_num_filter")
-                      ->Resolve(*filter.value());
+  auto resolved =
+      filter.value()->declaration().effects.Resolve(*filter.value());
   ASSERT_TRUE(resolved.ok());
   const auto& reads = resolved.value().reads;
   EXPECT_NE(std::find(reads.begin(), reads.end(), "text.body"), reads.end());
@@ -376,13 +347,18 @@ TEST(OpEffectsTest, PlaceholdersResolveAgainstEffectiveConfig) {
   auto field_filter = registry.Create("specified_numeric_field_filter",
                                       Config(R"({"field": "meta.stars"})"));
   ASSERT_TRUE(field_filter.ok());
-  auto field_resolved =
-      registry.FindEffects("specified_numeric_field_filter")
-          ->Resolve(*field_filter.value());
+  auto field_resolved = field_filter.value()->declaration().effects.Resolve(
+      *field_filter.value());
   ASSERT_TRUE(field_resolved.ok());
   const auto& field_reads = field_resolved.value().reads;
   EXPECT_NE(std::find(field_reads.begin(), field_reads.end(), "meta.stars"),
             field_reads.end());
+
+  // A placeholder param set to "" does not resolve; VerifyPlan and the
+  // linter then treat the OP conservatively.
+  auto blank = registry.Create("field_exists_filter", Config(R"({"field": ""})"));
+  ASSERT_TRUE(blank.ok());
+  EXPECT_FALSE(blank.value()->declaration().effects.Resolve(*blank.value()).ok());
 }
 
 TEST(OpEffectsTest, FieldPathAliasing) {
@@ -399,7 +375,7 @@ TEST(OpEffectsTest, ConflictDetection) {
   auto resolve = [&](std::string_view name, std::string_view config) {
     auto op = registry.Create(name, Config(config));
     EXPECT_TRUE(op.ok());
-    auto r = registry.FindEffects(name)->Resolve(*op.value());
+    auto r = op.value()->declaration().effects.Resolve(*op.value());
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value();
   };

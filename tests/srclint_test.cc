@@ -139,6 +139,7 @@ void SpanRecorder::EmitInstant(std::string_view name, std::string_view cat,
                                uint64_t ts) {}
 Counter* MetricsRegistry::GetCounter(std::string_view name) { return 0; }
 void OpRegistry::Register(std::string name, OpFactory f) {}
+OpSchema::OpSchema(std::string op_name, OpKind kind) {}
 )cc");
   EXPECT_TRUE(scan.names.empty());
   EXPECT_TRUE(scan.dynamic_names.empty());
@@ -167,30 +168,25 @@ TEST(SourceScanTest, AnnotationsParse) {
   ASSERT_EQ(scan.issues.size(), 1u);  // the empty check id
 }
 
-TEST(SourceScanTest, SchemaAndEffectsFunctionStringsAreCollected) {
+TEST(SourceScanTest, OpSchemaLiteralsNameOps) {
   FileScan scan = ScanSource("src/ops/x.cc", R"cc(
-std::vector<OpSchema> FooSchemas() {
-  std::vector<OpSchema> out;
-  out.emplace_back("alpha_op", OpKind::kMapper);
-  out.push_back(OpSchema("beta_op", OpKind::kFilter));
-  return out;
+const OpDeclaration& A::Declaration() {
+  static const OpDeclaration d{
+      OpSchema("alpha_op", OpKind::kFilter).Int("n", 1, 0, 9, "doc"),
+      OpEffects().Reads("@text_key")};
+  return d;
 }
-std::vector<OpEffects> FooEffects() {
-  std::vector<OpEffects> out;
-  for (const char* name : {"alpha_op", "beta_op"}) {
-    out.push_back(MakeEffects(name));
-  }
-  return out;
-}
-const char* NotACollector() { return "gamma_op"; }
+OpDeclaration b = Declare(OpSchema("beta_op", OpKind::kMapper));
+OpSchema dynamic = OpSchema(name, OpKind::kMapper);
+const char* NotAnOp() { return "gamma_op"; }
 )cc");
-  std::vector<std::string> schemas;
-  std::vector<std::string> effects;
-  for (const FnString& f : scan.fn_strings) {
-    (f.function == "FooSchemas" ? schemas : effects).push_back(f.value);
+  std::vector<std::string> ops;
+  for (const NameRef& n : scan.names) {
+    if (n.kind == RefKind::kOp) ops.push_back(n.name);
   }
-  EXPECT_EQ(schemas, (std::vector<std::string>{"alpha_op", "beta_op"}));
-  EXPECT_EQ(effects, (std::vector<std::string>{"alpha_op", "beta_op"}));
+  EXPECT_EQ(ops, (std::vector<std::string>{"alpha_op", "beta_op"}));
+  ASSERT_EQ(scan.dynamic_names.size(), 1u);
+  EXPECT_EQ(scan.dynamic_names[0].kind, RefKind::kOp);
 }
 
 TEST(SourceScanTest, UnterminatedConstructsBecomeIssues) {
@@ -214,7 +210,7 @@ Manifest SampleManifest() {
   m.spans = {"unit:*", "executor.run"};
   m.instants = {"fault:*"};
   m.counter_series = {"rss_mib"};
-  m.ops = {{"beta_op", true, false}, {"alpha_op", true, true}};
+  m.ops = {"beta_op", "alpha_op"};
   m.Normalize();
   return m;
 }
@@ -239,7 +235,7 @@ TEST(ManifestTest, NormalizeMakesInputOrderIrrelevant) {
   b.spans = {"executor.run", "unit:*"};
   b.instants = {"fault:*"};
   b.counter_series = {"rss_mib"};
-  b.ops = {{"alpha_op", true, true}, {"beta_op", true, false}};
+  b.ops = {"alpha_op", "beta_op", "alpha_op"};
   b.Normalize();
   EXPECT_EQ(a.ToText(), b.ToText());
 }
@@ -249,7 +245,7 @@ TEST(ManifestTest, DiffReportsBothDirections) {
   Manifest committed = SampleManifest();
   committed.fault_points = {"io.read.fail"};        // write.fail missing
   committed.spans.push_back("cache.scan");          // extra committed span
-  committed.ops[1].has_effects = true;              // beta_op flags differ
+  committed.ops = {"alpha_op"};                     // beta_op missing
   committed.Normalize();
   std::vector<std::string> diffs = tree.DiffAgainst(committed);
   auto has = [&](std::string_view needle) {
@@ -260,7 +256,7 @@ TEST(ManifestTest, DiffReportsBothDirections) {
   };
   EXPECT_TRUE(has("'io.write.fail' is in the tree"));
   EXPECT_TRUE(has("'cache.scan' is in the committed manifest"));
-  EXPECT_TRUE(has("'beta_op' schema/effects coverage differs"));
+  EXPECT_TRUE(has("op 'beta_op' is in the tree"));
 }
 
 TEST(ManifestTest, UnknownKeysAreRejected) {
@@ -426,30 +422,19 @@ TEST(AnalyzerTest, DynamicNameNeedsADeclare) {
   EXPECT_EQ(good.manifest.counters, std::vector<std::string>{"io.*"});
 }
 
-TEST(AnalyzerTest, OpSchemaAndEffectsCoverage) {
+TEST(AnalyzerTest, OpSchemaNamesFillTheManifest) {
   SourceTree tree = TreeOf({
-      {"src/ops/registry.cc",
-       "void R(OpRegistry* r) {\n"
-       "  r->Register(\"covered_op\", 1);\n"
-       "  r->Register(\"orphan_op\", 2);\n"
-       "}\n"},
-      {"src/ops/schemas.cc",
-       "std::vector<OpSchema> XSchemas() {\n"
-       "  return {OpSchema(\"covered_op\", OpKind::kMapper)};\n"
-       "}\n"
-       "std::vector<OpEffects> XEffects() {\n"
-       "  return {OpEffects(\"covered_op\")};\n"
-       "}\n"},
+      {"src/ops/a.cc",
+       "OpDeclaration a{OpSchema(\"zeta_op\", OpKind::kMapper), {}};\n"
+       "OpDeclaration b{OpSchema(\"alpha_op\", OpKind::kFilter), {}};\n"},
+      {"src/ops/b.cc", "OpSchema Make(std::string n) { return OpSchema(n, k); }\n"},
   });
   Report report = Analyze(tree, NoManifestNoDocs());
-  auto schema = FindingsOf(report, "op-schema");
-  auto effects = FindingsOf(report, "op-effects");
-  ASSERT_EQ(schema.size(), 1u);
-  ASSERT_EQ(effects.size(), 1u);
-  EXPECT_NE(schema[0]->message.find("orphan_op"), std::string::npos);
-  ASSERT_EQ(report.manifest.ops.size(), 2u);
-  EXPECT_TRUE(report.manifest.ops[0].has_schema);   // covered_op (sorted)
-  EXPECT_FALSE(report.manifest.ops[1].has_schema);  // orphan_op
+  EXPECT_EQ(report.manifest.ops,
+            (std::vector<std::string>{"alpha_op", "zeta_op"}));
+  auto dynamic = FindingsOf(report, "dynamic-name");
+  ASSERT_EQ(dynamic.size(), 1u);
+  EXPECT_EQ(dynamic[0]->file, "src/ops/b.cc");
 }
 
 TEST(AnalyzerTest, ManifestDriftAndRoundTrip) {

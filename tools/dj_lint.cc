@@ -75,8 +75,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 int ListOps(const dj::ops::OpRegistry& registry, bool as_json) {
   if (as_json) {
     dj::json::Array ops;
-    for (const dj::ops::OpSchema* schema : registry.AllSchemas()) {
-      ops.push_back(schema->ToJson());
+    for (const dj::ops::OpDeclaration* d : registry.Declarations()) {
+      ops.push_back(d->schema.ToJson());
     }
     dj::json::Object root;
     root.Set("ops", dj::json::Value(std::move(ops)));
@@ -86,14 +86,11 @@ int ListOps(const dj::ops::OpRegistry& registry, bool as_json) {
                     .c_str());
     return 0;
   }
-  for (const std::string& name : registry.Names()) {
-    const dj::ops::OpSchema* schema = registry.FindSchema(name);
-    if (schema == nullptr) {
-      std::printf("%s (no declared schema)\n", name.c_str());
-      continue;
-    }
-    std::printf("%s [%s]\n", name.c_str(), dj::ops::OpKindName(schema->kind()));
-    for (const dj::ops::ParamSpec& p : schema->params()) {
+  for (const dj::ops::OpDeclaration* d : registry.Declarations()) {
+    const dj::ops::OpSchema& schema = d->schema;
+    std::printf("%s [%s]\n", schema.op_name().c_str(),
+                dj::ops::OpKindName(schema.kind()));
+    for (const dj::ops::ParamSpec& p : schema.params()) {
       std::string line = "  " + p.key + ": " + dj::ops::ParamTypeName(p.type);
       if (!p.def.is_null()) {
         line += " = " + dj::json::Write(p.def);
