@@ -12,6 +12,24 @@ namespace {
 
 constexpr double kMiB = 1024.0 * 1024.0;
 
+/// Modelled single-worker cost of running one OP over one byte of shard
+/// data (Dataset::ApproxMemoryBytes). Calibrated to the measured
+/// single-thread shard time of the bench_fig10_scalability pipeline in a
+/// Release build on a 4-vCPU x86-64 host (1.0-1.3e-8 s over three runs).
+/// Charging compute from this deterministic work measure, not from wall
+/// time, makes the modelled timeline a pure function of the data, the plan
+/// and ClusterOptions: sanitizers and schedule perturbation slow the host
+/// but not the model.
+constexpr double kComputeSecondsPerByteOp = 1.2e-8;
+
+/// Modelled compute seconds of `num_ops` OPs over `data` on one node.
+double ModeledCompute(const data::Dataset& data, size_t num_ops,
+                      double node_speedup) {
+  return static_cast<double>(data.ApproxMemoryBytes()) *
+         static_cast<double>(num_ops) * kComputeSecondsPerByteOp /
+         node_speedup;
+}
+
 /// Splits a pipeline into alternating segments of row-local OPs
 /// (Mappers/Filters — embarrassingly parallel across shards) and
 /// dataset-level OPs (Deduplicators — require a global view / shuffle).
@@ -174,6 +192,8 @@ Result<data::Dataset> DistributedExecutor::Run(
   cursor += rep->load_seconds;
 
   // --- Real processing + modeled compute time ---------------------------
+  // The shard executor's wall time is recorded as measured_compute_seconds
+  // only; the timeline charges ModeledCompute.
   core::Executor::Options exec_options;
   exec_options.num_workers = 1;  // measure single-thread shard time
   exec_options.op_fusion = options_.op_fusion;
@@ -198,14 +218,14 @@ Result<data::Dataset> DistributedExecutor::Run(
       double slowest_node = 0;
       for (size_t n = 0; n < shards.size(); ++n) {
         data::Dataset& shard = shards[n];
+        double modeled =
+            ModeledCompute(shard, segment.row_local.size(), node_speedup);
         Stopwatch watch;
         auto processed =
             shard_executor.Run(std::move(shard), segment.row_local, nullptr);
         if (!processed.ok()) return processed.status();
         shard = std::move(processed).value();
-        double measured = watch.ElapsedSeconds();
-        rep->measured_compute_seconds += measured;
-        double modeled = measured / node_speedup;
+        rep->measured_compute_seconds += watch.ElapsedSeconds();
 
         double shard_start = 0;  // offset of this task's final attempt
         int64_t lane = kDriverLane + 1 + static_cast<int64_t>(n);
@@ -261,12 +281,11 @@ Result<data::Dataset> DistributedExecutor::Run(
       }
       data::Dataset merged = Merge(&shards);
       std::vector<ops::Op*> single{segment.global};
+      double modeled = ModeledCompute(merged, 1, node_speedup);
       Stopwatch watch;
       auto processed = shard_executor.Run(std::move(merged), single, nullptr);
       if (!processed.ok()) return processed.status();
-      double measured = watch.ElapsedSeconds();
-      rep->measured_compute_seconds += measured;
-      double modeled = measured / node_speedup;
+      rep->measured_compute_seconds += watch.ElapsedSeconds();
       rep->compute_seconds += modeled;
       emit_lane(seg_tag + ":" + segment.global->name(), kDriverLane, cursor,
                 modeled);

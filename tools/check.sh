@@ -24,7 +24,12 @@
 #                             watchdog dump, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. TSan                   concurrency-heavy tests, then re-run under
+#   9. benchmark smoke        bench/e2e built as its own Release project;
+#                             its bench_e2e_smoke ctest runs every workload
+#                             at 2% scale and cmp's each export against
+#                             dj_process (catches API breaks the benchmark
+#                             compiles against)
+#  10. TSan                   concurrency-heavy tests, then re-run under
 #                             three seeds of schedule perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
@@ -256,6 +261,15 @@ if [ "${degrade_rc}" -ne 1 ]; then
   echo "check.sh: bench-diff gate self-test expected exit 1, got ${degrade_rc}" >&2
   exit 1
 fi
+
+echo "== benchmark smoke (bench/e2e, Release) =="
+# bench/e2e is a standalone CMake project (the BENCHMARK.json command builds
+# it on its own); build it from this tree and run its correctness check,
+# which holds every workload's export byte-identical to dj_process's.
+e2e_dir="${build_dir}-e2e"
+cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${e2e_dir}" -j
+ctest --test-dir "${e2e_dir}" --output-on-failure -R bench_e2e_smoke
 
 echo "== TSan pass (core/dist/obs + parallel I/O + fault tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
