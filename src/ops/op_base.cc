@@ -45,7 +45,8 @@ void Op::SetEffectiveParam(std::string_view key, json::Value value) {
 }
 
 OpDeclaration Mapper::Declare(OpSchema schema) {
-  return {std::move(schema), OpEffects().Reads("@text_key").Writes("@text_key")};
+  return {std::move(schema),
+          OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
 Status Mapper::ProcessRow(data::RowRef row, SampleContext* ctx) const {

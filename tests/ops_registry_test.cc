@@ -356,9 +356,11 @@ TEST(OpEffectsTest, PlaceholdersResolveAgainstEffectiveConfig) {
 
   // A placeholder param set to "" does not resolve; VerifyPlan and the
   // linter then treat the OP conservatively.
-  auto blank = registry.Create("field_exists_filter", Config(R"({"field": ""})"));
+  auto blank =
+      registry.Create("field_exists_filter", Config(R"({"field": ""})"));
   ASSERT_TRUE(blank.ok());
-  EXPECT_FALSE(blank.value()->declaration().effects.Resolve(*blank.value()).ok());
+  EXPECT_FALSE(
+      blank.value()->declaration().effects.Resolve(*blank.value()).ok());
 }
 
 TEST(OpEffectsTest, FieldPathAliasing) {

@@ -427,7 +427,8 @@ TEST(AnalyzerTest, OpSchemaNamesFillTheManifest) {
       {"src/ops/a.cc",
        "OpDeclaration a{OpSchema(\"zeta_op\", OpKind::kMapper), {}};\n"
        "OpDeclaration b{OpSchema(\"alpha_op\", OpKind::kFilter), {}};\n"},
-      {"src/ops/b.cc", "OpSchema Make(std::string n) { return OpSchema(n, k); }\n"},
+      {"src/ops/b.cc",
+       "OpSchema Make(std::string n) { return OpSchema(n, k); }\n"},
   });
   Report report = Analyze(tree, NoManifestNoDocs());
   EXPECT_EQ(report.manifest.ops,
