@@ -62,7 +62,6 @@ Result<bool> SuffixFilter::KeepRow(data::RowRef row) const {
 
 // The specified-field family keeps its predicate on the live field (no
 // stats indirection), so the read set is just the configured field.
-
 const OpDeclaration& SpecifiedFieldFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("specified_field_filter", OpKind::kFilter)
