@@ -46,10 +46,6 @@ Result<std::unique_ptr<Op>> OpRegistry::Create(
                           "' (see OpRegistry::Names)");
 }
 
-bool OpRegistry::Contains(std::string_view name) const {
-  return Find(name) != nullptr;
-}
-
 std::vector<std::string> OpRegistry::Names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());

@@ -47,7 +47,6 @@ class OpRegistry {
   Result<std::unique_ptr<Op>> Create(std::string_view name,
                                      const json::Value& config) const;
 
-  bool Contains(std::string_view name) const;
   std::vector<std::string> Names() const;
 
   /// Declaration of `name`, or nullptr when no such OP is registered.

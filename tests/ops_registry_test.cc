@@ -69,8 +69,8 @@ TEST(OpRegistryTest, UnknownOpIsNotFound) {
 
 TEST(OpRegistryTest, ContainsAndNames) {
   const OpRegistry& registry = OpRegistry::Global();
-  EXPECT_TRUE(registry.Contains("perplexity_filter"));
-  EXPECT_FALSE(registry.Contains("bogus"));
+  EXPECT_NE(registry.Find("perplexity_filter"), nullptr);
+  EXPECT_EQ(registry.Find("bogus"), nullptr);
 }
 
 // The paper's "Advanced Extension" path: users register their own OPs by
