@@ -1,7 +1,9 @@
 #include "ops/op_base.h"
 
+#include <cstdlib>
 #include <optional>
 
+#include "common/logging.h"
 #include "data/io.h"
 #include "data/sample.h"
 
@@ -20,13 +22,9 @@ json::Value EffectiveValue(const json::Value& config, const ParamSpec& p) {
       return json::Value(config.GetInt(p.key, p.def.as_int()));
     case ParamType::kDouble:
       return json::Value(config.GetDouble(p.key, p.def.as_double()));
-    case ParamType::kString:
+    default:  // kString: OpSchema::List declares no default
       return json::Value(config.GetString(p.key, p.def.as_string()));
-    case ParamType::kList:
-      break;
   }
-  const json::Value* v = config.as_object().Find(p.key);
-  return v != nullptr && v->is_array() ? *v : p.def;
 }
 
 }  // namespace
@@ -35,12 +33,33 @@ Op::Op(const OpDeclaration& declaration, const json::Value& config)
     : declaration_(&declaration),
       config_(config.is_object() ? config : json::Value(json::Object())) {
   for (const ParamSpec& p : declaration.schema.params()) {
-    if (!p.def.is_null()) SetEffectiveParam(p.key, EffectiveValue(config_, p));
+    if (!p.def.is_null()) {
+      config_.as_object().Set(p.key, EffectiveValue(config_, p));
+    }
   }
   text_key_ = Param<std::string>("text_key");
 }
 
+const json::Value& Op::DeclaredValue(std::string_view key,
+                                     ParamType type) const {
+  const ParamSpec* p = declaration_->schema.Find(key);
+  if (p == nullptr || p->def.is_null() || p->type != type) {
+    DJ_LOG(Error) << "OP '" << name() << "' reads param '" << key << "' as "
+                  << ParamTypeName(type) << ", but its schema does not "
+                  << "declare it as one with a default";
+    std::abort();
+  }
+  return *config_.as_object().Find(key);
+}
+
 void Op::SetEffectiveParam(std::string_view key, json::Value value) {
+  const ParamSpec* p = declaration_->schema.Find(key);
+  if (p == nullptr || !p->def.is_null()) {
+    DJ_LOG(Error) << "OP '" << name() << "' records param '" << key
+                  << "', but its schema does not declare it without a "
+                  << "default";
+    std::abort();
+  }
   config_.as_object().Set(std::string(key), std::move(value));
 }
 

@@ -91,25 +91,33 @@ class Op {
   Op(const OpDeclaration& declaration, const json::Value& config);
 
   /// Effective value of declared param `key`: the recipe's value, else the
-  /// declared default. T is bool, int64_t, double or std::string, matching
-  /// the declared type.
+  /// declared default. T is bool, int64_t, double or std::string and must
+  /// match the declared type; reading a key the schema does not declare
+  /// with a default, or as another type, aborts.
   template <typename T>
   T Param(std::string_view key) const {
     if constexpr (std::is_same_v<T, bool>) {
-      return config_.GetBool(key, false);
+      return DeclaredValue(key, ParamType::kBool).as_bool();
     } else if constexpr (std::is_same_v<T, int64_t>) {
-      return config_.GetInt(key, 0);
+      return DeclaredValue(key, ParamType::kInt).as_int();
     } else if constexpr (std::is_same_v<T, double>) {
-      return config_.GetDouble(key, 0.0);
+      return DeclaredValue(key, ParamType::kDouble).as_double();
     } else {
-      return config_.GetString(key, "");
+      static_assert(std::is_same_v<T, std::string>);
+      return DeclaredValue(key, ParamType::kString).as_string();
     }
   }
-  /// Records a value the OP computed itself (params declared without a
-  /// default) into the effective config, for cache keys.
+  /// Records a value the OP computed itself into the effective config, for
+  /// cache keys. `key` must be declared without a default (a declared
+  /// default is filled by the constructor and may not be overwritten);
+  /// anything else aborts.
   void SetEffectiveParam(std::string_view key, json::Value value);
 
  private:
+  /// The filled value of `key`, which the schema must declare as `type`
+  /// with a default; aborts otherwise.
+  const json::Value& DeclaredValue(std::string_view key, ParamType type) const;
+
   const OpDeclaration* declaration_;
   json::Value config_;
   std::string text_key_;

@@ -20,21 +20,15 @@ namespace dj::ops {
 /// paper's "Advanced Extension" path.
 class OpRegistry {
  public:
-  using Factory =
-      std::function<Result<std::unique_ptr<Op>>(const json::Value& config)>;
-
   /// Process-wide registry with all built-in OPs registered.
   static OpRegistry& Global();
 
-  /// Registers one OP: its declaration (schema: name, kind, params with
-  /// defaults and ranges; effects) under the schema's name, and the factory
-  /// that instantiates it. `declaration` is borrowed and must outlive the
-  /// registry — it is the same function-local static the OP's constructor
-  /// passes to Op. Re-registering a name replaces the entry (useful for
-  /// tests); a warning is logged.
-  void Register(const OpDeclaration* declaration, Factory factory);
-
-  /// Registers OP class T: T::Declaration(), constructed as T(config).
+  /// Registers OP class T: its declaration T::Declaration() (schema: name,
+  /// kind, params with defaults and ranges; effects) under the schema's
+  /// name, instantiated as T(config). The registry keeps a pointer to that
+  /// function-local static, the same one T's constructor passes to Op.
+  /// Re-registering a name replaces the entry (useful for tests); a warning
+  /// is logged.
   template <typename T>
   void Register() {
     Register(&T::Declaration(),
@@ -55,6 +49,11 @@ class OpRegistry {
   std::vector<const OpDeclaration*> Declarations() const;
 
  private:
+  using Factory =
+      std::function<Result<std::unique_ptr<Op>>(const json::Value& config)>;
+
+  void Register(const OpDeclaration* declaration, Factory factory);
+
   struct Entry {
     const OpDeclaration* declaration;
     Factory factory;

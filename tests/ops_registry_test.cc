@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 
 #include "data/io.h"
@@ -115,15 +116,87 @@ TEST(OpRegistryTest, CustomOpRegistration) {
   EXPECT_EQ(&op.value()->declaration(), &ShoutMapper::Declaration());
 }
 
+// A second OP class declaring the name "shout_mapper", with its own default.
+class WhisperMapper : public Mapper {
+ public:
+  static const OpDeclaration& Declaration() {
+    static const OpDeclaration d =
+        Declare(OpSchema("shout_mapper", OpKind::kMapper)
+                    .Str("suffix", "...", "appended to the whispered text"));
+    return d;
+  }
+
+  explicit WhisperMapper(const json::Value& config)
+      : Mapper(Declaration(), config) {}
+
+  Result<std::string> TransformText(std::string_view input,
+                                    SampleContext*) const override {
+    std::string out(input);
+    for (char& c : out) c = static_cast<char>(std::tolower(c));
+    return out + Param<std::string>("suffix");
+  }
+};
+
 TEST(OpRegistryTest, ReRegisterReplaces) {
   OpRegistry registry;
   registry.Register<ShoutMapper>();
-  registry.Register(&ShoutMapper::Declaration(),
-                    [](const json::Value&) -> Result<std::unique_ptr<Op>> {
-                      return Status::Internal("replaced");
-                    });
+  registry.Register<WhisperMapper>();
   EXPECT_EQ(registry.Names().size(), 1u);
-  EXPECT_FALSE(registry.Create("shout_mapper", Config()).ok());
+  // The registry and the instance it creates report the same declaration.
+  EXPECT_EQ(registry.Find("shout_mapper"), &WhisperMapper::Declaration());
+  auto op = registry.Create("shout_mapper", Config());
+  ASSERT_TRUE(op.ok());
+  EXPECT_EQ(&op.value()->declaration(), &WhisperMapper::Declaration());
+  SampleContext ctx("Hi");
+  EXPECT_EQ(static_cast<Mapper*>(op.value().get())
+                ->TransformText("Hi", &ctx)
+                .value(),
+            "hi...");
+}
+
+// Exposes the protected param accessors of Op to the death tests below.
+class ParamProbeMapper : public Mapper {
+ public:
+  static const OpDeclaration& Declaration() {
+    static const OpDeclaration d =
+        Declare(OpSchema("param_probe_mapper", OpKind::kMapper)
+                    .Int("n", 3, 0, kParamInf, "an int with a default")
+                    .StrNoDefault("computed", "filled in by the OP"));
+    return d;
+  }
+
+  explicit ParamProbeMapper(const json::Value& config)
+      : Mapper(Declaration(), config) {}
+
+  using Op::Param;
+  using Op::SetEffectiveParam;
+
+  Result<std::string> TransformText(std::string_view input,
+                                    SampleContext*) const override {
+    return std::string(input);
+  }
+};
+
+TEST(OpParamDeathTest, ParamReadsOnlyDeclaredDefaultsOfTheDeclaredType) {
+  ParamProbeMapper op(Config(R"({"n": 5, "extra": 1})"));
+  EXPECT_EQ(op.Param<int64_t>("n"), 5);
+  // A misspelled or undeclared key, a param declared without a default, and
+  // a read as another type than the declared one are programming errors.
+  EXPECT_DEATH(op.Param<int64_t>("nn"), "reads param 'nn' as int");
+  EXPECT_DEATH(op.Param<int64_t>("extra"), "reads param 'extra' as int");
+  EXPECT_DEATH(op.Param<std::string>("computed"), "reads param 'computed'");
+  EXPECT_DEATH(op.Param<double>("n"), "reads param 'n' as number");
+}
+
+TEST(OpParamDeathTest, SetEffectiveParamCannotOverwriteADeclaredDefault) {
+  ParamProbeMapper op(Config());
+  op.SetEffectiveParam("computed", json::Value("x"));
+  EXPECT_EQ(op.config().GetString("computed", ""), "x");
+  EXPECT_DEATH(op.SetEffectiveParam("n", json::Value(int64_t{4})),
+               "records param 'n'");
+  EXPECT_DEATH(op.SetEffectiveParam("undeclared", json::Value("x")),
+               "records param 'undeclared'");
+  EXPECT_EQ(op.Param<int64_t>("n"), 3);
 }
 
 TEST(OpRegistryTest, EffectiveConfigFillsDeclaredDefaultsInOrder) {
@@ -170,6 +243,29 @@ TEST(OpSchemaTest, EffectiveConfigKeysAreDeclared) {
     for (const auto& [key, value] : op.value()->config().as_object().entries()) {
       EXPECT_NE(schema.Find(key), nullptr)
           << name << " echoes undeclared param '" << key << "'";
+    }
+  }
+}
+
+TEST(OpSchemaTest, DeclaredDefaultsMatchEffectiveConfig) {
+  // Where a schema declares a scalar default and the OP echoes that key,
+  // the two must agree — the linter's keep-range math relies on it.
+  const OpRegistry& registry = OpRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    const OpSchema& schema = registry.Find(name)->schema;
+    auto op = registry.Create(name, Config());
+    ASSERT_TRUE(op.ok()) << name;
+    const json::Value& config = op.value()->config();
+    for (const ParamSpec& p : schema.params()) {
+      if (p.def.is_null()) continue;  // OP computes its own default
+      const json::Value* echoed = config.as_object().Find(p.key);
+      if (echoed == nullptr) continue;  // OP doesn't echo this param
+      if (p.def.is_number() && echoed->is_number()) {
+        EXPECT_EQ(p.def.as_double(), echoed->as_double())
+            << name << "." << p.key;
+      } else {
+        EXPECT_EQ(p.def, *echoed) << name << "." << p.key;
+      }
     }
   }
 }
