@@ -1,10 +1,15 @@
 #include "core/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
+#include <numeric>
 #include <optional>
+#include <string_view>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/probe.h"
@@ -40,6 +45,64 @@ std::string StatsJsonOf(data::RowRef row) {
   return stats == nullptr ? "{}" : json::Write(*stats);
 }
 
+/// Rows at the head of a ranked stage's input that every member evaluates,
+/// to measure each member's keep ratio before the rest of the input runs
+/// in ranked order. Rows are decided identically at any worker count, so
+/// the order depends only on the recipe and the stage's input.
+constexpr size_t kProbeRows = 64;
+
+/// A ranked stage's order after the probe: ascending cost per dropped row,
+/// CostEstimate() / (1 - keep ratio), so members that kept every probe row
+/// (infinite rank) go last; ties fall to cost, then recipe order.
+std::vector<size_t> RankByCostPerDrop(const std::vector<ops::Filter*>& filters,
+                                      const std::vector<size_t>& probe_kept,
+                                      size_t probe_rows) {
+  auto rank = [&](size_t f) {
+    const double cost = filters[f]->CostEstimate();
+    const size_t dropped = probe_rows - probe_kept[f];
+    const double per_drop =
+        dropped == 0 ? std::numeric_limits<double>::infinity()
+                     : cost * static_cast<double>(probe_rows) /
+                           static_cast<double>(dropped);
+    return std::make_tuple(per_drop, cost, f);
+  };
+  std::vector<size_t> order(filters.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return rank(a) < rank(b); });
+  return order;
+}
+
+/// The SampleContexts of one row in a filter run: one per distinct
+/// text_key, each built when the first member on that key needs it.
+class RowContexts {
+ public:
+  RowContexts(data::RowRef row, const std::vector<std::string_view>& keys)
+      : row_(row), keys_(keys), more_(keys.size() - 1) {}
+
+  ops::SampleContext* Get(size_t key) {
+    std::optional<ops::SampleContext>& slot =
+        key == 0 ? first_ : more_[key - 1];
+    if (!slot.has_value()) slot.emplace(row_.GetText(keys_[key]));
+    return &*slot;
+  }
+
+ private:
+  data::RowRef row_;
+  const std::vector<std::string_view>& keys_;
+  /// Most runs filter one field: its context needs no allocation.
+  std::optional<ops::SampleContext> first_;
+  std::vector<std::optional<ops::SampleContext>> more_;
+};
+
+/// Left-aligns `text` in a report column of `width`, then one space; a
+/// longer text is kept whole and shifts the rest of its row.
+void AppendColumn(std::string* out, std::string_view text, size_t width) {
+  out->append(text);
+  if (text.size() < width) out->append(width - text.size(), ' ');
+  out->push_back(' ');
+}
+
 }  // namespace
 
 Result<std::vector<std::unique_ptr<ops::Op>>> BuildOps(
@@ -60,12 +123,15 @@ Result<std::vector<std::unique_ptr<ops::Op>>> BuildOps(
 }
 
 std::string RunReport::ToString() const {
+  // Names go in as strings: a stage's name can run to hundreds of
+  // characters. Only the fixed-width columns after it are formatted.
+  constexpr size_t kNameWidth = 44;
   std::string out;
-  char buf[240];
-  std::snprintf(buf, sizeof(buf),
-                "%-44s %-13s %9s %9s %9s %11s %7s %7s %6s\n", "op", "kind",
-                "rows_in", "rows_out", "sec", "rows/s", "%time", "%cpu",
-                "cache");
+  char buf[256];
+  AppendColumn(&out, "op", kNameWidth);
+  std::snprintf(buf, sizeof(buf), "%-13s %9s %9s %9s %11s %7s %7s %6s\n",
+                "kind", "rows_in", "rows_out", "sec", "rows/s", "%time",
+                "%cpu", "cache");
   out += buf;
   // %-of-total uses the sum of per-OP seconds, not wall time, so cached
   // (zero-second) prefixes don't make the executed suffix sum to < 100%.
@@ -91,10 +157,10 @@ std::string RunReport::ToString() const {
     } else {
       std::snprintf(cpu, sizeof(cpu), "-");
     }
+    AppendColumn(&out, r.name, kNameWidth);
     std::snprintf(buf, sizeof(buf),
-                  "%-44s %-13s %9zu %9zu %9.3f %11s %7s %7s %6s\n",
-                  r.name.c_str(), r.kind.c_str(), r.rows_in, r.rows_out,
-                  r.seconds, throughput, pct, cpu,
+                  "%-13s %9zu %9zu %9.3f %11s %7s %7s %6s\n", r.kind.c_str(),
+                  r.rows_in, r.rows_out, r.seconds, throughput, pct, cpu,
                   r.cache_hit ? "hit" : "-");
     out += buf;
   }
@@ -122,6 +188,20 @@ std::string RunReport::ToString() const {
     std::snprintf(buf, sizeof(buf), "plan: %zu effect-licensed swap(s)\n",
                   plan_swaps);
     out += buf;
+  }
+  // One line per stage that ran, numbered like the fused_filter rows.
+  size_t stage_number = 0;
+  for (const OpReport& r : op_reports) {
+    if (r.kind != "fused_filter") continue;
+    ++stage_number;
+    if (r.stage.empty()) continue;
+    out += "stage " + std::to_string(stage_number) + " order:";
+    for (size_t i = 0; i < r.stage.size(); ++i) {
+      out += i == 0 ? " " : ", ";
+      out += r.stage[i].name + " (" + std::to_string(r.stage[i].rejected) +
+             " rejected)";
+    }
+    out += "\n";
   }
   return out;
 }
@@ -169,35 +249,98 @@ Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
 }
 
 Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
-                            data::Dataset* dataset, ThreadPool* pool) {
+                            bool ranked, data::Dataset* dataset,
+                            ThreadPool* pool,
+                            std::vector<StageMember>* stage) {
   dataset->EnsureColumn(data::kStatsField);
+  const size_t n = filters.size();
+  // Members on the same field share one context per row: this is the
+  // context-management optimization — Words()/Lines() compute once.
+  std::vector<std::string_view> keys;
+  std::vector<size_t> key_of(n);
+  for (size_t f = 0; f < n; ++f) {
+    auto it = std::find(keys.begin(), keys.end(), filters[f]->text_key());
+    key_of[f] = static_cast<size_t>(it - keys.begin());
+    if (it == keys.end()) keys.emplace_back(filters[f]->text_key());
+  }
+  auto evaluate = [&](data::RowRef row, RowContexts* ctx,
+                      size_t f) -> Result<bool> {
+    DJ_RETURN_IF_ERROR(filters[f]->ComputeStats(row, ctx->Get(key_of[f])));
+    return filters[f]->KeepRow(row);
+  };
   Tracer* tracer = options_.tracer;
-  auto pred = [&filters, tracer](data::RowRef row) -> Result<bool> {
-    // One shared context per sample for the whole fused group: this is the
-    // context-management optimization — Words()/Lines() compute once.
-    std::string_view text = row.GetText(filters.front()->text_key());
-    ops::SampleContext ctx(text);
-    for (const ops::Filter* f : filters) {
-      DJ_RETURN_IF_ERROR(f->ComputeStats(row, &ctx));
+  std::vector<std::atomic<size_t>> rejected(n);
+  auto reject = [&](data::RowRef row, size_t f) {
+    rejected[f].fetch_add(1, std::memory_order_relaxed);
+    if (tracer != nullptr) {
+      tracer->RecordFiltered(filters[f]->name(), row.row(),
+                             row.GetText(filters[f]->text_key()),
+                             StatsJsonOf(row));
     }
-    for (const ops::Filter* f : filters) {
-      DJ_ASSIGN_OR_RETURN(bool keep, f->KeepRow(row));
-      if (!keep) {
-        if (tracer != nullptr) {
-          tracer->RecordFiltered(f->name(), row.row(), text,
-                                 StatsJsonOf(row));
+  };
+
+  obs::Span span(options_.spans, "batch:" + filters.front()->name(), "batch");
+  const size_t rows = dataset->NumRows();
+  std::vector<uint8_t> keep(rows, 0);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  size_t probe_rows = 0;
+  if (ranked) {
+    // Probe: every member on each of the first rows, verdicts by
+    // [row * n + member]; each row's verdicts are written by the one task
+    // that evaluates the row.
+    probe_rows = std::min(kProbeRows, rows);
+    std::vector<uint8_t> verdicts(probe_rows * n, 0);
+    DJ_RETURN_IF_ERROR(dataset->KeepMask(
+        [&](data::RowRef row) -> Result<bool> {
+          RowContexts ctx(row, keys);
+          bool keep_all = true;
+          for (size_t f = 0; f < n; ++f) {
+            DJ_ASSIGN_OR_RETURN(bool kept, evaluate(row, &ctx, f));
+            verdicts[row.row() * n + f] = kept ? 1 : 0;
+            keep_all = keep_all && kept;
+          }
+          return keep_all;
+        },
+        0, probe_rows, pool, &keep));
+    std::vector<size_t> probe_kept(n, 0);
+    for (size_t r = 0; r < probe_rows; ++r) {
+      for (size_t f = 0; f < n; ++f) probe_kept[f] += verdicts[r * n + f];
+    }
+    order = RankByCostPerDrop(filters, probe_kept, probe_rows);
+    // A rejected probe row counts against the first member in `order` that
+    // rejects it, as it would have in the ranked pass.
+    for (size_t r = 0; r < probe_rows; ++r) {
+      if (keep[r] != 0) continue;
+      for (size_t f : order) {
+        if (verdicts[r * n + f] == 0) {
+          reject(dataset->Row(r), f);
+          break;
         }
-        return false;
       }
     }
-    return true;
-  };
-  obs::Span span(options_.spans, "batch:" + filters.front()->name(), "batch");
-  // Consuming Filter: survivors are moved out of the old dataset instead of
-  // deep-copied (the executor owns it and discards the pre-filter state).
-  DJ_ASSIGN_OR_RETURN(data::Dataset filtered,
-                      std::move(*dataset).Filter(pred, pool));
-  *dataset = std::move(filtered);
+  }
+  DJ_RETURN_IF_ERROR(dataset->KeepMask(
+      [&](data::RowRef row) -> Result<bool> {
+        RowContexts ctx(row, keys);
+        for (size_t f : order) {
+          DJ_ASSIGN_OR_RETURN(bool kept, evaluate(row, &ctx, f));
+          if (!kept) {
+            reject(row, f);
+            return false;
+          }
+        }
+        return true;
+      },
+      probe_rows, rows, pool, &keep));
+  if (stage != nullptr) {
+    for (size_t f : order) {
+      stage->push_back({filters[f]->name(), rejected[f].load()});
+    }
+  }
+  // Survivors are moved out of the old dataset instead of deep-copied (the
+  // executor owns it and discards the pre-filter state).
+  *dataset = std::move(*dataset).TakeKept(keep);
   return Status::Ok();
 }
 
@@ -225,15 +368,16 @@ Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
 }
 
 Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
-                         ThreadPool* pool) {
+                         ThreadPool* pool, OpReport* report) {
   if (unit.is_fused()) {
-    return RunFilters(unit.fused, dataset, pool);
+    return RunFilters(unit.fused, unit.ranked, dataset, pool, &report->stage);
   }
   switch (unit.op->kind()) {
     case ops::OpKind::kMapper:
       return RunMapper(static_cast<ops::Mapper*>(unit.op), dataset, pool);
     case ops::OpKind::kFilter:
-      return RunFilters({static_cast<ops::Filter*>(unit.op)}, dataset, pool);
+      return RunFilters({static_cast<ops::Filter*>(unit.op)},
+                        /*ranked=*/false, dataset, pool, nullptr);
     case ops::OpKind::kDeduplicator:
       return RunDeduplicator(static_cast<ops::Deduplicator*>(unit.op),
                              dataset, pool);
@@ -272,11 +416,11 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   FusionOptions fusion_options{options_.op_fusion, options_.op_reorder};
   std::vector<PlanUnit> plan = PlanFusion(ops, fusion_options);
 
-  // Static plan verification: every fusion/reorder decision must be
-  // licensed by the declared OP effect signatures (no more blanket "all
-  // Filters commute"). An unlicensed plan is refused and the run falls
-  // back to recipe order.
-  if (options_.op_fusion || options_.op_reorder) {
+  // Static plan verification: every stage must be licensed by the declared
+  // OP effect signatures (no more blanket "all Filters commute"). An
+  // unlicensed plan is refused and the run falls back to recipe order.
+  // Without fusion there is no stage, and the plan is recipe order.
+  if (options_.op_fusion) {
     PlanVerdict verdict = VerifyPlan(ops, plan);
     if (!verdict.ok) {
       rep->plan_rejected = true;
@@ -422,7 +566,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
     {
       obs::Span unit_span(options_.spans, "unit:" + r.name, "op");
-      Status status = RunUnit(plan[i], &dataset, pool_ptr);
+      Status status = RunUnit(plan[i], &dataset, pool_ptr, &r);
       if (!status.ok()) {
         return Status(status.code(),
                       "OP '" + r.name + "' failed: " + status.message());

@@ -22,6 +22,12 @@ namespace dj::core {
 Result<std::vector<std::unique_ptr<ops::Op>>> BuildOps(
     const Recipe& recipe, const ops::OpRegistry& registry);
 
+/// One member of a filter stage, as the stage ran it.
+struct StageMember {
+  std::string name;
+  size_t rejected = 0;  ///< rows this member dropped
+};
+
 /// Per-OP execution record (feeds reports, benches, and the Tracer summary).
 struct OpReport {
   std::string name;
@@ -36,6 +42,10 @@ struct OpReport {
   /// unit), this measures where worker CPU actually went, so an OP that
   /// parallelizes badly shows high %time but low %cpu.
   double cpu_share = -1;
+  /// For a filter stage that ran: its members in the order it evaluated
+  /// them, each with the rows it rejected (these sum to rows_in - rows_out).
+  /// Empty for every other unit, and for a stage loaded from the cache.
+  std::vector<StageMember> stage;
 };
 
 struct RunReport {
@@ -67,14 +77,18 @@ struct RunReport {
 };
 
 /// Executes an OP pipeline over a dataset with the paper's Sec. 7
-/// optimizations: shared per-sample contexts, OP fusion + reordering,
-/// per-OP caching (config-hash keyed, optionally compressed), and
-/// checkpoint-based failure recovery.
+/// optimizations: filter stages (one short-circuit pass per run of filters,
+/// sharing per-sample contexts, ranked by cost per dropped row), per-OP
+/// caching (config-hash keyed, optionally compressed), and checkpoint-based
+/// failure recovery.
 class Executor {
  public:
   struct Options {
     int num_workers = 1;
+    /// Run each run of two or more consecutive filters as one stage.
     bool op_fusion = false;
+    /// Rank each stage's filters by cost per dropped row; op_reorder
+    /// orders filters only inside a stage, so it needs op_fusion.
     bool op_reorder = false;
 
     bool use_cache = false;
@@ -122,11 +136,17 @@ class Executor {
 
  private:
   Status RunUnit(const PlanUnit& unit, data::Dataset* dataset,
-                 ThreadPool* pool);
+                 ThreadPool* pool, OpReport* report);
   Status RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
                    ThreadPool* pool);
-  Status RunFilters(const std::vector<ops::Filter*>& filters,
-                    data::Dataset* dataset, ThreadPool* pool);
+  /// Runs `filters` (one, or a stage's members in recipe order) in one pass:
+  /// each row goes through them one at a time and stops at the first
+  /// rejection. A `ranked` run first evaluates every member on its first
+  /// rows and orders the rest by cost per dropped row. `stage` (optional)
+  /// receives the order used and each member's rejected rows.
+  Status RunFilters(const std::vector<ops::Filter*>& filters, bool ranked,
+                    data::Dataset* dataset, ThreadPool* pool,
+                    std::vector<StageMember>* stage);
   Status RunDeduplicator(ops::Deduplicator* dedup, data::Dataset* dataset,
                          ThreadPool* pool);
 

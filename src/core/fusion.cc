@@ -1,7 +1,5 @@
 #include "core/fusion.h"
 
-#include <algorithm>
-
 namespace dj::core {
 
 std::string PlanUnit::DisplayName() const {
@@ -15,79 +13,24 @@ std::string PlanUnit::DisplayName() const {
   return out;
 }
 
-double PlanUnit::CostEstimate() const {
-  if (!is_fused()) return op->CostEstimate();
-  double total = 0;
-  for (const ops::Filter* f : fused) total += f->CostEstimate();
-  return total;
-}
-
 namespace {
 
-/// Flushes one group of consecutive filters into plan units.
+/// Flushes one run of consecutive filters into plan units: one stage when
+/// fusion is on and the run has at least two members, else one unit each.
 void FlushFilterGroup(std::vector<ops::Filter*>* group,
                       const FusionOptions& options,
                       std::vector<PlanUnit>* plan) {
-  if (group->empty()) return;
-  // Fusible filters must share a SampleContext, which is only valid for
-  // filters processing the same field — partition by text_key first.
-  std::vector<std::pair<std::string, std::vector<ops::Filter*>>> by_field;
-  std::vector<ops::Filter*> singles;
-  for (ops::Filter* f : *group) {
-    if (!options.enable_fusion || !f->declaration().effects.uses_context()) {
-      singles.push_back(f);
-      continue;
-    }
-    bool placed = false;
-    for (auto& [field, filters] : by_field) {
-      if (field == f->text_key()) {
-        filters.push_back(f);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      by_field.emplace_back(f->text_key(), std::vector<ops::Filter*>{f});
-    }
-  }
-  std::vector<std::vector<ops::Filter*>> fused_groups;
-  for (auto& [field, filters] : by_field) {
-    if (filters.size() >= 2) {
-      fused_groups.push_back(std::move(filters));
-    } else {
-      singles.push_back(filters.front());
-    }
-  }
-  // Both sorts below are stable on CostEstimate ties: equal-cost units keep
-  // recipe order, so the plan (and dj_lint --explain-plan) is deterministic
-  // across platforms and STL implementations.
-  if (options.enable_reorder) {
-    std::stable_sort(singles.begin(), singles.end(),
-                     [](const ops::Filter* a, const ops::Filter* b) {
-                       return a->CostEstimate() < b->CostEstimate();
-                     });
-    auto group_cost = [](const std::vector<ops::Filter*>& g) {
-      double total = 0;
-      for (const ops::Filter* f : g) total += f->CostEstimate();
-      return total;
-    };
-    std::stable_sort(fused_groups.begin(), fused_groups.end(),
-                     [&](const std::vector<ops::Filter*>& a,
-                         const std::vector<ops::Filter*>& b) {
-                       return group_cost(a) < group_cost(b);
-                     });
-  }
-  for (ops::Filter* f : singles) {
+  if (options.enable_fusion && group->size() >= 2) {
     PlanUnit unit;
-    unit.op = f;
+    unit.fused = std::move(*group);
+    unit.ranked = options.enable_reorder;
     plan->push_back(std::move(unit));
-  }
-  // Fused units are the most expensive in the group and run last (paper:
-  // delay time-consuming fused filters so they see fewer samples).
-  for (auto& fused : fused_groups) {
-    PlanUnit unit;
-    unit.fused = std::move(fused);
-    plan->push_back(std::move(unit));
+  } else {
+    for (ops::Filter* f : *group) {
+      PlanUnit unit;
+      unit.op = f;
+      plan->push_back(std::move(unit));
+    }
   }
   group->clear();
 }

@@ -9,17 +9,19 @@
 
 namespace dj::core {
 
-/// One executable unit of a fused plan: either a single OP, or a group of
-/// fusible Filters executed in one pass with a shared SampleContext.
+/// One executable unit of a plan: either a single OP, or a filter stage —
+/// a run of consecutive Filters evaluated in one pass over the rows.
 struct PlanUnit {
   /// Non-null for single-OP units.
   ops::Op* op = nullptr;
-  /// Non-empty for fused units (all entries are Filters).
+  /// Non-empty for stages: the member Filters, in recipe order.
   std::vector<ops::Filter*> fused;
+  /// For stages: the executor ranks the members on the stage's own input
+  /// (op_reorder) instead of running them in recipe order.
+  bool ranked = false;
 
   bool is_fused() const { return !fused.empty(); }
   std::string DisplayName() const;
-  double CostEstimate() const;
 };
 
 struct FusionOptions {
@@ -27,15 +29,14 @@ struct FusionOptions {
   bool enable_reorder = true;
 };
 
-/// Builds the execution plan for `op_list` (paper Sec. 7 / Fig. 6):
-///
-///  1. Detect OP groups: maximal runs of consecutive Filters (Filters are
-///     commutative with each other; Mappers/Deduplicators are barriers).
-///  2. Within each group, fuse the context-sharing Filters (declared with
-///     OpEffects::WithContext) into one fused OP.
-///  3. Reorder each group: cheap OPs first (by CostEstimate), the fused OP
-///     last, so expensive stats run on fewer samples after cheap filters
-///     have discarded some.
+/// Builds the execution plan for `op_list` (paper Sec. 7 / Fig. 6). With
+/// fusion on, each maximal run of two or more consecutive Filters becomes
+/// one stage (Mappers and Deduplicators are barriers); every other OP is a
+/// unit of its own, and units keep recipe order. The executor evaluates a
+/// stage's members row by row, sharing one SampleContext per text_key and
+/// stopping at the first rejection; with reorder on, the stage is `ranked`
+/// and the executor orders its members by cost per dropped row, measured
+/// on the stage's first rows. Without fusion, reorder has nothing to order.
 ///
 /// OPs are not owned; the plan borrows raw pointers from `op_list`.
 std::vector<PlanUnit> PlanFusion(

@@ -45,7 +45,10 @@ struct Recipe {
   bool use_checkpoint = false;
   std::string checkpoint_dir;
 
+  /// Run each run of two or more consecutive filters as one stage.
   bool op_fusion = false;
+  /// Rank each stage's filters by cost per dropped row (defaults to
+  /// op_fusion; without a stage there is nothing to rank).
   bool op_reorder = false;
 
   bool enable_trace = false;

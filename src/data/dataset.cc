@@ -228,66 +228,66 @@ Status Dataset::Map(const std::function<Status(RowRef)>& fn,
   return first_error;
 }
 
-Result<std::vector<size_t>> Dataset::FilterIndices(
-    const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
-    std::vector<bool>* kept) {
-  std::vector<bool> mask(num_rows_, false);
+Status Dataset::KeepMask(const std::function<Result<bool>(RowRef)>& pred,
+                         size_t begin, size_t end, ThreadPool* pool,
+                         std::vector<uint8_t>* mask) {
+  // A byte per row, not std::vector<bool>: adjacent rows evaluated by
+  // different chunks must not share a word.
   Mutex err_mutex{"Dataset.first_error"};
   Status first_error;
-  auto run = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  auto run = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
       Result<bool> r = pred(RowRef(this, i));
       if (!r.ok()) {
         MutexLock lock(&err_mutex);
         if (first_error.ok()) first_error = r.status();
         return;
       }
-      mask[i] = r.value();
+      (*mask)[i] = r.value() ? 1 : 0;
     }
   };
   if (pool == nullptr || pool->num_threads() <= 1) {
-    run(0, num_rows_);
+    run(begin, end);
   } else {
-    // std::vector<bool> is bit-packed; adjacent writes from different chunks
-    // could race. Use a byte vector and copy.
-    std::vector<uint8_t> bytes(num_rows_, 0);
-    auto run_bytes = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        Result<bool> r = pred(RowRef(this, i));
-        if (!r.ok()) {
-          MutexLock lock(&err_mutex);
-          if (first_error.ok()) first_error = r.status();
-          return;
-        }
-        bytes[i] = r.value() ? 1 : 0;
-      }
-    };
-    pool->ParallelFor(num_rows_, run_bytes);
-    for (size_t i = 0; i < num_rows_; ++i) mask[i] = bytes[i] != 0;
+    pool->ParallelFor(end - begin, [&](size_t lo, size_t hi) {
+      run(begin + lo, begin + hi);
+    });
   }
-  if (!first_error.ok()) return first_error;
+  return first_error;
+}
+
+namespace {
+
+std::vector<size_t> KeptIndices(const std::vector<uint8_t>& mask) {
   std::vector<size_t> indices;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    if (mask[i]) indices.push_back(i);
+  for (size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] != 0) indices.push_back(i);
   }
-  if (kept != nullptr) *kept = std::move(mask);
   return indices;
+}
+
+}  // namespace
+
+Dataset Dataset::TakeKept(const std::vector<uint8_t>& mask) && {
+  return std::move(*this).TakeSelect(KeptIndices(mask));
 }
 
 Result<Dataset> Dataset::Filter(
     const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
     std::vector<bool>* kept) & {
-  DJ_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                      FilterIndices(pred, pool, kept));
-  return Select(indices);
+  std::vector<uint8_t> mask(num_rows_, 0);
+  DJ_RETURN_IF_ERROR(KeepMask(pred, 0, num_rows_, pool, &mask));
+  if (kept != nullptr) kept->assign(mask.begin(), mask.end());
+  return Select(KeptIndices(mask));
 }
 
 Result<Dataset> Dataset::Filter(
     const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
     std::vector<bool>* kept) && {
-  DJ_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                      FilterIndices(pred, pool, kept));
-  return std::move(*this).TakeSelect(indices);
+  std::vector<uint8_t> mask(num_rows_, 0);
+  DJ_RETURN_IF_ERROR(KeepMask(pred, 0, num_rows_, pool, &mask));
+  if (kept != nullptr) kept->assign(mask.begin(), mask.end());
+  return std::move(*this).TakeKept(mask);
 }
 
 Dataset Dataset::Select(const std::vector<size_t>& indices) const {

@@ -134,6 +134,20 @@ class Dataset {
                          ThreadPool* pool = nullptr,
                          std::vector<bool>* kept = nullptr) &&;
 
+  /// Evaluates `pred` on rows [begin, end), in parallel if `pool` is given,
+  /// and stores each verdict in (*mask)[i]: 1 keeps row i, 0 drops it.
+  /// `mask` must hold NumRows() entries; entries outside the range are left
+  /// as they are. Returns the first error a row reported, if any. Filter is
+  /// this over all rows; a caller that decides how to evaluate later rows
+  /// from earlier verdicts calls it once per range, then TakeKept.
+  Status KeepMask(const std::function<Result<bool>(RowRef)>& pred,
+                  size_t begin, size_t end, ThreadPool* pool,
+                  std::vector<uint8_t>* mask);
+
+  /// Consuming selection by a KeepMask mask: the rows whose entry is
+  /// non-zero, with their cells moved out. `*this` is left empty.
+  Dataset TakeKept(const std::vector<uint8_t>& mask) &&;
+
   /// Returns a dataset with rows at `indices` (in the given order).
   Dataset Select(const std::vector<size_t>& indices) const;
 
@@ -170,12 +184,6 @@ class Dataset {
 
   ColumnData* FindColumn(std::string_view name);
   const ColumnData* FindColumn(std::string_view name) const;
-
-  /// Shared body of both Filter overloads: evaluates `pred` over every row
-  /// (parallel if pool given) and returns the surviving row indices.
-  Result<std::vector<size_t>> FilterIndices(
-      const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
-      std::vector<bool>* kept);
 
   std::vector<ColumnData> columns_;
   size_t num_rows_ = 0;

@@ -31,12 +31,14 @@ Result<std::string> ExplainPlan(const core::Recipe& recipe,
     std::snprintf(buf, sizeof(buf), "  unit[%zu] ", i);
     out += buf;
     out += plan[i].DisplayName();
-    std::snprintf(buf, sizeof(buf), "  cost=%.1f", plan[i].CostEstimate());
-    out += buf;
+    if (plan[i].is_fused()) {
+      out += plan[i].ranked ? "  (stage, ranked by cost per dropped row)"
+                            : "  (stage, recipe order)";
+    }
     out += "\n";
   }
 
-  if (!recipe.op_fusion && !recipe.op_reorder) {
+  if (!recipe.op_fusion) {
     out += "no plan transformations enabled; OPs run in recipe order\n";
     return out;
   }

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "core/fusion.h"
 #include "data/sample.h"
 
 namespace dj::lint {
@@ -400,75 +399,39 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
     }
   }
 
-  // ----- Fusion notes (dry planning pass, paper Sec. 7) ----------------
+  // ----- Fusion notes (paper Sec. 7) ------------------------------------
+  // With op_fusion on, core::PlanFusion makes each run of two or more
+  // consecutive filters one stage; any other OP ends the run.
   bool all_instantiated =
       std::all_of(instances.begin(), instances.end(),
                   [](const std::unique_ptr<ops::Op>& op) {
                     return op != nullptr;
                   });
   if (options_.fusion_notes && all_instantiated && !instances.empty()) {
-    // Maximal runs of consecutive Filters are the planner's fusion groups.
-    size_t i = 0;
-    size_t fusible_runs = 0;
-    while (i < instances.size()) {
-      if (instances[i]->kind() != ops::OpKind::kFilter) {
-        // A non-filter with filters on both sides splits a group.
-        if (recipe.op_fusion && i > 0 && i + 1 < instances.size() &&
-            instances[i - 1]->kind() == ops::OpKind::kFilter &&
-            instances[i + 1]->kind() == ops::OpKind::kFilter) {
-          add(Severity::kNote, static_cast<int>(i), recipe.process[i].name,
-              "non-filter OP splits a filter group; fusion cannot cross it",
-              "move it before or after the surrounding filters if "
-              "order-independent");
-        }
-        ++i;
+    auto is_filter = [&](size_t k) {
+      return instances[k]->kind() == ops::OpKind::kFilter;
+    };
+    size_t stage_runs = 0;
+    size_t run_length = 0;
+    for (size_t i = 0; i < instances.size(); ++i) {
+      if (is_filter(i)) {
+        if (++run_length == 2) ++stage_runs;
         continue;
       }
-      size_t begin = i;
-      while (i < instances.size() &&
-             instances[i]->kind() == ops::OpKind::kFilter) {
-        ++i;
-      }
-      if (i - begin < 2) continue;
-
-      std::vector<ops::Op*> group;
-      for (size_t k = begin; k < i; ++k) group.push_back(instances[k].get());
-      core::FusionOptions fuse_opts;
-      fuse_opts.enable_fusion = true;
-      fuse_opts.enable_reorder = false;
-      std::vector<core::PlanUnit> plan = core::PlanFusion(group, fuse_opts);
-      bool has_fused_unit =
-          std::any_of(plan.begin(), plan.end(),
-                      [](const core::PlanUnit& u) { return u.is_fused(); });
-      if (has_fused_unit) ++fusible_runs;
-      if (!recipe.op_fusion) continue;
-      if (!has_fused_unit) {
-        add(Severity::kNote, static_cast<int>(begin),
-            recipe.process[begin].name,
-            "group of " + std::to_string(i - begin) +
-                " consecutive filters won't fuse: fewer than two of them "
-                "share the per-sample context on the same field");
-        continue;
-      }
-      // Explain each filter the planner left outside the fused unit(s).
-      for (const core::PlanUnit& unit : plan) {
-        if (unit.is_fused()) continue;
-        auto* filter = static_cast<ops::Filter*>(unit.op);
-        size_t k = begin;
-        while (instances[k].get() != unit.op) ++k;
-        std::string reason =
-            filter->declaration().effects.uses_context()
-                ? "no other context-sharing filter targets field '" +
-                      filter->text_key() + "'"
-                : "it computes its stat without the shared sample context";
-        add(Severity::kNote, static_cast<int>(k), recipe.process[k].name,
-            "stays outside the fused stats pass: " + reason);
+      run_length = 0;
+      // A non-filter with filters on both sides splits a stage.
+      if (recipe.op_fusion && i > 0 && i + 1 < instances.size() &&
+          is_filter(i - 1) && is_filter(i + 1)) {
+        add(Severity::kNote, static_cast<int>(i), recipe.process[i].name,
+            "non-filter OP splits a filter group; fusion cannot cross it",
+            "move it before or after the surrounding filters if "
+            "order-independent");
       }
     }
-    if (!recipe.op_fusion && fusible_runs > 0) {
+    if (!recipe.op_fusion && stage_runs > 0) {
       add(Severity::kNote, -1, "",
-          std::to_string(fusible_runs) +
-              " filter group(s) could fuse into shared stats passes",
+          std::to_string(stage_runs) +
+              " filter group(s) could run as one-pass filter stages",
           "set op_fusion: true");
     }
   }

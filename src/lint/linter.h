@@ -56,7 +56,7 @@ struct LintReport {
 
 /// Static analyzer over data recipes (paper Sec. 6.1 "all-in-one
 /// configuration"): checks a parsed Recipe against the OP registry's
-/// declared parameter schemas and the executor's fusion planner without
+/// declared parameter schemas and the OPs' declared effects without
 /// touching any data. Diagnoses, among others:
 ///
 ///   - unknown OP names, with did-you-mean suggestions;
@@ -66,14 +66,15 @@ struct LintReport {
 ///   - duplicate identical OPs;
 ///   - use_cache / use_checkpoint without a directory;
 ///   - deduplication placed before cleaning mappers;
-///   - fusion-blocker notes from a dry core::PlanFusion pass;
+///   - fusion notes: a non-filter OP that splits a run of filters, and
+///     filter runs that op_fusion would make one-pass stages;
 ///   - effect-dataflow findings (reads of never-produced stats fields,
 ///     stat-key collisions, dead stat writes, unreachable OPs) by
 ///     propagating the available-field set through the declared OpEffects.
 class RecipeLinter {
  public:
   struct Options {
-    /// Emit kNote diagnostics about OP fusion (blockers + opportunities).
+    /// Emit kNote diagnostics about OP fusion (splits + opportunities).
     bool fusion_notes = true;
     /// Run the effect-dataflow pass over the declared OpEffects.
     bool effects_checks = true;

@@ -23,7 +23,6 @@ class DocumentExactDeduplicator : public Deduplicator {
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
-  double CostEstimate() const override { return 1.0; }
 
  private:
   Fingerprint128 FingerprintOf(std::string_view text) const;
@@ -48,7 +47,6 @@ class DocumentMinHashDeduplicator : public Deduplicator {
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
-  double CostEstimate() const override { return 4.0; }
 
  private:
   int64_t num_perm_;
@@ -74,7 +72,6 @@ class DocumentSimHashDeduplicator : public Deduplicator {
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
-  double CostEstimate() const override { return 2.5; }
 
  private:
   int64_t shingle_size_;
@@ -96,7 +93,6 @@ class NgramOverlapDeduplicator : public Deduplicator {
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
-  double CostEstimate() const override { return 5.0; }
 
  private:
   int64_t shingle_size_;

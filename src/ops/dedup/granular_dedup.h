@@ -43,7 +43,6 @@ class ParagraphExactDeduplicator : public GranularDeduplicatorBase {
  public:
   static const OpDeclaration& Declaration();
   explicit ParagraphExactDeduplicator(const json::Value& config);
-  double CostEstimate() const override { return 2.0; }
 
  protected:
   std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
@@ -55,7 +54,6 @@ class SentenceExactDeduplicator : public GranularDeduplicatorBase {
  public:
   static const OpDeclaration& Declaration();
   explicit SentenceExactDeduplicator(const json::Value& config);
-  double CostEstimate() const override { return 3.0; }
 
  protected:
   std::vector<std::string> SplitUnits(SampleContext* ctx) const override;

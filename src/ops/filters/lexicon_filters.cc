@@ -30,8 +30,7 @@ const OpDeclaration& FlaggedWordsFilter::Declaration() {
           .List("extra_words", "additional flagged words"),
       OpEffects()
           .Reads("@text_key")
-          .ProducesStat(sk::kFlaggedWordsRatio)
-          .WithContext()};
+          .ProducesStat(sk::kFlaggedWordsRatio)};
   return d;
 }
 
@@ -60,8 +59,7 @@ const OpDeclaration& StopwordsFilter::Declaration() {
           .KeepRange(0.1, 1.0, 0, 1, "stopword ratio"),
       OpEffects()
           .Reads("@text_key")
-          .ProducesStat(sk::kStopwordsRatio)
-          .WithContext()};
+          .ProducesStat(sk::kStopwordsRatio)};
   return d;
 }
 
@@ -88,8 +86,7 @@ const OpDeclaration& TextActionFilter::Declaration() {
           .KeepRange(1, kMax, 0, kParamInf, "action verb count"),
       OpEffects()
           .Reads("@text_key")
-          .ProducesStat(sk::kNumActionVerbs)
-          .WithContext()};
+          .ProducesStat(sk::kNumActionVerbs)};
   return d;
 }
 
@@ -114,8 +111,7 @@ const OpDeclaration& TextEntityDependencyFilter::Declaration() {
           .KeepRange(1, kMax, 0, kParamInf, "entity token count"),
       OpEffects()
           .Reads("@text_key")
-          .ProducesStat(sk::kNumEntities)
-          .WithContext()};
+          .ProducesStat(sk::kNumEntities)};
   return d;
 }
 

@@ -75,8 +75,7 @@ const OpDeclaration& AverageLineLengthFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("average_line_length_filter", OpKind::kFilter)
           .KeepRange(10, kMax, 0, kParamInf, "mean line length"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kAvgLineLength)
-          .WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kAvgLineLength)};
   return d;
 }
 
@@ -119,8 +118,7 @@ const OpDeclaration& MaximumLineLengthFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("maximum_line_length_filter", OpKind::kFilter)
           .KeepRange(10, kMax, 0, kParamInf, "longest line length"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kMaxLineLength)
-          .WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kMaxLineLength)};
   return d;
 }
 
@@ -207,7 +205,7 @@ const OpDeclaration& WordNumFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("word_num_filter", OpKind::kFilter)
           .KeepRange(10, kMax, 0, kParamInf, "word count"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kNumWords).WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumWords)};
   return d;
 }
 
@@ -226,8 +224,7 @@ const OpDeclaration& WordRepetitionFilter::Declaration() {
       OpSchema("word_repetition_filter", OpKind::kFilter)
           .KeepRange(0.0, 0.6, 0, 1, "duplicated word-n-gram ratio")
           .Int("rep_len", 5, 1, kParamInf, "word n-gram length"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kWordRepRatio)
-          .WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kWordRepRatio)};
   return d;
 }
 
@@ -247,8 +244,7 @@ const OpDeclaration& ParagraphNumFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("paragraph_num_filter", OpKind::kFilter)
           .KeepRange(1, kMax, 0, kParamInf, "paragraph count"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kNumParagraphs)
-          .WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumParagraphs)};
   return d;
 }
 
@@ -266,8 +262,7 @@ const OpDeclaration& SentenceNumFilter::Declaration() {
   static const OpDeclaration d{
       OpSchema("sentence_num_filter", OpKind::kFilter)
           .KeepRange(1, kMax, 0, kParamInf, "sentence count"),
-      OpEffects().Reads("@text_key").ProducesStat(sk::kNumSentences)
-          .WithContext()};
+      OpEffects().Reads("@text_key").ProducesStat(sk::kNumSentences)};
   return d;
 }
 

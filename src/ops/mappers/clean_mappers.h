@@ -17,7 +17,6 @@ class CleanCopyrightMapper : public Mapper {
   explicit CleanCopyrightMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// clean_email_mapper: removes email addresses.
@@ -28,7 +27,6 @@ class CleanEmailMapper : public Mapper {
   explicit CleanEmailMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.4; }
 
  private:
   std::string repl_;
@@ -43,7 +41,6 @@ class CleanHtmlMapper : public Mapper {
   explicit CleanHtmlMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.8; }
 };
 
 /// clean_ip_mapper: removes IPv4 addresses (each octet <= 255).
@@ -54,7 +51,6 @@ class CleanIpMapper : public Mapper {
   explicit CleanIpMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 
  private:
   std::string repl_;
@@ -68,7 +64,6 @@ class CleanLinksMapper : public Mapper {
   explicit CleanLinksMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.4; }
 
  private:
   std::string repl_;

@@ -17,7 +17,6 @@ class ExpandMacroMapper : public Mapper {
   explicit ExpandMacroMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.8; }
 };
 
 /// remove_bibliography_mapper: truncates the document at the bibliography
@@ -28,7 +27,6 @@ class RemoveBibliographyMapper : public Mapper {
   explicit RemoveBibliographyMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.2; }
 };
 
 /// remove_comments_mapper: removes LaTeX % line comments (keeping escaped
@@ -40,7 +38,6 @@ class RemoveCommentsMapper : public Mapper {
   explicit RemoveCommentsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// remove_header_mapper: drops the LaTeX preamble — everything before
@@ -54,7 +51,6 @@ class RemoveHeaderMapper : public Mapper {
   explicit RemoveHeaderMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// remove_table_text_mapper: removes table-like runs of lines — LaTeX
@@ -66,7 +62,6 @@ class RemoveTableTextMapper : public Mapper {
   explicit RemoveTableTextMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.6; }
 
  private:
   int64_t min_col_count_;

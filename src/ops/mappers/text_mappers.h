@@ -16,7 +16,6 @@ class FixUnicodeMapper : public Mapper {
   explicit FixUnicodeMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.5; }
 };
 
 /// lower_case_mapper: ASCII lower-casing.
@@ -26,7 +25,6 @@ class LowerCaseMapper : public Mapper {
   explicit LowerCaseMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.1; }
 };
 
 /// punctuation_normalization_mapper: unicode punctuation -> ASCII.
@@ -36,7 +34,6 @@ class PunctuationNormalizationMapper : public Mapper {
   explicit PunctuationNormalizationMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// remove_long_words_mapper: drops words longer than max_len codepoints
@@ -47,7 +44,6 @@ class RemoveLongWordsMapper : public Mapper {
   explicit RemoveLongWordsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.4; }
 
  private:
   int64_t max_len_;
@@ -61,7 +57,6 @@ class RemoveRepeatSentencesMapper : public Mapper {
   explicit RemoveRepeatSentencesMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.0; }
 
  private:
   int64_t min_repeat_sentence_length_;
@@ -75,7 +70,6 @@ class RemoveSpecificCharsMapper : public Mapper {
   explicit RemoveSpecificCharsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 
  private:
   std::string chars_;
@@ -89,7 +83,6 @@ class RemoveWordsWithIncorrectSubstringsMapper : public Mapper {
   explicit RemoveWordsWithIncorrectSubstringsMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.5; }
 
  private:
   std::vector<std::string> substrings_;
@@ -102,7 +95,6 @@ class SentenceSplitMapper : public Mapper {
   explicit SentenceSplitMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.8; }
 };
 
 /// whitespace_normalization_mapper: collapses whitespace runs.
@@ -112,7 +104,6 @@ class WhitespaceNormalizationMapper : public Mapper {
   explicit WhitespaceNormalizationMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.2; }
 };
 
 /// chinese_convert_mapper: traditional -> simplified Chinese for a table of
@@ -123,7 +114,6 @@ class ChineseConvertMapper : public Mapper {
   explicit ChineseConvertMapper(const json::Value& config);
   Result<std::string> TransformText(std::string_view input,
                                     SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.4; }
 };
 
 }  // namespace dj::ops

@@ -20,15 +20,14 @@ namespace dj::ops {
 /// Everything an OP declares about itself, written once per OP: its schema
 /// (registry name, kind, params with defaults and ranges) and its effects.
 /// Each OP class returns its own from a static Declaration() built once per
-/// process; the registry, the OP's effective config, the linter, fusion and
+/// process; the registry, the OP's effective config, the linter and
 /// core::VerifyPlan all read that one object.
 ///
 ///   const OpDeclaration& LineCountFilter::Declaration() {
 ///     static const OpDeclaration d{
 ///         OpSchema("line_count_filter", OpKind::kFilter)
 ///             .KeepRange(1, kParamInf, 0, kParamInf, "line count"),
-///         OpEffects().Reads("@text_key").ProducesStat("num_lines")
-///             .WithContext()};
+///         OpEffects().Reads("@text_key").ProducesStat("num_lines")};
 ///     return d;
 ///   }
 struct OpDeclaration {
@@ -78,11 +77,6 @@ class Op {
 
   /// The field this OP processes, e.g. "text" or "text.instruction".
   const std::string& text_key() const { return text_key_; }
-
-  /// Relative single-sample cost estimate used by the reordering pass
-  /// (paper Sec. 7): cheap metadata checks ~0.1, tokenizing filters ~1,
-  /// model-backed filters ~5.
-  virtual double CostEstimate() const { return 1.0; }
 
  protected:
   /// Starts the effective config from `config` and fills in every declared
@@ -149,12 +143,17 @@ class Mapper : public Op {
 /// Filter: decoupled per-sample statistics computation and keep decision
 /// (paper Listing 1: compute_stats + process). ComputeStats writes into the
 /// "stats" column; KeepRow reads only stats, enabling the Analyzer to reuse
-/// them and the executor to fuse stats passes. The stats keys a filter
-/// writes, and whether it consumes SampleContext (what makes it fusible,
-/// paper Sec. 7), are part of its declared effects.
+/// them and the executor to run a stage of filters in one pass. The stats
+/// keys a filter writes are part of its declared effects.
 class Filter : public Op {
  public:
   OpKind kind() const override { return OpKind::kFilter; }
+
+  /// Relative single-sample cost of ComputeStats + KeepRow (paper Sec. 7):
+  /// cheap metadata checks ~0.1, tokenizing filters ~1, model-backed
+  /// filters ~5. A ranked stage runs its members in ascending cost per
+  /// dropped row, so this is the cost half of that rank.
+  virtual double CostEstimate() const { return 1.0; }
 
   /// Computes and stores stats for one row. Skips recomputation when the
   /// stats key is already present (e.g. from a previous Analyzer pass).
@@ -188,8 +187,6 @@ class Deduplicator : public Op {
   virtual Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) = 0;
-
-  double CostEstimate() const override { return 2.0; }
 
  protected:
   using Op::Op;

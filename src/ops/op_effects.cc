@@ -58,11 +58,6 @@ OpEffects& OpEffects::ProducesStat(std::string_view key) {
   return *this;
 }
 
-OpEffects& OpEffects::WithContext() {
-  uses_context_ = true;
-  return *this;
-}
-
 Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
   ResolvedEffects out;
   out.op_name = op.name();
@@ -78,7 +73,6 @@ Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
       out.cardinality = Cardinality::kRowPreserving;
       break;
   }
-  out.uses_context = uses_context_;
   auto resolve_field = [&](const std::string& field) -> Result<std::string> {
     if (field.empty() || field[0] != '@') return field;
     std::string param = field.substr(1);

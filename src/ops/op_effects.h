@@ -26,7 +26,6 @@ const char* CardinalityName(Cardinality cardinality);
 struct ResolvedEffects {
   std::string op_name;
   Cardinality cardinality = Cardinality::kRowPreserving;
-  bool uses_context = false;
   std::vector<std::string> reads;
   std::vector<std::string> writes;
   /// Bare stats keys produced (also present in reads/writes as "stats.<k>").
@@ -37,20 +36,19 @@ struct ResolvedEffects {
 };
 
 /// Declared effect signature of an OP (half of its OpDeclaration): which
-/// dataset fields it reads and writes, which stats keys it produces, and
-/// whether it consumes SampleContext. Its row cardinality follows from the
-/// OP's kind. The linter's dataflow pass, fusion and core::VerifyPlan reason
-/// about a plan from these without touching data.
+/// dataset fields it reads and writes and which stats keys it produces. Its
+/// row cardinality follows from the OP's kind. The linter's dataflow pass
+/// and core::VerifyPlan reason about a plan from these without touching
+/// data.
 ///
 /// Field entries starting with '@' are placeholders naming a string config
 /// param ("@text_key", "@field"); Resolve() substitutes the instance's
 /// effective value. A produced stat key K implies both a write and a
 /// (self-)read of "stats.K" — the keep decision consumes it.
 ///
-///   OpEffects().Reads("@text_key").ProducesStat("num_words").WithContext()
+///   OpEffects().Reads("@text_key").ProducesStat("num_words")
 class OpEffects {
  public:
-  bool uses_context() const { return uses_context_; }
   const std::vector<std::string>& reads() const { return reads_; }
   const std::vector<std::string>& writes() const { return writes_; }
   const std::vector<std::string>& stats_produced() const { return stats_; }
@@ -59,7 +57,6 @@ class OpEffects {
   OpEffects& Reads(std::string field);
   OpEffects& Writes(std::string field);
   OpEffects& ProducesStat(std::string_view key);
-  OpEffects& WithContext();
 
   /// Substitutes '@param' placeholders with `op`'s effective config values.
   /// Fails when a placeholder names a param the config does not carry as a
@@ -67,7 +64,6 @@ class OpEffects {
   Result<ResolvedEffects> Resolve(const Op& op) const;
 
  private:
-  bool uses_context_ = false;
   std::vector<std::string> reads_;
   std::vector<std::string> writes_;
   std::vector<std::string> stats_;

@@ -11,9 +11,9 @@
 namespace dj::ops {
 
 /// Per-sample cache of derived text representations (paper Sec. 7, "Context
-/// management"): segmented words, split lines, sentences. When several OPs
-/// in a fused group need the same representation, it is computed once here
-/// instead of once per OP.
+/// management"): segmented words, split lines, sentences. When several
+/// filters of one stage need the same representation of a field, it is
+/// computed once here instead of once per filter.
 ///
 /// Global counters record how many times each representation was actually
 /// computed — the fusion benchmarks and tests use them to demonstrate the

@@ -167,51 +167,26 @@ TEST(FusionTest, DisabledPlanIsOneUnitPerOp) {
   for (const auto& unit : plan) EXPECT_FALSE(unit.is_fused());
 }
 
-TEST(FusionTest, FusesContextSharingFilters) {
+TEST(FusionTest, FilterRunIsOneStageInRecipeOrder) {
   auto ops = FourteenOpPipeline();
   auto plan = PlanFusion(ops, {true, true});
-  // 5 context-using filters (word_num, stopwords, flagged_words,
-  // word_repetition, average_line_length) fuse into one unit.
-  size_t fused_units = 0, fused_members = 0;
-  for (const auto& unit : plan) {
-    if (unit.is_fused()) {
-      ++fused_units;
-      fused_members += unit.fused.size();
-    }
+  // The 8 consecutive filters form one stage, in recipe order, between the
+  // last mapper and the dedup.
+  ASSERT_EQ(plan.size(), ops.size() - 8 + 1);
+  const PlanUnit& stage = plan[5];
+  ASSERT_TRUE(stage.is_fused());
+  EXPECT_TRUE(stage.ranked);
+  ASSERT_EQ(stage.fused.size(), 8u);
+  for (size_t i = 0; i < stage.fused.size(); ++i) {
+    EXPECT_EQ(stage.fused[i], ops[5 + i].get()) << i;
   }
-  EXPECT_EQ(fused_units, 1u);
-  EXPECT_EQ(fused_members, 5u);
-  EXPECT_EQ(plan.size(), ops.size() - fused_members + fused_units);
-}
-
-TEST(FusionTest, FusedUnitPlacedLastInFilterRun) {
-  auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {true, true});
-  // Between the last mapper and the dedup, the fused unit must be last.
-  size_t fused_index = 0, dedup_index = 0;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    if (plan[i].is_fused()) fused_index = i;
-    if (!plan[i].is_fused() &&
-        plan[i].op->kind() == ops::OpKind::kDeduplicator) {
-      dedup_index = i;
-    }
+  EXPECT_EQ(stage.DisplayName().rfind("fused(text_length_filter,", 0), 0u);
+  EXPECT_EQ(plan[6].op->kind(), ops::OpKind::kDeduplicator);
+  // op_reorder only ranks inside a stage: without fusion there is none.
+  for (const PlanUnit& unit : PlanFusion(ops, {false, true})) {
+    EXPECT_FALSE(unit.is_fused());
   }
-  EXPECT_EQ(fused_index + 1, dedup_index);
-}
-
-TEST(FusionTest, ReorderSortsByCost) {
-  Recipe r = MustRecipe(R"(
-process:
-  - perplexity_filter:
-      max_ppl: 100000
-  - text_length_filter:
-      min: 1
-)");
-  auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {false, true});
-  ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(plan[0].op->name(), "text_length_filter");  // cheap first
-  EXPECT_EQ(plan[1].op->name(), "perplexity_filter");
+  EXPECT_FALSE(PlanFusion(ops, {true, false})[5].ranked);
 }
 
 TEST(FusionTest, MapperBreaksFilterGroup) {
@@ -226,32 +201,6 @@ process:
   auto ops = MustBuildOps(r);
   auto plan = PlanFusion(ops, {true, true});
   EXPECT_EQ(plan.size(), 3u);  // nothing fuses across the mapper barrier
-}
-
-TEST(FusionTest, DifferentTextKeysDoNotFuse) {
-  Recipe r = MustRecipe(R"(
-process:
-  - word_num_filter:
-      min: 1
-      text_key: text.a
-  - stopwords_filter:
-      min: 0.0
-      text_key: text.b
-)");
-  auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true, true});
-  EXPECT_EQ(plan.size(), 2u);
-}
-
-TEST(FusionTest, DisplayNameAndCost) {
-  auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {true, true});
-  for (const auto& unit : plan) {
-    if (unit.is_fused()) {
-      EXPECT_NE(unit.DisplayName().find("fused("), std::string::npos);
-      EXPECT_GT(unit.CostEstimate(), 1.0);
-    }
-  }
 }
 
 // ------------------------------------------------------------- tracer ----
@@ -874,26 +823,6 @@ TEST(SpaceModelTest, PlanSpaceDegradesGracefully) {
 
 // ------------------------------------------------------ plan verifier ----
 
-TEST(FusionTest, ReorderTiesKeepRecipeOrder) {
-  // All three filters cost 0.1: the sort must be stable on ties so the
-  // plan (and --explain-plan output) is deterministic across platforms.
-  Recipe r = MustRecipe(R"(
-process:
-  - specified_field_filter:
-      field: meta.a
-  - field_exists_filter:
-      field: meta.b
-  - suffix_filter:
-      field: meta.c
-)");
-  auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true, true});
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0].op->name(), "specified_field_filter");
-  EXPECT_EQ(plan[1].op->name(), "field_exists_filter");
-  EXPECT_EQ(plan[2].op->name(), "suffix_filter");
-}
-
 TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
   auto ops = FourteenOpPipeline();
   auto plan = PlanFusion(ops, {false, false});
@@ -904,20 +833,30 @@ TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
 
 TEST(PlanVerifyTest, LicensesEffectDisjointReorder) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {true, true});
-  PlanVerdict v = VerifyPlan(ops, plan);
+  // A ranked stage may run any pair of its 8 members in either order: each
+  // of the 28 pairs is a swap, licensed by disjoint effects.
+  PlanVerdict v = VerifyPlan(ops, PlanFusion(ops, {true, true}));
   EXPECT_TRUE(v.ok) << v.ToString();
-  EXPECT_FALSE(v.swaps.empty());
+  EXPECT_EQ(v.swaps.size(), 28u);
   for (const SwapRecord& s : v.swaps) {
     EXPECT_TRUE(s.allowed);
-    EXPECT_FALSE(s.justification.empty());
+    EXPECT_NE(s.justification.find("disjoint effects"), std::string::npos);
   }
-  EXPECT_NE(v.ToString().find("licensed"), std::string::npos);
+  EXPECT_NE(v.ToString().find(
+                "word_num_filter may run before text_length_filter: "),
+            std::string::npos);
+  EXPECT_NE(v.ToString().find("verdict: licensed (28 swap(s) verified)"),
+            std::string::npos)
+      << v.ToString();
+  // A stage in recipe order shares a pass but swaps nothing.
+  PlanVerdict unranked = VerifyPlan(ops, PlanFusion(ops, {true, false}));
+  EXPECT_TRUE(unranked.ok) << unranked.ToString();
+  EXPECT_TRUE(unranked.swaps.empty());
 }
 
 TEST(PlanVerifyTest, RejectsStatReadBeforeProducer) {
-  // The cheap field filter consumes the stat the expensive word counter
-  // produces; cost-based reordering would move the read before the write.
+  // The field filter consumes the stat the word counter produces; a ranked
+  // stage could run the read before the write.
   Recipe r = MustRecipe(R"(
 process:
   - word_num_filter:
@@ -928,8 +867,8 @@ process:
 )");
   auto ops = MustBuildOps(r);
   auto plan = PlanFusion(ops, {true, true});
-  ASSERT_EQ(plan.size(), 2u);
-  ASSERT_EQ(plan[0].op->name(), "specified_numeric_field_filter");
+  ASSERT_EQ(plan.size(), 1u);
+  ASSERT_TRUE(plan[0].ranked);
   PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.violations.empty());
@@ -1023,9 +962,197 @@ TEST(ExecutorTest, ReportsLicensedSwapCount) {
   RunReport report;
   ASSERT_TRUE(executor.Run(NoisyCorpus(), ops, &report).ok());
   EXPECT_FALSE(report.plan_rejected);
-  EXPECT_GT(report.plan_swaps, 0u);
-  EXPECT_NE(report.ToString().find("effect-licensed swap"),
-            std::string::npos);
+  EXPECT_EQ(report.plan_swaps, 28u);  // every pair of the 8-filter stage
+  EXPECT_NE(report.ToString().find("plan: 28 effect-licensed swap(s)\n"),
+            std::string::npos)
+      << report.ToString();
+}
+
+// --------------------------------------------------------- filter stage ----
+
+// Runs `ops` with fusion on and returns the report of the run.
+RunReport RunStage(const std::vector<std::unique_ptr<ops::Op>>& ops,
+                   data::Dataset input, bool reorder, int workers = 1) {
+  Executor::Options options;
+  options.op_fusion = true;
+  options.op_reorder = reorder;
+  options.num_workers = workers;
+  Executor executor(options);
+  RunReport report;
+  auto result = executor.Run(std::move(input), ops, &report);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return report;
+}
+
+const OpReport* StageReport(const RunReport& report) {
+  for (const OpReport& r : report.op_reports) {
+    if (r.kind == "fused_filter") return &r;
+  }
+  return nullptr;
+}
+
+std::vector<std::string> StageLines(const RunReport& report) {
+  std::vector<std::string> lines;
+  std::string text = report.ToString();
+  for (size_t at = 0; (at = text.find("\nstage ", at)) != std::string::npos;
+       ++at) {
+    lines.push_back(text.substr(at + 1, text.find('\n', at + 1) - at - 1));
+  }
+  return lines;
+}
+
+TEST(FilterStageTest, SelectiveExpensiveFilterListedLastRunsFirst) {
+  // The two cheap filters keep every row; the language filter, listed last
+  // and costliest, drops every English row, so it ranks first.
+  Recipe r = MustRecipe(R"(
+process:
+  - word_num_filter:
+      min: 0
+  - text_length_filter:
+      min: 0
+  - language_id_score_filter:
+      lang: zh
+      min_score: 0.5
+)");
+  auto ops = MustBuildOps(r);
+  RunReport report = RunStage(ops, NoisyCorpus(200), /*reorder=*/true);
+  const OpReport* stage = StageReport(report);
+  ASSERT_NE(stage, nullptr);
+  ASSERT_EQ(stage->stage.size(), 3u);
+  EXPECT_EQ(stage->stage[0].name, "language_id_score_filter");
+  EXPECT_EQ(stage->stage[0].rejected, stage->rows_in);
+  EXPECT_EQ(stage->rows_out, 0u);
+  // The keep-all members follow by cost: text length (0.2) before words
+  // (1.0), against recipe order.
+  EXPECT_EQ(stage->stage[1].name, "text_length_filter");
+  EXPECT_EQ(stage->stage[2].name, "word_num_filter");
+  EXPECT_EQ(StageLines(report).size(), 1u) << report.ToString();
+}
+
+TEST(FilterStageTest, OrderLineIsTheSameAtNp1AndNp4) {
+  // 300 rows: the probe covers the first 64, the ranked pass the rest.
+  auto ops1 = FourteenOpPipeline();
+  auto ops4 = FourteenOpPipeline();
+  RunReport np1 = RunStage(ops1, NoisyCorpus(300), /*reorder=*/true, 1);
+  RunReport np4 = RunStage(ops4, NoisyCorpus(300), /*reorder=*/true, 4);
+  std::vector<std::string> lines = StageLines(np1);
+  ASSERT_EQ(lines.size(), 1u) << np1.ToString();
+  EXPECT_EQ(lines.front().rfind("stage 1 order: ", 0), 0u) << lines.front();
+  EXPECT_EQ(lines, StageLines(np4));
+  EXPECT_EQ(np1.rows_out, np4.rows_out);
+}
+
+TEST(FilterStageTest, RejectedRowsSumToRowsDropped) {
+  auto ops = FourteenOpPipeline();
+  RunReport report = RunStage(ops, NoisyCorpus(300), /*reorder=*/true);
+  const OpReport* stage = StageReport(report);
+  ASSERT_NE(stage, nullptr);
+  ASSERT_EQ(stage->stage.size(), 8u);
+  size_t rejected = 0;
+  for (const StageMember& m : stage->stage) rejected += m.rejected;
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(rejected, stage->rows_in - stage->rows_out);
+}
+
+TEST(FilterStageTest, WithoutReorderRunsInRecipeOrder) {
+  Recipe r = MustRecipe(R"(
+process:
+  - word_num_filter:
+      min: 0
+  - text_length_filter:
+      min: 0
+  - language_id_score_filter:
+      lang: zh
+      min_score: 0.5
+)");
+  auto ops = MustBuildOps(r);
+  RunReport report = RunStage(ops, NoisyCorpus(200), /*reorder=*/false);
+  const OpReport* stage = StageReport(report);
+  ASSERT_NE(stage, nullptr);
+  ASSERT_EQ(stage->stage.size(), 3u);
+  EXPECT_EQ(stage->stage[0].name, "word_num_filter");
+  EXPECT_EQ(stage->stage[1].name, "text_length_filter");
+  EXPECT_EQ(stage->stage[2].name, "language_id_score_filter");
+  EXPECT_EQ(stage->stage[2].rejected, stage->rows_in);
+  EXPECT_EQ(report.plan_swaps, 0u);
+}
+
+TEST(FilterStageTest, TwoTextKeysGetOneContextEach) {
+  // Two members per field, every row kept: a context shared per text_key
+  // splits words once per row on text.a and lines once per row on text.b.
+  Recipe r = MustRecipe(R"(
+process:
+  - word_num_filter:
+      min: 1
+      text_key: text.a
+  - average_line_length_filter:
+      min: 1
+      text_key: text.b
+  - stopwords_filter:
+      min: 0.0
+      text_key: text.a
+  - maximum_line_length_filter:
+      min: 1
+      text_key: text.b
+)");
+  auto corpus = [] {
+    std::vector<data::Sample> samples;
+    for (int i = 0; i < 100; ++i) {
+      data::Sample sample;
+      sample.Set("text.a",
+                 json::Value("the cat sat on the mat " + std::to_string(i)));
+      sample.Set("text.b", json::Value("first line\nsecond line here"));
+      samples.push_back(std::move(sample));
+    }
+    return data::Dataset::FromSamples(std::move(samples));
+  };
+  auto naive_ops = MustBuildOps(r);
+  Executor naive(Executor::Options{});
+  auto expected = naive.Run(corpus(), naive_ops, nullptr);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  auto ops = MustBuildOps(r);
+  ASSERT_EQ(PlanFusion(ops, {true, true}).size(), 1u);
+  Executor::Options options;
+  options.op_fusion = true;
+  options.op_reorder = true;
+  Executor staged(options);
+  ops::SampleContext::Counters::Reset();
+  auto result = staged.Run(corpus(), ops, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(ops::SampleContext::Counters::words.load(), 100u);
+  EXPECT_EQ(ops::SampleContext::Counters::lines.load(), 100u);
+  // Each member read its own field: the stats match the one-unit-per-OP run.
+  EXPECT_EQ(data::SerializeDataset(expected.value()),
+            data::SerializeDataset(result.value()));
+}
+
+// --------------------------------------------------------- run report ----
+
+TEST(RunReportTest, LongUnitNameKeepsEveryColumnAndLine) {
+  RunReport report;
+  OpReport r;
+  r.name = std::string(300, 'x');
+  r.kind = "fused_filter";
+  r.rows_in = 10;
+  r.rows_out = 4;
+  r.seconds = 0.5;
+  r.cpu_share = 0.25;
+  report.op_reports.push_back(r);
+  report.rows_in = 10;
+  report.rows_out = 4;
+  std::string text = report.ToString();
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  // The long row keeps its name whole and every column after it.
+  size_t row = text.find(r.name);
+  ASSERT_NE(row, std::string::npos);
+  std::string line = text.substr(row, text.find('\n', row) - row);
+  EXPECT_NE(line.find(" fused_filter "), std::string::npos) << line;
+  EXPECT_NE(line.find(" 100.0% "), std::string::npos) << line;
+  EXPECT_NE(line.find(" 25.0% "), std::string::npos) << line;
+  EXPECT_EQ(line.back(), '-') << line;  // the cache column ends the row
+  EXPECT_NE(text.find("\ntotal: "), std::string::npos) << text;
 }
 
 }  // namespace

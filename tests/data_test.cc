@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 
 #include "common/thread_pool.h"
@@ -212,6 +213,34 @@ TEST(DatasetTest, FilterParallelMatchesSequential) {
   for (size_t i = 0; i < ra.value().NumRows(); ++i) {
     EXPECT_EQ(ra.value().GetTextAt(i), rb.value().GetTextAt(i));
   }
+}
+
+TEST(DatasetTest, KeepMaskEvaluatesOnlyItsRange) {
+  std::vector<std::string> texts;
+  for (int i = 0; i < 100; ++i) texts.push_back(std::to_string(i));
+  Dataset ds = Dataset::FromTexts(texts);
+  ThreadPool pool(4);
+  std::vector<uint8_t> mask(ds.NumRows(), 7);
+  std::atomic<int> calls{0};
+  ASSERT_TRUE(ds.KeepMask(
+                    [&calls](RowRef row) -> Result<bool> {
+                      ++calls;
+                      return row.row() % 2 == 0;
+                    },
+                    10, 60, &pool, &mask)
+                  .ok());
+  EXPECT_EQ(calls.load(), 50);
+  for (size_t i = 0; i < mask.size(); ++i) {
+    const uint8_t expected = (i < 10 || i >= 60) ? 7 : (i % 2 == 0 ? 1 : 0);
+    EXPECT_EQ(mask[i], expected) << i;
+  }
+  // Any non-zero entry keeps its row: 10 + 25 + 40 rows, in order.
+  Dataset kept = std::move(ds).TakeKept(mask);
+  ASSERT_EQ(kept.NumRows(), 75u);
+  EXPECT_EQ(kept.GetTextAt(9), "9");
+  EXPECT_EQ(kept.GetTextAt(10), "10");
+  EXPECT_EQ(kept.GetTextAt(11), "12");
+  EXPECT_EQ(kept.GetTextAt(35), "60");
 }
 
 TEST(DatasetTest, ApproxMemoryGrowsWithData) {

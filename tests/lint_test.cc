@@ -339,21 +339,6 @@ process:
       << report.ToString();
 }
 
-TEST(LinterTest, FusionOnExplainsExcludedFilters) {
-  LintReport report = LintYaml(R"(
-project_name: t
-op_fusion: true
-process:
-  - word_num_filter:
-  - word_repetition_filter:
-  - text_length_filter:
-)");
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_TRUE(HasDiagnostic(report, Severity::kNote,
-                            "stays outside the fused stats pass"))
-      << report.ToString();
-}
-
 TEST(LinterTest, MapperSandwichedBetweenFiltersIsNoted) {
   LintReport report = LintYaml(R"(
 project_name: t
@@ -540,12 +525,19 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("unit["), std::string::npos) << out.value();
-  EXPECT_NE(out.value().find("text_length_filter before perplexity_filter"),
+  EXPECT_NE(out.value().find("unit[0] fused(perplexity_filter,"
+                             "text_length_filter)  (stage, ranked by cost "
+                             "per dropped row)\n"),
             std::string::npos)
       << out.value();
-  EXPECT_NE(out.value().find("verdict: licensed"), std::string::npos)
+  EXPECT_NE(out.value().find("text_length_filter may run before "
+                             "perplexity_filter: disjoint effects"),
+            std::string::npos)
       << out.value();
+  EXPECT_NE(out.value().find("verdict: licensed (1 swap(s) verified)"),
+            std::string::npos)
+      << out.value();
+  EXPECT_EQ(out.value().find("cost="), std::string::npos) << out.value();
 }
 
 TEST(ExplainPlanTest, ReportsRefusedPlanAndFallback) {
@@ -561,7 +553,12 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("REFUSED"), std::string::npos) << out.value();
+  EXPECT_NE(out.value().find("specified_numeric_field_filter may run before "
+                             "word_num_filter: REFUSED"),
+            std::string::npos)
+      << out.value();
+  EXPECT_NE(out.value().find("stats.num_words"), std::string::npos)
+      << out.value();
   EXPECT_NE(out.value().find("fall back to recipe order"), std::string::npos)
       << out.value();
 }
@@ -582,6 +579,7 @@ process:
 TEST(ExplainPlanTest, ShowsFusedUnits) {
   auto recipe = ParseRecipe(R"(
 op_fusion: true
+op_reorder: false
 process:
   - word_num_filter:
       min: 1
@@ -590,7 +588,13 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("fused("), std::string::npos) << out.value();
+  EXPECT_NE(out.value().find("unit[0] fused(word_num_filter,"
+                             "word_repetition_filter)  (stage, recipe "
+                             "order)\n"),
+            std::string::npos)
+      << out.value();
+  EXPECT_NE(out.value().find("verdict: licensed\n"), std::string::npos)
+      << out.value();
 }
 
 // ------------------------------------------------ declared OP surface ----

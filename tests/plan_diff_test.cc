@@ -15,7 +15,10 @@
 // or fully optimized (fusion + reorder, effect-verified). This is the
 // end-to-end proof that the plan transformations VerifyPlan licenses are
 // semantics-preserving — any divergence is either an effect signature
-// lying about an OP or a hole in the verifier.
+// lying about an OP or a hole in the verifier. A second case runs the
+// optimized plan at np 4 on a corpus several times a filter stage's probe,
+// so every stage ranks its members and runs the rest of its input in that
+// order across workers.
 
 #ifndef DJ_REPO_DIR
 #define DJ_REPO_DIR "."
@@ -39,10 +42,11 @@ std::vector<std::string> RecipePaths() {
   return out;
 }
 
-data::Dataset MixedCorpus() {
+// 100 rows per unit of `scale`.
+data::Dataset MixedCorpus(size_t scale = 1) {
   workload::CorpusOptions web;
   web.style = workload::Style::kWeb;
-  web.num_docs = 40;
+  web.num_docs = 40 * scale;
   web.exact_dup_rate = 0.2;
   web.spam_rate = 0.2;
   web.seed = 1;
@@ -50,18 +54,18 @@ data::Dataset MixedCorpus() {
 
   workload::CorpusOptions arxiv;
   arxiv.style = workload::Style::kArxiv;
-  arxiv.num_docs = 10;
+  arxiv.num_docs = 10 * scale;
   arxiv.seed = 2;
   ds.Concat(workload::CorpusGenerator(arxiv).Generate());
 
   workload::CorpusOptions code;
   code.style = workload::Style::kCode;
-  code.num_docs = 10;
+  code.num_docs = 10 * scale;
   code.seed = 3;
   ds.Concat(workload::CorpusGenerator(code).Generate());
 
   workload::InstructionOptions sft;
-  sft.num_samples = 40;
+  sft.num_samples = 40 * scale;
   sft.low_quality_rate = 0.3;
   sft.dup_rate = 0.2;
   sft.seed = 5;
@@ -72,19 +76,19 @@ data::Dataset MixedCorpus() {
 // Runs `recipe` with the given plan flags on a fresh OP chain (dedup OPs
 // carry fingerprint state across runs, so OPs must never be reused).
 data::Dataset RunWithPlan(const core::Recipe& recipe, bool fusion,
-                          bool reorder) {
+                          bool reorder, int workers = 1, size_t scale = 1) {
   auto ops = core::BuildOps(recipe, ops::OpRegistry::Global());
   EXPECT_TRUE(ops.ok()) << ops.status().ToString();
   core::Executor::Options options =
       core::Executor::OptionsFromRecipe(recipe);
-  options.num_workers = 1;
+  options.num_workers = workers;
   options.use_cache = false;
   options.use_checkpoint = false;
   options.op_fusion = fusion;
   options.op_reorder = reorder;
   core::Executor executor(options);
   core::RunReport report;
-  auto result = executor.Run(MixedCorpus(), ops.value(), &report);
+  auto result = executor.Run(MixedCorpus(scale), ops.value(), &report);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? std::move(result).value() : data::Dataset{};
 }
@@ -119,6 +123,28 @@ TEST_P(PlanDiffTest, OptimizedPlanIsByteIdenticalToNaive) {
   ASSERT_TRUE(data::ExportDataset(optimized, opt_path).ok());
   EXPECT_EQ(ReadFileBytes(naive_path), ReadFileBytes(opt_path))
       << GetParam() << ": exported JSONL differs between plans";
+}
+
+TEST_P(PlanDiffTest, OptimizedPlanAtNp4OnLargerCorpusIsByteIdentical) {
+  auto recipe = core::Recipe::FromFile(GetParam());
+  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
+
+  // 400 rows: over 3x the 64-row probe of a ranked stage.
+  data::Dataset naive = RunWithPlan(recipe.value(), false, false, 1, 4);
+  data::Dataset optimized = RunWithPlan(recipe.value(), true, true, 4, 4);
+
+  EXPECT_EQ(data::SerializeDataset(naive), data::SerializeDataset(optimized))
+      << GetParam() << ": optimized plan at np 4 changed the dataset bytes";
+
+  std::string dir = ::testing::TempDir() + "/dj_plan_diff";
+  fs::create_directories(dir);
+  std::string stem = fs::path(GetParam()).stem().string();
+  std::string naive_path = dir + "/" + stem + ".np4.naive.jsonl";
+  std::string opt_path = dir + "/" + stem + ".np4.opt.jsonl";
+  ASSERT_TRUE(data::ExportDataset(naive, naive_path).ok());
+  ASSERT_TRUE(data::ExportDataset(optimized, opt_path).ok());
+  EXPECT_EQ(ReadFileBytes(naive_path), ReadFileBytes(opt_path))
+      << GetParam() << ": exported JSONL differs between plans at np 4";
 }
 
 INSTANTIATE_TEST_SUITE_P(
