@@ -1,14 +1,11 @@
-// Ablation: which Sec. 7 computation optimization buys what?
-// Decomposes the Fig. 9 savings into
-//   (a) baseline        — per-OP execution, no shared contexts across OPs
-//   (b) +reordering     — a control: op_reorder ranks filters only inside a
-//                         stage, and without fusion there is none, so this
-//                         runs plan (a)
-//   (c) +fusion         — the 8 filters as one stage in recipe order: one
-//                         pass, shared contexts, stop at the first rejection
-//   (d) +fusion+reorder — the stage ranked by cost per dropped row on its
-//                         first rows (the Fig. 9 configuration)
-// All four configurations produce identical outputs; only cost moves.
+// Ablation: what does the Sec. 7 filter stage buy?
+// Compares
+//   (a) baseline — per-OP execution, no shared contexts across OPs
+//   (b) +fusion  — the 8 filters as one stage in recipe order: one pass,
+//                  shared contexts, stop at the first rejection (the
+//                  Fig. 9 configuration)
+// on a recipe that lists its most expensive filter (perplexity) first.
+// Both configurations produce identical outputs; only cost moves.
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -58,14 +55,13 @@ struct Outcome {
   size_t rows = 0;
 };
 
-Outcome Measure(const dj::data::Dataset& data, bool fusion, bool reorder) {
+Outcome Measure(const dj::data::Dataset& data, bool fusion) {
   Outcome best;
   best.seconds = 1e18;
   for (int rep = 0; rep < 3; ++rep) {  // keep the steadier run
     auto ops = Recipe14();
     dj::core::Executor::Options options;
     options.op_fusion = fusion;
-    options.op_reorder = reorder;
     dj::core::Executor executor(options);
     dj::ops::SampleContext::Counters::Reset();
     dj::Stopwatch watch;
@@ -85,8 +81,8 @@ Outcome Measure(const dj::data::Dataset& data, bool fusion, bool reorder) {
 
 int main() {
   dj::bench::Banner(
-      "Ablation: context sharing / OP fusion / reordering",
-      "Sec. 7 — decomposing the Fig. 9 speedup into its three mechanisms");
+      "Ablation: context sharing / OP fusion",
+      "Sec. 7 — what the filter stage saves over per-OP execution");
 
   dj::workload::CorpusOptions corpus;
   corpus.style = dj::workload::Style::kCrawl;
@@ -100,10 +96,8 @@ int main() {
               "perplexity filter\n",
               data.NumRows());
 
-  Outcome base = Measure(data, false, false);
-  Outcome reorder = Measure(data, false, true);
-  Outcome fusion = Measure(data, true, false);
-  Outcome full = Measure(data, true, true);
+  Outcome base = Measure(data, false);
+  Outcome fusion = Measure(data, true);
 
   dj::bench::Table table({"configuration", "time_s", "saved_vs_base",
                           "shared_ctx_computations", "rows_out"});
@@ -113,19 +107,14 @@ int main() {
                std::to_string(o.contexts), std::to_string(o.rows)});
   };
   row("baseline (no opts)", base);
-  row("+ reordering only (= baseline plan)", reorder);
-  row("+ fusion only (stage, recipe order)", fusion);
-  row("+ fusion + reordering (ranked stage)", full);
+  row("+ fusion (stage, recipe order)", fusion);
   table.Print();
 
-  bool identical = base.rows == reorder.rows && base.rows == fusion.rows &&
-                   base.rows == full.rows;
+  bool identical = base.rows == fusion.rows;
   std::printf(
       "\noutputs identical across configurations: %s\n"
-      "expected shape: reordering alone matches the baseline (no stage to\n"
-      "rank); the stage cuts shared-context computations and most of the\n"
-      "time; ranking it adds savings by running the filters that drop\n"
-      "rows before the expensive perplexity filter, which drops none.\n",
+      "expected shape: the stage cuts shared-context computations and\n"
+      "most of the time.\n",
       identical ? "yes" : "NO");
   return identical ? 0 : 1;
 }

@@ -96,7 +96,6 @@ process:
       dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
   dj::core::Executor::Options options;
   options.op_fusion = true;
-  options.op_reorder = true;
   dj::core::Executor executor(options);
   return executor.Run(raw, ops.value(), nullptr).value();
 }

@@ -95,7 +95,6 @@ Measurement MeasureDataJuicer(const dj::data::Dataset& data, int np) {
   dj::core::Executor::Options options;
   options.num_workers = np;
   options.op_fusion = true;
-  options.op_reorder = true;
   dj::core::Executor executor(options);
   dj::ResourceMonitor monitor(0.02);
   monitor.Start();

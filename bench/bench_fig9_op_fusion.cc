@@ -1,6 +1,6 @@
-// Fig. 9 reproduction: time before/after OP fusion + reordering on three
-// dataset sizes, with the paper's 14-OP recipe shape (5 Mappers, 8 Filters,
-// 1 Deduplicator); with both on, the 8 filters run as one ranked stage.
+// Fig. 9 reproduction: time before/after OP fusion on three dataset sizes,
+// with the paper's 14-OP recipe shape (5 Mappers, 8 Filters,
+// 1 Deduplicator); with fusion on, the 8 filters run as one stage.
 //
 // Paper: fusion saves up to 24.91% of total time and up to 42.04% on the
 // fusible OPs; the effect holds across dataset sizes and process counts.
@@ -60,7 +60,6 @@ RunResult RunOnce(const dj::data::Dataset& data, bool fusion, int np) {
   dj::core::Executor::Options options;
   options.num_workers = np;
   options.op_fusion = fusion;
-  options.op_reorder = fusion;
   dj::core::Executor executor(options);
   dj::ops::SampleContext::Counters::Reset();
   dj::core::RunReport report;
@@ -82,7 +81,7 @@ RunResult RunOnce(const dj::data::Dataset& data, bool fusion, int np) {
 
 int main() {
   dj::bench::Banner(
-      "Figure 9: OP fusion + reordering time savings",
+      "Figure 9: OP fusion time savings",
       "Fig. 9 — up to 24.91% total / 42.04% fusible-OP time saved across "
       "3 dataset sizes");
 

@@ -4,12 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <limits>
-#include <numeric>
 #include <optional>
 #include <string_view>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.h"
 #include "common/probe.h"
@@ -43,34 +40,6 @@ std::vector<std::string> SnapshotTexts(data::Dataset* ds,
 std::string StatsJsonOf(data::RowRef row) {
   const json::Value* stats = row.Get(data::kStatsField);
   return stats == nullptr ? "{}" : json::Write(*stats);
-}
-
-/// Rows at the head of a ranked stage's input that every member evaluates,
-/// to measure each member's keep ratio before the rest of the input runs
-/// in ranked order. Rows are decided identically at any worker count, so
-/// the order depends only on the recipe and the stage's input.
-constexpr size_t kProbeRows = 64;
-
-/// A ranked stage's order after the probe: ascending cost per dropped row,
-/// CostEstimate() / (1 - keep ratio), so members that kept every probe row
-/// (infinite rank) go last; ties fall to cost, then recipe order.
-std::vector<size_t> RankByCostPerDrop(const std::vector<ops::Filter*>& filters,
-                                      const std::vector<size_t>& probe_kept,
-                                      size_t probe_rows) {
-  auto rank = [&](size_t f) {
-    const double cost = filters[f]->CostEstimate();
-    const size_t dropped = probe_rows - probe_kept[f];
-    const double per_drop =
-        dropped == 0 ? std::numeric_limits<double>::infinity()
-                     : cost * static_cast<double>(probe_rows) /
-                           static_cast<double>(dropped);
-    return std::make_tuple(per_drop, cost, f);
-  };
-  std::vector<size_t> order(filters.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return rank(a) < rank(b); });
-  return order;
 }
 
 /// The SampleContexts of one row in a filter run: one per distinct
@@ -212,7 +181,6 @@ Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   Options opts;
   opts.num_workers = recipe.num_workers;
   opts.op_fusion = recipe.op_fusion;
-  opts.op_reorder = recipe.op_reorder;
   opts.use_cache = recipe.use_cache;
   opts.cache_dir = recipe.cache_dir;
   opts.cache_compression = recipe.cache_compression;
@@ -249,8 +217,7 @@ Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
 }
 
 Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
-                            bool ranked, data::Dataset* dataset,
-                            ThreadPool* pool,
+                            data::Dataset* dataset, ThreadPool* pool,
                             std::vector<StageMember>* stage) {
   dataset->EnsureColumn(data::kStatsField);
   const size_t n = filters.size();
@@ -263,78 +230,32 @@ Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
     key_of[f] = static_cast<size_t>(it - keys.begin());
     if (it == keys.end()) keys.emplace_back(filters[f]->text_key());
   }
-  auto evaluate = [&](data::RowRef row, RowContexts* ctx,
-                      size_t f) -> Result<bool> {
-    DJ_RETURN_IF_ERROR(filters[f]->ComputeStats(row, ctx->Get(key_of[f])));
-    return filters[f]->KeepRow(row);
-  };
   Tracer* tracer = options_.tracer;
   std::vector<std::atomic<size_t>> rejected(n);
-  auto reject = [&](data::RowRef row, size_t f) {
-    rejected[f].fetch_add(1, std::memory_order_relaxed);
-    if (tracer != nullptr) {
-      tracer->RecordFiltered(filters[f]->name(), row.row(),
-                             row.GetText(filters[f]->text_key()),
-                             StatsJsonOf(row));
-    }
-  };
 
   obs::Span span(options_.spans, "batch:" + filters.front()->name(), "batch");
-  const size_t rows = dataset->NumRows();
-  std::vector<uint8_t> keep(rows, 0);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  size_t probe_rows = 0;
-  if (ranked) {
-    // Probe: every member on each of the first rows, verdicts by
-    // [row * n + member]; each row's verdicts are written by the one task
-    // that evaluates the row.
-    probe_rows = std::min(kProbeRows, rows);
-    std::vector<uint8_t> verdicts(probe_rows * n, 0);
-    DJ_RETURN_IF_ERROR(dataset->KeepMask(
-        [&](data::RowRef row) -> Result<bool> {
-          RowContexts ctx(row, keys);
-          bool keep_all = true;
-          for (size_t f = 0; f < n; ++f) {
-            DJ_ASSIGN_OR_RETURN(bool kept, evaluate(row, &ctx, f));
-            verdicts[row.row() * n + f] = kept ? 1 : 0;
-            keep_all = keep_all && kept;
-          }
-          return keep_all;
-        },
-        0, probe_rows, pool, &keep));
-    std::vector<size_t> probe_kept(n, 0);
-    for (size_t r = 0; r < probe_rows; ++r) {
-      for (size_t f = 0; f < n; ++f) probe_kept[f] += verdicts[r * n + f];
-    }
-    order = RankByCostPerDrop(filters, probe_kept, probe_rows);
-    // A rejected probe row counts against the first member in `order` that
-    // rejects it, as it would have in the ranked pass.
-    for (size_t r = 0; r < probe_rows; ++r) {
-      if (keep[r] != 0) continue;
-      for (size_t f : order) {
-        if (verdicts[r * n + f] == 0) {
-          reject(dataset->Row(r), f);
-          break;
-        }
-      }
-    }
-  }
+  std::vector<uint8_t> keep;
   DJ_RETURN_IF_ERROR(dataset->KeepMask(
       [&](data::RowRef row) -> Result<bool> {
         RowContexts ctx(row, keys);
-        for (size_t f : order) {
-          DJ_ASSIGN_OR_RETURN(bool kept, evaluate(row, &ctx, f));
-          if (!kept) {
-            reject(row, f);
-            return false;
+        for (size_t f = 0; f < n; ++f) {
+          DJ_RETURN_IF_ERROR(
+              filters[f]->ComputeStats(row, ctx.Get(key_of[f])));
+          DJ_ASSIGN_OR_RETURN(bool kept, filters[f]->KeepRow(row));
+          if (kept) continue;
+          rejected[f].fetch_add(1, std::memory_order_relaxed);
+          if (tracer != nullptr) {
+            tracer->RecordFiltered(filters[f]->name(), row.row(),
+                                   row.GetText(filters[f]->text_key()),
+                                   StatsJsonOf(row));
           }
+          return false;
         }
         return true;
       },
-      probe_rows, rows, pool, &keep));
+      pool, &keep));
   if (stage != nullptr) {
-    for (size_t f : order) {
+    for (size_t f = 0; f < n; ++f) {
       stage->push_back({filters[f]->name(), rejected[f].load()});
     }
   }
@@ -370,14 +291,14 @@ Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
 Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
                          ThreadPool* pool, OpReport* report) {
   if (unit.is_fused()) {
-    return RunFilters(unit.fused, unit.ranked, dataset, pool, &report->stage);
+    return RunFilters(unit.fused, dataset, pool, &report->stage);
   }
   switch (unit.op->kind()) {
     case ops::OpKind::kMapper:
       return RunMapper(static_cast<ops::Mapper*>(unit.op), dataset, pool);
     case ops::OpKind::kFilter:
-      return RunFilters({static_cast<ops::Filter*>(unit.op)},
-                        /*ranked=*/false, dataset, pool, nullptr);
+      return RunFilters({static_cast<ops::Filter*>(unit.op)}, dataset, pool,
+                        nullptr);
     case ops::OpKind::kDeduplicator:
       return RunDeduplicator(static_cast<ops::Deduplicator*>(unit.op),
                              dataset, pool);
@@ -413,8 +334,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   rep->op_reports.clear();
   rep->rows_in = dataset.NumRows();
 
-  FusionOptions fusion_options{options_.op_fusion, options_.op_reorder};
-  std::vector<PlanUnit> plan = PlanFusion(ops, fusion_options);
+  std::vector<PlanUnit> plan = PlanFusion(ops, {options_.op_fusion});
 
   // Static plan verification: every stage must be licensed by the declared
   // OP effect signatures (no more blanket "all Filters commute"). An
@@ -435,7 +355,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
         options_.spans->EmitInstant("plan.rejected", "executor",
                                     options_.spans->NowMicros());
       }
-      plan = PlanFusion(ops, FusionOptions{false, false});
+      plan = PlanFusion(ops, FusionOptions{false});
     } else {
       rep->plan_swaps = verdict.swaps.size();
       if (options_.metrics != nullptr && !verdict.swaps.empty()) {

@@ -42,8 +42,8 @@ struct OpReport {
   /// unit), this measures where worker CPU actually went, so an OP that
   /// parallelizes badly shows high %time but low %cpu.
   double cpu_share = -1;
-  /// For a filter stage that ran: its members in the order it evaluated
-  /// them, each with the rows it rejected (these sum to rows_in - rows_out).
+  /// For a filter stage that ran: its members in recipe order, each with
+  /// the rows it rejected (these sum to rows_in - rows_out).
   /// Empty for every other unit, and for a stage loaded from the cache.
   std::vector<StageMember> stage;
 };
@@ -78,18 +78,14 @@ struct RunReport {
 
 /// Executes an OP pipeline over a dataset with the paper's Sec. 7
 /// optimizations: filter stages (one short-circuit pass per run of filters,
-/// sharing per-sample contexts, ranked by cost per dropped row), per-OP
-/// caching (config-hash keyed, optionally compressed), and checkpoint-based
-/// failure recovery.
+/// sharing per-sample contexts), per-OP caching (config-hash keyed,
+/// optionally compressed), and checkpoint-based failure recovery.
 class Executor {
  public:
   struct Options {
     int num_workers = 1;
     /// Run each run of two or more consecutive filters as one stage.
     bool op_fusion = false;
-    /// Rank each stage's filters by cost per dropped row; op_reorder
-    /// orders filters only inside a stage, so it needs op_fusion.
-    bool op_reorder = false;
 
     bool use_cache = false;
     std::string cache_dir;
@@ -141,10 +137,8 @@ class Executor {
                    ThreadPool* pool);
   /// Runs `filters` (one, or a stage's members in recipe order) in one pass:
   /// each row goes through them one at a time and stops at the first
-  /// rejection. A `ranked` run first evaluates every member on its first
-  /// rows and orders the rest by cost per dropped row. `stage` (optional)
-  /// receives the order used and each member's rejected rows.
-  Status RunFilters(const std::vector<ops::Filter*>& filters, bool ranked,
+  /// rejection. `stage` (optional) receives each member's rejected rows.
+  Status RunFilters(const std::vector<ops::Filter*>& filters,
                     data::Dataset* dataset, ThreadPool* pool,
                     std::vector<StageMember>* stage);
   Status RunDeduplicator(ops::Deduplicator* dedup, data::Dataset* dataset,

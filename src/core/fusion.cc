@@ -23,7 +23,6 @@ void FlushFilterGroup(std::vector<ops::Filter*>* group,
   if (options.enable_fusion && group->size() >= 2) {
     PlanUnit unit;
     unit.fused = std::move(*group);
-    unit.ranked = options.enable_reorder;
     plan->push_back(std::move(unit));
   } else {
     for (ops::Filter* f : *group) {

@@ -16,9 +16,6 @@ struct PlanUnit {
   ops::Op* op = nullptr;
   /// Non-empty for stages: the member Filters, in recipe order.
   std::vector<ops::Filter*> fused;
-  /// For stages: the executor ranks the members on the stage's own input
-  /// (op_reorder) instead of running them in recipe order.
-  bool ranked = false;
 
   bool is_fused() const { return !fused.empty(); }
   std::string DisplayName() const;
@@ -26,17 +23,14 @@ struct PlanUnit {
 
 struct FusionOptions {
   bool enable_fusion = true;
-  bool enable_reorder = true;
 };
 
 /// Builds the execution plan for `op_list` (paper Sec. 7 / Fig. 6). With
 /// fusion on, each maximal run of two or more consecutive Filters becomes
 /// one stage (Mappers and Deduplicators are barriers); every other OP is a
 /// unit of its own, and units keep recipe order. The executor evaluates a
-/// stage's members row by row, sharing one SampleContext per text_key and
-/// stopping at the first rejection; with reorder on, the stage is `ranked`
-/// and the executor orders its members by cost per dropped row, measured
-/// on the stage's first rows. Without fusion, reorder has nothing to order.
+/// stage's members row by row in recipe order, sharing one SampleContext
+/// per text_key and stopping at the first rejection.
 ///
 /// OPs are not owned; the plan borrows raw pointers from `op_list`.
 std::vector<PlanUnit> PlanFusion(

@@ -8,14 +8,16 @@ std::string PlanVerdict::ToString() const {
   std::string out;
   for (const SwapRecord& s : swaps) {
     out += s.allowed ? "  + " : "  ! ";
-    out += s.moved_op + " may run before " + s.passed_op + ": ";
+    out += s.moved_op + " before " + s.passed_op + ": ";
     out += s.allowed ? s.justification : "REFUSED — " + s.justification;
     out += "\n";
   }
   for (const std::string& v : violations) {
     out += "  ! " + v + "\n";
   }
-  out += ok ? "verdict: licensed" : "verdict: refused";
+  // Upper case so a refused stage pair, which has no swap line, is as easy
+  // to grep for as a refused swap.
+  out += ok ? "verdict: licensed" : "verdict: REFUSED";
   if (ok && !swaps.empty()) {
     out += " (" + std::to_string(swaps.size()) + " swap(s) verified)";
   }
@@ -27,8 +29,8 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
                        const std::vector<PlanUnit>& plan) {
   PlanVerdict verdict;
 
-  // Flatten the plan to execution order (a stage's members stand in recipe
-  // order here; a ranked stage's run-time order is licensed pair by pair).
+  // Flatten the plan to execution order (a stage's members in the order
+  // it evaluates them).
   std::vector<ops::Op*> exec;
   for (const PlanUnit& unit : plan) {
     if (unit.is_fused()) {
@@ -66,52 +68,55 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
     effects.push_back(op->declaration().effects.Resolve(*op));
   }
 
-  // `earlier` indexes (in `exec`) the OP that comes first in the recipe,
-  // `later` the other. A pair that may run `later` first is a swap; a pair
-  // that shares a stage in recipe order is only co-scheduled, which needs
-  // the same license but is no swap.
-  auto check_pair = [&](size_t earlier, size_t later, bool may_swap) {
-    const auto& ea = effects[earlier];
-    const auto& eb = effects[later];
+  auto check_pair = [&](size_t earlier, size_t later, bool inverted) {
+    // `earlier`/`later` index `exec`; `inverted` marks a true order swap
+    // (vs. a co-scheduled fused pair, which is checked but not a "swap").
+    const ops::Op* a = exec[later];   // originally earlier
+    const ops::Op* b = exec[earlier];  // originally later, now runs first
+    if (!inverted) {
+      a = exec[earlier];
+      b = exec[later];
+    }
+    const auto& ea = inverted ? effects[later] : effects[earlier];
+    const auto& eb = inverted ? effects[earlier] : effects[later];
     SwapRecord record;
-    record.moved_op = exec[later]->name();
-    record.passed_op = exec[earlier]->name();
+    record.moved_op = b->name();
+    record.passed_op = a->name();
     if (!ea.ok() || !eb.ok()) {
       record.allowed = false;
       record.justification = (!ea.ok() ? ea : eb).status().message() +
                              "; refusing to " +
-                             (may_swap ? "reorder" : "fuse") + " it";
+                             (inverted ? "reorder" : "fuse") + " it";
     } else if (std::string conflict = ops::DescribeConflict(*ea, *eb);
                !conflict.empty()) {
       record.allowed = false;
       record.justification = conflict;
     } else {
-      record.justification = "disjoint effects — " + record.moved_op + " " +
-                             eb->DescribeSets() + "; " + record.passed_op +
-                             " " + ea->DescribeSets();
+      record.justification = "disjoint effects — " + b->name() + " " +
+                             eb->DescribeSets() + "; " + a->name() + " " +
+                             ea->DescribeSets();
     }
     if (!record.allowed) {
       verdict.ok = false;
       verdict.violations.push_back(
-          (may_swap ? "cannot run '" : "cannot fuse '") + record.moved_op +
-          (may_swap ? "' before '" : "' with '") + record.passed_op +
+          (inverted ? "cannot run '" : "cannot fuse '") + record.moved_op +
+          (inverted ? "' before '" : "' with '") + record.passed_op +
           "': " + record.justification);
     }
-    if (may_swap) verdict.swaps.push_back(std::move(record));
+    if (inverted) verdict.swaps.push_back(std::move(record));
   };
 
   // Every order inversion vs. the recipe needs a license.
   for (size_t p = 0; p < exec.size(); ++p) {
     for (size_t q = p + 1; q < exec.size(); ++q) {
       if (orig_index[exec[p]] > orig_index[exec[q]]) {
-        check_pair(q, p, /*may_swap=*/true);
+        check_pair(p, q, /*inverted=*/true);
       }
     }
   }
 
-  // Stage members share one pass over each row, and a ranked stage picks
-  // their order at run time: every pair not already checked as an
-  // inversion needs a license too.
+  // Stage members share one pass over each row; any pair with conflicting
+  // effects cannot share it even when their order is preserved.
   size_t base = 0;
   for (const PlanUnit& unit : plan) {
     size_t n = unit.is_fused() ? unit.fused.size() : 1;
@@ -119,7 +124,7 @@ PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = i + 1; j < n; ++j) {
           if (orig_index[exec[base + i]] < orig_index[exec[base + j]]) {
-            check_pair(base + i, base + j, unit.ranked);
+            check_pair(base + i, base + j, /*inverted=*/false);
           }
         }
       }

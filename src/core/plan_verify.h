@@ -8,13 +8,11 @@
 
 namespace dj::core {
 
-/// One pair of OPs the plan may run against recipe order — a fixed order
-/// inversion, or two members of a ranked stage, whose order the executor
-/// picks at run time — with the effect-based justification (or the conflict
-/// that forbids it).
+/// One order inversion PlanFusion introduced relative to the recipe, with
+/// the effect-based justification (or the conflict that forbids it).
 struct SwapRecord {
-  std::string moved_op;     ///< originally-later OP that may now run first
-  std::string passed_op;    ///< originally-earlier OP it may run ahead of
+  std::string moved_op;     ///< originally-later OP that now runs first
+  std::string passed_op;    ///< originally-earlier OP it moved ahead of
   std::string justification;  ///< why the swap is licensed, or the conflict
   bool allowed = true;
 };
@@ -37,13 +35,11 @@ struct PlanVerdict {
 ///  - two OPs whose order was inverted may swap only if their resolved
 ///    read/write sets do not conflict (ops::DescribeConflict);
 ///  - members of a stage share one pass over each row, so every pair inside
-///    a stage must be conflict-free as well; a ranked stage may run any
-///    pair in either order, so each of its pairs is recorded as a swap.
+///    a stage must be conflict-free as well.
 ///
 /// An OP whose effects do not resolve against its config (a placeholder
 /// param set to "") is handled conservatively: any inversion or fusion
-/// involving it is refused (plans without stages or inversions always
-/// pass).
+/// involving it is refused (identity plans always pass).
 PlanVerdict VerifyPlan(const std::vector<ops::Op*>& op_list,
                        const std::vector<PlanUnit>& plan);
 

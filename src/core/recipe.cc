@@ -21,8 +21,8 @@ const std::vector<std::string_view>& Recipe::KnownKeys() {
   static const std::vector<std::string_view> kKnownKeys = {
       "project_name",   "dataset_path", "export_path",       "np",
       "use_cache",      "cache_dir",    "cache_compression", "use_checkpoint",
-      "checkpoint_dir", "op_fusion",    "op_reorder",        "enable_trace",
-      "trace_limit",    "process"};
+      "checkpoint_dir", "op_fusion",    "enable_trace",      "trace_limit",
+      "process"};
   return kKnownKeys;
 }
 
@@ -41,7 +41,6 @@ Result<Recipe> Recipe::FromJson(const json::Value& root) {
   recipe.use_checkpoint = root.GetBool("use_checkpoint", false);
   recipe.checkpoint_dir = root.GetString("checkpoint_dir", "");
   recipe.op_fusion = root.GetBool("op_fusion", false);
-  recipe.op_reorder = root.GetBool("op_reorder", recipe.op_fusion);
   recipe.enable_trace = root.GetBool("enable_trace", false);
   recipe.trace_limit = root.GetInt("trace_limit", 10);
   if (recipe.num_workers < 1) {
@@ -115,7 +114,6 @@ json::Value Recipe::ToJson() const {
   root.Set("use_checkpoint", json::Value(use_checkpoint));
   root.Set("checkpoint_dir", json::Value(checkpoint_dir));
   root.Set("op_fusion", json::Value(op_fusion));
-  root.Set("op_reorder", json::Value(op_reorder));
   root.Set("enable_trace", json::Value(enable_trace));
   root.Set("trace_limit", json::Value(trace_limit));
   json::Array process_list;

@@ -47,9 +47,6 @@ struct Recipe {
 
   /// Run each run of two or more consecutive filters as one stage.
   bool op_fusion = false;
-  /// Rank each stage's filters by cost per dropped row (defaults to
-  /// op_fusion; without a stage there is nothing to rank).
-  bool op_reorder = false;
 
   bool enable_trace = false;
   int64_t trace_limit = 10;

@@ -229,10 +229,10 @@ Status Dataset::Map(const std::function<Status(RowRef)>& fn,
 }
 
 Status Dataset::KeepMask(const std::function<Result<bool>(RowRef)>& pred,
-                         size_t begin, size_t end, ThreadPool* pool,
-                         std::vector<uint8_t>* mask) {
+                         ThreadPool* pool, std::vector<uint8_t>* mask) {
   // A byte per row, not std::vector<bool>: adjacent rows evaluated by
   // different chunks must not share a word.
+  mask->assign(num_rows_, 0);
   Mutex err_mutex{"Dataset.first_error"};
   Status first_error;
   auto run = [&](size_t lo, size_t hi) {
@@ -247,11 +247,9 @@ Status Dataset::KeepMask(const std::function<Result<bool>(RowRef)>& pred,
     }
   };
   if (pool == nullptr || pool->num_threads() <= 1) {
-    run(begin, end);
+    run(0, num_rows_);
   } else {
-    pool->ParallelFor(end - begin, [&](size_t lo, size_t hi) {
-      run(begin + lo, begin + hi);
-    });
+    pool->ParallelFor(num_rows_, run);
   }
   return first_error;
 }
@@ -270,24 +268,6 @@ std::vector<size_t> KeptIndices(const std::vector<uint8_t>& mask) {
 
 Dataset Dataset::TakeKept(const std::vector<uint8_t>& mask) && {
   return std::move(*this).TakeSelect(KeptIndices(mask));
-}
-
-Result<Dataset> Dataset::Filter(
-    const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
-    std::vector<bool>* kept) & {
-  std::vector<uint8_t> mask(num_rows_, 0);
-  DJ_RETURN_IF_ERROR(KeepMask(pred, 0, num_rows_, pool, &mask));
-  if (kept != nullptr) kept->assign(mask.begin(), mask.end());
-  return Select(KeptIndices(mask));
-}
-
-Result<Dataset> Dataset::Filter(
-    const std::function<Result<bool>(RowRef)>& pred, ThreadPool* pool,
-    std::vector<bool>* kept) && {
-  std::vector<uint8_t> mask(num_rows_, 0);
-  DJ_RETURN_IF_ERROR(KeepMask(pred, 0, num_rows_, pool, &mask));
-  if (kept != nullptr) kept->assign(mask.begin(), mask.end());
-  return std::move(*this).TakeKept(mask);
 }
 
 Dataset Dataset::Select(const std::vector<size_t>& indices) const {

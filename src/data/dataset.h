@@ -121,28 +121,12 @@ class Dataset {
   Status Map(const std::function<Status(RowRef)>& fn,
              ThreadPool* pool = nullptr);
 
-  /// Computes a keep-mask with `pred` (parallel if pool given) and returns
-  /// the surviving rows as a new dataset. `kept` (optional) receives the mask.
-  Result<Dataset> Filter(const std::function<Result<bool>(RowRef)>& pred,
-                         ThreadPool* pool = nullptr,
-                         std::vector<bool>* kept = nullptr) &;
-
-  /// Consuming overload: surviving cells are moved, not deep-copied — the
-  /// executor owns its dataset, so `std::move(ds).Filter(...)` avoids
-  /// copying every json::Value on the hot path. `*this` is left empty.
-  Result<Dataset> Filter(const std::function<Result<bool>(RowRef)>& pred,
-                         ThreadPool* pool = nullptr,
-                         std::vector<bool>* kept = nullptr) &&;
-
-  /// Evaluates `pred` on rows [begin, end), in parallel if `pool` is given,
-  /// and stores each verdict in (*mask)[i]: 1 keeps row i, 0 drops it.
-  /// `mask` must hold NumRows() entries; entries outside the range are left
-  /// as they are. Returns the first error a row reported, if any. Filter is
-  /// this over all rows; a caller that decides how to evaluate later rows
-  /// from earlier verdicts calls it once per range, then TakeKept.
+  /// Evaluates `pred` on every row, in parallel if `pool` is given, and
+  /// sets `*mask` to one entry per row: 1 keeps the row, 0 drops it.
+  /// Returns the first error a row reported, if any; then `*mask` is
+  /// incomplete. Pair with TakeKept to select the survivors.
   Status KeepMask(const std::function<Result<bool>(RowRef)>& pred,
-                  size_t begin, size_t end, ThreadPool* pool,
-                  std::vector<uint8_t>* mask);
+                  ThreadPool* pool, std::vector<uint8_t>* mask);
 
   /// Consuming selection by a KeepMask mask: the rows whose entry is
   /// non-zero, with their cells moved out. `*this` is left empty.

@@ -197,7 +197,6 @@ Result<data::Dataset> DistributedExecutor::Run(
   core::Executor::Options exec_options;
   exec_options.num_workers = 1;  // measure single-thread shard time
   exec_options.op_fusion = options_.op_fusion;
-  exec_options.op_reorder = options_.op_reorder;
   core::Executor shard_executor(exec_options);
 
   std::vector<Segment> segments = SplitSegments(ops);

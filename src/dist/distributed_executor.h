@@ -38,7 +38,6 @@ class DistributedExecutor {
     ClusterOptions cluster;
     /// Applied per shard (fusion etc.); workers are taken from `cluster`.
     bool op_fusion = false;
-    bool op_reorder = false;
 
     /// Observability sinks (not owned; may be null). The span recorder gets
     /// the *modeled* cluster timeline — one lane per simulated node plus a

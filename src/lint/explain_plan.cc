@@ -15,8 +15,7 @@ Result<std::string> ExplainPlan(const core::Recipe& recipe,
   DJ_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<ops::Op>> ops,
                       core::BuildOps(recipe, registry));
 
-  core::FusionOptions fusion_options{recipe.op_fusion, recipe.op_reorder};
-  std::vector<core::PlanUnit> plan = core::PlanFusion(ops, fusion_options);
+  std::vector<core::PlanUnit> plan = core::PlanFusion(ops, {recipe.op_fusion});
 
   std::string out;
   char buf[64];
@@ -26,16 +25,11 @@ Result<std::string> ExplainPlan(const core::Recipe& recipe,
   if (!recipe.project_name.empty()) out += " for '" + recipe.project_name + "'";
   out += ": " + std::string(buf);
   out += std::string(" (op_fusion=") + (recipe.op_fusion ? "on" : "off") +
-         ", op_reorder=" + (recipe.op_reorder ? "on" : "off") + ")\n";
+         ")\n";
   for (size_t i = 0; i < plan.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "  unit[%zu] ", i);
     out += buf;
-    out += plan[i].DisplayName();
-    if (plan[i].is_fused()) {
-      out += plan[i].ranked ? "  (stage, ranked by cost per dropped row)"
-                            : "  (stage, recipe order)";
-    }
-    out += "\n";
+    out += plan[i].DisplayName() + "\n";
   }
 
   if (!recipe.op_fusion) {

@@ -10,13 +10,10 @@
 namespace dj::lint {
 
 /// Renders the optimized execution plan of `recipe` (dj_lint
-/// --explain-plan): the PlanFusion unit list, marking each filter stage as
-/// ranked at run time or run in recipe order, one line per swap the plan
-/// may make with its effect-based justification from core::VerifyPlan, and
-/// the final verdict. Honors the recipe's op_fusion/op_reorder flags; with
-/// op_fusion off (op_reorder ranks only inside a stage) it reports that OPs
-/// run in recipe order. Fails when the recipe's OP list does not
-/// instantiate.
+/// --explain-plan): the PlanFusion unit list, one line per swap with its
+/// effect-based justification from core::VerifyPlan, and the final verdict.
+/// Honors the recipe's op_fusion flag; with it off it reports that OPs run
+/// in recipe order. Fails when the recipe's OP list does not instantiate.
 Result<std::string> ExplainPlan(const core::Recipe& recipe,
                                 const ops::OpRegistry& registry);
 

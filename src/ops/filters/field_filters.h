@@ -18,7 +18,6 @@ class SuffixFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 0.1; }
 
  private:
   std::string field_;
@@ -35,7 +34,6 @@ class SpecifiedFieldFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 0.1; }
 
  private:
   std::string field_;
@@ -51,7 +49,6 @@ class SpecifiedNumericFieldFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 0.1; }
 
  private:
   std::string field_;
@@ -67,7 +64,6 @@ class FieldExistsFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 0.1; }
 
  private:
   std::string field_;

@@ -16,7 +16,6 @@ class FlaggedWordsFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit FlaggedWordsFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.1; }
 
  private:
   text::Lexicon lexicon_;
@@ -30,7 +29,6 @@ class StopwordsFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit StopwordsFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.1; }
 };
 
 /// text_action_filter: number of action verbs present; post-tuning prompts
@@ -40,7 +38,6 @@ class TextActionFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit TextActionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.0; }
 };
 
 /// text_entity_dependency_filter: counts "entity" tokens (capitalized words
@@ -52,7 +49,6 @@ class TextEntityDependencyFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit TextEntityDependencyFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.2; }
 };
 
 }  // namespace dj::ops

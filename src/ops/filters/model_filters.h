@@ -23,7 +23,6 @@ class LanguageIdScoreFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 3.0; }
 
  private:
   std::string lang_;
@@ -43,7 +42,6 @@ class PerplexityFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 5.0; }
 
  private:
   double max_ppl_;
@@ -62,7 +60,6 @@ class QualityScoreFilter : public Filter {
 
   Status ComputeStats(data::RowRef row, SampleContext* ctx) const override;
   Result<bool> KeepRow(data::RowRef row) const override;
-  double CostEstimate() const override { return 5.0; }
 
  private:
   double min_score_;

@@ -39,7 +39,6 @@ class AlphanumericFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit AlphanumericFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
-  double CostEstimate() const override { return 0.4; }
 };
 
 /// average_line_length_filter: mean line length in codepoints.
@@ -48,7 +47,6 @@ class AverageLineLengthFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit AverageLineLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// character_repetition_filter: duplicated char-n-gram ratio (default n=10).
@@ -57,7 +55,6 @@ class CharacterRepetitionFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit CharacterRepetitionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
-  double CostEstimate() const override { return 1.2; }
 
  private:
   int64_t rep_len_;
@@ -69,7 +66,6 @@ class MaximumLineLengthFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit MaximumLineLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// special_characters_filter: ratio of non-alnum, non-whitespace,
@@ -79,7 +75,6 @@ class SpecialCharactersFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit SpecialCharactersFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
-  double CostEstimate() const override { return 0.4; }
 };
 
 /// text_length_filter: length in codepoints.
@@ -88,7 +83,6 @@ class TextLengthFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit TextLengthFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
-  double CostEstimate() const override { return 0.2; }
 };
 
 /// token_num_filter: approximate LLM token count.
@@ -97,7 +91,6 @@ class TokenNumFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit TokenNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext*) const override;
-  double CostEstimate() const override { return 0.6; }
 };
 
 /// word_num_filter: number of word tokens.
@@ -106,7 +99,6 @@ class WordNumFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit WordNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.0; }
 };
 
 /// word_repetition_filter: duplicated word-n-gram ratio (default n=5).
@@ -115,7 +107,6 @@ class WordRepetitionFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit WordRepetitionFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 1.4; }
 
  private:
   int64_t rep_len_;
@@ -127,7 +118,6 @@ class ParagraphNumFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit ParagraphNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.3; }
 };
 
 /// sentence_num_filter: number of sentences.
@@ -136,7 +126,6 @@ class SentenceNumFilter : public RangeStatFilter {
   static const OpDeclaration& Declaration();
   explicit SentenceNumFilter(const json::Value& config);
   double ComputeValue(std::string_view text, SampleContext* ctx) const override;
-  double CostEstimate() const override { return 0.8; }
 };
 
 }  // namespace dj::ops

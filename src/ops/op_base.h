@@ -149,12 +149,6 @@ class Filter : public Op {
  public:
   OpKind kind() const override { return OpKind::kFilter; }
 
-  /// Relative single-sample cost of ComputeStats + KeepRow (paper Sec. 7):
-  /// cheap metadata checks ~0.1, tokenizing filters ~1, model-backed
-  /// filters ~5. A ranked stage runs its members in ascending cost per
-  /// dropped row, so this is the cost half of that rank.
-  virtual double CostEstimate() const { return 1.0; }
-
   /// Computes and stores stats for one row. Skips recomputation when the
   /// stats key is already present (e.g. from a previous Analyzer pass).
   virtual Status ComputeStats(data::RowRef row, SampleContext* ctx) const = 0;

@@ -114,11 +114,6 @@ TEST(RecipeTest, FromFileYamlAndJson) {
   EXPECT_FALSE(Recipe::FromFile(dir + "/missing.yaml").ok());
 }
 
-TEST(RecipeTest, OpReorderDefaultsToFusionFlag) {
-  EXPECT_TRUE(MustRecipe("op_fusion: true\n").op_reorder);
-  EXPECT_FALSE(MustRecipe("op_fusion: false\n").op_reorder);
-}
-
 // ----------------------------------------------------------- BuildOps ----
 
 TEST(BuildOpsTest, RejectsUnknownAndFormatterOps) {
@@ -162,31 +157,25 @@ process:
 
 TEST(FusionTest, DisabledPlanIsOneUnitPerOp) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false, false});
+  auto plan = PlanFusion(ops, {false});
   EXPECT_EQ(plan.size(), ops.size());
   for (const auto& unit : plan) EXPECT_FALSE(unit.is_fused());
 }
 
 TEST(FusionTest, FilterRunIsOneStageInRecipeOrder) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {true, true});
+  auto plan = PlanFusion(ops, {true});
   // The 8 consecutive filters form one stage, in recipe order, between the
   // last mapper and the dedup.
   ASSERT_EQ(plan.size(), ops.size() - 8 + 1);
   const PlanUnit& stage = plan[5];
   ASSERT_TRUE(stage.is_fused());
-  EXPECT_TRUE(stage.ranked);
   ASSERT_EQ(stage.fused.size(), 8u);
   for (size_t i = 0; i < stage.fused.size(); ++i) {
     EXPECT_EQ(stage.fused[i], ops[5 + i].get()) << i;
   }
   EXPECT_EQ(stage.DisplayName().rfind("fused(text_length_filter,", 0), 0u);
   EXPECT_EQ(plan[6].op->kind(), ops::OpKind::kDeduplicator);
-  // op_reorder only ranks inside a stage: without fusion there is none.
-  for (const PlanUnit& unit : PlanFusion(ops, {false, true})) {
-    EXPECT_FALSE(unit.is_fused());
-  }
-  EXPECT_FALSE(PlanFusion(ops, {true, false})[5].ranked);
 }
 
 TEST(FusionTest, MapperBreaksFilterGroup) {
@@ -199,7 +188,7 @@ process:
       min: 0.0
 )");
   auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true, true});
+  auto plan = PlanFusion(ops, {true});
   EXPECT_EQ(plan.size(), 3u);  // nothing fuses across the mapper barrier
 }
 
@@ -268,7 +257,6 @@ TEST(ExecutorTest, FusionPreservesResults) {
   Executor plain(Executor::Options{});
   Executor::Options fused_options;
   fused_options.op_fusion = true;
-  fused_options.op_reorder = true;
   Executor fused(fused_options);
   auto r1 = plain.Run(NoisyCorpus(), ops1, nullptr);
   auto r2 = fused.Run(NoisyCorpus(), ops2, nullptr);
@@ -285,7 +273,6 @@ TEST(ExecutorTest, FusionReducesContextComputations) {
     auto ops = FourteenOpPipeline();
     Executor::Options options;
     options.op_fusion = fusion;
-    options.op_reorder = fusion;
     Executor executor(options);
     ops::SampleContext::Counters::Reset();
     auto r = executor.Run(NoisyCorpus(), ops, nullptr);
@@ -569,7 +556,7 @@ process:
 }
 
 TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
-  // Stress: fusion + reordering + caching (compressed) + checkpoints +
+  // Stress: fusion + caching (compressed) + checkpoints +
   // tracer, 4 workers — results must match a plain sequential run.
   std::string dir = TempDir("combined");
   auto ops_full = FourteenOpPipeline();
@@ -577,7 +564,6 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   Executor::Options options;
   options.num_workers = 4;
   options.op_fusion = true;
-  options.op_reorder = true;
   options.use_cache = true;
   options.cache_dir = dir + "/cache";
   options.cache_compression = true;
@@ -825,7 +811,7 @@ TEST(SpaceModelTest, PlanSpaceDegradesGracefully) {
 
 TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false, false});
+  auto plan = PlanFusion(ops, {false});
   PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_TRUE(v.ok) << v.ToString();
   EXPECT_TRUE(v.swaps.empty());
@@ -833,30 +819,31 @@ TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
 
 TEST(PlanVerifyTest, LicensesEffectDisjointReorder) {
   auto ops = FourteenOpPipeline();
-  // A ranked stage may run any pair of its 8 members in either order: each
-  // of the 28 pairs is a swap, licensed by disjoint effects.
-  PlanVerdict v = VerifyPlan(ops, PlanFusion(ops, {true, true}));
+  // PlanFusion keeps recipe order; swap the first two filters by hand.
+  std::vector<PlanUnit> plan = PlanFusion(ops, {false});
+  ASSERT_EQ(plan[5].op->name(), "text_length_filter");
+  ASSERT_EQ(plan[6].op->name(), "word_num_filter");
+  std::swap(plan[5], plan[6]);
+  PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_TRUE(v.ok) << v.ToString();
-  EXPECT_EQ(v.swaps.size(), 28u);
-  for (const SwapRecord& s : v.swaps) {
-    EXPECT_TRUE(s.allowed);
-    EXPECT_NE(s.justification.find("disjoint effects"), std::string::npos);
-  }
-  EXPECT_NE(v.ToString().find(
-                "word_num_filter may run before text_length_filter: "),
+  ASSERT_EQ(v.swaps.size(), 1u);
+  EXPECT_TRUE(v.swaps[0].allowed);
+  EXPECT_NE(v.swaps[0].justification.find("disjoint effects"),
             std::string::npos);
-  EXPECT_NE(v.ToString().find("verdict: licensed (28 swap(s) verified)"),
+  EXPECT_NE(v.ToString().find("word_num_filter before text_length_filter: "),
+            std::string::npos);
+  EXPECT_NE(v.ToString().find("verdict: licensed (1 swap(s) verified)"),
             std::string::npos)
       << v.ToString();
   // A stage in recipe order shares a pass but swaps nothing.
-  PlanVerdict unranked = VerifyPlan(ops, PlanFusion(ops, {true, false}));
-  EXPECT_TRUE(unranked.ok) << unranked.ToString();
-  EXPECT_TRUE(unranked.swaps.empty());
+  PlanVerdict staged = VerifyPlan(ops, PlanFusion(ops, {true}));
+  EXPECT_TRUE(staged.ok) << staged.ToString();
+  EXPECT_TRUE(staged.swaps.empty());
 }
 
 TEST(PlanVerifyTest, RejectsStatReadBeforeProducer) {
-  // The field filter consumes the stat the word counter produces; a ranked
-  // stage could run the read before the write.
+  // The field filter consumes the stat the word counter produces; their
+  // effects conflict, so they may not share a stage.
   Recipe r = MustRecipe(R"(
 process:
   - word_num_filter:
@@ -866,9 +853,8 @@ process:
       min: 5
 )");
   auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true, true});
+  auto plan = PlanFusion(ops, {true});
   ASSERT_EQ(plan.size(), 1u);
-  ASSERT_TRUE(plan[0].ranked);
   PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_FALSE(v.ok);
   EXPECT_FALSE(v.violations.empty());
@@ -878,7 +864,7 @@ process:
 
 TEST(PlanVerifyTest, RejectsDroppedOp) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false, false});
+  auto plan = PlanFusion(ops, {false});
   plan.pop_back();
   PlanVerdict v = VerifyPlan(ops, plan);
   EXPECT_FALSE(v.ok);
@@ -897,7 +883,7 @@ process:
   auto ops = build("");  // the @field placeholder cannot resolve
 
   // Identity plans always pass, resolvable effects or not.
-  auto identity = PlanFusion(ops, {false, false});
+  auto identity = PlanFusion(ops, {false});
   EXPECT_TRUE(VerifyPlan(ops, identity).ok);
 
   // An inversion involving an OP whose effects do not resolve is refused...
@@ -916,7 +902,7 @@ process:
   EXPECT_TRUE(VerifyPlan(resolved_ops, swapped).ok);
 }
 
-TEST(ExecutorTest, RefusesUnlicensedReorderAndFallsBack) {
+TEST(ExecutorTest, RefusesUnlicensedStageAndFallsBack) {
   Recipe r = MustRecipe(R"(
 process:
   - word_num_filter:
@@ -930,7 +916,6 @@ process:
   Executor naive(Executor::Options{});
   Executor::Options opt_options;
   opt_options.op_fusion = true;
-  opt_options.op_reorder = true;
   obs::MetricsRegistry metrics;
   opt_options.metrics = &metrics;
   Executor optimized(opt_options);
@@ -953,18 +938,16 @@ process:
   EXPECT_NE(opt_report.ToString().find("refused"), std::string::npos);
 }
 
-TEST(ExecutorTest, ReportsLicensedSwapCount) {
+TEST(ExecutorTest, StagePlanIsLicensedWithoutSwaps) {
   auto ops = FourteenOpPipeline();
   Executor::Options options;
   options.op_fusion = true;
-  options.op_reorder = true;
   Executor executor(options);
   RunReport report;
   ASSERT_TRUE(executor.Run(NoisyCorpus(), ops, &report).ok());
   EXPECT_FALSE(report.plan_rejected);
-  EXPECT_EQ(report.plan_swaps, 28u);  // every pair of the 8-filter stage
-  EXPECT_NE(report.ToString().find("plan: 28 effect-licensed swap(s)\n"),
-            std::string::npos)
+  EXPECT_EQ(report.plan_swaps, 0u);  // the stage keeps recipe order
+  EXPECT_EQ(report.ToString().find("plan:"), std::string::npos)
       << report.ToString();
 }
 
@@ -972,10 +955,9 @@ TEST(ExecutorTest, ReportsLicensedSwapCount) {
 
 // Runs `ops` with fusion on and returns the report of the run.
 RunReport RunStage(const std::vector<std::unique_ptr<ops::Op>>& ops,
-                   data::Dataset input, bool reorder, int workers = 1) {
+                   data::Dataset input, int workers = 1) {
   Executor::Options options;
   options.op_fusion = true;
-  options.op_reorder = reorder;
   options.num_workers = workers;
   Executor executor(options);
   RunReport report;
@@ -1001,40 +983,12 @@ std::vector<std::string> StageLines(const RunReport& report) {
   return lines;
 }
 
-TEST(FilterStageTest, SelectiveExpensiveFilterListedLastRunsFirst) {
-  // The two cheap filters keep every row; the language filter, listed last
-  // and costliest, drops every English row, so it ranks first.
-  Recipe r = MustRecipe(R"(
-process:
-  - word_num_filter:
-      min: 0
-  - text_length_filter:
-      min: 0
-  - language_id_score_filter:
-      lang: zh
-      min_score: 0.5
-)");
-  auto ops = MustBuildOps(r);
-  RunReport report = RunStage(ops, NoisyCorpus(200), /*reorder=*/true);
-  const OpReport* stage = StageReport(report);
-  ASSERT_NE(stage, nullptr);
-  ASSERT_EQ(stage->stage.size(), 3u);
-  EXPECT_EQ(stage->stage[0].name, "language_id_score_filter");
-  EXPECT_EQ(stage->stage[0].rejected, stage->rows_in);
-  EXPECT_EQ(stage->rows_out, 0u);
-  // The keep-all members follow by cost: text length (0.2) before words
-  // (1.0), against recipe order.
-  EXPECT_EQ(stage->stage[1].name, "text_length_filter");
-  EXPECT_EQ(stage->stage[2].name, "word_num_filter");
-  EXPECT_EQ(StageLines(report).size(), 1u) << report.ToString();
-}
-
 TEST(FilterStageTest, OrderLineIsTheSameAtNp1AndNp4) {
-  // 300 rows: the probe covers the first 64, the ranked pass the rest.
+  // The per-member counters are shared by the workers at np 4.
   auto ops1 = FourteenOpPipeline();
   auto ops4 = FourteenOpPipeline();
-  RunReport np1 = RunStage(ops1, NoisyCorpus(300), /*reorder=*/true, 1);
-  RunReport np4 = RunStage(ops4, NoisyCorpus(300), /*reorder=*/true, 4);
+  RunReport np1 = RunStage(ops1, NoisyCorpus(300), 1);
+  RunReport np4 = RunStage(ops4, NoisyCorpus(300), 4);
   std::vector<std::string> lines = StageLines(np1);
   ASSERT_EQ(lines.size(), 1u) << np1.ToString();
   EXPECT_EQ(lines.front().rfind("stage 1 order: ", 0), 0u) << lines.front();
@@ -1044,7 +998,7 @@ TEST(FilterStageTest, OrderLineIsTheSameAtNp1AndNp4) {
 
 TEST(FilterStageTest, RejectedRowsSumToRowsDropped) {
   auto ops = FourteenOpPipeline();
-  RunReport report = RunStage(ops, NoisyCorpus(300), /*reorder=*/true);
+  RunReport report = RunStage(ops, NoisyCorpus(300));
   const OpReport* stage = StageReport(report);
   ASSERT_NE(stage, nullptr);
   ASSERT_EQ(stage->stage.size(), 8u);
@@ -1054,7 +1008,9 @@ TEST(FilterStageTest, RejectedRowsSumToRowsDropped) {
   EXPECT_EQ(rejected, stage->rows_in - stage->rows_out);
 }
 
-TEST(FilterStageTest, WithoutReorderRunsInRecipeOrder) {
+TEST(FilterStageTest, RunsInRecipeOrder) {
+  // The language filter, listed last, drops every row: the two keep-all
+  // filters before it still see every row.
   Recipe r = MustRecipe(R"(
 process:
   - word_num_filter:
@@ -1066,7 +1022,7 @@ process:
       min_score: 0.5
 )");
   auto ops = MustBuildOps(r);
-  RunReport report = RunStage(ops, NoisyCorpus(200), /*reorder=*/false);
+  RunReport report = RunStage(ops, NoisyCorpus(200));
   const OpReport* stage = StageReport(report);
   ASSERT_NE(stage, nullptr);
   ASSERT_EQ(stage->stage.size(), 3u);
@@ -1112,10 +1068,9 @@ process:
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   auto ops = MustBuildOps(r);
-  ASSERT_EQ(PlanFusion(ops, {true, true}).size(), 1u);
+  ASSERT_EQ(PlanFusion(ops, {true}).size(), 1u);
   Executor::Options options;
   options.op_fusion = true;
-  options.op_reorder = true;
   Executor staged(options);
   ops::SampleContext::Counters::Reset();
   auto result = staged.Run(corpus(), ops, nullptr);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 
 #include "common/thread_pool.h"
@@ -185,18 +184,23 @@ TEST(DatasetTest, MapPropagatesError) {
   EXPECT_EQ(s.message(), "boom");
 }
 
-TEST(DatasetTest, FilterKeepsMatchingRows) {
+TEST(DatasetTest, KeepMaskMarksMatchingRows) {
   Dataset ds = Dataset::FromTexts({"keep", "drop", "keep"});
-  std::vector<bool> mask;
-  auto result = ds.Filter(
-      [](RowRef row) -> Result<bool> { return row.GetText() == "keep"; },
-      nullptr, &mask);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().NumRows(), 2u);
-  EXPECT_EQ(mask, (std::vector<bool>{true, false, true}));
+  std::vector<uint8_t> mask;
+  ASSERT_TRUE(ds.KeepMask(
+                    [](RowRef row) -> Result<bool> {
+                      return row.GetText() == "keep";
+                    },
+                    nullptr, &mask)
+                  .ok());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{1, 0, 1}));
+  Dataset kept = std::move(ds).TakeKept(mask);
+  ASSERT_EQ(kept.NumRows(), 2u);
+  EXPECT_EQ(kept.GetTextAt(0), "keep");
+  EXPECT_EQ(kept.GetTextAt(1), "keep");
 }
 
-TEST(DatasetTest, FilterParallelMatchesSequential) {
+TEST(DatasetTest, KeepMaskParallelMatchesSequential) {
   std::vector<std::string> texts;
   for (int i = 0; i < 500; ++i) texts.push_back(std::to_string(i));
   Dataset a = Dataset::FromTexts(texts);
@@ -205,42 +209,30 @@ TEST(DatasetTest, FilterParallelMatchesSequential) {
     return row.GetText().size() % 2 == 0;
   };
   ThreadPool pool(4);
-  auto ra = a.Filter(pred, nullptr);
-  auto rb = b.Filter(pred, &pool);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  ASSERT_EQ(ra.value().NumRows(), rb.value().NumRows());
-  for (size_t i = 0; i < ra.value().NumRows(); ++i) {
-    EXPECT_EQ(ra.value().GetTextAt(i), rb.value().GetTextAt(i));
+  std::vector<uint8_t> mask_a;
+  std::vector<uint8_t> mask_b;
+  ASSERT_TRUE(a.KeepMask(pred, nullptr, &mask_a).ok());
+  ASSERT_TRUE(b.KeepMask(pred, &pool, &mask_b).ok());
+  EXPECT_EQ(mask_a, mask_b);
+  Dataset ra = std::move(a).TakeKept(mask_a);
+  Dataset rb = std::move(b).TakeKept(mask_b);
+  ASSERT_EQ(ra.NumRows(), rb.NumRows());
+  for (size_t i = 0; i < ra.NumRows(); ++i) {
+    EXPECT_EQ(ra.GetTextAt(i), rb.GetTextAt(i));
   }
 }
 
-TEST(DatasetTest, KeepMaskEvaluatesOnlyItsRange) {
-  std::vector<std::string> texts;
-  for (int i = 0; i < 100; ++i) texts.push_back(std::to_string(i));
-  Dataset ds = Dataset::FromTexts(texts);
-  ThreadPool pool(4);
-  std::vector<uint8_t> mask(ds.NumRows(), 7);
-  std::atomic<int> calls{0};
-  ASSERT_TRUE(ds.KeepMask(
-                    [&calls](RowRef row) -> Result<bool> {
-                      ++calls;
-                      return row.row() % 2 == 0;
-                    },
-                    10, 60, &pool, &mask)
-                  .ok());
-  EXPECT_EQ(calls.load(), 50);
-  for (size_t i = 0; i < mask.size(); ++i) {
-    const uint8_t expected = (i < 10 || i >= 60) ? 7 : (i % 2 == 0 ? 1 : 0);
-    EXPECT_EQ(mask[i], expected) << i;
-  }
-  // Any non-zero entry keeps its row: 10 + 25 + 40 rows, in order.
-  Dataset kept = std::move(ds).TakeKept(mask);
-  ASSERT_EQ(kept.NumRows(), 75u);
-  EXPECT_EQ(kept.GetTextAt(9), "9");
-  EXPECT_EQ(kept.GetTextAt(10), "10");
-  EXPECT_EQ(kept.GetTextAt(11), "12");
-  EXPECT_EQ(kept.GetTextAt(35), "60");
+TEST(DatasetTest, KeepMaskReturnsTheFirstRowError) {
+  Dataset ds = Dataset::FromTexts({"a", "b", "c"});
+  std::vector<uint8_t> mask;
+  Status s = ds.KeepMask(
+      [](RowRef row) -> Result<bool> {
+        if (row.row() == 1) return Status::Internal("boom");
+        return true;
+      },
+      nullptr, &mask);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "boom");
 }
 
 TEST(DatasetTest, ApproxMemoryGrowsWithData) {

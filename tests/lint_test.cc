@@ -513,37 +513,9 @@ process:
 
 // -------------------------------------------------------- explain-plan ----
 
-TEST(ExplainPlanTest, JustifiesLicensedReorder) {
-  auto recipe = ParseRecipe(R"(
-op_fusion: true
-op_reorder: true
-process:
-  - perplexity_filter:
-      max_ppl: 1000
-  - text_length_filter:
-      min: 10
-)");
-  auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("unit[0] fused(perplexity_filter,"
-                             "text_length_filter)  (stage, ranked by cost "
-                             "per dropped row)\n"),
-            std::string::npos)
-      << out.value();
-  EXPECT_NE(out.value().find("text_length_filter may run before "
-                             "perplexity_filter: disjoint effects"),
-            std::string::npos)
-      << out.value();
-  EXPECT_NE(out.value().find("verdict: licensed (1 swap(s) verified)"),
-            std::string::npos)
-      << out.value();
-  EXPECT_EQ(out.value().find("cost="), std::string::npos) << out.value();
-}
-
 TEST(ExplainPlanTest, ReportsRefusedPlanAndFallback) {
   auto recipe = ParseRecipe(R"(
 op_fusion: true
-op_reorder: true
 process:
   - word_num_filter:
       min: 1
@@ -553,9 +525,11 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("specified_numeric_field_filter may run before "
-                             "word_num_filter: REFUSED"),
+  EXPECT_NE(out.value().find("cannot fuse 'specified_numeric_field_filter' "
+                             "with 'word_num_filter'"),
             std::string::npos)
+      << out.value();
+  EXPECT_NE(out.value().find("verdict: REFUSED\n"), std::string::npos)
       << out.value();
   EXPECT_NE(out.value().find("stats.num_words"), std::string::npos)
       << out.value();
@@ -579,7 +553,6 @@ process:
 TEST(ExplainPlanTest, ShowsFusedUnits) {
   auto recipe = ParseRecipe(R"(
 op_fusion: true
-op_reorder: false
 process:
   - word_num_filter:
       min: 1
@@ -588,13 +561,14 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("unit[0] fused(word_num_filter,"
-                             "word_repetition_filter)  (stage, recipe "
-                             "order)\n"),
+  EXPECT_NE(out.value().find("(op_fusion=on)\n  unit[0] fused(word_num_filter,"
+                             "word_repetition_filter)\n"),
             std::string::npos)
       << out.value();
+  // The stage keeps recipe order: nothing is swapped.
   EXPECT_NE(out.value().find("verdict: licensed\n"), std::string::npos)
       << out.value();
+  EXPECT_EQ(out.value().find("swaps ("), std::string::npos) << out.value();
 }
 
 // ------------------------------------------------ declared OP surface ----

@@ -12,13 +12,12 @@
 
 // Differential plan-equivalence test: every shipped recipe must produce
 // byte-identical output whether it runs naively (recipe order, no fusion)
-// or fully optimized (fusion + reorder, effect-verified). This is the
-// end-to-end proof that the plan transformations VerifyPlan licenses are
+// or optimized (filter stages, effect-verified). This is the end-to-end
+// proof that the plan transformations VerifyPlan licenses are
 // semantics-preserving — any divergence is either an effect signature
 // lying about an OP or a hole in the verifier. A second case runs the
-// optimized plan at np 4 on a corpus several times a filter stage's probe,
-// so every stage ranks its members and runs the rest of its input in that
-// order across workers.
+// optimized plan at np 4 on a larger corpus, so every stage short-circuits
+// its rows across workers.
 
 #ifndef DJ_REPO_DIR
 #define DJ_REPO_DIR "."
@@ -76,7 +75,7 @@ data::Dataset MixedCorpus(size_t scale = 1) {
 // Runs `recipe` with the given plan flags on a fresh OP chain (dedup OPs
 // carry fingerprint state across runs, so OPs must never be reused).
 data::Dataset RunWithPlan(const core::Recipe& recipe, bool fusion,
-                          bool reorder, int workers = 1, size_t scale = 1) {
+                          int workers = 1, size_t scale = 1) {
   auto ops = core::BuildOps(recipe, ops::OpRegistry::Global());
   EXPECT_TRUE(ops.ok()) << ops.status().ToString();
   core::Executor::Options options =
@@ -85,7 +84,6 @@ data::Dataset RunWithPlan(const core::Recipe& recipe, bool fusion,
   options.use_cache = false;
   options.use_checkpoint = false;
   options.op_fusion = fusion;
-  options.op_reorder = reorder;
   core::Executor executor(options);
   core::RunReport report;
   auto result = executor.Run(MixedCorpus(scale), ops.value(), &report);
@@ -106,8 +104,8 @@ TEST_P(PlanDiffTest, OptimizedPlanIsByteIdenticalToNaive) {
   auto recipe = core::Recipe::FromFile(GetParam());
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
 
-  data::Dataset naive = RunWithPlan(recipe.value(), false, false);
-  data::Dataset optimized = RunWithPlan(recipe.value(), true, true);
+  data::Dataset naive = RunWithPlan(recipe.value(), false);
+  data::Dataset optimized = RunWithPlan(recipe.value(), true);
 
   // In-memory binary container bytes (covers every column incl. stats).
   EXPECT_EQ(data::SerializeDataset(naive), data::SerializeDataset(optimized))
@@ -129,9 +127,9 @@ TEST_P(PlanDiffTest, OptimizedPlanAtNp4OnLargerCorpusIsByteIdentical) {
   auto recipe = core::Recipe::FromFile(GetParam());
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
 
-  // 400 rows: over 3x the 64-row probe of a ranked stage.
-  data::Dataset naive = RunWithPlan(recipe.value(), false, false, 1, 4);
-  data::Dataset optimized = RunWithPlan(recipe.value(), true, true, 4, 4);
+  // 400 rows, so each of the 4 workers evaluates many rows of a stage.
+  data::Dataset naive = RunWithPlan(recipe.value(), false, 1, 4);
+  data::Dataset optimized = RunWithPlan(recipe.value(), true, 4, 4);
 
   EXPECT_EQ(data::SerializeDataset(naive), data::SerializeDataset(optimized))
       << GetParam() << ": optimized plan at np 4 changed the dataset bytes";

@@ -150,7 +150,6 @@ TEST_P(ExecutorInvariantProperty, DeterministicMonotoneFusionSafe) {
     EXPECT_TRUE(ops.ok());
     core::Executor::Options exec_options;
     exec_options.op_fusion = fusion;
-    exec_options.op_reorder = fusion;
     core::Executor executor(exec_options);
     auto result = executor.Run(corpus, ops.value(), nullptr);
     EXPECT_TRUE(result.ok()) << result.status().ToString();

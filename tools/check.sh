@@ -30,9 +30,9 @@
 #                             dj_process (catches API breaks the benchmark
 #                             compiles against)
 #  10. TSan                   concurrency-heavy tests (incl. plan_diff_test,
-#                             whose np-4 case runs ranked filter stages
-#                             across workers), then re-run under three seeds
-#                             of schedule perturbation (DJ_SCHED)
+#                             whose np-4 case runs filter stages across
+#                             workers), then re-run under three seeds of
+#                             schedule perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)

@@ -191,10 +191,7 @@ int main(int argc, char** argv) {
   if (!args.input.empty()) recipe.value().dataset_path = args.input;
   if (!args.output.empty()) recipe.value().export_path = args.output;
   if (args.np > 0) recipe.value().num_workers = args.np;
-  if (args.fusion) {
-    recipe.value().op_fusion = true;
-    recipe.value().op_reorder = true;
-  }
+  if (args.fusion) recipe.value().op_fusion = true;
   if (!args.cache_dir.empty()) {
     recipe.value().use_cache = true;
     recipe.value().cache_dir = args.cache_dir;
