@@ -575,8 +575,9 @@ process:
 // The OP catalog (`dj_lint --ops --json`) and the --explain-plan text of
 // every shipped recipe, rendered in-process and compared byte for byte with
 // fixtures under tests/fixtures/declared_surface/. Any change to an OP's
-// declared name, kind, params, defaults, ranges, docs, effects or cost shows
-// up here; regenerate the fixtures only when that change is intended.
+// declared name, kind, params, defaults, ranges, docs or effects, or to the
+// plan, shows up here; regenerate the fixtures only when that change is
+// intended.
 
 #ifndef DJ_REPO_DIR
 #define DJ_REPO_DIR "."
