@@ -5,6 +5,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -16,6 +17,15 @@ Result<std::string> ReadFileToString(const std::string& path) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
   std::string out;
+#if defined(__unix__) || defined(__APPLE__)
+  // A regular file's size is known up front: read it in one call, with no
+  // regrowth of `out`. The loop below still reads a tail that grew since.
+  struct stat st;
+  if (::fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    out.resize(static_cast<size_t>(st.st_size));
+    out.resize(std::fread(out.data(), 1, out.size(), f));
+  }
+#endif
   char buf[1 << 16];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {

@@ -47,13 +47,6 @@ std::string FingerprintHex(const Fingerprint128& fp);
 /// Combines two hash values (boost::hash_combine style, 64-bit).
 uint64_t HashCombine(uint64_t a, uint64_t b);
 
-/// Hash functor for Fingerprint128 so it can key unordered containers.
-struct Fingerprint128Hash {
-  size_t operator()(const Fingerprint128& fp) const {
-    return static_cast<size_t>(HashCombine(fp.lo, fp.hi));
-  }
-};
-
 }  // namespace dj
 
 #endif  // DJ_COMMON_HASH_H_

@@ -1,13 +1,10 @@
 #include "ops/dedup/document_dedup.h"
 
 #include <algorithm>
-#include <functional>
-#include <mutex>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 
 #include "common/mutex.h"
-#include "common/string_util.h"
 #include "obs/span.h"
 #include "text/ngram.h"
 #include "text/tokenizer.h"
@@ -21,38 +18,26 @@ std::string_view RowText(data::RowRef row, const std::string& key) {
   return v->as_string();
 }
 
-/// Runs `fn(row_index)` for every row, in parallel when a pool is given.
-void ForEachRow(data::Dataset* ds, ThreadPool* pool,
-                const std::function<void(size_t)>& fn) {
-  size_t n = ds->NumRows();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 /// Selects survivors: for each union-find cluster the smallest row index is
-/// kept; records removed->kept pairs.
-data::Dataset CollectSurvivors(const data::Dataset& ds, UnionFind* uf,
+/// kept; records removed->kept pairs. Survivors are moved, not copied.
+data::Dataset CollectSurvivors(data::Dataset ds, UnionFind* uf,
                                std::vector<DuplicatePair>* pairs,
                                double similarity) {
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
   size_t n = ds.NumRows();
-  std::unordered_map<size_t, size_t> cluster_first;
+  std::vector<size_t> cluster_first(n, kNone);
   std::vector<size_t> keep;
   keep.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    size_t root = uf->Find(i);
-    auto [it, inserted] = cluster_first.emplace(root, i);
-    if (inserted) {
+    size_t& first = cluster_first[uf->Find(i)];
+    if (first == kNone) {
+      first = i;
       keep.push_back(i);
     } else if (pairs != nullptr) {
-      pairs->push_back({it->second, i, similarity});
+      pairs->push_back({first, i, similarity});
     }
   }
-  return ds.Select(keep);
+  return std::move(ds).TakeSelect(keep);
 }
 
 }  // namespace
@@ -90,8 +75,7 @@ Fingerprint128 DocumentExactDeduplicator::FingerprintOf(
   return Fingerprint(norm);
 }
 
-Status DocumentExactDeduplicator::ComputeHash(data::RowRef row,
-                                              SampleContext*) {
+Status DocumentExactDeduplicator::ComputeHash(data::RowRef row) {
   Fingerprint128 fp = FingerprintOf(RowText(row, text_key()));
   fingerprints_[row.row()] = fp;
   // Also expose the hash as a stat for tracing and analysis.
@@ -108,8 +92,8 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
   Mutex status_mutex{"ExactDedup.first_error"};
   {
     DJ_OBS_SPAN("exact_dedup.compute_hashes");
-    ForEachRow(&dataset, pool, [&](size_t i) {
-      Status s = ComputeHash(dataset.Row(i), nullptr);
+    ForEachIndex(pool, n, [&](size_t i) {
+      Status s = ComputeHash(dataset.Row(i));
       if (!s.ok()) {
         MutexLock lock(&status_mutex);
         if (status.ok()) status = std::move(s);
@@ -118,18 +102,12 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
   }
   DJ_RETURN_IF_ERROR(status);
   DJ_OBS_SPAN("exact_dedup.select_survivors");
-  std::unordered_map<Fingerprint128, size_t, Fingerprint128Hash> first_seen;
-  std::vector<size_t> keep;
-  keep.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto [it, inserted] = first_seen.emplace(fingerprints_[i], i);
-    if (inserted) {
-      keep.push_back(i);
-    } else if (pairs != nullptr) {
-      pairs->push_back({it->second, i, 1.0});
-    }
-  }
-  return dataset.Select(keep);
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = fingerprints_[i].lo;
+  UnionFind uf = ClusterBuckets(keys, 1, pool, [&](size_t i, size_t j) {
+    return fingerprints_[i] == fingerprints_[j];
+  });
+  return CollectSurvivors(std::move(dataset), &uf, pairs, 1.0);
 }
 
 // ----------------------------------------- DocumentMinHashDeduplicator --
@@ -155,21 +133,17 @@ DocumentMinHashDeduplicator::DocumentMinHashDeduplicator(
       lowercase_(Param<bool>("lowercase")),
       hasher_(static_cast<size_t>(num_perm_)) {
   // Pick (bands, rows): rows such that the LSH S-curve crosses near the
-  // Jaccard threshold.
-  lsh_.rows = threshold_ >= 0.85 ? 16 : threshold_ >= 0.6 ? 8 : 4;
+  // Jaccard threshold; never more rows than permutations, so there is at
+  // least one band.
+  lsh_.rows = std::min<size_t>(
+      threshold_ >= 0.85 ? 16 : threshold_ >= 0.6 ? 8 : 4,
+      static_cast<size_t>(num_perm_));
   lsh_.bands = static_cast<size_t>(num_perm_) / lsh_.rows;
 }
 
-Status DocumentMinHashDeduplicator::ComputeHash(data::RowRef row,
-                                                SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
-  const std::vector<std::string>& words =
-      lowercase_ ? ctx->WordsLower() : ctx->Words();
+Status DocumentMinHashDeduplicator::ComputeHash(data::RowRef row) {
+  std::vector<uint64_t> words =
+      text::WordHashes(RowText(row, text_key()), lowercase_);
   std::vector<uint64_t> shingles =
       text::HashedWordNgrams(words, static_cast<size_t>(shingle_size_));
   if (shingles.empty() && !words.empty()) {
@@ -187,31 +161,21 @@ Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
   signatures_.assign(n, {});
   {
     DJ_OBS_SPAN("minhash.compute_signatures");
-    ForEachRow(&dataset, pool,
-               [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+    ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
   }
   // LSH banding: bucket rows by band keys, verify candidates.
   DJ_OBS_SPAN("minhash.lsh_candidates");
-  UnionFind uf(n);
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  for (size_t i = 0; i < n; ++i) {
-    for (uint64_t key : LshBandKeys(signatures_[i], lsh_)) {
-      buckets[key].push_back(i);
-    }
-  }
-  for (const auto& [key, members] : buckets) {
-    if (members.size() < 2) continue;
-    for (size_t a = 0; a + 1 < members.size(); ++a) {
-      for (size_t b = a + 1; b < members.size(); ++b) {
-        size_t i = members[a], j = members[b];
-        if (uf.Find(i) == uf.Find(j)) continue;
-        double sim =
-            MinHasher::EstimateJaccard(signatures_[i], signatures_[j]);
-        if (sim >= threshold_) uf.Union(i, j);
-      }
-    }
-  }
-  return CollectSurvivors(dataset, &uf, pairs, threshold_);
+  const size_t bands = lsh_.bands;
+  std::vector<uint64_t> keys(n * bands);
+  ForEachIndex(pool, n, [&](size_t i) {
+    std::vector<uint64_t> row_keys = LshBandKeys(signatures_[i], lsh_);
+    std::copy(row_keys.begin(), row_keys.end(), keys.begin() + i * bands);
+  });
+  UnionFind uf = ClusterBuckets(keys, bands, pool, [&](size_t i, size_t j) {
+    return MinHasher::EstimateJaccard(signatures_[i], signatures_[j]) >=
+           threshold_;
+  });
+  return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
 }
 
 // ----------------------------------------- DocumentSimHashDeduplicator --
@@ -232,16 +196,10 @@ DocumentSimHashDeduplicator::DocumentSimHashDeduplicator(
       shingle_size_(Param<int64_t>("shingle_size")),
       hamming_threshold_(Param<int64_t>("hamming_threshold")) {}
 
-Status DocumentSimHashDeduplicator::ComputeHash(data::RowRef row,
-                                                SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
+Status DocumentSimHashDeduplicator::ComputeHash(data::RowRef row) {
   fingerprints_[row.row()] = SimHash(text::HashedWordNgrams(
-      ctx->WordsLower(), static_cast<size_t>(shingle_size_)));
+      text::WordHashes(RowText(row, text_key()), /*lowercase=*/true),
+      static_cast<size_t>(shingle_size_)));
   return Status::Ok();
 }
 
@@ -250,32 +208,21 @@ Result<data::Dataset> DocumentSimHashDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   fingerprints_.assign(n, 0);
-  ForEachRow(&dataset, pool,
-             [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
-  UnionFind uf(n);
+  ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
   // Bucket by each of the four 16-bit bands; verify Hamming distance.
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  constexpr size_t kBands = 4;
+  std::vector<uint64_t> keys(n * kBands);
   for (size_t i = 0; i < n; ++i) {
-    for (int band = 0; band < 4; ++band) {
-      uint64_t key = ((fingerprints_[i] >> (band * 16)) & 0xFFFF) |
-                     (static_cast<uint64_t>(band) << 32);
-      buckets[key].push_back(i);
+    for (size_t band = 0; band < kBands; ++band) {
+      keys[i * kBands + band] = ((fingerprints_[i] >> (band * 16)) & 0xFFFF) |
+                                (static_cast<uint64_t>(band) << 32);
     }
   }
-  for (const auto& [key, members] : buckets) {
-    if (members.size() < 2) continue;
-    for (size_t a = 0; a + 1 < members.size(); ++a) {
-      for (size_t b = a + 1; b < members.size(); ++b) {
-        size_t i = members[a], j = members[b];
-        if (uf.Find(i) == uf.Find(j)) continue;
-        if (HammingDistance64(fingerprints_[i], fingerprints_[j]) <=
-            hamming_threshold_) {
-          uf.Union(i, j);
-        }
-      }
-    }
-  }
-  return CollectSurvivors(dataset, &uf, pairs, 1.0);
+  UnionFind uf = ClusterBuckets(keys, kBands, pool, [&](size_t i, size_t j) {
+    return HammingDistance64(fingerprints_[i], fingerprints_[j]) <=
+           hamming_threshold_;
+  });
+  return CollectSurvivors(std::move(dataset), &uf, pairs, 1.0);
 }
 
 // ------------------------------------------- NgramOverlapDeduplicator --
@@ -295,16 +242,10 @@ NgramOverlapDeduplicator::NgramOverlapDeduplicator(const json::Value& config)
       shingle_size_(Param<int64_t>("shingle_size")),
       threshold_(Param<double>("jaccard_threshold")) {}
 
-Status NgramOverlapDeduplicator::ComputeHash(data::RowRef row,
-                                             SampleContext* ctx) {
-  std::string_view text = RowText(row, text_key());
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
+Status NgramOverlapDeduplicator::ComputeHash(data::RowRef row) {
   std::vector<uint64_t> grams = text::HashedWordNgrams(
-      ctx->WordsLower(), static_cast<size_t>(shingle_size_));
+      text::WordHashes(RowText(row, text_key()), /*lowercase=*/true),
+      static_cast<size_t>(shingle_size_));
   std::sort(grams.begin(), grams.end());
   grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
   shingles_[row.row()] = std::move(grams);
@@ -316,8 +257,7 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   shingles_.assign(n, {});
-  ForEachRow(&dataset, pool,
-             [&](size_t i) { ComputeHash(dataset.Row(i), nullptr); });
+  ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
   // Inverted index over a sample of shingles (every shingle for short docs,
   // min-K for long ones) to generate candidates.
   constexpr size_t kIndexPerDoc = 24;
@@ -345,7 +285,7 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
     }
     for (size_t g = 0; g < take; ++g) index[grams[g]].push_back(i);
   }
-  return CollectSurvivors(dataset, &uf, pairs, threshold_);
+  return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
 }
 
 }  // namespace dj::ops

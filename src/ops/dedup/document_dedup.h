@@ -19,7 +19,7 @@ class DocumentExactDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentExactDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
+  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
@@ -43,7 +43,7 @@ class DocumentMinHashDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentMinHashDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
+  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
@@ -68,7 +68,7 @@ class DocumentSimHashDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentSimHashDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
+  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
@@ -89,7 +89,7 @@ class NgramOverlapDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit NgramOverlapDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
+  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;

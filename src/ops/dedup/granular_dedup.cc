@@ -1,11 +1,13 @@
 #include "ops/dedup/granular_dedup.h"
 
-#include <optional>
+#include <cctype>
 #include <unordered_set>
 
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/span.h"
+#include "ops/dedup/minhash.h"
+#include "text/sentence.h"
 #include "text/utf8.h"
 
 namespace dj::ops {
@@ -22,23 +24,23 @@ OpDeclaration GranularDeduplicatorBase::Declare(OpSchema schema) {
           OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
-Status GranularDeduplicatorBase::ComputeHash(data::RowRef row,
-                                             SampleContext* ctx) {
+Status GranularDeduplicatorBase::ComputeHash(data::RowRef row) {
+  std::vector<Unit>& units = units_[row.row()];
   const json::Value* v = row.Get(text_key());
-  std::string_view text =
-      (v != nullptr && v->is_string()) ? std::string_view(v->as_string())
-                                       : std::string_view();
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
+  if (v == nullptr || !v->is_string()) return Status::Ok();
+  for (const std::string& unit : SplitUnits(v->as_string())) {
+    // Fnv1a64 of the unit trimmed and ASCII-lowercased, folded inline.
+    uint64_t hash = kFnv1a64Offset;
+    for (char c : StripAsciiWhitespace(unit)) {
+      hash ^= static_cast<unsigned char>(
+          std::tolower(static_cast<unsigned char>(c)));
+      hash *= kFnv1a64Prime;
+    }
+    units.push_back({hash,
+                     text::CodepointCount(unit) >=
+                         static_cast<size_t>(min_unit_length_),
+                     false});
   }
-  std::vector<uint64_t> hashes;
-  for (const std::string& unit : SplitUnits(ctx)) {
-    std::string key = AsciiToLower(StripAsciiWhitespace(unit));
-    hashes.push_back(Fnv1a64(key));
-  }
-  unit_hashes_[row.row()] = std::move(hashes);
   return Status::Ok();
 }
 
@@ -46,67 +48,55 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
-  unit_hashes_.assign(n, {});
+  units_.assign(n, {});
   {
     DJ_OBS_SPAN("granular_dedup.compute_hashes");
-    if (pool != nullptr && pool->num_threads() > 1) {
-      pool->ParallelFor(n, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          ComputeHash(dataset.Row(i), nullptr);
-        }
-      });
-    } else {
-      for (size_t i = 0; i < n; ++i) ComputeHash(dataset.Row(i), nullptr);
-    }
+    ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
   }
-  // Sequential pass: first occurrence of each unit wins, later ones are
-  // removed from their samples.
   DJ_OBS_SPAN("granular_dedup.rewrite_units");
+  // Serial walk over the hashes alone, rows then units in order: the first
+  // occurrence of each unit wins, later ones are marked for removal.
+  size_t total_units = 0;
+  for (const std::vector<Unit>& units : units_) total_units += units.size();
   std::unordered_set<uint64_t> seen;
+  seen.reserve(total_units);
   std::vector<size_t> keep_rows;
+  std::vector<size_t> rewrite_rows;
   keep_rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    data::RowRef row = dataset.Row(i);
-    const json::Value* v = row.Get(text_key());
-    if (v == nullptr || !v->is_string()) {
+    size_t duplicates = 0;
+    for (Unit& unit : units_[i]) {
+      unit.duplicate = unit.eligible && !seen.insert(unit.hash).second;
+      if (unit.duplicate) ++duplicates;
+    }
+    if (duplicates == 0) {
       keep_rows.push_back(i);
-      continue;
-    }
-    SampleContext ctx(v->as_string());
-    std::vector<std::string> units = SplitUnits(&ctx);
-    const std::vector<uint64_t>& hashes = unit_hashes_[i];
-    std::string rebuilt;
-    bool changed = false;
-    size_t kept_units = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-      bool is_dup = false;
-      if (text::CodepointCount(units[u]) >=
-          static_cast<size_t>(min_unit_length_)) {
-        is_dup = !seen.insert(hashes[u]).second;
-      }
-      if (is_dup) {
-        changed = true;
-        continue;
-      }
-      if (kept_units > 0) rebuilt.append(Joiner());
-      rebuilt += units[u];
-      ++kept_units;
-    }
-    if (!changed) {
+    } else if (duplicates < units_[i].size()) {
       keep_rows.push_back(i);
-      continue;
+      rewrite_rows.push_back(i);
+    } else if (pairs != nullptr) {
+      // Whole sample was duplicate boilerplate; report against itself. The
+      // row is dropped.
+      pairs->push_back({i, i, 1.0});
     }
-    if (kept_units == 0) {
-      if (pairs != nullptr) {
-        // Whole sample was duplicate boilerplate; report against itself.
-        pairs->push_back({i, i, 1.0});
-      }
-      continue;  // drop empty sample
-    }
-    DJ_RETURN_IF_ERROR(row.Set(text_key(), json::Value(std::move(rebuilt))));
-    keep_rows.push_back(i);
   }
-  return dataset.Select(keep_rows);
+  // Rebuild the changed rows in parallel from their surviving units.
+  std::vector<Status> errors(rewrite_rows.size());
+  ForEachIndex(pool, rewrite_rows.size(), [&](size_t k) {
+    data::RowRef row = dataset.Row(rewrite_rows[k]);
+    const std::vector<Unit>& units = units_[rewrite_rows[k]];
+    std::vector<std::string> texts = SplitUnits(row.GetText(text_key()));
+    std::string rebuilt;
+    size_t kept = 0;
+    for (size_t u = 0; u < texts.size(); ++u) {
+      if (units[u].duplicate) continue;
+      if (kept++ > 0) rebuilt.append(Joiner());
+      rebuilt += texts[u];
+    }
+    errors[k] = row.Set(text_key(), json::Value(std::move(rebuilt)));
+  });
+  for (Status& status : errors) DJ_RETURN_IF_ERROR(status);
+  return std::move(dataset).TakeSelect(keep_rows);
 }
 
 const OpDeclaration& ParagraphExactDeduplicator::Declaration() {
@@ -120,8 +110,8 @@ ParagraphExactDeduplicator::ParagraphExactDeduplicator(
     : GranularDeduplicatorBase(Declaration(), config) {}
 
 std::vector<std::string> ParagraphExactDeduplicator::SplitUnits(
-    SampleContext* ctx) const {
-  return ctx->Paragraphs();
+    std::string_view text) const {
+  return text::SplitParagraphs(text);
 }
 
 const OpDeclaration& SentenceExactDeduplicator::Declaration() {
@@ -134,8 +124,8 @@ SentenceExactDeduplicator::SentenceExactDeduplicator(const json::Value& config)
     : GranularDeduplicatorBase(Declaration(), config) {}
 
 std::vector<std::string> SentenceExactDeduplicator::SplitUnits(
-    SampleContext* ctx) const {
-  return ctx->Sentences();
+    std::string_view text) const {
+  return text::SplitSentences(text);
 }
 
 }  // namespace dj::ops

@@ -15,7 +15,7 @@ namespace dj::ops {
 /// line-level dedup that removes boilerplate repeated across web pages.
 class GranularDeduplicatorBase : public Deduplicator {
  public:
-  Status ComputeHash(data::RowRef row, SampleContext* ctx) override;
+  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
@@ -30,12 +30,20 @@ class GranularDeduplicatorBase : public Deduplicator {
   static OpDeclaration Declare(OpSchema schema);
 
   /// Splits text into units with their joiner preserved on rebuild.
-  virtual std::vector<std::string> SplitUnits(SampleContext* ctx) const = 0;
+  virtual std::vector<std::string> SplitUnits(std::string_view text) const = 0;
   virtual std::string_view Joiner() const = 0;
 
  private:
+  /// One unit of a row, as the parallel hash pass sees it; the serial walk
+  /// marks the repeats.
+  struct Unit {
+    uint64_t hash;
+    bool eligible;  ///< at least min_unit_length codepoints long
+    bool duplicate;
+  };
+
   int64_t min_unit_length_;
-  std::vector<std::vector<uint64_t>> unit_hashes_;
+  std::vector<std::vector<Unit>> units_;
 };
 
 /// paragraph_exact_deduplicator: corpus-wide paragraph dedup.
@@ -45,7 +53,7 @@ class ParagraphExactDeduplicator : public GranularDeduplicatorBase {
   explicit ParagraphExactDeduplicator(const json::Value& config);
 
  protected:
-  std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
+  std::vector<std::string> SplitUnits(std::string_view text) const override;
   std::string_view Joiner() const override { return "\n\n"; }
 };
 
@@ -56,7 +64,7 @@ class SentenceExactDeduplicator : public GranularDeduplicatorBase {
   explicit SentenceExactDeduplicator(const json::Value& config);
 
  protected:
-  std::vector<std::string> SplitUnits(SampleContext* ctx) const override;
+  std::vector<std::string> SplitUnits(std::string_view text) const override;
   std::string_view Joiner() const override { return " "; }
 };
 

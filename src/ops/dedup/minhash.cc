@@ -1,6 +1,7 @@
 #include "ops/dedup/minhash.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -135,6 +136,136 @@ void UnionFind::Union(size_t a, size_t b) {
   if (rank_[ra] < rank_[rb]) std::swap(ra, rb);
   parent_[rb] = ra;
   if (rank_[ra] == rank_[rb]) ++rank_[ra];
+}
+
+namespace {
+
+/// log2 of the partition count: enough partitions to balance a 4-8 wide
+/// pool, few enough that each sorts a cache-friendly slice.
+constexpr unsigned kPartitionBits = 6;
+constexpr size_t kPartitions = size_t{1} << kPartitionBits;
+
+struct KeyedRow {
+  uint64_t key;
+  size_t row;
+  friend bool operator<(const KeyedRow& a, const KeyedRow& b) {
+    return a.key != b.key ? a.key < b.key : a.row < b.row;
+  }
+  friend bool operator==(const KeyedRow& a, const KeyedRow& b) = default;
+};
+
+/// Fibonacci hashing: SimHash band keys are small integers, so the raw top
+/// bits would put every pair in partition 0.
+size_t PartitionOf(uint64_t key) {
+  return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                             (64 - kPartitionBits));
+}
+
+/// Checks the rows of one bucket (`m` >= 2 entries, rows ascending) and
+/// appends an edge for each similar pair that joins two of its components.
+void VerifyBucket(const KeyedRow* members, size_t m,
+                  const std::function<bool(size_t, size_t)>& similar,
+                  std::vector<std::pair<size_t, size_t>>* edges) {
+  if (m == 2) {
+    if (similar(members[0].row, members[1].row)) {
+      edges->emplace_back(members[0].row, members[1].row);
+    }
+    return;
+  }
+  UnionFind local(m);
+  size_t components = m;
+  for (size_t a = 0; a + 1 < m && components > 1; ++a) {
+    for (size_t b = a + 1; b < m && components > 1; ++b) {
+      if (local.Find(a) == local.Find(b)) continue;
+      if (!similar(members[a].row, members[b].row)) continue;
+      local.Union(a, b);
+      --components;
+      edges->emplace_back(members[a].row, members[b].row);
+    }
+  }
+}
+
+}  // namespace
+
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) fn(i);
+  });
+}
+
+UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
+                         size_t keys_per_row, ThreadPool* pool,
+                         const std::function<bool(size_t, size_t)>& similar) {
+  const size_t num_rows = keys_per_row == 0 ? 0 : keys.size() / keys_per_row;
+  UnionFind uf(num_rows);
+  if (num_rows < 2) return uf;
+
+  // Counting sort of the (key, row) pairs into partitions: each chunk of
+  // rows counts its pairs per partition, the counts become per-chunk write
+  // offsets, and each chunk scatters its own pairs.
+  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+  const size_t chunks = std::min(num_rows, threads * 4);
+  const size_t chunk_rows = (num_rows + chunks - 1) / chunks;
+  std::vector<size_t> offsets(chunks * kPartitions, 0);
+  auto chunk_keys = [&](size_t c, auto&& fn) {
+    const size_t end = std::min(num_rows, (c + 1) * chunk_rows);
+    for (size_t row = c * chunk_rows; row < end; ++row) {
+      for (size_t k = 0; k < keys_per_row; ++k) {
+        fn(keys[row * keys_per_row + k], row);
+      }
+    }
+  };
+  ForEachIndex(pool, chunks, [&](size_t c) {
+    size_t* counts = &offsets[c * kPartitions];
+    chunk_keys(c, [&](uint64_t key, size_t) { ++counts[PartitionOf(key)]; });
+  });
+  std::vector<size_t> partition_begin(kPartitions + 1, 0);
+  size_t total = 0;
+  for (size_t p = 0; p < kPartitions; ++p) {
+    partition_begin[p] = total;
+    for (size_t c = 0; c < chunks; ++c) {
+      size_t count = offsets[c * kPartitions + p];
+      offsets[c * kPartitions + p] = total;
+      total += count;
+    }
+  }
+  partition_begin[kPartitions] = total;
+  std::vector<KeyedRow> keyed(total);
+  ForEachIndex(pool, chunks, [&](size_t c) {
+    size_t* next = &offsets[c * kPartitions];
+    chunk_keys(c, [&](uint64_t key, size_t row) {
+      keyed[next[PartitionOf(key)]++] = {key, row};
+    });
+  });
+
+  // Each partition holds every pair of its keys: sort it, and verify each
+  // run of equal keys (one bucket) on the worker. A row that carries one
+  // key twice is one member of that bucket.
+  std::vector<std::vector<std::pair<size_t, size_t>>> edges(kPartitions);
+  ForEachIndex(pool, kPartitions, [&](size_t p) {
+    KeyedRow* begin = keyed.data() + partition_begin[p];
+    KeyedRow* end = keyed.data() + partition_begin[p + 1];
+    std::sort(begin, end);
+    end = std::unique(begin, end);
+    for (KeyedRow* run = begin; run != end;) {
+      KeyedRow* run_end = run + 1;
+      while (run_end != end && run_end->key == run->key) ++run_end;
+      if (run_end - run >= 2) {
+        VerifyBucket(run, static_cast<size_t>(run_end - run), similar,
+                     &edges[p]);
+      }
+      run = run_end;
+    }
+  });
+  for (const auto& partition_edges : edges) {
+    for (const auto& [a, b] : partition_edges) uf.Union(a, b);
+  }
+  return uf;
 }
 
 }  // namespace dj::ops

@@ -2,8 +2,11 @@
 #define DJ_OPS_DEDUP_MINHASH_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
+
+#include "common/thread_pool.h"
 
 namespace dj::ops {
 
@@ -59,6 +62,27 @@ class UnionFind {
   std::vector<size_t> parent_;
   std::vector<uint8_t> rank_;
 };
+
+/// Runs `fn(i)` for every i in [0, n): on `pool` when it has more than one
+/// thread, else inline. The dedups' row and partition loops.
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn);
+
+/// Clusters rows that share a bucket key and pass a similarity check: the
+/// LSH banding of MinHash and SimHash, and exact dedup with one key per row.
+/// `keys` holds `keys_per_row` keys for each row, row-major; every distinct
+/// key is one bucket, whichever band produced it. The (key, row) pairs are
+/// partitioned by the top bits of the (multiplicatively mixed) key, and
+/// each partition is sorted and scanned on its own worker, so a run of
+/// equal keys is one bucket with its rows ascending. Inside a bucket,
+/// `similar(i, j)` is asked for pairs i < j that the bucket has not already
+/// connected (a bucket of m identical rows costs m - 1 checks); it runs
+/// concurrently, so it must only read. The accepted pairs are merged into
+/// one union-find on the calling thread. Its components are those of the
+/// graph of all similar same-bucket pairs, whatever the partitioning.
+UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
+                         size_t keys_per_row, ThreadPool* pool,
+                         const std::function<bool(size_t, size_t)>& similar);
 
 }  // namespace dj::ops
 

@@ -173,8 +173,8 @@ class Deduplicator : public Op {
   OpKind kind() const override { return OpKind::kDeduplicator; }
 
   /// Computes this op's fingerprint(s) for one row (stored internally or in
-  /// stats, implementation-defined).
-  virtual Status ComputeHash(data::RowRef row, SampleContext* ctx) = 0;
+  /// stats, implementation-defined). Called concurrently for distinct rows.
+  virtual Status ComputeHash(data::RowRef row) = 0;
 
   /// Removes duplicates from `dataset`, returning the deduplicated dataset.
   /// `pairs` (optional) receives kept/removed row pairs for the Tracer.

@@ -44,15 +44,20 @@ std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
 
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
                                        size_t n) {
+  if (n == 0 || words.size() < n) return {};
+  std::vector<uint64_t> word_hashes(words.size());
+  for (size_t i = 0; i < words.size(); ++i) word_hashes[i] = Fnv1a64(words[i]);
+  return HashedWordNgrams(word_hashes, n);
+}
+
+std::vector<uint64_t> HashedWordNgrams(const std::vector<uint64_t>& word_hashes,
+                                       size_t n) {
   std::vector<uint64_t> out;
-  if (n == 0 || words.size() < n) return out;
-  // Precompute word hashes, then combine windows.
-  std::vector<uint64_t> wh(words.size());
-  for (size_t i = 0; i < words.size(); ++i) wh[i] = Fnv1a64(words[i]);
-  out.reserve(words.size() - n + 1);
-  for (size_t i = 0; i + n <= words.size(); ++i) {
+  if (n == 0 || word_hashes.size() < n) return out;
+  out.reserve(word_hashes.size() - n + 1);
+  for (size_t i = 0; i + n <= word_hashes.size(); ++i) {
     uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (size_t j = 0; j < n; ++j) h = HashCombine(h, wh[i + j]);
+    for (size_t j = 0; j < n; ++j) h = HashCombine(h, word_hashes[i + j]);
     out.push_back(h);
   }
   return out;

@@ -20,6 +20,11 @@ std::vector<std::string> CharNgrams(std::string_view s, size_t n);
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
                                        size_t n);
 
+/// The same n-gram hashes from per-word Fnv1a64 hashes (e.g. WordHashes):
+/// each window of `n` word hashes is combined into one.
+std::vector<uint64_t> HashedWordNgrams(const std::vector<uint64_t>& word_hashes,
+                                       size_t n);
+
 /// 64-bit hashes of character n-grams over raw bytes (windowed), used by the
 /// character-repetition filter; ASCII-oriented but stable for any input.
 std::vector<uint64_t> HashedCharNgrams(std::string_view s, size_t n);

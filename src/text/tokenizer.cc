@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/hash.h"
 #include "text/utf8.h"
 
 namespace dj::text {
@@ -18,37 +19,35 @@ bool IsWordCp(uint32_t cp) {
   return false;
 }
 
+/// Calls `emit(word)` for each word of `s`, as a view into `s`: a word is a
+/// contiguous run of word codepoints, or a single CJK codepoint (the two
+/// classes are disjoint).
 template <typename Emit>
 void ForEachWord(std::string_view s, Emit&& emit) {
   size_t pos = 0;
-  std::string current;
+  size_t word_start = 0;
+  bool in_word = false;
   while (pos < s.size()) {
     size_t start = pos;
     uint32_t cp;
     DecodeUtf8(s, &pos, &cp);
-    if (IsCjk(cp)) {
-      if (!current.empty()) {
-        emit(std::move(current));
-        current.clear();
-      }
-      emit(std::string(s.substr(start, pos - start)));
-    } else if (IsWordCp(cp)) {
-      current.append(s.substr(start, pos - start));
-    } else {
-      if (!current.empty()) {
-        emit(std::move(current));
-        current.clear();
-      }
+    if (IsWordCp(cp)) {
+      if (!in_word) word_start = start;
+      in_word = true;
+      continue;
     }
+    if (in_word) emit(s.substr(word_start, start - word_start));
+    in_word = false;
+    if (IsCjk(cp)) emit(s.substr(start, pos - start));
   }
-  if (!current.empty()) emit(std::move(current));
+  if (in_word) emit(s.substr(word_start));
 }
 
 }  // namespace
 
 std::vector<std::string> TokenizeWords(std::string_view s) {
   std::vector<std::string> out;
-  ForEachWord(s, [&](std::string w) { out.push_back(std::move(w)); });
+  ForEachWord(s, [&](std::string_view w) { out.emplace_back(w); });
   return out;
 }
 
@@ -59,6 +58,22 @@ std::vector<std::string> TokenizeWordsLower(std::string_view s) {
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
   }
+  return out;
+}
+
+std::vector<uint64_t> WordHashes(std::string_view s, bool lowercase) {
+  std::vector<uint64_t> out;
+  ForEachWord(s, [&](std::string_view w) {
+    // Fnv1a64(w), with ASCII case folding when asked (TokenizeWordsLower's
+    // std::tolower folds only A-Z in the "C" locale).
+    uint64_t h = kFnv1a64Offset;
+    for (unsigned char c : w) {
+      if (lowercase && c >= 'A' && c <= 'Z') c += 'a' - 'A';
+      h ^= c;
+      h *= kFnv1a64Prime;
+    }
+    out.push_back(h);
+  });
   return out;
 }
 
@@ -76,7 +91,7 @@ std::vector<std::string> TokenizeWhitespace(std::string_view s) {
 
 size_t CountWords(std::string_view s) {
   size_t count = 0;
-  ForEachWord(s, [&](std::string) { ++count; });
+  ForEachWord(s, [&](std::string_view) { ++count; });
   return count;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DJ_TEXT_TOKENIZER_H_
 #define DJ_TEXT_TOKENIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,10 @@ std::vector<std::string> TokenizeWords(std::string_view s);
 
 /// Lower-cased variant of TokenizeWords (ASCII case folding).
 std::vector<std::string> TokenizeWordsLower(std::string_view s);
+
+/// Fnv1a64 of each word of TokenizeWords(s), or of TokenizeWordsLower(s)
+/// when `lowercase`, hashed in place: no word strings are built.
+std::vector<uint64_t> WordHashes(std::string_view s, bool lowercase);
 
 /// Splits into whitespace-delimited raw tokens (punctuation retained);
 /// mirrors PySpark's standard Tokenizer used by the quality classifier.

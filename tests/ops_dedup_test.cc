@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <unordered_map>
+
+#include "common/hash.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
+#include "data/io.h"
 #include "json/parser.h"
 #include "ops/dedup/document_dedup.h"
 #include "ops/dedup/granular_dedup.h"
 #include "ops/dedup/minhash.h"
 #include "ops/registry.h"
+#include "text/tokenizer.h"
 #include "workload/generator.h"
 
 namespace dj::ops {
@@ -79,6 +86,136 @@ TEST(UnionFindTest, UnionsAndFinds) {
   EXPECT_EQ(uf.Find(0), uf.Find(4));
 }
 
+// ------------------------------------------------------ bucketing ----
+
+/// The bucketing ClusterBuckets replaced: one unordered_map over every key,
+/// then each bucket's pairs checked into one union-find unless already
+/// connected. Returns each row's smallest component member.
+std::vector<size_t> MapBucketComponents(
+    const std::vector<uint64_t>& keys, size_t keys_per_row,
+    const std::function<bool(size_t, size_t)>& similar) {
+  size_t n = keys.size() / keys_per_row;
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < keys_per_row; ++k) {
+      buckets[keys[i * keys_per_row + k]].push_back(i);
+    }
+  }
+  UnionFind uf(n);
+  for (const auto& [key, members] : buckets) {
+    for (size_t a = 0; a + 1 < members.size(); ++a) {
+      for (size_t b = a + 1; b < members.size(); ++b) {
+        size_t i = members[a], j = members[b];
+        if (uf.Find(i) != uf.Find(j) && similar(i, j)) uf.Union(i, j);
+      }
+    }
+  }
+  std::vector<size_t> first(n, n), label(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t& f = first[uf.Find(i)];
+    if (f == n) f = i;
+    label[i] = f;
+  }
+  return label;
+}
+
+std::vector<size_t> ComponentLabels(UnionFind* uf, size_t n) {
+  std::vector<size_t> first(n, n), label(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t& f = first[uf->Find(i)];
+    if (f == n) f = i;
+    label[i] = f;
+  }
+  return label;
+}
+
+TEST(ClusterBucketsTest, MatchesMapReferenceWithOneLargeBucket) {
+  // 600 rows, 4 keys each, from a small key space so buckets collide; the
+  // last 200 rows are "empty documents" whose identical signatures share
+  // all four keys (one large bucket per band). A row's signature is a
+  // small random value; two rows are similar when the values are close,
+  // which is not transitive, so the components depend on every check.
+  constexpr size_t kRows = 600, kEmpty = 200, kKeys = 4;
+  Rng rng(11);
+  std::vector<uint64_t> keys(kRows * kKeys);
+  std::vector<uint64_t> signature(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    bool empty = i >= kRows - kEmpty;
+    signature[i] = empty ? 1000 : rng.NextBelow(900);
+    for (size_t k = 0; k < kKeys; ++k) {
+      keys[i * kKeys + k] =
+          empty ? (k << 40) : (k << 40) | rng.NextBelow(60);
+    }
+  }
+  auto similar = [&](size_t i, size_t j) {
+    uint64_t a = signature[i], b = signature[j];
+    return (a > b ? a - b : b - a) <= 12;
+  };
+  std::vector<size_t> expected = MapBucketComponents(keys, kKeys, similar);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    UnionFind uf = ClusterBuckets(keys, kKeys, p, similar);
+    EXPECT_EQ(ComponentLabels(&uf, kRows), expected);
+  }
+  // Sanity: the corpus has both merged and separate components.
+  EXPECT_EQ(expected[kRows - 1], kRows - kEmpty);
+  EXPECT_NE(expected[0], expected[kRows - kEmpty]);
+}
+
+TEST(ClusterBucketsTest, BucketOfIdenticalRowsCostsOneCheckPerRow) {
+  constexpr size_t kRows = 500;
+  std::vector<uint64_t> keys(kRows, 0x5eed);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<size_t> checks{0};
+    UnionFind uf = ClusterBuckets(keys, 1, p, [&](size_t, size_t) {
+      checks.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    });
+    EXPECT_EQ(checks.load(), kRows - 1);
+    for (size_t i = 1; i < kRows; ++i) EXPECT_EQ(uf.Find(i), uf.Find(0));
+  }
+}
+
+TEST(ClusterBucketsTest, RowWithCollidingKeysIsNotItsOwnCandidate) {
+  // Both rows carry the same key twice: one bucket of two rows, one check.
+  std::vector<std::pair<size_t, size_t>> checked;
+  UnionFind uf = ClusterBuckets({7, 7, 7, 7}, 2, nullptr,
+                                [&](size_t i, size_t j) {
+                                  checked.emplace_back(i, j);
+                                  return true;
+                                });
+  ASSERT_EQ(checked.size(), 1u);
+  EXPECT_EQ(checked[0], std::make_pair(size_t{0}, size_t{1}));
+  EXPECT_EQ(uf.Find(0), uf.Find(1));
+}
+
+// ------------------------------------------------------ word hashes ----
+
+TEST(WordHashesTest, MatchFnvOfTokenizedWords) {
+  const std::vector<std::string> inputs = {
+      "",
+      "Hello World, it's FINE... 42 times!",
+      "Ça fait DÉJÀ vu: Ærø Œuvre naïve ÀÉÎ",
+      "Привет, МИР! Ёлка и Ξένος",
+      "中文字符 mixed 日本語テキスト 한국어 ok",
+      "don't 'quoted' O'Neil's ''",
+      "abc\xff\xfe DEF \xc3 x\xe2\x82 end\xf0\x9f\x98",
+      " \t\n;;; ---",
+  };
+  for (const std::string& in : inputs) {
+    for (bool lowercase : {false, true}) {
+      std::vector<uint64_t> expected;
+      for (const std::string& w : lowercase ? text::TokenizeWordsLower(in)
+                                            : text::TokenizeWords(in)) {
+        expected.push_back(Fnv1a64(w));
+      }
+      EXPECT_EQ(text::WordHashes(in, lowercase), expected)
+          << "input: " << in << " lowercase: " << lowercase;
+    }
+  }
+}
+
 // ------------------------------------------------------ exact dedup ----
 
 TEST(DocumentExactDedupTest, KeepsFirstOccurrence) {
@@ -118,22 +255,6 @@ TEST(DocumentExactDedupTest, WritesDocHashStat) {
   EXPECT_EQ(result.value().GetTextAt(0, "stats.doc_hash").size(), 32u);
 }
 
-TEST(DocumentExactDedupTest, ParallelMatchesSequential) {
-  workload::CorpusOptions options;
-  options.num_docs = 200;
-  options.exact_dup_rate = 0.3;
-  options.seed = 5;
-  data::Dataset a = workload::CorpusGenerator(options).Generate();
-  data::Dataset b = a;
-  DocumentExactDeduplicator d1(Config()), d2(Config());
-  ThreadPool pool(4);
-  auto r1 = d1.Deduplicate(std::move(a), nullptr, nullptr);
-  auto r2 = d2.Deduplicate(std::move(b), &pool, nullptr);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1.value().NumRows(), r2.value().NumRows());
-}
-
 // ---------------------------------------------------- minhash dedup ----
 
 TEST(DocumentMinHashDedupTest, CatchesNearDuplicates) {
@@ -150,6 +271,21 @@ TEST(DocumentMinHashDedupTest, CatchesNearDuplicates) {
   auto result = dedup.Deduplicate(std::move(ds), nullptr, &pairs);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().NumRows(), 2u);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0].kept_row, 0u);
+  EXPECT_EQ(pairs[0].removed_row, 1u);
+}
+
+TEST(DocumentMinHashDedupTest, FewPermutationsStillFormOneBand) {
+  // A threshold of 0.9 asks for 16 rows per band, more than the 8
+  // permutations; the rows are clamped so identical documents still meet.
+  DocumentMinHashDeduplicator dedup(
+      Config(R"({"num_perm": 8, "jaccard_threshold": 0.9})"));
+  std::string doc = "the same words in the same order in both documents";
+  std::vector<DuplicatePair> pairs;
+  auto result = dedup.Deduplicate(Texts({doc, doc}), nullptr, &pairs);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().NumRows(), 1u);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].kept_row, 0u);
   EXPECT_EQ(pairs[0].removed_row, 1u);
@@ -284,11 +420,49 @@ TEST_P(DedupMethodTest, RemovesInjectedDuplicates) {
   EXPECT_GT(result.value().NumRows(), total / 3);
 }
 
+// The pool changes speed, never output: with no pool and with four
+// workers, every dedup exports the same bytes and reports the same pairs,
+// on a corpus with exact copies, near copies and repeated paragraphs.
+TEST_P(DedupMethodTest, ParallelMatchesSequential) {
+  workload::CorpusOptions options;
+  options.num_docs = 160;
+  options.exact_dup_rate = 0.2;
+  options.near_dup_rate = 0.2;
+  options.boilerplate_rate = 0.3;
+  options.short_doc_rate = 0.05;
+  options.seed = 5;
+  data::Dataset corpus = workload::CorpusGenerator(options).Generate();
+  corpus.AppendSample(data::Sample());  // a row with no text at all
+
+  auto run = [&](ThreadPool* pool, std::vector<DuplicatePair>* pairs) {
+    auto op = OpRegistry::Global().Create(GetParam(), Config());
+    EXPECT_TRUE(op.ok());
+    auto* dedup = static_cast<Deduplicator*>(op.value().get());
+    auto result = dedup->Deduplicate(corpus, pool, pairs);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return data::ToJsonl(result.value());
+  };
+  std::vector<DuplicatePair> serial_pairs, parallel_pairs;
+  ThreadPool pool(4);
+  std::string serial = run(nullptr, &serial_pairs);
+  std::string parallel = run(&pool, &parallel_pairs);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_FALSE(serial_pairs.empty());
+  ASSERT_EQ(serial_pairs.size(), parallel_pairs.size());
+  for (size_t i = 0; i < serial_pairs.size(); ++i) {
+    EXPECT_EQ(serial_pairs[i].kept_row, parallel_pairs[i].kept_row);
+    EXPECT_EQ(serial_pairs[i].removed_row, parallel_pairs[i].removed_row);
+    EXPECT_EQ(serial_pairs[i].similarity, parallel_pairs[i].similarity);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Methods, DedupMethodTest,
                          ::testing::Values("document_exact_deduplicator",
                                            "document_minhash_deduplicator",
                                            "document_simhash_deduplicator",
-                                           "ngram_overlap_deduplicator"));
+                                           "ngram_overlap_deduplicator",
+                                           "paragraph_exact_deduplicator",
+                                           "sentence_exact_deduplicator"));
 
 }  // namespace
 }  // namespace dj::ops

@@ -31,8 +31,10 @@
 #                             compiles against)
 #  10. TSan                   concurrency-heavy tests (incl. plan_diff_test,
 #                             whose np-4 case runs filter stages across
-#                             workers), then re-run under three seeds of
-#                             schedule perturbation (DJ_SCHED)
+#                             workers, and ops_dedup_test, whose dedups
+#                             bucket and rewrite rows on a 4-worker pool),
+#                             then re-run under three seeds of schedule
+#                             perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
@@ -273,7 +275,7 @@ cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${e2e_dir}" -j
 ctest --test-dir "${e2e_dir}" --output-on-failure -R bench_e2e_smoke
 
-echo "== TSan pass (core/dist/obs + plan diff + parallel I/O + fault tests) =="
+echo "== TSan pass (core/dist/obs + plan diff + dedup + parallel I/O + fault tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
 # that tests/concurrency_test.cc constructs on purpose (see tools/tsan.supp).
 export TSAN_OPTIONS="suppressions=${repo_dir}/tools/tsan.supp"
@@ -283,11 +285,12 @@ cmake -B "${tsan_dir}" -S "${repo_dir}" \
   -DDJ_SANITIZE=thread
 cmake --build "${tsan_dir}" -j --target \
   core_test dist_test obs_test data_test io_parallel_test compress_test \
-  fault_test concurrency_test swar_test plan_diff_test
+  fault_test concurrency_test swar_test plan_diff_test ops_dedup_test
 "${tsan_dir}/tests/swar_test"
 "${tsan_dir}/tests/concurrency_test"
 "${tsan_dir}/tests/core_test"
 "${tsan_dir}/tests/plan_diff_test"
+"${tsan_dir}/tests/ops_dedup_test"
 "${tsan_dir}/tests/dist_test"
 "${tsan_dir}/tests/obs_test"
 "${tsan_dir}/tests/data_test"
@@ -314,6 +317,8 @@ for seed in 1 2 3; do
     "${tsan_dir}/tests/dist_test"
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
     "${tsan_dir}/tests/plan_diff_test"
+  DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
+    "${tsan_dir}/tests/ops_dedup_test"
 done
 
 echo "check.sh: all green"
