@@ -1,6 +1,7 @@
 #include "ops/dedup/minhash.h"
 
 #include <algorithm>
+#include <compare>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -148,10 +149,7 @@ constexpr size_t kPartitions = size_t{1} << kPartitionBits;
 struct KeyedRow {
   uint64_t key;
   size_t row;
-  friend bool operator<(const KeyedRow& a, const KeyedRow& b) {
-    return a.key != b.key ? a.key < b.key : a.row < b.row;
-  }
-  friend bool operator==(const KeyedRow& a, const KeyedRow& b) = default;
+  friend auto operator<=>(const KeyedRow&, const KeyedRow&) = default;
 };
 
 /// Fibonacci hashing: SimHash band keys are small integers, so the raw top

@@ -88,9 +88,20 @@ TEST(UnionFindTest, UnionsAndFinds) {
 
 // ------------------------------------------------------ bucketing ----
 
+/// Each row's smallest component member.
+std::vector<size_t> ComponentLabels(UnionFind* uf, size_t n) {
+  std::vector<size_t> first(n, n), label(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t& f = first[uf->Find(i)];
+    if (f == n) f = i;
+    label[i] = f;
+  }
+  return label;
+}
+
 /// The bucketing ClusterBuckets replaced: one unordered_map over every key,
 /// then each bucket's pairs checked into one union-find unless already
-/// connected. Returns each row's smallest component member.
+/// connected.
 std::vector<size_t> MapBucketComponents(
     const std::vector<uint64_t>& keys, size_t keys_per_row,
     const std::function<bool(size_t, size_t)>& similar) {
@@ -110,23 +121,7 @@ std::vector<size_t> MapBucketComponents(
       }
     }
   }
-  std::vector<size_t> first(n, n), label(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t& f = first[uf.Find(i)];
-    if (f == n) f = i;
-    label[i] = f;
-  }
-  return label;
-}
-
-std::vector<size_t> ComponentLabels(UnionFind* uf, size_t n) {
-  std::vector<size_t> first(n, n), label(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t& f = first[uf->Find(i)];
-    if (f == n) f = i;
-    label[i] = f;
-  }
-  return label;
+  return ComponentLabels(&uf, n);
 }
 
 TEST(ClusterBucketsTest, MatchesMapReferenceWithOneLargeBucket) {
