@@ -124,6 +124,21 @@ std::vector<size_t> MapBucketComponents(
   return ComponentLabels(&uf, n);
 }
 
+/// Asserts that ClusterBuckets, with no pool and with four workers, finds
+/// the components of the map reference; returns them.
+std::vector<size_t> ExpectMatchesMapReference(
+    const std::vector<uint64_t>& keys, size_t keys_per_row,
+    const std::function<bool(size_t, size_t)>& similar) {
+  std::vector<size_t> expected =
+      MapBucketComponents(keys, keys_per_row, similar);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    UnionFind uf = ClusterBuckets(keys, keys_per_row, p, similar);
+    EXPECT_EQ(ComponentLabels(&uf, expected.size()), expected);
+  }
+  return expected;
+}
+
 TEST(ClusterBucketsTest, MatchesMapReferenceWithOneLargeBucket) {
   // 600 rows, 4 keys each, from a small key space so buckets collide; the
   // last 200 rows are "empty documents" whose identical signatures share
@@ -142,19 +157,49 @@ TEST(ClusterBucketsTest, MatchesMapReferenceWithOneLargeBucket) {
           empty ? (k << 40) : (k << 40) | rng.NextBelow(60);
     }
   }
-  auto similar = [&](size_t i, size_t j) {
-    uint64_t a = signature[i], b = signature[j];
-    return (a > b ? a - b : b - a) <= 12;
-  };
-  std::vector<size_t> expected = MapBucketComponents(keys, kKeys, similar);
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    UnionFind uf = ClusterBuckets(keys, kKeys, p, similar);
-    EXPECT_EQ(ComponentLabels(&uf, kRows), expected);
-  }
+  std::vector<size_t> expected =
+      ExpectMatchesMapReference(keys, kKeys, [&](size_t i, size_t j) {
+        uint64_t a = signature[i], b = signature[j];
+        return (a > b ? a - b : b - a) <= 12;
+      });
   // Sanity: the corpus has both merged and separate components.
   EXPECT_EQ(expected[kRows - 1], kRows - kEmpty);
   EXPECT_NE(expected[0], expected[kRows - kEmpty]);
+}
+
+TEST(ClusterBucketsTest, MatchesMapReferenceOnMinHashBands) {
+  // The MinHash dedup's own input: 16 band keys of 8 rows per signature,
+  // verified by estimated Jaccard >= 0.7. 150 base shingle sets, 100 near
+  // copies (4 of 40 shingles replaced) and 50 empty documents, whose
+  // all-max signatures fill one bucket per band.
+  MinHasher hasher(128);
+  LshParams lsh{16, 8};
+  Rng rng(12);
+  std::vector<std::vector<uint64_t>> bases(150);
+  for (auto& base : bases) {
+    for (int s = 0; s < 40; ++s) base.push_back(rng.Next());
+  }
+  std::vector<std::vector<uint64_t>> signatures;
+  for (const auto& base : bases) signatures.push_back(hasher.Signature(base));
+  for (int i = 0; i < 100; ++i) {
+    std::vector<uint64_t> copy = bases[rng.NextBelow(bases.size())];
+    for (int s = 0; s < 4; ++s) copy[rng.NextBelow(copy.size())] = rng.Next();
+    signatures.push_back(hasher.Signature(copy));
+  }
+  for (int i = 0; i < 50; ++i) signatures.push_back(hasher.Signature({}));
+  std::vector<uint64_t> keys;
+  for (const auto& signature : signatures) {
+    for (uint64_t key : LshBandKeys(signature, lsh)) keys.push_back(key);
+  }
+  std::vector<size_t> expected =
+      ExpectMatchesMapReference(keys, lsh.bands, [&](size_t i, size_t j) {
+        return MinHasher::EstimateJaccard(signatures[i], signatures[j]) >=
+               0.7;
+      });
+  size_t merged_copies = 0;
+  for (size_t i = 150; i < 250; ++i) merged_copies += expected[i] < 150;
+  EXPECT_GT(merged_copies, 50u);
+  for (size_t i = 250; i < 300; ++i) EXPECT_EQ(expected[i], 250u);
 }
 
 TEST(ClusterBucketsTest, BucketOfIdenticalRowsCostsOneCheckPerRow) {
