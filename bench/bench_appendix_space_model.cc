@@ -10,7 +10,9 @@
 // dataset mid-pipeline; S is the input size), so the table reports both
 // the file-count match (exact) and the byte ratio.
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -71,6 +73,8 @@ int main() {
 
   dj::bench::Table table({"pipeline", "model_sets", "measured_sets",
                           "model_bytes", "measured_bytes", "byte_ratio"});
+  size_t ckpt_files = 0;    // files in the checkpoint dirs, all shapes
+  uint64_t ckpt_bytes = 0;  // the largest of them
   for (const Shape& shape : kShapes) {
     std::string dir =
         std::filesystem::temp_directory_path().string() +
@@ -87,6 +91,10 @@ int main() {
     options.use_cache = true;
     options.cache_dir = dir;
     options.dataset_source_id = "space-bench";
+    // Checkpoints ride along in a subdirectory (not counted as a cache set
+    // below): each one names the cache entry its boundary stored.
+    options.use_checkpoint = true;
+    options.checkpoint_dir = dir + "/ckpt";
     dj::core::Executor executor(options);
 
     // Cache the original dataset (the model's leading "1" term).
@@ -101,6 +109,11 @@ int main() {
       if (entry.is_regular_file()) ++measured_sets;
     }
     uint64_t measured_bytes = cache.TotalBytes();
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.checkpoint_dir)) {
+      ++ckpt_files;
+      ckpt_bytes = std::max<uint64_t>(ckpt_bytes, entry.file_size());
+    }
 
     dj::core::PipelineShape pipeline_shape{shape.mappers, shape.filters,
                                            shape.dedups};
@@ -122,12 +135,15 @@ int main() {
   table.Print();
 
   std::printf(
-      "\ncheckpoint mode: model predicts peak = 3*S = %s; the checkpoint\n"
-      "manager keeps exactly one dataset blob + manifest (%s per save),\n"
-      "plus the in-flight cache handover accounted by the model.\n",
+      "\ncheckpoint mode: model predicts peak = 3*S = %s. Without the\n"
+      "cache, the checkpoint manager keeps one dataset blob + manifest\n"
+      "(%s per save). With the cache on, a checkpoint costs one manifest\n"
+      "that names the unit's cache entry: the %zu runs above left %zu\n"
+      "checkpoint file(s), none larger than %s.\n",
       dj::FormatBytes(dj::core::CheckpointModeSpaceBytes(dataset_bytes))
           .c_str(),
-      dj::FormatBytes(dataset_bytes).c_str());
+      dj::FormatBytes(dataset_bytes).c_str(), std::size(kShapes), ckpt_files,
+      dj::FormatBytes(ckpt_bytes).c_str());
   std::printf(
       "expected shape: set counts match the formula exactly; byte ratios\n"
       "stay near 1 — slightly below when filters/dedups shrink the dataset\n"

@@ -17,8 +17,9 @@ Status WriteStringToFile(const std::string& path, std::string_view content);
 /// Crash-atomic write: `content` goes to `path + ".tmp"`, is fsync'd, and
 /// is renamed over `path` (then the parent directory is fsync'd so the
 /// rename itself is durable). A crash at any step leaves either the old
-/// `path` intact or a stray .tmp file — never a torn `path`. Used by the
-/// checkpoint layer, whose manifests must not point at half-written blobs.
+/// `path` intact or a stray .tmp file — never a torn `path`. Used for
+/// every file a checkpoint manifest can name (cache entries, through
+/// data::WriteFileAtomic, and checkpoint blobs) and for the manifest.
 Status WriteStringToFileAtomic(const std::string& path,
                                std::string_view content);
 

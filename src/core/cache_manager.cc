@@ -1,16 +1,39 @@
 #include "core/cache_manager.h"
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/swar.h"
 #include "compress/djlz.h"
 #include "data/io.h"
 #include "json/writer.h"
 
 namespace dj::core {
 namespace fs = std::filesystem;
+
+namespace {
+
+/// "<16 hex digits>.djds[.djlz]": a name PathFor gives an entry.
+bool IsEntryName(std::string_view name) {
+  constexpr size_t kKeyDigits = 16;
+  if (name.size() <= kKeyDigits) return false;
+  for (size_t i = 0; i < kKeyDigits; ++i) {
+    if (std::isxdigit(static_cast<unsigned char>(name[i])) == 0) return false;
+  }
+  const std::string_view suffix = name.substr(kKeyDigits);
+  return suffix == ".djds" || suffix == ".djds.djlz";
+}
+
+/// An entry's leftover temp file from an interrupted atomic Store.
+bool IsEntryTempName(std::string_view name) {
+  return EndsWith(name, ".tmp") &&
+         IsEntryName(name.substr(0, name.size() - 4));
+}
+
+}  // namespace
 
 uint64_t CacheManager::InitialKey(std::string_view source_id) {
   return Fnv1a64(source_id, 0xDA7A0CACE5ULL);
@@ -66,7 +89,8 @@ Result<data::Dataset> CacheManager::Load(uint64_t key) const {
   return data::DeserializeDataset(blob, pool_);
 }
 
-Status CacheManager::Store(uint64_t key, std::string_view djds) const {
+Result<StoredFile> CacheManager::Store(uint64_t key,
+                                       std::string_view djds) const {
   std::string frame;
   if (compression_) {
     frame = compress::CompressFrame(djds, pool_);
@@ -74,7 +98,14 @@ Status CacheManager::Store(uint64_t key, std::string_view djds) const {
   }
   Bump("cache.stores");
   Bump("cache.store_bytes", djds.size());
-  return data::WriteFile(PathFor(key), djds);
+  std::error_code ec;
+  StoredFile file;
+  file.path = fs::absolute(PathFor(key), ec).string();
+  if (ec) file.path = PathFor(key);
+  file.bytes = djds.size();
+  file.checksum = swar::Hash64(djds.data(), djds.size());
+  DJ_RETURN_IF_ERROR(data::WriteFileAtomic(file.path, djds));
+  return file;
 }
 
 void CacheManager::Evict(uint64_t key) const {
@@ -87,7 +118,7 @@ void CacheManager::Clear() const {
   if (!fs::exists(dir_, ec)) return;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     std::string name = entry.path().filename().string();
-    if (EndsWith(name, ".djds") || EndsWith(name, ".djds.djlz")) {
+    if (IsEntryName(name) || IsEntryTempName(name)) {
       fs::remove(entry.path(), ec);
     }
   }
@@ -98,11 +129,9 @@ uint64_t CacheManager::TotalBytes() const {
   if (!fs::exists(dir_, ec)) return 0;
   uint64_t total = 0;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (entry.is_regular_file(ec)) {
-      std::string name = entry.path().filename().string();
-      if (EndsWith(name, ".djds") || EndsWith(name, ".djds.djlz")) {
-        total += entry.file_size(ec);
-      }
+    if (entry.is_regular_file(ec) &&
+        IsEntryName(entry.path().filename().string())) {
+      total += entry.file_size(ec);
     }
   }
   return total;

@@ -12,6 +12,15 @@
 
 namespace dj::core {
 
+/// A file that holds one serialized dataset, as its writer left it: the
+/// path, its byte count and the swar::Hash64 of its bytes. A checkpoint
+/// manifest names one (CheckpointManager::Save).
+struct StoredFile {
+  std::string path;
+  uint64_t bytes = 0;
+  uint64_t checksum = 0;
+};
+
 /// Per-OP dataset cache keyed by a configuration hash (paper Sec. 5.1.1 and
 /// Sec. 7 "Caching OPs and Compression"). The key for OP i is the combined
 /// hash of the dataset source id and the effective configs of OPs 0..i, so
@@ -20,18 +29,21 @@ namespace dj::core {
 /// serializing auxiliary models.
 ///
 /// Files are DJDS blobs, optionally djlz-compressed ("<key>.djds" /
-/// "<key>.djds.djlz").
+/// "<key>.djds.djlz", the key as 16 hex digits).
+///
+/// Store writes each entry crash-atomically (data::WriteFileAtomic: temp
+/// file, fsync, rename, directory fsync), so an entry on disk is either
+/// whole or absent, and a checkpoint can name it instead of writing a
+/// second copy of the same bytes. A crash mid-store leaves "<entry>.tmp",
+/// which Clear removes and TotalBytes does not count. Load still verifies
+/// the DJDS and djlz checksums (a disk can rot what was written whole),
+/// and the executor's cache scan evicts an entry that fails them and falls
+/// back to a shorter prefix.
 ///
 /// Thread-compatibility: CacheManager holds no mutex by design. It is safe
 /// to use distinct instances from distinct threads, but a single instance
 /// must be externally synchronized (the executor drives it from the
-/// pipeline thread only). Store() writes the entry in place with
-/// data::WriteFile, not via temp-file + rename, so a crash or a concurrent
-/// Store() of the same key can leave a torn entry. Load() catches that
-/// through the DJDS and djlz checksums and returns an error, and the
-/// executor's cache scan evicts the entry and falls back to a shorter
-/// prefix. Entries are regenerable, so Store skips the fsync + rename that
-/// checkpoints pay for.
+/// pipeline thread only).
 class CacheManager {
  public:
   CacheManager(std::string dir, bool compression)
@@ -64,17 +76,19 @@ class CacheManager {
   Result<data::Dataset> Load(uint64_t key) const;
 
   /// Stores `djds`, a data::SerializeDataset blob, under `key`
-  /// (overwrites), djlz-compressing it first when compression is on. The
-  /// caller serializes, so one blob can also feed a checkpoint.
-  Status Store(uint64_t key, std::string_view djds) const;
+  /// (atomically replacing any entry there), djlz-compressing it first
+  /// when compression is on, and returns the file it wrote (an absolute
+  /// path). The caller serializes, so a checkpoint can name the same bytes.
+  Result<StoredFile> Store(uint64_t key, std::string_view djds) const;
 
   /// Removes the entry for `key` if present.
   void Evict(uint64_t key) const;
 
-  /// Removes every cache file in the directory.
+  /// Removes every entry in the directory and every leftover
+  /// "<entry>.tmp" of an interrupted Store; other files stay.
   void Clear() const;
 
-  /// Total bytes currently used by cache files.
+  /// Total bytes of the entries in the directory (temp files excluded).
   uint64_t TotalBytes() const;
 
  private:

@@ -7,6 +7,7 @@
 #include "common/probe.h"
 #include "common/string_util.h"
 #include "common/swar.h"
+#include "compress/djlz.h"
 #include "data/io.h"
 #include "json/parser.h"
 #include "json/writer.h"
@@ -16,11 +17,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Schema 3 records a swar::Hash64 blob checksum. Schema 2 (FNV-1a) and the
-// pre-atomic layout (a bare checkpoint.djds beside a manifest with no
-// schema or checksum) are refused, not decoded: checkpoints are
-// regenerable, and a run that rejects one starts fresh.
-constexpr int64_t kManifestSchema = 3;
+// Schema 4 names the file that holds the dataset — a cache entry or the
+// checkpoint's own blob — with its byte count and swar::Hash64. Schema 3
+// (always an own blob), schema 2 (FNV-1a) and the pre-atomic layout (a
+// bare checkpoint.djds beside a manifest with no schema or checksum) are
+// refused, not decoded: checkpoints are regenerable, and a run that
+// rejects one starts fresh.
+constexpr int64_t kManifestSchema = 4;
 
 }  // namespace
 
@@ -36,32 +39,48 @@ void CheckpointManager::RemoveStaleBlobs(
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    // Matches the pre-atomic checkpoint.djds too, so an old layout's blob
-    // is collected by the first Save over it.
-    const bool stale_blob = StartsWith(name, "checkpoint") &&
-                            EndsWith(name, ".djds") && name != keep_basename;
-    const bool stale_tmp = EndsWith(name, ".tmp");
-    if (stale_blob || stale_tmp) fs::remove(entry.path(), ec);
+    // Only the checkpoint's own files: its blobs (the pre-atomic
+    // checkpoint.djds too, so an old layout's blob is collected by the
+    // first Save over it) and the temp files of its blobs and manifest.
+    // A cache entry is never the checkpoint's to delete, even when the
+    // cache shares this directory.
+    if (!StartsWith(name, "checkpoint")) continue;
+    const bool stale_blob = EndsWith(name, ".djds") && name != keep_basename;
+    if (stale_blob || EndsWith(name, ".tmp")) fs::remove(entry.path(), ec);
   }
 }
 
 Status CheckpointManager::Save(size_t next_op_index, uint64_t pipeline_key,
-                               size_t num_rows, std::string_view djds) const {
+                               size_t num_rows, std::string_view djds,
+                               const StoredFile* cache_entry) const {
+  // The file the manifest will name. The manifest records an own blob by
+  // its name in dir_, and a cache entry by its absolute path.
   const std::string blob_file = BlobFileFor(pipeline_key);
-  const std::string blob_path = dir_ + "/" + blob_file;
+  StoredFile file;
+  if (cache_entry != nullptr) {
+    file = *cache_entry;
+  } else {
+    file.path = dir_ + "/" + blob_file;
+    file.bytes = djds.size();
+  }
 
   if (DJ_FAULT("ckpt.blob_write")) {
-    // Simulated crash mid-blob-write: only a torn temp file lands on disk;
-    // the previous checkpoint (if any) is untouched.
-    WriteStringToFile(blob_path + ".tmp", djds.substr(0, djds.size() * 2 / 3));
+    // Simulated crash while the named file is written: only a torn temp
+    // file lands on disk, and the previous checkpoint is untouched. (A
+    // cache entry was written by CacheManager::Store; this leaves what a
+    // crash inside that atomic write would.)
+    WriteStringToFile(file.path + ".tmp", djds.substr(0, djds.size() * 2 / 3));
     return Status::IoError("fault injected: ckpt.blob_write (torn blob temp)");
   }
-  DJ_RETURN_IF_ERROR(WriteStringToFileAtomic(blob_path, djds));
+  if (cache_entry == nullptr) {
+    file.checksum = swar::Hash64(djds.data(), djds.size());
+    DJ_RETURN_IF_ERROR(WriteStringToFileAtomic(file.path, djds));
+  }
 
   if (DJ_FAULT("ckpt.after_blob")) {
-    // Simulated crash between blob and manifest: the new blob exists under
-    // its own name, but the manifest still points at the previous blob —
-    // the previous checkpoint stays fully loadable.
+    // Simulated crash between the file and the manifest: the new file
+    // exists under its own name, but the manifest still names the previous
+    // one — the previous checkpoint stays fully loadable.
     return Status::IoError(
         "fault injected: ckpt.after_blob (crash between blob and manifest)");
   }
@@ -72,11 +91,11 @@ Status CheckpointManager::Save(size_t next_op_index, uint64_t pipeline_key,
                json::Value(static_cast<int64_t>(next_op_index)));
   manifest.Set("pipeline_key", json::Value(static_cast<int64_t>(pipeline_key)));
   manifest.Set("num_rows", json::Value(static_cast<int64_t>(num_rows)));
-  manifest.Set("blob_file", json::Value(blob_file));
-  manifest.Set("blob_bytes", json::Value(static_cast<int64_t>(djds.size())));
-  manifest.Set("blob_checksum",
-               json::Value(static_cast<int64_t>(
-                   swar::Hash64(djds.data(), djds.size()))));
+  manifest.Set("file",
+               json::Value(cache_entry != nullptr ? file.path : blob_file));
+  manifest.Set("file_bytes", json::Value(static_cast<int64_t>(file.bytes)));
+  manifest.Set("file_checksum",
+               json::Value(static_cast<int64_t>(file.checksum)));
   const std::string manifest_json =
       json::Write(json::Value(std::move(manifest)), {.pretty = true});
 
@@ -89,9 +108,9 @@ Status CheckpointManager::Save(size_t next_op_index, uint64_t pipeline_key,
   }
   DJ_RETURN_IF_ERROR(WriteStringToFileAtomic(ManifestPath(), manifest_json));
 
-  // The manifest now references the new blob; older blobs and stray temp
+  // The manifest now names the new file; older own blobs and stray temp
   // files from crashed Saves are garbage.
-  RemoveStaleBlobs(blob_file);
+  RemoveStaleBlobs(cache_entry != nullptr ? std::string() : blob_file);
   return Status::Ok();
 }
 
@@ -118,30 +137,41 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
         " is readable, refusing to load it");
   }
   for (const char* field : {"next_op_index", "pipeline_key", "num_rows",
-                            "blob_file", "blob_bytes", "blob_checksum"}) {
+                            "file", "file_bytes", "file_checksum"}) {
     if (!manifest.as_object().Contains(field)) {
       return Status::Corruption("checkpoint manifest " + ManifestPath() +
                                 " lacks '" + field + "'");
     }
   }
 
-  const std::string blob_path =
-      dir_ + "/" + manifest.GetString("blob_file", "");
-  auto blob = data::ReadFile(blob_path);
-  if (!blob.ok()) {
+  // An own blob is named relative to dir_, a cache entry by absolute path.
+  const std::string named = manifest.GetString("file", "");
+  const std::string path =
+      fs::path(named).is_absolute() ? named : dir_ + "/" + named;
+  auto content = data::ReadFile(path);
+  if (!content.ok()) {
     return Status::Corruption("checkpoint manifest " + ManifestPath() +
-                              " points at missing/unreadable blob '" +
-                              blob_path + "': " + blob.status().message());
+                              " names missing/unreadable file '" + path +
+                              "': " + content.status().message());
   }
-  const std::string& bytes = blob.value();
+  std::string bytes = std::move(content).value();
   if (bytes.size() !=
-          static_cast<uint64_t>(manifest.GetInt("blob_bytes", -1)) ||
+          static_cast<uint64_t>(manifest.GetInt("file_bytes", -1)) ||
       swar::Hash64(bytes) !=
-          static_cast<uint64_t>(manifest.GetInt("blob_checksum", 0))) {
+          static_cast<uint64_t>(manifest.GetInt("file_checksum", 0))) {
     return Status::Corruption(
-        "checkpoint blob '" + blob_path +
-        "' does not match its manifest (checksum/size mismatch — torn or "
-        "corrupted write); refusing to decode");
+        "checkpoint file '" + path +
+        "' does not match its manifest (checksum/size mismatch — torn, "
+        "corrupted or replaced); refusing to decode");
+  }
+  if (compress::IsFrame(bytes)) {
+    auto djds = compress::DecompressFrame(bytes, pool_);
+    if (!djds.ok()) {
+      return Status::Corruption("checkpoint file '" + path +
+                                "' failed to decompress: " +
+                                djds.status().message());
+    }
+    bytes = std::move(djds).value();
   }
 
   CheckpointState state;
@@ -151,14 +181,14 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
       static_cast<uint64_t>(manifest.GetInt("pipeline_key", 0));
   auto dataset = data::DeserializeDataset(bytes, pool_);
   if (!dataset.ok()) {
-    return Status::Corruption("checkpoint blob '" + blob_path +
+    return Status::Corruption("checkpoint file '" + path +
                               "' failed to decode: " +
                               dataset.status().message());
   }
   const int64_t want_rows = manifest.GetInt("num_rows", -1);
   if (dataset.value().NumRows() != static_cast<uint64_t>(want_rows)) {
     return Status::Corruption(
-        "checkpoint blob '" + blob_path + "' decoded to " +
+        "checkpoint file '" + path + "' decoded to " +
         std::to_string(dataset.value().NumRows()) + " rows but the manifest "
         "recorded " + std::to_string(want_rows));
   }
@@ -169,7 +199,6 @@ Result<CheckpointState> CheckpointManager::LoadLatest() const {
 void CheckpointManager::Clear() const {
   std::error_code ec;
   fs::remove(ManifestPath(), ec);
-  fs::remove(ManifestPath() + ".tmp", ec);
   RemoveStaleBlobs(/*keep_basename=*/"");
 }
 

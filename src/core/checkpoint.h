@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "core/cache_manager.h"
 #include "data/dataset.h"
 
 namespace dj::core {
@@ -20,23 +21,34 @@ struct CheckpointState {
   data::Dataset dataset;
 };
 
-/// Durable checkpoints for crash/failure recovery. A checkpoint is a DJDS
-/// dataset blob plus a JSON manifest; Save overwrites the previous
-/// checkpoint of the same run (the paper keeps the "most optimal recent
-/// processing state").
+/// Durable checkpoints for crash/failure recovery. A checkpoint is a JSON
+/// manifest (checkpoint.json, schema 4) that names one file holding the
+/// dataset, with that file's byte count and swar::Hash64 checksum. The
+/// file is either the cache entry the unit boundary just stored (a djlz
+/// frame or raw DJDS; CacheManager::Store) or, without the cache or when
+/// its store failed, the checkpoint's own DJDS blob
+/// ("checkpoint-<key>.djds"). Save overwrites the previous checkpoint of
+/// the same run (the paper keeps the "most optimal recent processing
+/// state").
 ///
-/// Save is crash-atomic: the blob is written to a per-pipeline-key file via
-/// temp-file + fsync + rename, and only then is the manifest (schema 3) —
-/// which names the blob file and records its size and swar::Hash64
-/// checksum — swung over the old one the same way. A crash at any point
-/// (including between blob and manifest) leaves the previous manifest/blob
-/// pair fully intact. LoadLatest reads schema-3 manifests only and verifies
-/// the blob's size and checksum before decoding and its row count after, so
-/// a torn or mismatched blob is rejected with a clear Corruption error
-/// instead of being decoded into garbage. Hash64 has one value at every
-/// SIMD dispatch level, so a checkpoint written under DJ_FORCE_SCALAR=1
-/// verifies without it. Fail points (common/probe.h) cover each crash window:
-/// ckpt.blob_write, ckpt.after_blob, ckpt.manifest_write.
+/// Save is crash-atomic: the named file is durable before the manifest
+/// names it (cache entries are written by temp-file + fsync + rename; an
+/// own blob is written the same way here), and the manifest is swung over
+/// the old one the same way. A crash at any point leaves the previous
+/// manifest and the file it names intact. LoadLatest reads schema-4
+/// manifests only; it verifies the file's size and checksum, decompresses
+/// a djlz frame, decodes the DJDS and checks the row count, so a torn,
+/// rotted, truncated or deleted file is rejected with a Corruption error
+/// naming its path instead of being decoded into garbage. Hash64 has one
+/// value at every SIMD dispatch level, so a checkpoint written under
+/// DJ_FORCE_SCALAR=1 verifies without it. Fail points (common/probe.h)
+/// cover each crash window: ckpt.blob_write, ckpt.after_blob,
+/// ckpt.manifest_write.
+///
+/// The checkpoint owns the manifest and its own blobs only. Save's sweep
+/// of stale blobs and Clear delete those and their temp files, never a
+/// cache entry; a checkpoint whose entry was evicted or cleared from the
+/// cache no longer loads, and the run starts fresh.
 ///
 /// Thread-compatibility: CheckpointManager holds no mutex by design — one
 /// instance belongs to one pipeline run and is driven from the executor
@@ -50,25 +62,29 @@ class CheckpointManager {
   const std::string& dir() const { return dir_; }
 
   /// Attaches a thread pool (not owned; nullptr detaches): LoadLatest runs
-  /// the DJDS shard decoder on it.
+  /// the djlz block decoder and the DJDS shard decoder on it.
   void SetPool(ThreadPool* pool) { pool_ = pool; }
 
-  /// Makes `djds`, a data::SerializeDataset blob of `num_rows` rows, the
-  /// latest checkpoint: the state after the OPs keyed by `pipeline_key`,
-  /// resuming at OP `next_op_index`. The caller serializes, so one blob can
-  /// also feed the cache.
+  /// Makes the state after the OPs keyed by `pipeline_key`, resuming at OP
+  /// `next_op_index`, the latest checkpoint. `djds` is its
+  /// data::SerializeDataset blob of `num_rows` rows. With `cache_entry`,
+  /// the file CacheManager::Store just wrote those bytes to, the manifest
+  /// names that entry and Save writes no blob; without it, Save first
+  /// writes `djds` to the checkpoint's own blob and names that.
   Status Save(size_t next_op_index, uint64_t pipeline_key, size_t num_rows,
-              std::string_view djds) const;
+              std::string_view djds,
+              const StoredFile* cache_entry = nullptr) const;
 
   /// Loads the latest checkpoint. Returns NotFound when none exists and
-  /// Corruption when the manifest is unreadable or not schema 3, the blob
-  /// is missing or torn, or the blob bytes do not match the manifest's
-  /// size/checksum/row count — callers treat both as "no usable
-  /// checkpoint" but the error text tells an operator what actually
-  /// happened.
+  /// Corruption when the manifest is unreadable or not schema 4, the file
+  /// it names is missing or unreadable, or that file's bytes do not match
+  /// the manifest's size/checksum, do not decode, or decode to another row
+  /// count — callers treat both as "no usable checkpoint" but the error
+  /// text names the file and says what actually happened.
   Result<CheckpointState> LoadLatest() const;
 
-  /// Removes the manifest, every checkpoint blob, and any stale temp files.
+  /// Removes the manifest, every own checkpoint blob, and their stale temp
+  /// files. Cache entries a manifest named stay in the cache.
   void Clear() const;
 
  private:

@@ -507,9 +507,10 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     }
     rep->op_reports.push_back(std::move(r));
 
-    // Persist the unit boundary: serialize once, and hand the same DJDS
-    // bytes to the cache (compress + write) and then to the checkpoint
-    // (checksum + crash-atomic write).
+    // Persist the unit boundary: serialize once into one buffer and write
+    // one file. With the cache on, that file is the cache entry, and a due
+    // checkpoint's manifest names it; otherwise (or when the store failed)
+    // the checkpoint writes the same bytes to its own blob.
     int every = std::max(options_.checkpoint_every_n_units, 1);
     bool checkpoint_due =
         checkpoints.has_value() &&
@@ -517,16 +518,23 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     if (cache.has_value() || checkpoint_due) {
       Stopwatch persist_watch;
       const std::string djds = data::SerializeDataset(dataset, pool_ptr);
+      std::optional<StoredFile> entry;
       if (cache.has_value()) {
         obs::Span store_span(options_.spans, "cache.store", "cache");
-        Status s = cache->Store(key_before[i + 1], djds);
-        if (!s.ok()) DJ_LOG(Warning) << "cache store failed: " << s.ToString();
+        auto stored = cache->Store(key_before[i + 1], djds);
+        if (stored.ok()) {
+          entry = std::move(stored).value();
+        } else {
+          DJ_LOG(Warning) << "cache store failed: "
+                          << stored.status().ToString();
+        }
         ++rep->cache_stores;
       }
       if (checkpoint_due) {
         obs::Span ckpt_span(options_.spans, "checkpoint.save", "checkpoint");
         Status s = checkpoints->Save(i + 1, key_before[i + 1],
-                                     dataset.NumRows(), djds);
+                                     dataset.NumRows(), djds,
+                                     entry ? &*entry : nullptr);
         if (!s.ok()) DJ_LOG(Warning) << "checkpoint failed: " << s.ToString();
         if (options_.metrics != nullptr) {
           options_.metrics->GetCounter("checkpoint.saves")->Increment();

@@ -31,6 +31,10 @@ constexpr uint8_t kDatasetVersion = 3;
 constexpr size_t kRowsPerShard = 2048;
 constexpr size_t kMaxAutoShards = 64;
 
+/// Rows per serialization piece (one column's cells over a row range).
+/// Pieces only split the work; the bytes do not depend on them.
+constexpr size_t kRowsPerPiece = 256;
+
 /// Inputs below this size parse serially even when a pool is given: chunk
 /// scheduling would cost more than the parse.
 constexpr size_t kParallelParseThreshold = 1 << 16;
@@ -47,12 +51,26 @@ enum : uint8_t {
   kTagObject = 7,
 };
 
-void PutVarint(uint64_t v, std::string* out) {
+// The encoders come in size/put pairs: Put* writes exactly the bytes its
+// *Size counterpart reports at `dst` and returns the end of what it wrote,
+// so a caller sizes a whole blob first and then encodes it in place.
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
   while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+char* PutVarint(uint64_t v, char* dst) {
+  while (v >= 0x80) {
+    *dst++ = static_cast<char>((v & 0x7F) | 0x80);
     v >>= 7;
   }
-  out->push_back(static_cast<char>(v));
+  *dst++ = static_cast<char>(v);
+  return dst;
 }
 
 bool GetVarint(std::string_view bytes, size_t* pos, uint64_t* out) {
@@ -71,9 +89,14 @@ bool GetVarint(std::string_view bytes, size_t* pos, uint64_t* out) {
   return false;
 }
 
-void PutString(std::string_view s, std::string* out) {
-  PutVarint(s.size(), out);
-  out->append(s);
+size_t StringSize(std::string_view s) {
+  return VarintSize(s.size()) + s.size();
+}
+
+char* PutString(std::string_view s, char* dst) {
+  dst = PutVarint(s.size(), dst);
+  if (!s.empty()) std::memcpy(dst, s.data(), s.size());
+  return dst + s.size();
 }
 
 bool GetString(std::string_view bytes, size_t* pos, std::string* out) {
@@ -87,10 +110,11 @@ bool GetString(std::string_view bytes, size_t* pos, std::string* out) {
   return true;
 }
 
-void PutU64Fixed(uint64_t v, std::string* out) {
+char* PutU64Fixed(uint64_t v, char* dst) {
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    *dst++ = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  return dst;
 }
 
 bool GetU64Fixed(std::string_view bytes, size_t* pos, uint64_t* out) {
@@ -103,6 +127,78 @@ bool GetU64Fixed(std::string_view bytes, size_t* pos, uint64_t* out) {
   *pos += 8;
   *out = v;
   return true;
+}
+
+uint64_t ZigZag(int64_t x) {
+  return (static_cast<uint64_t>(x) << 1) ^ static_cast<uint64_t>(x >> 63);
+}
+
+/// Bytes EncodeValue writes for `v`.
+size_t EncodedSize(const json::Value& v) {
+  switch (v.type()) {
+    case json::Value::Type::kNull:
+    case json::Value::Type::kBool:
+      return 1;
+    case json::Value::Type::kInt:
+      return 1 + VarintSize(ZigZag(v.as_int()));
+    case json::Value::Type::kDouble:
+      return 9;
+    case json::Value::Type::kString:
+      return 1 + StringSize(v.as_string());
+    case json::Value::Type::kArray: {
+      size_t n = 1 + VarintSize(v.as_array().size());
+      for (const auto& e : v.as_array()) n += EncodedSize(e);
+      return n;
+    }
+    case json::Value::Type::kObject: {
+      size_t n = 1 + VarintSize(v.as_object().size());
+      for (const auto& [key, value] : v.as_object().entries()) {
+        n += StringSize(key) + EncodedSize(value);
+      }
+      return n;
+    }
+  }
+  return 0;
+}
+
+/// Writes the value codec's bytes for `v` at `dst`: a tag byte, then the
+/// payload (zigzag varint ints, raw 8-byte doubles, length-prefixed
+/// strings, counted arrays and objects).
+char* EncodeValue(const json::Value& v, char* dst) {
+  switch (v.type()) {
+    case json::Value::Type::kNull:
+      *dst++ = static_cast<char>(kTagNull);
+      return dst;
+    case json::Value::Type::kBool:
+      *dst++ = static_cast<char>(v.as_bool() ? kTagTrue : kTagFalse);
+      return dst;
+    case json::Value::Type::kInt:
+      *dst++ = static_cast<char>(kTagInt);
+      return PutVarint(ZigZag(v.as_int()), dst);
+    case json::Value::Type::kDouble: {
+      *dst++ = static_cast<char>(kTagDouble);
+      const double d = v.as_double();
+      std::memcpy(dst, &d, 8);
+      return dst + 8;
+    }
+    case json::Value::Type::kString:
+      *dst++ = static_cast<char>(kTagString);
+      return PutString(v.as_string(), dst);
+    case json::Value::Type::kArray:
+      *dst++ = static_cast<char>(kTagArray);
+      dst = PutVarint(v.as_array().size(), dst);
+      for (const auto& e : v.as_array()) dst = EncodeValue(e, dst);
+      return dst;
+    case json::Value::Type::kObject:
+      *dst++ = static_cast<char>(kTagObject);
+      dst = PutVarint(v.as_object().size(), dst);
+      for (const auto& [key, value] : v.as_object().entries()) {
+        dst = PutString(key, dst);
+        dst = EncodeValue(value, dst);
+      }
+      return dst;
+  }
+  return dst;
 }
 
 Status DeserializeValueAt(std::string_view bytes, size_t* pos,
@@ -493,7 +589,11 @@ Result<std::string> ReadFile(const std::string& path) {
   return content;
 }
 
-Status WriteFile(const std::string& path, std::string_view content) {
+namespace {
+
+/// `write(path, content)` behind the io.write.* fail points.
+Status WriteProbed(const std::string& path, std::string_view content,
+                   Status (*write)(const std::string&, std::string_view)) {
   if (DJ_FAULT("io.write.fail")) {
     return Status::IoError("fault injected: io.write.fail on '" + path + "'");
   }
@@ -501,9 +601,19 @@ Status WriteFile(const std::string& path, std::string_view content) {
     // Torn write: persist only a prefix and report success — the crash that
     // truncated the file is only discoverable on the read path, which is
     // exactly what the container formats must survive.
-    return WriteStringToFile(path, content.substr(0, content.size() * 2 / 3));
+    return write(path, content.substr(0, content.size() * 2 / 3));
   }
-  return WriteStringToFile(path, content);
+  return write(path, content);
+}
+
+}  // namespace
+
+Status WriteFile(const std::string& path, std::string_view content) {
+  return WriteProbed(path, content, WriteStringToFile);
+}
+
+Status WriteFileAtomic(const std::string& path, std::string_view content) {
+  return WriteProbed(path, content, WriteStringToFileAtomic);
 }
 
 Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
@@ -711,51 +821,9 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 }
 
 void SerializeValue(const json::Value& v, std::string* out) {
-  switch (v.type()) {
-    case json::Value::Type::kNull:
-      out->push_back(static_cast<char>(kTagNull));
-      break;
-    case json::Value::Type::kBool:
-      out->push_back(static_cast<char>(v.as_bool() ? kTagTrue : kTagFalse));
-      break;
-    case json::Value::Type::kInt: {
-      out->push_back(static_cast<char>(kTagInt));
-      int64_t x = v.as_int();
-      uint64_t zz = (static_cast<uint64_t>(x) << 1) ^
-                    static_cast<uint64_t>(x >> 63);
-      PutVarint(zz, out);
-      break;
-    }
-    case json::Value::Type::kDouble: {
-      out->push_back(static_cast<char>(kTagDouble));
-      double d = v.as_double();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      char buf[8];
-      std::memcpy(buf, &bits, 8);
-      out->append(buf, 8);
-      break;
-    }
-    case json::Value::Type::kString:
-      out->push_back(static_cast<char>(kTagString));
-      PutString(v.as_string(), out);
-      break;
-    case json::Value::Type::kArray: {
-      out->push_back(static_cast<char>(kTagArray));
-      PutVarint(v.as_array().size(), out);
-      for (const auto& e : v.as_array()) SerializeValue(e, out);
-      break;
-    }
-    case json::Value::Type::kObject: {
-      out->push_back(static_cast<char>(kTagObject));
-      PutVarint(v.as_object().size(), out);
-      for (const auto& [key, value] : v.as_object().entries()) {
-        PutString(key, out);
-        SerializeValue(value, out);
-      }
-      break;
-    }
-  }
+  const size_t at = out->size();
+  out->resize(at + EncodedSize(v));
+  EncodeValue(v, out->data() + at);
 }
 
 Result<json::Value> DeserializeValue(std::string_view bytes) {
@@ -779,7 +847,10 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
     num_shards = std::max<size_t>(std::min(num_shards, num_rows),
                                   num_rows == 0 ? 0 : 1);
   }
-  std::vector<std::string> names = dataset.ColumnNames();
+  const std::vector<std::string> names = dataset.ColumnNames();
+  std::vector<const std::vector<json::Value>*> columns;
+  columns.reserve(names.size());
+  for (const std::string& name : names) columns.push_back(dataset.Column(name));
   // Even row partition: shard i covers base + (i < rem ? 1 : 0) rows.
   const size_t base = num_shards == 0 ? 0 : num_rows / num_shards;
   const size_t rem = num_shards == 0 ? 0 : num_rows % num_shards;
@@ -787,52 +858,100 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   for (size_t s = 0; s < num_shards; ++s) {
     row_begin[s + 1] = row_begin[s] + base + (s < rem ? 1 : 0);
   }
-  std::vector<std::string> payloads(num_shards);
-  auto serialize_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      std::string& payload = payloads[s];
-      const size_t rows = row_begin[s + 1] - row_begin[s];
-      // Size the payload from a few sampled rows so the big text columns
-      // append into reserved space instead of doubling the string.
-      const size_t samples = rows < 4 ? rows : 4;
-      if (samples > 0) {
-        std::string probe;
-        for (const std::string& name : names) {
-          const auto* cells = dataset.Column(name);
-          for (size_t r = row_begin[s]; r < row_begin[s] + samples; ++r) {
-            SerializeValue((*cells)[r], &probe);
-          }
-        }
-        payload.reserve((probe.size() / samples + 16) * rows + 64);
-      }
-      for (const std::string& name : names) {
-        const auto* cells = dataset.Column(name);
-        for (size_t r = row_begin[s]; r < row_begin[s + 1]; ++r) {
-          SerializeValue((*cells)[r], &payload);
-        }
+
+  // A shard's payload is its columns in order, each a run of its rows'
+  // cells. Pieces cut that run into (column, row range) spans in payload
+  // order, so a one-shard blob still sizes and encodes at pool width.
+  struct Piece {
+    size_t column = 0;
+    size_t row_begin = 0;
+    size_t row_end = 0;
+    size_t size = 0;    ///< encoded bytes, from the sizing pass
+    size_t offset = 0;  ///< where those bytes go in the blob
+  };
+  std::vector<Piece> pieces;
+  std::vector<size_t> shard_pieces(num_shards + 1, 0);  // first of shard s
+  for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      for (size_t r = row_begin[s]; r < row_begin[s + 1];
+           r += kRowsPerPiece) {
+        pieces.push_back(
+            {c, r, std::min(r + kRowsPerPiece, row_begin[s + 1])});
       }
     }
-  };
-  MaybeParallelFor(pool, num_shards, serialize_range);
-
-  std::string out;
-  size_t payload_total = 0;
-  for (const std::string& p : payloads) payload_total += p.size();
-  out.reserve(payload_total + 64 + names.size() * 16);
-  out.append(kDatasetMagic, 4);
-  out.push_back(static_cast<char>(kDatasetVersion));
-  PutVarint(num_rows, &out);
-  PutVarint(names.size(), &out);
-  for (const std::string& name : names) PutString(name, &out);
-  PutVarint(num_shards, &out);
-  for (size_t s = 0; s < num_shards; ++s) {
-    PutVarint(row_begin[s + 1] - row_begin[s], &out);
-    PutVarint(payloads[s].size(), &out);
-    PutU64Fixed(swar::Hash64(payloads[s]), &out);
+    shard_pieces[s + 1] = pieces.size();
   }
-  // Header checksum covers everything above it; shard entries cover payloads.
-  PutU64Fixed(swar::Hash64(out), &out);
-  for (const std::string& p : payloads) out.append(p);
+  MaybeParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      const std::vector<json::Value>& cells = *columns[pieces[p].column];
+      size_t size = 0;
+      for (size_t r = pieces[p].row_begin; r < pieces[p].row_end; ++r) {
+        size += EncodedSize(cells[r]);
+      }
+      pieces[p].size = size;
+    }
+  });
+
+  // The header's size follows from the counts, names and payload lengths,
+  // so every offset is a prefix sum and the blob is allocated once.
+  std::vector<size_t> payload_len(num_shards, 0);
+  for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t p = shard_pieces[s]; p < shard_pieces[s + 1]; ++p) {
+      payload_len[s] += pieces[p].size;
+    }
+  }
+  size_t header_len = sizeof(kDatasetMagic) + 1 + VarintSize(num_rows) +
+                      VarintSize(names.size()) + VarintSize(num_shards) + 8;
+  for (const std::string& name : names) header_len += StringSize(name);
+  for (size_t s = 0; s < num_shards; ++s) {
+    header_len += VarintSize(row_begin[s + 1] - row_begin[s]) +
+                  VarintSize(payload_len[s]) + 8;
+  }
+  std::vector<size_t> payload_at(num_shards, 0);
+  size_t cursor = header_len;
+  for (size_t s = 0; s < num_shards; ++s) {
+    payload_at[s] = cursor;
+    for (size_t p = shard_pieces[s]; p < shard_pieces[s + 1]; ++p) {
+      pieces[p].offset = cursor;
+      cursor += pieces[p].size;
+    }
+  }
+  std::string out(cursor, '\0');
+
+  MaybeParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      const std::vector<json::Value>& cells = *columns[pieces[p].column];
+      char* dst = out.data() + pieces[p].offset;
+      for (size_t r = pieces[p].row_begin; r < pieces[p].row_end; ++r) {
+        dst = EncodeValue(cells[r], dst);
+      }
+    }
+  });
+  std::vector<uint64_t> payload_hash(num_shards, 0);
+  MaybeParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      payload_hash[s] =
+          swar::Hash64(out.data() + payload_at[s], payload_len[s]);
+    }
+  });
+
+  // The header goes last: its shard table holds the payload checksums, and
+  // its own checksum covers everything before it.
+  char* dst = out.data();
+  std::memcpy(dst, kDatasetMagic, sizeof(kDatasetMagic));
+  dst += sizeof(kDatasetMagic);
+  *dst++ = static_cast<char>(kDatasetVersion);
+  dst = PutVarint(num_rows, dst);
+  dst = PutVarint(names.size(), dst);
+  for (const std::string& name : names) dst = PutString(name, dst);
+  dst = PutVarint(num_shards, dst);
+  for (size_t s = 0; s < num_shards; ++s) {
+    dst = PutVarint(row_begin[s + 1] - row_begin[s], dst);
+    dst = PutVarint(payload_len[s], dst);
+    dst = PutU64Fixed(payload_hash[s], dst);
+  }
+  PutU64Fixed(swar::Hash64(out.data(), static_cast<size_t>(dst - out.data())),
+              dst);
   RecordIoMetrics("serialize", num_rows, out.size(), watch.ElapsedSeconds());
   return out;
 }

@@ -16,6 +16,12 @@ Result<std::string> ReadFile(const std::string& path);
 /// Writes `content` to `path`, creating parent directories.
 Status WriteFile(const std::string& path, std::string_view content);
 
+/// WriteFile, crash-atomically: `content` goes to `path + ".tmp"`, is
+/// fsync'd and renamed over `path`, and the directory is fsync'd
+/// (WriteStringToFileAtomic). A crash leaves the old `path` or a stray
+/// .tmp file, never a torn `path`. Same io.write.* fail points as WriteFile.
+Status WriteFileAtomic(const std::string& path, std::string_view content);
+
 /// Parses JSON-Lines content: one strict-JSON object per non-empty line.
 /// With a pool, the buffer splits at newline boundaries into per-thread
 /// chunks that parse concurrently; the result (rows, column order, error
@@ -41,12 +47,14 @@ Status WriteJsonl(const Dataset& dataset, const std::string& path,
 /// SerializeDataset writes version 3: a checksummed header (row/column
 /// counts, column names) followed by a shard table and N independently
 /// decodable row-range shards, each with a byte length and a swar::Hash64
-/// checksum. Shards serialize and deserialize on `pool` when given; the
-/// byte stream depends only on the dataset and `num_shards` (0 =
-/// deterministic auto from the row count), so serial and parallel runs
-/// produce identical blobs. DeserializeDataset reads version 3 only: any
-/// other version byte (1 was one unsharded stream, 2 the same layout with
-/// FNV-1a checksums) is a Corruption error naming it.
+/// checksum. It sizes every (shard, column, row-range) piece first, then
+/// encodes the pieces in place into one allocation, on `pool` when given,
+/// and writes the header last. The byte stream depends only on the
+/// dataset and `num_shards` (0 = deterministic auto from the row count),
+/// never on the pieces or the pool. DeserializeDataset decodes shards on
+/// `pool` and reads version 3 only: any other version byte (1 was one
+/// unsharded stream, 2 the same layout with FNV-1a checksums) is a
+/// Corruption error naming it.
 std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool = nullptr,
                              size_t num_shards = 0);
 Result<Dataset> DeserializeDataset(std::string_view bytes,

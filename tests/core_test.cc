@@ -415,6 +415,54 @@ TEST(CacheManagerTest, CompressionShrinksFiles) {
   EXPECT_EQ(loaded.value().NumRows(), 50u);
 }
 
+TEST(CacheManagerTest, StoreReturnsTheFileItWrote) {
+  std::string dir = TempDir("cache_stored_file");
+  CacheManager cache(dir, /*compression=*/true);
+  auto stored = cache.Store(
+      7, data::SerializeDataset(data::Dataset::FromTexts({"one", "two"})));
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  const StoredFile& file = stored.value();
+  EXPECT_TRUE(fs::path(file.path).is_absolute()) << file.path;
+  auto bytes = data::ReadFile(file.path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(compress::IsFrame(bytes.value()));
+  EXPECT_EQ(file.bytes, bytes.value().size());
+  EXPECT_EQ(file.checksum, swar::Hash64(bytes.value()));
+  EXPECT_EQ(cache.TotalBytes(), file.bytes);
+}
+
+TEST(CacheManagerTest, ClearRemovesLeftoverTempFilesAndTotalBytesSkipsThem) {
+  std::string dir = TempDir("cache_leftover_tmp");
+  CacheManager cache(dir, /*compression=*/true);
+  auto stored = cache.Store(
+      7, data::SerializeDataset(data::Dataset::FromTexts({"cached row"})));
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  const uint64_t entry_bytes = cache.TotalBytes();
+  ASSERT_EQ(entry_bytes, stored.value().bytes);
+
+  // What an interrupted atomic Store leaves: a torn "<entry>.tmp", here for
+  // this entry and for one whose rename never happened. A file that is not
+  // the cache's stays.
+  const std::string beside = stored.value().path + ".tmp";
+  const std::string orphan = dir + "/00000000000000ab.djds.djlz.tmp";
+  const std::string foreign = dir + "/notes.txt";
+  ASSERT_TRUE(data::WriteFile(beside, "torn entry bytes").ok());
+  ASSERT_TRUE(data::WriteFile(orphan, "torn").ok());
+  ASSERT_TRUE(data::WriteFile(foreign, "not a cache file").ok());
+  EXPECT_EQ(cache.TotalBytes(), entry_bytes);
+  EXPECT_FALSE(cache.Contains(0xab));
+  auto loaded = cache.Load(7);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().GetTextAt(0), "cached row");
+
+  cache.Clear();
+  EXPECT_FALSE(fs::exists(stored.value().path));
+  EXPECT_FALSE(fs::exists(beside));
+  EXPECT_FALSE(fs::exists(orphan));
+  EXPECT_TRUE(fs::exists(foreign));
+  EXPECT_EQ(cache.TotalBytes(), 0u);
+}
+
 TEST(CacheManagerTest, KeyChangesWithConfig) {
   json::Value c1 = json::Parse(R"({"min": 1})").value();
   json::Value c2 = json::Parse(R"({"min": 2})").value();
@@ -631,54 +679,74 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
 }
 
 TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
-  // Each unit boundary serializes once and hands the same DJDS bytes to
-  // both consumers. After the last unit, the checkpoint blob is exactly
-  // the result's DJDS bytes and the deepest cache entry is those bytes
-  // djlz-framed, as when each consumer serialized the dataset itself.
-  std::string dir = TempDir("shared_blob");
-  auto ops = FourteenOpPipeline();
-  Executor::Options options;
-  options.num_workers = 4;
-  options.use_cache = true;
-  options.cache_dir = dir + "/cache";
-  options.cache_compression = true;
-  options.use_checkpoint = true;
-  options.checkpoint_dir = dir + "/ckpt";
-  options.dataset_source_id = "shared-blob";
-  Executor executor(options);
-  RunReport report;
-  auto result = executor.Run(NoisyCorpus(120), ops, &report);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const std::string djds = data::SerializeDataset(result.value());
+  // Each unit boundary serializes once and writes one file, and the
+  // checkpoint manifest names that file with its size and Hash64. With the
+  // cache on, the file is the cache entry: after the last unit the manifest
+  // names the deepest entry, which is the result's DJDS bytes djlz-framed,
+  // and the checkpoint directory holds nothing but the manifest. With the
+  // cache off, the checkpoint's own blob is exactly the result's DJDS bytes.
+  for (bool use_cache : {true, false}) {
+    SCOPED_TRACE(use_cache ? "cache on" : "cache off");
+    std::string dir = TempDir(use_cache ? "shared_blob_cache" : "shared_blob");
+    auto ops = FourteenOpPipeline();
+    Executor::Options options;
+    options.num_workers = 4;
+    options.use_cache = use_cache;
+    options.cache_dir = dir + "/cache";
+    options.cache_compression = true;
+    options.use_checkpoint = true;
+    options.checkpoint_dir = dir + "/ckpt";
+    options.dataset_source_id = "shared-blob";
+    Executor executor(options);
+    RunReport report;
+    auto result = executor.Run(NoisyCorpus(120), ops, &report);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string djds = data::SerializeDataset(result.value());
 
-  auto manifest_text = data::ReadFile(dir + "/ckpt/checkpoint.json");
-  ASSERT_TRUE(manifest_text.ok());
-  auto manifest = json::Parse(manifest_text.value());
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest.value().GetInt("schema", 0), 3);
-  EXPECT_EQ(static_cast<uint64_t>(manifest.value().GetInt("blob_checksum", 0)),
-            swar::Hash64(djds));
-  auto blob = data::ReadFile(dir + "/ckpt/" +
-                             manifest.value().GetString("blob_file", ""));
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  EXPECT_TRUE(blob.value() == djds) << "checkpoint blob differs";
+    auto manifest_text = data::ReadFile(dir + "/ckpt/checkpoint.json");
+    ASSERT_TRUE(manifest_text.ok());
+    auto manifest = json::Parse(manifest_text.value());
+    ASSERT_TRUE(manifest.ok());
+    EXPECT_EQ(manifest.value().GetInt("schema", 0), 4);
+    const std::string named = manifest.value().GetString("file", "");
+    const std::string named_path =
+        fs::path(named).is_absolute() ? named : dir + "/ckpt/" + named;
+    auto file = data::ReadFile(named_path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    EXPECT_EQ(static_cast<uint64_t>(manifest.value().GetInt("file_bytes", 0)),
+              file.value().size());
+    EXPECT_EQ(
+        static_cast<uint64_t>(manifest.value().GetInt("file_checksum", 0)),
+        swar::Hash64(file.value()));
 
-  uint64_t key = CacheManager::InitialKey("shared-blob");
-  for (const auto& op : ops) {
-    key = CacheManager::ExtendKey(key, op->name(), op->config());
+    if (use_cache) {
+      uint64_t key = CacheManager::InitialKey("shared-blob");
+      for (const auto& op : ops) {
+        key = CacheManager::ExtendKey(key, op->name(), op->config());
+      }
+      char name[32];
+      std::snprintf(name, sizeof(name), "%016llx.djds.djlz",
+                    static_cast<unsigned long long>(key));
+      ASSERT_TRUE(fs::exists(dir + "/cache/" + name));
+      EXPECT_TRUE(fs::equivalent(named_path, dir + "/cache/" + name))
+          << "the manifest names " << named << ", not the deepest entry";
+      EXPECT_TRUE(file.value() == compress::CompressFrame(djds))
+          << "deepest cache entry differs";
+      std::vector<std::string> ckpt_files;
+      for (const auto& e : fs::directory_iterator(dir + "/ckpt")) {
+        ckpt_files.push_back(e.path().filename().string());
+      }
+      EXPECT_EQ(ckpt_files, std::vector<std::string>{"checkpoint.json"});
+    } else {
+      EXPECT_EQ(fs::path(named).parent_path(), fs::path());
+      EXPECT_TRUE(file.value() == djds) << "checkpoint blob differs";
+    }
+
+    EXPECT_EQ(report.cache_stores, use_cache ? ops.size() : 0u);
+    EXPECT_EQ(report.checkpoint_saves, ops.size());
+    EXPECT_GT(report.persist_seconds, 0.0);
+    EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
   }
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.djds.djlz",
-                static_cast<unsigned long long>(key));
-  auto entry = data::ReadFile(dir + "/cache/" + name);
-  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  EXPECT_TRUE(entry.value() == compress::CompressFrame(djds))
-      << "deepest cache entry differs";
-
-  EXPECT_EQ(report.cache_stores, ops.size());
-  EXPECT_EQ(report.checkpoint_saves, ops.size());
-  EXPECT_GT(report.persist_seconds, 0.0);
-  EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
 }
 
 TEST(ExecutorTest, OlderCacheFrameIsEvictedAndRecomputed) {

@@ -8,9 +8,12 @@
 
 #include "common/hash.h"
 #include "common/probe.h"
+#include "common/string_util.h"
+#include "common/swar.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "data/io.h"
+#include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -301,27 +304,53 @@ TEST(ProbeTest, FreshInstanceReadsItsVariableAtFirstProbe) {
 
 // ------------------------------------------- checkpoint crash windows ----
 
-// Checkpoints `texts` the way the executor does: serialize, then Save.
-Status SaveTexts(const core::CheckpointManager& mgr, size_t next_op_index,
+// The two kinds of file a checkpoint manifest can name.
+enum class Backing { kOwnBlob, kCacheEntry };
+
+// Checkpoints `texts` the way the executor does: serialize, then, with a
+// cache, store the entry and Save naming it; without one, Save writes the
+// checkpoint's own blob.
+Status SaveTexts(const core::CheckpointManager& mgr,
+                 const core::CacheManager* cache, size_t next_op_index,
                  uint64_t key, std::vector<std::string> texts) {
   data::Dataset ds = data::Dataset::FromTexts(std::move(texts));
-  return mgr.Save(next_op_index, key, ds.NumRows(),
-                  data::SerializeDataset(ds));
+  const std::string djds = data::SerializeDataset(ds);
+  if (cache == nullptr) return mgr.Save(next_op_index, key, ds.NumRows(), djds);
+  DJ_ASSIGN_OR_RETURN(core::StoredFile entry, cache->Store(key, djds));
+  return mgr.Save(next_op_index, key, ds.NumRows(), djds, &entry);
 }
 
-class CheckpointCrashTest : public ::testing::TestWithParam<const char*> {};
+// Names of the files directly in `dir` whose name ends with `suffix`.
+std::vector<std::string> FilesEndingWith(const std::string& dir,
+                                         std::string_view suffix) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    if (EndsWith(name, suffix)) out.push_back(std::move(name));
+  }
+  return out;
+}
+
+class CheckpointCrashTest
+    : public ::testing::TestWithParam<std::tuple<const char*, Backing>> {};
 
 TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
-  std::string dir = TempDir(std::string("crash_") + GetParam());
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, 1, 111, {"one"}).ok());
+  const char* window = std::get<0>(GetParam());
+  const bool cached = std::get<1>(GetParam()) == Backing::kCacheEntry;
+  std::string dir = TempDir(std::string("crash_") + window +
+                            (cached ? "_cache" : "_own"));
+  core::CheckpointManager mgr(dir + "/ckpt");
+  core::CacheManager cache_mgr(dir + "/cache", /*compression=*/true);
+  const core::CacheManager* cache = cached ? &cache_mgr : nullptr;
+  ASSERT_TRUE(SaveTexts(mgr, cache, 1, 111, {"one"}).ok());
 
   {
-    probe::Scoped faults(probe::Faults(), std::string(GetParam()) + "=n1");
+    probe::Scoped faults(probe::Faults(), std::string(window) + "=n1");
     ASSERT_TRUE(faults.status().ok());
-    Status crashed = SaveTexts(mgr, 2, 222, {"two", "extra"});
+    Status crashed = SaveTexts(mgr, cache, 2, 222, {"two", "extra"});
     EXPECT_FALSE(crashed.ok());
-    EXPECT_NE(crashed.ToString().find(GetParam()), std::string::npos)
+    EXPECT_NE(crashed.ToString().find(window), std::string::npos)
         << crashed.ToString();
   }
 
@@ -333,29 +362,37 @@ TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
   EXPECT_EQ(loaded.value().dataset.NumRows(), 1u);
 
   // And a retried Save (fault cleared) wins cleanly.
-  ASSERT_TRUE(SaveTexts(mgr, 2, 222, {"two", "extra"}).ok());
+  ASSERT_TRUE(SaveTexts(mgr, cache, 2, 222, {"two", "extra"}).ok());
   auto retried = mgr.LoadLatest();
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(retried.value().next_op_index, 2u);
   EXPECT_EQ(retried.value().dataset.NumRows(), 2u);
+  // Backed by a cache entry, the checkpoint writes no blob of its own.
+  EXPECT_EQ(FilesEndingWith(dir + "/ckpt", ".djds").size(), cached ? 0u : 1u);
+  EXPECT_TRUE(FilesEndingWith(dir + "/ckpt", ".tmp").empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCrashWindows, CheckpointCrashTest,
-                         ::testing::Values("ckpt.blob_write",
-                                           "ckpt.after_blob",
-                                           "ckpt.manifest_write"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           std::string name = i.param;
-                           for (char& c : name) {
-                             if (c == '.') c = '_';
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllCrashWindows, CheckpointCrashTest,
+    ::testing::Combine(::testing::Values("ckpt.blob_write", "ckpt.after_blob",
+                                         "ckpt.manifest_write"),
+                       ::testing::Values(Backing::kOwnBlob,
+                                         Backing::kCacheEntry)),
+    [](const ::testing::TestParamInfo<CheckpointCrashTest::ParamType>& i) {
+      std::string name = std::get<0>(i.param);
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name + (std::get<1>(i.param) == Backing::kCacheEntry
+                         ? "_cache_entry"
+                         : "_own_blob");
+    });
 
 TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
   std::string dir = TempDir("torn_blob");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, 3, 42, {"alpha", "beta", "gamma"}).ok());
+  ASSERT_TRUE(
+      SaveTexts(mgr, nullptr, 3, 42, {"alpha", "beta", "gamma"}).ok());
 
   // Tear the blob behind the manifest's back.
   std::string blob_path;
@@ -381,7 +418,7 @@ TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
 TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
   std::string dir = TempDir("flipped_blob");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, 1, 9, {"payload row"}).ok());
+  ASSERT_TRUE(SaveTexts(mgr, nullptr, 1, 9, {"payload row"}).ok());
 
   std::string blob_path;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -404,7 +441,7 @@ TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
 TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
   std::string dir = TempDir("torn_manifest");
   core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, 1, 9, {"row"}).ok());
+  ASSERT_TRUE(SaveTexts(mgr, nullptr, 1, 9, {"row"}).ok());
   auto manifest = data::ReadFile(dir + "/checkpoint.json");
   ASSERT_TRUE(manifest.ok());
   ASSERT_TRUE(
@@ -420,10 +457,11 @@ TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
 }
 
 // Checkpoint layouts written by older builds, which this build refuses:
-// schema 2 is the crash-atomic layout with an FNV-1a blob checksum; the
-// pre-atomic layout is a bare checkpoint.djds beside a manifest with no
-// schema, blob name or checksum.
-enum class OlderLayout { kSchema2, kPreAtomic };
+// schema 3 always wrote its own blob and recorded its swar::Hash64 under
+// blob_* fields; schema 2 is the same crash-atomic layout with an FNV-1a
+// blob checksum; the pre-atomic layout is a bare checkpoint.djds beside a
+// manifest with no schema, blob name or checksum.
+enum class OlderLayout { kSchema3, kSchema2, kPreAtomic };
 
 void WriteOlderCheckpoint(const std::string& dir, OlderLayout layout,
                           size_t next_op_index, uint64_t key,
@@ -435,16 +473,18 @@ void WriteOlderCheckpoint(const std::string& dir, OlderLayout layout,
                json::Value(static_cast<int64_t>(next_op_index)));
   manifest.Set("pipeline_key", json::Value(static_cast<int64_t>(key)));
   manifest.Set("num_rows", json::Value(static_cast<int64_t>(ds.NumRows())));
-  if (layout == OlderLayout::kSchema2) {
+  if (layout != OlderLayout::kPreAtomic) {
+    const bool schema3 = layout == OlderLayout::kSchema3;
     char name[48];
     std::snprintf(name, sizeof(name), "checkpoint-%016llx.djds",
                   static_cast<unsigned long long>(key));
     blob_file = name;
-    manifest.Set("schema", json::Value(static_cast<int64_t>(2)));
+    manifest.Set("schema", json::Value(static_cast<int64_t>(schema3 ? 3 : 2)));
     manifest.Set("blob_file", json::Value(blob_file));
     manifest.Set("blob_bytes", json::Value(static_cast<int64_t>(blob.size())));
     manifest.Set("blob_checksum",
-                 json::Value(static_cast<int64_t>(Fnv1a64(blob))));
+                 json::Value(static_cast<int64_t>(
+                     schema3 ? swar::Hash64(blob) : Fnv1a64(blob))));
   }
   ASSERT_TRUE(data::WriteFile(dir + "/" + blob_file, blob).ok());
   ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
@@ -455,7 +495,15 @@ void WriteOlderCheckpoint(const std::string& dir, OlderLayout layout,
 class OlderCheckpointTest : public ::testing::TestWithParam<OlderLayout> {
  protected:
   const char* SchemaText() const {
-    return GetParam() == OlderLayout::kSchema2 ? "schema 2" : "schema (none)";
+    switch (GetParam()) {
+      case OlderLayout::kSchema3:
+        return "schema 3";
+      case OlderLayout::kSchema2:
+        return "schema 2";
+      case OlderLayout::kPreAtomic:
+        break;
+    }
+    return "schema (none)";
   }
 };
 
@@ -511,7 +559,7 @@ process:
   ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
   EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
 
-  // The run's own schema-3 checkpoint replaced the older one, whose blob
+  // The run's own schema-4 checkpoint replaced the older one, whose blob
   // was collected.
   auto reloaded = core::CheckpointManager(dir).LoadLatest();
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
@@ -524,11 +572,19 @@ process:
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BothLayouts, OlderCheckpointTest,
-    ::testing::Values(OlderLayout::kSchema2, OlderLayout::kPreAtomic),
+    OlderLayouts, OlderCheckpointTest,
+    ::testing::Values(OlderLayout::kSchema3, OlderLayout::kSchema2,
+                      OlderLayout::kPreAtomic),
     [](const ::testing::TestParamInfo<OlderLayout>& info) {
-      return info.param == OlderLayout::kSchema2 ? std::string("schema2")
-                                                 : std::string("pre_atomic");
+      switch (info.param) {
+        case OlderLayout::kSchema3:
+          return std::string("schema3");
+        case OlderLayout::kSchema2:
+          return std::string("schema2");
+        case OlderLayout::kPreAtomic:
+          break;
+      }
+      return std::string("pre_atomic");
     });
 
 // ------------------------------------------------------- crash matrix ----
@@ -584,13 +640,14 @@ data::Dataset SmallCorpus() {
   return ds;
 }
 
-class CrashMatrixTest : public ::testing::TestWithParam<std::string> {};
-
-// Acceptance criterion: for every shipped recipe, a run killed at any OP
-// boundary and resumed from its checkpoint produces byte-identical output
-// to an uninterrupted run.
-TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
-  auto recipe = core::Recipe::FromFile(GetParam());
+// Kills `recipe_path` at every OP boundary b (the b-th probe of
+// exec.op_abort), resumes it, and requires output byte-identical to an
+// uninterrupted run, resuming from the checkpoint for b > 1. With
+// `use_cache`, the cache (compressed) is on beside the checkpoints, so each
+// checkpoint names a cache entry, and the checkpoint directory must never
+// hold a blob of its own.
+void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
+  auto recipe = core::Recipe::FromFile(recipe_path);
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
   auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
   ASSERT_TRUE(ops.ok()) << ops.status().ToString();
@@ -608,17 +665,21 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   const std::string want_bytes = data::SerializeDataset(clean.value());
 
-  // Kill at boundary b (the b-th probe of exec.op_abort), resume, compare.
   // The loop discovers the number of plan units implicitly: when the
   // injected run no longer crashes, every boundary has been covered.
   size_t boundaries_hit = 0;
   for (uint64_t b = 1; b <= 64; ++b) {
     std::string dir =
-        TempDir("matrix_" + fs::path(GetParam()).stem().string() + "_" +
-                std::to_string(b));
+        TempDir("matrix_" + fs::path(recipe_path).stem().string() +
+                (use_cache ? "_cache_" : "_") + std::to_string(b));
     core::Executor::Options opts = base;
     opts.use_checkpoint = true;
-    opts.checkpoint_dir = dir;
+    opts.checkpoint_dir = dir + "/ckpt";
+    if (use_cache) {
+      opts.use_cache = true;
+      opts.cache_dir = dir + "/cache";
+      opts.cache_compression = true;
+    }
 
     core::Executor crashing(opts);
     auto crashed = [&] {
@@ -635,6 +696,10 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
     ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
         << crashed.status().ToString();
     ++boundaries_hit;
+    if (use_cache) {
+      EXPECT_TRUE(FilesEndingWith(opts.checkpoint_dir, ".djds").empty())
+          << recipe_path << " boundary " << b;
+    }
 
     core::Executor resuming(opts);
     core::RunReport report;
@@ -644,15 +709,32 @@ TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
     // so the resumed run legitimately starts from scratch.
     if (b > 1) {
       EXPECT_TRUE(report.resumed_from_checkpoint)
-          << GetParam() << " boundary " << b;
+          << recipe_path << " boundary " << b;
     }
     ASSERT_EQ(data::SerializeDataset(resumed.value()), want_bytes)
-        << GetParam() << ": resume after kill at boundary " << b
+        << recipe_path << ": resume after kill at boundary " << b
         << " diverged from the uninterrupted run";
+    if (use_cache) {
+      EXPECT_TRUE(FilesEndingWith(opts.checkpoint_dir, ".djds").empty())
+          << recipe_path << " boundary " << b << " after resume";
+    }
     fs::remove_all(dir);
   }
   EXPECT_GE(boundaries_hit, 1u) << "no boundary was ever hit — is "
                                    "exec.op_abort still probed per unit?";
+}
+
+class CrashMatrixTest : public ::testing::TestWithParam<std::string> {};
+
+// Acceptance criterion: for every shipped recipe, a run killed at any OP
+// boundary and resumed from its checkpoint produces byte-identical output
+// to an uninterrupted run — with the cache off, and with it on.
+TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
+  RunCrashMatrix(GetParam(), /*use_cache=*/false);
+}
+
+TEST_P(CrashMatrixTest, CacheOnKillAtEveryBoundaryResumeByteIdentical) {
+  RunCrashMatrix(GetParam(), /*use_cache=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -664,6 +746,163 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// ------------------------------------------ the file a manifest names ----
+
+constexpr std::string_view kBackingRecipe = R"(
+process:
+  - whitespace_normalization_mapper:
+  - text_length_filter:
+      min: 10
+  - document_exact_deduplicator:
+)";
+
+std::vector<std::unique_ptr<ops::Op>> BackingOps() {
+  auto recipe = core::Recipe::FromString(kBackingRecipe);
+  EXPECT_TRUE(recipe.ok()) << recipe.status().ToString();
+  auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  return ops.ok() ? std::move(ops).value()
+                  : std::vector<std::unique_ptr<ops::Op>>{};
+}
+
+// Cache (compressed) and checkpoints on, in `dir`.
+core::Executor::Options CachedCheckpointOptions(const std::string& dir) {
+  core::Executor::Options opts;
+  opts.use_cache = true;
+  opts.cache_dir = dir + "/cache";
+  opts.cache_compression = true;
+  opts.use_checkpoint = true;
+  opts.checkpoint_dir = dir + "/ckpt";
+  opts.dataset_source_id = "backing-corpus";
+  return opts;
+}
+
+// The `file` field of the checkpoint manifest in `ckpt_dir`.
+std::string NamedFile(const std::string& ckpt_dir) {
+  auto text = data::ReadFile(ckpt_dir + "/checkpoint.json");
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  auto manifest = json::ParseStrict(text.ok() ? text.value() : "");
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  return manifest.ok() ? manifest.value().GetString("file", "") : "";
+}
+
+std::string CleanBackingResult() {
+  auto ops = BackingOps();
+  auto clean = core::Executor(core::Executor::Options{})
+                   .Run(SmallCorpus(), ops);
+  EXPECT_TRUE(clean.ok()) << clean.status().ToString();
+  return clean.ok() ? data::SerializeDataset(clean.value()) : "";
+}
+
+enum class Damage { kFlip, kTruncate, kDelete };
+
+class BackingFileDamageTest : public ::testing::TestWithParam<Damage> {};
+
+// A flipped byte, a truncation or a deletion of the cache entry a manifest
+// names: LoadLatest refuses it with a Corruption error naming the entry,
+// and the executor starts fresh (counting the rejection) and still
+// produces the clean bytes.
+TEST_P(BackingFileDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
+  const std::string dir =
+      TempDir("damage_" + std::to_string(static_cast<int>(GetParam())));
+  const core::Executor::Options opts = CachedCheckpointOptions(dir);
+  auto ops = BackingOps();
+  ASSERT_TRUE(core::Executor(opts).Run(SmallCorpus(), ops).ok());
+
+  const std::string entry = NamedFile(opts.checkpoint_dir);
+  ASSERT_TRUE(fs::path(entry).is_absolute()) << entry;
+  ASSERT_TRUE(EndsWith(entry, ".djds.djlz")) << entry;
+  auto bytes = data::ReadFile(entry);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string damaged = bytes.value();
+  switch (GetParam()) {
+    case Damage::kFlip:
+      damaged[damaged.size() / 2] ^= 0x01;
+      ASSERT_TRUE(data::WriteFile(entry, damaged).ok());
+      break;
+    case Damage::kTruncate:
+      ASSERT_TRUE(data::WriteFile(entry, damaged.substr(0, damaged.size() / 2))
+                      .ok());
+      break;
+    case Damage::kDelete:
+      ASSERT_TRUE(fs::remove(entry));
+      break;
+  }
+
+  auto loaded = core::CheckpointManager(opts.checkpoint_dir).LoadLatest();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find(entry), std::string::npos)
+      << loaded.status().ToString();
+
+  obs::MetricsRegistry metrics;
+  core::Executor::Options rerun_opts = opts;
+  rerun_opts.metrics = &metrics;
+  core::RunReport report;
+  auto rerun_ops = BackingOps();
+  auto rerun =
+      core::Executor(rerun_opts).Run(SmallCorpus(), rerun_ops, &report);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
+  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
+  EXPECT_EQ(data::SerializeDataset(rerun.value()), CleanBackingResult());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDamages, BackingFileDamageTest,
+    ::testing::Values(Damage::kFlip, Damage::kTruncate, Damage::kDelete),
+    [](const ::testing::TestParamInfo<Damage>& info) {
+      switch (info.param) {
+        case Damage::kFlip:
+          return std::string("flipped_byte");
+        case Damage::kTruncate:
+          return std::string("truncated");
+        case Damage::kDelete:
+          break;
+      }
+      return std::string("deleted");
+    });
+
+// io.write.fail=n<k> fails the k-th cache store, and exec.op_abort kills
+// the run right after that boundary. The checkpoint there falls back to
+// its own blob, which loads, and the resumed run is byte-identical.
+TEST(CheckpointBackingTest, FailedCacheStoreStillLeavesALoadableCheckpoint) {
+  const std::string want = CleanBackingResult();
+  const size_t units = BackingOps().size();
+  for (size_t k = 1; k <= units; ++k) {
+    SCOPED_TRACE("cache store " + std::to_string(k) + " fails");
+    const std::string dir = TempDir("failed_store_" + std::to_string(k));
+    const core::Executor::Options opts = CachedCheckpointOptions(dir);
+    auto ops = BackingOps();
+    auto crashed = [&] {
+      probe::Scoped faults(probe::Faults(),
+                           "io.write.fail=n" + std::to_string(k) +
+                               ";exec.op_abort=n" + std::to_string(k + 1));
+      EXPECT_TRUE(faults.status().ok());
+      return core::Executor(opts).Run(SmallCorpus(), ops);
+    }();
+    // exec.op_abort is probed before each unit, so after the last one it
+    // never fires.
+    ASSERT_EQ(crashed.ok(), k == units) << crashed.status().ToString();
+
+    auto loaded = core::CheckpointManager(opts.checkpoint_dir).LoadLatest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().next_op_index, k);
+    const std::string named = NamedFile(opts.checkpoint_dir);
+    EXPECT_TRUE(StartsWith(named, "checkpoint-") && EndsWith(named, ".djds"))
+        << named;
+
+    core::RunReport report;
+    auto resumed_ops = BackingOps();
+    auto resumed =
+        core::Executor(opts).Run(SmallCorpus(), resumed_ops, &report);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_TRUE(report.resumed_from_checkpoint);
+    EXPECT_EQ(data::SerializeDataset(resumed.value()), want);
+  }
+}
 
 // Seed-deterministic probabilistic kills at the executor level: the same
 // DJ_FAULTS-style spec must abort at the same unit across runs.

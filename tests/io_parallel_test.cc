@@ -5,16 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/probe.h"
 #include "common/random.h"
+#include "common/swar.h"
 #include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "data/dataset.h"
 #include "data/io.h"
 #include "json/value.h"
+#include "json/writer.h"
 
 namespace dj::data {
 namespace {
@@ -106,6 +110,206 @@ TEST(DjdsV2Test, SerialAndParallelSerializationAreByteIdentical) {
   EXPECT_EQ(SerializeDataset(ds, &pool8), serial);
   // Explicit shard counts are deterministic too.
   EXPECT_EQ(SerializeDataset(ds, &pool8, 5), SerializeDataset(ds, nullptr, 5));
+}
+
+// ------------------------------------------- serializer differential ----
+
+// The append-based DJDS v3 serializer that the in-place one replaced: each
+// shard's payload appended into its own string, then the header, then the
+// payloads concatenated. Kept here, and only here, as the byte reference.
+namespace reference {
+
+void PutVarint(uint64_t v, std::string* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+void PutString(std::string_view s, std::string* out) {
+  PutVarint(s.size(), out);
+  out->append(s);
+}
+
+void PutU64Fixed(uint64_t v, std::string* out) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+void SerializeValue(const json::Value& v, std::string* out) {
+  switch (v.type()) {
+    case json::Value::Type::kNull:
+      out->push_back(0);
+      break;
+    case json::Value::Type::kBool:
+      out->push_back(v.as_bool() ? 2 : 1);
+      break;
+    case json::Value::Type::kInt: {
+      out->push_back(3);
+      int64_t x = v.as_int();
+      PutVarint(
+          (static_cast<uint64_t>(x) << 1) ^ static_cast<uint64_t>(x >> 63),
+          out);
+      break;
+    }
+    case json::Value::Type::kDouble: {
+      out->push_back(4);
+      double d = v.as_double();
+      char buf[8];
+      std::memcpy(buf, &d, 8);
+      out->append(buf, 8);
+      break;
+    }
+    case json::Value::Type::kString:
+      out->push_back(5);
+      PutString(v.as_string(), out);
+      break;
+    case json::Value::Type::kArray:
+      out->push_back(6);
+      PutVarint(v.as_array().size(), out);
+      for (const auto& e : v.as_array()) SerializeValue(e, out);
+      break;
+    case json::Value::Type::kObject:
+      out->push_back(7);
+      PutVarint(v.as_object().size(), out);
+      for (const auto& [key, value] : v.as_object().entries()) {
+        PutString(key, out);
+        SerializeValue(value, out);
+      }
+      break;
+  }
+}
+
+std::string SerializeDataset(const Dataset& dataset, size_t num_shards) {
+  const size_t num_rows = dataset.NumRows();
+  if (num_shards == 0) {  // 2048 rows per shard, at most 64 shards
+    num_shards = std::min<size_t>((num_rows + 2047) / 2048, 64);
+  } else {
+    num_shards = std::max<size_t>(std::min(num_shards, num_rows),
+                                  num_rows == 0 ? 0 : 1);
+  }
+  const std::vector<std::string> names = dataset.ColumnNames();
+  const size_t base = num_shards == 0 ? 0 : num_rows / num_shards;
+  const size_t rem = num_shards == 0 ? 0 : num_rows % num_shards;
+  std::vector<size_t> row_begin(num_shards + 1, 0);
+  for (size_t s = 0; s < num_shards; ++s) {
+    row_begin[s + 1] = row_begin[s] + base + (s < rem ? 1 : 0);
+  }
+  std::vector<std::string> payloads(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    for (const std::string& name : names) {
+      const auto* cells = dataset.Column(name);
+      for (size_t r = row_begin[s]; r < row_begin[s + 1]; ++r) {
+        SerializeValue((*cells)[r], &payloads[s]);
+      }
+    }
+  }
+  std::string out("DJDS");
+  out.push_back(3);
+  PutVarint(num_rows, &out);
+  PutVarint(names.size(), &out);
+  for (const std::string& name : names) PutString(name, &out);
+  PutVarint(num_shards, &out);
+  for (size_t s = 0; s < num_shards; ++s) {
+    PutVarint(row_begin[s + 1] - row_begin[s], &out);
+    PutVarint(payloads[s].size(), &out);
+    PutU64Fixed(swar::Hash64(payloads[s]), &out);
+  }
+  PutU64Fixed(swar::Hash64(out), &out);
+  for (const std::string& p : payloads) out.append(p);
+  return out;
+}
+
+}  // namespace reference
+
+/// One value of every codec tag, at the encoding's edges: varint widths of
+/// ints and string lengths, NaN and -0.0, and nested arrays and objects.
+std::vector<json::Value> EveryTagValues() {
+  std::vector<json::Value> values = {
+      json::Value(nullptr),
+      json::Value(false),
+      json::Value(true),
+      json::Value(int64_t{0}),
+      json::Value(int64_t{-1}),
+      json::Value(int64_t{1} << 62),
+      json::Value(-(int64_t{1} << 62)),
+      json::Value(std::numeric_limits<int64_t>::min()),
+      json::Value(std::numeric_limits<int64_t>::max()),
+      json::Value(std::numeric_limits<double>::quiet_NaN()),
+      json::Value(-0.0),
+      json::Value(3.25),
+  };
+  for (size_t len : {0, 127, 128, 16383, 16384}) {
+    values.push_back(json::Value(std::string(len, 'x')));
+  }
+  json::Object inner;
+  inner.Set("", json::Value(nullptr));
+  inner.Set("list", json::Value(json::Array{json::Value(int64_t{-300}),
+                                            json::Value(std::string(200, 'y')),
+                                            json::Value(json::Array{})}));
+  json::Object outer;
+  outer.Set("inner", json::Value(std::move(inner)));
+  outer.Set("empty", json::Value(json::Object{}));
+  values.push_back(json::Value(outer));
+  values.push_back(json::Value(json::Array{json::Value(outer),
+                                           json::Value(true),
+                                           json::Value(1e300)}));
+  return values;
+}
+
+/// `rows` rows over three columns: "text" (short strings of varying
+/// length), "value" (every tag in turn) and "id" (a sparse int column, so
+/// most of its cells are nulls).
+Dataset EveryTagDataset(size_t rows) {
+  const std::vector<json::Value> values = EveryTagValues();
+  Dataset ds;
+  for (size_t r = 0; r < rows; ++r) {
+    json::Object fields;
+    fields.Set("text", json::Value(std::string(r % 300, 'a' + r % 26)));
+    fields.Set("value", values[(r * 7) % values.size()]);
+    if (r % 3 == 0) {
+      fields.Set("id", json::Value(static_cast<int64_t>(r) * 1000003 - 7));
+    }
+    ds.AppendSample(Sample(std::move(fields)));
+  }
+  return ds;
+}
+
+TEST(DjdsSerializerTest, InPlaceBytesMatchTheAppendReference) {
+  ThreadPool pool(4);
+  for (size_t rows : {0, 1, 255, 256, 257, 2048, 2049, 5000}) {
+    const Dataset ds = EveryTagDataset(rows);
+    for (size_t shards : {0, 1, 3, 64}) {
+      SCOPED_TRACE(std::to_string(rows) + " rows, shards " +
+                   (shards == 0 ? "auto" : std::to_string(shards)));
+      const std::string want = reference::SerializeDataset(ds, shards);
+      EXPECT_TRUE(SerializeDataset(ds, nullptr, shards) == want) << "no pool";
+      EXPECT_TRUE(SerializeDataset(ds, &pool, shards) == want)
+          << "ThreadPool(4)";
+    }
+  }
+}
+
+TEST(DjdsSerializerTest, SerializeValueAppendsTheReferenceBytes) {
+  std::string got = "prefix";
+  std::string want = "prefix";
+  for (const json::Value& v : EveryTagValues()) {
+    SerializeValue(v, &got);
+    reference::SerializeValue(v, &want);
+    ASSERT_TRUE(got == want) << json::Write(v).substr(0, 60);
+  }
+  std::string_view encoded = std::string_view(got).substr(6);
+  for (const json::Value& v : EveryTagValues()) {
+    std::string one;
+    SerializeValue(v, &one);
+    auto back = DeserializeValue(encoded.substr(0, one.size()));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(json::Write(back.value()), json::Write(v));
+    encoded.remove_prefix(one.size());
+  }
+  EXPECT_TRUE(encoded.empty());
 }
 
 TEST(DjdsV2Test, AutoShardCountScalesWithRows) {

@@ -202,7 +202,37 @@ for seed in 1 2 3; do
     --resume
   cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_seed${seed}.jsonl"
 done
-echo "crash+resume byte-identical for all seeds"
+# The same three seeds with the cache on: each checkpoint names the cache
+# entry its boundary stored, so the checkpoint directory must hold nothing
+# but the manifest, after the crash and after the resume.
+for seed in 1 2 3; do
+  ckpt_dir="${smoke_dir}/ckpt_cache_seed${seed}"
+  cache_dir="${smoke_dir}/cache_seed${seed}"
+  if DJ_FAULTS="seed=${seed};exec.op_abort=n2" "${build_dir}/tools/dj_process" \
+    --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
+    --input "${smoke_dir}/in.jsonl" \
+    --output "${smoke_dir}/fault_cache_seed${seed}.jsonl" \
+    --cache-dir "${cache_dir}" \
+    --checkpoint-dir "${ckpt_dir}"; then
+    echo "check.sh: seed ${seed} cached fault run was expected to crash" >&2
+    exit 1
+  fi
+  "${build_dir}/tools/dj_process" \
+    --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
+    --input "${smoke_dir}/in.jsonl" \
+    --output "${smoke_dir}/fault_cache_seed${seed}.jsonl" \
+    --cache-dir "${cache_dir}" \
+    --checkpoint-dir "${ckpt_dir}" \
+    --resume
+  cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_cache_seed${seed}.jsonl"
+  ckpt_files="$(ls -A "${ckpt_dir}")"
+  if [[ "${ckpt_files}" != "checkpoint.json" ]]; then
+    echo "check.sh: seed ${seed}: with the cache on, ${ckpt_dir} holds" \
+      "'${ckpt_files}', not only checkpoint.json" >&2
+    exit 1
+  fi
+done
+echo "crash+resume byte-identical for all seeds, cache off and on"
 
 echo "== profiled smoke (sampling profiler + watchdog alive) =="
 # The fig8 pretrain-books recipe over a bigger corpus (the 40-doc one
@@ -297,9 +327,10 @@ cmake --build "${tsan_dir}" -j --target \
 "${tsan_dir}/tests/io_parallel_test"
 "${tsan_dir}/tests/compress_test"
 # The full crash matrix is slow under TSan; run the fail-point/probe
-# registry, determinism and checkpoint suites plus one representative recipe
-# matrix.
-"${tsan_dir}/tests/fault_test" --gtest_filter="FailPointTest.*:FaultDeterminismTest.*:FaultObsTest.*:ProbeTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:*CrashMatrixTest*minimal_dedup*"
+# registry, determinism and checkpoint suites plus one representative
+# recipe's matrix, with the cache off and on (the cache-on case stores and
+# loads its entries through the pool's djlz and DJDS codecs).
+"${tsan_dir}/tests/fault_test" --gtest_filter="FailPointTest.*:FaultDeterminismTest.*:FaultObsTest.*:ProbeTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:AllDamages/*:CheckpointBackingTest.*:*CrashMatrixTest.KillAtEveryBoundaryResumeByteIdentical/minimal_dedup:*CrashMatrixTest.CacheOnKillAtEveryBoundaryResumeByteIdentical/minimal_dedup"
 
 echo "== TSan under schedule perturbation (3 seeds) =="
 # Seeded yield/sleep probes at lock boundaries, pool dispatch, and gather
