@@ -1,15 +1,16 @@
 // Ablation: what does the Sec. 7 filter stage buy?
 // Compares
-//   (a) baseline — per-OP execution, no shared contexts across OPs
-//   (b) +fusion  — the 8 filters as one stage in recipe order: one pass,
-//                  shared contexts, stop at the first rejection (the
-//                  Fig. 9 configuration)
+//   (a) baseline — one Executor::Run per OP, no shared contexts across OPs
+//   (b) +fusion  — one Run, where the 8 filters are one stage in recipe
+//                  order: one pass, shared contexts, stop at the first
+//                  rejection (the Fig. 9 configuration)
 // on a recipe that lists its most expensive filter (perplexity) first.
 // Both configurations produce identical outputs; only cost moves.
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/executor.h"
+#include "data/io.h"
 #include "ops/registry.h"
 #include "ops/sample_context.h"
 #include "workload/generator.h"
@@ -53,6 +54,7 @@ struct Outcome {
   double seconds = 0;
   uint64_t contexts = 0;
   size_t rows = 0;
+  std::string jsonl;  // the result, compared byte for byte across arms
 };
 
 Outcome Measure(const dj::data::Dataset& data, bool fusion) {
@@ -60,18 +62,19 @@ Outcome Measure(const dj::data::Dataset& data, bool fusion) {
   best.seconds = 1e18;
   for (int rep = 0; rep < 3; ++rep) {  // keep the steadier run
     auto ops = Recipe14();
-    dj::core::Executor::Options options;
-    options.op_fusion = fusion;
-    dj::core::Executor executor(options);
+    dj::core::Executor executor(dj::core::Executor::Options{});
+    dj::data::Dataset input = data;
     dj::ops::SampleContext::Counters::Reset();
     dj::Stopwatch watch;
-    auto result = executor.Run(data, ops, nullptr);
+    auto result =
+        dj::bench::RunStagedOrPerOp(executor, std::move(input), ops, fusion);
     double seconds = watch.ElapsedSeconds();
     if (!result.ok()) continue;
     if (seconds < best.seconds) {
       best.seconds = seconds;
       best.contexts = dj::ops::SampleContext::Counters::Total();
       best.rows = result.value().NumRows();
+      best.jsonl = dj::data::ToJsonl(result.value());
     }
   }
   return best;
@@ -110,7 +113,7 @@ int main() {
   row("+ fusion (stage, recipe order)", fusion);
   table.Print();
 
-  bool identical = base.rows == fusion.rows;
+  bool identical = !base.jsonl.empty() && base.jsonl == fusion.jsonl;
   std::printf(
       "\noutputs identical across configurations: %s\n"
       "expected shape: the stage cuts shared-context computations and\n"

@@ -66,7 +66,6 @@ dj::data::Dataset PileLike(uint64_t seed) {
 
 dj::data::Dataset Refine(const dj::data::Dataset& raw) {
   auto recipe = dj::core::Recipe::FromString(R"(
-op_fusion: true
 process:
   - remove_header_mapper:
   - remove_comments_mapper:
@@ -94,9 +93,7 @@ process:
 )");
   auto ops =
       dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
-  dj::core::Executor::Options options;
-  options.op_fusion = true;
-  dj::core::Executor executor(options);
+  dj::core::Executor executor({});
   return executor.Run(raw, ops.value(), nullptr).value();
 }
 

@@ -94,7 +94,6 @@ Measurement MeasureDataJuicer(const dj::data::Dataset& data, int np) {
   auto ops = Pipeline();
   dj::core::Executor::Options options;
   options.num_workers = np;
-  options.op_fusion = true;
   dj::core::Executor executor(options);
   dj::ResourceMonitor monitor(0.02);
   monitor.Start();

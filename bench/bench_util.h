@@ -3,9 +3,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/executor.h"
 #include "data/io.h"
 #include "json/value.h"
 #include "json/writer.h"
@@ -75,6 +78,30 @@ inline std::string FmtPct(double v, int precision = 1) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f%%", precision, v * 100);
   return buf;
+}
+
+/// Runs `ops` over `data` with `executor`: as one Run when `staged`, so each
+/// run of two or more filters is one stage, else as one Run per OP, so every
+/// filter is a unit of its own. Appends each unit's report to `units` when
+/// it is not null.
+inline Result<data::Dataset> RunStagedOrPerOp(
+    core::Executor& executor, data::Dataset data,
+    const std::vector<std::unique_ptr<ops::Op>>& ops, bool staged,
+    std::vector<core::OpReport>* units = nullptr) {
+  std::vector<std::vector<ops::Op*>> runs;
+  for (const auto& op : ops) {
+    if (!staged || runs.empty()) runs.emplace_back();
+    runs.back().push_back(op.get());
+  }
+  for (const auto& run : runs) {
+    core::RunReport report;
+    DJ_ASSIGN_OR_RETURN(data, executor.Run(std::move(data), run, &report));
+    if (units != nullptr) {
+      units->insert(units->end(), report.op_reports.begin(),
+                    report.op_reports.end());
+    }
+  }
+  return data;
 }
 
 /// Machine-readable companion to the printed tables: collects scalar

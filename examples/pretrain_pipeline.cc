@@ -46,7 +46,6 @@ dj::data::Dataset BuildRawMixture() {
 constexpr const char* kPretrainRecipe = R"(
 project_name: pretrain-refine
 np: 2
-op_fusion: true
 process:
   # LaTeX cleanup (hits the arXiv subset).
   - remove_header_mapper:

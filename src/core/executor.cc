@@ -12,7 +12,6 @@
 #include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/thread_introspect.h"
-#include "core/plan_verify.h"
 #include "data/io.h"
 #include "json/writer.h"
 
@@ -151,13 +150,6 @@ std::string RunReport::ToString() const {
                   unit_seconds_p50, unit_seconds_p95, unit_seconds_p99);
     out += buf;
   }
-  if (plan_rejected) {
-    out += "plan: refused by effect verification, ran in recipe order\n";
-  } else if (plan_swaps > 0) {
-    std::snprintf(buf, sizeof(buf), "plan: %zu effect-licensed swap(s)\n",
-                  plan_swaps);
-    out += buf;
-  }
   // One line per stage that ran, numbered like the fused_filter rows.
   size_t stage_number = 0;
   for (const OpReport& r : op_reports) {
@@ -180,7 +172,6 @@ Executor::Executor(Options options) : options_(std::move(options)) {}
 Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   Options opts;
   opts.num_workers = recipe.num_workers;
-  opts.op_fusion = recipe.op_fusion;
   opts.use_cache = recipe.use_cache;
   opts.cache_dir = recipe.cache_dir;
   opts.cache_compression = recipe.cache_compression;
@@ -334,36 +325,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   rep->op_reports.clear();
   rep->rows_in = dataset.NumRows();
 
-  std::vector<PlanUnit> plan = PlanFusion(ops, {options_.op_fusion});
-
-  // Static plan verification: every stage must be licensed by the declared
-  // OP effect signatures (no more blanket "all Filters commute"). An
-  // unlicensed plan is refused and the run falls back to recipe order.
-  // Without fusion there is no stage, and the plan is recipe order.
-  if (options_.op_fusion) {
-    PlanVerdict verdict = VerifyPlan(ops, plan);
-    if (!verdict.ok) {
-      rep->plan_rejected = true;
-      DJ_LOG(Warning)
-          << "plan verification refused the optimized plan; falling back "
-             "to recipe order:\n"
-          << verdict.ToString();
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetCounter("executor.plan_rejected")->Increment();
-      }
-      if (options_.spans != nullptr) {
-        options_.spans->EmitInstant("plan.rejected", "executor",
-                                    options_.spans->NowMicros());
-      }
-      plan = PlanFusion(ops, FusionOptions{false});
-    } else {
-      rep->plan_swaps = verdict.swaps.size();
-      if (options_.metrics != nullptr && !verdict.swaps.empty()) {
-        options_.metrics->GetCounter("executor.plan_swaps_verified")
-            ->Add(verdict.swaps.size());
-      }
-    }
-  }
+  const std::vector<PlanUnit> plan = PlanFusion(ops);
 
   // Cumulative config-hash keys: key_before[i] identifies the pipeline state
   // entering unit i; key_after[i] the state after it.

@@ -55,11 +55,9 @@ struct RunReport {
   size_t rows_out = 0;
   size_t cache_hits = 0;
   bool resumed_from_checkpoint = false;
-  /// Plan verification outcome (core::VerifyPlan): how many effect-licensed
-  /// order swaps the executed plan contains, and whether an unlicensed plan
-  /// was refused (the executor then fell back to recipe order).
+  /// Always 0: stages keep recipe order, so a plan has no swaps. Kept
+  /// only because bench_e2e reports it as core.plan_swaps.
   size_t plan_swaps = 0;
-  bool plan_rejected = false;
   /// Unit wall-time quantiles from the "executor.unit_seconds" histogram
   /// (bucket-interpolated, so resolution is bucket width); -1 when no
   /// metrics registry was attached.
@@ -84,8 +82,6 @@ class Executor {
  public:
   struct Options {
     int num_workers = 1;
-    /// Run each run of two or more consecutive filters as one stage.
-    bool op_fusion = false;
 
     bool use_cache = false;
     std::string cache_dir;

@@ -16,11 +16,10 @@ std::string PlanUnit::DisplayName() const {
 namespace {
 
 /// Flushes one run of consecutive filters into plan units: one stage when
-/// fusion is on and the run has at least two members, else one unit each.
+/// the run has at least two members, else a unit of its own.
 void FlushFilterGroup(std::vector<ops::Filter*>* group,
-                      const FusionOptions& options,
                       std::vector<PlanUnit>* plan) {
-  if (options.enable_fusion && group->size() >= 2) {
+  if (group->size() >= 2) {
     PlanUnit unit;
     unit.fused = std::move(*group);
     plan->push_back(std::move(unit));
@@ -37,16 +36,14 @@ void FlushFilterGroup(std::vector<ops::Filter*>* group,
 }  // namespace
 
 std::vector<PlanUnit> PlanFusion(
-    const std::vector<std::unique_ptr<ops::Op>>& op_list,
-    const FusionOptions& options) {
+    const std::vector<std::unique_ptr<ops::Op>>& op_list) {
   std::vector<ops::Op*> raw;
   raw.reserve(op_list.size());
   for (const auto& op : op_list) raw.push_back(op.get());
-  return PlanFusion(raw, options);
+  return PlanFusion(raw);
 }
 
-std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list,
-                                 const FusionOptions& options) {
+std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list) {
   std::vector<PlanUnit> plan;
   std::vector<ops::Filter*> filter_group;
   for (ops::Op* op : op_list) {
@@ -54,12 +51,12 @@ std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list,
       filter_group.push_back(static_cast<ops::Filter*>(op));
       continue;
     }
-    FlushFilterGroup(&filter_group, options, &plan);
+    FlushFilterGroup(&filter_group, &plan);
     PlanUnit unit;
     unit.op = op;
     plan.push_back(std::move(unit));
   }
-  FlushFilterGroup(&filter_group, options, &plan);
+  FlushFilterGroup(&filter_group, &plan);
   return plan;
 }
 

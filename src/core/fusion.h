@@ -21,25 +21,20 @@ struct PlanUnit {
   std::string DisplayName() const;
 };
 
-struct FusionOptions {
-  bool enable_fusion = true;
-};
-
-/// Builds the execution plan for `op_list` (paper Sec. 7 / Fig. 6). With
-/// fusion on, each maximal run of two or more consecutive Filters becomes
-/// one stage (Mappers and Deduplicators are barriers); every other OP is a
-/// unit of its own, and units keep recipe order. The executor evaluates a
-/// stage's members row by row in recipe order, sharing one SampleContext
-/// per text_key and stopping at the first rejection.
+/// Builds the execution plan for `op_list` (paper Sec. 7 / Fig. 6): each
+/// maximal run of two or more consecutive Filters becomes one stage
+/// (Mappers and Deduplicators are barriers); every other OP, a lone filter
+/// included, is a unit of its own, and units keep recipe order. The
+/// executor evaluates a stage's members row by row in recipe order,
+/// sharing one SampleContext per text_key and stopping at the first
+/// rejection.
 ///
 /// OPs are not owned; the plan borrows raw pointers from `op_list`.
 std::vector<PlanUnit> PlanFusion(
-    const std::vector<std::unique_ptr<ops::Op>>& op_list,
-    const FusionOptions& options);
+    const std::vector<std::unique_ptr<ops::Op>>& op_list);
 
 /// Raw-pointer overload (OPs borrowed; used for pipeline subranges).
-std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list,
-                                 const FusionOptions& options);
+std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list);
 
 }  // namespace dj::core
 

@@ -19,9 +19,9 @@ bool IsKnownKey(std::string_view key) {
 
 const std::vector<std::string_view>& Recipe::KnownKeys() {
   static const std::vector<std::string_view> kKnownKeys = {
-      "project_name",   "dataset_path", "export_path",       "np",
-      "use_cache",      "cache_dir",    "cache_compression", "use_checkpoint",
-      "checkpoint_dir", "op_fusion",    "enable_trace",      "trace_limit",
+      "project_name",      "dataset_path",   "export_path",
+      "np",                "use_cache",      "cache_dir",
+      "cache_compression", "use_checkpoint", "checkpoint_dir",
       "process"};
   return kKnownKeys;
 }
@@ -40,9 +40,6 @@ Result<Recipe> Recipe::FromJson(const json::Value& root) {
   recipe.cache_compression = root.GetBool("cache_compression", false);
   recipe.use_checkpoint = root.GetBool("use_checkpoint", false);
   recipe.checkpoint_dir = root.GetString("checkpoint_dir", "");
-  recipe.op_fusion = root.GetBool("op_fusion", false);
-  recipe.enable_trace = root.GetBool("enable_trace", false);
-  recipe.trace_limit = root.GetInt("trace_limit", 10);
   if (recipe.num_workers < 1) {
     return Status::InvalidArgument("np must be >= 1");
   }
@@ -113,9 +110,6 @@ json::Value Recipe::ToJson() const {
   root.Set("cache_compression", json::Value(cache_compression));
   root.Set("use_checkpoint", json::Value(use_checkpoint));
   root.Set("checkpoint_dir", json::Value(checkpoint_dir));
-  root.Set("op_fusion", json::Value(op_fusion));
-  root.Set("enable_trace", json::Value(enable_trace));
-  root.Set("trace_limit", json::Value(trace_limit));
   json::Array process_list;
   for (const OpSpec& spec : process) {
     json::Object entry;

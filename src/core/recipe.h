@@ -26,7 +26,6 @@ struct OpSpec {
 ///   export_path: out.jsonl
 ///   np: 4
 ///   use_cache: true
-///   op_fusion: true
 ///   process:
 ///     - whitespace_normalization_mapper:
 ///     - language_id_score_filter:
@@ -44,12 +43,6 @@ struct Recipe {
 
   bool use_checkpoint = false;
   std::string checkpoint_dir;
-
-  /// Run each run of two or more consecutive filters as one stage.
-  bool op_fusion = false;
-
-  bool enable_trace = false;
-  int64_t trace_limit = 10;
 
   std::vector<OpSpec> process;
   json::Value extras{json::Object()};

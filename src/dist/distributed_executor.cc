@@ -196,7 +196,6 @@ Result<data::Dataset> DistributedExecutor::Run(
   // only; the timeline charges ModeledCompute.
   core::Executor::Options exec_options;
   exec_options.num_workers = 1;  // measure single-thread shard time
-  exec_options.op_fusion = options_.op_fusion;
   core::Executor shard_executor(exec_options);
 
   std::vector<Segment> segments = SplitSegments(ops);

@@ -36,8 +36,6 @@ class DistributedExecutor {
   struct Options {
     Backend backend = Backend::kSingleNode;
     ClusterOptions cluster;
-    /// Applied per shard (fusion etc.); workers are taken from `cluster`.
-    bool op_fusion = false;
 
     /// Observability sinks (not owned; may be null). The span recorder gets
     /// the *modeled* cluster timeline — one lane per simulated node plus a

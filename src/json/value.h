@@ -37,9 +37,9 @@ class Object {
   void Set(std::string key, Value value);
 
   /// Inserts keeping keys in lexicographic order (overwrites in place).
-  /// Used for the "stats" object so its serialized form is independent of
-  /// the order OPs computed the stats in (plan fusion/reordering must not
-  /// change exported bytes).
+  /// Used for the "stats" object so its serialized form, which is part of
+  /// the exported bytes, is independent of the order OPs computed the
+  /// stats in.
   void SetSorted(std::string key, Value value);
 
   /// Removes `key` if present; returns whether it was present.

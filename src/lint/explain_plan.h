@@ -9,11 +9,10 @@
 
 namespace dj::lint {
 
-/// Renders the optimized execution plan of `recipe` (dj_lint
-/// --explain-plan): the PlanFusion unit list, one line per swap with its
-/// effect-based justification from core::VerifyPlan, and the final verdict.
-/// Honors the recipe's op_fusion flag; with it off it reports that OPs run
-/// in recipe order. Fails when the recipe's OP list does not instantiate.
+/// Renders the execution plan of `recipe` (dj_lint --explain-plan): the
+/// PlanFusion unit list, in recipe order, with each run of two or more
+/// consecutive filters as one fused(...) stage. Fails when the recipe's OP
+/// list does not instantiate.
 Result<std::string> ExplainPlan(const core::Recipe& recipe,
                                 const ops::OpRegistry& registry);
 

@@ -400,39 +400,25 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
   }
 
   // ----- Fusion notes (paper Sec. 7) ------------------------------------
-  // With op_fusion on, core::PlanFusion makes each run of two or more
-  // consecutive filters one stage; any other OP ends the run.
+  // core::PlanFusion makes each run of two or more consecutive filters one
+  // stage; any other OP ends the run.
   bool all_instantiated =
       std::all_of(instances.begin(), instances.end(),
                   [](const std::unique_ptr<ops::Op>& op) {
                     return op != nullptr;
                   });
-  if (options_.fusion_notes && all_instantiated && !instances.empty()) {
+  if (all_instantiated) {
     auto is_filter = [&](size_t k) {
       return instances[k]->kind() == ops::OpKind::kFilter;
     };
-    size_t stage_runs = 0;
-    size_t run_length = 0;
-    for (size_t i = 0; i < instances.size(); ++i) {
-      if (is_filter(i)) {
-        if (++run_length == 2) ++stage_runs;
-        continue;
-      }
-      run_length = 0;
-      // A non-filter with filters on both sides splits a stage.
-      if (recipe.op_fusion && i > 0 && i + 1 < instances.size() &&
-          is_filter(i - 1) && is_filter(i + 1)) {
+    // A non-filter with filters on both sides splits a stage.
+    for (size_t i = 1; i + 1 < instances.size(); ++i) {
+      if (!is_filter(i) && is_filter(i - 1) && is_filter(i + 1)) {
         add(Severity::kNote, static_cast<int>(i), recipe.process[i].name,
             "non-filter OP splits a filter group; fusion cannot cross it",
             "move it before or after the surrounding filters if "
             "order-independent");
       }
-    }
-    if (!recipe.op_fusion && stage_runs > 0) {
-      add(Severity::kNote, -1, "",
-          std::to_string(stage_runs) +
-              " filter group(s) could run as one-pass filter stages",
-          "set op_fusion: true");
     }
   }
 

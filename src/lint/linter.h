@@ -13,7 +13,8 @@ namespace dj::lint {
 
 /// Diagnostic severity. Errors mean the recipe will misbehave (unknown OP,
 /// ignored param, empty keep-range); warnings mean it will run but likely
-/// not do what was intended; notes are advisory (fusion opportunities).
+/// not do what was intended; notes are advisory (dead stat writes, a
+/// filter run split in two).
 enum class Severity { kError, kWarning, kNote };
 
 const char* SeverityName(Severity severity);
@@ -66,16 +67,14 @@ struct LintReport {
 ///   - duplicate identical OPs;
 ///   - use_cache / use_checkpoint without a directory;
 ///   - deduplication placed before cleaning mappers;
-///   - fusion notes: a non-filter OP that splits a run of filters, and
-///     filter runs that op_fusion would make one-pass stages;
+///   - a fusion note on a non-filter OP that splits a run of filters
+///     into two stages;
 ///   - effect-dataflow findings (reads of never-produced stats fields,
 ///     stat-key collisions, dead stat writes, unreachable OPs) by
 ///     propagating the available-field set through the declared OpEffects.
 class RecipeLinter {
  public:
   struct Options {
-    /// Emit kNote diagnostics about OP fusion (splits + opportunities).
-    bool fusion_notes = true;
     /// Run the effect-dataflow pass over the declared OpEffects.
     bool effects_checks = true;
   };

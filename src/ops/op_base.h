@@ -20,8 +20,8 @@ namespace dj::ops {
 /// Everything an OP declares about itself, written once per OP: its schema
 /// (registry name, kind, params with defaults and ranges) and its effects.
 /// Each OP class returns its own from a static Declaration() built once per
-/// process; the registry, the OP's effective config, the linter and
-/// core::VerifyPlan all read that one object.
+/// process; the registry, the OP's effective config and the linter all read
+/// that one object.
 ///
 ///   const OpDeclaration& LineCountFilter::Declaration() {
 ///     static const OpDeclaration d{
@@ -36,8 +36,8 @@ struct OpDeclaration {
 };
 
 /// Writes "stats.<key>" of `row`, keeping the stats object's keys in
-/// lexicographic order: exported bytes must not depend on the order a plan
-/// computed the stats in (fusion/reordering would otherwise change output).
+/// lexicographic order: exported bytes must not depend on the order the
+/// OPs computed the stats in.
 /// The "stats" column must already exist (Dataset::EnsureColumn).
 Status WriteStatSorted(data::RowRef row, std::string_view key,
                        json::Value value);

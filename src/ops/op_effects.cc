@@ -7,18 +7,6 @@
 
 namespace dj::ops {
 
-const char* CardinalityName(Cardinality cardinality) {
-  switch (cardinality) {
-    case Cardinality::kRowPreserving:
-      return "row-preserving";
-    case Cardinality::kRowDropping:
-      return "row-dropping";
-    case Cardinality::kRowMerging:
-      return "row-merging";
-  }
-  return "unknown";
-}
-
 namespace {
 
 void AddUnique(std::vector<std::string>* fields, std::string field) {
@@ -27,21 +15,7 @@ void AddUnique(std::vector<std::string>* fields, std::string field) {
   }
 }
 
-std::string JoinFields(const std::vector<std::string>& fields) {
-  std::string out = "{";
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += fields[i];
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
-
-std::string ResolvedEffects::DescribeSets() const {
-  return "reads " + JoinFields(reads) + ", writes " + JoinFields(writes);
-}
 
 OpEffects& OpEffects::Reads(std::string field) {
   AddUnique(&reads_, std::move(field));
@@ -60,19 +34,6 @@ OpEffects& OpEffects::ProducesStat(std::string_view key) {
 
 Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
   ResolvedEffects out;
-  out.op_name = op.name();
-  switch (op.kind()) {
-    case OpKind::kFilter:
-      out.cardinality = Cardinality::kRowDropping;
-      break;
-    case OpKind::kDeduplicator:
-      out.cardinality = Cardinality::kRowMerging;
-      break;
-    case OpKind::kFormatter:
-    case OpKind::kMapper:
-      out.cardinality = Cardinality::kRowPreserving;
-      break;
-  }
   auto resolve_field = [&](const std::string& field) -> Result<std::string> {
     if (field.empty() || field[0] != '@') return field;
     std::string param = field.substr(1);
@@ -100,59 +61,6 @@ Result<ResolvedEffects> OpEffects::Resolve(const Op& op) const {
     out.stats.push_back(key);
   }
   return out;
-}
-
-bool FieldPathsAlias(std::string_view a, std::string_view b) {
-  if (a == b) return true;
-  if (a.size() < b.size()) std::swap(a, b);
-  // b is now the shorter path; a aliases it iff b is a dot-segment prefix.
-  return a.size() > b.size() && a[b.size()] == '.' &&
-         a.substr(0, b.size()) == b;
-}
-
-namespace {
-
-/// First aliasing pair between `writes` and `reads`, described as
-/// "'reader' reads 'r' which 'writer' writes ('w')"; "" when disjoint.
-std::string FindReadWriteOverlap(const ResolvedEffects& writer,
-                                 const ResolvedEffects& reader) {
-  for (const std::string& w : writer.writes) {
-    for (const std::string& r : reader.reads) {
-      if (FieldPathsAlias(w, r)) {
-        std::string detail = w == r ? "" : " ('" + w + "')";
-        return "'" + reader.op_name + "' reads '" + r + "' which '" +
-               writer.op_name + "' writes" + detail;
-      }
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
-std::string DescribeConflict(const ResolvedEffects& a,
-                             const ResolvedEffects& b) {
-  for (const ResolvedEffects* e : {&a, &b}) {
-    if (e->cardinality == Cardinality::kRowMerging) {
-      return "'" + e->op_name +
-             "' makes dataset-level (row-merging) decisions and never "
-             "commutes";
-    }
-  }
-  // RAW: b consumes what a produces — moving b ahead would read stale data.
-  if (std::string c = FindReadWriteOverlap(a, b); !c.empty()) return c;
-  // WAR: a consumes what b produces — moving b ahead would clobber a's input.
-  if (std::string c = FindReadWriteOverlap(b, a); !c.empty()) return c;
-  // WAW: last-writer-wins would flip with the order.
-  for (const std::string& wa : a.writes) {
-    for (const std::string& wb : b.writes) {
-      if (FieldPathsAlias(wa, wb)) {
-        return "'" + a.op_name + "' and '" + b.op_name + "' both write '" +
-               (wa.size() >= wb.size() ? wa : wb) + "'";
-      }
-    }
-  }
-  return "";
 }
 
 }  // namespace dj::ops

@@ -10,7 +10,6 @@
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "core/fusion.h"
-#include "core/plan_verify.h"
 #include "core/recipe.h"
 #include "core/space_model.h"
 #include "core/tracer.h"
@@ -20,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "ops/registry.h"
+#include "per_op_reference.h"
 #include "workload/generator.h"
 
 namespace dj::core {
@@ -155,16 +155,9 @@ process:
   return MustBuildOps(r);
 }
 
-TEST(FusionTest, DisabledPlanIsOneUnitPerOp) {
-  auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false});
-  EXPECT_EQ(plan.size(), ops.size());
-  for (const auto& unit : plan) EXPECT_FALSE(unit.is_fused());
-}
-
 TEST(FusionTest, FilterRunIsOneStageInRecipeOrder) {
   auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {true});
+  auto plan = PlanFusion(ops);
   // The 8 consecutive filters form one stage, in recipe order, between the
   // last mapper and the dedup.
   ASSERT_EQ(plan.size(), ops.size() - 8 + 1);
@@ -188,8 +181,14 @@ process:
       min: 0.0
 )");
   auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true});
-  EXPECT_EQ(plan.size(), 3u);  // nothing fuses across the mapper barrier
+  auto plan = PlanFusion(ops);
+  ASSERT_EQ(plan.size(), 3u);  // nothing fuses across the mapper barrier
+  // Each lone filter is a unit of its own, under its own OP name.
+  for (size_t i : {0, 2}) {
+    EXPECT_FALSE(plan[i].is_fused()) << i;
+    EXPECT_EQ(plan[i].op, ops[i].get()) << i;
+    EXPECT_EQ(plan[i].DisplayName(), ops[i]->name()) << i;
+  }
 }
 
 // ------------------------------------------------------------- tracer ----
@@ -244,7 +243,7 @@ TEST(ExecutorTest, EndToEndPipelineShrinksNoisyData) {
   EXPECT_LT(result.value().NumRows(), report.rows_in);
   EXPECT_GT(result.value().NumRows(), 0u);
   EXPECT_EQ(report.rows_out, result.value().NumRows());
-  EXPECT_EQ(report.op_reports.size(), ops.size());
+  EXPECT_EQ(report.op_reports.size(), PlanFusion(ops).size());
   EXPECT_NE(report.ToString().find("total:"), std::string::npos);
   // Neither cache nor checkpoints: nothing persisted, no persist line.
   EXPECT_EQ(report.persist_seconds, 0.0);
@@ -252,35 +251,27 @@ TEST(ExecutorTest, EndToEndPipelineShrinksNoisyData) {
 }
 
 TEST(ExecutorTest, FusionPreservesResults) {
-  auto ops1 = FourteenOpPipeline();
-  auto ops2 = FourteenOpPipeline();
-  Executor plain(Executor::Options{});
-  Executor::Options fused_options;
-  fused_options.op_fusion = true;
-  Executor fused(fused_options);
-  auto r1 = plain.Run(NoisyCorpus(), ops1, nullptr);
-  auto r2 = fused.Run(NoisyCorpus(), ops2, nullptr);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  ASSERT_EQ(r1.value().NumRows(), r2.value().NumRows());
-  for (size_t i = 0; i < r1.value().NumRows(); ++i) {
-    EXPECT_EQ(r1.value().GetTextAt(i), r2.value().GetTextAt(i));
-  }
+  auto per_op_ops = FourteenOpPipeline();
+  auto staged_ops = FourteenOpPipeline();
+  auto expected = RunPerOp(NoisyCorpus(), per_op_ops);
+  auto staged = Executor(Executor::Options{}).Run(NoisyCorpus(), staged_ops);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_LT(staged.value().NumRows(), NoisyCorpus().NumRows());
+  EXPECT_EQ(data::ToJsonl(staged.value()), data::ToJsonl(expected.value()));
 }
 
 TEST(ExecutorTest, FusionReducesContextComputations) {
-  auto run = [](bool fusion) {
-    auto ops = FourteenOpPipeline();
-    Executor::Options options;
-    options.op_fusion = fusion;
-    Executor executor(options);
-    ops::SampleContext::Counters::Reset();
-    auto r = executor.Run(NoisyCorpus(), ops, nullptr);
-    EXPECT_TRUE(r.ok());
-    return ops::SampleContext::Counters::Total();
-  };
-  uint64_t without = run(false);
-  uint64_t with = run(true);
+  auto per_op_ops = FourteenOpPipeline();
+  ops::SampleContext::Counters::Reset();
+  ASSERT_TRUE(RunPerOp(NoisyCorpus(), per_op_ops).ok());
+  uint64_t without = ops::SampleContext::Counters::Total();
+
+  auto staged_ops = FourteenOpPipeline();
+  ops::SampleContext::Counters::Reset();
+  ASSERT_TRUE(
+      Executor(Executor::Options{}).Run(NoisyCorpus(), staged_ops).ok());
+  uint64_t with = ops::SampleContext::Counters::Total();
   EXPECT_LT(with, without);
 }
 
@@ -369,11 +360,10 @@ TEST(ExecutorTest, CacheCountersPopulated) {
 
 TEST(ExecutorTest, OptionsFromRecipe) {
   Recipe r = MustRecipe(
-      "np: 3\nop_fusion: true\nuse_cache: true\ncache_dir: /tmp/x\n"
+      "np: 3\nuse_cache: true\ncache_dir: /tmp/x\n"
       "dataset_path: data.jsonl\n");
   Executor::Options options = Executor::OptionsFromRecipe(r);
   EXPECT_EQ(options.num_workers, 3);
-  EXPECT_TRUE(options.op_fusion);
   EXPECT_TRUE(options.use_cache);
   EXPECT_EQ(options.dataset_source_id, "data.jsonl");
 }
@@ -496,7 +486,7 @@ TEST(ExecutorTest, CacheHitSkipsWork) {
   RunReport report2;
   auto r2 = second.Run(NoisyCorpus(), ops2, &report2);
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(report2.cache_hits, ops2.size());
+  EXPECT_EQ(report2.cache_hits, PlanFusion(ops2).size());
   EXPECT_EQ(r1.value().NumRows(), r2.value().NumRows());
 }
 
@@ -555,9 +545,9 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   options.checkpoint_dir = dir;
   options.dataset_source_id = "corpus-v1";
   {
-    // exec.op_abort is probed once per unit, so its 8th probe aborts the
-    // run before unit 7.
-    probe::Scoped faults(probe::Faults(), "exec.op_abort=n8");
+    // exec.op_abort is probed once per unit, so its 6th probe aborts the
+    // run before unit 5, the filter stage.
+    probe::Scoped faults(probe::Faults(), "exec.op_abort=n6");
     ASSERT_TRUE(faults.status().ok());
     auto ops1 = FourteenOpPipeline();
     Executor failing(options);
@@ -565,14 +555,14 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
     EXPECT_FALSE(failed.ok());
   }
 
-  // Re-run without injection: resumes from the checkpoint after unit 6.
+  // Re-run without injection: resumes from the checkpoint after unit 4.
   auto ops2 = FourteenOpPipeline();
   Executor resuming(options);
   RunReport report;
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(report.resumed_from_checkpoint);
-  EXPECT_EQ(report.op_reports.size(), ops2.size() - 7);
+  EXPECT_EQ(report.op_reports.size(), PlanFusion(ops2).size() - 5);
 
   // The resumed result matches a clean run end-to-end.
   auto ops3 = FourteenOpPipeline();
@@ -604,14 +594,13 @@ process:
 }
 
 TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
-  // Stress: fusion + caching (compressed) + checkpoints +
-  // tracer, 4 workers — results must match a plain sequential run.
+  // Stress: a filter stage + caching (compressed) + checkpoints +
+  // tracer, 4 workers — results must match one sequential run per OP.
   std::string dir = TempDir("combined");
   auto ops_full = FourteenOpPipeline();
   Tracer tracer(3);
   Executor::Options options;
   options.num_workers = 4;
-  options.op_fusion = true;
   options.use_cache = true;
   options.cache_dir = dir + "/cache";
   options.cache_compression = true;
@@ -625,13 +614,9 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   auto ops_plain = FourteenOpPipeline();
-  Executor plain(Executor::Options{});
-  auto expected = plain.Run(NoisyCorpus(120), ops_plain, nullptr);
+  auto expected = RunPerOp(NoisyCorpus(120), ops_plain);
   ASSERT_TRUE(expected.ok());
-  ASSERT_EQ(result.value().NumRows(), expected.value().NumRows());
-  for (size_t i = 0; i < result.value().NumRows(); ++i) {
-    EXPECT_EQ(result.value().GetTextAt(i), expected.value().GetTextAt(i));
-  }
+  EXPECT_EQ(data::ToJsonl(result.value()), data::ToJsonl(expected.value()));
   // Cache and checkpoint artifacts materialized.
   CacheManager cache(dir + "/cache", true);
   EXPECT_GT(cache.TotalBytes(), 0u);
@@ -651,9 +636,9 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
 }
 
 TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
-  // checkpoint_every_n_units = 4: after a failure at unit 7, the surviving
-  // checkpoint is the one from unit 4, so the resumed run re-executes
-  // units 4..13 (10 units) instead of 7.
+  // checkpoint_every_n_units = 4: after a failure at unit 6 (the dedup),
+  // the surviving checkpoint is the one after unit 3, so the resumed run
+  // re-executes units 4..6 (3 units) instead of unit 6 alone.
   std::string dir = TempDir("ckpt_freq");
   Executor::Options options;
   options.use_checkpoint = true;
@@ -661,8 +646,8 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   options.checkpoint_every_n_units = 4;
   options.dataset_source_id = "corpus-v1";
   {
-    // Aborts before unit 7.
-    probe::Scoped faults(probe::Faults(), "exec.op_abort=n8");
+    // Aborts before unit 6.
+    probe::Scoped faults(probe::Faults(), "exec.op_abort=n7");
     ASSERT_TRUE(faults.status().ok());
     auto ops1 = FourteenOpPipeline();
     Executor failing(options);
@@ -675,7 +660,7 @@ TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
   auto result = resuming.Run(NoisyCorpus(), ops2, &report);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(report.resumed_from_checkpoint);
-  EXPECT_EQ(report.op_reports.size(), ops2.size() - 4);
+  EXPECT_EQ(report.op_reports.size(), PlanFusion(ops2).size() - 4);
 }
 
 TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
@@ -742,8 +727,9 @@ TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
       EXPECT_TRUE(file.value() == djds) << "checkpoint blob differs";
     }
 
-    EXPECT_EQ(report.cache_stores, use_cache ? ops.size() : 0u);
-    EXPECT_EQ(report.checkpoint_saves, ops.size());
+    const size_t units = PlanFusion(ops).size();
+    EXPECT_EQ(report.cache_stores, use_cache ? units : 0u);
+    EXPECT_EQ(report.checkpoint_saves, units);
     EXPECT_GT(report.persist_seconds, 0.0);
     EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
   }
@@ -875,157 +861,12 @@ TEST(SpaceModelTest, PlanSpaceDegradesGracefully) {
   EXPECT_FALSE(poor.enable_checkpoint);
 }
 
-// ------------------------------------------------------ plan verifier ----
-
-TEST(PlanVerifyTest, IdentityPlanIsLicensed) {
-  auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false});
-  PlanVerdict v = VerifyPlan(ops, plan);
-  EXPECT_TRUE(v.ok) << v.ToString();
-  EXPECT_TRUE(v.swaps.empty());
-}
-
-TEST(PlanVerifyTest, LicensesEffectDisjointReorder) {
-  auto ops = FourteenOpPipeline();
-  // PlanFusion keeps recipe order; swap the first two filters by hand.
-  std::vector<PlanUnit> plan = PlanFusion(ops, {false});
-  ASSERT_EQ(plan[5].op->name(), "text_length_filter");
-  ASSERT_EQ(plan[6].op->name(), "word_num_filter");
-  std::swap(plan[5], plan[6]);
-  PlanVerdict v = VerifyPlan(ops, plan);
-  EXPECT_TRUE(v.ok) << v.ToString();
-  ASSERT_EQ(v.swaps.size(), 1u);
-  EXPECT_TRUE(v.swaps[0].allowed);
-  EXPECT_NE(v.swaps[0].justification.find("disjoint effects"),
-            std::string::npos);
-  EXPECT_NE(v.ToString().find("word_num_filter before text_length_filter: "),
-            std::string::npos);
-  EXPECT_NE(v.ToString().find("verdict: licensed (1 swap(s) verified)"),
-            std::string::npos)
-      << v.ToString();
-  // A stage in recipe order shares a pass but swaps nothing.
-  PlanVerdict staged = VerifyPlan(ops, PlanFusion(ops, {true}));
-  EXPECT_TRUE(staged.ok) << staged.ToString();
-  EXPECT_TRUE(staged.swaps.empty());
-}
-
-TEST(PlanVerifyTest, RejectsStatReadBeforeProducer) {
-  // The field filter consumes the stat the word counter produces; their
-  // effects conflict, so they may not share a stage.
-  Recipe r = MustRecipe(R"(
-process:
-  - word_num_filter:
-      min: 1
-  - specified_numeric_field_filter:
-      field: stats.num_words
-      min: 5
-)");
-  auto ops = MustBuildOps(r);
-  auto plan = PlanFusion(ops, {true});
-  ASSERT_EQ(plan.size(), 1u);
-  PlanVerdict v = VerifyPlan(ops, plan);
-  EXPECT_FALSE(v.ok);
-  EXPECT_FALSE(v.violations.empty());
-  EXPECT_NE(v.ToString().find("REFUSED"), std::string::npos);
-  EXPECT_NE(v.violations.front().find("stats.num_words"), std::string::npos);
-}
-
-TEST(PlanVerifyTest, RejectsDroppedOp) {
-  auto ops = FourteenOpPipeline();
-  auto plan = PlanFusion(ops, {false});
-  plan.pop_back();
-  PlanVerdict v = VerifyPlan(ops, plan);
-  EXPECT_FALSE(v.ok);
-  EXPECT_FALSE(v.violations.empty());
-}
-
-TEST(PlanVerifyTest, UnresolvedEffectsAreConservative) {
-  auto build = [](std::string_view field) {
-    return MustBuildOps(MustRecipe(R"(
-process:
-  - text_length_filter:
-      min: 1
-  - field_exists_filter:
-      field: ")" + std::string(field) + "\"\n"));
-  };
-  auto ops = build("");  // the @field placeholder cannot resolve
-
-  // Identity plans always pass, resolvable effects or not.
-  auto identity = PlanFusion(ops, {false});
-  EXPECT_TRUE(VerifyPlan(ops, identity).ok);
-
-  // An inversion involving an OP whose effects do not resolve is refused...
-  std::vector<PlanUnit> swapped(2);
-  swapped[0].op = ops[1].get();
-  swapped[1].op = ops[0].get();
-  PlanVerdict refused = VerifyPlan(ops, swapped);
-  EXPECT_FALSE(refused.ok);
-  EXPECT_NE(refused.ToString().find("does not resolve"), std::string::npos)
-      << refused.ToString();
-
-  // ...but licensed once the effects resolve and prove the fields disjoint.
-  auto resolved_ops = build("meta.x");
-  swapped[0].op = resolved_ops[1].get();
-  swapped[1].op = resolved_ops[0].get();
-  EXPECT_TRUE(VerifyPlan(resolved_ops, swapped).ok);
-}
-
-TEST(ExecutorTest, RefusesUnlicensedStageAndFallsBack) {
-  Recipe r = MustRecipe(R"(
-process:
-  - word_num_filter:
-      min: 2
-  - specified_numeric_field_filter:
-      field: stats.num_words
-      min: 3
-)");
-  auto naive_ops = MustBuildOps(r);
-  auto opt_ops = MustBuildOps(r);
-  Executor naive(Executor::Options{});
-  Executor::Options opt_options;
-  opt_options.op_fusion = true;
-  obs::MetricsRegistry metrics;
-  opt_options.metrics = &metrics;
-  Executor optimized(opt_options);
-  RunReport naive_report, opt_report;
-  auto r1 = naive.Run(NoisyCorpus(), naive_ops, &naive_report);
-  auto r2 = optimized.Run(NoisyCorpus(), opt_ops, &opt_report);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_FALSE(naive_report.plan_rejected);
-  EXPECT_TRUE(opt_report.plan_rejected);
-  EXPECT_EQ(opt_report.plan_swaps, 0u);
-  // The refused plan fell back to recipe order: results are identical.
-  ASSERT_EQ(r1.value().NumRows(), r2.value().NumRows());
-  for (size_t i = 0; i < r1.value().NumRows(); ++i) {
-    EXPECT_EQ(r1.value().GetTextAt(i), r2.value().GetTextAt(i));
-  }
-  const obs::Counter* rejected = metrics.FindCounter("executor.plan_rejected");
-  ASSERT_NE(rejected, nullptr);
-  EXPECT_EQ(rejected->value(), 1u);
-  EXPECT_NE(opt_report.ToString().find("refused"), std::string::npos);
-}
-
-TEST(ExecutorTest, StagePlanIsLicensedWithoutSwaps) {
-  auto ops = FourteenOpPipeline();
-  Executor::Options options;
-  options.op_fusion = true;
-  Executor executor(options);
-  RunReport report;
-  ASSERT_TRUE(executor.Run(NoisyCorpus(), ops, &report).ok());
-  EXPECT_FALSE(report.plan_rejected);
-  EXPECT_EQ(report.plan_swaps, 0u);  // the stage keeps recipe order
-  EXPECT_EQ(report.ToString().find("plan:"), std::string::npos)
-      << report.ToString();
-}
-
 // --------------------------------------------------------- filter stage ----
 
-// Runs `ops` with fusion on and returns the report of the run.
+// Runs `ops` and returns the report of the run.
 RunReport RunStage(const std::vector<std::unique_ptr<ops::Op>>& ops,
                    data::Dataset input, int workers = 1) {
   Executor::Options options;
-  options.op_fusion = true;
   options.num_workers = workers;
   Executor executor(options);
   RunReport report;
@@ -1098,7 +939,48 @@ process:
   EXPECT_EQ(stage->stage[1].name, "text_length_filter");
   EXPECT_EQ(stage->stage[2].name, "language_id_score_filter");
   EXPECT_EQ(stage->stage[2].rejected, stage->rows_in);
-  EXPECT_EQ(report.plan_swaps, 0u);
+}
+
+TEST(FilterStageTest, StatReadingMemberRunsInTheStage) {
+  // specified_numeric_field_filter reads the stat word_num_filter writes.
+  // The stage takes each row through word_num_filter first, so the second
+  // member sees the stat exactly as a unit of its own would.
+  Recipe r = MustRecipe(R"(
+process:
+  - word_num_filter:
+      min: 20
+  - specified_numeric_field_filter:
+      field: stats.num_words
+      max: 200
+)");
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("np " + std::to_string(workers));
+    Executor::Options options;
+    options.num_workers = workers;
+    auto per_op_ops = MustBuildOps(r);
+    auto expected = RunPerOp(NoisyCorpus(300), per_op_ops, options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    auto ops = MustBuildOps(r);
+    RunReport report;
+    auto result = Executor(options).Run(NoisyCorpus(300), ops, &report);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(report.op_reports.size(), 1u);
+    const OpReport& stage = report.op_reports.front();
+    EXPECT_EQ(stage.kind, "fused_filter");
+    ASSERT_EQ(stage.stage.size(), 2u);
+    EXPECT_GT(stage.stage[0].rejected, 0u);
+    EXPECT_GT(stage.stage[1].rejected, 0u);
+    EXPECT_EQ(stage.stage[0].rejected + stage.stage[1].rejected,
+              stage.rows_in - stage.rows_out);
+    EXPECT_EQ(StageLines(report),
+              std::vector<std::string>{
+                  "stage 1 order: word_num_filter (" +
+                  std::to_string(stage.stage[0].rejected) +
+                  " rejected), specified_numeric_field_filter (" +
+                  std::to_string(stage.stage[1].rejected) + " rejected)"});
+    EXPECT_EQ(data::ToJsonl(result.value()), data::ToJsonl(expected.value()));
+  }
 }
 
 TEST(FilterStageTest, TwoTextKeysGetOneContextEach) {
@@ -1130,22 +1012,19 @@ process:
     }
     return data::Dataset::FromSamples(std::move(samples));
   };
-  auto naive_ops = MustBuildOps(r);
-  Executor naive(Executor::Options{});
-  auto expected = naive.Run(corpus(), naive_ops, nullptr);
+  auto per_op_ops = MustBuildOps(r);
+  auto expected = RunPerOp(corpus(), per_op_ops);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   auto ops = MustBuildOps(r);
-  ASSERT_EQ(PlanFusion(ops, {true}).size(), 1u);
-  Executor::Options options;
-  options.op_fusion = true;
-  Executor staged(options);
+  ASSERT_EQ(PlanFusion(ops).size(), 1u);
+  Executor staged(Executor::Options{});
   ops::SampleContext::Counters::Reset();
   auto result = staged.Run(corpus(), ops, nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(ops::SampleContext::Counters::words.load(), 100u);
   EXPECT_EQ(ops::SampleContext::Counters::lines.load(), 100u);
-  // Each member read its own field: the stats match the one-unit-per-OP run.
+  // Each member read its own field: the stats match the per-OP runs.
   EXPECT_EQ(data::SerializeDataset(expected.value()),
             data::SerializeDataset(result.value()));
 }

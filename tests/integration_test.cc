@@ -25,7 +25,7 @@ std::string TempDir(const std::string& name) {
 }
 
 // End-to-end: generate noisy corpus -> write jsonl -> recipe file ->
-// formatter load -> executor (fusion + cache + trace) -> export -> reload ->
+// formatter load -> executor (filter stages + cache + trace) -> export -> reload ->
 // analyze. This is the paper's Fig. 5 loop minus the human.
 TEST(IntegrationTest, FullRecipeRunFromDisk) {
   std::string dir = TempDir("full");
@@ -47,7 +47,6 @@ TEST(IntegrationTest, FullRecipeRunFromDisk) {
       "dataset_path: " + dir + "/raw.jsonl\n"
       "export_path: " + dir + "/refined.jsonl\n"
       "np: 2\n"
-      "op_fusion: true\n"
       "use_cache: true\n"
       "cache_dir: " + dir + "/cache\n"
       "cache_compression: true\n"

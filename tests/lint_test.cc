@@ -256,17 +256,32 @@ process:
 TEST(LinterTest, UnknownTopLevelKeyIsWarningWithSuggestion) {
   LintReport report = LintYaml(R"(
 project_name: t
-op_fussion: true
+cache_compresion: true
 process:
   - whitespace_normalization_mapper:
 )");
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_TRUE(HasDiagnostic(report, Severity::kWarning,
-                            "unknown top-level key 'op_fussion'"))
+                            "unknown top-level key 'cache_compresion'"))
       << report.ToString();
   EXPECT_TRUE(HasDiagnostic(report, Severity::kWarning,
-                            "did you mean 'op_fusion'?"))
+                            "did you mean 'cache_compression'?"))
       << report.ToString();
+}
+
+TEST(LinterTest, RemovedRecipeKeysAreUnknownWarnings) {
+  // Filter stages are always on and tracing is dj_process --trace, so these
+  // keys no longer do anything: each lints like any other unknown key.
+  for (std::string_view key : {"op_fusion", "enable_trace", "trace_limit"}) {
+    LintReport report = LintYaml("project_name: t\n" + std::string(key) +
+                                 ": true\nprocess:\n"
+                                 "  - whitespace_normalization_mapper:\n");
+    EXPECT_TRUE(report.ok()) << key << "\n" << report.ToString();
+    EXPECT_TRUE(HasDiagnostic(report, Severity::kWarning,
+                              "unknown top-level key '" + std::string(key) +
+                                  "' is ignored"))
+        << key << "\n" << report.ToString();
+  }
 }
 
 // ------------------------------------------------------------- ordering --
@@ -326,8 +341,8 @@ process:
 
 // ---------------------------------------------------------- fusion notes --
 
-TEST(LinterTest, FusionOffWithFusibleGroupSuggestsEnabling) {
-  // word_num_filter and word_repetition_filter share the word context.
+TEST(LinterTest, FilterRunIsNotNoted) {
+  // Every run of filters is a stage: there is nothing to suggest.
   LintReport report = LintYaml(R"(
 project_name: t
 process:
@@ -335,36 +350,26 @@ process:
   - word_repetition_filter:
 )");
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_TRUE(HasDiagnostic(report, Severity::kNote, "set op_fusion: true"))
+  EXPECT_FALSE(HasDiagnostic(report, Severity::kNote, "filter group"))
+      << report.ToString();
+  EXPECT_FALSE(HasDiagnostic(report, Severity::kNote, "stage"))
       << report.ToString();
 }
 
 TEST(LinterTest, MapperSandwichedBetweenFiltersIsNoted) {
   LintReport report = LintYaml(R"(
 project_name: t
-op_fusion: true
 process:
   - word_num_filter:
   - whitespace_normalization_mapper:
   - word_repetition_filter:
 )");
   EXPECT_TRUE(report.ok()) << report.ToString();
+  // Advisory only: a note never fails --Werror.
+  EXPECT_EQ(report.warnings(), 0u) << report.ToString();
   EXPECT_TRUE(HasDiagnostic(report, Severity::kNote,
                             "splits a filter group"))
       << report.ToString();
-}
-
-TEST(LinterTest, FusionNotesCanBeDisabled) {
-  RecipeLinter::Options options;
-  options.fusion_notes = false;
-  RecipeLinter linter(ops::OpRegistry::Global(), options);
-  LintReport report = linter.Lint(ParseRecipe(R"(
-project_name: t
-process:
-  - word_num_filter:
-  - word_repetition_filter:
-)"));
-  EXPECT_EQ(report.notes(), 0u) << report.ToString();
 }
 
 // -------------------------------------------------------------- output ----
@@ -388,12 +393,13 @@ TEST(LinterTest, RecipeLevelDiagnosticOmitsOpIndex) {
 }
 
 TEST(LinterTest, ReportToStringSortsBySeverityAndSummarizes) {
-  // Fusible group (note) listed before the out-of-range param (warning) in
-  // the recipe; ToString must print the warning first.
+  // A split filter run (note on op[1]) listed before the out-of-range param
+  // (warning on op[3]) in the recipe; ToString must print the warning first.
   LintReport report = LintYaml(R"(
 project_name: t
 process:
   - word_num_filter:
+  - whitespace_normalization_mapper:
   - word_repetition_filter:
   - language_id_score_filter:
       min_score: 2.5
@@ -513,9 +519,10 @@ process:
 
 // -------------------------------------------------------- explain-plan ----
 
-TEST(ExplainPlanTest, ReportsRefusedPlanAndFallback) {
+TEST(ExplainPlanTest, StatReadingMemberStaysInTheStage) {
+  // specified_numeric_field_filter reads the stat word_num_filter writes.
+  // The stage runs its members in recipe order, so it needs no license.
   auto recipe = ParseRecipe(R"(
-op_fusion: true
 process:
   - word_num_filter:
       min: 1
@@ -525,50 +532,30 @@ process:
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("cannot fuse 'specified_numeric_field_filter' "
-                             "with 'word_num_filter'"),
-            std::string::npos)
-      << out.value();
-  EXPECT_NE(out.value().find("verdict: REFUSED\n"), std::string::npos)
-      << out.value();
-  EXPECT_NE(out.value().find("stats.num_words"), std::string::npos)
-      << out.value();
-  EXPECT_NE(out.value().find("fall back to recipe order"), std::string::npos)
-      << out.value();
-}
-
-TEST(ExplainPlanTest, ReportsNoTransformationsWhenDisabled) {
-  auto recipe = ParseRecipe(R"(
-process:
-  - text_length_filter:
-      min: 10
-)");
-  auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("no plan transformations enabled"),
-            std::string::npos)
-      << out.value();
+  EXPECT_EQ(out.value(),
+            "plan: 2 OP(s) -> 1 unit(s)\n"
+            "  unit[0] fused(word_num_filter,specified_numeric_field_filter)\n");
 }
 
 TEST(ExplainPlanTest, ShowsFusedUnits) {
   auto recipe = ParseRecipe(R"(
-op_fusion: true
+project_name: t
 process:
   - word_num_filter:
       min: 1
   - word_repetition_filter:
       max_ratio: 0.5
+  - whitespace_normalization_mapper:
+  - text_length_filter:
+      min: 10
 )");
   auto out = ExplainPlan(recipe, ops::OpRegistry::Global());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_NE(out.value().find("(op_fusion=on)\n  unit[0] fused(word_num_filter,"
-                             "word_repetition_filter)\n"),
-            std::string::npos)
-      << out.value();
-  // The stage keeps recipe order: nothing is swapped.
-  EXPECT_NE(out.value().find("verdict: licensed\n"), std::string::npos)
-      << out.value();
-  EXPECT_EQ(out.value().find("swaps ("), std::string::npos) << out.value();
+  EXPECT_EQ(out.value(),
+            "plan for 't': 4 OP(s) -> 3 unit(s)\n"
+            "  unit[0] fused(word_num_filter,word_repetition_filter)\n"
+            "  unit[1] whitespace_normalization_mapper\n"
+            "  unit[2] text_length_filter\n");
 }
 
 // ------------------------------------------------ declared OP surface ----

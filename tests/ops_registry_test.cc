@@ -403,7 +403,6 @@ TEST(OpEffectsTest, EffectsConsistentWithKind) {
     const auto& writes = resolved.value().writes;
     switch (op.value()->kind()) {
       case OpKind::kFilter:
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowDropping);
         EXPECT_FALSE(reads.empty()) << name;
         break;
       case OpKind::kMapper: {
@@ -415,11 +414,9 @@ TEST(OpEffectsTest, EffectsConsistentWithKind) {
         break;
       }
       case OpKind::kDeduplicator:
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowMerging);
         EXPECT_FALSE(reads.empty()) << name;
         break;
       case OpKind::kFormatter:
-        EXPECT_EQ(resolved.value().cardinality, Cardinality::kRowPreserving);
         EXPECT_FALSE(writes.empty()) << name;
         break;
     }
@@ -449,58 +446,13 @@ TEST(OpEffectsTest, PlaceholdersResolveAgainstEffectiveConfig) {
   EXPECT_NE(std::find(field_reads.begin(), field_reads.end(), "meta.stars"),
             field_reads.end());
 
-  // A placeholder param set to "" does not resolve; VerifyPlan and the
-  // linter then treat the OP conservatively.
+  // A placeholder param set to "" does not resolve; the linter then warns
+  // and leaves the OP out of its dataflow pass.
   auto blank =
       registry.Create("field_exists_filter", Config(R"({"field": ""})"));
   ASSERT_TRUE(blank.ok());
   EXPECT_FALSE(
       blank.value()->declaration().effects.Resolve(*blank.value()).ok());
-}
-
-TEST(OpEffectsTest, FieldPathAliasing) {
-  EXPECT_TRUE(FieldPathsAlias("text", "text"));
-  EXPECT_TRUE(FieldPathsAlias("text", "text.output"));
-  EXPECT_TRUE(FieldPathsAlias("text.output", "text"));
-  EXPECT_FALSE(FieldPathsAlias("text.output", "text.instruction"));
-  EXPECT_FALSE(FieldPathsAlias("stats.num_words", "stats.num_words_x"));
-  EXPECT_FALSE(FieldPathsAlias("text", "textual"));
-}
-
-TEST(OpEffectsTest, ConflictDetection) {
-  const OpRegistry& registry = OpRegistry::Global();
-  auto resolve = [&](std::string_view name, std::string_view config) {
-    auto op = registry.Create(name, Config(config));
-    EXPECT_TRUE(op.ok());
-    auto r = op.value()->declaration().effects.Resolve(*op.value());
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return std::move(r).value();
-  };
-
-  // Disjoint stats: two filters over the same text commute.
-  EXPECT_EQ(DescribeConflict(resolve("text_length_filter", "{}"),
-                             resolve("word_num_filter", "{}")),
-            "");
-  // Same OP twice: write/write on the shared stat key.
-  EXPECT_NE(DescribeConflict(resolve("text_length_filter", "{}"),
-                             resolve("text_length_filter", "{}")),
-            "");
-  // A filter reading a stat another filter produces: read/write conflict.
-  EXPECT_NE(
-      DescribeConflict(
-          resolve("word_num_filter", "{}"),
-          resolve("specified_numeric_field_filter",
-                  R"({"field": "stats.num_words"})")),
-      "");
-  // A mapper rewriting the text a filter reads: write/read conflict.
-  EXPECT_NE(DescribeConflict(resolve("lower_case_mapper", "{}"),
-                             resolve("word_num_filter", "{}")),
-            "");
-  // Deduplicators never commute, even with disjoint fields.
-  EXPECT_NE(
-      DescribeConflict(resolve("document_minhash_deduplicator", "{}"),
-                       resolve("suffix_filter", R"({"field": "meta.x"})")),
-      "");
 }
 
 }  // namespace

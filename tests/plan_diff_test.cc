@@ -8,16 +8,16 @@
 #include "core/executor.h"
 #include "data/io.h"
 #include "ops/registry.h"
+#include "per_op_reference.h"
 #include "workload/generator.h"
 
-// Differential plan-equivalence test: every shipped recipe must produce
-// byte-identical output whether it runs naively (recipe order, no fusion)
-// or optimized (filter stages, effect-verified). This is the end-to-end
-// proof that the plan transformations VerifyPlan licenses are
-// semantics-preserving — any divergence is either an effect signature
-// lying about an OP or a hole in the verifier. A second case runs the
-// optimized plan at np 4 on a larger corpus, so every stage short-circuits
-// its rows across workers.
+// Differential plan test: every shipped recipe must produce byte-identical
+// output whether it runs as one Executor::Run per OP or as one run, where
+// each run of two or more filters is a stage that takes each row through
+// its members in recipe order and stops at the first rejection. Any
+// divergence means a stage does not see a row as the unit of its own
+// would. A second case runs the stages at np 4 on a larger corpus, so
+// every stage short-circuits its rows across workers.
 
 #ifndef DJ_REPO_DIR
 #define DJ_REPO_DIR "."
@@ -72,10 +72,11 @@ data::Dataset MixedCorpus(size_t scale = 1) {
   return ds;
 }
 
-// Runs `recipe` with the given plan flags on a fresh OP chain (dedup OPs
-// carry fingerprint state across runs, so OPs must never be reused).
-data::Dataset RunWithPlan(const core::Recipe& recipe, bool fusion,
-                          int workers = 1, size_t scale = 1) {
+// Runs `recipe` on a fresh OP chain (dedup OPs carry fingerprint state
+// across runs, so OPs must never be reused): as one run with its stages,
+// or as one run per OP.
+data::Dataset RunRecipe(const core::Recipe& recipe, bool per_op,
+                        int workers = 1, size_t scale = 1) {
   auto ops = core::BuildOps(recipe, ops::OpRegistry::Global());
   EXPECT_TRUE(ops.ok()) << ops.status().ToString();
   core::Executor::Options options =
@@ -83,10 +84,9 @@ data::Dataset RunWithPlan(const core::Recipe& recipe, bool fusion,
   options.num_workers = workers;
   options.use_cache = false;
   options.use_checkpoint = false;
-  options.op_fusion = fusion;
-  core::Executor executor(options);
-  core::RunReport report;
-  auto result = executor.Run(MixedCorpus(scale), ops.value(), &report);
+  auto result =
+      per_op ? RunPerOp(MixedCorpus(scale), ops.value(), options)
+             : core::Executor(options).Run(MixedCorpus(scale), ops.value());
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? std::move(result).value() : data::Dataset{};
 }
@@ -100,16 +100,16 @@ std::string ReadFileBytes(const std::string& path) {
 
 class PlanDiffTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(PlanDiffTest, OptimizedPlanIsByteIdenticalToNaive) {
+TEST_P(PlanDiffTest, StagedRunIsByteIdenticalToPerOpRuns) {
   auto recipe = core::Recipe::FromFile(GetParam());
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
 
-  data::Dataset naive = RunWithPlan(recipe.value(), false);
-  data::Dataset optimized = RunWithPlan(recipe.value(), true);
+  data::Dataset naive = RunRecipe(recipe.value(), /*per_op=*/true);
+  data::Dataset optimized = RunRecipe(recipe.value(), /*per_op=*/false);
 
   // In-memory binary container bytes (covers every column incl. stats).
   EXPECT_EQ(data::SerializeDataset(naive), data::SerializeDataset(optimized))
-      << GetParam() << ": optimized plan changed the dataset bytes";
+      << GetParam() << ": the staged run changed the dataset bytes";
 
   // Exported JSONL bytes, the artifact users actually diff.
   std::string dir = ::testing::TempDir() + "/dj_plan_diff";
@@ -123,16 +123,16 @@ TEST_P(PlanDiffTest, OptimizedPlanIsByteIdenticalToNaive) {
       << GetParam() << ": exported JSONL differs between plans";
 }
 
-TEST_P(PlanDiffTest, OptimizedPlanAtNp4OnLargerCorpusIsByteIdentical) {
+TEST_P(PlanDiffTest, StagedRunAtNp4OnLargerCorpusIsByteIdentical) {
   auto recipe = core::Recipe::FromFile(GetParam());
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
 
   // 400 rows, so each of the 4 workers evaluates many rows of a stage.
-  data::Dataset naive = RunWithPlan(recipe.value(), false, 1, 4);
-  data::Dataset optimized = RunWithPlan(recipe.value(), true, 4, 4);
+  data::Dataset naive = RunRecipe(recipe.value(), /*per_op=*/true, 1, 4);
+  data::Dataset optimized = RunRecipe(recipe.value(), /*per_op=*/false, 4, 4);
 
   EXPECT_EQ(data::SerializeDataset(naive), data::SerializeDataset(optimized))
-      << GetParam() << ": optimized plan at np 4 changed the dataset bytes";
+      << GetParam() << ": the staged run at np 4 changed the dataset bytes";
 
   std::string dir = ::testing::TempDir() + "/dj_plan_diff";
   fs::create_directories(dir);

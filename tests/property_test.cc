@@ -6,6 +6,7 @@
 #include "json/parser.h"
 #include "json/writer.h"
 #include "ops/registry.h"
+#include "per_op_reference.h"
 #include "workload/generator.h"
 #include "yaml/yaml.h"
 
@@ -129,11 +130,12 @@ INSTANTIATE_TEST_SUITE_P(
 // Executor invariants that must hold for ANY recipe built from built-in OPs:
 //  * rows_out <= rows_in (no OP invents samples)
 //  * executing twice on the same input gives the same output (determinism)
-//  * fusion on/off gives identical surviving texts
+//  * one run, with its filter stages, exports the same JSONL bytes (stats
+//    included) as one Executor::Run per OP, at np 1 and at np 4
 class ExecutorInvariantProperty
     : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ExecutorInvariantProperty, DeterministicMonotoneFusionSafe) {
+TEST_P(ExecutorInvariantProperty, DeterministicMonotoneEqualToPerOpRuns) {
   auto recipe = core::Recipe::FromString(GetParam());
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
 
@@ -145,27 +147,29 @@ TEST_P(ExecutorInvariantProperty, DeterministicMonotoneFusionSafe) {
   options.seed = 2024;
   data::Dataset corpus = workload::CorpusGenerator(options).Generate();
 
-  auto run = [&](bool fusion) {
+  // Fresh OPs per run: dedup OPs carry fingerprint state across runs.
+  auto run = [&](bool per_op, int workers) {
     auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
     EXPECT_TRUE(ops.ok());
     core::Executor::Options exec_options;
-    exec_options.op_fusion = fusion;
-    core::Executor executor(exec_options);
-    auto result = executor.Run(corpus, ops.value(), nullptr);
+    exec_options.num_workers = workers;
+    auto result =
+        per_op ? RunPerOp(corpus, ops.value(), exec_options)
+               : core::Executor(exec_options).Run(corpus, ops.value());
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(result).value() : data::Dataset();
   };
 
-  data::Dataset r1 = run(false);
-  data::Dataset r2 = run(false);
-  data::Dataset fused = run(true);
-  EXPECT_LE(r1.NumRows(), corpus.NumRows());
-  ASSERT_EQ(r1.NumRows(), r2.NumRows());
-  ASSERT_EQ(r1.NumRows(), fused.NumRows());
-  for (size_t i = 0; i < r1.NumRows(); ++i) {
-    EXPECT_EQ(r1.GetTextAt(i), r2.GetTextAt(i));
-    EXPECT_EQ(r1.GetTextAt(i), fused.GetTextAt(i));
+  data::Dataset reference = run(/*per_op=*/true, 1);
+  EXPECT_LE(reference.NumRows(), corpus.NumRows());
+  const std::string expected = data::ToJsonl(reference);
+  EXPECT_EQ(data::ToJsonl(run(/*per_op=*/true, 4)), expected);
+  for (int workers : {1, 4}) {
+    EXPECT_EQ(data::ToJsonl(run(/*per_op=*/false, workers)), expected)
+        << "np " << workers;
   }
+  EXPECT_EQ(data::ToJsonl(run(/*per_op=*/false, 1)), expected)
+      << "second run";
 }
 
 // Fuzz-ish robustness: random byte soup must never crash the parsers —
@@ -228,7 +232,23 @@ INSTANTIATE_TEST_SUITE_P(
         "process:\n"
         "  - document_minhash_deduplicator:\n      jaccard_threshold: 0.8\n"
         "  - text_length_filter:\n      min: 10\n"
-        "  - sentence_exact_deduplicator:\n"));
+        "  - sentence_exact_deduplicator:\n",
+        // Stage shapes an effect check would refuse; recipe order makes
+        // each one safe. A member reads the stat an earlier member writes:
+        "process:\n"
+        "  - word_num_filter:\n      min: 140\n"
+        "  - specified_numeric_field_filter:\n"
+        "      field: stats.num_words\n      max: 190\n",
+        // Two members write the same stat (the second reuses the first's):
+        "process:\n"
+        "  - word_num_filter:\n      min: 140\n"
+        "  - word_num_filter:\n      max: 190\n",
+        // A member whose field placeholder does not resolve (it keeps every
+        // row), between two members that drop rows:
+        "process:\n"
+        "  - text_length_filter:\n      min: 900\n"
+        "  - specified_field_filter:\n      field: ''\n"
+        "  - stopwords_filter:\n      min: 0.3\n"));
 
 }  // namespace
 }  // namespace dj

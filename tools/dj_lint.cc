@@ -1,16 +1,15 @@
 // dj_lint: static recipe analyzer. Checks recipes against the OP registry's
-// declared parameter schemas and the fusion planner without touching any
+// declared parameter schemas and effects without touching any
 // data — a typo'd OP name or param key is caught in milliseconds instead of
 // minutes into a run.
 //
 // Usage:
-//   dj_lint [--json] [--strict|--Werror] [--no-fusion-notes]
-//           [--explain-plan] recipe.yaml [more.yaml]
+//   dj_lint [--json] [--strict|--Werror] [--explain-plan]
+//           recipe.yaml [more.yaml]
 //   dj_lint --ops [--json]          # list OPs and their declared params
 //
-// --explain-plan additionally prints each recipe's optimized execution plan
-// with a per-swap justification from the OP effect signatures
-// (core::VerifyPlan).
+// --explain-plan additionally prints each recipe's execution plan: its
+// units in recipe order, each run of two or more filters as one stage.
 //
 // Exit codes:
 //   0  no errors (warnings and notes allowed; with --strict/--Werror,
@@ -35,15 +34,14 @@ struct Args {
   std::vector<std::string> recipes;
   bool json = false;
   bool strict = false;
-  bool fusion_notes = true;
   bool explain_plan = false;
   bool list_ops = false;
 };
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--json] [--strict|--Werror] [--no-fusion-notes] "
-               "[--explain-plan] recipe.yaml [more.yaml ...]\n"
+               "usage: %s [--json] [--strict|--Werror] [--explain-plan] "
+               "recipe.yaml [more.yaml ...]\n"
                "       %s --ops [--json]\n",
                argv0, argv0);
   return 2;
@@ -58,8 +56,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->strict = true;
     } else if (flag == "--explain-plan") {
       args->explain_plan = true;
-    } else if (flag == "--no-fusion-notes") {
-      args->fusion_notes = false;
     } else if (flag == "--ops") {
       args->list_ops = true;
     } else if (!flag.empty() && flag[0] == '-') {
@@ -111,9 +107,7 @@ int main(int argc, char** argv) {
   const dj::ops::OpRegistry& registry = dj::ops::OpRegistry::Global();
   if (args.list_ops) return ListOps(registry, args.json);
 
-  dj::lint::RecipeLinter::Options options;
-  options.fusion_notes = args.fusion_notes;
-  dj::lint::RecipeLinter linter(registry, options);
+  dj::lint::RecipeLinter linter(registry);
 
   bool failed = false;
   dj::json::Array files;

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   dj_process --recipe recipe.yaml [--input in.jsonl] [--output out.jsonl]
-//              [--np N] [--fusion] [--trace] [--cache-dir DIR] [--no-verify]
+//              [--np N] [--trace] [--cache-dir DIR] [--no-verify]
 //              [--trace-out trace.json] [--metrics-out metrics.json]
 //              [--checkpoint-dir DIR] [--resume] [--faults SPEC]
 //              [--sched SPEC] [--profile-out profile.txt]
@@ -16,7 +16,7 @@
 //
 // --checkpoint-dir enables per-OP checkpointing; --resume (requires
 // --checkpoint-dir) continues from the latest valid checkpoint whose
-// pipeline key matches the optimized plan, re-running only the suffix.
+// pipeline key matches the plan, re-running only the suffix.
 // --faults arms fail points (same syntax as the DJ_FAULTS env var, e.g.
 // "seed=7;exec.op_abort=n2;io.write.short=p0.1"); the env var is applied
 // first, then the flag. DJ_FAULTS is also read at the first fail-point
@@ -76,7 +76,6 @@ struct Args {
   std::string input;
   std::string output;
   int np = 0;  // 0 = use recipe value
-  bool fusion = false;
   bool trace = false;
   bool no_verify = false;
   std::string cache_dir;
@@ -93,7 +92,7 @@ struct Args {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --recipe recipe.yaml [--input in.jsonl] "
-               "[--output out.jsonl] [--np N] [--fusion] [--trace] "
+               "[--output out.jsonl] [--np N] [--trace] "
                "[--cache-dir DIR] [--no-verify] [--trace-out trace.json] "
                "[--metrics-out metrics.json] [--checkpoint-dir DIR] "
                "[--resume] [--faults SPEC] [--sched SPEC] "
@@ -124,8 +123,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->np = std::atoi(v);
-    } else if (flag == "--fusion") {
-      args->fusion = true;
     } else if (flag == "--trace") {
       args->trace = true;
     } else if (flag == "--no-verify") {
@@ -191,7 +188,6 @@ int main(int argc, char** argv) {
   if (!args.input.empty()) recipe.value().dataset_path = args.input;
   if (!args.output.empty()) recipe.value().export_path = args.output;
   if (args.np > 0) recipe.value().num_workers = args.np;
-  if (args.fusion) recipe.value().op_fusion = true;
   if (!args.cache_dir.empty()) {
     recipe.value().use_cache = true;
     recipe.value().cache_dir = args.cache_dir;
