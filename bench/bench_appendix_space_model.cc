@@ -73,8 +73,9 @@ int main() {
 
   dj::bench::Table table({"pipeline", "model_sets", "measured_sets",
                           "model_bytes", "measured_bytes", "byte_ratio"});
-  size_t ckpt_files = 0;    // files in the checkpoint dirs, all shapes
-  uint64_t ckpt_bytes = 0;  // the largest of them
+  size_t cached_ckpt_files = 0;  // checkpoint files beside the cache
+  size_t ckpt_files = 0;         // checkpoint files without the cache
+  uint64_t ckpt_bytes = 0;       // the largest of those
   for (const Shape& shape : kShapes) {
     std::string dir =
         std::filesystem::temp_directory_path().string() +
@@ -88,12 +89,10 @@ int main() {
         dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
 
     dj::core::Executor::Options options;
-    options.use_cache = true;
     options.cache_dir = dir;
     options.dataset_source_id = "space-bench";
     // Checkpoints ride along in a subdirectory (not counted as a cache set
-    // below): each one names the cache entry its boundary stored.
-    options.use_checkpoint = true;
+    // below): the cache stores every boundary, so they write nothing.
     options.checkpoint_dir = dir + "/ckpt";
     dj::core::Executor executor(options);
 
@@ -109,8 +108,20 @@ int main() {
       if (entry.is_regular_file()) ++measured_sets;
     }
     uint64_t measured_bytes = cache.TotalBytes();
+    std::error_code ec;
+    cached_ckpt_files += static_cast<size_t>(std::distance(
+        std::filesystem::directory_iterator(options.checkpoint_dir, ec),
+        std::filesystem::directory_iterator()));
+
+    // The same pipeline with checkpoints alone keeps the newest boundary.
+    dj::core::Executor::Options alone;
+    alone.dataset_source_id = "space-bench";
+    alone.checkpoint_dir = dir + "/ckpt_alone";
+    if (!dj::core::Executor(alone).Run(data, ops.value(), nullptr).ok()) {
+      return 1;
+    }
     for (const auto& entry :
-         std::filesystem::directory_iterator(options.checkpoint_dir)) {
+         std::filesystem::directory_iterator(alone.checkpoint_dir)) {
       ++ckpt_files;
       ckpt_bytes = std::max<uint64_t>(ckpt_bytes, entry.file_size());
     }
@@ -135,15 +146,16 @@ int main() {
   table.Print();
 
   std::printf(
-      "\ncheckpoint mode: model predicts peak = 3*S = %s. Without the\n"
-      "cache, the checkpoint manager keeps one dataset blob + manifest\n"
-      "(%s per save). With the cache on, a checkpoint costs one manifest\n"
-      "that names the unit's cache entry: the %zu runs above left %zu\n"
-      "checkpoint file(s), none larger than %s.\n",
+      "\ncheckpoint mode: model predicts peak = 3*S = %s. A checkpoint is\n"
+      "the newest stored boundary: beside the cache, which stores every\n"
+      "boundary, the %zu runs above left %zu checkpoint file(s). With\n"
+      "checkpoints alone the same %zu runs left %zu, one entry each, none\n"
+      "larger than %s (S = %s).\n",
       dj::FormatBytes(dj::core::CheckpointModeSpaceBytes(dataset_bytes))
           .c_str(),
-      dj::FormatBytes(dataset_bytes).c_str(), std::size(kShapes), ckpt_files,
-      dj::FormatBytes(ckpt_bytes).c_str());
+      std::size(kShapes), cached_ckpt_files, std::size(kShapes), ckpt_files,
+      dj::FormatBytes(ckpt_bytes).c_str(),
+      dj::FormatBytes(dataset_bytes).c_str());
   std::printf(
       "expected shape: set counts match the formula exactly; byte ratios\n"
       "stay near 1 — slightly below when filters/dedups shrink the dataset\n"

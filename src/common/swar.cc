@@ -55,14 +55,6 @@ Level DetectCompiledLevel() {
 #endif
 }
 
-Level ParseLevelName(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(name, "swar") == 0) return Level::kSwar;
-  if (std::strcmp(name, "sse2") == 0) return Level::kSse2;
-  if (std::strcmp(name, "neon") == 0) return Level::kNeon;
-  return DetectCompiledLevel();
-}
-
 Level ResolveLevel() {
   // The SWAR position math (count-trailing-zeros / 8) assumes little-endian
   // byte order; every supported target is little-endian, but a big-endian
@@ -74,18 +66,7 @@ Level ResolveLevel() {
   if (force != nullptr && *force != '\0' && std::strcmp(force, "0") != 0) {
     return Level::kScalar;
   }
-  Level compiled = DetectCompiledLevel();
-  const char* request = std::getenv("DJ_SIMD");
-  if (request != nullptr && *request != '\0') {
-    Level requested = ParseLevelName(request);
-    // kScalar/kSwar are always available; a vector level must match what
-    // this binary was compiled with or we stay at the compiled best.
-    if (requested == Level::kScalar || requested == Level::kSwar ||
-        requested == compiled) {
-      return requested;
-    }
-  }
-  return compiled;
+  return DetectCompiledLevel();
 }
 
 std::atomic<int> g_level{-1};

@@ -28,8 +28,7 @@ const char* LevelName(Level level);
 Level CompiledLevel();
 
 /// The level kernels currently dispatch to. Resolved once from the
-/// environment: DJ_FORCE_SCALAR=1 pins kScalar; DJ_SIMD=<name> requests a
-/// specific level (capped at CompiledLevel()); otherwise CompiledLevel().
+/// environment: DJ_FORCE_SCALAR=1 pins kScalar; otherwise CompiledLevel().
 Level ActiveLevel();
 
 /// Numeric ActiveLevel() for the `simd.kernel` metrics gauge.

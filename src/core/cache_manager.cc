@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/string_util.h"
-#include "common/swar.h"
 #include "compress/djlz.h"
 #include "data/io.h"
 #include "json/writer.h"
@@ -89,8 +88,7 @@ Result<data::Dataset> CacheManager::Load(uint64_t key) const {
   return data::DeserializeDataset(blob, pool_);
 }
 
-Result<StoredFile> CacheManager::Store(uint64_t key,
-                                       std::string_view djds) const {
+Status CacheManager::Store(uint64_t key, std::string_view djds) const {
   std::string frame;
   if (compression_) {
     frame = compress::CompressFrame(djds, pool_);
@@ -98,14 +96,7 @@ Result<StoredFile> CacheManager::Store(uint64_t key,
   }
   Bump("cache.stores");
   Bump("cache.store_bytes", djds.size());
-  std::error_code ec;
-  StoredFile file;
-  file.path = fs::absolute(PathFor(key), ec).string();
-  if (ec) file.path = PathFor(key);
-  file.bytes = djds.size();
-  file.checksum = swar::Hash64(djds.data(), djds.size());
-  DJ_RETURN_IF_ERROR(data::WriteFileAtomic(file.path, djds));
-  return file;
+  return data::WriteFileAtomic(PathFor(key), djds);
 }
 
 void CacheManager::Evict(uint64_t key) const {

@@ -2,7 +2,6 @@
 #define DJ_CORE_CACHE_MANAGER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -11,15 +10,6 @@
 #include "obs/metrics.h"
 
 namespace dj::core {
-
-/// A file that holds one serialized dataset, as its writer left it: the
-/// path, its byte count and the swar::Hash64 of its bytes. A checkpoint
-/// manifest names one (CheckpointManager::Save).
-struct StoredFile {
-  std::string path;
-  uint64_t bytes = 0;
-  uint64_t checksum = 0;
-};
 
 /// Per-OP dataset cache keyed by a configuration hash (paper Sec. 5.1.1 and
 /// Sec. 7 "Caching OPs and Compression"). The key for OP i is the combined
@@ -33,8 +23,8 @@ struct StoredFile {
 ///
 /// Store writes each entry crash-atomically (data::WriteFileAtomic: temp
 /// file, fsync, rename, directory fsync), so an entry on disk is either
-/// whole or absent, and a checkpoint can name it instead of writing a
-/// second copy of the same bytes. A crash mid-store leaves "<entry>.tmp",
+/// whole or absent, and the executor writes no checkpoint for a boundary
+/// whose entry it stored. A crash mid-store leaves "<entry>.tmp",
 /// which Clear removes and TotalBytes does not count. Load still verifies
 /// the DJDS and djlz checksums (a disk can rot what was written whole),
 /// and the executor's cache scan evicts an entry that fails them and falls
@@ -77,9 +67,9 @@ class CacheManager {
 
   /// Stores `djds`, a data::SerializeDataset blob, under `key`
   /// (atomically replacing any entry there), djlz-compressing it first
-  /// when compression is on, and returns the file it wrote (an absolute
-  /// path). The caller serializes, so a checkpoint can name the same bytes.
-  Result<StoredFile> Store(uint64_t key, std::string_view djds) const;
+  /// when compression is on. The caller serializes, so a checkpoint can
+  /// take the same bytes when the store fails.
+  Status Store(uint64_t key, std::string_view djds) const;
 
   /// Removes the entry for `key` if present.
   void Evict(uint64_t key) const;

@@ -172,11 +172,9 @@ Executor::Executor(Options options) : options_(std::move(options)) {}
 Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   Options opts;
   opts.num_workers = recipe.num_workers;
-  opts.use_cache = recipe.use_cache;
-  opts.cache_dir = recipe.cache_dir;
+  if (recipe.use_cache) opts.cache_dir = recipe.cache_dir;
   opts.cache_compression = recipe.cache_compression;
-  opts.use_checkpoint = recipe.use_checkpoint;
-  opts.checkpoint_dir = recipe.checkpoint_dir;
+  if (recipe.use_checkpoint) opts.checkpoint_dir = recipe.checkpoint_dir;
   opts.dataset_source_id =
       recipe.dataset_path.empty() ? "in-memory" : recipe.dataset_path;
   return opts;
@@ -344,8 +342,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     key_before[i + 1] = key;
   }
 
-  size_t start_unit = 0;
-
   // The worker pool is created up front so the cache/checkpoint codecs can
   // shard their (de)serialization across it too, not just the OP loop.
   std::optional<ThreadPool> pool;
@@ -354,73 +350,72 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
   }
   ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
-  // Checkpoint resume: restore the latest compatible processing site.
-  std::optional<CheckpointManager> checkpoints;
-  if (options_.use_checkpoint && !options_.checkpoint_dir.empty()) {
-    checkpoints.emplace(options_.checkpoint_dir);
-    checkpoints->SetPool(pool_ptr);
-    auto state = checkpoints->LoadLatest();
-    if (!state.ok() && state.status().code() != StatusCode::kNotFound) {
-      // A checkpoint exists but is torn/corrupt: refuse it loudly and run
-      // from scratch rather than decoding garbage.
-      DJ_LOG(Warning) << "ignoring unusable checkpoint: "
-                      << state.status().ToString();
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetCounter("checkpoint.load_rejected")->Increment();
-      }
-    }
-    if (state.ok()) {
-      for (size_t i = 0; i <= plan.size(); ++i) {
-        if (key_before[i] == state.value().pipeline_key) {
-          dataset = std::move(state.value().dataset);
-          start_unit = i;
-          rep->resumed_from_checkpoint = true;
-          break;
-        }
-      }
-      if (!rep->resumed_from_checkpoint) {
-        DJ_LOG(Info) << "checkpoint incompatible with current recipe; "
-                        "starting fresh";
-      }
-    }
-  }
-
-  // Cache scan: the longest cached prefix wins (deepest key_after hit).
   std::optional<CacheManager> cache;
-  if (options_.use_cache && !options_.cache_dir.empty()) {
-    obs::Span scan_span(options_.spans, "cache.scan", "cache");
+  if (!options_.cache_dir.empty()) {
     cache.emplace(options_.cache_dir, options_.cache_compression);
     cache->SetMetrics(options_.metrics);
     cache->SetPool(pool_ptr);
-    for (size_t i = plan.size(); i > start_unit; --i) {
-      if (!cache->Contains(key_before[i])) continue;
-      auto loaded = cache->Load(key_before[i]);
-      if (!loaded.ok()) {
+  }
+  std::optional<CheckpointManager> checkpoints;
+  if (!options_.checkpoint_dir.empty()) {
+    checkpoints.emplace(options_.checkpoint_dir);
+    checkpoints->SetPool(pool_ptr);
+  }
+
+  // Resume scan: the deepest stored prefix wins. At each depth a cache
+  // entry is taken first, else a checkpoint entry; an entry that does not
+  // load is evicted (cache) or counted (checkpoint) and the scan goes on.
+  size_t start_unit = 0;
+  if (cache.has_value() || checkpoints.has_value()) {
+    obs::Span scan_span(options_.spans, "cache.scan", "cache");
+    bool from_cache = false;
+    for (size_t i = plan.size(); i > 0; --i) {
+      if (cache.has_value() && cache->Contains(key_before[i])) {
+        auto loaded = cache->Load(key_before[i]);
+        if (loaded.ok()) {
+          dataset = std::move(loaded).value();
+          start_unit = i;
+          from_cache = true;
+          break;
+        }
         DJ_LOG(Warning) << "cache entry unreadable, evicting: "
                         << loaded.status().ToString();
         cache->Evict(key_before[i]);
-        continue;
       }
-      dataset = std::move(loaded).value();
-      // Record skipped units as cache hits.
-      for (size_t j = start_unit; j < i; ++j) {
-        OpReport r;
-        r.name = plan[j].DisplayName();
-        r.kind = plan[j].is_fused() ? "fused_filter"
-                                    : ops::OpKindName(plan[j].op->kind());
-        r.rows_in = r.rows_out = dataset.NumRows();
-        r.cache_hit = true;
-        if (options_.spans != nullptr) {
-          options_.spans->EmitInstant("cache.hit:" + r.name, "cache",
-                                      options_.spans->NowMicros());
+      if (!checkpoints.has_value()) continue;
+      auto loaded = checkpoints->Load(key_before[i]);
+      if (loaded.ok()) {
+        dataset = std::move(loaded).value();
+        start_unit = i;
+        break;
+      }
+      if (loaded.status().code() != StatusCode::kNotFound) {
+        // A torn/corrupt entry: refuse it loudly rather than decode
+        // garbage, and look for a shallower prefix.
+        DJ_LOG(Warning) << "ignoring unusable checkpoint: "
+                        << loaded.status().ToString();
+        if (options_.metrics != nullptr) {
+          options_.metrics->GetCounter("checkpoint.load_rejected")->Increment();
         }
-        rep->op_reports.push_back(std::move(r));
-        ++rep->cache_hits;
       }
-      start_unit = i;
-      break;
+    }
+    // Record the units a cache entry skipped as cache hits.
+    for (size_t j = 0; from_cache && j < start_unit; ++j) {
+      OpReport r;
+      r.name = plan[j].DisplayName();
+      r.kind = plan[j].is_fused() ? "fused_filter"
+                                  : ops::OpKindName(plan[j].op->kind());
+      r.rows_in = r.rows_out = dataset.NumRows();
+      r.cache_hit = true;
+      if (options_.spans != nullptr) {
+        options_.spans->EmitInstant("cache.hit:" + r.name, "cache",
+                                    options_.spans->NowMicros());
+      }
+      rep->op_reports.push_back(std::move(r));
+      ++rep->cache_hits;
     }
   }
+  rep->resumed_from_checkpoint = checkpoints.has_value() && start_unit > 0;
 
   for (size_t i = start_unit; i < plan.size(); ++i) {
     Stopwatch unit_watch;
@@ -470,33 +465,22 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     rep->op_reports.push_back(std::move(r));
 
     // Persist the unit boundary: serialize once into one buffer and write
-    // one file. With the cache on, that file is the cache entry, and a due
-    // checkpoint's manifest names it; otherwise (or when the store failed)
-    // the checkpoint writes the same bytes to its own blob.
-    int every = std::max(options_.checkpoint_every_n_units, 1);
-    bool checkpoint_due =
-        checkpoints.has_value() &&
-        ((i + 1) % static_cast<size_t>(every) == 0 || i + 1 == plan.size());
-    if (cache.has_value() || checkpoint_due) {
+    // one file, the cache entry, or a checkpoint entry when there is no
+    // cache or the store failed.
+    if (cache.has_value() || checkpoints.has_value()) {
       Stopwatch persist_watch;
       const std::string djds = data::SerializeDataset(dataset, pool_ptr);
-      std::optional<StoredFile> entry;
+      bool stored = false;
       if (cache.has_value()) {
         obs::Span store_span(options_.spans, "cache.store", "cache");
-        auto stored = cache->Store(key_before[i + 1], djds);
-        if (stored.ok()) {
-          entry = std::move(stored).value();
-        } else {
-          DJ_LOG(Warning) << "cache store failed: "
-                          << stored.status().ToString();
-        }
+        Status s = cache->Store(key_before[i + 1], djds);
+        stored = s.ok();
+        if (!stored) DJ_LOG(Warning) << "cache store failed: " << s.ToString();
         ++rep->cache_stores;
       }
-      if (checkpoint_due) {
+      if (checkpoints.has_value() && !stored) {
         obs::Span ckpt_span(options_.spans, "checkpoint.save", "checkpoint");
-        Status s = checkpoints->Save(i + 1, key_before[i + 1],
-                                     dataset.NumRows(), djds,
-                                     entry ? &*entry : nullptr);
+        Status s = checkpoints->Save(key_before[i + 1], djds);
         if (!s.ok()) DJ_LOG(Warning) << "checkpoint failed: " << s.ToString();
         if (options_.metrics != nullptr) {
           options_.metrics->GetCounter("checkpoint.saves")->Increment();

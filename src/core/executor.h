@@ -54,6 +54,8 @@ struct RunReport {
   size_t rows_in = 0;
   size_t rows_out = 0;
   size_t cache_hits = 0;
+  /// Checkpoints were on and the run restored a stored prefix (from a
+  /// cache entry or a checkpoint entry).
   bool resumed_from_checkpoint = false;
   /// Always 0: stages keep recipe order, so a plan has no swaps. Kept
   /// only because bench_e2e reports it as core.plan_swaps.
@@ -83,19 +85,15 @@ class Executor {
   struct Options {
     int num_workers = 1;
 
-    bool use_cache = false;
+    /// Non-empty turns the per-OP cache on: every unit boundary is stored.
     std::string cache_dir;
     bool cache_compression = false;
     /// Stable id of the input dataset for cache keys (e.g. its path).
     std::string dataset_source_id = "in-memory";
 
-    bool use_checkpoint = false;
+    /// Non-empty turns checkpoints on: a unit boundary the cache did not
+    /// store becomes the latest checkpoint.
     std::string checkpoint_dir;
-    /// Space-time trade-off of paper Sec. 5.1.1: checkpoint after every
-    /// N-th unit (1 = after each OP, minimal re-execution; larger = less
-    /// checkpoint I/O, more re-execution on failure). The final unit is
-    /// always checkpointed.
-    int checkpoint_every_n_units = 1;
 
     Tracer* tracer = nullptr;  ///< not owned; may be null
 
@@ -114,9 +112,9 @@ class Executor {
   static Options OptionsFromRecipe(const Recipe& recipe);
 
   /// Runs `ops` over `dataset` and returns the processed dataset.
-  /// On failure with checkpointing enabled, the state before the failing OP
-  /// has been persisted; a subsequent Run with the same options resumes
-  /// after the surviving prefix.
+  /// On failure with the cache or checkpoints on, the state before the
+  /// failing OP has been persisted; a subsequent Run with the same options
+  /// resumes after the deepest stored prefix.
   Result<data::Dataset> Run(data::Dataset dataset,
                             const std::vector<std::unique_ptr<ops::Op>>& ops,
                             RunReport* report = nullptr);

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/probe.h"
-#include "common/swar.h"
 #include "compress/djlz.h"
 #include "core/cache_manager.h"
 #include "core/checkpoint.h"
@@ -32,6 +32,17 @@ std::string TempDir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+// The names of the files in `dir`, sorted; none when it does not exist.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    out.push_back(entry.path().filename().string());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Recipe MustRecipe(std::string_view text) {
@@ -339,7 +350,6 @@ TEST(ExecutorTest, CacheCountersPopulated) {
   auto run = [&](obs::MetricsRegistry* metrics) {
     auto ops = FourteenOpPipeline();
     Executor::Options options;
-    options.use_cache = true;
     options.cache_dir = dir;
     options.dataset_source_id = "corpus-v1";
     options.metrics = metrics;
@@ -359,12 +369,14 @@ TEST(ExecutorTest, CacheCountersPopulated) {
 }
 
 TEST(ExecutorTest, OptionsFromRecipe) {
+  // A directory turns its feature on only with its use_* key.
   Recipe r = MustRecipe(
       "np: 3\nuse_cache: true\ncache_dir: /tmp/x\n"
-      "dataset_path: data.jsonl\n");
+      "checkpoint_dir: /tmp/y\ndataset_path: data.jsonl\n");
   Executor::Options options = Executor::OptionsFromRecipe(r);
   EXPECT_EQ(options.num_workers, 3);
-  EXPECT_TRUE(options.use_cache);
+  EXPECT_EQ(options.cache_dir, "/tmp/x");
+  EXPECT_EQ(options.checkpoint_dir, "");
   EXPECT_EQ(options.dataset_source_id, "data.jsonl");
 }
 
@@ -405,35 +417,21 @@ TEST(CacheManagerTest, CompressionShrinksFiles) {
   EXPECT_EQ(loaded.value().NumRows(), 50u);
 }
 
-TEST(CacheManagerTest, StoreReturnsTheFileItWrote) {
-  std::string dir = TempDir("cache_stored_file");
-  CacheManager cache(dir, /*compression=*/true);
-  auto stored = cache.Store(
-      7, data::SerializeDataset(data::Dataset::FromTexts({"one", "two"})));
-  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  const StoredFile& file = stored.value();
-  EXPECT_TRUE(fs::path(file.path).is_absolute()) << file.path;
-  auto bytes = data::ReadFile(file.path);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  EXPECT_TRUE(compress::IsFrame(bytes.value()));
-  EXPECT_EQ(file.bytes, bytes.value().size());
-  EXPECT_EQ(file.checksum, swar::Hash64(bytes.value()));
-  EXPECT_EQ(cache.TotalBytes(), file.bytes);
-}
-
 TEST(CacheManagerTest, ClearRemovesLeftoverTempFilesAndTotalBytesSkipsThem) {
   std::string dir = TempDir("cache_leftover_tmp");
   CacheManager cache(dir, /*compression=*/true);
-  auto stored = cache.Store(
-      7, data::SerializeDataset(data::Dataset::FromTexts({"cached row"})));
-  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_TRUE(cache
+                  .Store(7, data::SerializeDataset(
+                                data::Dataset::FromTexts({"cached row"})))
+                  .ok());
+  const std::string entry = dir + "/0000000000000007.djds.djlz";
   const uint64_t entry_bytes = cache.TotalBytes();
-  ASSERT_EQ(entry_bytes, stored.value().bytes);
+  ASSERT_EQ(entry_bytes, fs::file_size(entry));
 
   // What an interrupted atomic Store leaves: a torn "<entry>.tmp", here for
   // this entry and for one whose rename never happened. A file that is not
   // the cache's stays.
-  const std::string beside = stored.value().path + ".tmp";
+  const std::string beside = entry + ".tmp";
   const std::string orphan = dir + "/00000000000000ab.djds.djlz.tmp";
   const std::string foreign = dir + "/notes.txt";
   ASSERT_TRUE(data::WriteFile(beside, "torn entry bytes").ok());
@@ -446,7 +444,7 @@ TEST(CacheManagerTest, ClearRemovesLeftoverTempFilesAndTotalBytesSkipsThem) {
   EXPECT_EQ(loaded.value().GetTextAt(0), "cached row");
 
   cache.Clear();
-  EXPECT_FALSE(fs::exists(stored.value().path));
+  EXPECT_FALSE(fs::exists(entry));
   EXPECT_FALSE(fs::exists(beside));
   EXPECT_FALSE(fs::exists(orphan));
   EXPECT_TRUE(fs::exists(foreign));
@@ -469,7 +467,6 @@ TEST(ExecutorTest, CacheHitSkipsWork) {
   std::string dir = TempDir("cache_exec");
   auto make_options = [&] {
     Executor::Options options;
-    options.use_cache = true;
     options.cache_dir = dir;
     options.dataset_source_id = "corpus-v1";
     return options;
@@ -494,7 +491,6 @@ TEST(ExecutorTest, ConfigChangeInvalidatesSuffixOnly) {
   std::string dir = TempDir("cache_invalidate");
   auto options = [&] {
     Executor::Options o;
-    o.use_cache = true;
     o.cache_dir = dir;
     o.dataset_source_id = "corpus-v1";
     return o;
@@ -525,23 +521,30 @@ process:
 
 // --------------------------------------------------------- checkpoint ----
 
-TEST(CheckpointTest, SaveLoadRoundTrip) {
-  CheckpointManager mgr(TempDir("ckpt1"));
-  data::Dataset ds = data::Dataset::FromTexts({"saved"});
-  ASSERT_TRUE(mgr.Save(2, 777, ds.NumRows(), data::SerializeDataset(ds)).ok());
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().next_op_index, 2u);
-  EXPECT_EQ(loaded.value().pipeline_key, 777u);
-  EXPECT_EQ(loaded.value().dataset.GetTextAt(0), "saved");
+TEST(CheckpointTest, SaveLoadRoundTripKeepsOnlyTheNewestEntry) {
+  // The trailing slash must not make the sweep delete the entry it keeps.
+  CheckpointManager mgr(TempDir("ckpt1") + "/");
+  auto save = [&](uint64_t key, std::string text) {
+    return mgr.Save(key, data::SerializeDataset(
+                             data::Dataset::FromTexts({std::move(text)})));
+  };
+  ASSERT_TRUE(save(777, "saved").ok());
+  auto loaded = mgr.Load(777);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().GetTextAt(0), "saved");
+  EXPECT_EQ(mgr.Load(778).status().code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(save(778, "newer").ok());
+  EXPECT_EQ(mgr.Load(777).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(mgr.Load(778).ok());
+  EXPECT_EQ(mgr.Load(778).value().GetTextAt(0), "newer");
   mgr.Clear();
-  EXPECT_FALSE(mgr.LoadLatest().ok());
+  EXPECT_EQ(mgr.Load(778).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   std::string dir = TempDir("ckpt_exec");
   Executor::Options options;
-  options.use_checkpoint = true;
   options.checkpoint_dir = dir;
   options.dataset_source_id = "corpus-v1";
   {
@@ -575,7 +578,6 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
 TEST(ExecutorTest, RecipeChangeIgnoresIncompatibleCheckpoint) {
   std::string dir = TempDir("ckpt_incompat");
   Executor::Options o;
-  o.use_checkpoint = true;
   o.checkpoint_dir = dir;
   o.dataset_source_id = "corpus-v1";
   auto ops1 = FourteenOpPipeline();
@@ -601,10 +603,8 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   Tracer tracer(3);
   Executor::Options options;
   options.num_workers = 4;
-  options.use_cache = true;
   options.cache_dir = dir + "/cache";
   options.cache_compression = true;
-  options.use_checkpoint = true;
   options.checkpoint_dir = dir + "/ckpt";
   options.dataset_source_id = "combined-corpus";
   options.tracer = &tracer;
@@ -617,69 +617,41 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   auto expected = RunPerOp(NoisyCorpus(120), ops_plain);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(data::ToJsonl(result.value()), data::ToJsonl(expected.value()));
-  // Cache and checkpoint artifacts materialized.
+  // Every boundary went to the cache; none needed a checkpoint entry.
   CacheManager cache(dir + "/cache", true);
   EXPECT_GT(cache.TotalBytes(), 0u);
-  CheckpointManager checkpoints(dir + "/ckpt");
-  EXPECT_TRUE(checkpoints.LoadLatest().ok());
+  EXPECT_EQ(report.checkpoint_saves, 0u);
+  EXPECT_TRUE(FilesIn(dir + "/ckpt").empty());
 
-  // A re-run with the same options skips all the work: the checkpoint
-  // (saved after the final unit) takes precedence over the cache scan.
+  // A re-run with the same options skips all the work: the scan restores
+  // the deepest cache entry, so every unit is a cache hit.
   auto ops_again = FourteenOpPipeline();
   Executor again(options);
   RunReport rerun;
   auto rerun_result = again.Run(NoisyCorpus(120), ops_again, &rerun);
   ASSERT_TRUE(rerun_result.ok());
   EXPECT_TRUE(rerun.resumed_from_checkpoint);
-  EXPECT_TRUE(rerun.op_reports.empty());  // nothing re-executed
-  EXPECT_EQ(rerun_result.value().NumRows(), result.value().NumRows());
-}
-
-TEST(ExecutorTest, CheckpointFrequencyCoarsensResumePoint) {
-  // checkpoint_every_n_units = 4: after a failure at unit 6 (the dedup),
-  // the surviving checkpoint is the one after unit 3, so the resumed run
-  // re-executes units 4..6 (3 units) instead of unit 6 alone.
-  std::string dir = TempDir("ckpt_freq");
-  Executor::Options options;
-  options.use_checkpoint = true;
-  options.checkpoint_dir = dir;
-  options.checkpoint_every_n_units = 4;
-  options.dataset_source_id = "corpus-v1";
-  {
-    // Aborts before unit 6.
-    probe::Scoped faults(probe::Faults(), "exec.op_abort=n7");
-    ASSERT_TRUE(faults.status().ok());
-    auto ops1 = FourteenOpPipeline();
-    Executor failing(options);
-    EXPECT_FALSE(failing.Run(NoisyCorpus(), ops1, nullptr).ok());
-  }
-
-  auto ops2 = FourteenOpPipeline();
-  Executor resuming(options);
-  RunReport report;
-  auto result = resuming.Run(NoisyCorpus(), ops2, &report);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(report.resumed_from_checkpoint);
-  EXPECT_EQ(report.op_reports.size(), PlanFusion(ops2).size() - 4);
+  EXPECT_EQ(rerun.cache_hits, PlanFusion(ops_again).size());
+  ASSERT_EQ(rerun.op_reports.size(), PlanFusion(ops_again).size());
+  for (const OpReport& r : rerun.op_reports) EXPECT_TRUE(r.cache_hit);
+  EXPECT_EQ(data::ToJsonl(rerun_result.value()),
+            data::ToJsonl(result.value()));
 }
 
 TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
-  // Each unit boundary serializes once and writes one file, and the
-  // checkpoint manifest names that file with its size and Hash64. With the
-  // cache on, the file is the cache entry: after the last unit the manifest
-  // names the deepest entry, which is the result's DJDS bytes djlz-framed,
-  // and the checkpoint directory holds nothing but the manifest. With the
-  // cache off, the checkpoint's own blob is exactly the result's DJDS bytes.
+  // Each unit boundary serializes once and writes one file, named by the
+  // boundary's key. With the cache on it is the cache entry, and the
+  // checkpoint directory stays empty: the deepest entry is the result's
+  // DJDS bytes djlz-framed. With the cache off it is the checkpoint entry,
+  // exactly the result's DJDS bytes and the only file in its directory.
   for (bool use_cache : {true, false}) {
     SCOPED_TRACE(use_cache ? "cache on" : "cache off");
     std::string dir = TempDir(use_cache ? "shared_blob_cache" : "shared_blob");
     auto ops = FourteenOpPipeline();
     Executor::Options options;
     options.num_workers = 4;
-    options.use_cache = use_cache;
-    options.cache_dir = dir + "/cache";
+    if (use_cache) options.cache_dir = dir + "/cache";
     options.cache_compression = true;
-    options.use_checkpoint = true;
     options.checkpoint_dir = dir + "/ckpt";
     options.dataset_source_id = "shared-blob";
     Executor executor(options);
@@ -688,48 +660,30 @@ TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const std::string djds = data::SerializeDataset(result.value());
 
-    auto manifest_text = data::ReadFile(dir + "/ckpt/checkpoint.json");
-    ASSERT_TRUE(manifest_text.ok());
-    auto manifest = json::Parse(manifest_text.value());
-    ASSERT_TRUE(manifest.ok());
-    EXPECT_EQ(manifest.value().GetInt("schema", 0), 4);
-    const std::string named = manifest.value().GetString("file", "");
-    const std::string named_path =
-        fs::path(named).is_absolute() ? named : dir + "/ckpt/" + named;
-    auto file = data::ReadFile(named_path);
-    ASSERT_TRUE(file.ok()) << file.status().ToString();
-    EXPECT_EQ(static_cast<uint64_t>(manifest.value().GetInt("file_bytes", 0)),
-              file.value().size());
-    EXPECT_EQ(
-        static_cast<uint64_t>(manifest.value().GetInt("file_checksum", 0)),
-        swar::Hash64(file.value()));
-
+    uint64_t key = CacheManager::InitialKey("shared-blob");
+    for (const auto& op : ops) {
+      key = CacheManager::ExtendKey(key, op->name(), op->config());
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(key));
     if (use_cache) {
-      uint64_t key = CacheManager::InitialKey("shared-blob");
-      for (const auto& op : ops) {
-        key = CacheManager::ExtendKey(key, op->name(), op->config());
-      }
-      char name[32];
-      std::snprintf(name, sizeof(name), "%016llx.djds.djlz",
-                    static_cast<unsigned long long>(key));
-      ASSERT_TRUE(fs::exists(dir + "/cache/" + name));
-      EXPECT_TRUE(fs::equivalent(named_path, dir + "/cache/" + name))
-          << "the manifest names " << named << ", not the deepest entry";
-      EXPECT_TRUE(file.value() == compress::CompressFrame(djds))
+      auto entry = data::ReadFile(dir + "/cache/" + hex + ".djds.djlz");
+      ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+      EXPECT_TRUE(entry.value() == compress::CompressFrame(djds))
           << "deepest cache entry differs";
-      std::vector<std::string> ckpt_files;
-      for (const auto& e : fs::directory_iterator(dir + "/ckpt")) {
-        ckpt_files.push_back(e.path().filename().string());
-      }
-      EXPECT_EQ(ckpt_files, std::vector<std::string>{"checkpoint.json"});
+      EXPECT_TRUE(FilesIn(dir + "/ckpt").empty());
     } else {
-      EXPECT_EQ(fs::path(named).parent_path(), fs::path());
-      EXPECT_TRUE(file.value() == djds) << "checkpoint blob differs";
+      const std::string name = std::string("checkpoint-") + hex + ".djds";
+      EXPECT_EQ(FilesIn(dir + "/ckpt"), std::vector<std::string>{name});
+      auto entry = data::ReadFile(dir + "/ckpt/" + name);
+      ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+      EXPECT_TRUE(entry.value() == djds) << "checkpoint entry differs";
     }
 
     const size_t units = PlanFusion(ops).size();
     EXPECT_EQ(report.cache_stores, use_cache ? units : 0u);
-    EXPECT_EQ(report.checkpoint_saves, units);
+    EXPECT_EQ(report.checkpoint_saves, use_cache ? 0u : units);
     EXPECT_GT(report.persist_seconds, 0.0);
     EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
   }
@@ -741,7 +695,6 @@ TEST(ExecutorTest, OlderCacheFrameIsEvictedAndRecomputed) {
   // recomputes the last unit, byte-identical to a clean run.
   std::string dir = TempDir("old_frame");
   Executor::Options options;
-  options.use_cache = true;
   options.cache_dir = dir;
   options.cache_compression = true;
   options.dataset_source_id = "old-frame";
@@ -791,20 +744,15 @@ TEST(ExecutorTest, PersistLineWithCacheOrCheckpointAlone) {
     SCOPED_TRACE(use_cache ? "cache only" : "checkpoint only");
     std::string dir = TempDir(use_cache ? "persist_cache" : "persist_ckpt");
     Executor::Options options;
-    options.use_cache = use_cache;
-    options.cache_dir = dir;
-    options.use_checkpoint = !use_cache;
-    options.checkpoint_dir = dir;
-    options.checkpoint_every_n_units = 2;
+    (use_cache ? options.cache_dir : options.checkpoint_dir) = dir;
     auto ops = MustBuildOps(MustRecipe(kBasicRecipe));
     Executor executor(options);
     RunReport report;
     ASSERT_TRUE(executor.Run(NoisyCorpus(), ops, &report).ok());
     EXPECT_GT(report.persist_seconds, 0.0);
-    // Three units: a cache store after each, a checkpoint after units 2
-    // and 3 (every second unit, and always the last).
+    // Three units, each boundary a cache store or a checkpoint save.
     EXPECT_EQ(report.cache_stores, use_cache ? 3u : 0u);
-    EXPECT_EQ(report.checkpoint_saves, use_cache ? 0u : 2u);
+    EXPECT_EQ(report.checkpoint_saves, use_cache ? 0u : 3u);
     EXPECT_NE(report.ToString().find("persist:"), std::string::npos);
   }
 }

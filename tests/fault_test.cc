@@ -1,19 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/probe.h"
 #include "common/string_util.h"
-#include "common/swar.h"
 #include "core/checkpoint.h"
 #include "core/executor.h"
 #include "data/io.h"
-#include "json/parser.h"
 #include "json/writer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -302,290 +300,33 @@ TEST(ProbeTest, FreshInstanceReadsItsVariableAtFirstProbe) {
   EXPECT_EQ(SchedStats(sched, 300), kSeededSched);
 }
 
-// ------------------------------------------- checkpoint crash windows ----
-
-// The two kinds of file a checkpoint manifest can name.
-enum class Backing { kOwnBlob, kCacheEntry };
-
-// Checkpoints `texts` the way the executor does: serialize, then, with a
-// cache, store the entry and Save naming it; without one, Save writes the
-// checkpoint's own blob.
-Status SaveTexts(const core::CheckpointManager& mgr,
-                 const core::CacheManager* cache, size_t next_op_index,
-                 uint64_t key, std::vector<std::string> texts) {
-  data::Dataset ds = data::Dataset::FromTexts(std::move(texts));
-  const std::string djds = data::SerializeDataset(ds);
-  if (cache == nullptr) return mgr.Save(next_op_index, key, ds.NumRows(), djds);
-  DJ_ASSIGN_OR_RETURN(core::StoredFile entry, cache->Store(key, djds));
-  return mgr.Save(next_op_index, key, ds.NumRows(), djds, &entry);
-}
-
-// Names of the files directly in `dir` whose name ends with `suffix`.
-std::vector<std::string> FilesEndingWith(const std::string& dir,
-                                         std::string_view suffix) {
+// The names of the files in `dir`, sorted; none when it does not exist.
+std::vector<std::string> FilesIn(const std::string& dir) {
   std::vector<std::string> out;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (EndsWith(name, suffix)) out.push_back(std::move(name));
+    out.push_back(entry.path().filename().string());
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-class CheckpointCrashTest
-    : public ::testing::TestWithParam<std::tuple<const char*, Backing>> {};
-
-TEST_P(CheckpointCrashTest, CrashLeavesPreviousCheckpointLoadable) {
-  const char* window = std::get<0>(GetParam());
-  const bool cached = std::get<1>(GetParam()) == Backing::kCacheEntry;
-  std::string dir = TempDir(std::string("crash_") + window +
-                            (cached ? "_cache" : "_own"));
-  core::CheckpointManager mgr(dir + "/ckpt");
-  core::CacheManager cache_mgr(dir + "/cache", /*compression=*/true);
-  const core::CacheManager* cache = cached ? &cache_mgr : nullptr;
-  ASSERT_TRUE(SaveTexts(mgr, cache, 1, 111, {"one"}).ok());
-
-  {
-    probe::Scoped faults(probe::Faults(), std::string(window) + "=n1");
-    ASSERT_TRUE(faults.status().ok());
-    Status crashed = SaveTexts(mgr, cache, 2, 222, {"two", "extra"});
-    EXPECT_FALSE(crashed.ok());
-    EXPECT_NE(crashed.ToString().find(window), std::string::npos)
-        << crashed.ToString();
-  }
-
-  // The interrupted Save must not have damaged the previous checkpoint.
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_op_index, 1u);
-  EXPECT_EQ(loaded.value().pipeline_key, 111u);
-  EXPECT_EQ(loaded.value().dataset.NumRows(), 1u);
-
-  // And a retried Save (fault cleared) wins cleanly.
-  ASSERT_TRUE(SaveTexts(mgr, cache, 2, 222, {"two", "extra"}).ok());
-  auto retried = mgr.LoadLatest();
-  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_EQ(retried.value().next_op_index, 2u);
-  EXPECT_EQ(retried.value().dataset.NumRows(), 2u);
-  // Backed by a cache entry, the checkpoint writes no blob of its own.
-  EXPECT_EQ(FilesEndingWith(dir + "/ckpt", ".djds").size(), cached ? 0u : 1u);
-  EXPECT_TRUE(FilesEndingWith(dir + "/ckpt", ".tmp").empty());
+// A checkpoint entry's file name: the state's key as 16 hex digits.
+std::string EntryName(uint64_t key) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "checkpoint-%016llx.djds",
+                static_cast<unsigned long long>(key));
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCrashWindows, CheckpointCrashTest,
-    ::testing::Combine(::testing::Values("ckpt.blob_write", "ckpt.after_blob",
-                                         "ckpt.manifest_write"),
-                       ::testing::Values(Backing::kOwnBlob,
-                                         Backing::kCacheEntry)),
-    [](const ::testing::TestParamInfo<CheckpointCrashTest::ParamType>& i) {
-      std::string name = std::get<0>(i.param);
-      for (char& c : name) {
-        if (c == '.') c = '_';
-      }
-      return name + (std::get<1>(i.param) == Backing::kCacheEntry
-                         ? "_cache_entry"
-                         : "_own_blob");
-    });
-
-TEST(CheckpointCorruptionTest, TruncatedBlobIsRejectedWithClearError) {
-  std::string dir = TempDir("torn_blob");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(
-      SaveTexts(mgr, nullptr, 3, 42, {"alpha", "beta", "gamma"}).ok());
-
-  // Tear the blob behind the manifest's back.
-  std::string blob_path;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".djds") {
-      blob_path = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(blob_path.empty());
-  auto bytes = data::ReadFile(blob_path);
-  ASSERT_TRUE(bytes.ok());
-  ASSERT_TRUE(data::WriteFile(blob_path, std::string_view(bytes.value())
-                                             .substr(0, bytes.value().size() / 2))
-                  .ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().ToString().find("checksum"), std::string::npos)
-      << loaded.status().ToString();
+// Whether `dir` holds exactly `n` files, each a checkpoint entry.
+bool HoldsCheckpointEntries(const std::string& dir, size_t n) {
+  const std::vector<std::string> files = FilesIn(dir);
+  return files.size() == n &&
+         std::all_of(files.begin(), files.end(), [](const std::string& f) {
+           return StartsWith(f, "checkpoint-") && EndsWith(f, ".djds");
+         });
 }
-
-TEST(CheckpointCorruptionTest, FlippedBlobByteIsRejected) {
-  std::string dir = TempDir("flipped_blob");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, nullptr, 1, 9, {"payload row"}).ok());
-
-  std::string blob_path;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".djds") {
-      blob_path = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(blob_path.empty());
-  auto bytes = data::ReadFile(blob_path);
-  ASSERT_TRUE(bytes.ok());
-  std::string mutated = bytes.value();
-  mutated[mutated.size() / 2] ^= 0x01;
-  ASSERT_TRUE(data::WriteFile(blob_path, mutated).ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-}
-
-TEST(CheckpointCorruptionTest, TornManifestIsRejected) {
-  std::string dir = TempDir("torn_manifest");
-  core::CheckpointManager mgr(dir);
-  ASSERT_TRUE(SaveTexts(mgr, nullptr, 1, 9, {"row"}).ok());
-  auto manifest = data::ReadFile(dir + "/checkpoint.json");
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(
-      data::WriteFile(dir + "/checkpoint.json",
-                      std::string_view(manifest.value())
-                          .substr(0, manifest.value().size() / 2))
-          .ok());
-
-  auto loaded = mgr.LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().ToString().find("torn"), std::string::npos);
-}
-
-// Checkpoint layouts written by older builds, which this build refuses:
-// schema 3 always wrote its own blob and recorded its swar::Hash64 under
-// blob_* fields; schema 2 is the same crash-atomic layout with an FNV-1a
-// blob checksum; the pre-atomic layout is a bare checkpoint.djds beside a
-// manifest with no schema, blob name or checksum.
-enum class OlderLayout { kSchema3, kSchema2, kPreAtomic };
-
-void WriteOlderCheckpoint(const std::string& dir, OlderLayout layout,
-                          size_t next_op_index, uint64_t key,
-                          const data::Dataset& ds) {
-  const std::string blob = data::SerializeDataset(ds);
-  std::string blob_file = "checkpoint.djds";
-  json::Object manifest;
-  manifest.Set("next_op_index",
-               json::Value(static_cast<int64_t>(next_op_index)));
-  manifest.Set("pipeline_key", json::Value(static_cast<int64_t>(key)));
-  manifest.Set("num_rows", json::Value(static_cast<int64_t>(ds.NumRows())));
-  if (layout != OlderLayout::kPreAtomic) {
-    const bool schema3 = layout == OlderLayout::kSchema3;
-    char name[48];
-    std::snprintf(name, sizeof(name), "checkpoint-%016llx.djds",
-                  static_cast<unsigned long long>(key));
-    blob_file = name;
-    manifest.Set("schema", json::Value(static_cast<int64_t>(schema3 ? 3 : 2)));
-    manifest.Set("blob_file", json::Value(blob_file));
-    manifest.Set("blob_bytes", json::Value(static_cast<int64_t>(blob.size())));
-    manifest.Set("blob_checksum",
-                 json::Value(static_cast<int64_t>(
-                     schema3 ? swar::Hash64(blob) : Fnv1a64(blob))));
-  }
-  ASSERT_TRUE(data::WriteFile(dir + "/" + blob_file, blob).ok());
-  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
-                              json::Write(json::Value(std::move(manifest))))
-                  .ok());
-}
-
-class OlderCheckpointTest : public ::testing::TestWithParam<OlderLayout> {
- protected:
-  const char* SchemaText() const {
-    switch (GetParam()) {
-      case OlderLayout::kSchema3:
-        return "schema 3";
-      case OlderLayout::kSchema2:
-        return "schema 2";
-      case OlderLayout::kPreAtomic:
-        break;
-    }
-    return "schema (none)";
-  }
-};
-
-TEST_P(OlderCheckpointTest, IsRejectedNamingItsSchema) {
-  std::string dir = TempDir("older_load");
-  WriteOlderCheckpoint(dir, GetParam(), 4, 77,
-                       data::Dataset::FromTexts({"old", "format"}));
-
-  auto loaded = core::CheckpointManager(dir).LoadLatest();
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(loaded.status().ToString().find(SchemaText()), std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST_P(OlderCheckpointTest, ExecutorStartsFreshAndCountsTheRejection) {
-  auto recipe = core::Recipe::FromString(R"(
-process:
-  - whitespace_normalization_mapper:
-  - text_length_filter:
-      min: 10
-)");
-  ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
-  auto ops = core::BuildOps(recipe.value(), ops::OpRegistry::Global());
-  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
-
-  auto corpus = [] {
-    return data::Dataset::FromTexts(
-        {"  first   document, long enough to keep ", "short",
-         "second document\twith   spacing to normalize"});
-  };
-
-  // The older checkpoint holds a plan-compatible site (after unit 0), so
-  // only the schema check keeps the executor from resuming from it.
-  std::string dir = TempDir("older_exec");
-  uint64_t key = core::CacheManager::InitialKey("older-corpus");
-  key = core::CacheManager::ExtendKey(key, ops.value()[0]->name(),
-                                      ops.value()[0]->config());
-  WriteOlderCheckpoint(dir, GetParam(), 1, key, corpus());
-
-  obs::MetricsRegistry metrics;
-  core::Executor::Options options;
-  options.use_checkpoint = true;
-  options.checkpoint_dir = dir;
-  options.dataset_source_id = "older-corpus";
-  options.metrics = &metrics;
-  core::Executor executor(options);
-  core::RunReport report;
-  auto result = executor.Run(corpus(), ops.value(), &report);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(report.resumed_from_checkpoint);
-  EXPECT_EQ(report.op_reports.size(), ops.value().size());
-  ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
-  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
-
-  // The run's own schema-4 checkpoint replaced the older one, whose blob
-  // was collected.
-  auto reloaded = core::CheckpointManager(dir).LoadLatest();
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.value().next_op_index, ops.value().size());
-  size_t blobs = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".djds") ++blobs;
-  }
-  EXPECT_EQ(blobs, 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    OlderLayouts, OlderCheckpointTest,
-    ::testing::Values(OlderLayout::kSchema3, OlderLayout::kSchema2,
-                      OlderLayout::kPreAtomic),
-    [](const ::testing::TestParamInfo<OlderLayout>& info) {
-      switch (info.param) {
-        case OlderLayout::kSchema3:
-          return std::string("schema3");
-        case OlderLayout::kSchema2:
-          return std::string("schema2");
-        case OlderLayout::kPreAtomic:
-          break;
-      }
-      return std::string("pre_atomic");
-    });
 
 // ------------------------------------------------------- crash matrix ----
 
@@ -642,10 +383,11 @@ data::Dataset SmallCorpus() {
 
 // Kills `recipe_path` at every OP boundary b (the b-th probe of
 // exec.op_abort), resumes it, and requires output byte-identical to an
-// uninterrupted run, resuming from the checkpoint for b > 1. With
-// `use_cache`, the cache (compressed) is on beside the checkpoints, so each
-// checkpoint names a cache entry, and the checkpoint directory must never
-// hold a blob of its own.
+// uninterrupted run, resuming from a stored prefix for b > 1. Without the
+// cache the checkpoint directory holds exactly one entry after every
+// boundary. With `use_cache`, the cache (compressed) is on beside the
+// checkpoints and stores every boundary, so the checkpoint directory must
+// stay empty.
 void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
   auto recipe = core::Recipe::FromFile(recipe_path);
   ASSERT_TRUE(recipe.ok()) << recipe.status().ToString();
@@ -655,8 +397,8 @@ void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
   core::Executor::Options base =
       core::Executor::OptionsFromRecipe(recipe.value());
   base.num_workers = 1;  // keep the matrix fast
-  base.use_cache = false;
-  base.use_checkpoint = false;
+  base.cache_dir.clear();
+  base.checkpoint_dir.clear();
 
   // Uninterrupted reference run.
   probe::Faults().Reset();
@@ -673,10 +415,8 @@ void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
         TempDir("matrix_" + fs::path(recipe_path).stem().string() +
                 (use_cache ? "_cache_" : "_") + std::to_string(b));
     core::Executor::Options opts = base;
-    opts.use_checkpoint = true;
     opts.checkpoint_dir = dir + "/ckpt";
     if (use_cache) {
-      opts.use_cache = true;
       opts.cache_dir = dir + "/cache";
       opts.cache_compression = true;
     }
@@ -696,17 +436,16 @@ void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
     ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
         << crashed.status().ToString();
     ++boundaries_hit;
-    if (use_cache) {
-      EXPECT_TRUE(FilesEndingWith(opts.checkpoint_dir, ".djds").empty())
-          << recipe_path << " boundary " << b;
-    }
+    EXPECT_TRUE(HoldsCheckpointEntries(opts.checkpoint_dir,
+                                       use_cache || b == 1 ? 0 : 1))
+        << recipe_path << " boundary " << b;
 
     core::Executor resuming(opts);
     core::RunReport report;
     auto resumed = resuming.Run(SmallCorpus(), ops.value(), &report);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    // Boundary 1 aborts before the first unit: nothing was checkpointed,
-    // so the resumed run legitimately starts from scratch.
+    // Boundary 1 aborts before the first unit: nothing was stored, so the
+    // resumed run legitimately starts from scratch.
     if (b > 1) {
       EXPECT_TRUE(report.resumed_from_checkpoint)
           << recipe_path << " boundary " << b;
@@ -714,10 +453,8 @@ void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
     ASSERT_EQ(data::SerializeDataset(resumed.value()), want_bytes)
         << recipe_path << ": resume after kill at boundary " << b
         << " diverged from the uninterrupted run";
-    if (use_cache) {
-      EXPECT_TRUE(FilesEndingWith(opts.checkpoint_dir, ".djds").empty())
-          << recipe_path << " boundary " << b << " after resume";
-    }
+    EXPECT_TRUE(HoldsCheckpointEntries(opts.checkpoint_dir, use_cache ? 0 : 1))
+        << recipe_path << " boundary " << b << " after resume";
     fs::remove_all(dir);
   }
   EXPECT_GE(boundaries_hit, 1u) << "no boundary was ever hit — is "
@@ -727,8 +464,8 @@ void RunCrashMatrix(const std::string& recipe_path, bool use_cache) {
 class CrashMatrixTest : public ::testing::TestWithParam<std::string> {};
 
 // Acceptance criterion: for every shipped recipe, a run killed at any OP
-// boundary and resumed from its checkpoint produces byte-identical output
-// to an uninterrupted run — with the cache off, and with it on.
+// boundary and resumed from its stored prefix produces byte-identical
+// output to an uninterrupted run — with the cache off, and with it on.
 TEST_P(CrashMatrixTest, KillAtEveryBoundaryResumeByteIdentical) {
   RunCrashMatrix(GetParam(), /*use_cache=*/false);
 }
@@ -747,8 +484,9 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ------------------------------------------ the file a manifest names ----
+// ---------------------------------------------- checkpoint entries ----
 
+// Three units: a mapper, a lone filter and a dedup.
 constexpr std::string_view kBackingRecipe = R"(
 process:
   - whitespace_normalization_mapper:
@@ -766,25 +504,30 @@ std::vector<std::unique_ptr<ops::Op>> BackingOps() {
                   : std::vector<std::unique_ptr<ops::Op>>{};
 }
 
-// Cache (compressed) and checkpoints on, in `dir`.
-core::Executor::Options CachedCheckpointOptions(const std::string& dir) {
+// The key of the state after the first `units` units of BackingOps.
+uint64_t BackingKey(size_t units) {
+  auto ops = BackingOps();
+  uint64_t key = core::CacheManager::InitialKey("backing-corpus");
+  for (size_t i = 0; i < units; ++i) {
+    key = core::CacheManager::ExtendKey(key, ops[i]->name(), ops[i]->config());
+  }
+  return key;
+}
+
+// Checkpoints on, in `dir`.
+core::Executor::Options CheckpointOptions(const std::string& dir) {
   core::Executor::Options opts;
-  opts.use_cache = true;
-  opts.cache_dir = dir + "/cache";
-  opts.cache_compression = true;
-  opts.use_checkpoint = true;
   opts.checkpoint_dir = dir + "/ckpt";
   opts.dataset_source_id = "backing-corpus";
   return opts;
 }
 
-// The `file` field of the checkpoint manifest in `ckpt_dir`.
-std::string NamedFile(const std::string& ckpt_dir) {
-  auto text = data::ReadFile(ckpt_dir + "/checkpoint.json");
-  EXPECT_TRUE(text.ok()) << text.status().ToString();
-  auto manifest = json::ParseStrict(text.ok() ? text.value() : "");
-  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
-  return manifest.ok() ? manifest.value().GetString("file", "") : "";
+// Cache (compressed) and checkpoints on, in `dir`.
+core::Executor::Options CachedCheckpointOptions(const std::string& dir) {
+  core::Executor::Options opts = CheckpointOptions(dir);
+  opts.cache_dir = dir + "/cache";
+  opts.cache_compression = true;
+  return opts;
 }
 
 std::string CleanBackingResult() {
@@ -795,24 +538,77 @@ std::string CleanBackingResult() {
   return clean.ok() ? data::SerializeDataset(clean.value()) : "";
 }
 
+class CheckpointCrashTest : public ::testing::TestWithParam<std::string> {};
+
+// The fail point crashes the second boundary's Save, and exec.op_abort
+// kills the run before the third unit. The first entry still loads. After
+// ckpt.after_blob the second entry is durable beside it, and the scan
+// resumes from that deeper one; after ckpt.blob_write only its torn temp
+// file exists. The resumed run's Saves sweep the rest.
+TEST_P(CheckpointCrashTest, CrashLeavesPreviousEntryLoadable) {
+  const std::string window = GetParam();
+  const bool after_blob = window == "ckpt.after_blob";
+  const std::string dir = TempDir("crash_" + window);
+  const core::Executor::Options opts = CheckpointOptions(dir);
+  auto ops = BackingOps();
+  auto crashed = [&] {
+    probe::Scoped faults(probe::Faults(), window + "=n2;exec.op_abort=n3");
+    EXPECT_TRUE(faults.status().ok());
+    return core::Executor(opts).Run(SmallCorpus(), ops);
+  }();
+  ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
+      << crashed.status().ToString();
+
+  const core::CheckpointManager mgr(opts.checkpoint_dir);
+  auto previous = mgr.Load(BackingKey(1));
+  ASSERT_TRUE(previous.ok()) << previous.status().ToString();
+  EXPECT_EQ(mgr.Load(BackingKey(2)).ok(), after_blob);
+  std::vector<std::string> left = {EntryName(BackingKey(1))};
+  left.push_back(EntryName(BackingKey(2)) + (after_blob ? "" : ".tmp"));
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(FilesIn(opts.checkpoint_dir), left);
+
+  core::RunReport report;
+  auto resumed_ops = BackingOps();
+  auto resumed = core::Executor(opts).Run(SmallCorpus(), resumed_ops, &report);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), after_blob ? 1u : 2u);
+  EXPECT_EQ(data::SerializeDataset(resumed.value()), CleanBackingResult());
+  EXPECT_EQ(FilesIn(opts.checkpoint_dir),
+            std::vector<std::string>{EntryName(BackingKey(3))});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCrashWindows, CheckpointCrashTest,
+    ::testing::Values("ckpt.blob_write", "ckpt.after_blob"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
+
 enum class Damage { kFlip, kTruncate, kDelete };
 
-class BackingFileDamageTest : public ::testing::TestWithParam<Damage> {};
+class CheckpointDamageTest : public ::testing::TestWithParam<Damage> {};
 
-// A flipped byte, a truncation or a deletion of the cache entry a manifest
-// names: LoadLatest refuses it with a Corruption error naming the entry,
-// and the executor starts fresh (counting the rejection) and still
-// produces the clean bytes.
-TEST_P(BackingFileDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
+// A flipped byte or a truncation of the newest checkpoint entry: Load
+// refuses it with a Corruption error naming its path, and the executor
+// starts fresh, counting the rejection, with the clean bytes. A deleted
+// entry leaves no trace to reject (Load says NotFound, naming the path),
+// and the run starts fresh the same way.
+TEST_P(CheckpointDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
+  const bool deleted = GetParam() == Damage::kDelete;
   const std::string dir =
       TempDir("damage_" + std::to_string(static_cast<int>(GetParam())));
-  const core::Executor::Options opts = CachedCheckpointOptions(dir);
+  const core::Executor::Options opts = CheckpointOptions(dir);
   auto ops = BackingOps();
   ASSERT_TRUE(core::Executor(opts).Run(SmallCorpus(), ops).ok());
 
-  const std::string entry = NamedFile(opts.checkpoint_dir);
-  ASSERT_TRUE(fs::path(entry).is_absolute()) << entry;
-  ASSERT_TRUE(EndsWith(entry, ".djds.djlz")) << entry;
+  const std::string entry =
+      opts.checkpoint_dir + "/" + EntryName(BackingKey(ops.size()));
   auto bytes = data::ReadFile(entry);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   std::string damaged = bytes.value();
@@ -830,9 +626,11 @@ TEST_P(BackingFileDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
       break;
   }
 
-  auto loaded = core::CheckpointManager(opts.checkpoint_dir).LoadLatest();
+  auto loaded =
+      core::CheckpointManager(opts.checkpoint_dir).Load(BackingKey(ops.size()));
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(loaded.status().code(),
+            deleted ? StatusCode::kNotFound : StatusCode::kCorruption);
   EXPECT_NE(loaded.status().message().find(entry), std::string::npos)
       << loaded.status().ToString();
 
@@ -845,13 +643,15 @@ TEST_P(BackingFileDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
       core::Executor(rerun_opts).Run(SmallCorpus(), rerun_ops, &report);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_FALSE(report.resumed_from_checkpoint);
-  ASSERT_NE(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
-  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected")->value(), 1u);
+  EXPECT_EQ(report.op_reports.size(), rerun_ops.size());
+  const obs::Counter* rejected =
+      metrics.FindCounter("checkpoint.load_rejected");
+  EXPECT_EQ(rejected == nullptr ? 0u : rejected->value(), deleted ? 0u : 1u);
   EXPECT_EQ(data::SerializeDataset(rerun.value()), CleanBackingResult());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllDamages, BackingFileDamageTest,
+    AllDamages, CheckpointDamageTest,
     ::testing::Values(Damage::kFlip, Damage::kTruncate, Damage::kDelete),
     [](const ::testing::TestParamInfo<Damage>& info) {
       switch (info.param) {
@@ -865,10 +665,86 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("deleted");
     });
 
+// Files older builds left in a checkpoint directory: a checkpoint.json
+// manifest (schema 2, 3 or 4; 0 writes the pre-atomic one, which had no
+// schema) beside the pre-atomic layout's bare checkpoint.djds. Here the
+// blob holds a plan-compatible state, the one after BackingOps' first unit.
+void WriteOlderLayout(const std::string& dir, int64_t schema) {
+  json::Object manifest;
+  if (schema != 0) manifest.Set("schema", json::Value(schema));
+  manifest.Set("next_op_index", json::Value(static_cast<int64_t>(1)));
+  manifest.Set("pipeline_key",
+               json::Value(static_cast<int64_t>(BackingKey(1))));
+  auto ops = BackingOps();
+  std::vector<std::unique_ptr<ops::Op>> first;
+  first.push_back(std::move(ops[0]));
+  auto state = core::Executor(core::Executor::Options{})
+                   .Run(SmallCorpus(), first);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ASSERT_TRUE(
+      data::WriteFile(dir + "/checkpoint.djds",
+                      data::SerializeDataset(state.value()))
+          .ok());
+  ASSERT_TRUE(data::WriteFile(dir + "/checkpoint.json",
+                              json::Write(json::Value(std::move(manifest))))
+                  .ok());
+}
+
+class OlderCheckpointTest : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(OlderCheckpointTest, IsNeverLoadedAndTheNextSaveRemovesIt) {
+  const std::string dir = TempDir("older_" + std::to_string(GetParam()));
+  obs::MetricsRegistry metrics;
+  core::Executor::Options opts = CheckpointOptions(dir);
+  opts.metrics = &metrics;
+  WriteOlderLayout(opts.checkpoint_dir, GetParam());
+
+  core::RunReport report;
+  auto ops = BackingOps();
+  auto result = core::Executor(opts).Run(SmallCorpus(), ops, &report);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), ops.size());
+  EXPECT_EQ(metrics.FindCounter("checkpoint.load_rejected"), nullptr);
+  EXPECT_EQ(data::SerializeDataset(result.value()), CleanBackingResult());
+  EXPECT_EQ(FilesIn(opts.checkpoint_dir),
+            std::vector<std::string>{EntryName(BackingKey(ops.size()))});
+}
+
+// Clear removes the older files and the current entry, and no cache entry
+// in a directory the cache shares.
+TEST_P(OlderCheckpointTest, ClearInADirectorySharedWithTheCacheKeepsTheCache) {
+  const std::string dir = TempDir("older_clear_" + std::to_string(GetParam()));
+  const std::string djds =
+      data::SerializeDataset(data::Dataset::FromTexts({"cached row"}));
+  const core::CacheManager cache(dir, /*compression=*/true);
+  ASSERT_TRUE(cache.Store(7, djds).ok());
+  const core::CheckpointManager mgr(dir);
+  ASSERT_TRUE(mgr.Save(8, djds).ok());
+  WriteOlderLayout(dir, GetParam());
+  EXPECT_EQ(FilesIn(dir).size(), 4u);
+
+  mgr.Clear();
+  EXPECT_EQ(FilesIn(dir),
+            std::vector<std::string>{"0000000000000007.djds.djlz"});
+  auto kept = cache.Load(7);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept.value().GetTextAt(0), "cached row");
+}
+
+INSTANTIATE_TEST_SUITE_P(OlderLayouts, OlderCheckpointTest,
+                         ::testing::Values(0, 2, 3, 4),
+                         [](const ::testing::TestParamInfo<int64_t>& info) {
+                           return info.param == 0
+                                      ? std::string("pre_atomic")
+                                      : "schema" + std::to_string(info.param);
+                         });
+
 // io.write.fail=n<k> fails the k-th cache store, and exec.op_abort kills
-// the run right after that boundary. The checkpoint there falls back to
-// its own blob, which loads, and the resumed run is byte-identical.
-TEST(CheckpointBackingTest, FailedCacheStoreStillLeavesALoadableCheckpoint) {
+// the run right after that boundary. The boundary falls back to a
+// checkpoint entry, the only file in the checkpoint directory, and the
+// resumed run starts from it, byte-identical.
+TEST(CheckpointBackingTest, FailedCacheStoreFallsBackToACheckpointEntry) {
   const std::string want = CleanBackingResult();
   const size_t units = BackingOps().size();
   for (size_t k = 1; k <= units; ++k) {
@@ -886,13 +762,8 @@ TEST(CheckpointBackingTest, FailedCacheStoreStillLeavesALoadableCheckpoint) {
     // exec.op_abort is probed before each unit, so after the last one it
     // never fires.
     ASSERT_EQ(crashed.ok(), k == units) << crashed.status().ToString();
-
-    auto loaded = core::CheckpointManager(opts.checkpoint_dir).LoadLatest();
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().next_op_index, k);
-    const std::string named = NamedFile(opts.checkpoint_dir);
-    EXPECT_TRUE(StartsWith(named, "checkpoint-") && EndsWith(named, ".djds"))
-        << named;
+    EXPECT_EQ(FilesIn(opts.checkpoint_dir),
+              std::vector<std::string>{EntryName(BackingKey(k))});
 
     core::RunReport report;
     auto resumed_ops = BackingOps();
@@ -900,7 +771,47 @@ TEST(CheckpointBackingTest, FailedCacheStoreStillLeavesALoadableCheckpoint) {
         core::Executor(opts).Run(SmallCorpus(), resumed_ops, &report);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_TRUE(report.resumed_from_checkpoint);
+    EXPECT_EQ(report.cache_hits, 0u);
+    EXPECT_EQ(report.op_reports.size(), units - k);
     EXPECT_EQ(data::SerializeDataset(resumed.value()), want);
+  }
+}
+
+// io.write.short=n<k> tears the k-th cache store, which reports success, so
+// no checkpoint entry is written; exec.op_abort kills the run right after.
+// The scan evicts the torn entry and resumes from the previous boundary's,
+// byte-identical, and the recomputed unit stores its entry whole.
+TEST(CheckpointBackingTest, TornCacheEntryIsEvictedAndThePreviousOneResumes) {
+  const std::string want = CleanBackingResult();
+  const size_t units = BackingOps().size();
+  for (size_t k = 1; k <= units; ++k) {
+    SCOPED_TRACE("cache store " + std::to_string(k) + " is torn");
+    const std::string dir = TempDir("torn_store_" + std::to_string(k));
+    const core::Executor::Options opts = CachedCheckpointOptions(dir);
+    auto ops = BackingOps();
+    auto crashed = [&] {
+      probe::Scoped faults(probe::Faults(),
+                           "io.write.short=n" + std::to_string(k) +
+                               ";exec.op_abort=n" + std::to_string(k + 1));
+      EXPECT_TRUE(faults.status().ok());
+      return core::Executor(opts).Run(SmallCorpus(), ops);
+    }();
+    ASSERT_EQ(crashed.ok(), k == units) << crashed.status().ToString();
+    EXPECT_TRUE(FilesIn(opts.checkpoint_dir).empty());
+    const core::CacheManager cache(opts.cache_dir, /*compression=*/true);
+    EXPECT_FALSE(cache.Load(BackingKey(k)).ok());
+
+    core::RunReport report;
+    auto resumed_ops = BackingOps();
+    auto resumed =
+        core::Executor(opts).Run(SmallCorpus(), resumed_ops, &report);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(report.resumed_from_checkpoint, k > 1);
+    EXPECT_EQ(report.cache_hits, k - 1);
+    ASSERT_EQ(report.op_reports.size(), units);
+    EXPECT_FALSE(report.op_reports[k - 1].cache_hit);
+    EXPECT_EQ(data::SerializeDataset(resumed.value()), want);
+    EXPECT_TRUE(cache.Load(BackingKey(k)).ok());
   }
 }
 
@@ -919,8 +830,8 @@ TEST(ExecutorFaultTest, ProbabilisticAbortIsSeedDeterministic) {
     core::Executor::Options opts =
         core::Executor::OptionsFromRecipe(recipe.value());
     opts.num_workers = 1;
-    opts.use_cache = false;
-    opts.use_checkpoint = false;
+    opts.cache_dir.clear();
+    opts.checkpoint_dir.clear();
     core::Executor executor(opts);
     probe::Scoped faults(probe::Faults(), "seed=9;exec.op_abort=p0.4");
     EXPECT_TRUE(faults.status().ok());

@@ -82,8 +82,8 @@ data::Dataset RunRecipe(const core::Recipe& recipe, bool per_op,
   core::Executor::Options options =
       core::Executor::OptionsFromRecipe(recipe);
   options.num_workers = workers;
-  options.use_cache = false;
-  options.use_checkpoint = false;
+  options.cache_dir.clear();
+  options.checkpoint_dir.clear();
   auto result =
       per_op ? RunPerOp(MixedCorpus(scale), ops.value(), options)
              : core::Executor(options).Run(MixedCorpus(scale), ops.value());

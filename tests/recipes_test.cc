@@ -94,8 +94,8 @@ TEST_P(ShippedRecipeTest, ParsesBuildsAndRuns) {
   core::Executor::Options options =
       core::Executor::OptionsFromRecipe(recipe.value());
   options.num_workers = 1;  // keep CI fast
-  options.use_cache = false;
-  options.use_checkpoint = false;
+  options.cache_dir.clear();
+  options.checkpoint_dir.clear();
   core::Executor executor(options);
   core::RunReport report;
   auto result = executor.Run(MixedCorpus(), ops.value(), &report);

@@ -18,7 +18,9 @@
 #   7. static analysis        clang-tidy / cppcheck (skipped when absent)
 #   8. observability smoke    trace + metrics round-trip — dj_trace_check
 #                             validates every span/instant/metric name
-#                             against srclint/manifest.json — plus the
+#                             against srclint/manifest.json — plus runs
+#                             failed at load and at export that must still
+#                             write both files, the
 #                             binary-container round-trip, the fault-matrix
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile), an injected-stall
@@ -150,6 +152,41 @@ done > "${smoke_dir}/in.jsonl"
   --manifest "${repo_dir}/srclint/manifest.json" \
   "${smoke_dir}/trace.json" "${smoke_dir}/metrics.json"
 
+echo "== failed runs still write trace and metrics =="
+# A failure after the observability sinks start must not lose the files.
+# io.read.fail=n1 fails the dataset load (--faults restarts the counts after
+# the recipe read); io.write.fail=always fails only the export (the trace
+# and metrics go through the unprobed WriteStringToFile). Both runs must
+# exit 1. The export-fault run's files must pass dj_trace_check. A run that
+# fails at load has no span and no unit row, both of which dj_trace_check
+# requires, so its files must carry the fault instead.
+failed_run() {  # failed_run SPEC NAME
+  local rc=0
+  "${build_dir}/tools/dj_process" \
+    --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
+    --input "${smoke_dir}/in.jsonl" \
+    --output "${smoke_dir}/$2_out.jsonl" \
+    --faults "$1" \
+    --trace-out "${smoke_dir}/$2_trace.json" \
+    --metrics-out "${smoke_dir}/$2_metrics.json" > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 1 ]; then
+    echo "check.sh: the $1 run was expected to exit 1, got ${rc}" >&2
+    exit 1
+  fi
+}
+failed_run io.write.fail=always export_fault
+"${build_dir}/tools/dj_trace_check" --require-fault-instants \
+  --manifest "${repo_dir}/srclint/manifest.json" \
+  "${smoke_dir}/export_fault_trace.json" \
+  "${smoke_dir}/export_fault_metrics.json"
+failed_run io.read.fail=n1 load_fault
+if ! grep -q '"fault:io.read.fail"' "${smoke_dir}/load_fault_trace.json" ||
+   ! grep -q '"fault.io.read.fail.triggers"' \
+     "${smoke_dir}/load_fault_metrics.json"; then
+  echo "check.sh: the load-fault run's trace or metrics lacks its fault" >&2
+  exit 1
+fi
+
 echo "== binary container round-trip (.djds.djlz at --np 4) =="
 # Same recipe, same input, but exported through the compressed binary
 # container; a passthrough recipe then imports it back to JSONL. The result
@@ -199,10 +236,16 @@ for seed in 1 2 3; do
     --checkpoint-dir "${ckpt_dir}" \
     --resume
   cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_seed${seed}.jsonl"
+  # A checkpoint is the newest stored boundary: one entry, nothing else.
+  ckpt_files="$(ls -A "${ckpt_dir}")"
+  if [[ ! "${ckpt_files}" =~ ^checkpoint-[0-9a-f]{16}\.djds$ ]]; then
+    echo "check.sh: seed ${seed}: ${ckpt_dir} holds '${ckpt_files}'," \
+      "not exactly one checkpoint-*.djds" >&2
+    exit 1
+  fi
 done
-# The same three seeds with the cache on: each checkpoint names the cache
-# entry its boundary stored, so the checkpoint directory must hold nothing
-# but the manifest, after the crash and after the resume.
+# The same three seeds with the cache on: the cache stores every boundary,
+# so nothing is written to the checkpoint directory.
 for seed in 1 2 3; do
   ckpt_dir="${smoke_dir}/ckpt_cache_seed${seed}"
   cache_dir="${smoke_dir}/cache_seed${seed}"
@@ -223,10 +266,10 @@ for seed in 1 2 3; do
     --checkpoint-dir "${ckpt_dir}" \
     --resume
   cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_cache_seed${seed}.jsonl"
-  ckpt_files="$(ls -A "${ckpt_dir}")"
-  if [[ "${ckpt_files}" != "checkpoint.json" ]]; then
+  ckpt_files="$(ls -A "${ckpt_dir}" 2> /dev/null || true)"
+  if [[ -n "${ckpt_files}" ]]; then
     echo "check.sh: seed ${seed}: with the cache on, ${ckpt_dir} holds" \
-      "'${ckpt_files}', not only checkpoint.json" >&2
+      "'${ckpt_files}', not nothing" >&2
     exit 1
   fi
 done
@@ -331,7 +374,7 @@ cmake --build "${tsan_dir}" -j --target \
 # registry, determinism and checkpoint suites plus one representative
 # recipe's matrix, with the cache off and on (the cache-on case stores and
 # loads its entries through the pool's djlz and DJDS codecs).
-"${tsan_dir}/tests/fault_test" --gtest_filter="FailPointTest.*:FaultDeterminismTest.*:FaultObsTest.*:ProbeTest.*:AllCrashWindows/*:CheckpointCorruptionTest.*:AllDamages/*:CheckpointBackingTest.*:*CrashMatrixTest.KillAtEveryBoundaryResumeByteIdentical/minimal_dedup:*CrashMatrixTest.CacheOnKillAtEveryBoundaryResumeByteIdentical/minimal_dedup"
+"${tsan_dir}/tests/fault_test" --gtest_filter="FailPointTest.*:FaultDeterminismTest.*:FaultObsTest.*:ProbeTest.*:AllCrashWindows/*:AllDamages/*:OlderLayouts/*:CheckpointBackingTest.*:*CrashMatrixTest.KillAtEveryBoundaryResumeByteIdentical/minimal_dedup:*CrashMatrixTest.CacheOnKillAtEveryBoundaryResumeByteIdentical/minimal_dedup"
 
 echo "== TSan under schedule perturbation (3 seeds) =="
 # Seeded yield/sleep probes at lock boundaries, pool dispatch, and gather

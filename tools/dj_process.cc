@@ -15,8 +15,8 @@
 // run unless --no-verify is given.
 //
 // --checkpoint-dir enables per-OP checkpointing; --resume (requires
-// --checkpoint-dir) continues from the latest valid checkpoint whose
-// pipeline key matches the plan, re-running only the suffix.
+// --checkpoint-dir) continues from the deepest stored prefix of the plan
+// (a cache entry or the checkpoint), re-running only the suffix.
 // --faults arms fail points (same syntax as the DJ_FAULTS env var, e.g.
 // "seed=7;exec.op_abort=n2;io.write.short=p0.1"); the env var is applied
 // first, then the flag. DJ_FAULTS is also read at the first fail-point
@@ -216,6 +216,46 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--no-verify: continuing despite lint errors\n");
   }
 
+  // Stall watchdog: DJ_WATCHDOG env first, then --watchdog overrides.
+  dj::obs::Watchdog::Options watchdog_options;
+  bool watchdog_enabled = false;
+  {
+    const char* env = std::getenv("DJ_WATCHDOG");
+    std::string spec = args.watchdog.empty()
+                           ? (env != nullptr ? env : "")
+                           : args.watchdog;
+    if (!spec.empty()) {
+      if (auto s = dj::obs::Watchdog::ParseSpec(spec, &watchdog_options,
+                                                &watchdog_enabled);
+          !s.ok()) {
+        std::fprintf(stderr, "watchdog spec error: %s\n",
+                     s.ToString().c_str());
+        return 2;
+      }
+    }
+  }
+
+  // Probe arming, fail points then sched points: the env var first, then
+  // the flag, so a flag can override or extend it. Each registry already
+  // read its variable at its first probe (for DJ_FAULTS, the recipe read);
+  // applying it again here restarts its points' streams and counts, and
+  // everything is armed before the dataset loads so io.* points fire on the
+  // load path too.
+  for (const auto& [registry, flag, spec] :
+       {std::tuple(&dj::probe::Faults(), "--faults", &args.faults),
+        std::tuple(&dj::probe::Sched(), "--sched", &args.sched)}) {
+    dj::Status s = registry->ConfigureFromEnv();
+    const char* source = registry->env_var();
+    if (s.ok() && !spec->empty()) {
+      s = registry->Configure(*spec);
+      source = flag;
+    }
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s error: %s\n", source, s.ToString().c_str());
+      return 2;
+    }
+  }
+
   // Observability: both sinks spin up when either output flag is given so
   // metrics.json can embed the registry snapshot and the trace can carry
   // resource counter tracks. Installed before the dataset loads so the
@@ -239,96 +279,14 @@ int main(int argc, char** argv) {
   dj::obs::Profiler profiler;
   if (profile) profiler.Start();
 
-  // Stall watchdog: DJ_WATCHDOG env first, then --watchdog overrides.
-  dj::obs::Watchdog::Options watchdog_options;
-  bool watchdog_enabled = false;
-  {
-    const char* env = std::getenv("DJ_WATCHDOG");
-    std::string spec = args.watchdog.empty()
-                           ? (env != nullptr ? env : "")
-                           : args.watchdog;
-    if (!spec.empty()) {
-      if (auto s = dj::obs::Watchdog::ParseSpec(spec, &watchdog_options,
-                                                &watchdog_enabled);
-          !s.ok()) {
-        std::fprintf(stderr, "watchdog spec error: %s\n",
-                     s.ToString().c_str());
-        return 2;
-      }
-    }
-  }
   dj::obs::Watchdog watchdog(watchdog_options);
   if (watchdog_enabled) watchdog.Start();
 
-  // Probe arming, fail points then sched points: the env var first, then
-  // the flag, so a flag can override or extend it. Each registry already
-  // read its variable at its first probe (for DJ_FAULTS, the recipe read);
-  // applying it again here restarts its points' streams and counts, and
-  // everything is armed before the dataset loads so io.* points fire on the
-  // load path too.
-  for (const auto& [registry, flag, spec] :
-       {std::tuple(&dj::probe::Faults(), "--faults", &args.faults),
-        std::tuple(&dj::probe::Sched(), "--sched", &args.sched)}) {
-    dj::Status s = registry->ConfigureFromEnv();
-    const char* source = registry->env_var();
-    if (s.ok() && !spec->empty()) {
-      s = registry->Configure(*spec);
-      source = flag;
-    }
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s error: %s\n", source, s.ToString().c_str());
-      return 2;
-    }
-  }
-
-  // Dedicated I/O pool for load/export; the executor spins up its own
-  // worker pool for the OP loop from the same num_workers setting.
-  std::optional<dj::ThreadPool> io_pool;
-  if (recipe.value().num_workers > 1) {
-    io_pool.emplace(static_cast<size_t>(recipe.value().num_workers));
-  }
-  dj::ThreadPool* io_pool_ptr = io_pool ? &*io_pool : nullptr;
-
-  auto dataset =
-      dj::ops::LoadDataset(recipe.value().dataset_path, io_pool_ptr);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "load error: %s\n",
-                 dataset.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
-              recipe.value().dataset_path.c_str());
-
-  auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
-  if (!ops.ok()) {
-    std::fprintf(stderr, "pipeline error: %s\n",
-                 ops.status().ToString().c_str());
-    return 1;
-  }
-
-  dj::core::Tracer tracer(10);
-  dj::core::Executor::Options options =
-      dj::core::Executor::OptionsFromRecipe(recipe.value());
-  if (args.trace) options.tracer = &tracer;
-  if (observe) {
-    options.metrics = &metrics;
-    options.spans = &spans;
-  }
-  if (!args.checkpoint_dir.empty()) {
-    options.use_checkpoint = true;
-    options.checkpoint_dir = args.checkpoint_dir;
-    if (!args.resume) {
-      // A fresh checkpointed run must not silently continue from an older
-      // run's state; that is what --resume is for.
-      dj::core::CheckpointManager(args.checkpoint_dir).Clear();
-    }
-  }
-
-  dj::core::Executor executor(options);
   dj::core::RunReport report;
 
-  // On a failed (possibly fault-injected) run the observability files are
-  // still written — the whole point of a crash trace is inspecting it.
+  // From here on every exit goes through flush_obs: on a failed (possibly
+  // fault-injected) run the observability files are still written — the
+  // whole point of a crash trace is inspecting it.
   auto flush_obs = [&](bool run_failed) {
     // Stop the background samplers before serializing anything they feed.
     dj::obs::Profiler::Report profile_report;
@@ -402,14 +360,50 @@ int main(int argc, char** argv) {
     return 0;
   };
 
-  auto refined =
-      executor.Run(std::move(dataset).value(), ops.value(), &report);
-  if (!refined.ok()) {
-    std::fprintf(stderr, "run error: %s\n",
-                 refined.status().ToString().c_str());
+  auto fail = [&](const char* what, const dj::Status& status) {
+    std::fprintf(stderr, "%s error: %s\n", what, status.ToString().c_str());
     flush_obs(/*run_failed=*/true);
     return 1;
+  };
+
+  // Dedicated I/O pool for load/export; the executor spins up its own
+  // worker pool for the OP loop from the same num_workers setting.
+  std::optional<dj::ThreadPool> io_pool;
+  if (recipe.value().num_workers > 1) {
+    io_pool.emplace(static_cast<size_t>(recipe.value().num_workers));
   }
+  dj::ThreadPool* io_pool_ptr = io_pool ? &*io_pool : nullptr;
+
+  auto dataset =
+      dj::ops::LoadDataset(recipe.value().dataset_path, io_pool_ptr);
+  if (!dataset.ok()) return fail("load", dataset.status());
+  std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
+              recipe.value().dataset_path.c_str());
+
+  auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
+  if (!ops.ok()) return fail("pipeline", ops.status());
+
+  dj::core::Tracer tracer(10);
+  dj::core::Executor::Options options =
+      dj::core::Executor::OptionsFromRecipe(recipe.value());
+  if (args.trace) options.tracer = &tracer;
+  if (observe) {
+    options.metrics = &metrics;
+    options.spans = &spans;
+  }
+  if (!args.checkpoint_dir.empty()) {
+    options.checkpoint_dir = args.checkpoint_dir;
+    if (!args.resume) {
+      // A fresh checkpointed run must not silently continue from an older
+      // run's state; that is what --resume is for.
+      dj::core::CheckpointManager(args.checkpoint_dir).Clear();
+    }
+  }
+
+  dj::core::Executor executor(options);
+  auto refined =
+      executor.Run(std::move(dataset).value(), ops.value(), &report);
+  if (!refined.ok()) return fail("run", refined.status());
   if (args.resume) {
     std::printf(report.resumed_from_checkpoint
                     ? "resumed from checkpoint in %s\n"
@@ -437,8 +431,7 @@ int main(int argc, char** argv) {
                                          recipe.value().export_path,
                                          io_pool_ptr);
         !s.ok()) {
-      std::fprintf(stderr, "export error: %s\n", s.ToString().c_str());
-      return 1;
+      return fail("export", s);
     }
     std::printf("exported %zu samples to %s\n", refined.value().NumRows(),
                 recipe.value().export_path.c_str());
