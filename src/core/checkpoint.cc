@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 
@@ -21,6 +22,25 @@ std::string EntryName(uint64_t key) {
   return buf;
 }
 
+/// A file this manager owns: an entry or an older layout's checkpoint.json
+/// or checkpoint.djds, each with or without the ".tmp" of an interrupted
+/// atomic write. Any other name, "checkpoint_best.pt" say, is the user's.
+bool IsCheckpointFile(std::string_view name) {
+  if (EndsWith(name, ".tmp")) name.remove_suffix(4);
+  if (name == "checkpoint.json" || name == "checkpoint.djds") return true;
+  constexpr std::string_view kPrefix = "checkpoint-";
+  constexpr std::string_view kSuffix = ".djds";
+  constexpr size_t kKeyDigits = 16;
+  if (name.size() != kPrefix.size() + kKeyDigits + kSuffix.size() ||
+      !StartsWith(name, kPrefix) || !EndsWith(name, kSuffix)) {
+    return false;
+  }
+  for (size_t i = kPrefix.size(); i < kPrefix.size() + kKeyDigits; ++i) {
+    if (std::isxdigit(static_cast<unsigned char>(name[i])) == 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string CheckpointManager::PathFor(uint64_t key) const {
@@ -31,7 +51,7 @@ void CheckpointManager::RemoveOthers(std::string_view keep_name) const {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (StartsWith(name, "checkpoint") && name != keep_name) {
+    if (IsCheckpointFile(name) && name != keep_name) {
       fs::remove(entry.path(), ec);
     }
   }

@@ -28,10 +28,11 @@ namespace dj::core {
 /// Corruption error naming its path. Fail points (common/probe.h) cover
 /// the crash windows: ckpt.blob_write, ckpt.after_blob.
 ///
-/// The checkpoint owns only files whose name starts with "checkpoint".
-/// Save's sweep and Clear delete those (older entries, temp files, and the
-/// checkpoint.json / checkpoint.djds of older layouts, which nothing
-/// reads), never a cache entry, even when the cache shares the directory.
+/// The checkpoint owns only its entries, the checkpoint.json and
+/// checkpoint.djds of older layouts (which nothing reads), and the ".tmp"
+/// files of all of these. Save's sweep and Clear delete those and nothing
+/// else: no cache entry, even when the cache shares the directory, and no
+/// other file of the user's.
 ///
 /// Thread-compatibility: CheckpointManager holds no mutex by design — one
 /// instance belongs to one pipeline run and is driven from the executor

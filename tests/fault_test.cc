@@ -597,9 +597,9 @@ class CheckpointDamageTest : public ::testing::TestWithParam<Damage> {};
 // A flipped byte or a truncation of the newest checkpoint entry: Load
 // refuses it with a Corruption error naming its path, and the executor
 // starts fresh, counting the rejection, with the clean bytes. A deleted
-// entry leaves no trace to reject (Load says NotFound, naming the path),
-// and the run starts fresh the same way.
-TEST_P(CheckpointDamageTest, IsRejectedNamingThePathAndTheRunStartsFresh) {
+// entry leaves no trace to reject (Load says NotFound, naming the path,
+// and no rejection is counted), and the run starts fresh the same way.
+TEST_P(CheckpointDamageTest, LoadFailsNamingThePathAndTheRunStartsFresh) {
   const bool deleted = GetParam() == Damage::kDelete;
   const std::string dir =
       TempDir("damage_" + std::to_string(static_cast<int>(GetParam())));
@@ -712,21 +712,33 @@ TEST_P(OlderCheckpointTest, IsNeverLoadedAndTheNextSaveRemovesIt) {
 }
 
 // Clear removes the older files and the current entry, and no cache entry
-// in a directory the cache shares.
+// in a directory the cache shares. Neither Save nor Clear touches the
+// user's files, even those whose names start with "checkpoint".
 TEST_P(OlderCheckpointTest, ClearInADirectorySharedWithTheCacheKeepsTheCache) {
   const std::string dir = TempDir("older_clear_" + std::to_string(GetParam()));
+  const std::vector<std::string> user_files = {
+      "checkpoint-0000000000000008.djds.bak", "checkpoint-notes.djds",
+      "checkpoint.cc", "checkpoint_notes.txt"};
+  for (const std::string& name : user_files) {
+    ASSERT_TRUE(data::WriteFile(dir + "/" + name, name).ok());
+  }
+  fs::create_directory(dir + "/checkpoints");
   const std::string djds =
       data::SerializeDataset(data::Dataset::FromTexts({"cached row"}));
   const core::CacheManager cache(dir, /*compression=*/true);
   ASSERT_TRUE(cache.Store(7, djds).ok());
   const core::CheckpointManager mgr(dir);
+  ASSERT_TRUE(mgr.Save(9, djds).ok());
   ASSERT_TRUE(mgr.Save(8, djds).ok());
   WriteOlderLayout(dir, GetParam());
-  EXPECT_EQ(FilesIn(dir).size(), 4u);
+  EXPECT_EQ(FilesIn(dir).size(), user_files.size() + 5);
 
   mgr.Clear();
-  EXPECT_EQ(FilesIn(dir),
-            std::vector<std::string>{"0000000000000007.djds.djlz"});
+  std::vector<std::string> kept_files = user_files;
+  kept_files.push_back("0000000000000007.djds.djlz");
+  kept_files.push_back("checkpoints");
+  std::sort(kept_files.begin(), kept_files.end());
+  EXPECT_EQ(FilesIn(dir), kept_files);
   auto kept = cache.Load(7);
   ASSERT_TRUE(kept.ok()) << kept.status().ToString();
   EXPECT_EQ(kept.value().GetTextAt(0), "cached row");
