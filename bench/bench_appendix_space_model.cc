@@ -4,11 +4,16 @@
 //   Space[cache]      = (1 + M + F + 1{F>0} + D) * S
 //   Space[checkpoint] = 3 * S   (peak; two live cache sets + original)
 //
-// The executor writes one cache file per executed plan unit plus the loaded
-// dataset; we sweep pipeline compositions and compare measured bytes with
-// the prediction. Exact byte equality is not expected (filters shrink the
-// dataset mid-pipeline; S is the input size), so the table reports both
-// the file-count match (exact) and the byte ratio.
+// The paper stores one cache set per OP, plus the original dataset and,
+// when there are filters, a stats set. This executor stores one file per
+// plan unit plus the loaded dataset, 1 + PlanFusion(ops).size() sets: a
+// run of two or more consecutive filters is one stage unit, which stores
+// one entry with its stats. We sweep pipeline compositions and print the
+// paper's set count, the executor's count and the measured file count
+// (which equals the executor's), then the bytes: the paper's prediction,
+// the measured total, and its ratio to (1 + units) * S. Exact byte
+// equality is not expected (filters shrink the dataset mid-pipeline; S is
+// the input size).
 
 #include <algorithm>
 #include <filesystem>
@@ -18,6 +23,7 @@
 #include "common/string_util.h"
 #include "core/cache_manager.h"
 #include "core/executor.h"
+#include "core/fusion.h"
 #include "core/space_model.h"
 #include "data/io.h"
 #include "ops/registry.h"
@@ -71,8 +77,9 @@ int main() {
   std::printf("input dataset: %zu rows, S = %s serialized\n", data.NumRows(),
               dj::FormatBytes(dataset_bytes).c_str());
 
-  dj::bench::Table table({"pipeline", "model_sets", "measured_sets",
-                          "model_bytes", "measured_bytes", "byte_ratio"});
+  dj::bench::Table table({"pipeline", "paper_sets", "executor_sets",
+                          "measured_sets", "paper_bytes", "measured_bytes",
+                          "ratio_to_executor"});
   size_t cached_ckpt_files = 0;  // checkpoint files beside the cache
   size_t ckpt_files = 0;         // checkpoint files without the cache
   uint64_t ckpt_bytes = 0;       // the largest of those
@@ -130,18 +137,17 @@ int main() {
                                            shape.dedups};
     uint64_t model_bytes =
         dj::core::CacheModeSpaceBytes(pipeline_shape, dataset_bytes);
-    // The paper's set count: 1 + M + F + 1{F>0} + D. Our executor stores
-    // the stats column inside the per-filter cache sets, so the extra
-    // 1{F>0} set materializes as the first filter's (larger) file.
-    size_t model_sets = 1 + shape.mappers + shape.filters +
+    // The paper's set count, 1 + M + F + 1{F>0} + D, beside this
+    // executor's: the loaded dataset plus one entry per plan unit.
+    size_t paper_sets = 1 + shape.mappers + shape.filters +
                         (shape.filters > 0 ? 1 : 0) + shape.dedups;
-    size_t measured_plus_stats =
-        measured_sets + (shape.filters > 0 ? 1 : 0);
-    table.Row({shape.name, std::to_string(model_sets),
-               std::to_string(measured_plus_stats),
-               dj::FormatBytes(model_bytes),
-               dj::FormatBytes(measured_bytes),
-               Fmt(static_cast<double>(measured_bytes) / model_bytes, 3)});
+    size_t executor_sets = 1 + dj::core::PlanFusion(ops.value()).size();
+    table.Row({shape.name, std::to_string(paper_sets),
+               std::to_string(executor_sets), std::to_string(measured_sets),
+               dj::FormatBytes(model_bytes), dj::FormatBytes(measured_bytes),
+               Fmt(static_cast<double>(measured_bytes) /
+                       static_cast<double>(executor_sets * dataset_bytes),
+                   3)});
   }
   table.Print();
 
@@ -157,7 +163,11 @@ int main() {
       dj::FormatBytes(ckpt_bytes).c_str(),
       dj::FormatBytes(dataset_bytes).c_str());
   std::printf(
-      "expected shape: set counts match the formula exactly; byte ratios\n"
+      "expected shape: measured set counts equal the executor's 1 + units\n"
+      "exactly. With no filter that is the paper's count too; for F filters\n"
+      "the paper adds F + 1 sets (one each and a stats set) where the\n"
+      "executor stores one per filter unit, stats included, and a stage of\n"
+      "adjacent filters is one unit. Ratios to (1 + units) * S\n"
       "stay near 1 — slightly below when filters/dedups shrink the dataset\n"
       "mid-pipeline, slightly above when stats/hashes add columns — under\n"
       "the paper's assumption 'sizes of cache data ... all the same as the\n"

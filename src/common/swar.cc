@@ -45,6 +45,82 @@ inline uint64_t ControlByteMask(uint64_t w) {
   return ZeroByteMask(w & 0xE0E0E0E0E0E0E0E0ULL);
 }
 
+/// 0x80 in every byte of `w` below `bound` (1 <= bound <= 0x80). Adding
+/// 0x80 - bound to the low seven bits of a byte sets its high bit exactly
+/// when they are >= bound, and never carries into the next byte.
+inline uint64_t LessThanMask(uint64_t w, uint8_t bound) {
+  return ~((w & ~kHigh) + kOnes * (0x80u - bound)) & ~w & kHigh;
+}
+
+/// 0x80 in every byte of `w` that is ASCII whitespace: ' ' or 0x09-0x0D.
+inline uint64_t AsciiSpaceMask(uint64_t w) {
+  return ByteMatchMask(w, ' ') |
+         (LessThanMask(w, 0x0E) & ~LessThanMask(w, 0x09));
+}
+
+/// 0x80 in every WhitespaceCleanSpan stop byte of `w`: up to 0x20, 0xC2,
+/// and 0xE2 or 0xE3 (the bytes that OR 1 makes 0xE3).
+inline uint64_t WhitespaceStopMask(uint64_t w) {
+  return LessThanMask(w, 0x21) | ByteMatchMask(w, 0xC2) |
+         ByteMatchMask(w | kOnes, 0xE3);
+}
+
+/// Gathers the high bit of every byte of a ByteMatchMask-style mask into
+/// bit k for byte k.
+inline uint32_t ByteMaskBits(uint64_t m) {
+  return static_cast<uint32_t>(((m >> 7) * 0x0102040810204080ULL) >> 56);
+}
+
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+inline bool IsWhitespaceStop(char c) {
+  const auto b = static_cast<unsigned char>(c);
+  return b <= 0x20 || b == 0xC2 || b == 0xE2 || b == 0xE3;
+}
+
+/// FindWordLongerThan from data[i] on, inside a word that starts at
+/// `word_start`: the scalar body and the tail of the word-wise ones.
+size_t FindWordLongerThanFrom(const char* data, size_t i, size_t n,
+                              size_t word_start, size_t max_len) {
+  for (; i < n; ++i) {
+    if (IsAsciiSpace(data[i])) {
+      word_start = i + 1;
+    } else if (i + 1 - word_start > max_len) {
+      return word_start;
+    }
+  }
+  return n;
+}
+
+constexpr size_t kNoLongWord = ~size_t{0};
+
+/// One block of FindWordLongerThan: bit k of `ws` is set when data[i + k] is
+/// whitespace, for a block of `width` bytes. Returns the start of a word
+/// longer than `max_len` that ends in the block or runs past it, else
+/// kNoLongWord; moves `*word_start` to the word open at the block's end.
+inline size_t LongWordInBlock(uint32_t ws, size_t i, size_t width,
+                              size_t max_len, size_t* word_start) {
+  if (ws != 0) {
+    if (max_len + 2 >= width) {
+      // A word between two whitespace bytes of the block has at most
+      // width - 2 bytes, so only the one ending at the first can be long.
+      if (i + std::countr_zero(ws) - *word_start > max_len) return *word_start;
+      *word_start = i + std::bit_width(ws);
+    } else {
+      do {
+        size_t at = i + std::countr_zero(ws);
+        if (at - *word_start > max_len) return *word_start;
+        *word_start = at + 1;
+        ws &= ws - 1;
+      } while (ws != 0);
+    }
+  }
+  if (i + width - *word_start > max_len) return *word_start;
+  return kNoLongWord;
+}
+
 Level DetectCompiledLevel() {
 #if defined(DJ_SWAR_HAVE_SSE2)
   return Level::kSse2;
@@ -169,6 +245,64 @@ size_t JsonCleanSpanSwar(const char* data, size_t n) {
   return n;
 }
 
+size_t AsciiSpanSwar(const char* data, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t high = LoadWord(data + i) & kHigh;
+    if (high != 0) return i + (std::countr_zero(high) >> 3);
+  }
+  return i + scalar::AsciiSpan(data + i, n - i);
+}
+
+size_t AsciiTextSpanSwar(const char* data, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t w = LoadWord(data + i);
+    uint64_t control = LessThanMask(w, 0x20) & ~ByteMatchMask(w, '\t') &
+                       ~ByteMatchMask(w, '\n');
+    uint64_t bad = (control | ~LessThanMask(w, 0x7F)) & kHigh;
+    if (bad != 0) return i + (std::countr_zero(bad) >> 3);
+  }
+  return i + scalar::AsciiTextSpan(data + i, n - i);
+}
+
+size_t WhitespaceCleanSpanSwar(const char* data, size_t n) {
+  size_t i = 0;
+  if (n >= 16) {
+    uint64_t w = LoadWord(data);
+    uint64_t stop = WhitespaceStopMask(w);
+    uint64_t nl = ByteMatchMask(w, '\n');
+    uint64_t sp = ByteMatchMask(w, ' ');
+    for (; i + 16 <= n; i += 8) {
+      uint64_t next = LoadWord(data + i + 8);
+      uint64_t stop_next = WhitespaceStopMask(next);
+      uint64_t nl_next = ByteMatchMask(next, '\n');
+      // The same masks for the byte after, and two after, each byte.
+      uint64_t stop1 = (stop >> 8) | (stop_next << 56);
+      uint64_t stop2 = (stop >> 16) | (stop_next << 48);
+      uint64_t nl1 = (nl >> 8) | (nl_next << 56);
+      uint64_t ok = ~stop | ((sp | nl) & ~stop1) | (nl & nl1 & ~stop2);
+      uint64_t bad = ~ok & kHigh;
+      if (bad != 0) return i + (std::countr_zero(bad) >> 3);
+      stop = stop_next;
+      nl = nl_next;
+      sp = ByteMatchMask(next, ' ');
+    }
+  }
+  return i + scalar::WhitespaceCleanSpan(data + i, n - i);
+}
+
+size_t FindWordLongerThanSwar(const char* data, size_t n, size_t max_len) {
+  size_t word_start = 0;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint32_t ws = ByteMaskBits(AsciiSpaceMask(LoadWord(data + i)));
+    size_t found = LongWordInBlock(ws, i, 8, max_len, &word_start);
+    if (found != kNoLongWord) return found;
+  }
+  return FindWordLongerThanFrom(data, i, n, word_start, max_len);
+}
+
 // ------------------------------------------------------- SSE2 kernel bodies
 
 #if defined(DJ_SWAR_HAVE_SSE2)
@@ -260,6 +394,93 @@ size_t JsonCleanSpanSse2(const char* data, size_t n) {
     if (c < 0x20 || c == '"' || c == '\\') return i;
   }
   return n;
+}
+
+size_t AsciiSpanSse2(const char* data, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    auto high = static_cast<unsigned>(Sse2MoveMask(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i))));
+    if (high != 0) return i + static_cast<size_t>(std::countr_zero(high));
+  }
+  return i + scalar::AsciiSpan(data + i, n - i);
+}
+
+size_t AsciiTextSpanSse2(const char* data, size_t n) {
+  const __m128i below = _mm_set1_epi8(0x1F);
+  const __m128i above = _mm_set1_epi8(0x7F);
+  const __m128i tab = _mm_set1_epi8('\t');
+  const __m128i newline = _mm_set1_epi8('\n');
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    // Signed compares: bytes 0x80-0xFF are negative and fail the first.
+    __m128i ok = _mm_or_si128(
+        _mm_and_si128(_mm_cmpgt_epi8(v, below), _mm_cmplt_epi8(v, above)),
+        _mm_or_si128(_mm_cmpeq_epi8(v, tab), _mm_cmpeq_epi8(v, newline)));
+    unsigned bad = ~static_cast<unsigned>(Sse2MoveMask(ok)) & 0xFFFF;
+    if (bad != 0) return i + static_cast<size_t>(std::countr_zero(bad));
+  }
+  return i + scalar::AsciiTextSpan(data + i, n - i);
+}
+
+/// Bit k set when byte k of `v` is a WhitespaceCleanSpan stop byte.
+inline uint32_t Sse2WhitespaceStops(__m128i v) {
+  __m128i low = _mm_cmpeq_epi8(_mm_min_epu8(v, _mm_set1_epi8(0x20)), v);
+  __m128i c2 = _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(0xC2)));
+  __m128i e2_e3 = _mm_cmpeq_epi8(_mm_or_si128(v, _mm_set1_epi8(1)),
+                                 _mm_set1_epi8(static_cast<char>(0xE3)));
+  return static_cast<uint32_t>(
+      Sse2MoveMask(_mm_or_si128(_mm_or_si128(low, c2), e2_e3)));
+}
+
+size_t WhitespaceCleanSpanSse2(const char* data, size_t n) {
+  const __m128i newline = _mm_set1_epi8('\n');
+  const __m128i space = _mm_set1_epi8(' ');
+  size_t i = 0;
+  if (n >= 32) {
+    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
+    uint32_t stop = Sse2WhitespaceStops(v);
+    auto nl = static_cast<uint32_t>(Sse2MoveMask(_mm_cmpeq_epi8(v, newline)));
+    auto sp = static_cast<uint32_t>(Sse2MoveMask(_mm_cmpeq_epi8(v, space)));
+    for (; i + 32 <= n; i += 16) {
+      __m128i next =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i + 16));
+      uint32_t stop_next = Sse2WhitespaceStops(next);
+      auto nl_next =
+          static_cast<uint32_t>(Sse2MoveMask(_mm_cmpeq_epi8(next, newline)));
+      // Bit k of the >> 1 and >> 2 masks describes byte k + 1 and k + 2.
+      uint32_t stops = stop | (stop_next << 16);
+      uint32_t nls = nl | (nl_next << 16);
+      uint32_t ok = ~stop | ((sp | nl) & ~(stops >> 1)) |
+                    (nl & (nls >> 1) & ~(stops >> 2));
+      uint32_t bad = ~ok & 0xFFFF;
+      if (bad != 0) return i + static_cast<size_t>(std::countr_zero(bad));
+      stop = stop_next;
+      nl = nl_next;
+      sp = static_cast<uint32_t>(Sse2MoveMask(_mm_cmpeq_epi8(next, space)));
+    }
+  }
+  return i + scalar::WhitespaceCleanSpan(data + i, n - i);
+}
+
+size_t FindWordLongerThanSse2(const char* data, size_t n, size_t max_len) {
+  const __m128i space = _mm_set1_epi8(' ');
+  const __m128i tab = _mm_set1_epi8('\t');
+  const __m128i four = _mm_set1_epi8(4);
+  size_t word_start = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    // 0x09-0x0D are the bytes whose distance above '\t' is at most 4.
+    __m128i d = _mm_sub_epi8(v, tab);
+    __m128i ws = _mm_or_si128(_mm_cmpeq_epi8(v, space),
+                              _mm_cmpeq_epi8(_mm_min_epu8(d, four), d));
+    size_t found = LongWordInBlock(static_cast<uint32_t>(Sse2MoveMask(ws)), i,
+                                   16, max_len, &word_start);
+    if (found != kNoLongWord) return found;
+  }
+  return FindWordLongerThanFrom(data, i, n, word_start, max_len);
 }
 #endif  // DJ_SWAR_HAVE_SSE2
 
@@ -496,6 +717,58 @@ size_t JsonCleanSpan(const char* data, size_t n) {
   }
 }
 
+size_t AsciiSpan(const char* data, size_t n) {
+  switch (ActiveLevel()) {
+    case Level::kScalar:
+      return scalar::AsciiSpan(data, n);
+#if defined(DJ_SWAR_HAVE_SSE2)
+    case Level::kSse2:
+      return AsciiSpanSse2(data, n);
+#endif
+    default:
+      return AsciiSpanSwar(data, n);
+  }
+}
+
+size_t AsciiTextSpan(const char* data, size_t n) {
+  switch (ActiveLevel()) {
+    case Level::kScalar:
+      return scalar::AsciiTextSpan(data, n);
+#if defined(DJ_SWAR_HAVE_SSE2)
+    case Level::kSse2:
+      return AsciiTextSpanSse2(data, n);
+#endif
+    default:
+      return AsciiTextSpanSwar(data, n);
+  }
+}
+
+size_t WhitespaceCleanSpan(const char* data, size_t n) {
+  switch (ActiveLevel()) {
+    case Level::kScalar:
+      return scalar::WhitespaceCleanSpan(data, n);
+#if defined(DJ_SWAR_HAVE_SSE2)
+    case Level::kSse2:
+      return WhitespaceCleanSpanSse2(data, n);
+#endif
+    default:
+      return WhitespaceCleanSpanSwar(data, n);
+  }
+}
+
+size_t FindWordLongerThan(const char* data, size_t n, size_t max_len) {
+  switch (ActiveLevel()) {
+    case Level::kScalar:
+      return scalar::FindWordLongerThan(data, n, max_len);
+#if defined(DJ_SWAR_HAVE_SSE2)
+    case Level::kSse2:
+      return FindWordLongerThanSse2(data, n, max_len);
+#endif
+    default:
+      return FindWordLongerThanSwar(data, n, max_len);
+  }
+}
+
 void AppendMatch(std::string* out, size_t offset, size_t len) {
   if (ActiveLevel() == Level::kScalar) {
     return scalar::AppendMatch(out, offset, len);
@@ -548,6 +821,43 @@ size_t JsonCleanSpan(const char* data, size_t n) {
     if (c < 0x20 || c == '"' || c == '\\') return i;
   }
   return n;
+}
+
+size_t AsciiSpan(const char* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (static_cast<unsigned char>(data[i]) >= 0x80) return i;
+  }
+  return n;
+}
+
+size_t AsciiTextSpan(const char* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    unsigned char c = static_cast<unsigned char>(data[i]);
+    if ((c < 0x20 && c != '\t' && c != '\n') || c > 0x7E) return i;
+  }
+  return n;
+}
+
+size_t WhitespaceCleanSpan(const char* data, size_t n) {
+  auto stop = [&](size_t k) { return k >= n || IsWhitespaceStop(data[k]); };
+  size_t i = 0;
+  while (i < n) {
+    if (!stop(i)) {
+      ++i;
+    } else if ((data[i] == ' ' || data[i] == '\n') && !stop(i + 1)) {
+      i += 2;
+    } else if (data[i] == '\n' && i + 1 < n && data[i + 1] == '\n' &&
+               !stop(i + 2)) {
+      i += 3;
+    } else {
+      break;
+    }
+  }
+  return i;
+}
+
+size_t FindWordLongerThan(const char* data, size_t n, size_t max_len) {
+  return FindWordLongerThanFrom(data, 0, n, 0, max_len);
 }
 
 void AppendMatch(std::string* out, size_t offset, size_t len) {

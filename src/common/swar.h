@@ -74,6 +74,30 @@ size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 /// appended to serializer output in one memcpy.
 size_t JsonCleanSpan(const char* data, size_t n);
 
+/// Length of the longest prefix of [data, data+n) made of ASCII bytes
+/// (below 0x80): each is one codepoint, so a count needs no decoding there.
+size_t AsciiSpan(const char* data, size_t n);
+
+/// Length of the longest prefix of [data, data+n) made of ASCII text:
+/// printable bytes (0x20-0x7E), '\t' and '\n'. Unicode repair copies such
+/// spans unchanged.
+size_t AsciiTextSpan(const char* data, size_t n);
+
+/// Length of the longest prefix of [data, data+n) that whitespace
+/// normalization copies unchanged after a byte it keeps. Stop bytes are
+/// every byte up to 0x20 and the lead bytes 0xC2, 0xE2 and 0xE3 of the
+/// multi-byte whitespace. A stop byte still belongs to the span when it is a
+/// ' ' or '\n' followed by a non-stop byte, or the first of "\n\n" followed
+/// by a non-stop byte. The end of the data counts as a stop byte, so a
+/// non-empty span ends with a non-stop byte.
+size_t WhitespaceCleanSpan(const char* data, size_t n);
+
+/// Index of the first byte of the first word longer than `max_len` bytes,
+/// or `n` when there is none. A word is a maximal run of bytes that are not
+/// ASCII whitespace (' ', '\t', '\n', '\v', '\f', '\r'); data[0] may start
+/// one.
+size_t FindWordLongerThan(const char* data, size_t n, size_t max_len);
+
 /// Appends `len` bytes to `*out` copied from `offset` bytes before its
 /// current end (LZ77 match copy). Overlap-safe: offset < len is legal and
 /// replicates the trailing pattern, byte-semantics identical to a
@@ -102,6 +126,10 @@ size_t CountByte(const char* data, size_t n, char b);
 size_t FindByte(const char* data, size_t n, char b);
 size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 size_t JsonCleanSpan(const char* data, size_t n);
+size_t AsciiSpan(const char* data, size_t n);
+size_t AsciiTextSpan(const char* data, size_t n);
+size_t WhitespaceCleanSpan(const char* data, size_t n);
+size_t FindWordLongerThan(const char* data, size_t n, size_t max_len);
 void AppendMatch(std::string* out, size_t offset, size_t len);
 uint64_t Hash64(const char* data, size_t n);
 }  // namespace scalar

@@ -39,9 +39,6 @@ class CacheManager {
   CacheManager(std::string dir, bool compression)
       : dir_(std::move(dir)), compression_(compression) {}
 
-  const std::string& dir() const { return dir_; }
-  bool compression() const { return compression_; }
-
   /// Attaches a metrics sink (not owned; nullptr detaches): Contains misses
   /// bump "cache.miss", successful Loads bump "cache.hit" and
   /// "cache.load_bytes", Stores bump "cache.stores" and "cache.store_bytes".

@@ -23,6 +23,11 @@ void RunJournal::SetRunInfo(std::string recipe, std::string dataset) {
   dataset_ = std::move(dataset);
 }
 
+void RunJournal::SetRunError(std::string stage, std::string status) {
+  error_stage_ = std::move(stage);
+  error_status_ = std::move(status);
+}
+
 void RunJournal::AddOp(OpStat stat) { ops_.push_back(std::move(stat)); }
 
 void RunJournal::SetTotals(const RunTotals& totals) { totals_ = totals; }
@@ -54,6 +59,12 @@ json::Value RunJournal::MetricsJson() const {
   json::Object run;
   run.Set("recipe", json::Value(recipe_));
   run.Set("dataset", json::Value(dataset_));
+  if (!error_stage_.empty()) {
+    json::Object error;
+    error.Set("stage", json::Value(error_stage_));
+    error.Set("status", json::Value(error_status_));
+    run.Set("error", json::Value(std::move(error)));
+  }
   out.Set("run", json::Value(std::move(run)));
 
   json::Array ops;

@@ -54,6 +54,11 @@ class RunJournal {
       : metrics_(metrics), spans_(spans) {}
 
   void SetRunInfo(std::string recipe, std::string dataset);
+
+  /// Marks the run failed: metrics.json then carries "run.error" with the
+  /// stage that failed (e.g. "load", "export") and the status text.
+  void SetRunError(std::string stage, std::string status);
+
   void AddOp(OpStat stat);
   void SetTotals(const RunTotals& totals);
   void SetResources(const ResourceUsage& usage);
@@ -73,6 +78,7 @@ class RunJournal {
   /// The merged run report:
   ///   {"schema_version", "run", "ops": [...], "totals", "cache",
   ///    "resources", "profile"?, "metrics": <registry snapshot>}
+  /// where "run" is {"recipe", "dataset", "error"?: {"stage", "status"}}.
   json::Value MetricsJson() const;
 
   /// Pretty-printed MetricsJson() to `path`.
@@ -86,6 +92,8 @@ class RunJournal {
   SpanRecorder* spans_;
   std::string recipe_;
   std::string dataset_;
+  std::string error_stage_;
+  std::string error_status_;
   std::vector<OpStat> ops_;
   RunTotals totals_;
   ResourceUsage resources_;

@@ -172,14 +172,16 @@ Result<std::string> RemoveBibliographyMapper::TransformText(
     size_t pos = input.find(marker);
     if (pos != std::string_view::npos && pos < cut) cut = pos;
   }
-  // Plain "References" heading on its own line near the end.
+  // Plain "References" heading on its own line in the second half: the
+  // last one past the midpoint, found by forward searches from there.
   for (std::string_view heading :
        {"\nReferences\n", "\nREFERENCES\n", "\n# References\n"}) {
-    size_t pos = input.rfind(heading);
-    if (pos != std::string_view::npos && pos < cut &&
-        pos > input.size() / 2) {
-      cut = pos;
+    size_t last = std::string_view::npos;
+    for (size_t pos = input.find(heading, input.size() / 2 + 1);
+         pos != std::string_view::npos; pos = input.find(heading, pos + 1)) {
+      last = pos;
     }
+    if (last < cut) cut = last;
   }
   if (cut == std::string_view::npos) return std::string(input);
   return std::string(input.substr(0, cut));

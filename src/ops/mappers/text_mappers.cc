@@ -1,42 +1,46 @@
 #include "ops/mappers/text_mappers.h"
 
-#include <cctype>
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/string_util.h"
+#include "common/swar.h"
 #include "text/normalize.h"
 #include "text/utf8.h"
 
 namespace dj::ops {
 namespace {
 
-/// Splits `input` into word / non-word runs and rebuilds it, dropping words
-/// for which `drop(word)` is true along with one adjacent space.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Rebuilds `input` without the words (maximal runs of bytes that are not
+/// ASCII whitespace) for which `drop(word)` is true, each with the ' ' right
+/// after it, if any, so double gaps don't appear. A word of at most
+/// `max_kept_bytes` bytes is kept without asking `drop`. The bytes between
+/// dropped words are copied in spans, and the input is returned as is when
+/// nothing is dropped.
 template <typename DropFn>
-std::string RebuildDroppingWords(std::string_view input, DropFn&& drop) {
+std::string RebuildDroppingWords(std::string_view input, size_t max_kept_bytes,
+                                 DropFn&& drop) {
   std::string out;
-  out.reserve(input.size());
+  size_t kept_from = 0;
   size_t i = 0;
   while (i < input.size()) {
-    if (std::isspace(static_cast<unsigned char>(input[i]))) {
-      out.push_back(input[i]);
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    while (i < input.size() &&
-           !std::isspace(static_cast<unsigned char>(input[i]))) {
-      ++i;
-    }
-    std::string_view word = input.substr(start, i - start);
-    if (drop(word)) {
-      // Swallow one following space so double gaps don't appear.
-      if (i < input.size() && input[i] == ' ') ++i;
-      continue;
-    }
-    out.append(word);
+    size_t start = i + swar::FindWordLongerThan(input.data() + i,
+                                                input.size() - i,
+                                                max_kept_bytes);
+    if (start == input.size()) break;
+    i = start + 1;
+    while (i < input.size() && !IsAsciiSpace(input[i])) ++i;
+    if (!drop(input.substr(start, i - start))) continue;
+    if (out.empty()) out.reserve(input.size());
+    out.append(input, kept_from, start - kept_from);
+    if (i < input.size() && input[i] == ' ') ++i;
+    kept_from = i;
   }
+  if (kept_from == 0) return std::string(input);
+  out.append(input, kept_from);
   return out;
 }
 
@@ -106,8 +110,10 @@ RemoveLongWordsMapper::RemoveLongWordsMapper(const json::Value& config)
 
 Result<std::string> RemoveLongWordsMapper::TransformText(
     std::string_view input, SampleContext*) const {
+  // A word has at least as many bytes as codepoints, so only words of more
+  // than max_len bytes need counting.
   size_t limit = static_cast<size_t>(max_len_);
-  return RebuildDroppingWords(input, [limit](std::string_view word) {
+  return RebuildDroppingWords(input, limit, [limit](std::string_view word) {
     return text::CodepointCount(word) > limit;
   });
 }
@@ -211,7 +217,13 @@ RemoveWordsWithIncorrectSubstringsMapper::
 
 Result<std::string> RemoveWordsWithIncorrectSubstringsMapper::TransformText(
     std::string_view input, SampleContext*) const {
-  return RebuildDroppingWords(input, [this](std::string_view word) {
+  // A word shorter than every substring contains none of them.
+  size_t shortest = substrings_.front().size();
+  for (const std::string& sub : substrings_) {
+    shortest = std::min(shortest, sub.size());
+  }
+  size_t max_kept = shortest > 0 ? shortest - 1 : 0;
+  return RebuildDroppingWords(input, max_kept, [this](std::string_view word) {
     for (const std::string& sub : substrings_) {
       if (word.find(sub) != std::string_view::npos) return true;
     }

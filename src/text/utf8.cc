@@ -1,5 +1,7 @@
 #include "text/utf8.h"
 
+#include "common/swar.h"
+
 namespace dj::text {
 namespace {
 
@@ -77,11 +79,19 @@ void EncodeUtf8(uint32_t cp, std::string* out) {
 }
 
 size_t CodepointCount(std::string_view s) {
+  // An ASCII byte is one decode step of one byte, so ASCII runs are counted
+  // in bulk and the decoder runs only at bytes of 0x80 or more.
   size_t pos = 0, count = 0;
   uint32_t cp;
   while (pos < s.size()) {
-    DecodeUtf8(s, &pos, &cp);
-    ++count;
+    if (static_cast<uint8_t>(s[pos]) >= 0x80) {
+      DecodeUtf8(s, &pos, &cp);
+      ++count;
+      continue;
+    }
+    size_t run = swar::AsciiSpan(s.data() + pos, s.size() - pos);
+    pos += run;
+    count += run;
   }
   return count;
 }

@@ -285,6 +285,22 @@ TEST(RunJournalTest, MetricsJsonCarriesAllSections) {
   EXPECT_EQ(recorder.EventCount(), 2u);  // rss_mib + cpu_seconds
 }
 
+TEST(RunJournalTest, RunErrorIsSetOnlyForAFailedRun) {
+  RunJournal journal(nullptr, nullptr);
+  journal.SetRunInfo("recipe.yaml", "data.jsonl");
+  const json::Value ok = journal.MetricsJson();
+  EXPECT_FALSE(ok.as_object().Find("run")->as_object().Contains("error"));
+  journal.SetRunError("load", "IoError: no such file");
+  const json::Value failed = journal.MetricsJson();
+  const json::Value* error =
+      failed.as_object().Find("run")->as_object().Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->as_object().Find("stage")->as_string(), "load");
+  EXPECT_EQ(error->as_object().Find("status")->as_string(),
+            "IoError: no such file");
+  EXPECT_TRUE(failed.as_object().Find("ops")->as_array().empty());
+}
+
 TEST(RunJournalTest, WriteTraceWithoutRecorderFails) {
   MetricsRegistry registry;
   RunJournal journal(&registry, nullptr);

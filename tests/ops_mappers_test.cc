@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "json/parser.h"
 #include "ops/mappers/clean_mappers.h"
 #include "ops/mappers/latex_mappers.h"
 #include "ops/mappers/text_mappers.h"
 #include "ops/registry.h"
+#include "text_kernel_reference.h"
 
 namespace dj::ops {
 namespace {
@@ -248,6 +252,84 @@ TEST(ChineseConvertMapperTest, TraditionalToSimplified) {
   // 國 -> 国, 學 -> 学; untouched chars pass through.
   EXPECT_EQ(Apply(m, "\xE5\x9C\x8B\xE5\xAD\xB8ok"),
             "\xE5\x9B\xBD\xE5\xAD\xA6ok");
+}
+
+// ------------------------------------------- reference differentials ----
+// The word-dropping mappers and remove_bibliography_mapper must give what
+// the bodies in text_kernel_reference.h give.
+
+TEST(WordDroppingReferenceTest, RemoveLongWordsMatchesTheReference) {
+  std::mt19937_64 rng(0x10E6);
+  for (size_t max_len : {1, 2, 3, 5, 6, 7, 8, 13, 14, 15, 16, 17, 40, 50}) {
+    RemoveLongWordsMapper m(
+        Config("{\"max_len\": " + std::to_string(max_len) + "}"));
+    for (size_t c = 0; c < 8000; ++c) {
+      std::string s = reference::KernelFuzzText(rng, max_len);
+      if (c % 64 == 0) {
+        for (int k = 0; k < 16; ++k) {
+          s += reference::KernelFuzzText(rng, max_len);
+        }
+      }
+      ASSERT_EQ(Apply(m, s), reference::RemoveLongWords(s, max_len))
+          << "max_len=" << max_len << " case " << c;
+    }
+  }
+}
+
+TEST(WordDroppingReferenceTest, IncorrectSubstringsMatchTheReference) {
+  std::mt19937_64 rng(0x5B57);
+  const std::vector<std::vector<std::string>> sets = {
+      {"http", "www", ".com", "href", "//"},
+      {"q"},
+      {"\xC3\xA9\xC3\xA9", "References"},
+      {"", "x"},
+  };
+  for (const std::vector<std::string>& subs : sets) {
+    std::string config = "{\"substrings\": [";
+    for (size_t k = 0; k < subs.size(); ++k) {
+      config += (k ? ", \"" : "\"") + subs[k] + "\"";
+    }
+    config += "]}";
+    RemoveWordsWithIncorrectSubstringsMapper m(Config(config));
+    auto drop = [&subs](std::string_view word) {
+      for (const std::string& sub : subs) {
+        if (word.find(sub) != std::string_view::npos) return true;
+      }
+      return false;
+    };
+    for (size_t c = 0; c < 25000; ++c) {
+      std::string s = reference::KernelFuzzText(rng, 1 + rng() % 6);
+      ASSERT_EQ(Apply(m, s), reference::RebuildDroppingWords(s, drop))
+          << config << " case " << c;
+    }
+  }
+}
+
+TEST(WordDroppingReferenceTest, RemoveBibliographyMatchesTheReference) {
+  RemoveBibliographyMapper m(Config());
+  std::mt19937_64 rng(0xB1B);
+  for (size_t c = 0; c < 100000; ++c) {
+    std::string s = reference::KernelFuzzText(rng, 1 + rng() % 8);
+    ASSERT_EQ(Apply(m, s), reference::RemoveBibliography(s)) << "case " << c;
+  }
+}
+
+TEST(WordDroppingReferenceTest, BenchStyleDocumentsMatchTheReference) {
+  RemoveLongWordsMapper long_words(Config(R"({"max_len": 40})"));
+  RemoveWordsWithIncorrectSubstringsMapper substrings(Config());
+  RemoveBibliographyMapper bibliography(Config());
+  auto drop = [](std::string_view word) {
+    for (std::string_view sub : {"http", "www", ".com", "href", "//"}) {
+      if (word.find(sub) != std::string_view::npos) return true;
+    }
+    return false;
+  };
+  for (const std::string& doc : reference::BenchStyleDocuments(300)) {
+    ASSERT_EQ(Apply(long_words, doc), reference::RemoveLongWords(doc, 40));
+    ASSERT_EQ(Apply(substrings, doc),
+              reference::RebuildDroppingWords(doc, drop));
+    ASSERT_EQ(Apply(bibliography, doc), reference::RemoveBibliography(doc));
+  }
 }
 
 // ------------------------------------------------------ base behavior ----

@@ -5,6 +5,7 @@
 // frame, minhash signatures) at the scalar level and at the compiled level
 // and asserts identical results — the dispatch level may only change speed.
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
@@ -100,6 +101,88 @@ TEST(SwarKernelTest, JsonCleanSpanMatchesScalar) {
               swar::scalar::JsonCleanSpan(buf.data(), buf.size()))
         << "size=" << buf.size();
   }
+}
+
+// Buffers for the text span kernels: text bytes mixed, at several
+// densities, with whitespace, newline runs, controls, DEL, the lead bytes of
+// the multi-byte whitespace and other non-ASCII bytes, and words of 1-40
+// bytes.
+std::vector<std::string> TextSpanBuffers() {
+  std::vector<std::string> buffers;
+  std::mt19937_64 rng(0x7E47);
+  const char specials[] = {' ',    ' ',    '\n',   '\n',   '\t',   '\v',
+                           '\f',   '\r',   '\x01', '\x1f', '\x7f', '\x20',
+                           '\xC2', '\xE2', '\xE3', '\xA0', '\x80', '\xC3',
+                           '\xE1', '\xFF', '\x21', '\x08', '\x0e', '\x7e'};
+  const size_t sizes[] = {0,  1,  2,  7,  8,   9,   15,  16,   17,   31,
+                          32, 33, 63, 64, 65, 255, 256, 1023, 4096, 4097};
+  const double densities[] = {0.0, 0.05, 0.2, 0.5, 0.95};
+  for (size_t size : sizes) {
+    for (double density : densities) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::string buf(size, 'a');
+        for (size_t i = 0; i < size; ++i) {
+          if (std::uniform_real_distribution<>(0, 1)(rng) < density) {
+            buf[i] = specials[rng() % sizeof(specials)];
+          } else if (rng() % 16 == 0) {
+            // A word boundary every few bytes, as in prose.
+            buf[i] = ' ';
+          } else {
+            buf[i] = static_cast<char>('a' + rng() % 26);
+          }
+        }
+        buffers.push_back(std::move(buf));
+      }
+    }
+  }
+  buffers.push_back(std::string(300, ' '));
+  buffers.push_back(std::string(300, '\n'));
+  buffers.push_back(std::string(300, 'w'));
+  return buffers;
+}
+
+TEST(SwarKernelTest, TextSpanKernelsMatchScalarAtEveryLevel) {
+  const std::vector<std::string> buffers = TextSpanBuffers();
+  for (swar::Level level : {swar::Level::kSwar, swar::CompiledLevel()}) {
+    swar::ScopedLevel pin(level);
+    for (const std::string& buf : buffers) {
+      // Every suffix start within the first 17 bytes, so each body meets
+      // its kernel's state at every offset of a word or vector.
+      for (size_t from = 0; from <= std::min<size_t>(buf.size(), 17); ++from) {
+        const char* d = buf.data() + from;
+        const size_t n = buf.size() - from;
+        ASSERT_EQ(swar::AsciiSpan(d, n), swar::scalar::AsciiSpan(d, n))
+            << swar::LevelName(level) << " size=" << n;
+        ASSERT_EQ(swar::AsciiTextSpan(d, n), swar::scalar::AsciiTextSpan(d, n))
+            << swar::LevelName(level) << " size=" << n;
+        ASSERT_EQ(swar::WhitespaceCleanSpan(d, n),
+                  swar::scalar::WhitespaceCleanSpan(d, n))
+            << swar::LevelName(level) << " size=" << n;
+        for (size_t max_len : {0, 1, 2, 5, 6, 7, 13, 14, 15, 16, 40}) {
+          ASSERT_EQ(swar::FindWordLongerThan(d, n, max_len),
+                    swar::scalar::FindWordLongerThan(d, n, max_len))
+              << swar::LevelName(level) << " size=" << n
+              << " max_len=" << max_len;
+        }
+      }
+    }
+  }
+}
+
+TEST(SwarKernelTest, TextSpanKernelExamples) {
+  EXPECT_EQ(swar::scalar::AsciiSpan("a\x01\x7f\x80", 4), 3u);
+  EXPECT_EQ(swar::scalar::AsciiTextSpan("a\tb\n~\x7f", 6), 5u);
+  EXPECT_EQ(swar::scalar::AsciiTextSpan("ab\rcd", 5), 2u);
+  // A lone ' ', '\n' or "\n\n" between kept bytes is in the span; a
+  // double space, "\n\n\n", a trailing gap or a multi-byte lead is not.
+  EXPECT_EQ(swar::scalar::WhitespaceCleanSpan("a b\nc\n\nd", 8), 8u);
+  EXPECT_EQ(swar::scalar::WhitespaceCleanSpan("ab  c", 5), 2u);
+  EXPECT_EQ(swar::scalar::WhitespaceCleanSpan("a\n\n\nb", 5), 1u);
+  EXPECT_EQ(swar::scalar::WhitespaceCleanSpan("ab ", 3), 2u);
+  EXPECT_EQ(swar::scalar::WhitespaceCleanSpan("a \xC2\xA0", 4), 1u);
+  EXPECT_EQ(swar::scalar::FindWordLongerThan("ab abcd a", 9, 3), 3u);
+  EXPECT_EQ(swar::scalar::FindWordLongerThan("ab abc a", 8, 3), 8u);
+  EXPECT_EQ(swar::scalar::FindWordLongerThan("abcd", 4, 3), 0u);
 }
 
 TEST(SwarKernelTest, AppendMatchMatchesScalar) {

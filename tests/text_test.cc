@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/swar.h"
 #include "text/lang_id.h"
 #include "text/lexicons.h"
 #include "text/ngram.h"
@@ -16,6 +19,7 @@
 #include "text/sentence.h"
 #include "text/tokenizer.h"
 #include "text/utf8.h"
+#include "text_kernel_reference.h"
 
 namespace dj::text {
 namespace {
@@ -238,6 +242,63 @@ TEST(NormalizeTest, FixUnicodeRemovesControlAndMojibake) {
 TEST(NormalizeTest, FixUnicodeKeepsValidMultibyte) {
   std::string input = "caf\xC3\xA9 \xE4\xB8\xAD";
   EXPECT_EQ(FixUnicode(input), input);
+}
+
+// The run-copying kernels must give what the codepoint-at-a-time bodies in
+// text_kernel_reference.h give, at every dispatch level of the span kernels
+// they call.
+
+std::string Escaped(std::string_view s) {
+  std::string out;
+  for (unsigned char c : s) {
+    if (c >= 0x20 && c < 0x7F && c != '\\') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\x%02X", c);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+TEST(TextKernelReferenceTest, FuzzedStringsMatchTheReference) {
+  // 10^5 strings at the level the build dispatches to, and a share of them
+  // at the scalar and SWAR levels, whose span kernels differ.
+  const std::pair<swar::Level, size_t> runs[] = {
+      {swar::CompiledLevel(), 100000},
+      {swar::Level::kScalar, 20000},
+      {swar::Level::kSwar, 20000}};
+  for (const auto& [level, cases] : runs) {
+    swar::ScopedLevel pin(level);
+    std::mt19937_64 rng(0x7E47);
+    for (size_t c = 0; c < cases; ++c) {
+      std::string s = reference::KernelFuzzText(rng, 1 + rng() % 40);
+      if (c % 64 == 0) {
+        for (int k = 0; k < 16; ++k) s += reference::KernelFuzzText(rng, 8);
+      }
+      ASSERT_EQ(NormalizeWhitespace(s), reference::NormalizeWhitespace(s))
+          << swar::LevelName(level) << " " << Escaped(s);
+      ASSERT_EQ(FixUnicode(s), reference::FixUnicode(s))
+          << swar::LevelName(level) << " " << Escaped(s);
+      ASSERT_EQ(CodepointCount(s), reference::CodepointCount(s))
+          << swar::LevelName(level) << " " << Escaped(s);
+    }
+  }
+}
+
+TEST(TextKernelReferenceTest, BenchStyleDocumentsMatchTheReference) {
+  for (const std::string& doc : reference::BenchStyleDocuments(300)) {
+    const std::string fixed = reference::FixUnicode(doc);
+    ASSERT_EQ(FixUnicode(doc), fixed) << Escaped(doc);
+    ASSERT_EQ(NormalizeWhitespace(doc), reference::NormalizeWhitespace(doc))
+        << Escaped(doc);
+    ASSERT_EQ(NormalizeWhitespace(fixed),
+              reference::NormalizeWhitespace(fixed))
+        << Escaped(fixed);
+    ASSERT_EQ(CodepointCount(doc), reference::CodepointCount(doc))
+        << Escaped(doc);
+  }
 }
 
 TEST(NormalizeTest, RemoveCharsUtf8Set) {

@@ -20,7 +20,7 @@
 #                             validates every span/instant/metric name
 #                             against srclint/manifest.json — plus runs
 #                             failed at load and at export that must still
-#                             write both files, the
+#                             write both files and pass dj_trace_check, the
 #                             binary-container round-trip, the fault-matrix
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile), an injected-stall
@@ -157,9 +157,9 @@ echo "== failed runs still write trace and metrics =="
 # io.read.fail=n1 fails the dataset load (--faults restarts the counts after
 # the recipe read); io.write.fail=always fails only the export (the trace
 # and metrics go through the unprobed WriteStringToFile). Both runs must
-# exit 1. The export-fault run's files must pass dj_trace_check. A run that
-# fails at load has no span and no unit row, both of which dj_trace_check
-# requires, so its files must carry the fault instead.
+# exit 1, and both runs' files must pass dj_trace_check. A run that fails at
+# load has no span and no unit row; dj_trace_check accepts that only because
+# its metrics.json records the failure as run.error.
 failed_run() {  # failed_run SPEC NAME
   local rc=0
   "${build_dir}/tools/dj_process" \
@@ -180,12 +180,10 @@ failed_run io.write.fail=always export_fault
   "${smoke_dir}/export_fault_trace.json" \
   "${smoke_dir}/export_fault_metrics.json"
 failed_run io.read.fail=n1 load_fault
-if ! grep -q '"fault:io.read.fail"' "${smoke_dir}/load_fault_trace.json" ||
-   ! grep -q '"fault.io.read.fail.triggers"' \
-     "${smoke_dir}/load_fault_metrics.json"; then
-  echo "check.sh: the load-fault run's trace or metrics lacks its fault" >&2
-  exit 1
-fi
+"${build_dir}/tools/dj_trace_check" --require-fault-instants \
+  --manifest "${repo_dir}/srclint/manifest.json" \
+  "${smoke_dir}/load_fault_trace.json" \
+  "${smoke_dir}/load_fault_metrics.json"
 
 echo "== binary container round-trip (.djds.djlz at --np 4) =="
 # Same recipe, same input, but exported through the compressed binary

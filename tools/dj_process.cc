@@ -287,7 +287,9 @@ int main(int argc, char** argv) {
   // From here on every exit goes through flush_obs: on a failed (possibly
   // fault-injected) run the observability files are still written — the
   // whole point of a crash trace is inspecting it.
-  auto flush_obs = [&](bool run_failed) {
+  // `failed_stage` names the stage a failed run stopped at, null on success.
+  auto flush_obs = [&](const char* failed_stage, const dj::Status& status) {
+    const bool run_failed = failed_stage != nullptr;
     // Stop the background samplers before serializing anything they feed.
     dj::obs::Profiler::Report profile_report;
     if (profile) {
@@ -317,6 +319,7 @@ int main(int argc, char** argv) {
     dj::ResourceReport resources = monitor.Stop();
     dj::obs::RunJournal journal(&metrics, &spans);
     journal.SetRunInfo(args.recipe_path, recipe.value().dataset_path);
+    if (run_failed) journal.SetRunError(failed_stage, status.ToString());
     for (const dj::core::OpReport& r : report.op_reports) {
       journal.AddOp({r.name, r.kind, r.rows_in, r.rows_out, r.seconds,
                      r.cache_hit});
@@ -362,7 +365,7 @@ int main(int argc, char** argv) {
 
   auto fail = [&](const char* what, const dj::Status& status) {
     std::fprintf(stderr, "%s error: %s\n", what, status.ToString().c_str());
-    flush_obs(/*run_failed=*/true);
+    flush_obs(what, status);
     return 1;
   };
 
@@ -437,5 +440,5 @@ int main(int argc, char** argv) {
                 recipe.value().export_path.c_str());
   }
 
-  return flush_obs(/*run_failed=*/false);
+  return flush_obs(nullptr, dj::Status());
 }

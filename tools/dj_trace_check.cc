@@ -22,6 +22,9 @@
 // in the srclint instrumentation manifest (exactly, or via a prefix entry
 // like "unit:*") — a typo'd name at an emit site otherwise produces
 // silently-unaggregated data.
+// A run that failed (metrics.json carries "run.error" with the stage and
+// status) may have no complete span and an empty "ops" array: a load that
+// fails stops the run before its first unit. Any other run must have both.
 
 #include <cstdio>
 #include <string>
@@ -44,7 +47,7 @@ bool Fail(const char* file, const std::string& why) {
 
 bool CheckTrace(const char* path, bool require_io_spans,
                 bool require_fault_instants, bool require_profile,
-                const Manifest* manifest) {
+                const Manifest* manifest, bool failed_run) {
   auto content = dj::data::ReadFile(path);
   if (!content.ok()) return Fail(path, content.status().ToString());
   auto parsed = dj::json::ParseStrict(content.value());
@@ -99,7 +102,7 @@ bool CheckTrace(const char* path, bool require_io_spans,
       }
     }
   }
-  if (complete_events == 0) {
+  if (complete_events == 0 && !failed_run) {
     return Fail(path, "no complete ('X') events — no spans were recorded");
   }
   if (require_io_spans && io_spans == 0) {
@@ -155,8 +158,9 @@ bool CheckMetricNames(const char* path, const Value& metrics,
   return true;
 }
 
+/// Also reports through `failed_run` whether the file records a failed run.
 bool CheckMetrics(const char* path, bool require_profile,
-                  const Manifest* manifest) {
+                  const Manifest* manifest, bool* failed_run) {
   auto content = dj::data::ReadFile(path);
   if (!content.ok()) return Fail(path, content.status().ToString());
   auto parsed = dj::json::ParseStrict(content.value());
@@ -170,8 +174,24 @@ bool CheckMetrics(const char* path, bool require_profile,
       return Fail(path, std::string("missing key '") + key + "'");
     }
   }
+  const Value* run = root.as_object().Find("run");
+  if (!run->is_object()) return Fail(path, "'run' must be an object");
+  std::string failed_stage;
+  if (const Value* error = run->as_object().Find("error")) {
+    const Value* stage =
+        error->is_object() ? error->as_object().Find("stage") : nullptr;
+    const Value* status =
+        error->is_object() ? error->as_object().Find("status") : nullptr;
+    if (stage == nullptr || !stage->is_string() || stage->as_string().empty() ||
+        status == nullptr || !status->is_string()) {
+      return Fail(path, "'run.error' must carry a stage and a status string");
+    }
+    failed_stage = stage->as_string();
+    *failed_run = true;
+  }
   const Value* ops = root.as_object().Find("ops");
-  if (!ops->is_array() || ops->as_array().empty()) {
+  if (!ops->is_array()) return Fail(path, "'ops' must be an array");
+  if (ops->as_array().empty() && failed_stage.empty()) {
     return Fail(path, "'ops' must be a non-empty array");
   }
   for (const Value& op : ops->as_array()) {
@@ -211,8 +231,10 @@ bool CheckMetrics(const char* path, bool require_profile,
       }
     }
   }
-  std::printf("dj_trace_check: %s ok (%zu ops)\n", path,
-              ops->as_array().size());
+  std::printf("dj_trace_check: %s ok (%zu ops%s%s)\n", path,
+              ops->as_array().size(),
+              failed_stage.empty() ? "" : ", run failed at ",
+              failed_stage.c_str());
   return true;
 }
 
@@ -268,8 +290,13 @@ int main(int argc, char** argv) {
     manifest = std::move(parsed).value();
     manifest_ptr = &manifest;
   }
-  bool ok = CheckTrace(argv[arg], require_io_spans, require_fault_instants,
-                       require_profile, manifest_ptr);
-  ok = CheckMetrics(argv[arg + 1], require_profile, manifest_ptr) && ok;
+  // metrics.json first: whether the run failed decides what the trace may
+  // lack.
+  bool failed_run = false;
+  bool ok = CheckMetrics(argv[arg + 1], require_profile, manifest_ptr,
+                         &failed_run);
+  ok = CheckTrace(argv[arg], require_io_spans, require_fault_instants,
+                  require_profile, manifest_ptr, failed_run) &&
+       ok;
   return ok ? 0 : 1;
 }
