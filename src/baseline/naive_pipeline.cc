@@ -30,7 +30,7 @@ Status ApplyRowOp(ops::Op* op, data::Sample* sample) {
   switch (op->kind()) {
     case ops::OpKind::kMapper: {
       auto* mapper = static_cast<ops::Mapper*>(op);
-      DJ_RETURN_IF_ERROR(mapper->ProcessRow(row, nullptr));
+      DJ_RETURN_IF_ERROR(mapper->ProcessRow(row));
       *sample = one.MaterializeRow(0);
       return Status::Ok();
     }
@@ -61,8 +61,9 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
   rep->rows_in = samples.size();
   rep->peak_row_bytes = SamplesBytes(samples);
 
-  std::optional<ThreadPool> pool;
-  if (num_workers_ > 1) pool.emplace(static_cast<size_t>(num_workers_));
+  std::optional<ThreadPool> pool_storage;
+  if (num_workers_ > 1) pool_storage.emplace(static_cast<size_t>(num_workers_));
+  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
 
   for (const auto& op : ops) {
     if (op->kind() == ops::OpKind::kDeduplicator) {
@@ -70,8 +71,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
       data::Dataset full = data::Dataset::FromSamples(samples);
       full.EnsureColumn(data::kStatsField);
       auto* dedup = static_cast<ops::Deduplicator*>(op.get());
-      auto result = dedup->Deduplicate(std::move(full),
-                                       pool ? &*pool : nullptr, nullptr);
+      auto result = dedup->Deduplicate(std::move(full), pool, nullptr);
       if (!result.ok()) return result.status();
       samples = result.value().ToSamples();
     } else {
@@ -89,11 +89,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
           }
         }
       };
-      if (pool) {
-        pool->ParallelFor(next.size(), run_range);
-      } else {
-        run_range(0, next.size());
-      }
+      ParallelFor(pool, next.size(), run_range);
       DJ_RETURN_IF_ERROR(first_error);
       // Drop tombstones from filters.
       std::vector<data::Sample> survivors;

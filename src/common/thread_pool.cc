@@ -101,6 +101,16 @@ void ThreadPool::ParallelFor(size_t n,
   }
   DJ_SCHED_POINT("threadpool.gather");
   Wait();
+  introspect::Heartbeat();
+}
+
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+  } else if (n > 0) {
+    fn(0, n);
+  }
 }
 
 void ThreadPool::WorkerLoop() {

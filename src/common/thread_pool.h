@@ -2,6 +2,7 @@
 #define DJ_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <thread>
@@ -12,8 +13,18 @@
 
 namespace dj {
 
+/// Largest pool width a recipe's `np` or a tool's `--np` may ask for. It is
+/// fixed, not derived from the host, so a recipe is valid or invalid on
+/// every host; a width in range starts exactly that many threads.
+constexpr int64_t kMaxPoolThreads = 256;
+
 /// Fixed-size worker pool used by Dataset::Map / Filter. The paper's
 /// `num_proc` knob maps to the pool width here.
+///
+/// Fan-out rule: every data-plane site splits its work the same way at any
+/// width and calls the free ParallelFor below, which alone decides whether
+/// the chunks run inline or on workers. Only chunk counts may depend on the
+/// width, so a pool changes speed, never bytes.
 ///
 /// Shutdown contract: the destructor stops the workers only after the task
 /// queue is fully drained, and tasks submitted *during* that drain (e.g. a
@@ -43,9 +54,9 @@ class ThreadPool {
   void Wait() DJ_EXCLUDES(mutex_);
 
   /// Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on the
-  /// pool, blocking until done. Runs inline when the pool has one thread,
-  /// n is tiny, or the caller is one of this pool's own workers (a nested
-  /// ParallelFor waiting on the pool it runs on would deadlock).
+  /// pool, blocking until done; the join beats the calling thread's
+  /// watchdog heartbeat. When it runs inline instead: see the free
+  /// ParallelFor below.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn)
       DJ_EXCLUDES(mutex_);
 
@@ -60,6 +71,19 @@ class ThreadPool {
   size_t in_flight_ DJ_GUARDED_BY(mutex_) = 0;
   bool shutdown_ DJ_GUARDED_BY(mutex_) = false;
 };
+
+/// The one serial-or-parallel decision. Runs `fn(0, n)` inline on the
+/// calling thread when there is no pool, the pool has one thread, n < 2, or
+/// the caller is one of the pool's own workers (a nested ParallelFor
+/// waiting on the pool it runs on would deadlock); does nothing when n is
+/// 0. Otherwise it is `pool->ParallelFor(n, fn)`.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t, size_t)>& fn);
+
+/// Width of `pool`, 1 without one: what chunk counts are sized from.
+inline size_t PoolWidth(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->num_threads();
+}
 
 }  // namespace dj
 

@@ -7,7 +7,6 @@
 #include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/swar.h"
-#include "common/thread_introspect.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -292,13 +291,8 @@ std::string CompressFrame(std::string_view input, ThreadPool* pool) {
       checksums[b] = swar::Hash64(blocks[b]);
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
-    pool->ParallelFor(num_blocks, compress_range);
-    DJ_SCHED_POINT("djlz.compress.gather");
-    introspect::Heartbeat();
-  } else {
-    compress_range(0, num_blocks);
-  }
+  ParallelFor(pool, num_blocks, compress_range);
+  DJ_SCHED_POINT("djlz.compress.gather");
   size_t payload = 0;
   for (const std::string& b : blocks) payload += b.size();
   std::string frame;
@@ -403,13 +397,8 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
       raws[b] = std::move(raw).value();
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
-    pool->ParallelFor(num_blocks, decompress_range);
-    DJ_SCHED_POINT("djlz.decompress.gather");
-    introspect::Heartbeat();
-  } else {
-    decompress_range(0, num_blocks);
-  }
+  ParallelFor(pool, num_blocks, decompress_range);
+  DJ_SCHED_POINT("djlz.decompress.gather");
   for (const Status& s : errors) {
     if (!s.ok()) return s;
   }

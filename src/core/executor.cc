@@ -189,9 +189,7 @@ Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
   {
     obs::Span span(options_.spans, "batch:" + mapper->name(), "batch");
     DJ_RETURN_IF_ERROR(dataset->Map(
-        [mapper](data::RowRef row) {
-          return mapper->ProcessRow(row, nullptr);
-        },
+        [mapper](data::RowRef row) { return mapper->ProcessRow(row); },
         pool));
   }
   if (before.has_value()) {

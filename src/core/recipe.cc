@@ -1,6 +1,7 @@
 #include "core/recipe.h"
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "data/io.h"
 #include "json/parser.h"
 #include "yaml/yaml.h"
@@ -34,15 +35,18 @@ Result<Recipe> Recipe::FromJson(const json::Value& root) {
   recipe.project_name = root.GetString("project_name", "");
   recipe.dataset_path = root.GetString("dataset_path", "");
   recipe.export_path = root.GetString("export_path", "");
-  recipe.num_workers = static_cast<int>(root.GetInt("np", 1));
+  // Checked before the narrowing cast, so a huge `np` cannot wrap into range.
+  const int64_t np = root.GetInt("np", 1);
+  if (np < 1 || np > kMaxPoolThreads) {
+    return Status::InvalidArgument("np must be in [1, " +
+                                   std::to_string(kMaxPoolThreads) + "]");
+  }
+  recipe.num_workers = static_cast<int>(np);
   recipe.use_cache = root.GetBool("use_cache", false);
   recipe.cache_dir = root.GetString("cache_dir", "");
   recipe.cache_compression = root.GetBool("cache_compression", false);
   recipe.use_checkpoint = root.GetBool("use_checkpoint", false);
   recipe.checkpoint_dir = root.GetString("checkpoint_dir", "");
-  if (recipe.num_workers < 1) {
-    return Status::InvalidArgument("np must be >= 1");
-  }
 
   const json::Value* process = root.as_object().Find("process");
   if (process != nullptr && !process->is_null()) {

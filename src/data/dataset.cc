@@ -203,17 +203,10 @@ void Dataset::AppendSample(const Sample& sample) {
 
 Status Dataset::Map(const std::function<Status(RowRef)>& fn,
                     ThreadPool* pool) {
-  if (num_rows_ == 0) return Status::Ok();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < num_rows_; ++i) {
-      DJ_RETURN_IF_ERROR(fn(RowRef(this, i)));
-    }
-    return Status::Ok();
-  }
   Mutex err_mutex{"Dataset.first_error"};
   Status first_error;
   std::atomic<bool> failed{false};
-  pool->ParallelFor(num_rows_, [&](size_t begin, size_t end) {
+  ParallelFor(pool, num_rows_, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       if (failed.load(std::memory_order_relaxed)) return;
       Status s = fn(RowRef(this, i));
@@ -246,11 +239,7 @@ Status Dataset::KeepMask(const std::function<Result<bool>(RowRef)>& pred,
       (*mask)[i] = r.value() ? 1 : 0;
     }
   };
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    run(0, num_rows_);
-  } else {
-    pool->ParallelFor(num_rows_, run);
-  }
+  ParallelFor(pool, num_rows_, run);
   return first_error;
 }
 

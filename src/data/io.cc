@@ -9,7 +9,6 @@
 #include "common/probe.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_introspect.h"
 #include "compress/djlz.h"
 #include "json/parser.h"
 #include "json/writer.h"
@@ -35,9 +34,14 @@ constexpr size_t kMaxAutoShards = 64;
 /// Pieces only split the work; the bytes do not depend on them.
 constexpr size_t kRowsPerPiece = 256;
 
-/// Inputs below this size parse serially even when a pool is given: chunk
-/// scheduling would cost more than the parse.
+/// Inputs below this size parse as one chunk even when a pool is given:
+/// chunk scheduling would cost more than the parse.
 constexpr size_t kParallelParseThreshold = 1 << 16;
+
+/// Largest byte span between two parse chunk targets. A chunk's structural
+/// index holds 32-bit positions, and a chunk ends at most one line past its
+/// target, so a chunk outgrows the index only through a line over 3 GiB.
+constexpr size_t kMaxParseChunkTarget = size_t{1} << 30;
 
 // Value tags for the binary codec.
 enum : uint8_t {
@@ -306,103 +310,19 @@ void RecordIoMetrics(const char* op, uint64_t rows, uint64_t bytes,
   m->GetGauge("simd.kernel")->Set(swar::ActiveLevelMetric());
 }
 
-/// Serial JSONL parser core over one chunk. Lines are numbered from
-/// `base_lineno + 1` so chunked parses report the same line numbers the
-/// serial parse would.
-Status ParseJsonlChunk(std::string_view content, size_t base_lineno,
-                       Dataset* ds) {
-  size_t lineno = base_lineno;
-  size_t start = 0;
-  while (start < content.size()) {
-    size_t eol = content.find('\n', start);
-    std::string_view line = eol == std::string_view::npos
-                                ? content.substr(start)
-                                : content.substr(start, eol - start);
-    start = eol == std::string_view::npos ? content.size() : eol + 1;
-    ++lineno;
-    std::string_view body = StripAsciiWhitespace(line);
-    if (body.empty()) continue;
-    auto r = json::ParseStrict(body);
-    if (!r.ok()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) + ": " +
-                                r.status().message());
-    }
-    if (!r.value().is_object()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                ": expected an object");
-    }
-    ds->AppendSample(Sample(std::move(r.value().as_object())));
-  }
-  return Status::Ok();
+/// Number of chunks ParseJsonl cuts `bytes` of input into: one without a
+/// pool or below the parallel threshold, one per pool thread otherwise, and
+/// never fewer than one per kMaxParseChunkTarget bytes.
+size_t ParseChunkCount(size_t bytes, const ThreadPool* pool) {
+  const size_t chunks = bytes < kParallelParseThreshold ? 1 : PoolWidth(pool);
+  return std::max(chunks, (bytes + kMaxParseChunkTarget - 1) /
+                              kMaxParseChunkTarget);
 }
 
-/// Stage 2 of the two-stage JSONL parse: walks the byte range
-/// [range_begin, range_end) of `content` using the structural index built
-/// by stage 1 (swar::StructuralScan over the whole buffer). `newlines`
-/// bounds lines without re-scanning bytes; the `quotes_escapes` positions
-/// falling inside each line drive the indexed field extractor. Any line the
-/// fast path cannot handle is re-parsed with json::ParseStrict so accepted
-/// values and error messages are identical to the byte-wise parser.
-///
-/// `nl_cursor` must index the first entry of `newlines` that is >=
-/// range_begin; because chunks are cut right after a newline, that is also
-/// the number of newlines before the chunk, i.e. the base line number.
-Status ParseJsonlIndexedRange(std::string_view content, size_t range_begin,
-                              size_t range_end, size_t nl_cursor,
-                              const std::vector<uint32_t>& newlines,
-                              const std::vector<uint32_t>& quotes_escapes,
-                              Dataset* ds) {
-  size_t lineno = nl_cursor;
-  size_t start = range_begin;
-  size_t nl_i = nl_cursor;
-  size_t qe_i = static_cast<size_t>(
-      std::lower_bound(quotes_escapes.begin(), quotes_escapes.end(),
-                       static_cast<uint32_t>(range_begin)) -
-      quotes_escapes.begin());
-  while (start < range_end) {
-    size_t eol = nl_i < newlines.size() && newlines[nl_i] < range_end
-                     ? static_cast<size_t>(newlines[nl_i])
-                     : range_end;
-    std::string_view line = content.substr(start, eol - start);
-    size_t next = eol < range_end ? eol + 1 : range_end;
-    if (eol < range_end) ++nl_i;
-    ++lineno;
-    start = next;
-    std::string_view body = StripAsciiWhitespace(line);
-    if (body.empty()) continue;
-    const size_t body_begin =
-        static_cast<size_t>(body.data() - content.data());
-    const size_t body_end = body_begin + body.size();
-    while (qe_i < quotes_escapes.size() && quotes_escapes[qe_i] < body_begin) {
-      ++qe_i;
-    }
-    size_t qe_hi = qe_i;
-    while (qe_hi < quotes_escapes.size() && quotes_escapes[qe_hi] < body_end) {
-      ++qe_hi;
-    }
-    json::Value v;
-    bool fast = json::TryParseStrictIndexed(
-        body, quotes_escapes.data() + qe_i, qe_hi - qe_i, body_begin, &v);
-    qe_i = qe_hi;
-    if (!fast) {
-      auto r = json::ParseStrict(body);
-      if (!r.ok()) {
-        return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                  ": " + r.status().message());
-      }
-      v = std::move(r.value());
-    }
-    if (!v.is_object()) {
-      return Status::Corruption("jsonl line " + std::to_string(lineno) +
-                                ": expected an object");
-    }
-    ds->AppendSample(Sample(std::move(v.as_object())));
-  }
-  return Status::Ok();
-}
-
-/// Splits `content` into up to `target_chunks` ranges cut at newline
-/// boundaries. Every byte lands in exactly one range.
+/// Splits `content` into up to `target_chunks` ranges, each cut right after
+/// the first newline at or past an even byte target; a line longer than the
+/// span between targets skips the targets it covers. Every byte lands in
+/// exactly one range.
 std::vector<std::string_view> SplitAtNewlines(std::string_view content,
                                               size_t target_chunks) {
   std::vector<std::string_view> chunks;
@@ -419,25 +339,81 @@ std::vector<std::string_view> SplitAtNewlines(std::string_view content,
   return chunks;
 }
 
+/// One chunk's structural index: the chunk-relative positions of every
+/// '\n', and of every '"' and '\\'.
+struct ChunkIndex {
+  std::vector<uint32_t> newlines;
+  std::vector<uint32_t> quotes_escapes;
+};
+
+/// Two-stage JSONL parse of one chunk into `ds`. Stage 1 indexes the
+/// chunk's structural bytes (swar::StructuralScan) into `index`; stage 2
+/// bounds each line by the newline index and hands the quote and escape
+/// positions inside it to the indexed field extractor. A line the fast path
+/// declines is re-parsed with json::ParseStrict, so accepted values and
+/// error messages are ParseStrict's. On failure, `*bad_line` is the failing
+/// line's number within the chunk, counted from 1.
+Status ParseJsonlChunk(std::string_view chunk, ChunkIndex* index, Dataset* ds,
+                       size_t* bad_line) {
+  constexpr size_t kIndexLimit = std::numeric_limits<uint32_t>::max();
+  if (chunk.size() > kIndexLimit) {
+    // Only a line over 3 GiB stretches a chunk this far, and it holds the
+    // first position the index cannot store.
+    *bad_line = swar::CountByte(chunk.data(), kIndexLimit, '\n') + 1;
+    return Status::Corruption("line longer than 3 GiB");
+  }
+  // Reserves sized to typical JSONL (one quote per ~25 bytes of text, lines
+  // a few hundred bytes) keep the push_backs from doubling the vectors
+  // mid-scan.
+  std::vector<uint32_t>& newlines = index->newlines;
+  std::vector<uint32_t>& quotes_escapes = index->quotes_escapes;
+  newlines.reserve(chunk.size() / 256 + 16);
+  quotes_escapes.reserve(chunk.size() / 24 + 16);
+  swar::StructuralScan(chunk.data(), chunk.size(), &newlines, &quotes_escapes);
+  size_t start = 0;
+  size_t qe_i = 0;
+  for (size_t line = 0; start < chunk.size(); ++line) {
+    const size_t eol = line < newlines.size() ? newlines[line] : chunk.size();
+    std::string_view body =
+        StripAsciiWhitespace(chunk.substr(start, eol - start));
+    start = eol + 1;
+    if (body.empty()) continue;
+    const size_t body_begin = static_cast<size_t>(body.data() - chunk.data());
+    const size_t body_end = body_begin + body.size();
+    while (qe_i < quotes_escapes.size() && quotes_escapes[qe_i] < body_begin) {
+      ++qe_i;
+    }
+    size_t qe_hi = qe_i;
+    while (qe_hi < quotes_escapes.size() && quotes_escapes[qe_hi] < body_end) {
+      ++qe_hi;
+    }
+    json::Value v;
+    bool fast = json::TryParseStrictIndexed(
+        body, quotes_escapes.data() + qe_i, qe_hi - qe_i, body_begin, &v);
+    qe_i = qe_hi;
+    if (!fast) {
+      auto r = json::ParseStrict(body);
+      if (!r.ok()) {
+        *bad_line = line + 1;
+        return Status::Corruption(r.status().message());
+      }
+      v = std::move(r.value());
+    }
+    if (!v.is_object()) {
+      *bad_line = line + 1;
+      return Status::Corruption("expected an object");
+    }
+    ds->AppendSample(Sample(std::move(v.as_object())));
+  }
+  return Status::Ok();
+}
+
 /// Deterministic shard count for a dataset: one shard per kRowsPerShard
 /// rows, capped. Depends only on the row count, never on the pool.
 size_t AutoShardCount(size_t num_rows) {
   if (num_rows == 0) return 0;
   size_t shards = (num_rows + kRowsPerShard - 1) / kRowsPerShard;
   return std::min(shards, kMaxAutoShards);
-}
-
-/// Runs fn(begin, end) over [0, n) — on the pool when one is given and the
-/// work is wide enough, inline otherwise.
-void MaybeParallelFor(ThreadPool* pool, size_t n,
-                      const std::function<void(size_t, size_t)>& fn) {
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelFor(n, fn);
-    DJ_SCHED_POINT("io.shard.gather");
-    introspect::Heartbeat();
-  } else {
-    fn(0, n);
-  }
 }
 
 /// Decodes a blob whose magic and version DeserializeDataset has checked.
@@ -552,7 +528,8 @@ Result<Dataset> DeserializeShards(std::string_view bytes, ThreadPool* pool) {
       shard_cols[s] = std::move(cols);
     }
   };
-  MaybeParallelFor(pool, num_shards, decode_range);
+  ParallelFor(pool, num_shards, decode_range);
+  DJ_SCHED_POINT("io.shard.gather");
   for (Status& s : errors) {
     if (!s.ok()) return std::move(s);
   }
@@ -619,110 +596,32 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
 Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
   DJ_OBS_SPAN("io.parse_jsonl");
   Stopwatch watch;
-  // The structural index stores uint32_t positions; inputs past 4 GiB take
-  // the byte-wise path (semantics identical, just unindexed).
-  if (content.size() > std::numeric_limits<uint32_t>::max()) {
-    if (pool == nullptr || pool->num_threads() <= 1) {
-      Dataset ds;
-      DJ_RETURN_IF_ERROR(ParseJsonlChunk(content, 0, &ds));
-      RecordIoMetrics("parse", ds.NumRows(), content.size(),
-                      watch.ElapsedSeconds());
-      return ds;
-    }
-    std::vector<std::string_view> chunks =
-        SplitAtNewlines(content, pool->num_threads());
-    // Chunk i's absolute starting line = lines in the chunks before it.
-    std::vector<size_t> base_lines(chunks.size(), 0);
-    for (size_t i = 1; i < chunks.size(); ++i) {
-      base_lines[i] =
-          base_lines[i - 1] +
-          static_cast<size_t>(
-              std::count(chunks[i - 1].begin(), chunks[i - 1].end(), '\n'));
-    }
-    std::vector<Dataset> parts(chunks.size());
-    std::vector<Status> errors(chunks.size(), Status::Ok());
-    pool->ParallelFor(chunks.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        errors[i] = ParseJsonlChunk(chunks[i], base_lines[i], &parts[i]);
-      }
-    });
-    DJ_SCHED_POINT("io.parse.gather");
-    introspect::Heartbeat();
-    for (Status& s : errors) {
-      if (!s.ok()) return std::move(s);
-    }
-    Dataset out = std::move(parts.front());
-    for (size_t i = 1; i < parts.size(); ++i) out.Concat(std::move(parts[i]));
-    RecordIoMetrics("parse", out.NumRows(), content.size(),
-                    watch.ElapsedSeconds());
-    return out;
-  }
-
-  // Stage 1: one wordwise pass finds every '\n', '"', and '\\'. Stage 2
-  // (ParseJsonlIndexedRange) then never scans bytes to find structure.
-  // Reserves sized to typical JSONL (one quote per ~25 bytes of text, lines
-  // a few hundred bytes) keep the hundreds of thousands of push_backs from
-  // doubling the vectors mid-scan.
-  std::vector<uint32_t> newlines;
-  std::vector<uint32_t> quotes_escapes;
-  newlines.reserve(content.size() / 256 + 16);
-  quotes_escapes.reserve(content.size() / 24 + 16);
-  swar::StructuralScan(content.data(), content.size(), &newlines,
-                       &quotes_escapes);
-
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      content.size() < kParallelParseThreshold) {
-    Dataset ds;
-    DJ_RETURN_IF_ERROR(ParseJsonlIndexedRange(content, 0, content.size(), 0,
-                                              newlines, quotes_escapes, &ds));
-    RecordIoMetrics("parse", ds.NumRows(), content.size(),
-                    watch.ElapsedSeconds());
-    return ds;
-  }
-
-  // Parallel path: cut chunks right after the newline at/past each even
-  // byte target, located in the index instead of via find('\n'). A chunk's
-  // newline cursor doubles as its base line number (newlines before it).
-  struct ChunkInfo {
-    size_t begin;
-    size_t end;
-    size_t nl_cursor;
-  };
-  std::vector<ChunkInfo> chunks;
-  const size_t target_chunks = pool->num_threads();
-  size_t begin = 0;
-  size_t nl_cursor = 0;
-  for (size_t i = 1; i < target_chunks && begin < content.size(); ++i) {
-    size_t target = content.size() * i / target_chunks;
-    if (target <= begin) continue;
-    size_t j = static_cast<size_t>(
-        std::lower_bound(newlines.begin() + nl_cursor, newlines.end(),
-                         static_cast<uint32_t>(target)) -
-        newlines.begin());
-    if (j >= newlines.size()) break;
-    size_t cut = static_cast<size_t>(newlines[j]) + 1;
-    chunks.push_back({begin, cut, nl_cursor});
-    begin = cut;
-    nl_cursor = j + 1;
-  }
-  if (begin < content.size()) {
-    chunks.push_back({begin, content.size(), nl_cursor});
-  }
+  const std::vector<std::string_view> chunks =
+      SplitAtNewlines(content, ParseChunkCount(content.size(), pool));
+  // Owned here, not by the tasks, so every index is freed on return, after
+  // the join.
+  std::vector<ChunkIndex> indexes(chunks.size());
   std::vector<Dataset> parts(chunks.size());
   std::vector<Status> errors(chunks.size(), Status::Ok());
-  pool->ParallelFor(chunks.size(), [&](size_t cbegin, size_t cend) {
-    for (size_t i = cbegin; i < cend; ++i) {
+  std::vector<size_t> bad_lines(chunks.size(), 0);
+  ParallelFor(pool, chunks.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
       errors[i] =
-          ParseJsonlIndexedRange(content, chunks[i].begin, chunks[i].end,
-                                 chunks[i].nl_cursor, newlines, quotes_escapes,
-                                 &parts[i]);
+          ParseJsonlChunk(chunks[i], &indexes[i], &parts[i], &bad_lines[i]);
     }
   });
   DJ_SCHED_POINT("io.parse.gather");
-  introspect::Heartbeat();
-  // Report the earliest failing line, matching the serial parse.
-  for (Status& s : errors) {
-    if (!s.ok()) return std::move(s);
+  // Every chunk but the last ends right after a newline, so the lines
+  // before chunk i are the newlines of the chunks before it. The earliest
+  // failing line wins, as in a serial parse.
+  size_t lines_before = 0;
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    if (!errors[i].ok()) {
+      return Status::Corruption("jsonl line " +
+                                std::to_string(lines_before + bad_lines[i]) +
+                                ": " + errors[i].message());
+    }
+    lines_before += indexes[i].newlines.size();
   }
   Dataset out = parts.empty() ? Dataset() : std::move(parts.front());
   for (size_t i = 1; i < parts.size(); ++i) out.Concat(std::move(parts[i]));
@@ -786,26 +685,26 @@ std::string ToJsonl(const Dataset& dataset, ThreadPool* pool) {
     }
     est_row_bytes = probe.size() / samples + 16;
   }
+  // Fixed chunking (independent of scheduling) + ordered gather. At width
+  // 1 the one chunk is the output.
+  const size_t width = PoolWidth(pool);
+  const size_t chunks = std::min(rows, width > 1 ? width * 4 : 1);
+  const size_t per = chunks == 0 ? 0 : (rows + chunks - 1) / chunks;
+  std::vector<std::string> parts(chunks);
+  ParallelFor(pool, chunks, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      const size_t row_begin = c * per;
+      const size_t row_end = std::min(rows, (c + 1) * per);
+      if (row_begin >= row_end) continue;
+      parts[c].reserve(est_row_bytes * (row_end - row_begin) + 64);
+      stringify_rows(row_begin, row_end, &parts[c]);
+    }
+  });
+  DJ_SCHED_POINT("io.to_jsonl.gather");
   std::string out;
-  if (pool == nullptr || pool->num_threads() <= 1 || rows < 2) {
-    out.reserve(est_row_bytes * rows + 64);
-    stringify_rows(0, rows, &out);
+  if (parts.size() == 1) {
+    out = std::move(parts.front());
   } else {
-    // Fixed chunking (independent of scheduling) + ordered gather.
-    const size_t chunks = std::min(rows, pool->num_threads() * 4);
-    const size_t per = (rows + chunks - 1) / chunks;
-    std::vector<std::string> parts(chunks);
-    pool->ParallelFor(chunks, [&](size_t begin, size_t end) {
-      for (size_t c = begin; c < end; ++c) {
-        const size_t row_begin = c * per;
-        const size_t row_end = std::min(rows, (c + 1) * per);
-        if (row_begin >= row_end) continue;
-        parts[c].reserve(est_row_bytes * (row_end - row_begin) + 64);
-        stringify_rows(row_begin, row_end, &parts[c]);
-      }
-    });
-    DJ_SCHED_POINT("io.to_jsonl.gather");
-    introspect::Heartbeat();
     size_t total = 0;
     for (const std::string& p : parts) total += p.size();
     out.reserve(total);
@@ -881,7 +780,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
     }
     shard_pieces[s + 1] = pieces.size();
   }
-  MaybeParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
+  ParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       const std::vector<json::Value>& cells = *columns[pieces[p].column];
       size_t size = 0;
@@ -891,6 +790,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
       pieces[p].size = size;
     }
   });
+  DJ_SCHED_POINT("io.shard.gather");
 
   // The header's size follows from the counts, names and payload lengths,
   // so every offset is a prefix sum and the blob is allocated once.
@@ -918,7 +818,7 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
   }
   std::string out(cursor, '\0');
 
-  MaybeParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
+  ParallelFor(pool, pieces.size(), [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       const std::vector<json::Value>& cells = *columns[pieces[p].column];
       char* dst = out.data() + pieces[p].offset;
@@ -927,13 +827,15 @@ std::string SerializeDataset(const Dataset& dataset, ThreadPool* pool,
       }
     }
   });
+  DJ_SCHED_POINT("io.shard.gather");
   std::vector<uint64_t> payload_hash(num_shards, 0);
-  MaybeParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
+  ParallelFor(pool, num_shards, [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
       payload_hash[s] =
           swar::Hash64(out.data() + payload_at[s], payload_len[s]);
     }
   });
+  DJ_SCHED_POINT("io.shard.gather");
 
   // The header goes last: its shard table holds the payload checksums, and
   // its own checksum covers everything before it.

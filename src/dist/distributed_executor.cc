@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "common/probe.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 
 namespace dj::dist {
 namespace {
@@ -74,12 +75,8 @@ std::vector<data::Dataset> Shard(const data::Dataset& ds, size_t n,
       shards[i] = ds.Slice(lo, hi);
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelFor(n, slice_range);
-    DJ_SCHED_POINT("dist.shard.gather");
-  } else {
-    slice_range(0, n);
-  }
+  ParallelFor(pool, n, slice_range);
+  DJ_SCHED_POINT("dist.shard.gather");
   return shards;
 }
 

@@ -113,8 +113,8 @@ json::Value LintReport::ToJson() const {
   return json::Value(std::move(root));
 }
 
-RecipeLinter::RecipeLinter(const ops::OpRegistry& registry, Options options)
-    : registry_(registry), options_(options) {}
+RecipeLinter::RecipeLinter(const ops::OpRegistry& registry)
+    : registry_(registry) {}
 
 std::string RecipeLinter::ClosestMatch(
     std::string_view name, const std::vector<std::string>& candidates) {
@@ -295,108 +295,106 @@ LintReport RecipeLinter::Lint(const core::Recipe& recipe) const {
   // of a never-produced stats field is a hard error. Reads of other
   // columns (text, meta.*) depend on the input data, which static
   // analysis cannot see.
-  if (options_.effects_checks) {
-    std::vector<std::optional<ops::ResolvedEffects>> fx(instances.size());
-    for (size_t i = 0; i < instances.size(); ++i) {
-      if (instances[i] == nullptr) continue;
-      auto resolved =
-          instances[i]->declaration().effects.Resolve(*instances[i]);
-      if (!resolved.ok()) {
-        add(Severity::kWarning, static_cast<int>(i), recipe.process[i].name,
-            "effect signature does not resolve: " +
-                resolved.status().ToString());
+  std::vector<std::optional<ops::ResolvedEffects>> fx(instances.size());
+  for (size_t i = 0; i < instances.size(); ++i) {
+    if (instances[i] == nullptr) continue;
+    auto resolved =
+        instances[i]->declaration().effects.Resolve(*instances[i]);
+    if (!resolved.ok()) {
+      add(Severity::kWarning, static_cast<int>(i), recipe.process[i].name,
+          "effect signature does not resolve: " +
+              resolved.status().ToString());
+      continue;
+    }
+    fx[i] = std::move(resolved).value();
+  }
+
+  const std::string stats_prefix = std::string(data::kStatsField) + ".";
+  auto is_own_stat = [](const ops::ResolvedEffects& e,
+                        const std::string& key) {
+    return std::find(e.stats.begin(), e.stats.end(), key) != e.stats.end();
+  };
+  std::map<std::string, size_t> stat_producer;  // stat key -> OP index
+  for (size_t i = 0; i < fx.size(); ++i) {
+    if (!fx[i].has_value()) continue;
+    const int idx = static_cast<int>(i);
+    for (const std::string& path : fx[i]->reads) {
+      if (path.compare(0, stats_prefix.size(), stats_prefix) != 0) {
         continue;
       }
-      fx[i] = std::move(resolved).value();
+      std::string key = path.substr(stats_prefix.size());
+      if (is_own_stat(*fx[i], key)) continue;
+      if (stat_producer.find(key) != stat_producer.end()) continue;
+      std::string hint;
+      for (const ops::OpDeclaration* d : registry_.Declarations()) {
+        const auto& produced = d->effects.stats_produced();
+        if (std::find(produced.begin(), produced.end(), key) !=
+            produced.end()) {
+          hint = "run '" + d->schema.op_name() + "' earlier in the recipe "
+                 "to produce it";
+          break;
+        }
+      }
+      add(Severity::kError, idx, recipe.process[i].name,
+          "reads stat '" + key + "' ('" + path +
+              "') which no earlier OP produces",
+          hint);
     }
+    for (const std::string& key : fx[i]->stats) {
+      auto it = stat_producer.find(key);
+      if (it != stat_producer.end()) {
+        add(Severity::kWarning, idx, recipe.process[i].name,
+            "stat '" + key + "' was already produced by op[" +
+                std::to_string(it->second) + "] '" +
+                recipe.process[it->second].name +
+                "'; ComputeStats skips present stats, so this OP filters "
+                "on the earlier OP's value",
+            "give the two OPs different text_key fields or drop one");
+      } else {
+        stat_producer[key] = i;
+      }
+    }
+  }
 
-    const std::string stats_prefix = std::string(data::kStatsField) + ".";
-    auto is_own_stat = [](const ops::ResolvedEffects& e,
-                          const std::string& key) {
-      return std::find(e.stats.begin(), e.stats.end(), key) != e.stats.end();
-    };
-    std::map<std::string, size_t> stat_producer;  // stat key -> OP index
+  // Dead stat writes: the OP computes a stat but its keep-window spans
+  // the whole valid range (drops nothing), no later OP reads the stat,
+  // and the recipe exports nothing that would carry it. Advisory only —
+  // analysis-style recipes do this on purpose and export via --output.
+  if (recipe.export_path.empty()) {
     for (size_t i = 0; i < fx.size(); ++i) {
-      if (!fx[i].has_value()) continue;
-      const int idx = static_cast<int>(i);
-      for (const std::string& path : fx[i]->reads) {
-        if (path.compare(0, stats_prefix.size(), stats_prefix) != 0) {
-          continue;
-        }
-        std::string key = path.substr(stats_prefix.size());
-        if (is_own_stat(*fx[i], key)) continue;
-        if (stat_producer.find(key) != stat_producer.end()) continue;
-        std::string hint;
-        for (const ops::OpDeclaration* d : registry_.Declarations()) {
-          const auto& produced = d->effects.stats_produced();
-          if (std::find(produced.begin(), produced.end(), key) !=
-              produced.end()) {
-            hint = "run '" + d->schema.op_name() + "' earlier in the recipe "
-                   "to produce it";
-            break;
-          }
-        }
-        add(Severity::kError, idx, recipe.process[i].name,
-            "reads stat '" + key + "' ('" + path +
-                "') which no earlier OP produces",
-            hint);
-      }
+      if (!fx[i].has_value() || !vacuous_bounds[i]) continue;
       for (const std::string& key : fx[i]->stats) {
-        auto it = stat_producer.find(key);
-        if (it != stat_producer.end()) {
-          add(Severity::kWarning, idx, recipe.process[i].name,
-              "stat '" + key + "' was already produced by op[" +
-                  std::to_string(it->second) + "] '" +
-                  recipe.process[it->second].name +
-                  "'; ComputeStats skips present stats, so this OP filters "
-                  "on the earlier OP's value",
-              "give the two OPs different text_key fields or drop one");
-        } else {
-          stat_producer[key] = i;
+        if (stat_producer.find(key) != stat_producer.end() &&
+            stat_producer[key] != i) {
+          continue;  // collision already diagnosed above
+        }
+        bool read_later = false;
+        for (size_t j = i + 1; j < fx.size() && !read_later; ++j) {
+          if (!fx[j].has_value()) continue;
+          std::string path = stats_prefix + key;
+          read_later = !is_own_stat(*fx[j], key) &&
+                       std::find(fx[j]->reads.begin(), fx[j]->reads.end(),
+                                 path) != fx[j]->reads.end();
+        }
+        if (!read_later) {
+          add(Severity::kNote, static_cast<int>(i), recipe.process[i].name,
+              "dead write: stat '" + key + "' is computed but the bounds "
+              "keep every sample, no later OP reads it, and the recipe "
+              "has no export_path");
         }
       }
     }
+  }
 
-    // Dead stat writes: the OP computes a stat but its keep-window spans
-    // the whole valid range (drops nothing), no later OP reads the stat,
-    // and the recipe exports nothing that would carry it. Advisory only —
-    // analysis-style recipes do this on purpose and export via --output.
-    if (recipe.export_path.empty()) {
-      for (size_t i = 0; i < fx.size(); ++i) {
-        if (!fx[i].has_value() || !vacuous_bounds[i]) continue;
-        for (const std::string& key : fx[i]->stats) {
-          if (stat_producer.find(key) != stat_producer.end() &&
-              stat_producer[key] != i) {
-            continue;  // collision already diagnosed above
-          }
-          bool read_later = false;
-          for (size_t j = i + 1; j < fx.size() && !read_later; ++j) {
-            if (!fx[j].has_value()) continue;
-            std::string path = stats_prefix + key;
-            read_later = !is_own_stat(*fx[j], key) &&
-                         std::find(fx[j]->reads.begin(), fx[j]->reads.end(),
-                                   path) != fx[j]->reads.end();
-          }
-          if (!read_later) {
-            add(Severity::kNote, static_cast<int>(i), recipe.process[i].name,
-                "dead write: stat '" + key + "' is computed but the bounds "
-                "keep every sample, no later OP reads it, and the recipe "
-                "has no export_path");
-          }
-        }
-      }
-    }
-
-    // Everything after an empty keep-range runs on zero rows.
-    if (first_empty_range >= 0 &&
-        static_cast<size_t>(first_empty_range) + 1 < instances.size()) {
-      add(Severity::kWarning, first_empty_range + 1,
-          recipe.process[first_empty_range + 1].name,
-          "unreachable: op[" + std::to_string(first_empty_range) + "] '" +
-              recipe.process[first_empty_range].name +
-              "' discards every sample, so this OP and all later OPs "
-              "process nothing");
-    }
+  // Everything after an empty keep-range runs on zero rows.
+  if (first_empty_range >= 0 &&
+      static_cast<size_t>(first_empty_range) + 1 < instances.size()) {
+    add(Severity::kWarning, first_empty_range + 1,
+        recipe.process[first_empty_range + 1].name,
+        "unreachable: op[" + std::to_string(first_empty_range) + "] '" +
+            recipe.process[first_empty_range].name +
+            "' discards every sample, so this OP and all later OPs "
+            "process nothing");
   }
 
   // ----- Fusion notes (paper Sec. 7) ------------------------------------

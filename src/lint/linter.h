@@ -74,14 +74,7 @@ struct LintReport {
 ///     propagating the available-field set through the declared OpEffects.
 class RecipeLinter {
  public:
-  struct Options {
-    /// Run the effect-dataflow pass over the declared OpEffects.
-    bool effects_checks = true;
-  };
-
-  explicit RecipeLinter(const ops::OpRegistry& registry)
-      : RecipeLinter(registry, Options()) {}
-  RecipeLinter(const ops::OpRegistry& registry, Options options);
+  explicit RecipeLinter(const ops::OpRegistry& registry);
 
   LintReport Lint(const core::Recipe& recipe) const;
 
@@ -92,7 +85,6 @@ class RecipeLinter {
 
  private:
   const ops::OpRegistry& registry_;
-  Options options_;
 };
 
 }  // namespace dj::lint

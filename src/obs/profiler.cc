@@ -132,10 +132,8 @@ void Profiler::TickerLoop() {
         m->GetCounter("profiler.samples")->Add(tick_samples);
       }
     }
-    if (options_.emit_trace_ticks) {
-      if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
-        r->EmitInstant("profile:tick", "profile", r->NowMicros());
-      }
+    if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
+      r->EmitInstant("profile:tick", "profile", r->NowMicros());
     }
   }
 }

@@ -40,7 +40,6 @@ class Profiler {
  public:
   struct Options {
     double interval_seconds = 0.002;  ///< 500 Hz; ~0 cost for idle threads
-    bool emit_trace_ticks = true;     ///< "profile:tick" instants
   };
 
   /// Aggregated profile. `collapsed` maps a span path (frames joined with

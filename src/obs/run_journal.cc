@@ -32,7 +32,7 @@ void RunJournal::AddOp(OpStat stat) { ops_.push_back(std::move(stat)); }
 
 void RunJournal::SetTotals(const RunTotals& totals) { totals_ = totals; }
 
-void RunJournal::SetResources(const ResourceUsage& usage) {
+void RunJournal::SetResources(const ResourceReport& usage) {
   resources_ = usage;
 }
 

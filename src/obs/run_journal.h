@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/resource_monitor.h"
 #include "common/status.h"
 #include "json/value.h"
 #include "obs/metrics.h"
@@ -32,15 +33,6 @@ struct RunTotals {
   bool resumed_from_checkpoint = false;
 };
 
-/// Aggregate resource usage (mirror of dj::ResourceReport).
-struct ResourceUsage {
-  double wall_seconds = 0;
-  uint64_t peak_rss_bytes = 0;
-  uint64_t avg_rss_bytes = 0;
-  double cpu_seconds = 0;
-  double avg_cpu_utilization = 0;
-};
-
 /// Merges the three observability streams of one run — executor OP reports,
 /// the metrics registry (cache/checkpoint counters live there), and
 /// resource-monitor samples — into a single machine-readable artifact:
@@ -61,7 +53,7 @@ class RunJournal {
 
   void AddOp(OpStat stat);
   void SetTotals(const RunTotals& totals);
-  void SetResources(const ResourceUsage& usage);
+  void SetResources(const ResourceReport& usage);
 
   /// Attaches a profiler report (obs::Profiler::Report::ToJson()); it
   /// becomes the "profile" key of MetricsJson, so per-OP CPU attribution
@@ -96,7 +88,7 @@ class RunJournal {
   std::string error_status_;
   std::vector<OpStat> ops_;
   RunTotals totals_;
-  ResourceUsage resources_;
+  ResourceReport resources_;
   size_t resource_samples_ = 0;
   json::Value profile_;
   bool has_profile_ = false;

@@ -102,10 +102,8 @@ void Watchdog::PollLoop() {
   while (running_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(options_.poll_seconds));
-    if (options_.emit_trace_beats) {
-      if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
-        r->EmitInstant("watchdog:beat", "watchdog", r->NowMicros());
-      }
+    if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
+      r->EmitInstant("watchdog:beat", "watchdog", r->NowMicros());
     }
     PollOnce(introspect::NowMicros());
   }

@@ -41,7 +41,6 @@ class Watchdog {
     /// 0 = derive from stall_seconds (quarter, clamped to [2ms, 1s]), so
     /// detection latency stays within ~1.25x the threshold.
     double poll_seconds = 0;
-    bool emit_trace_beats = true;
   };
 
   /// Parses a DJ_WATCHDOG / --watchdog spec:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "common/mutex.h"
 #include "obs/span.h"
@@ -258,33 +257,26 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
   size_t n = dataset.NumRows();
   shingles_.assign(n, {});
   ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
-  // Inverted index over a sample of shingles (every shingle for short docs,
-  // min-K for long ones) to generate candidates.
+  // Bucket keys: each row's first kIndexPerDoc sorted shingles, a
+  // deterministic min-K sample (identical documents sample identical
+  // shingles), padded with repeats of the first. A row without shingles
+  // gets a key of its own, so short rows never pile into one bucket.
   constexpr size_t kIndexPerDoc = 24;
-  std::unordered_map<uint64_t, std::vector<size_t>> index;
-  UnionFind uf(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& grams = shingles_[i];
-    size_t take = std::min(grams.size(), kIndexPerDoc);
-    // grams are sorted, so the first K form a deterministic min-K sample —
-    // identical documents sample identical shingles.
-    std::vector<size_t> candidates;
-    for (size_t g = 0; g < take; ++g) {
-      auto it = index.find(grams[g]);
-      if (it != index.end()) {
-        for (size_t j : it->second) candidates.push_back(j);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (size_t j : candidates) {
-      if (uf.Find(i) == uf.Find(j)) continue;
-      double sim = text::JaccardSimilarity(shingles_[i], shingles_[j]);
-      if (sim >= threshold_) uf.Union(i, j);
-    }
-    for (size_t g = 0; g < take; ++g) index[grams[g]].push_back(i);
-  }
+  std::vector<uint64_t> keys(n * kIndexPerDoc);
+  ForEachIndex(pool, n, [&](size_t i) {
+    const std::vector<uint64_t>& grams = shingles_[i];
+    const size_t take = std::min(grams.size(), kIndexPerDoc);
+    uint64_t* row_keys = keys.data() + i * kIndexPerDoc;
+    std::copy_n(grams.begin(), take, row_keys);
+    std::fill(row_keys + take, row_keys + kIndexPerDoc,
+              take == 0 ? SplitMix64(i) : grams[0]);
+  });
+  UnionFind uf = ClusterBuckets(
+      keys, kIndexPerDoc, pool, [&](size_t i, size_t j) {
+        return !shingles_[i].empty() && !shingles_[j].empty() &&
+               text::JaccardSimilarity(shingles_[i], shingles_[j]) >=
+                   threshold_;
+      });
   return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
 }
 

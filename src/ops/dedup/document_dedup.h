@@ -81,9 +81,10 @@ class DocumentSimHashDeduplicator : public Deduplicator {
 
 /// ngram_overlap_deduplicator: vector-space duplicate detection — documents
 /// whose exact word-n-gram Jaccard similarity with an earlier document
-/// exceeds `jaccard_threshold` (default 0.8) are removed. Candidates are
-/// found through an inverted index over rare shingles, so typical corpora
-/// avoid the quadratic comparison. Params: shingle_size (3).
+/// reaches `jaccard_threshold` (default 0.8) are removed. Candidates are
+/// rows that share one of their 24 smallest shingles, bucketed through
+/// ClusterBuckets, so typical corpora avoid the quadratic comparison.
+/// Params: shingle_size (3).
 class NgramOverlapDeduplicator : public Deduplicator {
  public:
   static const OpDeclaration& Declaration();

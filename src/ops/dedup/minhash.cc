@@ -187,11 +187,7 @@ void VerifyBucket(const KeyedRow* members, size_t m,
 
 void ForEachIndex(ThreadPool* pool, size_t n,
                   const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(n, [&](size_t begin, size_t end) {
+  ParallelFor(pool, n, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) fn(i);
   });
 }
@@ -206,8 +202,7 @@ UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
   // Counting sort of the (key, row) pairs into partitions: each chunk of
   // rows counts its pairs per partition, the counts become per-chunk write
   // offsets, and each chunk scatters its own pairs.
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const size_t chunks = std::min(num_rows, threads * 4);
+  const size_t chunks = std::min(num_rows, PoolWidth(pool) * 4);
   const size_t chunk_rows = (num_rows + chunks - 1) / chunks;
   std::vector<size_t> offsets(chunks * kPartitions, 0);
   auto chunk_keys = [&](size_t c, auto&& fn) {

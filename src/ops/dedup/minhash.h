@@ -63,13 +63,14 @@ class UnionFind {
   std::vector<uint8_t> rank_;
 };
 
-/// Runs `fn(i)` for every i in [0, n): on `pool` when it has more than one
-/// thread, else inline. The dedups' row and partition loops.
+/// Runs `fn(i)` for every i in [0, n) through ParallelFor(pool, ...). The
+/// dedups' row and partition loops.
 void ForEachIndex(ThreadPool* pool, size_t n,
                   const std::function<void(size_t)>& fn);
 
 /// Clusters rows that share a bucket key and pass a similarity check: the
-/// LSH banding of MinHash and SimHash, and exact dedup with one key per row.
+/// LSH banding of MinHash and SimHash, n-gram overlap's shingle samples,
+/// and exact dedup with one key per row.
 /// `keys` holds `keys_per_row` keys for each row, row-major; every distinct
 /// key is one bucket, whichever band produced it. The (key, row) pairs are
 /// partitioned by the top bits of the (multiplicatively mixed) key, and

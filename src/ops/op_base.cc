@@ -1,7 +1,6 @@
 #include "ops/op_base.h"
 
 #include <cstdlib>
-#include <optional>
 
 #include "common/logging.h"
 #include "data/io.h"
@@ -68,15 +67,11 @@ OpDeclaration Mapper::Declare(OpSchema schema) {
           OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
-Status Mapper::ProcessRow(data::RowRef row, SampleContext* ctx) const {
+Status Mapper::ProcessRow(data::RowRef row) const {
   const json::Value* v = row.Get(text_key());
   if (v == nullptr || !v->is_string()) return Status::Ok();
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(v->as_string());
-    ctx = &*local;
-  }
-  DJ_ASSIGN_OR_RETURN(std::string out, TransformText(v->as_string(), ctx));
+  SampleContext ctx(v->as_string());
+  DJ_ASSIGN_OR_RETURN(std::string out, TransformText(v->as_string(), &ctx));
   if (out != v->as_string()) {
     DJ_RETURN_IF_ERROR(row.Set(text_key(), json::Value(std::move(out))));
   }

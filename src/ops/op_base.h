@@ -132,9 +132,10 @@ class Mapper : public Op {
   virtual Result<std::string> TransformText(std::string_view input,
                                             SampleContext* ctx) const = 0;
 
-  /// Applies the transform to the configured field of `row`. Missing or
-  /// non-string fields are left untouched (returns OK).
-  Status ProcessRow(data::RowRef row, SampleContext* ctx) const;
+  /// Applies the transform to the configured field of `row`, with a
+  /// context built over that field's text. Missing or non-string fields are
+  /// left untouched (returns OK).
+  Status ProcessRow(data::RowRef row) const;
 
  protected:
   using Op::Op;

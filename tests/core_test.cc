@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "common/probe.h"
+#include "common/thread_pool.h"
 #include "compress/djlz.h"
 #include "core/cache_manager.h"
 #include "core/checkpoint.h"
@@ -100,6 +101,22 @@ TEST(RecipeTest, RejectsBadShapes) {
       Recipe::FromString(R"({"process": [{"a": {}, "b": {}}]})").ok());
   EXPECT_FALSE(Recipe::FromString(R"({"np": 0})").ok());
   EXPECT_FALSE(Recipe::FromString("- top level list\n").ok());
+}
+
+// `np` is the pool width, so an out-of-range value must fail at parse time:
+// 4294967297 would wrap to 1 through an int cast, and 100000 would start
+// that many threads.
+TEST(RecipeTest, NpIsBoundedBeforeTheCast) {
+  for (const char* np : {"0", "-1", "257", "100000", "4294967297"}) {
+    auto r = Recipe::FromString(std::string("np: ") + np + "\n");
+    ASSERT_FALSE(r.ok()) << np;
+    EXPECT_NE(r.status().message().find("np must be in [1, 256]"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  auto r = Recipe::FromString("np: 256\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().num_workers, kMaxPoolThreads);
 }
 
 TEST(RecipeTest, ExtrasPreserved) {

@@ -409,21 +409,47 @@ std::string MakeJsonl(Rng* rng, size_t rows) {
   return ToJsonl(ds);
 }
 
+/// Parses `content` with no pool and on pools of width 1, 2, 3, 4 and 8 —
+/// the chunk cuts move with the width — and expects each result to equal
+/// the one without a pool: the same rows and columns, or the same error
+/// message. Returns the result without a pool.
+Result<Dataset> ExpectSameParseAtEveryWidth(std::string_view content) {
+  Result<Dataset> serial = ParseJsonl(content);
+  for (size_t width : {1, 2, 3, 4, 8}) {
+    ThreadPool pool(width);
+    Result<Dataset> r = ParseJsonl(content, &pool);
+    EXPECT_EQ(r.ok(), serial.ok()) << "width " << width;
+    if (r.ok() && serial.ok()) {
+      EXPECT_EQ(Fingerprint(r.value()), Fingerprint(serial.value()))
+          << "width " << width;
+      EXPECT_EQ(r.value().ColumnNames(), serial.value().ColumnNames())
+          << "width " << width;
+    } else if (!r.ok() && !serial.ok()) {
+      EXPECT_EQ(r.status().message(), serial.status().message())
+          << "width " << width;
+    }
+  }
+  return serial;
+}
+
+/// Breaks 1-based line `line` of `content`: its opening '{' becomes '['.
+void BreakLine(std::string* content, size_t line) {
+  size_t start = 0;
+  for (size_t l = 1; l < line; ++l) start = content->find('\n', start) + 1;
+  (*content)[start] = '[';
+}
+
 TEST(ParallelJsonlTest, ParallelParseMatchesSerial) {
   Rng rng(29);
   // Large enough to clear the parallel threshold (64 KiB).
   std::string content = MakeJsonl(&rng, 4000);
   ASSERT_GT(content.size(), 1u << 16);
-  ThreadPool pool(4);
-  auto serial = ParseJsonl(content);
-  auto parallel = ParseJsonl(content, &pool);
+  auto serial = ExpectSameParseAtEveryWidth(content);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(Fingerprint(parallel.value()), Fingerprint(serial.value()));
-  EXPECT_EQ(parallel.value().ColumnNames(), serial.value().ColumnNames());
-  // Determinism end-to-end: re-serializing the parallel parse reproduces
-  // the input bytes exactly.
-  EXPECT_EQ(ToJsonl(parallel.value(), &pool), content);
+  // Determinism end-to-end: re-serializing the parse reproduces the input
+  // bytes exactly.
+  ThreadPool pool(4);
+  EXPECT_EQ(ToJsonl(serial.value(), &pool), content);
 }
 
 TEST(ParallelJsonlTest, ParallelToJsonlIsByteIdentical) {
@@ -436,29 +462,26 @@ TEST(ParallelJsonlTest, ParallelToJsonlIsByteIdentical) {
   EXPECT_EQ(ToJsonl(ds, &pool8), serial);
 }
 
+// The earliest bad line wins wherever it sits: deep in the buffer, in the
+// first chunk, in the last line, and ahead of a second bad line in a later
+// chunk.
 TEST(ParallelJsonlTest, ErrorLineNumbersMatchSerial) {
   Rng rng(37);
-  std::string content = MakeJsonl(&rng, 4000);
-  // Break a line deep in the buffer so several chunks precede it.
-  size_t line_start = 0;
-  size_t lineno = 0;
-  size_t target_line = 3456;
-  for (size_t i = 0; i < content.size() && lineno + 1 < target_line; ++i) {
-    if (content[i] == '\n') {
-      ++lineno;
-      line_start = i + 1;
-    }
+  const std::string content = MakeJsonl(&rng, 4000);
+  struct Case {
+    std::vector<size_t> bad_lines;
+    size_t reported;
+  };
+  for (const Case& c : {Case{{3456}, 3456}, Case{{3}, 3}, Case{{4000}, 4000},
+                        Case{{900, 3100}, 900}}) {
+    std::string broken = content;
+    for (size_t line : c.bad_lines) BreakLine(&broken, line);
+    auto serial = ExpectSameParseAtEveryWidth(broken);
+    ASSERT_FALSE(serial.ok());
+    const std::string prefix = "jsonl line " + std::to_string(c.reported) + ":";
+    EXPECT_EQ(serial.status().message().rfind(prefix, 0), 0u)
+        << serial.status().message();
   }
-  content[line_start] = '[';  // no longer an object
-  ThreadPool pool(4);
-  auto serial = ParseJsonl(content);
-  auto parallel = ParseJsonl(content, &pool);
-  ASSERT_FALSE(serial.ok());
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().message(), serial.status().message());
-  EXPECT_NE(serial.status().message().find(std::to_string(target_line)),
-            std::string::npos)
-      << serial.status().message();
 }
 
 TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {
@@ -469,6 +492,61 @@ TEST(ParallelJsonlTest, WhitespaceOnlyLinesAndMissingTrailingNewline) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().NumRows(), 2u);
   }
+  // Above the parallel threshold, with blank, whitespace-only and CRLF
+  // lines mixed in so the cuts of every width land beside each kind.
+  Rng rng(41);
+  std::string mixed;
+  size_t objects = 0;
+  while (mixed.size() < (1u << 18)) {
+    switch (rng.NextBelow(4)) {
+      case 0:
+        mixed += "\n";
+        break;
+      case 1:
+        mixed += " \t  \r\n";
+        break;
+      case 2:
+        mixed += "{\"a\": " + std::to_string(objects++) + "}\r\n";
+        break;
+      default:
+        mixed += "{\"a\": " + std::to_string(objects++) + ", \"s\": \"" +
+                 std::string(rng.NextBelow(200), 'x') + "\"}\n";
+        break;
+    }
+  }
+  mixed += "{\"a\": " + std::to_string(objects++) + "}";  // no newline
+  for (std::string_view input : {std::string_view(mixed),
+                                 std::string_view(mixed).substr(
+                                     0, mixed.rfind('\n') + 1)}) {
+    auto r = ExpectSameParseAtEveryWidth(input);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().NumRows(),
+              input.size() == mixed.size() ? objects : objects - 1);
+  }
+}
+
+TEST(ParallelJsonlTest, EmptyAndAllBlankInputsHaveNoRows) {
+  std::string crlf;
+  while (crlf.size() < (1u << 17)) crlf += "  \r\n";
+  for (const std::string& input :
+       {std::string(), std::string(70000, '\n'), crlf}) {
+    auto r = ExpectSameParseAtEveryWidth(input);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().NumRows(), 0u);
+    EXPECT_TRUE(r.value().ColumnNames().empty());
+  }
+}
+
+// A 96 KiB line spans several chunk targets at widths 2 to 8, so a cut
+// skips the targets it covers.
+TEST(ParallelJsonlTest, LineLongerThanAChunkTarget) {
+  Rng rng(43);
+  std::string content = MakeJsonl(&rng, 300);
+  content += "{\"col0\": \"" + std::string(96 * 1024, 'y') + "\"}\n";
+  content += MakeJsonl(&rng, 300);
+  auto r = ExpectSameParseAtEveryWidth(content);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().NumRows(), 601u);
 }
 
 // ------------------------------------------------------------ djlz v3 ----

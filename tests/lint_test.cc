@@ -501,22 +501,6 @@ process:
       << report.ToString();
 }
 
-TEST(LinterEffectsTest, EffectsChecksCanBeDisabled) {
-  RecipeLinter::Options options;
-  options.effects_checks = false;
-  RecipeLinter linter(ops::OpRegistry::Global(), options);
-  auto recipe = ParseRecipe(R"(
-process:
-  - specified_numeric_field_filter:
-      field: stats.num_words
-      min: 5
-)");
-  LintReport report = linter.Lint(recipe);
-  EXPECT_FALSE(HasDiagnostic(report, Severity::kError,
-                             "no earlier OP produces"))
-      << report.ToString();
-}
-
 // -------------------------------------------------------- explain-plan ----
 
 TEST(ExplainPlanTest, StatReadingMemberStaysInTheStage) {

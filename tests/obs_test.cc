@@ -257,7 +257,7 @@ TEST(RunJournalTest, MetricsJsonCarriesAllSections) {
   totals.rows_in = 100;
   totals.rows_out = 80;
   journal.SetTotals(totals);
-  ResourceUsage usage;
+  ResourceReport usage;
   usage.wall_seconds = 1.0;
   usage.peak_rss_bytes = 1 << 20;
   journal.SetResources(usage);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 
@@ -12,6 +13,7 @@
 #include "ops/dedup/granular_dedup.h"
 #include "ops/dedup/minhash.h"
 #include "ops/registry.h"
+#include "text/ngram.h"
 #include "text/tokenizer.h"
 #include "workload/generator.h"
 
@@ -385,6 +387,98 @@ TEST(NgramOverlapDedupTest, ThresholdControlsAggressiveness) {
   };
   EXPECT_EQ(run(0.95), 2u);  // strict: both survive
   EXPECT_EQ(run(0.3), 1u);   // loose: near-duplicates collapse
+}
+
+/// The candidate index ngram_overlap_deduplicator used before it bucketed
+/// through ClusterBuckets: rows in order, each checked against the earlier
+/// rows that share one of its 24 smallest shingles unless already
+/// connected. Returns each row's component label.
+std::vector<size_t> NgramIndexComponents(const data::Dataset& ds,
+                                         size_t shingle_size,
+                                         double threshold) {
+  const size_t n = ds.NumRows();
+  std::vector<std::vector<uint64_t>> shingles(n);
+  for (size_t i = 0; i < n; ++i) {
+    shingles[i] = text::HashedWordNgrams(
+        text::WordHashes(ds.GetTextAt(i), /*lowercase=*/true), shingle_size);
+    std::sort(shingles[i].begin(), shingles[i].end());
+    shingles[i].erase(std::unique(shingles[i].begin(), shingles[i].end()),
+                      shingles[i].end());
+  }
+  constexpr size_t kIndexPerDoc = 24;
+  std::unordered_map<uint64_t, std::vector<size_t>> index;
+  UnionFind uf(n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<uint64_t>& grams = shingles[i];
+    const size_t take = std::min(grams.size(), kIndexPerDoc);
+    std::vector<size_t> candidates;
+    for (size_t g = 0; g < take; ++g) {
+      auto it = index.find(grams[g]);
+      if (it == index.end()) continue;
+      candidates.insert(candidates.end(), it->second.begin(),
+                        it->second.end());
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (size_t j : candidates) {
+      if (uf.Find(i) == uf.Find(j)) continue;
+      if (text::JaccardSimilarity(grams, shingles[j]) >= threshold) {
+        uf.Union(i, j);
+      }
+    }
+    for (size_t g = 0; g < take; ++g) index[grams[g]].push_back(i);
+  }
+  return ComponentLabels(&uf, n);
+}
+
+// Survivors and pairs equal the row-ordered index's, with no pool and with
+// four workers, on near copies plus rows that have no shingle at all (no
+// text, fewer words than a shingle, and two such rows that are equal).
+TEST(NgramOverlapDedupTest, MatchesRowOrderedIndexReference) {
+  workload::CorpusOptions options;
+  options.num_docs = 120;
+  options.mean_words = 40;
+  options.exact_dup_rate = 0.1;
+  options.near_dup_rate = 0.3;
+  options.short_doc_rate = 0.1;
+  options.seed = 11;
+  data::Dataset corpus = workload::CorpusGenerator(options).Generate();
+  corpus.AppendSample(data::Sample());
+  for (const char* text : {"", "two words", "two words", "one"}) {
+    data::Sample sample;
+    sample.Set("text", json::Value(text));
+    corpus.AppendSample(sample);
+  }
+  ThreadPool pool(4);
+  for (double threshold : {0.8, 0.0}) {
+    std::vector<size_t> labels = NgramIndexComponents(corpus, 3, threshold);
+    std::vector<size_t> keep;
+    std::vector<std::pair<size_t, size_t>> expected_pairs;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (labels[i] == i) {
+        keep.push_back(i);
+      } else {
+        expected_pairs.emplace_back(labels[i], i);
+      }
+    }
+    ASSERT_FALSE(expected_pairs.empty()) << threshold;
+    const std::string expected = data::ToJsonl(corpus.Select(keep));
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      json::Object config;
+      config.Set("jaccard_threshold", json::Value(threshold));
+      NgramOverlapDeduplicator dedup{json::Value(config)};
+      std::vector<DuplicatePair> pairs;
+      auto result = dedup.Deduplicate(corpus, p, &pairs);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(data::ToJsonl(result.value()), expected) << threshold;
+      std::vector<std::pair<size_t, size_t>> got;
+      for (const DuplicatePair& pair : pairs) {
+        got.emplace_back(pair.kept_row, pair.removed_row);
+      }
+      EXPECT_EQ(got, expected_pairs) << threshold;
+    }
+  }
 }
 
 // --------------------------------------------------- granular dedup ----

@@ -342,7 +342,7 @@ TEST(MapperBaseTest, ProcessRowEditsConfiguredField) {
     s.Set("text.output", json::Value("OK"));
     return s;
   }()});
-  ASSERT_TRUE(m.ProcessRow(ds.Row(0), nullptr).ok());
+  ASSERT_TRUE(m.ProcessRow(ds.Row(0)).ok());
   EXPECT_EQ(ds.GetTextAt(0, "text.instruction"), "do it");
   EXPECT_EQ(ds.GetTextAt(0, "text.output"), "OK");  // untouched
 }
@@ -350,7 +350,7 @@ TEST(MapperBaseTest, ProcessRowEditsConfiguredField) {
 TEST(MapperBaseTest, MissingFieldIsNoop) {
   LowerCaseMapper m(Config(R"({"text_key": "absent"})"));
   data::Dataset ds = data::Dataset::FromTexts({"KEEP"});
-  ASSERT_TRUE(m.ProcessRow(ds.Row(0), nullptr).ok());
+  ASSERT_TRUE(m.ProcessRow(ds.Row(0)).ok());
   EXPECT_EQ(ds.GetTextAt(0), "KEEP");
 }
 

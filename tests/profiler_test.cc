@@ -196,7 +196,6 @@ TEST(ProfilerTest, AttributesBusyThreadsToInnermostUnitFrame) {
   std::atomic<bool> release{false};
   Profiler::Options options;
   options.interval_seconds = 0.005;
-  options.emit_trace_ticks = false;
   Profiler profiler(options);
   profiler.Start();  // profiler enables introspection for its lifetime
   std::thread worker_a([&] {
@@ -277,7 +276,6 @@ TEST(WatchdogTest, QuietWhileThreadsBeatOrIdle) {
   Watchdog::Options options;
   options.stall_seconds = 0.05;
   options.poll_seconds = 0.01;
-  options.emit_trace_beats = false;
   Watchdog watchdog(options);
   watchdog.Start();
   std::atomic<bool> release{false};
@@ -301,7 +299,6 @@ TEST(WatchdogTest, QuietWhileThreadsBeatOrIdle) {
 TEST(WatchdogTest, DumpsStalledThreadWithinTwiceThreshold) {
   Watchdog::Options options;
   options.stall_seconds = 0.15;
-  options.emit_trace_beats = false;
   Watchdog watchdog(options);
   watchdog.Start();
   Mutex mu{"StallVictim.mutex"};
@@ -329,7 +326,6 @@ TEST(WatchdogTest, OneReportPerStallEpisode) {
   Watchdog::Options options;
   options.stall_seconds = 0.05;
   options.poll_seconds = 0.01;
-  options.emit_trace_beats = false;
   Watchdog watchdog(options);
   watchdog.Start();
   std::thread victim([&] {
@@ -346,7 +342,6 @@ TEST(WatchdogTest, ExecutorStallFaultTripsWatchdog) {
   probe::Scoped faults(probe::Faults(), "exec.stall=n1");
   Watchdog::Options options;
   options.stall_seconds = 0.1;
-  options.emit_trace_beats = false;
   Watchdog watchdog(options);
   watchdog.Start();
 

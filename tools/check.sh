@@ -383,6 +383,8 @@ for seed in 1 2 3; do
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
     "${tsan_dir}/tests/concurrency_test"
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
+    "${tsan_dir}/tests/data_test"
+  DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
     "${tsan_dir}/tests/io_parallel_test"
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
     "${tsan_dir}/tests/compress_test"

@@ -11,6 +11,8 @@
 #include <string>
 
 #include "analysis/analyzer.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "data/io.h"
 #include "json/writer.h"
 #include "ops/formatters/formatters.h"
@@ -57,8 +59,14 @@ int main(int argc, char** argv) {
       options.histogram_bins = static_cast<size_t>(std::atoi(v));
     } else if (flag == "--np") {
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_workers = std::atoi(v);
+      int64_t np = 0;
+      if (v == nullptr || !dj::ParseInt64(v, &np) || np < 1 ||
+          np > dj::kMaxPoolThreads) {
+        std::fprintf(stderr, "--np takes an integer in [1, %lld]\n",
+                     static_cast<long long>(dj::kMaxPoolThreads));
+        return Usage(argv[0]);
+      }
+      options.num_workers = static_cast<int>(np);
     } else {
       return Usage(argv[0]);
     }

@@ -56,6 +56,7 @@
 
 #include "common/probe.h"
 #include "common/resource_monitor.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/tracer.h"
@@ -121,8 +122,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->output = v;
     } else if (flag == "--np") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->np = std::atoi(v);
+      int64_t np = 0;
+      if (v == nullptr || !dj::ParseInt64(v, &np) || np < 1 ||
+          np > dj::kMaxPoolThreads) {
+        std::fprintf(stderr, "--np takes an integer in [1, %lld]\n",
+                     static_cast<long long>(dj::kMaxPoolThreads));
+        return false;
+      }
+      args->np = static_cast<int>(np);
     } else if (flag == "--trace") {
       args->trace = true;
     } else if (flag == "--no-verify") {
@@ -331,13 +338,7 @@ int main(int argc, char** argv) {
     totals.cache_hits = report.cache_hits;
     totals.resumed_from_checkpoint = report.resumed_from_checkpoint;
     journal.SetTotals(totals);
-    dj::obs::ResourceUsage usage;
-    usage.wall_seconds = resources.wall_seconds;
-    usage.peak_rss_bytes = resources.peak_rss_bytes;
-    usage.avg_rss_bytes = resources.avg_rss_bytes;
-    usage.cpu_seconds = resources.cpu_seconds;
-    usage.avg_cpu_utilization = resources.avg_cpu_utilization;
-    journal.SetResources(usage);
+    journal.SetResources(resources);
     journal.SetProfile(profile_report.ToJson());
     for (const dj::ResourceSample& s : monitor.Samples()) {
       journal.AddResourceSample(s.wall_seconds, s.rss_bytes, s.cpu_seconds,
