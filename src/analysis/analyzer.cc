@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "common/string_util.h"
 #include "ops/filters/lexicon_filters.h"
@@ -144,10 +143,7 @@ Result<DataProbe> Analyzer::AnalyzeWith(
     data::Dataset* dataset,
     const std::vector<std::unique_ptr<ops::Filter>>& filters) const {
   dataset->EnsureColumn(data::kStatsField);
-  std::optional<ThreadPool> pool;
-  if (options_.num_workers > 1) {
-    pool.emplace(static_cast<size_t>(options_.num_workers));
-  }
+  ThreadPool pool(static_cast<size_t>(std::max(options_.num_workers, 1)));
   // Single pass: one shared context per sample across all dimensions.
   Status status = dataset->Map(
       [&filters, this](data::RowRef row) -> Status {
@@ -157,7 +153,7 @@ Result<DataProbe> Analyzer::AnalyzeWith(
         }
         return Status::Ok();
       },
-      pool ? &*pool : nullptr);
+      &pool);
   DJ_RETURN_IF_ERROR(status);
 
   DataProbe probe;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 
 #include "common/mutex.h"
 #include "common/stopwatch.h"
@@ -61,9 +60,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
   rep->rows_in = samples.size();
   rep->peak_row_bytes = SamplesBytes(samples);
 
-  std::optional<ThreadPool> pool_storage;
-  if (num_workers_ > 1) pool_storage.emplace(static_cast<size_t>(num_workers_));
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
+  ThreadPool pool(static_cast<size_t>(std::max(num_workers_, 1)));
 
   for (const auto& op : ops) {
     if (op->kind() == ops::OpKind::kDeduplicator) {
@@ -71,7 +68,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
       data::Dataset full = data::Dataset::FromSamples(samples);
       full.EnsureColumn(data::kStatsField);
       auto* dedup = static_cast<ops::Deduplicator*>(op.get());
-      auto result = dedup->Deduplicate(std::move(full), pool, nullptr);
+      auto result = dedup->Deduplicate(std::move(full), &pool, nullptr);
       if (!result.ok()) return result.status();
       samples = result.value().ToSamples();
     } else {
@@ -89,7 +86,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
           }
         }
       };
-      ParallelFor(pool, next.size(), run_range);
+      ParallelFor(&pool, next.size(), run_range);
       DJ_RETURN_IF_ERROR(first_error);
       // Drop tombstones from filters.
       std::vector<data::Sample> survivors;

@@ -122,10 +122,6 @@ void ThreadState::SetRole(const char* role) {
   role_.store(role, std::memory_order_relaxed);
 }
 
-void ThreadState::SetQueueDepth(uint64_t depth) {
-  queue_depth_.store(depth, std::memory_order_relaxed);
-}
-
 void ThreadState::MarkDead() {
   busy_.store(false, std::memory_order_relaxed);
   alive_.store(false, std::memory_order_relaxed);

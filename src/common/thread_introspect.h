@@ -22,7 +22,7 @@ namespace dj::introspect {
 /// state a thread publishes:
 ///
 ///   * a span-path *tag stack* — pushed by obs::Span guards and ThreadPool
-///     task dispatch, read by the profiler's ticker thread to attribute
+///     chunk dispatch, read by the profiler's ticker thread to attribute
 ///     CPU samples to span paths without libunwind;
 ///   * a *held-lock mirror* — the names of dj::Mutex instances the thread
 ///     currently holds, pushed by the mutex acquisition hooks, read by the
@@ -71,7 +71,6 @@ class ThreadState {
   /// that just went busy is never instantly "stale".
   void SetBusy(bool busy);
   void SetRole(const char* role);  ///< `role` must have static storage
-  void SetQueueDepth(uint64_t depth);
   void MarkDead();
 
   // -- cross-thread readers -------------------------------------------------
@@ -90,9 +89,6 @@ class ThreadState {
     return heartbeat_micros_.load(std::memory_order_relaxed);
   }
   uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }
-  uint64_t queue_depth() const {
-    return queue_depth_.load(std::memory_order_relaxed);
-  }
   const char* role() const { return role_.load(std::memory_order_relaxed); }
   uint64_t thread_index() const { return thread_index_; }
   uint32_t tag_depth() const {
@@ -113,7 +109,6 @@ class ThreadState {
   std::atomic<uint64_t> heartbeat_micros_{0};
   std::atomic<uint64_t> beats_{0};
   std::atomic<bool> busy_{false};
-  std::atomic<uint64_t> queue_depth_{0};
   std::atomic<const char*> role_;
   std::atomic<bool> alive_{true};
   uint64_t thread_index_ = 0;  ///< set once at registration
@@ -194,7 +189,7 @@ class SpanTag {
 };
 
 /// RAII busy marker: busy + beat on entry, beat + idle on exit. Used
-/// around ThreadPool task dispatch and Executor::Run.
+/// around ThreadPool chunk dispatch and Executor::Run.
 class BusyScope {
  public:
   BusyScope() : active_(Enabled()) {

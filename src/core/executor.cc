@@ -342,22 +342,18 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
   // The worker pool is created up front so the cache/checkpoint codecs can
   // shard their (de)serialization across it too, not just the OP loop.
-  std::optional<ThreadPool> pool;
-  if (options_.num_workers > 1) {
-    pool.emplace(static_cast<size_t>(options_.num_workers));
-  }
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  ThreadPool pool(static_cast<size_t>(std::max(options_.num_workers, 1)));
 
   std::optional<CacheManager> cache;
   if (!options_.cache_dir.empty()) {
     cache.emplace(options_.cache_dir, options_.cache_compression);
     cache->SetMetrics(options_.metrics);
-    cache->SetPool(pool_ptr);
+    cache->SetPool(&pool);
   }
   std::optional<CheckpointManager> checkpoints;
   if (!options_.checkpoint_dir.empty()) {
     checkpoints.emplace(options_.checkpoint_dir);
-    checkpoints->SetPool(pool_ptr);
+    checkpoints->SetPool(&pool);
   }
 
   // Resume scan: the deepest stored prefix wins. At each depth a cache
@@ -441,7 +437,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
     {
       obs::Span unit_span(options_.spans, "unit:" + r.name, "op");
-      Status status = RunUnit(plan[i], &dataset, pool_ptr, &r);
+      Status status = RunUnit(plan[i], &dataset, &pool, &r);
       if (!status.ok()) {
         return Status(status.code(),
                       "OP '" + r.name + "' failed: " + status.message());
@@ -467,7 +463,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     // cache or the store failed.
     if (cache.has_value() || checkpoints.has_value()) {
       Stopwatch persist_watch;
-      const std::string djds = data::SerializeDataset(dataset, pool_ptr);
+      const std::string djds = data::SerializeDataset(dataset, &pool);
       bool stored = false;
       if (cache.has_value()) {
         obs::Span store_span(options_.spans, "cache.store", "cache");

@@ -1,5 +1,6 @@
 #include "obs/watchdog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,16 +51,11 @@ Status Watchdog::ParseSpec(std::string_view spec, Options* out,
     }
     std::string key(entry.substr(0, eq));
     std::string value(entry.substr(eq + 1));
-    double* dst = nullptr;
-    if (key == "stall") {
-      dst = &out->stall_seconds;
-    } else if (key == "poll") {
-      dst = &out->poll_seconds;
-    } else {
+    if (key != "stall") {
       return Status::InvalidArgument("DJ_WATCHDOG: unknown key '" + key +
-                                     "' (want stall/poll)");
+                                     "' (want stall)");
     }
-    if (!parse_positive(value, dst)) {
+    if (!parse_positive(value, &out->stall_seconds)) {
       return Status::InvalidArgument("DJ_WATCHDOG: bad value '" + value +
                                      "' for '" + key + "'");
     }
@@ -71,11 +67,6 @@ Watchdog::Watchdog() : Watchdog(Options()) {}
 
 Watchdog::Watchdog(Options options) : options_(options) {
   if (options_.stall_seconds <= 0) options_.stall_seconds = 30.0;
-  if (options_.poll_seconds <= 0) {
-    options_.poll_seconds = options_.stall_seconds / 4;
-    if (options_.poll_seconds < 0.002) options_.poll_seconds = 0.002;
-    if (options_.poll_seconds > 1.0) options_.poll_seconds = 1.0;
-  }
 }
 
 Watchdog::~Watchdog() { Stop(); }
@@ -99,9 +90,10 @@ std::string Watchdog::LastDump() const {
 
 void Watchdog::PollLoop() {
   introspect::CurrentThreadState()->SetRole("watchdog.poller");
+  const double poll_seconds =
+      std::clamp(options_.stall_seconds / 4, 0.002, 1.0);
   while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options_.poll_seconds));
+    std::this_thread::sleep_for(std::chrono::duration<double>(poll_seconds));
     if (SpanRecorder* r = GlobalRecorder(); r != nullptr) {
       r->EmitInstant("watchdog:beat", "watchdog", r->NowMicros());
     }
@@ -140,7 +132,7 @@ void Watchdog::PollOnce(uint64_t now_micros) {
 
   // Pass 2: build the live-state dump over ALL threads — the stalled one
   // names the victim, but diagnosing a deadlock needs the whole picture
-  // (who holds what, who is idle, how deep the queues are).
+  // (who holds what, who is idle).
   std::string dump;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -162,13 +154,12 @@ void Watchdog::PollOnce(uint64_t now_micros) {
     bool is_stalled = false;
     for (introspect::ThreadState* v : stalled) is_stalled |= (v == s);
     std::snprintf(buf, sizeof(buf),
-                  "%s thread %llu role=%s %s beat %.3fs ago queue_depth=%llu\n",
+                  "%s thread %llu role=%s %s beat %.3fs ago\n",
                   is_stalled ? "  [STALLED]" : "  [ok]     ",
                   static_cast<unsigned long long>(s->thread_index()),
                   (s->role() != nullptr && *s->role() != '\0') ? s->role()
                                                                : "-",
-                  s->busy() ? "busy" : "idle", age,
-                  static_cast<unsigned long long>(s->queue_depth()));
+                  s->busy() ? "busy" : "idle", age);
     dump += buf;
     if (s->ReadStack(&stack) && !stack.empty()) {
       dump += "      spans: ";

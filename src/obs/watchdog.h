@@ -17,11 +17,11 @@ namespace dj::obs {
 /// Heartbeat-based stall watchdog: answers "is this run stuck?" without a
 /// human attaching a debugger. Worker threads beat a per-thread heartbeat
 /// (common/thread_introspect.h) at natural progress points — executor unit
-/// boundaries, ThreadPool task dispatch, io/compress gather joins — and a
+/// boundaries, ThreadPool chunk dispatch, io/compress gather joins — and a
 /// watchdog thread polls those beats. A thread that is *busy* but has not
 /// beaten for `stall_seconds` triggers a live-state dump to stderr:
 ///
-///   * per-thread role, span path, seconds since last beat, queue depth;
+///   * per-thread role, span path, seconds since last beat;
 ///   * the dj::Mutex set each thread holds (mirrored from the lock
 ///     acquisition hooks, i.e. the lock_order instrumentation);
 ///   * process RSS.
@@ -29,25 +29,26 @@ namespace dj::obs {
 /// plus a "watchdog.stalls" counter bump and a "watchdog:stall" trace
 /// instant. The run is NOT killed — the dump is diagnosis, not punishment;
 /// a legitimately slow OP prints one dump per stall episode and continues.
-/// Idle threads (blocked on an empty queue) never count as stalled.
+/// Idle threads (e.g. pool workers waiting for a job) never count as
+/// stalled.
 ///
 /// Every poll also emits a "watchdog:beat" trace instant, so a trace file
 /// proves the watchdog was alive even when nothing stalled (validated by
 /// dj_trace_check --require-profile).
 class Watchdog {
  public:
+  /// The poller wakes every quarter of `stall_seconds`, clamped to
+  /// [2 ms, 1 s], so detection latency stays within ~1.25x the threshold.
   struct Options {
     double stall_seconds = 30.0;
-    /// 0 = derive from stall_seconds (quarter, clamped to [2ms, 1s]), so
-    /// detection latency stays within ~1.25x the threshold.
-    double poll_seconds = 0;
   };
 
   /// Parses a DJ_WATCHDOG / --watchdog spec:
   ///   "off"                      -> *enabled = false
   ///   "<seconds>"  (e.g. "30")   -> stall threshold
-  ///   "stall=S;poll=P"           -> explicit threshold + poll interval
-  /// Returns InvalidArgument on junk; `out` keeps defaults for absent keys.
+  ///   "stall=S"                  -> the same threshold as a key
+  /// Returns InvalidArgument on junk or an unknown key; `out` keeps its
+  /// defaults when the spec is "off".
   static Status ParseSpec(std::string_view spec, Options* out, bool* enabled);
 
   Watchdog();

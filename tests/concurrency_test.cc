@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +15,7 @@
 // The concurrency correctness toolkit: dj::Mutex / MutexLock / CondVar
 // semantics, dynamic lock-order (deadlock-potential) detection with full
 // reports, seeded schedule perturbation determinism, and the ThreadPool
-// shutdown contract hammered under perturbation.
+// fork-join contract hammered under perturbation.
 
 namespace dj {
 namespace {
@@ -366,57 +365,20 @@ TEST(SchedTest, PerturbationSurfacesAsMetric) {
 
 // ---------------------------------------------- ThreadPool under stress ----
 
-TEST(ThreadPoolShutdownTest, StragglerSubmittedDuringDrainStillRuns) {
-  // A task chain where each link resubmits the next: links can land in the
-  // queue during destructor drain, after workers stopped looking. The
-  // shutdown contract says every link still runs.
-  probe::Scoped sched(probe::Sched(),
-                      "seed=11;p=0.2;max_us=50;only=threadpool.");
-  ASSERT_TRUE(sched.status().ok());
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
-    {
-      // Declared before the pool so it outlives the destructor's drain,
-      // which still runs tasks referencing it.
-      std::function<void(int)> chain;
-      ThreadPool pool(4);
-      chain = [&](int depth) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        if (depth < 5) pool.Submit([&chain, depth] { chain(depth + 1); });
-      };
-      for (int i = 0; i < 8; ++i) {
-        pool.Submit([&chain] { chain(0); });
-      }
-      // Destructor races the chains: some continuations are submitted
-      // while the pool is already draining.
-    }
-    EXPECT_EQ(ran.load(), 8 * 6) << "round " << round;
-  }
-}
-
 TEST(ThreadPoolShutdownTest, ConstructSubmitDestructHammer) {
+  // Each pool is destroyed right after its job, while workers woken for it
+  // may still be on their way back to sleep.
   probe::Scoped sched(probe::Sched(),
                       "seed=13;p=0.1;max_us=100;only=threadpool.");
   ASSERT_TRUE(sched.status().ok());
   std::atomic<int> ran{0};
   for (int round = 0; round < 50; ++round) {
     ThreadPool pool(3);
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
+    pool.ParallelFor(16, [&ran](size_t begin, size_t end) {
+      ran.fetch_add(static_cast<int>(end - begin), std::memory_order_relaxed);
+    });
   }
   EXPECT_EQ(ran.load(), 50 * 16);
-}
-
-TEST(ThreadPoolShutdownTest, WaitSeesTasksSubmittedWhileWaiting) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([&] {
-    ran.fetch_add(1);
-    pool.Submit([&] { ran.fetch_add(1); });
-  });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadPoolNestingTest, NestedParallelForRunsInline) {
@@ -437,31 +399,73 @@ TEST(ThreadPoolNestingTest, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_total.load(), 8 * 4);
 }
 
-TEST(ThreadPoolNestingTest, WaitFromOwnWorkerReturns) {
-  ThreadPool pool(2);
-  std::atomic<bool> returned{false};
-  pool.Submit([&] {
-    pool.Wait();  // would self-deadlock; must log and return instead
-    returned.store(true);
+TEST(ThreadPoolNestingTest, SecondCallerRunsInlineWhileJobHeld) {
+  // Two threads share one pool. Every chunk of thread A's job holds the
+  // pool until thread B's call has returned, so B finds a job published
+  // and must run its whole range on its own thread.
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> a_hits(64);
+    std::vector<std::atomic<int>> b_hits(40);
+    std::atomic<bool> a_running{false};
+    std::atomic<bool> b_done{false};
+    std::atomic<bool> b_off_thread{false};
+    std::thread a([&] {
+      pool.ParallelFor(a_hits.size(), [&](size_t begin, size_t end) {
+        a_running.store(true);
+        while (!b_done.load()) std::this_thread::yield();
+        for (size_t i = begin; i < end; ++i) a_hits[i].fetch_add(1);
+      });
+    });
+    std::thread b([&] {
+      const std::thread::id self = std::this_thread::get_id();
+      while (!a_running.load()) std::this_thread::yield();
+      pool.ParallelFor(b_hits.size(), [&](size_t begin, size_t end) {
+        if (std::this_thread::get_id() != self) b_off_thread.store(true);
+        for (size_t i = begin; i < end; ++i) b_hits[i].fetch_add(1);
+      });
+      b_done.store(true);
+    });
+    a.join();
+    b.join();
+    EXPECT_FALSE(b_off_thread.load()) << "round " << round;
+    for (const auto& hit : a_hits) ASSERT_EQ(hit.load(), 1) << round;
+    for (const auto& hit : b_hits) ASSERT_EQ(hit.load(), 1) << round;
+  }
+}
+
+TEST(ThreadPoolNestingTest, ChunkFansOutOnAnotherPool) {
+  // The outer pool's two workers may call the inner pool at once; the one
+  // that finds it busy runs inline, and every call covers the inner range.
+  ThreadPool outer(2);
+  ThreadPool inner(3);
+  constexpr size_t kInner = 32;
+  std::vector<std::atomic<int>> hits(8 * kInner);
+  outer.ParallelFor(8, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      inner.ParallelFor(kInner, [&](size_t b, size_t e) {
+        for (size_t j = b; j < e; ++j) hits[i * kInner + j].fetch_add(1);
+      });
+    }
   });
-  pool.Wait();
-  EXPECT_TRUE(returned.load());
+  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ThreadPoolTest, PoolLocksStayOrderClean) {
-  // The pool's internal locking against the logging/metrics mutexes must
-  // not create inversions even under perturbation.
+  // The pool's locking must not create inversions even under perturbation.
   ScopedLockOrderCapture capture;
   probe::Scoped sched(probe::Sched(), "seed=19;p=0.1;max_us=50");
   ASSERT_TRUE(sched.status().ok());
   {
     ThreadPool pool(4);
     std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    for (int call = 0; call < 10; ++call) {
+      pool.ParallelFor(100, [&ran](size_t begin, size_t end) {
+        ran.fetch_add(static_cast<int>(end - begin),
+                      std::memory_order_relaxed);
+      });
     }
-    pool.Wait();
-    EXPECT_EQ(ran.load(), 100);
+    EXPECT_EQ(ran.load(), 10 * 100);
   }
   EXPECT_TRUE(capture.inversions().empty());
 }

@@ -166,27 +166,21 @@ TEST(ThreadIntrospectTest, ThreadPoolWorkersTagAndRebalance) {
   introspect::ScopedIntrospection on;
   ThreadPool pool(4);
   std::atomic<int> tagged{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] {
-      std::vector<std::string> stack;
-      if (introspect::CurrentThreadState()->ReadStack(&stack) &&
-          !stack.empty() && stack[0] == "threadpool.task") {
-        tagged.fetch_add(1);
-      }
-    });
-  }
-  pool.Wait();
+  pool.ParallelFor(64, [&](size_t begin, size_t end) {
+    std::vector<std::string> stack;
+    if (introspect::CurrentThreadState()->ReadStack(&stack) &&
+        !stack.empty() && stack[0] == "threadpool.task") {
+      tagged.fetch_add(static_cast<int>(end - begin));
+    }
+  });
   EXPECT_EQ(tagged.load(), 64);
-  // After the drain every worker must be idle with an empty tag stack.
+  // After the join no chunk's tag may linger on a worker's stack.
   std::atomic<int> clean{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&] {
-      if (introspect::CurrentThreadState()->tag_depth() == 1) {
-        clean.fetch_add(1);  // exactly the task's own tag, nothing leaked
-      }
-    });
-  }
-  pool.Wait();
+  pool.ParallelFor(4, [&](size_t, size_t) {
+    if (introspect::CurrentThreadState()->tag_depth() == 1) {
+      clean.fetch_add(1);  // exactly the chunk's own tag, nothing leaked
+    }
+  });
   EXPECT_EQ(clean.load(), 4);
 }
 
@@ -264,9 +258,11 @@ TEST(WatchdogTest, ParseSpecVariants) {
   ASSERT_TRUE(Watchdog::ParseSpec("12.5", &options, &enabled).ok());
   EXPECT_TRUE(enabled);
   EXPECT_DOUBLE_EQ(options.stall_seconds, 12.5);
-  ASSERT_TRUE(Watchdog::ParseSpec("stall=3;poll=0.5", &options, &enabled).ok());
+  ASSERT_TRUE(Watchdog::ParseSpec("stall=3", &options, &enabled).ok());
   EXPECT_DOUBLE_EQ(options.stall_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(options.poll_seconds, 0.5);
+  // The poll interval derives from the threshold; it is no key.
+  EXPECT_FALSE(
+      Watchdog::ParseSpec("stall=3;poll=0.5", &options, &enabled).ok());
   EXPECT_FALSE(Watchdog::ParseSpec("soon", &options, &enabled).ok());
   EXPECT_FALSE(Watchdog::ParseSpec("stall=-1", &options, &enabled).ok());
   EXPECT_FALSE(Watchdog::ParseSpec("nap=3", &options, &enabled).ok());
@@ -275,7 +271,6 @@ TEST(WatchdogTest, ParseSpecVariants) {
 TEST(WatchdogTest, QuietWhileThreadsBeatOrIdle) {
   Watchdog::Options options;
   options.stall_seconds = 0.05;
-  options.poll_seconds = 0.01;
   Watchdog watchdog(options);
   watchdog.Start();
   std::atomic<bool> release{false};
@@ -325,7 +320,6 @@ TEST(WatchdogTest, DumpsStalledThreadWithinTwiceThreshold) {
 TEST(WatchdogTest, OneReportPerStallEpisode) {
   Watchdog::Options options;
   options.stall_seconds = 0.05;
-  options.poll_seconds = 0.01;
   Watchdog watchdog(options);
   watchdog.Start();
   std::thread victim([&] {
@@ -334,7 +328,7 @@ TEST(WatchdogTest, OneReportPerStallEpisode) {
   });
   victim.join();
   watchdog.Stop();
-  // ~40 polls saw the stall but it is one episode -> one report.
+  // ~30 polls saw the stall but it is one episode -> one report.
   EXPECT_EQ(watchdog.stall_count(), 1u);
 }
 

@@ -24,7 +24,8 @@
 #                             binary-container round-trip, the fault-matrix
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile), an injected-stall
-#                             watchdog dump, and the dj_bench_diff
+#                             watchdog dump, dj_analyze's --bins range
+#                             check, and the dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
 #   9. benchmark smoke        bench/e2e built as its own Release project;
@@ -32,13 +33,14 @@
 #                             at 2% scale and cmp's each export against
 #                             dj_process (catches API breaks the benchmark
 #                             compiles against)
-#  10. TSan                   concurrency-heavy tests (incl. plan_diff_test
-#                             and property_test's executor invariants, whose
-#                             np-4 cases run filter stages across workers,
-#                             and ops_dedup_test, whose dedups bucket and
-#                             rewrite rows on a 4-worker pool), then re-run
-#                             under three seeds of schedule perturbation
-#                             (DJ_SCHED)
+#  10. TSan                   concurrency-heavy tests (incl. the pool's own
+#                             ThreadPool* cases in common_test,
+#                             plan_diff_test and property_test's executor
+#                             invariants, whose np-4 cases run filter
+#                             stages across workers, and ops_dedup_test,
+#                             whose dedups bucket and rewrite rows on a
+#                             4-worker pool), then re-run under three seeds
+#                             of schedule perturbation (DJ_SCHED)
 # Run from anywhere inside the repo.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-check)
@@ -312,7 +314,7 @@ echo "== watchdog stall smoke (injected stall must be dumped) =="
   --input "${smoke_dir}/in.jsonl" \
   --output "${smoke_dir}/stalled_out.jsonl" \
   --faults "exec.stall=n1" \
-  --watchdog "stall=0.1;poll=0.025" \
+  --watchdog "stall=0.1" \
   2> "${smoke_dir}/watchdog_stderr.txt"
 if ! grep -q "=== WATCHDOG" "${smoke_dir}/watchdog_stderr.txt"; then
   cat "${smoke_dir}/watchdog_stderr.txt" >&2
@@ -320,6 +322,23 @@ if ! grep -q "=== WATCHDOG" "${smoke_dir}/watchdog_stderr.txt"; then
   exit 1
 fi
 cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/stalled_out.jsonl"
+
+echo "== dj_analyze --bins range =="
+# --bins takes an integer in [1, 1000]; anything else is a usage error
+# (exit 2), never a giant or empty histogram.
+head -n 2 "${smoke_dir}/in.jsonl" > "${smoke_dir}/two.jsonl"
+for bins in -1 0 x 1001; do
+  bins_rc=0
+  "${build_dir}/tools/dj_analyze" --input "${smoke_dir}/two.jsonl" \
+    --bins "${bins}" > /dev/null 2>&1 || bins_rc=$?
+  if [ "${bins_rc}" -ne 2 ]; then
+    echo "check.sh: dj_analyze --bins ${bins} expected exit 2," \
+         "got ${bins_rc}" >&2
+    exit 1
+  fi
+done
+"${build_dir}/tools/dj_analyze" --input "${smoke_dir}/two.jsonl" \
+  --bins 1 > /dev/null
 
 echo "== bench-diff gate (perf-regression ledger) =="
 # The committed baseline must self-compare clean, and the gate must
@@ -344,7 +363,7 @@ cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${e2e_dir}" -j
 ctest --test-dir "${e2e_dir}" --output-on-failure -R bench_e2e_smoke
 
-echo "== TSan pass (core/dist/obs + plan diff + property + dedup + parallel I/O + fault tests) =="
+echo "== TSan pass (pool + core/dist/obs + plan diff + property + dedup + parallel I/O + fault tests) =="
 # The suppressions file only mutes the deliberate lock-order inversions
 # that tests/concurrency_test.cc constructs on purpose (see tools/tsan.supp).
 export TSAN_OPTIONS="suppressions=${repo_dir}/tools/tsan.supp"
@@ -353,9 +372,10 @@ cmake -B "${tsan_dir}" -S "${repo_dir}" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DDJ_SANITIZE=thread
 cmake --build "${tsan_dir}" -j --target \
-  core_test dist_test obs_test data_test io_parallel_test compress_test \
-  fault_test concurrency_test swar_test plan_diff_test property_test \
-  ops_dedup_test
+  common_test core_test dist_test obs_test data_test io_parallel_test \
+  compress_test fault_test concurrency_test swar_test plan_diff_test \
+  property_test ops_dedup_test
+"${tsan_dir}/tests/common_test" --gtest_filter='ThreadPool*'
 "${tsan_dir}/tests/swar_test"
 "${tsan_dir}/tests/concurrency_test"
 "${tsan_dir}/tests/core_test"
@@ -380,6 +400,8 @@ echo "== TSan under schedule perturbation (3 seeds) =="
 # TSan needs to see racy pairs overlap. Each seed is a different shake.
 for seed in 1 2 3; do
   echo "-- DJ_SCHED seed=${seed} --"
+  DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
+    "${tsan_dir}/tests/common_test" --gtest_filter='ThreadPool*'
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \
     "${tsan_dir}/tests/concurrency_test"
   DJ_SCHED="seed=${seed};p=0.05;max_us=200" \

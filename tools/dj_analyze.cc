@@ -5,9 +5,10 @@
 // Usage:
 //   dj_analyze --input data.jsonl [--text-key text] [--csv out.csv]
 //              [--json out.json] [--bins N] [--np N]
+//
+// --bins takes 1..1000 (default 10); any other value exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/analyzer.h"
@@ -18,6 +19,9 @@
 #include "ops/formatters/formatters.h"
 
 namespace {
+
+/// Largest histogram bin count --bins accepts.
+constexpr int64_t kMaxBins = 1000;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -55,8 +59,14 @@ int main(int argc, char** argv) {
       json_path = v;
     } else if (flag == "--bins") {
       const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.histogram_bins = static_cast<size_t>(std::atoi(v));
+      int64_t bins = 0;
+      if (v == nullptr || !dj::ParseInt64(v, &bins) || bins < 1 ||
+          bins > kMaxBins) {
+        std::fprintf(stderr, "--bins takes an integer in [1, %lld]\n",
+                     static_cast<long long>(kMaxBins));
+        return Usage(argv[0]);
+      }
+      options.histogram_bins = static_cast<size_t>(bins);
     } else if (flag == "--np") {
       const char* v = next();
       int64_t np = 0;

@@ -43,14 +43,13 @@
 // "profile" section to metrics.json.
 //
 // --watchdog SPEC (or the DJ_WATCHDOG env var; the flag wins) arms the
-// stall watchdog: "30" = dump live thread state to stderr when a busy
-// thread goes 30s without a heartbeat; "stall=5;poll=1" sets both knobs;
+// stall watchdog: "30" or "stall=30" = dump live thread state to stderr when
+// a busy thread goes 30s without a heartbeat (polled every quarter of that);
 // "off" disables. The run is not killed — the dump is for diagnosis.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <tuple>
 
@@ -372,14 +371,10 @@ int main(int argc, char** argv) {
 
   // Dedicated I/O pool for load/export; the executor spins up its own
   // worker pool for the OP loop from the same num_workers setting.
-  std::optional<dj::ThreadPool> io_pool;
-  if (recipe.value().num_workers > 1) {
-    io_pool.emplace(static_cast<size_t>(recipe.value().num_workers));
-  }
-  dj::ThreadPool* io_pool_ptr = io_pool ? &*io_pool : nullptr;
+  dj::ThreadPool io_pool(static_cast<size_t>(recipe.value().num_workers));
 
   auto dataset =
-      dj::ops::LoadDataset(recipe.value().dataset_path, io_pool_ptr);
+      dj::ops::LoadDataset(recipe.value().dataset_path, &io_pool);
   if (!dataset.ok()) return fail("load", dataset.status());
   std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
               recipe.value().dataset_path.c_str());
@@ -433,7 +428,7 @@ int main(int argc, char** argv) {
   if (!recipe.value().export_path.empty()) {
     if (auto s = dj::data::ExportDataset(refined.value(),
                                          recipe.value().export_path,
-                                         io_pool_ptr);
+                                         &io_pool);
         !s.ok()) {
       return fail("export", s);
     }
