@@ -162,47 +162,6 @@ inline uint64_t NeonNibbleMask(uint8x16_t eq) {
 
 // ------------------------------------------------------- SWAR kernel bodies
 
-void StructuralScanSwar(const char* data, size_t n,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes_escapes) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t w = LoadWord(data + i);
-    uint64_t nl = ByteMatchMask(w, '\n');
-    uint64_t qe = ByteMatchMask(w, '"') | ByteMatchMask(w, '\\');
-    while (nl != 0) {
-      newlines->push_back(
-          static_cast<uint32_t>(i + (std::countr_zero(nl) >> 3)));
-      nl &= nl - 1;
-    }
-    while (qe != 0) {
-      quotes_escapes->push_back(
-          static_cast<uint32_t>(i + (std::countr_zero(qe) >> 3)));
-      qe &= qe - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    char c = data[i];
-    if (c == '\n') {
-      newlines->push_back(static_cast<uint32_t>(i));
-    } else if (c == '"' || c == '\\') {
-      quotes_escapes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
-size_t CountByteSwar(const char* data, size_t n, char b) {
-  size_t count = 0;
-  size_t i = 0;
-  const auto ub = static_cast<uint8_t>(b);
-  for (; i + 8 <= n; i += 8) {
-    count += static_cast<size_t>(
-        std::popcount(ByteMatchMask(LoadWord(data + i), ub)));
-  }
-  for (; i < n; ++i) count += data[i] == b ? 1 : 0;
-  return count;
-}
-
 size_t FindByteSwar(const char* data, size_t n, char b) {
   size_t i = 0;
   const auto ub = static_cast<uint8_t>(b);
@@ -306,55 +265,6 @@ size_t FindWordLongerThanSwar(const char* data, size_t n, size_t max_len) {
 // ------------------------------------------------------- SSE2 kernel bodies
 
 #if defined(DJ_SWAR_HAVE_SSE2)
-void StructuralScanSse2(const char* data, size_t n,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes_escapes) {
-  const __m128i quote = _mm_set1_epi8('"');
-  const __m128i backslash = _mm_set1_epi8('\\');
-  const __m128i newline = _mm_set1_epi8('\n');
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    int nl = Sse2MoveMask(_mm_cmpeq_epi8(v, newline));
-    int qe = Sse2MoveMask(_mm_or_si128(_mm_cmpeq_epi8(v, quote),
-                                       _mm_cmpeq_epi8(v, backslash)));
-    while (nl != 0) {
-      newlines->push_back(static_cast<uint32_t>(
-          i + static_cast<size_t>(std::countr_zero(
-                  static_cast<unsigned>(nl)))));
-      nl &= nl - 1;
-    }
-    while (qe != 0) {
-      quotes_escapes->push_back(static_cast<uint32_t>(
-          i + static_cast<size_t>(std::countr_zero(
-                  static_cast<unsigned>(qe)))));
-      qe &= qe - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    char c = data[i];
-    if (c == '\n') {
-      newlines->push_back(static_cast<uint32_t>(i));
-    } else if (c == '"' || c == '\\') {
-      quotes_escapes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
-size_t CountByteSse2(const char* data, size_t n, char b) {
-  const __m128i needle = _mm_set1_epi8(b);
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    count += static_cast<size_t>(
-        std::popcount(static_cast<unsigned>(
-            Sse2MoveMask(_mm_cmpeq_epi8(v, needle)))));
-  }
-  for (; i < n; ++i) count += data[i] == b ? 1 : 0;
-  return count;
-}
-
 size_t FindByteSse2(const char* data, size_t n, char b) {
   const __m128i needle = _mm_set1_epi8(b);
   size_t i = 0;
@@ -487,39 +397,6 @@ size_t FindWordLongerThanSse2(const char* data, size_t n, size_t max_len) {
 // ------------------------------------------------------- NEON kernel bodies
 
 #if defined(DJ_SWAR_HAVE_NEON)
-void StructuralScanNeon(const char* data, size_t n,
-                        std::vector<uint32_t>* newlines,
-                        std::vector<uint32_t>* quotes_escapes) {
-  const uint8x16_t quote = vdupq_n_u8('"');
-  const uint8x16_t backslash = vdupq_n_u8('\\');
-  const uint8x16_t newline = vdupq_n_u8('\n');
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint8x16_t v = vld1q_u8(reinterpret_cast<const uint8_t*>(data + i));
-    uint64_t nl = NeonNibbleMask(vceqq_u8(v, newline));
-    uint64_t qe = NeonNibbleMask(
-        vorrq_u8(vceqq_u8(v, quote), vceqq_u8(v, backslash)));
-    while (nl != 0) {
-      size_t bit = static_cast<size_t>(std::countr_zero(nl));
-      newlines->push_back(static_cast<uint32_t>(i + (bit >> 2)));
-      nl &= ~(0xFULL << (bit & ~size_t{3}));
-    }
-    while (qe != 0) {
-      size_t bit = static_cast<size_t>(std::countr_zero(qe));
-      quotes_escapes->push_back(static_cast<uint32_t>(i + (bit >> 2)));
-      qe &= ~(0xFULL << (bit & ~size_t{3}));
-    }
-  }
-  for (; i < n; ++i) {
-    char c = data[i];
-    if (c == '\n') {
-      newlines->push_back(static_cast<uint32_t>(i));
-    } else if (c == '"' || c == '\\') {
-      quotes_escapes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
 size_t JsonCleanSpanNeon(const char* data, size_t n) {
   const uint8x16_t quote = vdupq_n_u8('"');
   const uint8x16_t backslash = vdupq_n_u8('\\');
@@ -650,38 +527,6 @@ ScopedLevel::~ScopedLevel() {
   g_level.store(saved_, std::memory_order_relaxed);
 }
 
-void StructuralScan(const char* data, size_t n,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes_escapes) {
-  switch (ActiveLevel()) {
-    case Level::kScalar:
-      return scalar::StructuralScan(data, n, newlines, quotes_escapes);
-#if defined(DJ_SWAR_HAVE_SSE2)
-    case Level::kSse2:
-      return StructuralScanSse2(data, n, newlines, quotes_escapes);
-#endif
-#if defined(DJ_SWAR_HAVE_NEON)
-    case Level::kNeon:
-      return StructuralScanNeon(data, n, newlines, quotes_escapes);
-#endif
-    default:
-      return StructuralScanSwar(data, n, newlines, quotes_escapes);
-  }
-}
-
-size_t CountByte(const char* data, size_t n, char b) {
-  switch (ActiveLevel()) {
-    case Level::kScalar:
-      return scalar::CountByte(data, n, b);
-#if defined(DJ_SWAR_HAVE_SSE2)
-    case Level::kSse2:
-      return CountByteSse2(data, n, b);
-#endif
-    default:
-      return CountByteSwar(data, n, b);
-  }
-}
-
 size_t FindByte(const char* data, size_t n, char b) {
   switch (ActiveLevel()) {
     case Level::kScalar:
@@ -782,25 +627,6 @@ uint64_t Hash64(const char* data, size_t n) {
 }
 
 namespace scalar {
-
-void StructuralScan(const char* data, size_t n,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes_escapes) {
-  for (size_t i = 0; i < n; ++i) {
-    char c = data[i];
-    if (c == '\n') {
-      newlines->push_back(static_cast<uint32_t>(i));
-    } else if (c == '"' || c == '\\') {
-      quotes_escapes->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
-size_t CountByte(const char* data, size_t n, char b) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += data[i] == b ? 1 : 0;
-  return count;
-}
 
 size_t FindByte(const char* data, size_t n, char b) {
   for (size_t i = 0; i < n; ++i) {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace dj::swar {
 
@@ -51,17 +50,6 @@ class ScopedLevel {
 // Each kernel dispatches on ActiveLevel(); the scalar twins live in
 // swar::scalar for direct differential testing.
 
-/// Appends the positions (relative to `data`) of every '\n' to `*newlines`
-/// and of every '"' or '\\' to `*quotes_escapes`, in ascending order. This
-/// is stage 1 of the two-stage JSONL parse: one pass over the buffer finds
-/// every byte the field extractor needs to look at.
-void StructuralScan(const char* data, size_t n,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes_escapes);
-
-/// Number of occurrences of `b` in [data, data+n).
-size_t CountByte(const char* data, size_t n, char b);
-
 /// Index of the first occurrence of `b`, or `n` when absent.
 size_t FindByte(const char* data, size_t n, char b);
 
@@ -70,8 +58,8 @@ size_t FindByte(const char* data, size_t n, char b);
 size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 
 /// Length of the longest prefix of [data, data+n) in which no byte needs
-/// JSON string escaping (byte >= 0x20, not '"', not '\\'). Such spans are
-/// appended to serializer output in one memcpy.
+/// JSON string escaping (byte >= 0x20, not '"', not '\\'). The serializer
+/// and the JSON parser copy such spans in one append.
 size_t JsonCleanSpan(const char* data, size_t n);
 
 /// Length of the longest prefix of [data, data+n) made of ASCII bytes
@@ -119,10 +107,6 @@ inline uint64_t Hash64(const std::string& s) {
 namespace scalar {
 // Byte-at-a-time reference twins. Same contracts as the dispatching
 // versions above; used directly by tests and as the kScalar bodies.
-void StructuralScan(const char* data, size_t n,
-                    std::vector<uint32_t>* newlines,
-                    std::vector<uint32_t>* quotes_escapes);
-size_t CountByte(const char* data, size_t n, char b);
 size_t FindByte(const char* data, size_t n, char b);
 size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max);
 size_t JsonCleanSpan(const char* data, size_t n);

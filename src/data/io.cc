@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/file_util.h"
 #include "common/swar.h"
@@ -37,11 +36,6 @@ constexpr size_t kRowsPerPiece = 256;
 /// Inputs below this size parse as one chunk even when a pool is given:
 /// chunk scheduling would cost more than the parse.
 constexpr size_t kParallelParseThreshold = 1 << 16;
-
-/// Largest byte span between two parse chunk targets. A chunk's structural
-/// index holds 32-bit positions, and a chunk ends at most one line past its
-/// target, so a chunk outgrows the index only through a line over 3 GiB.
-constexpr size_t kMaxParseChunkTarget = size_t{1} << 30;
 
 // Value tags for the binary codec.
 enum : uint8_t {
@@ -205,11 +199,19 @@ char* EncodeValue(const json::Value& v, char* dst) {
   return dst;
 }
 
+/// `depth` counts the arrays and objects around the value. A cell is
+/// decoded at depth 1, inside its row, so it nests as deep as
+/// json::ParseStrict lets it in a JSONL line (json::kMaxNestingDepth).
 Status DeserializeValueAt(std::string_view bytes, size_t* pos,
                           json::Value* out, int depth) {
-  if (depth > 256) return Status::Corruption("value nesting too deep");
   if (*pos >= bytes.size()) return Status::Corruption("truncated value");
   uint8_t tag = static_cast<uint8_t>(bytes[(*pos)++]);
+  if ((tag == kTagArray || tag == kTagObject) &&
+      depth >= json::kMaxNestingDepth) {
+    return Status::Corruption("value nested deeper than " +
+                              std::to_string(json::kMaxNestingDepth) +
+                              " levels");
+  }
   switch (tag) {
     case kTagNull:
       *out = json::Value(nullptr);
@@ -310,15 +312,6 @@ void RecordIoMetrics(const char* op, uint64_t rows, uint64_t bytes,
   m->GetGauge("simd.kernel")->Set(swar::ActiveLevelMetric());
 }
 
-/// Number of chunks ParseJsonl cuts `bytes` of input into: one without a
-/// pool or below the parallel threshold, one per pool thread otherwise, and
-/// never fewer than one per kMaxParseChunkTarget bytes.
-size_t ParseChunkCount(size_t bytes, const ThreadPool* pool) {
-  const size_t chunks = bytes < kParallelParseThreshold ? 1 : PoolWidth(pool);
-  return std::max(chunks, (bytes + kMaxParseChunkTarget - 1) /
-                              kMaxParseChunkTarget);
-}
-
 /// Splits `content` into up to `target_chunks` ranges, each cut right after
 /// the first newline at or past an even byte target; a line longer than the
 /// span between targets skips the targets it covers. Every byte lands in
@@ -339,71 +332,26 @@ std::vector<std::string_view> SplitAtNewlines(std::string_view content,
   return chunks;
 }
 
-/// One chunk's structural index: the chunk-relative positions of every
-/// '\n', and of every '"' and '\\'.
-struct ChunkIndex {
-  std::vector<uint32_t> newlines;
-  std::vector<uint32_t> quotes_escapes;
-};
-
-/// Two-stage JSONL parse of one chunk into `ds`. Stage 1 indexes the
-/// chunk's structural bytes (swar::StructuralScan) into `index`; stage 2
-/// bounds each line by the newline index and hands the quote and escape
-/// positions inside it to the indexed field extractor. A line the fast path
-/// declines is re-parsed with json::ParseStrict, so accepted values and
-/// error messages are ParseStrict's. On failure, `*bad_line` is the failing
-/// line's number within the chunk, counted from 1.
-Status ParseJsonlChunk(std::string_view chunk, ChunkIndex* index, Dataset* ds,
-                       size_t* bad_line) {
-  constexpr size_t kIndexLimit = std::numeric_limits<uint32_t>::max();
-  if (chunk.size() > kIndexLimit) {
-    // Only a line over 3 GiB stretches a chunk this far, and it holds the
-    // first position the index cannot store.
-    *bad_line = swar::CountByte(chunk.data(), kIndexLimit, '\n') + 1;
-    return Status::Corruption("line longer than 3 GiB");
-  }
-  // Reserves sized to typical JSONL (one quote per ~25 bytes of text, lines
-  // a few hundred bytes) keep the push_backs from doubling the vectors
-  // mid-scan.
-  std::vector<uint32_t>& newlines = index->newlines;
-  std::vector<uint32_t>& quotes_escapes = index->quotes_escapes;
-  newlines.reserve(chunk.size() / 256 + 16);
-  quotes_escapes.reserve(chunk.size() / 24 + 16);
-  swar::StructuralScan(chunk.data(), chunk.size(), &newlines, &quotes_escapes);
-  size_t start = 0;
-  size_t qe_i = 0;
-  for (size_t line = 0; start < chunk.size(); ++line) {
-    const size_t eol = line < newlines.size() ? newlines[line] : chunk.size();
+/// Parses the lines of one chunk into `ds` with json::ParseStrict, blank
+/// ones skipped. `*newlines` counts the newlines passed: all of the chunk's
+/// when every line parses, else those before the failing line.
+Status ParseJsonlChunk(std::string_view chunk, Dataset* ds, size_t* newlines) {
+  for (size_t start = 0; start < chunk.size();) {
+    const size_t eol =
+        start + swar::FindByte(chunk.data() + start, chunk.size() - start,
+                               '\n');
     std::string_view body =
         StripAsciiWhitespace(chunk.substr(start, eol - start));
-    start = eol + 1;
-    if (body.empty()) continue;
-    const size_t body_begin = static_cast<size_t>(body.data() - chunk.data());
-    const size_t body_end = body_begin + body.size();
-    while (qe_i < quotes_escapes.size() && quotes_escapes[qe_i] < body_begin) {
-      ++qe_i;
-    }
-    size_t qe_hi = qe_i;
-    while (qe_hi < quotes_escapes.size() && quotes_escapes[qe_hi] < body_end) {
-      ++qe_hi;
-    }
-    json::Value v;
-    bool fast = json::TryParseStrictIndexed(
-        body, quotes_escapes.data() + qe_i, qe_hi - qe_i, body_begin, &v);
-    qe_i = qe_hi;
-    if (!fast) {
-      auto r = json::ParseStrict(body);
-      if (!r.ok()) {
-        *bad_line = line + 1;
-        return Status::Corruption(r.status().message());
+    if (!body.empty()) {
+      Result<json::Value> r = json::ParseStrict(body);
+      if (!r.ok()) return r.status();
+      if (!r.value().is_object()) {
+        return Status::Corruption("expected an object");
       }
-      v = std::move(r.value());
+      ds->AppendSample(Sample(std::move(r.value().as_object())));
     }
-    if (!v.is_object()) {
-      *bad_line = line + 1;
-      return Status::Corruption("expected an object");
-    }
-    ds->AppendSample(Sample(std::move(v.as_object())));
+    if (eol < chunk.size()) ++*newlines;
+    start = eol + 1;
   }
   return Status::Ok();
 }
@@ -513,7 +461,7 @@ Result<Dataset> DeserializeShards(std::string_view bytes, ThreadPool* pool) {
         cols[c].reserve(shards[s].row_count);
         for (size_t r = 0; r < shards[s].row_count; ++r) {
           json::Value v;
-          status = DeserializeValueAt(payload, &p, &v, 0);
+          status = DeserializeValueAt(payload, &p, &v, 1);
           if (!status.ok()) break;
           cols[c].push_back(std::move(v));
         }
@@ -596,18 +544,15 @@ Status WriteFileAtomic(const std::string& path, std::string_view content) {
 Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
   DJ_OBS_SPAN("io.parse_jsonl");
   Stopwatch watch;
-  const std::vector<std::string_view> chunks =
-      SplitAtNewlines(content, ParseChunkCount(content.size(), pool));
-  // Owned here, not by the tasks, so every index is freed on return, after
-  // the join.
-  std::vector<ChunkIndex> indexes(chunks.size());
+  const std::vector<std::string_view> chunks = SplitAtNewlines(
+      content,
+      content.size() < kParallelParseThreshold ? 1 : PoolWidth(pool));
   std::vector<Dataset> parts(chunks.size());
   std::vector<Status> errors(chunks.size(), Status::Ok());
-  std::vector<size_t> bad_lines(chunks.size(), 0);
+  std::vector<size_t> newlines(chunks.size(), 0);
   ParallelFor(pool, chunks.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      errors[i] =
-          ParseJsonlChunk(chunks[i], &indexes[i], &parts[i], &bad_lines[i]);
+      errors[i] = ParseJsonlChunk(chunks[i], &parts[i], &newlines[i]);
     }
   });
   DJ_SCHED_POINT("io.parse.gather");
@@ -616,12 +561,12 @@ Result<Dataset> ParseJsonl(std::string_view content, ThreadPool* pool) {
   // failing line wins, as in a serial parse.
   size_t lines_before = 0;
   for (size_t i = 0; i < chunks.size(); ++i) {
+    lines_before += newlines[i];
     if (!errors[i].ok()) {
       return Status::Corruption("jsonl line " +
-                                std::to_string(lines_before + bad_lines[i]) +
-                                ": " + errors[i].message());
+                                std::to_string(lines_before + 1) + ": " +
+                                errors[i].message());
     }
-    lines_before += indexes[i].newlines.size();
   }
   Dataset out = parts.empty() ? Dataset() : std::move(parts.front());
   for (size_t i = 1; i < parts.size(); ++i) out.Concat(std::move(parts[i]));

@@ -22,14 +22,13 @@ Status WriteFile(const std::string& path, std::string_view content);
 /// .tmp file, never a torn `path`. Same io.write.* fail points as WriteFile.
 Status WriteFileAtomic(const std::string& path, std::string_view content);
 
-/// Parses JSON-Lines content: one strict-JSON object per non-empty line.
-/// The buffer is cut right after a newline into chunks: one without a pool
-/// or below 64 KiB, one per pool thread otherwise, and at least one per
-/// GiB. Each chunk indexes its own structural bytes and parses on its own
-/// worker, and a failure names the earliest bad line of the whole buffer;
-/// the pool changes only the chunk count, never the rows, column order or
-/// error text. A line longer than 3 GiB can outgrow its chunk's 32-bit
-/// index and then fails as Corruption naming that line.
+/// Parses JSON-Lines content: one strict-JSON object per non-empty line,
+/// each parsed with json::ParseStrict. The buffer is cut right after a
+/// newline into chunks: one without a pool or below 64 KiB, one per pool
+/// thread otherwise. Each chunk parses its lines on its own worker, and a
+/// failure names the earliest bad line of the whole buffer; the pool
+/// changes only the chunk count, never the rows, column order or error
+/// text.
 Result<Dataset> ParseJsonl(std::string_view content,
                            ThreadPool* pool = nullptr);
 

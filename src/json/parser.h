@@ -8,6 +8,13 @@
 
 namespace dj::json {
 
+/// Deepest nesting of arrays and objects a document may have; the outermost
+/// one is level 1. Parse and ParseStrict, YAML flow values and the DJDS
+/// value decoder reject anything deeper as Corruption. A DJDS cell is
+/// decoded at level 1, inside its row, so a JSONL line parses exactly when
+/// its cells can be read back from DJDS.
+inline constexpr int kMaxNestingDepth = 256;
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 /// Accepts standard JSON plus two lenient extensions used by hand-written
 /// recipes: comments ("// ..." and "# ..." to end of line) and trailing
@@ -16,25 +23,6 @@ Result<Value> Parse(std::string_view text);
 
 /// Strict variant: no comments, no trailing commas (used for JSONL data).
 Result<Value> ParseStrict(std::string_view text);
-
-/// Stage-2 fast path of the two-stage JSONL parse: a strict parse of `text`
-/// driven by a precomputed index of the structural bytes inside it.
-/// `quotes_escapes` holds the positions of every '"' and '\\' byte in
-/// `text`, ascending, expressed in the caller's coordinate space;
-/// `index_base` is the position of text[0] in that space (so the position
-/// of text[i] is index_base + i). The index lets string fields be bulk-
-/// copied between quote positions instead of scanned per byte.
-///
-/// Returns true and fills `*out` only when the fast path fully handled the
-/// line with results identical to ParseStrict. Returns false — leaving
-/// `*out` unspecified — whenever anything unusual appears (malformed input,
-/// \u escapes, deep nesting); the caller must then fall back to
-/// ParseStrict, which reproduces the exact scalar behavior including error
-/// messages. That fallback contract is what keeps the fast path and the
-/// scalar parser byte-identical by construction.
-bool TryParseStrictIndexed(std::string_view text,
-                           const uint32_t* quotes_escapes, size_t index_count,
-                           uint64_t index_base, Value* out);
 
 }  // namespace dj::json
 

@@ -146,20 +146,22 @@ void Watchdog::PollOnce(uint64_t now_micros) {
   std::vector<const char*> held;
   for (introspect::ThreadState* s : states) {
     if (!s->alive()) continue;
-    double age = s->heartbeat_micros() == 0
-                     ? 0
-                     : static_cast<double>(now_micros -
-                                           s->heartbeat_micros()) /
-                           1e6;
+    const uint64_t beat = s->heartbeat_micros();
+    char beat_text[48] = "never beat";
+    if (beat != 0) {
+      // A thread may beat after `now_micros` was read.
+      const uint64_t age = now_micros > beat ? now_micros - beat : 0;
+      std::snprintf(beat_text, sizeof(beat_text), "beat %.3fs ago",
+                    static_cast<double>(age) / 1e6);
+    }
     bool is_stalled = false;
     for (introspect::ThreadState* v : stalled) is_stalled |= (v == s);
-    std::snprintf(buf, sizeof(buf),
-                  "%s thread %llu role=%s %s beat %.3fs ago\n",
+    std::snprintf(buf, sizeof(buf), "%s thread %llu role=%s %s %s\n",
                   is_stalled ? "  [STALLED]" : "  [ok]     ",
                   static_cast<unsigned long long>(s->thread_index()),
                   (s->role() != nullptr && *s->role() != '\0') ? s->role()
                                                                : "-",
-                  s->busy() ? "busy" : "idle", age);
+                  s->busy() ? "busy" : "idle", beat_text);
     dump += buf;
     if (s->ReadStack(&stack) && !stack.empty()) {
       dump += "      spans: ";

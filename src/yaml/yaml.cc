@@ -277,7 +277,7 @@ class YamlParser {
   /// ParseScalar.
   Status ParseFlow(std::string_view s, size_t line_index, Value* out) {
     size_t pos = 0;
-    DJ_RETURN_IF_ERROR(ParseFlowValue(s, &pos, line_index, out));
+    DJ_RETURN_IF_ERROR(ParseFlowValue(s, &pos, line_index, 0, out));
     while (pos < s.size() &&
            std::isspace(static_cast<unsigned char>(s[pos]))) {
       ++pos;
@@ -288,14 +288,21 @@ class YamlParser {
     return Status::Ok();
   }
 
+  /// `depth` counts the flow sequences and mappings around the value.
   Status ParseFlowValue(std::string_view s, size_t* pos, size_t line_index,
-                        Value* out) {
+                        int depth, Value* out) {
     while (*pos < s.size() &&
            std::isspace(static_cast<unsigned char>(s[*pos]))) {
       ++*pos;
     }
     if (*pos >= s.size()) return Status::Corruption("yaml: empty flow value");
     char c = s[*pos];
+    if ((c == '[' || c == '{') && depth >= json::kMaxNestingDepth) {
+      return Status::Corruption(
+          "yaml: flow value nested deeper than " +
+          std::to_string(json::kMaxNestingDepth) + " levels at line " +
+          std::to_string(line_numbers_[line_index]));
+    }
     if (c == '[') {
       ++*pos;
       Array arr;
@@ -307,7 +314,7 @@ class YamlParser {
       }
       while (true) {
         Value v;
-        DJ_RETURN_IF_ERROR(ParseFlowValue(s, pos, line_index, &v));
+        DJ_RETURN_IF_ERROR(ParseFlowValue(s, pos, line_index, depth + 1, &v));
         arr.push_back(std::move(v));
         SkipFlowSpace(s, pos);
         if (*pos >= s.size()) return Status::Corruption("yaml: unterminated [");
@@ -348,7 +355,7 @@ class YamlParser {
         }
         ++*pos;  // ':'
         Value v;
-        DJ_RETURN_IF_ERROR(ParseFlowValue(s, pos, line_index, &v));
+        DJ_RETURN_IF_ERROR(ParseFlowValue(s, pos, line_index, depth + 1, &v));
         obj.Set(std::move(key), std::move(v));
         SkipFlowSpace(s, pos);
         if (*pos >= s.size()) return Status::Corruption("yaml: unterminated {");

@@ -17,6 +17,7 @@
 #include "compress/djlz.h"
 #include "data/dataset.h"
 #include "data/io.h"
+#include "json/parser.h"
 #include "json/value.h"
 #include "json/writer.h"
 
@@ -547,6 +548,65 @@ TEST(ParallelJsonlTest, LineLongerThanAChunkTarget) {
   auto r = ExpectSameParseAtEveryWidth(content);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().NumRows(), 601u);
+}
+
+/// A JSONL row whose "x" cell nests `levels` arrays; the row is one level
+/// more.
+std::string DeepRow(int levels) {
+  return "{\"text\":\"deep\",\"x\":" + std::string(levels, '[') +
+         std::string(levels, ']') + "}\n";
+}
+
+/// `levels` arrays nested inside each other.
+json::Value NestedArrays(int levels) {
+  json::Value v{json::Array{}};
+  for (int i = 1; i < levels; ++i) {
+    json::Array outer;
+    outer.push_back(std::move(v));
+    v = json::Value(std::move(outer));
+  }
+  return v;
+}
+
+// json::kMaxNestingDepth bounds a JSONL row and a DJDS cell alike: the
+// deepest row that parses round-trips through DJDS, a cell one level deeper
+// does not load, and a row one level deeper fails to parse, naming its line
+// wherever it sits.
+TEST(ParallelJsonlTest, NestingBoundHoldsForJsonlAndDjds) {
+  const int deepest = json::kMaxNestingDepth - 1;
+  auto parsed = ExpectSameParseAtEveryWidth(DeepRow(deepest));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto back = DeserializeDataset(SerializeDataset(parsed.value()));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(ToJsonl(back.value()), DeepRow(deepest));
+
+  auto cells = [](int levels) {
+    std::vector<std::vector<json::Value>> cols(1);
+    cols[0].push_back(NestedArrays(levels));
+    return std::move(Dataset::FromColumns({"x"}, std::move(cols))).value();
+  };
+  EXPECT_TRUE(DeserializeDataset(SerializeDataset(cells(deepest))).ok());
+  auto too_deep = DeserializeDataset(SerializeDataset(cells(deepest + 1)));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().message(), "value nested deeper than 256 levels");
+
+  Rng rng(47);
+  const std::string before = MakeJsonl(&rng, 3000);
+  ASSERT_GT(before.size(), 1u << 16);
+  const size_t line = std::count(before.begin(), before.end(), '\n') + 1;
+  const std::string column =
+      std::to_string(std::strlen("{\"text\":\"deep\",\"x\":") + deepest + 1);
+  for (const auto& [content, reported] :
+       {std::pair{DeepRow(deepest + 1), size_t{1}},
+        std::pair{before + DeepRow(deepest + 1) + MakeJsonl(&rng, 100),
+                  line}}) {
+    auto r = ExpectSameParseAtEveryWidth(content);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(),
+              "jsonl line " + std::to_string(reported) +
+                  ": nested deeper than 256 levels at line 1, column " +
+                  column);
+  }
 }
 
 // ------------------------------------------------------------ djlz v3 ----

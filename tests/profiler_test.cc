@@ -317,6 +317,35 @@ TEST(WatchdogTest, DumpsStalledThreadWithinTwiceThreshold) {
   EXPECT_NE(dump.find("StallVictim.mutex"), std::string::npos);
 }
 
+TEST(WatchdogTest, DumpSaysNeverBeatForAThreadThatNeverBeat) {
+  Watchdog::Options options;
+  options.stall_seconds = 0.05;
+  Watchdog watchdog(options);
+  watchdog.Start();
+  std::atomic<bool> registered{false};
+  std::atomic<bool> release{false};
+  // Registered and idle, and never beats.
+  std::thread idle([&] {
+    introspect::CurrentThreadState()->SetRole("test.never_beats");
+    registered.store(true);
+    while (!release.load()) SleepSeconds(0.005);
+  });
+  ASSERT_TRUE(WaitFor([&] { return registered.load(); }, 5.0));
+  std::thread victim([&] {
+    introspect::BusyScope busy;
+    SleepSeconds(0.3);
+  });
+  victim.join();
+  release.store(true);
+  idle.join();
+  watchdog.Stop();
+  const std::string dump = watchdog.LastDump();
+  EXPECT_NE(dump.find("role=test.never_beats idle never beat\n"),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("busy beat 0."), std::string::npos) << dump;
+}
+
 TEST(WatchdogTest, OneReportPerStallEpisode) {
   Watchdog::Options options;
   options.stall_seconds = 0.05;

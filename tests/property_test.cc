@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -203,6 +205,33 @@ TEST_P(ParserRobustnessProperty, RandomBytesNeverCrash) {
     (void)data::DeserializeDataset(soup);
     (void)core::Recipe::FromString(soup);
   }
+}
+
+// 100,000 levels of arrays and objects, opened in a seeded order, must be
+// a clean error naming the nesting bound, never a stack overflow.
+TEST_P(ParserRobustnessProperty, DeepNestingIsACleanError) {
+  Rng rng(GetParam() * 7919);
+  std::string open, close;
+  for (int i = 0; i < 100000; ++i) {
+    const bool array = rng.NextBelow(2) == 0;
+    open += array ? "[" : "{\"k\":";
+    close += array ? "]" : "}";
+  }
+  std::reverse(close.begin(), close.end());
+  const std::string json = "{\"text\":\"t\",\"x\":" + open + close + "}";
+  const std::string yaml = "project_name: deep\nx: " + open + close + "\n";
+  auto expect_bound = [](const Status& status, std::string_view what) {
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_NE(status.message().find("nested deeper than 256 levels"),
+              std::string::npos)
+        << what << ": " << status.ToString();
+  };
+  expect_bound(json::Parse(json).status(), "json::Parse");
+  expect_bound(json::ParseStrict(json).status(), "json::ParseStrict");
+  expect_bound(data::ParseJsonl(json + "\n").status(), "data::ParseJsonl");
+  expect_bound(yaml::Parse(yaml).status(), "yaml::Parse");
+  expect_bound(core::Recipe::FromString(json).status(), "Recipe (json)");
+  expect_bound(core::Recipe::FromString(yaml).status(), "Recipe (yaml)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustnessProperty,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "json/parser.h"
 #include "json/writer.h"
 #include "yaml/yaml.h"
 
@@ -102,6 +103,21 @@ TEST(YamlTest, InlineFlowCollections) {
                 ->as_array()[0]
                 .as_int(),
             3);
+}
+
+TEST(YamlTest, FlowNestingBoundIsExact) {
+  const int bound = json::kMaxNestingDepth;
+  const std::string deepest = std::string(bound - 1, '[') + "{k: 1}" +
+                              std::string(bound - 1, ']');
+  json::Value v = MustParse("name: x\nmin: " + deepest + "\n");
+  EXPECT_EQ(json::Write(*v.as_object().Find("min")), [&] {
+    return std::string(bound - 1, '[') + "{\"k\":1}" +
+           std::string(bound - 1, ']');
+  }());
+  auto r = Parse("name: x\nmin: [" + deepest + "]\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "yaml: flow value nested deeper than 256 levels at line 2");
 }
 
 TEST(YamlTest, QuotedStrings) {

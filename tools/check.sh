@@ -25,7 +25,10 @@
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile), an injected-stall
 #                             watchdog dump, dj_analyze's --bins range
-#                             check, and the dj_bench_diff
+#                             check, 100,000-deep JSONL and recipe inputs
+#                             that must fail naming the nesting bound
+#                             (dj_process at np 1 and 4, dj_lint), and the
+#                             dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
 #   9. benchmark smoke        bench/e2e built as its own Release project;
@@ -339,6 +342,38 @@ for bins in -1 0 x 1001; do
 done
 "${build_dir}/tools/dj_analyze" --input "${smoke_dir}/two.jsonl" \
   --bins 1 > /dev/null
+
+echo "== nesting bound (100,000-deep JSONL row and recipe value) =="
+# A document nested past json::kMaxNestingDepth must fail as a parse error
+# that names the bound, at np 1 and 4, never overflow the stack. Under ASan
+# a stack overflow exits 1 too, so the message is checked as well.
+printf -v deep_pad '%100000s' ''
+deep_open="${deep_pad// /[}"
+deep_close="${deep_pad// /]}"
+printf '{"text":"hello world","x":%s%s}\n' "${deep_open}" "${deep_close}" \
+  > "${smoke_dir}/deep.jsonl"
+printf 'project_name: deep\nprocess:\n  - text_length_filter:\n      min: %s%s\n' \
+  "${deep_open}" "${deep_close}" > "${smoke_dir}/deep.yaml"
+expect_nesting_error() {  # expect_nesting_error PATTERN COMMAND...
+  local pattern="$1" rc=0
+  shift
+  "$@" > "${smoke_dir}/deep_out.txt" 2>&1 || rc=$?
+  if [ "${rc}" -ne 1 ] || ! grep -q "${pattern}" "${smoke_dir}/deep_out.txt"; then
+    head -c 2000 "${smoke_dir}/deep_out.txt" >&2
+    echo "check.sh: $(basename "$1") on a 100,000-deep input exited" \
+         "${rc}; expected 1 and '${pattern}'" >&2
+    exit 1
+  fi
+}
+for np in 1 4; do
+  expect_nesting_error "jsonl line 1: nested deeper than 256 levels" \
+    "${build_dir}/tools/dj_process" \
+    --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
+    --input "${smoke_dir}/deep.jsonl" \
+    --output "${smoke_dir}/deep_out.jsonl" --np "${np}"
+done
+expect_nesting_error "flow value nested deeper than 256 levels" \
+  "${build_dir}/tools/dj_lint" "${smoke_dir}/deep.yaml"
 
 echo "== bench-diff gate (perf-regression ledger) =="
 # The committed baseline must self-compare clean, and the gate must
