@@ -279,13 +279,15 @@ void FuzzString(Rng& rng, std::string* out) {
         break;
       case 6:  // a high half alone, or before a non-low escape
         FuzzHex4(rng, 0xD800 + static_cast<uint32_t>(rng() % 0x400), out);
-        if (rng() % 2) FuzzHex4(rng, static_cast<uint32_t>(rng() % 0xD800), out);
+        if (rng() % 2) {
+          FuzzHex4(rng, static_cast<uint32_t>(rng() % 0xD800), out);
+        }
         break;
       case 7:  // a low half alone
         FuzzHex4(rng, 0xDC00 + static_cast<uint32_t>(rng() % 0x400), out);
         break;
       case 8:  // a bad hex digit, or a \u escape cut short
-        out->append(rng() % 2 ? "\\u12G4" : "\\u0" );
+        out->append(rng() % 2 ? "\\u12G4" : "\\u0");
         break;
       case 9:
         out->push_back('\\');
@@ -388,9 +390,10 @@ void FuzzValue(Rng& rng, int depth, std::string* out) {
 std::string FuzzJsonLine(Rng& rng) {
   std::string line;
   if (rng() % 40 == 0) {
-    const int levels = rng() % 2 ? 1 + static_cast<int>(rng() % kMaxNestingDepth)
-                                 : kMaxNestingDepth - 1 +
-                                       static_cast<int>(rng() % 3);
+    // Half anywhere up to the bound, half at the bound or one level off.
+    const int levels =
+        rng() % 2 ? 1 + static_cast<int>(rng() % kMaxNestingDepth)
+                  : kMaxNestingDepth - 1 + static_cast<int>(rng() % 3);
     std::string leaf;
     FuzzValue(rng, 4, &leaf);
     line = Nested(levels, leaf);
