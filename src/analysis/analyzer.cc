@@ -145,16 +145,15 @@ Result<DataProbe> Analyzer::AnalyzeWith(
   dataset->EnsureColumn(data::kStatsField);
   ThreadPool pool(static_cast<size_t>(std::max(options_.num_workers, 1)));
   // Single pass: one shared context per sample across all dimensions.
-  Status status = dataset->Map(
-      [&filters, this](data::RowRef row) -> Status {
+  DJ_RETURN_IF_ERROR(
+      ForEachIndex(&pool, dataset->NumRows(), [&](size_t i) -> Status {
+        data::RowRef row = dataset->Row(i);
         ops::SampleContext ctx(row.GetText(options_.text_key));
         for (const auto& filter : filters) {
           DJ_RETURN_IF_ERROR(filter->ComputeStats(row, &ctx));
         }
         return Status::Ok();
-      },
-      &pool);
-  DJ_RETURN_IF_ERROR(status);
+      }));
 
   DataProbe probe;
   probe.num_samples = dataset->NumRows();

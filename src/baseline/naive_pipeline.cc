@@ -1,10 +1,7 @@
 #include "baseline/naive_pipeline.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 
-#include "common/mutex.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
@@ -74,20 +71,9 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
     } else {
       // Eager stage copy: a fresh output list per OP.
       std::vector<data::Sample> next(samples);  // the per-stage copy
-      Mutex error_mutex{"NaivePipeline.first_error"};
-      Status first_error;
-      auto run_range = [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          Status s = ApplyRowOp(op.get(), &next[i]);
-          if (!s.ok()) {
-            MutexLock lock(&error_mutex);
-            if (first_error.ok()) first_error = std::move(s);
-            return;
-          }
-        }
-      };
-      ParallelFor(&pool, next.size(), run_range);
-      DJ_RETURN_IF_ERROR(first_error);
+      DJ_RETURN_IF_ERROR(ForEachIndex(&pool, next.size(), [&](size_t i) {
+        return ApplyRowOp(op.get(), &next[i]);
+      }));
       // Drop tombstones from filters.
       std::vector<data::Sample> survivors;
       survivors.reserve(next.size());

@@ -7,6 +7,16 @@
 #include "common/thread_introspect.h"
 
 namespace dj {
+namespace {
+
+/// Indices per chunk when [0, n) is cut into min(n, 4 * width) chunks: a
+/// modest over-decomposition for load balance on skewed samples.
+size_t ChunkSize(size_t n, size_t width) {
+  const size_t chunks = std::min(n, width * 4);
+  return (n + chunks - 1) / chunks;
+}
+
+}  // namespace
 
 /// One ParallelFor call, published on the caller's stack while it runs.
 struct ThreadPool::Job {
@@ -38,9 +48,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  // Over-decompose modestly for load balance on skewed samples.
-  size_t chunks = std::min(n, width_ * 4);
-  size_t chunk_size = (n + chunks - 1) / chunks;
+  const size_t chunk_size = ChunkSize(n, width_);
   Job job{fn, n, chunk_size, (n + chunk_size - 1) / chunk_size};
   bool published = false;
   if (width_ > 1 && n >= 2) {
@@ -73,6 +81,30 @@ void ParallelFor(ThreadPool* pool, size_t n,
   } else if (n > 0) {
     fn(0, n);
   }
+}
+
+Status ForEachIndex(ThreadPool* pool, size_t n,
+                    const std::function<Status(size_t)>& fn) {
+  if (n == 0) return Status::Ok();
+  // Every chunk starts at a multiple of the chunk size (an inline run is
+  // one chunk from 0), so it owns the slot begin / chunk_size.
+  const size_t chunk_size = ChunkSize(n, PoolWidth(pool));
+  std::vector<Status> errors((n + chunk_size - 1) / chunk_size);
+  ParallelFor(pool, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Status s = fn(i);
+      if (!s.ok()) {
+        errors[begin / chunk_size] = std::move(s);
+        return;
+      }
+    }
+  });
+  // Chunks cover ascending ranges, so the first failed chunk holds the
+  // lowest failing index.
+  for (Status& s : errors) {
+    if (!s.ok()) return std::move(s);
+  }
+  return Status::Ok();
 }
 
 void ThreadPool::WorkerLoop() {

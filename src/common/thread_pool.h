@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace dj {
@@ -18,7 +19,7 @@ namespace dj {
 /// that many.
 constexpr int64_t kMaxPoolThreads = 256;
 
-/// Fixed-width fork-join pool used by Dataset::Map / Filter. The paper's
+/// Fixed-width fork-join pool behind every data-plane fan-out. The paper's
 /// `num_proc` knob maps to the pool width here.
 ///
 /// Fan-out rule: every data-plane site splits its work the same way at any
@@ -70,6 +71,13 @@ class ThreadPool {
 /// `pool->ParallelFor(n, fn)`.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t, size_t)>& fn);
+
+/// The one fallible fan-out: runs `fn(i)` for every i in [0, n) over the
+/// chunks of ParallelFor(pool, n, ...), and each chunk stops at its first
+/// error. Returns the error with the lowest index, which is what a serial
+/// loop returns, else Ok. One Status per chunk, no lock.
+Status ForEachIndex(ThreadPool* pool, size_t n,
+                    const std::function<Status(size_t)>& fn);
 
 /// Width of `pool`, 1 without one: what chunk counts are sized from.
 inline size_t PoolWidth(const ThreadPool* pool) {

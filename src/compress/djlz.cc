@@ -376,32 +376,20 @@ Result<std::string> DecompressFrame(std::string_view frame, ThreadPool* pool) {
     cursor += block_sizes[b];
   }
   std::vector<std::string> raws(num_blocks);
-  std::vector<Status> errors(num_blocks, Status::Ok());
-  auto decompress_range = [&](size_t begin, size_t end) {
-    for (size_t b = begin; b < end; ++b) {
-      std::string_view block = frame.substr(offsets[b], block_sizes[b]);
-      // The checksum covers the compressed bytes, so corruption is caught
-      // before the decompressor ever sees the block.
-      if (swar::Hash64(block.data(), block.size()) != checksums[b]) {
-        errors[b] = Status::Corruption("djlz: block checksum mismatch");
-        continue;
-      }
-      size_t want = std::min(kFrameBlockSize,
-                             static_cast<size_t>(raw_size) -
-                                 b * kFrameBlockSize);
-      auto raw = DecompressBlock(block, want);
-      if (!raw.ok()) {
-        errors[b] = raw.status();
-        continue;
-      }
-      raws[b] = std::move(raw).value();
+  Status decompressed = ForEachIndex(pool, num_blocks, [&](size_t b) {
+    std::string_view block = frame.substr(offsets[b], block_sizes[b]);
+    // The checksum covers the compressed bytes, so corruption is caught
+    // before the decompressor ever sees the block.
+    if (swar::Hash64(block.data(), block.size()) != checksums[b]) {
+      return Status::Corruption("djlz: block checksum mismatch");
     }
-  };
-  ParallelFor(pool, num_blocks, decompress_range);
+    size_t want = std::min(kFrameBlockSize,
+                           static_cast<size_t>(raw_size) - b * kFrameBlockSize);
+    DJ_ASSIGN_OR_RETURN(raws[b], DecompressBlock(block, want));
+    return Status::Ok();
+  });
   DJ_SCHED_POINT("djlz.decompress.gather");
-  for (const Status& s : errors) {
-    if (!s.ok()) return s;
-  }
+  DJ_RETURN_IF_ERROR(decompressed);
   std::string out;
   out.reserve(raw_size);
   for (std::string& r : raws) out.append(r);

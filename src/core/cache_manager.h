@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "obs/metrics.h"
 

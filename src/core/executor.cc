@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -167,7 +166,9 @@ std::string RunReport::ToString() const {
   return out;
 }
 
-Executor::Executor(Options options) : options_(std::move(options)) {}
+Executor::Executor(Options options)
+    : options_(std::move(options)),
+      pool_(static_cast<size_t>(std::max(options_.num_workers, 1))) {}
 
 Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   Options opts;
@@ -180,17 +181,16 @@ Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   return opts;
 }
 
-Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
-                           ThreadPool* pool) {
+Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset) {
   std::optional<std::vector<std::string>> before;
   if (options_.tracer != nullptr) {
     before = SnapshotTexts(dataset, mapper->text_key());
   }
   {
     obs::Span span(options_.spans, "batch:" + mapper->name(), "batch");
-    DJ_RETURN_IF_ERROR(dataset->Map(
-        [mapper](data::RowRef row) { return mapper->ProcessRow(row); },
-        pool));
+    DJ_RETURN_IF_ERROR(ForEachIndex(&pool_, dataset->NumRows(), [&](size_t i) {
+      return mapper->ProcessRow(dataset->Row(i));
+    }));
   }
   if (before.has_value()) {
     for (size_t i = 0; i < dataset->NumRows(); ++i) {
@@ -204,7 +204,7 @@ Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
 }
 
 Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
-                            data::Dataset* dataset, ThreadPool* pool,
+                            data::Dataset* dataset,
                             std::vector<StageMember>* stage) {
   dataset->EnsureColumn(data::kStatsField);
   const size_t n = filters.size();
@@ -217,43 +217,57 @@ Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
     key_of[f] = static_cast<size_t>(it - keys.begin());
     if (it == keys.end()) keys.emplace_back(filters[f]->text_key());
   }
-  Tracer* tracer = options_.tracer;
-  std::vector<std::atomic<size_t>> rejected(n);
 
   obs::Span span(options_.spans, "batch:" + filters.front()->name(), "batch");
-  std::vector<uint8_t> keep;
-  DJ_RETURN_IF_ERROR(dataset->KeepMask(
-      [&](data::RowRef row) -> Result<bool> {
+  // The member that rejected each row; n keeps it. Each row writes only its
+  // own entry, so the fan-out shares nothing else.
+  std::vector<size_t> rejected_by(dataset->NumRows(), n);
+  DJ_RETURN_IF_ERROR(ForEachIndex(
+      &pool_, dataset->NumRows(), [&](size_t i) -> Status {
+        data::RowRef row = dataset->Row(i);
         RowContexts ctx(row, keys);
         for (size_t f = 0; f < n; ++f) {
           DJ_RETURN_IF_ERROR(
               filters[f]->ComputeStats(row, ctx.Get(key_of[f])));
           DJ_ASSIGN_OR_RETURN(bool kept, filters[f]->KeepRow(row));
-          if (kept) continue;
-          rejected[f].fetch_add(1, std::memory_order_relaxed);
-          if (tracer != nullptr) {
-            tracer->RecordFiltered(filters[f]->name(), row.row(),
-                                   row.GetText(filters[f]->text_key()),
-                                   StatsJsonOf(row));
+          if (!kept) {
+            rejected_by[i] = f;
+            break;
           }
-          return false;
         }
-        return true;
-      },
-      pool, &keep));
+        return Status::Ok();
+      }));
+  // One pass in row order: the counts, the survivors and the Tracer's
+  // records come out the same at every pool width.
+  std::vector<size_t> rejected(n, 0);
+  std::vector<size_t> survivors;
+  for (size_t i = 0; i < rejected_by.size(); ++i) {
+    const size_t f = rejected_by[i];
+    if (f == n) {
+      survivors.push_back(i);
+      continue;
+    }
+    ++rejected[f];
+    if (options_.tracer != nullptr) {
+      data::RowRef row = dataset->Row(i);
+      options_.tracer->RecordFiltered(filters[f]->name(), i,
+                                      row.GetText(filters[f]->text_key()),
+                                      StatsJsonOf(row));
+    }
+  }
   if (stage != nullptr) {
     for (size_t f = 0; f < n; ++f) {
-      stage->push_back({filters[f]->name(), rejected[f].load()});
+      stage->push_back({filters[f]->name(), rejected[f]});
     }
   }
   // Survivors are moved out of the old dataset instead of deep-copied (the
   // executor owns it and discards the pre-filter state).
-  *dataset = std::move(*dataset).TakeKept(keep);
+  *dataset = std::move(*dataset).TakeSelect(survivors);
   return Status::Ok();
 }
 
 Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
-                                 data::Dataset* dataset, ThreadPool* pool) {
+                                 data::Dataset* dataset) {
   dataset->EnsureColumn(data::kStatsField);
   std::optional<std::vector<std::string>> texts;
   std::vector<ops::DuplicatePair> pairs;
@@ -263,7 +277,7 @@ Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
   obs::Span span(options_.spans, "batch:" + dedup->name(), "batch");
   DJ_ASSIGN_OR_RETURN(
       data::Dataset result,
-      dedup->Deduplicate(std::move(*dataset), pool,
+      dedup->Deduplicate(std::move(*dataset), &pool_,
                          options_.tracer != nullptr ? &pairs : nullptr));
   *dataset = std::move(result);
   if (texts.has_value()) {
@@ -276,19 +290,17 @@ Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
 }
 
 Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
-                         ThreadPool* pool, OpReport* report) {
-  if (unit.is_fused()) {
-    return RunFilters(unit.fused, dataset, pool, &report->stage);
-  }
+                         OpReport* report) {
+  if (unit.is_fused()) return RunFilters(unit.fused, dataset, &report->stage);
   switch (unit.op->kind()) {
     case ops::OpKind::kMapper:
-      return RunMapper(static_cast<ops::Mapper*>(unit.op), dataset, pool);
+      return RunMapper(static_cast<ops::Mapper*>(unit.op), dataset);
     case ops::OpKind::kFilter:
-      return RunFilters({static_cast<ops::Filter*>(unit.op)}, dataset, pool,
+      return RunFilters({static_cast<ops::Filter*>(unit.op)}, dataset,
                         nullptr);
     case ops::OpKind::kDeduplicator:
       return RunDeduplicator(static_cast<ops::Deduplicator*>(unit.op),
-                             dataset, pool);
+                             dataset);
     case ops::OpKind::kFormatter:
       return Status::InvalidArgument("formatter in pipeline");
   }
@@ -340,20 +352,16 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     key_before[i + 1] = key;
   }
 
-  // The worker pool is created up front so the cache/checkpoint codecs can
-  // shard their (de)serialization across it too, not just the OP loop.
-  ThreadPool pool(static_cast<size_t>(std::max(options_.num_workers, 1)));
-
   std::optional<CacheManager> cache;
   if (!options_.cache_dir.empty()) {
     cache.emplace(options_.cache_dir, options_.cache_compression);
     cache->SetMetrics(options_.metrics);
-    cache->SetPool(&pool);
+    cache->SetPool(&pool_);
   }
   std::optional<CheckpointManager> checkpoints;
   if (!options_.checkpoint_dir.empty()) {
     checkpoints.emplace(options_.checkpoint_dir);
-    checkpoints->SetPool(&pool);
+    checkpoints->SetPool(&pool_);
   }
 
   // Resume scan: the deepest stored prefix wins. At each depth a cache
@@ -437,7 +445,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
     {
       obs::Span unit_span(options_.spans, "unit:" + r.name, "op");
-      Status status = RunUnit(plan[i], &dataset, &pool, &r);
+      Status status = RunUnit(plan[i], &dataset, &r);
       if (!status.ok()) {
         return Status(status.code(),
                       "OP '" + r.name + "' failed: " + status.message());
@@ -463,7 +471,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     // cache or the store failed.
     if (cache.has_value() || checkpoints.has_value()) {
       Stopwatch persist_watch;
-      const std::string djds = data::SerializeDataset(dataset, &pool);
+      const std::string djds = data::SerializeDataset(dataset, &pool_);
       bool stored = false;
       if (cache.has_value()) {
         obs::Span store_span(options_.spans, "cache.store", "cache");

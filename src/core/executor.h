@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/cache_manager.h"
 #include "core/checkpoint.h"
 #include "core/fusion.h"
@@ -106,10 +107,16 @@ class Executor {
     obs::SpanRecorder* spans = nullptr;
   };
 
+  /// Builds the worker pool, `num_workers` wide (at least 1), that every
+  /// Run and the caller's import and export share.
   explicit Executor(Options options);
 
   /// Convenience: options derived from a recipe.
   static Options OptionsFromRecipe(const Recipe& recipe);
+
+  /// The executor's pool, lent for work around a run (dataset import and
+  /// export); it lives as long as the executor.
+  ThreadPool* pool() { return &pool_; }
 
   /// Runs `ops` over `dataset` and returns the processed dataset.
   /// On failure with the cache or checkpoints on, the state before the
@@ -126,19 +133,17 @@ class Executor {
 
  private:
   Status RunUnit(const PlanUnit& unit, data::Dataset* dataset,
-                 ThreadPool* pool, OpReport* report);
-  Status RunMapper(ops::Mapper* mapper, data::Dataset* dataset,
-                   ThreadPool* pool);
+                 OpReport* report);
+  Status RunMapper(ops::Mapper* mapper, data::Dataset* dataset);
   /// Runs `filters` (one, or a stage's members in recipe order) in one pass:
   /// each row goes through them one at a time and stops at the first
   /// rejection. `stage` (optional) receives each member's rejected rows.
   Status RunFilters(const std::vector<ops::Filter*>& filters,
-                    data::Dataset* dataset, ThreadPool* pool,
-                    std::vector<StageMember>* stage);
-  Status RunDeduplicator(ops::Deduplicator* dedup, data::Dataset* dataset,
-                         ThreadPool* pool);
+                    data::Dataset* dataset, std::vector<StageMember>* stage);
+  Status RunDeduplicator(ops::Deduplicator* dedup, data::Dataset* dataset);
 
   Options options_;
+  ThreadPool pool_;
 };
 
 }  // namespace dj::core

@@ -69,8 +69,6 @@ class Tracer {
 
  private:
   OpTotals* TotalsFor(std::string_view op_name) DJ_REQUIRES(mutex_);
-  size_t CountFor(std::string_view op_name,
-                  const std::vector<std::string>& counted) const;
 
   size_t limit_;
   mutable Mutex mutex_{"Tracer.mutex"};

@@ -1,11 +1,7 @@
 #include "data/dataset.h"
 
-#include <atomic>
 #include <cassert>
 #include <iterator>
-#include <mutex>
-
-#include "common/mutex.h"
 
 namespace dj::data {
 
@@ -121,15 +117,6 @@ Status Dataset::RenameColumn(std::string_view from, std::string_view to) {
   return Status::Ok();
 }
 
-void Dataset::RemoveColumn(std::string_view name) {
-  for (auto it = columns_.begin(); it != columns_.end(); ++it) {
-    if (it->name == name) {
-      columns_.erase(it);
-      return;
-    }
-  }
-}
-
 const json::Value& Dataset::Cell(std::string_view column, size_t row) const {
   const ColumnData* col = FindColumn(column);
   assert(col != nullptr && row < num_rows_);
@@ -199,64 +186,6 @@ void Dataset::AppendSample(const Sample& sample) {
     columns_.push_back(std::move(col));
   }
   ++num_rows_;
-}
-
-Status Dataset::Map(const std::function<Status(RowRef)>& fn,
-                    ThreadPool* pool) {
-  Mutex err_mutex{"Dataset.first_error"};
-  Status first_error;
-  std::atomic<bool> failed{false};
-  ParallelFor(pool, num_rows_, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      Status s = fn(RowRef(this, i));
-      if (!s.ok()) {
-        MutexLock lock(&err_mutex);
-        if (first_error.ok()) first_error = std::move(s);
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  return first_error;
-}
-
-Status Dataset::KeepMask(const std::function<Result<bool>(RowRef)>& pred,
-                         ThreadPool* pool, std::vector<uint8_t>* mask) {
-  // A byte per row, not std::vector<bool>: adjacent rows evaluated by
-  // different chunks must not share a word.
-  mask->assign(num_rows_, 0);
-  Mutex err_mutex{"Dataset.first_error"};
-  Status first_error;
-  auto run = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      Result<bool> r = pred(RowRef(this, i));
-      if (!r.ok()) {
-        MutexLock lock(&err_mutex);
-        if (first_error.ok()) first_error = r.status();
-        return;
-      }
-      (*mask)[i] = r.value() ? 1 : 0;
-    }
-  };
-  ParallelFor(pool, num_rows_, run);
-  return first_error;
-}
-
-namespace {
-
-std::vector<size_t> KeptIndices(const std::vector<uint8_t>& mask) {
-  std::vector<size_t> indices;
-  for (size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i] != 0) indices.push_back(i);
-  }
-  return indices;
-}
-
-}  // namespace
-
-Dataset Dataset::TakeKept(const std::vector<uint8_t>& mask) && {
-  return std::move(*this).TakeSelect(KeptIndices(mask));
 }
 
 Dataset Dataset::Select(const std::vector<size_t>& indices) const {

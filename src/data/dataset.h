@@ -2,14 +2,12 @@
 #define DJ_DATA_DATASET_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/sample.h"
 #include "json/value.h"
 
@@ -89,9 +87,6 @@ class Dataset {
   /// Renames a column; metadata-only (the "lazy" unification of Sec. 7).
   Status RenameColumn(std::string_view from, std::string_view to);
 
-  /// Drops a column if present.
-  void RemoveColumn(std::string_view name);
-
   /// Direct cell access. Row/column must exist.
   const json::Value& Cell(std::string_view column, size_t row) const;
   json::Value* MutableCell(std::string_view column, size_t row);
@@ -114,23 +109,6 @@ class Dataset {
   Sample MaterializeRow(size_t row) const;
   /// Appends one row from a Sample (missing columns are added).
   void AppendSample(const Sample& sample);
-
-  /// Runs `fn` over every row, optionally in parallel on `pool`. Errors from
-  /// any row abort the map and the first error is returned; remaining chunks
-  /// still finish (no cancellation) but their errors are dropped.
-  Status Map(const std::function<Status(RowRef)>& fn,
-             ThreadPool* pool = nullptr);
-
-  /// Evaluates `pred` on every row, in parallel if `pool` is given, and
-  /// sets `*mask` to one entry per row: 1 keeps the row, 0 drops it.
-  /// Returns the first error a row reported, if any; then `*mask` is
-  /// incomplete. Pair with TakeKept to select the survivors.
-  Status KeepMask(const std::function<Result<bool>(RowRef)>& pred,
-                  ThreadPool* pool, std::vector<uint8_t>* mask);
-
-  /// Consuming selection by a KeepMask mask: the rows whose entry is
-  /// non-zero, with their cells moved out. `*this` is left empty.
-  Dataset TakeKept(const std::vector<uint8_t>& mask) &&;
 
   /// Returns a dataset with rows at `indices` (in the given order).
   Dataset Select(const std::vector<size_t>& indices) const;

@@ -445,42 +445,30 @@ Result<Dataset> DeserializeShards(std::string_view bytes, ThreadPool* pool) {
 
   // Decode shards concurrently, each into its own per-column cell vectors.
   std::vector<std::vector<std::vector<json::Value>>> shard_cols(num_shards);
-  std::vector<Status> errors(num_shards, Status::Ok());
-  auto decode_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      std::string_view payload = bytes.substr(shards[s].offset,
-                                              shards[s].length);
-      if (swar::Hash64(payload.data(), payload.size()) != shards[s].checksum) {
-        errors[s] = Status::Corruption("DJDS shard checksum mismatch");
-        continue;
-      }
-      std::vector<std::vector<json::Value>> cols(col_names.size());
-      size_t p = 0;
-      Status status;
-      for (size_t c = 0; c < col_names.size() && status.ok(); ++c) {
-        cols[c].reserve(shards[s].row_count);
-        for (size_t r = 0; r < shards[s].row_count; ++r) {
-          json::Value v;
-          status = DeserializeValueAt(payload, &p, &v, 1);
-          if (!status.ok()) break;
-          cols[c].push_back(std::move(v));
-        }
-      }
-      if (status.ok() && p != payload.size()) {
-        status = Status::Corruption("trailing bytes in DJDS shard");
-      }
-      if (!status.ok()) {
-        errors[s] = std::move(status);
-        continue;
-      }
-      shard_cols[s] = std::move(cols);
+  Status decoded = ForEachIndex(pool, num_shards, [&](size_t s) -> Status {
+    std::string_view payload = bytes.substr(shards[s].offset,
+                                            shards[s].length);
+    if (swar::Hash64(payload.data(), payload.size()) != shards[s].checksum) {
+      return Status::Corruption("DJDS shard checksum mismatch");
     }
-  };
-  ParallelFor(pool, num_shards, decode_range);
+    std::vector<std::vector<json::Value>> cols(col_names.size());
+    size_t p = 0;
+    for (size_t c = 0; c < col_names.size(); ++c) {
+      cols[c].reserve(shards[s].row_count);
+      for (size_t r = 0; r < shards[s].row_count; ++r) {
+        json::Value v;
+        DJ_RETURN_IF_ERROR(DeserializeValueAt(payload, &p, &v, 1));
+        cols[c].push_back(std::move(v));
+      }
+    }
+    if (p != payload.size()) {
+      return Status::Corruption("trailing bytes in DJDS shard");
+    }
+    shard_cols[s] = std::move(cols);
+    return Status::Ok();
+  });
   DJ_SCHED_POINT("io.shard.gather");
-  for (Status& s : errors) {
-    if (!s.ok()) return std::move(s);
-  }
+  DJ_RETURN_IF_ERROR(decoded);
 
   // Ordered gather: move shard cells into whole columns.
   std::vector<std::vector<json::Value>> cols(col_names.size());

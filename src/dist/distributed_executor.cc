@@ -4,9 +4,7 @@
 #include <optional>
 
 #include "common/random.h"
-#include "common/probe.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 
 namespace dj::dist {
 namespace {
@@ -60,23 +58,15 @@ std::vector<Segment> SplitSegments(
   return segments;
 }
 
-std::vector<data::Dataset> Shard(const data::Dataset& ds, size_t n,
-                                 ThreadPool* pool) {
+std::vector<data::Dataset> Shard(const data::Dataset& ds, size_t n) {
   if (n == 0) n = 1;
   std::vector<data::Dataset> shards(n);
   size_t rows = ds.NumRows();
-  size_t per = (rows + n - 1) / std::max<size_t>(n, 1);
-  // Slices are independent row-range copies, so they cut in parallel; the
-  // shard boundaries depend only on (rows, n), never on the pool.
-  auto slice_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      size_t lo = std::min(i * per, rows);
-      size_t hi = std::min(lo + per, rows);
-      shards[i] = ds.Slice(lo, hi);
-    }
-  };
-  ParallelFor(pool, n, slice_range);
-  DJ_SCHED_POINT("dist.shard.gather");
+  size_t per = (rows + n - 1) / n;
+  for (size_t i = 0; i < n; ++i) {
+    size_t lo = std::min(i * per, rows);
+    shards[i] = ds.Slice(lo, std::min(lo + per, rows));
+  }
   return shards;
 }
 
@@ -196,8 +186,7 @@ Result<data::Dataset> DistributedExecutor::Run(
   core::Executor shard_executor(exec_options);
 
   std::vector<Segment> segments = SplitSegments(ops);
-  std::vector<data::Dataset> shards = Shard(dataset, nodes,
-                                            options_.io_pool);
+  std::vector<data::Dataset> shards = Shard(dataset, nodes);
   dataset = data::Dataset();  // released; state lives in shards
 
   for (size_t seg = 0; seg < segments.size(); ++seg) {
@@ -285,7 +274,7 @@ Result<data::Dataset> DistributedExecutor::Run(
       emit_lane(seg_tag + ":" + segment.global->name(), kDriverLane, cursor,
                 modeled);
       cursor += modeled;
-      shards = Shard(processed.value(), nodes, options_.io_pool);
+      shards = Shard(processed.value(), nodes);
     }
   }
 

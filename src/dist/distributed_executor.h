@@ -44,11 +44,6 @@ class DistributedExecutor {
     /// start at kDriverLane to stay clear of real thread lanes.
     obs::SpanRecorder* spans = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
-
-    /// Optional driver-side I/O pool (not owned): sharding and merging the
-    /// dataset between segments parallelize across it. Results are
-    /// identical with or without a pool.
-    ThreadPool* io_pool = nullptr;
   };
 
   /// Trace lane of the modeled driver; node i uses kDriverLane + 1 + i.

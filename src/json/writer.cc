@@ -161,12 +161,6 @@ void EscapeStringTo(std::string_view s, std::string* out) {
   out->push_back('"');
 }
 
-std::string EscapeString(std::string_view s) {
-  std::string out;
-  EscapeStringTo(s, &out);
-  return out;
-}
-
 std::string Write(const Value& v, const WriteOptions& options) {
   std::string out;
   WriteValue(v, options, 0, &out);

@@ -22,9 +22,6 @@ std::string Write(const Value& v, const WriteOptions& options = {});
 /// strings.
 void WriteTo(const Value& v, std::string* out, const WriteOptions& options = {});
 
-/// Escapes `s` as a JSON string literal including surrounding quotes.
-std::string EscapeString(std::string_view s);
-
 /// Appends the escaped form of `s` (including surrounding quotes) to `*out`.
 /// Clean spans — runs with no byte needing escaping — are appended in bulk.
 void EscapeStringTo(std::string_view s, std::string* out);

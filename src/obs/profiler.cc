@@ -59,12 +59,6 @@ json::Value Profiler::Report::ToJson() const {
   return json::Value(std::move(out));
 }
 
-Profiler::Profiler() : Profiler(Options()) {}
-
-Profiler::Profiler(Options options) : options_(options) {
-  if (options_.interval_seconds <= 0) options_.interval_seconds = 0.002;
-}
-
 Profiler::~Profiler() { Stop(); }
 
 void Profiler::Start() {
@@ -81,7 +75,7 @@ void Profiler::Stop() {
 
 Profiler::Report Profiler::Snapshot() const {
   Report report;
-  report.interval_seconds = options_.interval_seconds;
+  report.interval_seconds = kIntervalSeconds;
   MutexLock lock(&mutex_);
   report.ticks = ticks_;
   report.samples = samples_;
@@ -98,7 +92,7 @@ void Profiler::TickerLoop() {
   std::vector<std::string> stack;
   while (running_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
-        std::chrono::duration<double>(options_.interval_seconds));
+        std::chrono::duration<double>(kIntervalSeconds));
 
     uint64_t tick_samples = 0;
     std::vector<std::pair<std::string, uint64_t>> tick_paths;

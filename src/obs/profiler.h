@@ -16,7 +16,7 @@
 namespace dj::obs {
 
 /// Always-on sampling profiler. A ticker thread wakes every
-/// `interval_seconds` and samples the *span-path tag stack* of every
+/// kIntervalSeconds and samples the *span-path tag stack* of every
 /// registered thread (see common/thread_introspect.h): busy threads
 /// contribute one sample at their current path ("executor.run;unit:x;..."),
 /// aggregated into a collapsed-stack table. Because the stacks are the
@@ -38,9 +38,8 @@ namespace dj::obs {
 ///     self-describing about the sampling that ran alongside them.
 class Profiler {
  public:
-  struct Options {
-    double interval_seconds = 0.002;  ///< 500 Hz; ~0 cost for idle threads
-  };
+  /// Sampling period: 500 Hz, ~0 cost for idle threads.
+  static constexpr double kIntervalSeconds = 0.002;
 
   /// Aggregated profile. `collapsed` maps a span path (frames joined with
   /// ';', outermost first) to the number of samples observed there.
@@ -64,8 +63,7 @@ class Profiler {
     json::Value ToJson() const;
   };
 
-  Profiler();
-  explicit Profiler(Options options);
+  Profiler() = default;
   ~Profiler();  ///< stops the ticker if still running
 
   Profiler(const Profiler&) = delete;
@@ -83,7 +81,6 @@ class Profiler {
  private:
   void TickerLoop();
 
-  Options options_;
   std::atomic<bool> running_{false};
   std::thread ticker_;
   mutable Mutex mutex_{"Profiler.mutex"};

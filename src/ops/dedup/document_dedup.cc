@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/mutex.h"
 #include "obs/span.h"
 #include "text/ngram.h"
 #include "text/tokenizer.h"
@@ -87,19 +86,11 @@ Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
   size_t n = dataset.NumRows();
   fingerprints_.assign(n, Fingerprint128{});
   dataset.EnsureColumn(data::kStatsField);
-  Status status;
-  Mutex status_mutex{"ExactDedup.first_error"};
   {
     DJ_OBS_SPAN("exact_dedup.compute_hashes");
-    ForEachIndex(pool, n, [&](size_t i) {
-      Status s = ComputeHash(dataset.Row(i));
-      if (!s.ok()) {
-        MutexLock lock(&status_mutex);
-        if (status.ok()) status = std::move(s);
-      }
-    });
+    DJ_RETURN_IF_ERROR(ForEachIndex(
+        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   }
-  DJ_RETURN_IF_ERROR(status);
   DJ_OBS_SPAN("exact_dedup.select_survivors");
   std::vector<uint64_t> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = fingerprints_[i].lo;
@@ -160,15 +151,18 @@ Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
   signatures_.assign(n, {});
   {
     DJ_OBS_SPAN("minhash.compute_signatures");
-    ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
+    DJ_RETURN_IF_ERROR(ForEachIndex(
+        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   }
   // LSH banding: bucket rows by band keys, verify candidates.
   DJ_OBS_SPAN("minhash.lsh_candidates");
   const size_t bands = lsh_.bands;
   std::vector<uint64_t> keys(n * bands);
-  ForEachIndex(pool, n, [&](size_t i) {
-    std::vector<uint64_t> row_keys = LshBandKeys(signatures_[i], lsh_);
-    std::copy(row_keys.begin(), row_keys.end(), keys.begin() + i * bands);
+  ParallelFor(pool, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      std::vector<uint64_t> row_keys = LshBandKeys(signatures_[i], lsh_);
+      std::copy(row_keys.begin(), row_keys.end(), keys.begin() + i * bands);
+    }
   });
   UnionFind uf = ClusterBuckets(keys, bands, pool, [&](size_t i, size_t j) {
     return MinHasher::EstimateJaccard(signatures_[i], signatures_[j]) >=
@@ -207,7 +201,8 @@ Result<data::Dataset> DocumentSimHashDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   fingerprints_.assign(n, 0);
-  ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
+  DJ_RETURN_IF_ERROR(ForEachIndex(
+      pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   // Bucket by each of the four 16-bit bands; verify Hamming distance.
   constexpr size_t kBands = 4;
   std::vector<uint64_t> keys(n * kBands);
@@ -256,20 +251,23 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
     std::vector<DuplicatePair>* pairs) {
   size_t n = dataset.NumRows();
   shingles_.assign(n, {});
-  ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
+  DJ_RETURN_IF_ERROR(ForEachIndex(
+      pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   // Bucket keys: each row's first kIndexPerDoc sorted shingles, a
   // deterministic min-K sample (identical documents sample identical
   // shingles), padded with repeats of the first. A row without shingles
   // gets a key of its own, so short rows never pile into one bucket.
   constexpr size_t kIndexPerDoc = 24;
   std::vector<uint64_t> keys(n * kIndexPerDoc);
-  ForEachIndex(pool, n, [&](size_t i) {
-    const std::vector<uint64_t>& grams = shingles_[i];
-    const size_t take = std::min(grams.size(), kIndexPerDoc);
-    uint64_t* row_keys = keys.data() + i * kIndexPerDoc;
-    std::copy_n(grams.begin(), take, row_keys);
-    std::fill(row_keys + take, row_keys + kIndexPerDoc,
-              take == 0 ? SplitMix64(i) : grams[0]);
+  ParallelFor(pool, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const std::vector<uint64_t>& grams = shingles_[i];
+      const size_t take = std::min(grams.size(), kIndexPerDoc);
+      uint64_t* row_keys = keys.data() + i * kIndexPerDoc;
+      std::copy_n(grams.begin(), take, row_keys);
+      std::fill(row_keys + take, row_keys + kIndexPerDoc,
+                take == 0 ? SplitMix64(i) : grams[0]);
+    }
   });
   UnionFind uf = ClusterBuckets(
       keys, kIndexPerDoc, pool, [&](size_t i, size_t j) {

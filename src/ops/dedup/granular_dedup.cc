@@ -51,7 +51,8 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
   units_.assign(n, {});
   {
     DJ_OBS_SPAN("granular_dedup.compute_hashes");
-    ForEachIndex(pool, n, [&](size_t i) { ComputeHash(dataset.Row(i)); });
+    DJ_RETURN_IF_ERROR(ForEachIndex(
+        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   }
   DJ_OBS_SPAN("granular_dedup.rewrite_units");
   // Serial walk over the hashes alone, rows then units in order: the first
@@ -81,8 +82,7 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
     }
   }
   // Rebuild the changed rows in parallel from their surviving units.
-  std::vector<Status> errors(rewrite_rows.size());
-  ForEachIndex(pool, rewrite_rows.size(), [&](size_t k) {
+  DJ_RETURN_IF_ERROR(ForEachIndex(pool, rewrite_rows.size(), [&](size_t k) {
     data::RowRef row = dataset.Row(rewrite_rows[k]);
     const std::vector<Unit>& units = units_[rewrite_rows[k]];
     std::vector<std::string> texts = SplitUnits(row.GetText(text_key()));
@@ -93,9 +93,8 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
       if (kept++ > 0) rebuilt.append(Joiner());
       rebuilt += texts[u];
     }
-    errors[k] = row.Set(text_key(), json::Value(std::move(rebuilt)));
-  });
-  for (Status& status : errors) DJ_RETURN_IF_ERROR(status);
+    return row.Set(text_key(), json::Value(std::move(rebuilt)));
+  }));
   return std::move(dataset).TakeSelect(keep_rows);
 }
 

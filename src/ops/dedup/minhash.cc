@@ -185,13 +185,6 @@ void VerifyBucket(const KeyedRow* members, size_t m,
 
 }  // namespace
 
-void ForEachIndex(ThreadPool* pool, size_t n,
-                  const std::function<void(size_t)>& fn) {
-  ParallelFor(pool, n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
                          size_t keys_per_row, ThreadPool* pool,
                          const std::function<bool(size_t, size_t)>& similar) {
@@ -213,9 +206,11 @@ UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
       }
     }
   };
-  ForEachIndex(pool, chunks, [&](size_t c) {
-    size_t* counts = &offsets[c * kPartitions];
-    chunk_keys(c, [&](uint64_t key, size_t) { ++counts[PartitionOf(key)]; });
+  ParallelFor(pool, chunks, [&](size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) {
+      size_t* counts = &offsets[c * kPartitions];
+      chunk_keys(c, [&](uint64_t key, size_t) { ++counts[PartitionOf(key)]; });
+    }
   });
   std::vector<size_t> partition_begin(kPartitions + 1, 0);
   size_t total = 0;
@@ -229,30 +224,34 @@ UnionFind ClusterBuckets(const std::vector<uint64_t>& keys,
   }
   partition_begin[kPartitions] = total;
   std::vector<KeyedRow> keyed(total);
-  ForEachIndex(pool, chunks, [&](size_t c) {
-    size_t* next = &offsets[c * kPartitions];
-    chunk_keys(c, [&](uint64_t key, size_t row) {
-      keyed[next[PartitionOf(key)]++] = {key, row};
-    });
+  ParallelFor(pool, chunks, [&](size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) {
+      size_t* next = &offsets[c * kPartitions];
+      chunk_keys(c, [&](uint64_t key, size_t row) {
+        keyed[next[PartitionOf(key)]++] = {key, row};
+      });
+    }
   });
 
   // Each partition holds every pair of its keys: sort it, and verify each
   // run of equal keys (one bucket) on the worker. A row that carries one
   // key twice is one member of that bucket.
   std::vector<std::vector<std::pair<size_t, size_t>>> edges(kPartitions);
-  ForEachIndex(pool, kPartitions, [&](size_t p) {
-    KeyedRow* begin = keyed.data() + partition_begin[p];
-    KeyedRow* end = keyed.data() + partition_begin[p + 1];
-    std::sort(begin, end);
-    end = std::unique(begin, end);
-    for (KeyedRow* run = begin; run != end;) {
-      KeyedRow* run_end = run + 1;
-      while (run_end != end && run_end->key == run->key) ++run_end;
-      if (run_end - run >= 2) {
-        VerifyBucket(run, static_cast<size_t>(run_end - run), similar,
-                     &edges[p]);
+  ParallelFor(pool, kPartitions, [&](size_t lo, size_t hi) {
+    for (size_t p = lo; p < hi; ++p) {
+      KeyedRow* begin = keyed.data() + partition_begin[p];
+      KeyedRow* end = keyed.data() + partition_begin[p + 1];
+      std::sort(begin, end);
+      end = std::unique(begin, end);
+      for (KeyedRow* run = begin; run != end;) {
+        KeyedRow* run_end = run + 1;
+        while (run_end != end && run_end->key == run->key) ++run_end;
+        if (run_end - run >= 2) {
+          VerifyBucket(run, static_cast<size_t>(run_end - run), similar,
+                       &edges[p]);
+        }
+        run = run_end;
       }
-      run = run_end;
     }
   });
   for (const auto& partition_edges : edges) {

@@ -63,11 +63,6 @@ class UnionFind {
   std::vector<uint8_t> rank_;
 };
 
-/// Runs `fn(i)` for every i in [0, n) through ParallelFor(pool, ...). The
-/// dedups' row and partition loops.
-void ForEachIndex(ThreadPool* pool, size_t n,
-                  const std::function<void(size_t)>& fn);
-
 /// Clusters rows that share a bucket key and pass a similarity check: the
 /// LSH banding of MinHash and SimHash, n-gram overlap's shingle samples,
 /// and exact dedup with one key per row.

@@ -3,44 +3,8 @@
 #include <algorithm>
 
 #include "common/hash.h"
-#include "text/utf8.h"
 
 namespace dj::text {
-
-std::vector<std::string> WordNgrams(const std::vector<std::string>& words,
-                                    size_t n) {
-  std::vector<std::string> out;
-  if (n == 0 || words.size() < n) return out;
-  out.reserve(words.size() - n + 1);
-  for (size_t i = 0; i + n <= words.size(); ++i) {
-    std::string gram = words[i];
-    for (size_t j = 1; j < n; ++j) {
-      gram.push_back('\x1f');
-      gram += words[i + j];
-    }
-    out.push_back(std::move(gram));
-  }
-  return out;
-}
-
-std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
-  std::vector<std::string> out;
-  if (n == 0) return out;
-  // Collect codepoint byte offsets.
-  std::vector<size_t> offsets;
-  size_t pos = 0;
-  uint32_t cp;
-  while (pos < s.size()) {
-    offsets.push_back(pos);
-    DecodeUtf8(s, &pos, &cp);
-  }
-  offsets.push_back(s.size());
-  if (offsets.size() <= n) return out;
-  for (size_t i = 0; i + n < offsets.size(); ++i) {
-    out.emplace_back(s.substr(offsets[i], offsets[i + n] - offsets[i]));
-  }
-  return out;
-}
 
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
                                        size_t n) {

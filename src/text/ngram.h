@@ -8,13 +8,6 @@
 
 namespace dj::text {
 
-/// Word n-grams joined with '\x1f' separators, from pre-tokenized words.
-std::vector<std::string> WordNgrams(const std::vector<std::string>& words,
-                                    size_t n);
-
-/// Character n-grams over codepoints (each gram is a UTF-8 substring).
-std::vector<std::string> CharNgrams(std::string_view s, size_t n);
-
 /// 64-bit hashes of word n-grams (cheaper than materializing strings; used
 /// by MinHash/SimHash and repetition filters).
 std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,

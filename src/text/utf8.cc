@@ -105,18 +105,6 @@ bool IsValidUtf8(std::string_view s) {
   return true;
 }
 
-std::vector<uint32_t> DecodeAll(std::string_view s) {
-  std::vector<uint32_t> out;
-  out.reserve(s.size());
-  size_t pos = 0;
-  uint32_t cp;
-  while (pos < s.size()) {
-    DecodeUtf8(s, &pos, &cp);
-    out.push_back(cp);
-  }
-  return out;
-}
-
 bool IsCjk(uint32_t cp) {
   return (cp >= 0x4E00 && cp <= 0x9FFF) ||    // CJK Unified
          (cp >= 0x3400 && cp <= 0x4DBF) ||    // Extension A

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace dj::text {
 
@@ -21,9 +20,6 @@ size_t CodepointCount(std::string_view s);
 
 /// True if `s` is entirely well-formed UTF-8.
 bool IsValidUtf8(std::string_view s);
-
-/// Decodes all codepoints (malformed bytes become U+FFFD).
-std::vector<uint32_t> DecodeAll(std::string_view s);
 
 /// Codepoint class predicates used by OPs.
 bool IsCjk(uint32_t cp);               ///< CJK unified ideographs + extensions.

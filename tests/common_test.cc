@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -330,6 +334,105 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
+}
+
+/// Runs ForEachIndex over [0, n) and records how often each index ran.
+Status CountVisits(ThreadPool* pool, size_t n,
+                   std::vector<std::atomic<int>>* visits,
+                   const std::function<Status(size_t)>& fn) {
+  return ForEachIndex(pool, n, [&](size_t i) {
+    (*visits)[i].fetch_add(1);
+    return fn(i);
+  });
+}
+
+TEST(ThreadPoolTest, ForEachIndexParallelMatchesSerial) {
+  auto square_odd = [](std::vector<uint64_t>* out) {
+    return [out](size_t i) {
+      (*out)[i] = i % 2 == 1 ? i * i : 0;
+      return Status::Ok();
+    };
+  };
+  std::vector<uint64_t> serial(500);
+  ASSERT_TRUE(ForEachIndex(nullptr, serial.size(), square_odd(&serial)).ok());
+  for (size_t width : {1, 2, 3, 4, 8}) {
+    ThreadPool pool(width);
+    std::vector<uint64_t> parallel(serial.size(), 7);
+    ASSERT_TRUE(
+        ForEachIndex(&pool, parallel.size(), square_odd(&parallel)).ok());
+    EXPECT_EQ(parallel, serial) << "width " << width;
+  }
+}
+
+TEST(ThreadPoolTest, ForEachIndexReturnsTheLowestFailingIndex) {
+  // Several indices fail with distinct messages, spread over chunks; the
+  // lowest one yields first, so at width > 1 a later chunk usually fails
+  // before it does. The call must still report it, as a serial loop would.
+  const std::set<size_t> failing = {17, 18, 42, 90, 99};
+  auto fn = [&](size_t i) {
+    if (i == 17) {
+      for (int k = 0; k < 50; ++k) std::this_thread::yield();
+    }
+    if (failing.count(i) > 0) {
+      return Status::Internal("row " + std::to_string(i));
+    }
+    return Status::Ok();
+  };
+  Status serial = ForEachIndex(nullptr, 100, fn);
+  EXPECT_EQ(serial.code(), StatusCode::kInternal);
+  EXPECT_EQ(serial.message(), "row 17");
+  for (size_t width : {1, 2, 3, 4, 8}) {
+    ThreadPool pool(width);
+    for (int rep = 0; rep < 200; ++rep) {
+      Status s = ForEachIndex(&pool, 100, fn);
+      ASSERT_EQ(s.message(), "row 17") << "width " << width << " rep " << rep;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ForEachIndexFailureInFirstChunk) {
+  // 100 indices at width 4 make 16 chunks of 7: index 0 fails, so its
+  // chunk stops there and every other chunk still runs in full.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> visits(100);
+  Status s = CountVisits(&pool, 100, &visits, [](size_t i) {
+    return i == 0 ? Status::Corruption("first") : Status::Ok();
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_EQ(s.message(), "first");
+  for (size_t i = 1; i < 7; ++i) EXPECT_EQ(visits[i].load(), 0) << i;
+  for (size_t i = 7; i < 100; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolTest, ForEachIndexFailureInLastChunk) {
+  for (size_t width : {1, 4}) {
+    ThreadPool pool(width);
+    std::vector<std::atomic<int>> visits(100);
+    Status s = CountVisits(&pool, 100, &visits, [](size_t i) {
+      return i == 99 ? Status::IoError("last") : Status::Ok();
+    });
+    EXPECT_EQ(s.code(), StatusCode::kIoError);
+    EXPECT_EQ(s.message(), "last");
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1) << "width " << width;
+  }
+}
+
+TEST(ThreadPoolTest, ForEachIndexEmptyAndSingleIndex) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    bool called = false;
+    EXPECT_TRUE(ForEachIndex(p, 0, [&](size_t) {
+                  called = true;
+                  return Status::Internal("never");
+                }).ok());
+    EXPECT_FALSE(called);
+    std::vector<std::atomic<int>> visits(1);
+    Status s = CountVisits(p, 1, &visits, [](size_t i) {
+      return Status::NotFound("only " + std::to_string(i));
+    });
+    EXPECT_EQ(s.message(), "only 0");
+    EXPECT_EQ(visits[0].load(), 1);
+  }
 }
 
 // --------------------------------------------------- resource_monitor ----

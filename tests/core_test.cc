@@ -329,6 +329,59 @@ TEST(ExecutorTest, TracerSeesAllThreeKinds) {
   EXPECT_FALSE(tracer.duplicates().empty());
 }
 
+// Everything a Tracer holds after a run, one line per record.
+std::string TracerState(const Tracer& tracer) {
+  std::string out;
+  for (const Tracer::OpTotals& t : tracer.Totals()) {
+    out += t.op_name + " edited=" + std::to_string(t.edited) +
+           " filtered=" + std::to_string(t.filtered) +
+           " duplicates=" + std::to_string(t.duplicates) + "\n";
+  }
+  for (const Tracer::FilteredSample& f : tracer.filtered()) {
+    out += f.op_name + " row=" + std::to_string(f.row) + " " + f.text + " " +
+           f.stats_json + "\n";
+  }
+  return out;
+}
+
+TEST(ExecutorTest, TracerRecordsTheSameFilteredRowsAtEveryWidth) {
+  // Row 120 fails the first member and row 125 the second. At width 4 the
+  // rows fall in different chunks, so the member seen first, and with it
+  // the order of the totals, must not depend on which chunk ran first.
+  Recipe r = MustRecipe(R"(
+process:
+  - text_length_filter:
+      min: 5
+  - word_num_filter:
+      min: 3
+)");
+  std::vector<std::string> texts(
+      2000, "the quick brown fox jumps over the lazy dog every morning");
+  texts[120] = "x";
+  texts[125] = std::string(44, 'w');
+  auto ops = MustBuildOps(r);
+  std::string reference;
+  for (int workers : {1, 2, 4, 8}) {
+    Executor::Options options;
+    options.num_workers = workers;
+    for (int rep = 0; rep < 50; ++rep) {
+      Tracer tracer(10);
+      options.tracer = &tracer;
+      auto result =
+          Executor(options).Run(data::Dataset::FromTexts(texts), ops);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result.value().NumRows(), 1998u);
+      std::vector<Tracer::FilteredSample> filtered = tracer.filtered();
+      ASSERT_EQ(filtered.size(), 2u);
+      EXPECT_LT(filtered[0].row, filtered[1].row);
+      if (reference.empty()) reference = TracerState(tracer);
+      ASSERT_EQ(TracerState(tracer), reference)
+          << "np " << workers << " rep " << rep;
+    }
+  }
+  EXPECT_EQ(reference.rfind("text_length_filter ", 0), 0u) << reference;
+}
+
 TEST(ExecutorTest, MetricsAndSpansRecorded) {
   auto ops = FourteenOpPipeline();
   obs::MetricsRegistry metrics;
@@ -858,7 +911,7 @@ std::vector<std::string> StageLines(const RunReport& report) {
 }
 
 TEST(FilterStageTest, OrderLineIsTheSameAtNp1AndNp4) {
-  // The per-member counters are shared by the workers at np 4.
+  // The per-member counts come from one pass in row order at any width.
   auto ops1 = FourteenOpPipeline();
   auto ops4 = FourteenOpPipeline();
   RunReport np1 = RunStage(ops1, NoisyCorpus(300), 1);

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 
-#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "data/io.h"
 #include "data/path.h"
@@ -149,90 +148,6 @@ TEST(DatasetTest, ConcatUnionsColumns) {
   EXPECT_TRUE(a.Cell("n", 0).is_null());
   EXPECT_EQ(a.Cell("n", 1).as_int(), 2);
   EXPECT_TRUE(a.Cell("m", 1).is_null());
-}
-
-TEST(DatasetTest, MapSequentialAndParallelAgree) {
-  auto build = [] {
-    std::vector<std::string> texts;
-    for (int i = 0; i < 200; ++i) texts.push_back("doc " + std::to_string(i));
-    return Dataset::FromTexts(texts);
-  };
-  auto upper = [](RowRef row) -> Status {
-    std::string t(row.GetText());
-    for (char& c : t) c = static_cast<char>(std::toupper(c));
-    return row.Set(std::string(kTextField), json::Value(std::move(t)));
-  };
-  Dataset seq = build();
-  ASSERT_TRUE(seq.Map(upper, nullptr).ok());
-  Dataset par = build();
-  ThreadPool pool(4);
-  ASSERT_TRUE(par.Map(upper, &pool).ok());
-  for (size_t i = 0; i < seq.NumRows(); ++i) {
-    EXPECT_EQ(seq.GetTextAt(i), par.GetTextAt(i));
-  }
-}
-
-TEST(DatasetTest, MapPropagatesError) {
-  Dataset ds = Dataset::FromTexts({"a", "b"});
-  Status s = ds.Map(
-      [](RowRef row) -> Status {
-        if (row.row() == 1) return Status::Internal("boom");
-        return Status::Ok();
-      },
-      nullptr);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "boom");
-}
-
-TEST(DatasetTest, KeepMaskMarksMatchingRows) {
-  Dataset ds = Dataset::FromTexts({"keep", "drop", "keep"});
-  std::vector<uint8_t> mask;
-  ASSERT_TRUE(ds.KeepMask(
-                    [](RowRef row) -> Result<bool> {
-                      return row.GetText() == "keep";
-                    },
-                    nullptr, &mask)
-                  .ok());
-  EXPECT_EQ(mask, (std::vector<uint8_t>{1, 0, 1}));
-  Dataset kept = std::move(ds).TakeKept(mask);
-  ASSERT_EQ(kept.NumRows(), 2u);
-  EXPECT_EQ(kept.GetTextAt(0), "keep");
-  EXPECT_EQ(kept.GetTextAt(1), "keep");
-}
-
-TEST(DatasetTest, KeepMaskParallelMatchesSequential) {
-  std::vector<std::string> texts;
-  for (int i = 0; i < 500; ++i) texts.push_back(std::to_string(i));
-  Dataset a = Dataset::FromTexts(texts);
-  Dataset b = Dataset::FromTexts(texts);
-  auto pred = [](RowRef row) -> Result<bool> {
-    return row.GetText().size() % 2 == 0;
-  };
-  ThreadPool pool(4);
-  std::vector<uint8_t> mask_a;
-  std::vector<uint8_t> mask_b;
-  ASSERT_TRUE(a.KeepMask(pred, nullptr, &mask_a).ok());
-  ASSERT_TRUE(b.KeepMask(pred, &pool, &mask_b).ok());
-  EXPECT_EQ(mask_a, mask_b);
-  Dataset ra = std::move(a).TakeKept(mask_a);
-  Dataset rb = std::move(b).TakeKept(mask_b);
-  ASSERT_EQ(ra.NumRows(), rb.NumRows());
-  for (size_t i = 0; i < ra.NumRows(); ++i) {
-    EXPECT_EQ(ra.GetTextAt(i), rb.GetTextAt(i));
-  }
-}
-
-TEST(DatasetTest, KeepMaskReturnsTheFirstRowError) {
-  Dataset ds = Dataset::FromTexts({"a", "b", "c"});
-  std::vector<uint8_t> mask;
-  Status s = ds.KeepMask(
-      [](RowRef row) -> Result<bool> {
-        if (row.row() == 1) return Status::Internal("boom");
-        return true;
-      },
-      nullptr, &mask);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "boom");
 }
 
 TEST(DatasetTest, ApproxMemoryGrowsWithData) {

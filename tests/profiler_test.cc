@@ -188,9 +188,7 @@ TEST(ThreadIntrospectTest, ThreadPoolWorkersTagAndRebalance) {
 
 TEST(ProfilerTest, AttributesBusyThreadsToInnermostUnitFrame) {
   std::atomic<bool> release{false};
-  Profiler::Options options;
-  options.interval_seconds = 0.005;
-  Profiler profiler(options);
+  Profiler profiler;
   profiler.Start();  // profiler enables introspection for its lifetime
   std::thread worker_a([&] {
     introspect::BusyScope busy;

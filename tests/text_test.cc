@@ -141,21 +141,6 @@ TEST(TokenizerTest, ApproxLlmTokenCountGrowsWithLongWords) {
 
 // -------------------------------------------------------------- ngram ----
 
-TEST(NgramTest, WordNgrams) {
-  std::vector<std::string> words{"a", "b", "c"};
-  std::vector<std::string> grams = WordNgrams(words, 2);
-  ASSERT_EQ(grams.size(), 2u);
-  EXPECT_EQ(grams[0], "a\x1f""b");
-  EXPECT_TRUE(WordNgrams(words, 4).empty());
-  EXPECT_TRUE(WordNgrams(words, 0).empty());
-}
-
-TEST(NgramTest, CharNgramsUtf8Aware) {
-  std::vector<std::string> grams = CharNgrams("\xE4\xB8\xAD\xE6\x96\x87x", 2);
-  ASSERT_EQ(grams.size(), 2u);
-  EXPECT_EQ(grams[0], "\xE4\xB8\xAD\xE6\x96\x87");
-}
-
 TEST(NgramTest, HashedNgramsConsistentWithStrings) {
   std::vector<std::string> a{"x", "y", "z", "x", "y"};
   EXPECT_EQ(HashedWordNgrams(a, 2).size(), 4u);

@@ -24,7 +24,8 @@
 #                             binary-container round-trip, the fault-matrix
 #                             crash/resume smoke, a profiled run
 #                             (--require-profile), an injected-stall
-#                             watchdog dump, dj_analyze's --bins range
+#                             watchdog dump listing exactly the np-4
+#                             pool's 4 workers, dj_analyze's --bins range
 #                             check, 100,000-deep JSONL and recipe inputs
 #                             that must fail naming the nesting bound
 #                             (dj_process at np 1 and 4, dj_lint), and the
@@ -322,6 +323,15 @@ echo "== watchdog stall smoke (injected stall must be dumped) =="
 if ! grep -q "=== WATCHDOG" "${smoke_dir}/watchdog_stderr.txt"; then
   cat "${smoke_dir}/watchdog_stderr.txt" >&2
   echo "check.sh: injected stall did not produce a watchdog dump" >&2
+  exit 1
+fi
+# The recipe runs at np 4, and import, OPs and export share one pool: the
+# dump lists exactly 4 pool workers.
+pool_workers="$(grep -c "role=threadpool.worker" \
+  "${smoke_dir}/watchdog_stderr.txt" || true)"
+if [ "${pool_workers}" -ne 4 ]; then
+  cat "${smoke_dir}/watchdog_stderr.txt" >&2
+  echo "check.sh: stall dump lists ${pool_workers} pool workers, want 4" >&2
   exit 1
 fi
 cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/stalled_out.jsonl"

@@ -369,19 +369,6 @@ int main(int argc, char** argv) {
     return 1;
   };
 
-  // Dedicated I/O pool for load/export; the executor spins up its own
-  // worker pool for the OP loop from the same num_workers setting.
-  dj::ThreadPool io_pool(static_cast<size_t>(recipe.value().num_workers));
-
-  auto dataset =
-      dj::ops::LoadDataset(recipe.value().dataset_path, &io_pool);
-  if (!dataset.ok()) return fail("load", dataset.status());
-  std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
-              recipe.value().dataset_path.c_str());
-
-  auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
-  if (!ops.ok()) return fail("pipeline", ops.status());
-
   dj::core::Tracer tracer(10);
   dj::core::Executor::Options options =
       dj::core::Executor::OptionsFromRecipe(recipe.value());
@@ -392,14 +379,26 @@ int main(int argc, char** argv) {
   }
   if (!args.checkpoint_dir.empty()) {
     options.checkpoint_dir = args.checkpoint_dir;
-    if (!args.resume) {
-      // A fresh checkpointed run must not silently continue from an older
-      // run's state; that is what --resume is for.
-      dj::core::CheckpointManager(args.checkpoint_dir).Clear();
-    }
+  }
+  // One pool for the whole run: import, OPs and export. Built after the
+  // profiler and watchdog start, so its workers register their role.
+  dj::core::Executor executor(options);
+
+  auto dataset =
+      dj::ops::LoadDataset(recipe.value().dataset_path, executor.pool());
+  if (!dataset.ok()) return fail("load", dataset.status());
+  std::printf("loaded %zu samples from %s\n", dataset.value().NumRows(),
+              recipe.value().dataset_path.c_str());
+
+  auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
+  if (!ops.ok()) return fail("pipeline", ops.status());
+
+  if (!args.checkpoint_dir.empty() && !args.resume) {
+    // A fresh checkpointed run must not silently continue from an older
+    // run's state; that is what --resume is for.
+    dj::core::CheckpointManager(args.checkpoint_dir).Clear();
   }
 
-  dj::core::Executor executor(options);
   auto refined =
       executor.Run(std::move(dataset).value(), ops.value(), &report);
   if (!refined.ok()) return fail("run", refined.status());
@@ -428,7 +427,7 @@ int main(int argc, char** argv) {
   if (!recipe.value().export_path.empty()) {
     if (auto s = dj::data::ExportDataset(refined.value(),
                                          recipe.value().export_path,
-                                         &io_pool);
+                                         executor.pool());
         !s.ok()) {
       return fail("export", s);
     }
