@@ -97,7 +97,6 @@ int main() {
 
     dj::core::Executor::Options options;
     options.cache_dir = dir;
-    options.dataset_source_id = "space-bench";
     // Checkpoints ride along in a subdirectory (not counted as a cache set
     // below): the cache stores every boundary, so they write nothing.
     options.checkpoint_dir = dir + "/ckpt";
@@ -105,7 +104,7 @@ int main() {
 
     // Cache the original dataset (the model's leading "1" term).
     dj::core::CacheManager cache(dir, false);
-    cache.Store(dj::core::CacheManager::InitialKey("space-bench"),
+    cache.Store(dj::core::CacheManager::InitialKey(data),
                 dj::data::SerializeDataset(data));
     auto result = executor.Run(data, ops.value(), nullptr);
     if (!result.ok()) return 1;
@@ -122,7 +121,6 @@ int main() {
 
     // The same pipeline with checkpoints alone keeps the newest boundary.
     dj::core::Executor::Options alone;
-    alone.dataset_source_id = "space-bench";
     alone.checkpoint_dir = dir + "/ckpt_alone";
     if (!dj::core::Executor(alone).Run(data, ops.value(), nullptr).ok()) {
       return 1;

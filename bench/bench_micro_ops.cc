@@ -99,8 +99,7 @@ void BM_Mapper(benchmark::State& state) {
   MapperT mapper(EmptyConfig());
   const std::string& text = SampleText();
   for (auto _ : state) {
-    dj::ops::SampleContext ctx(text);
-    benchmark::DoNotOptimize(mapper.TransformText(text, &ctx));
+    benchmark::DoNotOptimize(mapper.TransformText(text));
   }
   state.SetBytesProcessed(state.iterations() * text.size());
 }

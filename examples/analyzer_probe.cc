@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "analysis/analyzer.h"
+#include "common/thread_pool.h"
 #include "workload/generator.h"
 
 int main(int argc, char** argv) {
@@ -22,10 +23,10 @@ int main(int argc, char** argv) {
   dj::data::Dataset ds = dj::workload::CorpusGenerator(options).Generate();
 
   dj::analysis::Analyzer::Options analyzer_options;
-  analyzer_options.num_workers = 2;
   analyzer_options.histogram_bins = 8;
   dj::analysis::Analyzer analyzer(analyzer_options);
-  auto probe = analyzer.Analyze(&ds);
+  dj::ThreadPool pool(2);
+  auto probe = analyzer.Analyze(&ds, &pool);
   if (!probe.ok()) {
     std::fprintf(stderr, "%s\n", probe.status().ToString().c_str());
     return 1;

@@ -14,6 +14,10 @@
 namespace dj::analysis {
 namespace {
 
+/// Verbs in the diversity analysis, and objects listed per verb.
+constexpr size_t kTopVerbs = 20;
+constexpr size_t kTopObjects = 4;
+
 json::Value FilterConfig(const std::string& text_key) {
   json::Object config;
   config.Set("text_key", json::Value(text_key));
@@ -135,18 +139,19 @@ std::vector<std::unique_ptr<ops::Filter>> Analyzer::DefaultFilters(
   return filters;
 }
 
-Result<DataProbe> Analyzer::Analyze(data::Dataset* dataset) const {
-  return AnalyzeWith(dataset, DefaultFilters(options_.text_key));
+Result<DataProbe> Analyzer::Analyze(data::Dataset* dataset,
+                                    ThreadPool* pool) const {
+  return AnalyzeWith(dataset, DefaultFilters(options_.text_key), pool);
 }
 
 Result<DataProbe> Analyzer::AnalyzeWith(
     data::Dataset* dataset,
-    const std::vector<std::unique_ptr<ops::Filter>>& filters) const {
+    const std::vector<std::unique_ptr<ops::Filter>>& filters,
+    ThreadPool* pool) const {
   dataset->EnsureColumn(data::kStatsField);
-  ThreadPool pool(static_cast<size_t>(std::max(options_.num_workers, 1)));
   // Single pass: one shared context per sample across all dimensions.
   DJ_RETURN_IF_ERROR(
-      ForEachIndex(&pool, dataset->NumRows(), [&](size_t i) -> Status {
+      ForEachIndex(pool, dataset->NumRows(), [&](size_t i) -> Status {
         data::RowRef row = dataset->Row(i);
         ops::SampleContext ctx(row.GetText(options_.text_key));
         for (const auto& filter : filters) {
@@ -205,7 +210,7 @@ Result<DataProbe> Analyzer::AnalyzeWith(
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     return a.second > b.second || (a.second == b.second && a.first < b.first);
   });
-  for (size_t v = 0; v < ranked.size() && v < options_.top_verbs; ++v) {
+  for (size_t v = 0; v < ranked.size() && v < kTopVerbs; ++v) {
     DataProbe::VerbNouns vn;
     vn.verb = ranked[v].first;
     vn.count = ranked[v].second;
@@ -215,9 +220,7 @@ Result<DataProbe> Analyzer::AnalyzeWith(
       return a.second > b.second ||
              (a.second == b.second && a.first < b.first);
     });
-    if (objs.size() > options_.top_objects) {
-      objs.resize(options_.top_objects);
-    }
+    if (objs.size() > kTopObjects) objs.resize(kTopObjects);
     vn.objects = std::move(objs);
     probe.verb_noun_diversity.push_back(std::move(vn));
   }

@@ -51,11 +51,7 @@ struct DataProbe {
 class Analyzer {
  public:
   struct Options {
-    int num_workers = 1;
     size_t histogram_bins = 10;
-    /// Number of verbs / objects in the diversity analysis.
-    size_t top_verbs = 20;
-    size_t top_objects = 4;
     /// Which field to analyze.
     std::string text_key = "text";
   };
@@ -63,14 +59,18 @@ class Analyzer {
   Analyzer();
   explicit Analyzer(Options options);
 
-  /// Uses the default 13-dimension filter set.
-  Result<DataProbe> Analyze(data::Dataset* dataset) const;
+  /// Uses the default 13-dimension filter set. The stats pass runs on
+  /// `pool` (not owned; nullptr runs it inline); the probe is the same at
+  /// every width.
+  Result<DataProbe> Analyze(data::Dataset* dataset,
+                            ThreadPool* pool = nullptr) const;
 
   /// Analyzes with a caller-provided filter set (stats are computed, nothing
-  /// is dropped).
+  /// is dropped), on `pool` as Analyze does.
   Result<DataProbe> AnalyzeWith(
       data::Dataset* dataset,
-      const std::vector<std::unique_ptr<ops::Filter>>& filters) const;
+      const std::vector<std::unique_ptr<ops::Filter>>& filters,
+      ThreadPool* pool = nullptr) const;
 
   /// The default 13 analysis dimensions.
   static std::vector<std::unique_ptr<ops::Filter>> DefaultFilters(

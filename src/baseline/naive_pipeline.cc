@@ -32,7 +32,8 @@ Status ApplyRowOp(ops::Op* op, data::Sample* sample) {
     }
     case ops::OpKind::kFilter: {
       auto* filter = static_cast<ops::Filter*>(op);
-      DJ_RETURN_IF_ERROR(filter->ComputeStats(row, nullptr));
+      ops::SampleContext ctx(row.GetText(filter->text_key()));  // fresh per call
+      DJ_RETURN_IF_ERROR(filter->ComputeStats(row, &ctx));
       DJ_ASSIGN_OR_RETURN(bool keep, filter->KeepRow(row));
       if (keep) {
         *sample = one.MaterializeRow(0);

@@ -1,11 +1,14 @@
 #include "core/cache_manager.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "common/swar.h"
 #include "compress/djlz.h"
 #include "data/io.h"
 #include "json/writer.h"
@@ -32,10 +35,42 @@ bool IsEntryTempName(std::string_view name) {
          IsEntryName(name.substr(0, name.size() - 4));
 }
 
+/// Rows per range of the input digest. Fixed, never derived from the pool,
+/// so the key does not depend on it.
+constexpr size_t kDigestRangeRows = 512;
+
 }  // namespace
 
-uint64_t CacheManager::InitialKey(std::string_view source_id) {
-  return Fnv1a64(source_id, 0xDA7A0CACE5ULL);
+uint64_t CacheManager::InitialKey(const data::Dataset& dataset,
+                                  ThreadPool* pool) {
+  const size_t rows = dataset.NumRows();
+  const std::vector<std::string> names = dataset.ColumnNames();
+  uint64_t key = HashCombine(HashCombine(0xDA7A0CACE5ULL, rows), names.size());
+  for (const std::string& name : names) {
+    key = HashCombine(key, swar::Hash64(name));
+  }
+  // A cell's bytes are its DJDS encoding: a type tag, then the value, with
+  // object keys in order. Each range folds its cells column by column.
+  std::vector<uint64_t> range_digests((rows + kDigestRangeRows - 1) /
+                                      kDigestRangeRows);
+  ParallelFor(pool, range_digests.size(), [&](size_t begin, size_t end) {
+    std::string cell;
+    for (size_t r = begin; r < end; ++r) {
+      const size_t last = std::min(rows, (r + 1) * kDigestRangeRows);
+      uint64_t h = 0;
+      for (const std::string& name : names) {
+        const std::vector<json::Value>& cells = *dataset.Column(name);
+        for (size_t i = r * kDigestRangeRows; i < last; ++i) {
+          cell.clear();
+          data::SerializeValue(cells[i], &cell);
+          h = HashCombine(h, swar::Hash64(cell));
+        }
+      }
+      range_digests[r] = h;
+    }
+  });
+  for (uint64_t digest : range_digests) key = HashCombine(key, digest);
+  return key;
 }
 
 uint64_t CacheManager::ExtendKey(uint64_t key, std::string_view op_name,

@@ -12,12 +12,12 @@
 
 namespace dj::core {
 
-/// Per-OP dataset cache keyed by a configuration hash (paper Sec. 5.1.1 and
-/// Sec. 7 "Caching OPs and Compression"). The key for OP i is the combined
-/// hash of the dataset source id and the effective configs of OPs 0..i, so
-/// any upstream parameter change invalidates downstream cache entries —
-/// this is the "dedicated and simple hashing method" that sidesteps
-/// serializing auxiliary models.
+/// Per-OP dataset cache keyed by the input and a configuration hash (paper
+/// Sec. 5.1.1 and Sec. 7 "Caching OPs and Compression"). The key for OP i
+/// combines a digest of the input's content with the effective configs of
+/// OPs 0..i, so an edited input misses every entry and any upstream
+/// parameter change invalidates downstream ones: the "dedicated and simple
+/// hashing method" that sidesteps serializing auxiliary models.
 ///
 /// Files are DJDS blobs, optionally djlz-compressed ("<key>.djds" /
 /// "<key>.djds.djlz", the key as 16 hex digits).
@@ -54,9 +54,11 @@ class CacheManager {
   static uint64_t ExtendKey(uint64_t key, std::string_view op_name,
                             const json::Value& effective_config);
 
-  /// Initial key for a dataset (callers pass a stable source id, e.g. the
-  /// input path + row count).
-  static uint64_t InitialKey(std::string_view source_id);
+  /// Initial key for `dataset`: a digest of its column names in order, its
+  /// row count and its cells, hashed over fixed row ranges on `pool`, so the
+  /// key is the same with no pool and at every width.
+  static uint64_t InitialKey(const data::Dataset& dataset,
+                             ThreadPool* pool = nullptr);
 
   bool Contains(uint64_t key) const;
 

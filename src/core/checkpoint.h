@@ -14,7 +14,7 @@ namespace dj::core {
 /// Durable checkpoints for crash/failure recovery (paper Sec. 5.1.1: the
 /// checkpoint keeps the "most optimal recent processing state"). A
 /// checkpoint is one raw DJDS blob, "checkpoint-<key>.djds", named like a
-/// cache entry by the config-hash key of the OPs executed so far (the key
+/// cache entry by the key of the input and the OPs executed so far (the key
 /// as 16 hex digits). The cache keeps every unit's state; the checkpoint
 /// keeps only the newest, and the executor's resume scan reads both by key.
 /// The executor saves a boundary here only when the cache is off or did

@@ -176,8 +176,6 @@ Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   if (recipe.use_cache) opts.cache_dir = recipe.cache_dir;
   opts.cache_compression = recipe.cache_compression;
   if (recipe.use_checkpoint) opts.checkpoint_dir = recipe.checkpoint_dir;
-  opts.dataset_source_id =
-      recipe.dataset_path.empty() ? "in-memory" : recipe.dataset_path;
   return opts;
 }
 
@@ -335,23 +333,6 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
   const std::vector<PlanUnit> plan = PlanFusion(ops);
 
-  // Cumulative config-hash keys: key_before[i] identifies the pipeline state
-  // entering unit i; key_after[i] the state after it.
-  std::vector<uint64_t> key_before(plan.size() + 1);
-  key_before[0] = CacheManager::InitialKey(options_.dataset_source_id);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    uint64_t key = key_before[i];
-    if (plan[i].is_fused()) {
-      for (const ops::Filter* f : plan[i].fused) {
-        key = CacheManager::ExtendKey(key, f->name(), f->config());
-      }
-    } else {
-      key = CacheManager::ExtendKey(key, plan[i].op->name(),
-                                    plan[i].op->config());
-    }
-    key_before[i + 1] = key;
-  }
-
   std::optional<CacheManager> cache;
   if (!options_.cache_dir.empty()) {
     cache.emplace(options_.cache_dir, options_.cache_compression);
@@ -364,11 +345,28 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
     checkpoints->SetPool(&pool_);
   }
 
-  // Resume scan: the deepest stored prefix wins. At each depth a cache
-  // entry is taken first, else a checkpoint entry; an entry that does not
-  // load is evicted (cache) or counted (checkpoint) and the scan goes on.
+  // Made only when a store is on: key_before[i] names the state entering
+  // unit i, the input's content digest extended by the configs of the units
+  // before it, so an edited input misses every stored entry.
+  std::vector<uint64_t> key_before;
   size_t start_unit = 0;
   if (cache.has_value() || checkpoints.has_value()) {
+    key_before.push_back(CacheManager::InitialKey(dataset, &pool_));
+    for (const PlanUnit& unit : plan) {
+      uint64_t key = key_before.back();
+      if (unit.is_fused()) {
+        for (const ops::Filter* f : unit.fused) {
+          key = CacheManager::ExtendKey(key, f->name(), f->config());
+        }
+      } else {
+        key = CacheManager::ExtendKey(key, unit.op->name(), unit.op->config());
+      }
+      key_before.push_back(key);
+    }
+
+    // Resume scan: the deepest stored prefix wins. At each depth a cache
+    // entry is taken first, else a checkpoint entry; an entry that does not
+    // load is evicted (cache) or counted (checkpoint) and the scan goes on.
     obs::Span scan_span(options_.spans, "cache.scan", "cache");
     bool from_cache = false;
     for (size_t i = plan.size(); i > 0; --i) {
@@ -429,7 +427,7 @@ Result<data::Dataset> Executor::Run(data::Dataset dataset,
 
     // Fail-point probe at every OP boundary: an armed "exec.op_abort"
     // kills the pipeline here, after the state before this unit has been
-    // checkpointed — the crash window --resume must cover.
+    // checkpointed — the crash window the next run's resume must cover.
     if (DJ_FAULT("exec.op_abort")) {
       return Status::Aborted("fault injected: exec.op_abort before unit '" +
                              r.name + "'");

@@ -79,7 +79,7 @@ struct RunReport {
 
 /// Executes an OP pipeline over a dataset with the paper's Sec. 7
 /// optimizations: filter stages (one short-circuit pass per run of filters,
-/// sharing per-sample contexts), per-OP caching (config-hash keyed,
+/// sharing per-sample contexts), per-OP caching (content and config keyed,
 /// optionally compressed), and checkpoint-based failure recovery.
 class Executor {
  public:
@@ -89,8 +89,6 @@ class Executor {
     /// Non-empty turns the per-OP cache on: every unit boundary is stored.
     std::string cache_dir;
     bool cache_compression = false;
-    /// Stable id of the input dataset for cache keys (e.g. its path).
-    std::string dataset_source_id = "in-memory";
 
     /// Non-empty turns checkpoints on: a unit boundary the cache did not
     /// store becomes the latest checkpoint.
@@ -120,8 +118,8 @@ class Executor {
 
   /// Runs `ops` over `dataset` and returns the processed dataset.
   /// On failure with the cache or checkpoints on, the state before the
-  /// failing OP has been persisted; a subsequent Run with the same options
-  /// resumes after the deepest stored prefix.
+  /// failing OP has been persisted; a subsequent Run of the same input and
+  /// OPs with the same directories resumes after the deepest stored prefix.
   Result<data::Dataset> Run(data::Dataset dataset,
                             const std::vector<std::unique_ptr<ops::Op>>& ops,
                             RunReport* report = nullptr);

@@ -1,7 +1,6 @@
 #include "ops/filters/stats_filters.h"
 
 #include <limits>
-#include <optional>
 
 #include "text/ngram.h"
 #include "text/tokenizer.h"
@@ -31,11 +30,6 @@ Status RangeStatFilter::ComputeStats(data::RowRef row,
   std::string_view text =
       (v != nullptr && v->is_string()) ? std::string_view(v->as_string())
                                        : std::string_view();
-  std::optional<SampleContext> local;
-  if (ctx == nullptr) {
-    local.emplace(text);
-    ctx = &*local;
-  }
   return WriteStat(row, stat_key_, json::Value(ComputeValue(text, ctx)));
 }
 

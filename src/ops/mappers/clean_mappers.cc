@@ -65,7 +65,7 @@ CleanCopyrightMapper::CleanCopyrightMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
 Result<std::string> CleanCopyrightMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   size_t start = 0;
   while (start < input.size() &&
          std::isspace(static_cast<unsigned char>(input[start]))) {
@@ -127,8 +127,8 @@ const OpDeclaration& CleanEmailMapper::Declaration() {
 CleanEmailMapper::CleanEmailMapper(const json::Value& config)
     : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
-Result<std::string> CleanEmailMapper::TransformText(std::string_view input,
-                                                    SampleContext*) const {
+Result<std::string> CleanEmailMapper::TransformText(
+    std::string_view input) const {
   std::string out;
   out.reserve(input.size());
   size_t copied = 0;
@@ -159,8 +159,8 @@ const OpDeclaration& CleanHtmlMapper::Declaration() {
 CleanHtmlMapper::CleanHtmlMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
-Result<std::string> CleanHtmlMapper::TransformText(std::string_view input,
-                                                   SampleContext*) const {
+Result<std::string> CleanHtmlMapper::TransformText(
+    std::string_view input) const {
   std::string out;
   out.reserve(input.size());
   size_t i = 0;
@@ -235,8 +235,7 @@ const OpDeclaration& CleanIpMapper::Declaration() {
 CleanIpMapper::CleanIpMapper(const json::Value& config)
     : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
-Result<std::string> CleanIpMapper::TransformText(std::string_view input,
-                                                 SampleContext*) const {
+Result<std::string> CleanIpMapper::TransformText(std::string_view input) const {
   std::string out;
   out.reserve(input.size());
   size_t i = 0;
@@ -301,8 +300,8 @@ const OpDeclaration& CleanLinksMapper::Declaration() {
 CleanLinksMapper::CleanLinksMapper(const json::Value& config)
     : Mapper(Declaration(), config), repl_(Param<std::string>("repl")) {}
 
-Result<std::string> CleanLinksMapper::TransformText(std::string_view input,
-                                                    SampleContext*) const {
+Result<std::string> CleanLinksMapper::TransformText(
+    std::string_view input) const {
   static constexpr std::string_view kPrefixes[] = {"http://", "https://",
                                                    "ftp://", "www."};
   std::string out;

@@ -15,8 +15,7 @@ class CleanCopyrightMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit CleanCopyrightMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// clean_email_mapper: removes email addresses.
@@ -25,8 +24,7 @@ class CleanEmailMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit CleanEmailMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   std::string repl_;
@@ -39,8 +37,7 @@ class CleanHtmlMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit CleanHtmlMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// clean_ip_mapper: removes IPv4 addresses (each octet <= 255).
@@ -49,8 +46,7 @@ class CleanIpMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit CleanIpMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   std::string repl_;
@@ -62,8 +58,7 @@ class CleanLinksMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit CleanLinksMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   std::string repl_;

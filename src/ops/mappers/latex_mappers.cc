@@ -97,8 +97,8 @@ const OpDeclaration& ExpandMacroMapper::Declaration() {
 ExpandMacroMapper::ExpandMacroMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
-Result<std::string> ExpandMacroMapper::TransformText(std::string_view input,
-                                                     SampleContext*) const {
+Result<std::string> ExpandMacroMapper::TransformText(
+    std::string_view input) const {
   // Pass 1: collect simple macro definitions.
   std::unordered_map<std::string, std::string> macros;
   size_t i = 0;
@@ -164,7 +164,7 @@ RemoveBibliographyMapper::RemoveBibliographyMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
 Result<std::string> RemoveBibliographyMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   static constexpr std::string_view kMarkers[] = {
       "\\begin{thebibliography}", "\\bibliography{", "\\printbibliography"};
   size_t cut = std::string_view::npos;
@@ -199,7 +199,7 @@ RemoveCommentsMapper::RemoveCommentsMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
 Result<std::string> RemoveCommentsMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   std::string out;
   out.reserve(input.size());
   bool at_line_start = true;
@@ -240,8 +240,8 @@ const OpDeclaration& RemoveHeaderMapper::Declaration() {
 RemoveHeaderMapper::RemoveHeaderMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
-Result<std::string> RemoveHeaderMapper::TransformText(std::string_view input,
-                                                      SampleContext*) const {
+Result<std::string> RemoveHeaderMapper::TransformText(
+    std::string_view input) const {
   static constexpr std::string_view kBeginDoc = "\\begin{document}";
   size_t pos = input.find(kBeginDoc);
   if (pos != std::string_view::npos) {
@@ -295,7 +295,7 @@ RemoveTableTextMapper::RemoveTableTextMapper(const json::Value& config)
       min_col_count_(Param<int64_t>("min_col_count")) {}
 
 Result<std::string> RemoveTableTextMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   std::string out;
   out.reserve(input.size());
   bool in_tabular = false;

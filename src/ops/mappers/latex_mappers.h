@@ -15,8 +15,7 @@ class ExpandMacroMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit ExpandMacroMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// remove_bibliography_mapper: truncates the document at the bibliography
@@ -25,8 +24,7 @@ class RemoveBibliographyMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveBibliographyMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// remove_comments_mapper: removes LaTeX % line comments (keeping escaped
@@ -36,8 +34,7 @@ class RemoveCommentsMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveCommentsMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// remove_header_mapper: drops the LaTeX preamble — everything before
@@ -49,8 +46,7 @@ class RemoveHeaderMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveHeaderMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// remove_table_text_mapper: removes table-like runs of lines — LaTeX
@@ -60,8 +56,7 @@ class RemoveTableTextMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveTableTextMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   int64_t min_col_count_;

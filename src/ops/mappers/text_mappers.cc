@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "common/swar.h"
 #include "text/normalize.h"
+#include "text/sentence.h"
 #include "text/utf8.h"
 
 namespace dj::ops {
@@ -57,8 +58,8 @@ const OpDeclaration& FixUnicodeMapper::Declaration() {
 FixUnicodeMapper::FixUnicodeMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
-Result<std::string> FixUnicodeMapper::TransformText(std::string_view input,
-                                                    SampleContext*) const {
+Result<std::string> FixUnicodeMapper::TransformText(
+    std::string_view input) const {
   return text::FixUnicode(input);
 }
 
@@ -73,8 +74,8 @@ const OpDeclaration& LowerCaseMapper::Declaration() {
 LowerCaseMapper::LowerCaseMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
-Result<std::string> LowerCaseMapper::TransformText(std::string_view input,
-                                                   SampleContext*) const {
+Result<std::string> LowerCaseMapper::TransformText(
+    std::string_view input) const {
   return AsciiToLower(input);
 }
 
@@ -91,7 +92,7 @@ PunctuationNormalizationMapper::PunctuationNormalizationMapper(
     : Mapper(Declaration(), config) {}
 
 Result<std::string> PunctuationNormalizationMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   return text::NormalizePunctuation(input);
 }
 
@@ -109,7 +110,7 @@ RemoveLongWordsMapper::RemoveLongWordsMapper(const json::Value& config)
     : Mapper(Declaration(), config), max_len_(Param<int64_t>("max_len")) {}
 
 Result<std::string> RemoveLongWordsMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   // A word has at least as many bytes as codepoints, so only words of more
   // than max_len bytes need counting.
   size_t limit = static_cast<size_t>(max_len_);
@@ -135,8 +136,8 @@ RemoveRepeatSentencesMapper::RemoveRepeatSentencesMapper(
           Param<int64_t>("min_repeat_sentence_length")) {}
 
 Result<std::string> RemoveRepeatSentencesMapper::TransformText(
-    std::string_view input, SampleContext* ctx) const {
-  const std::vector<std::string>& sentences = ctx->Sentences();
+    std::string_view input) const {
+  const std::vector<std::string> sentences = text::SplitSentences(input);
   if (sentences.size() <= 1) return std::string(input);
   std::unordered_set<std::string> seen;
   std::string out;
@@ -182,7 +183,7 @@ RemoveSpecificCharsMapper::RemoveSpecificCharsMapper(const json::Value& config)
 }
 
 Result<std::string> RemoveSpecificCharsMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   return text::RemoveChars(input, chars_);
 }
 
@@ -216,7 +217,7 @@ RemoveWordsWithIncorrectSubstringsMapper::
 }
 
 Result<std::string> RemoveWordsWithIncorrectSubstringsMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   // A word shorter than every substring contains none of them.
   size_t shortest = substrings_.front().size();
   for (const std::string& sub : substrings_) {
@@ -243,10 +244,10 @@ SentenceSplitMapper::SentenceSplitMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
 Result<std::string> SentenceSplitMapper::TransformText(
-    std::string_view input, SampleContext* ctx) const {
+    std::string_view input) const {
   std::string out;
   out.reserve(input.size());
-  for (const std::string& sentence : ctx->Sentences()) {
+  for (const std::string& sentence : text::SplitSentences(input)) {
     out += sentence;
     out.push_back('\n');
   }
@@ -267,7 +268,7 @@ WhitespaceNormalizationMapper::WhitespaceNormalizationMapper(
     : Mapper(Declaration(), config) {}
 
 Result<std::string> WhitespaceNormalizationMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   return text::NormalizeWhitespace(input);
 }
 
@@ -283,7 +284,7 @@ ChineseConvertMapper::ChineseConvertMapper(const json::Value& config)
     : Mapper(Declaration(), config) {}
 
 Result<std::string> ChineseConvertMapper::TransformText(
-    std::string_view input, SampleContext*) const {
+    std::string_view input) const {
   // Compact traditional -> simplified table covering frequent characters.
   static const std::unordered_map<uint32_t, uint32_t>& kMap = *[] {
     auto* m = new std::unordered_map<uint32_t, uint32_t>{

@@ -14,8 +14,7 @@ class FixUnicodeMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit FixUnicodeMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// lower_case_mapper: ASCII lower-casing.
@@ -23,8 +22,7 @@ class LowerCaseMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit LowerCaseMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// punctuation_normalization_mapper: unicode punctuation -> ASCII.
@@ -32,8 +30,7 @@ class PunctuationNormalizationMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit PunctuationNormalizationMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// remove_long_words_mapper: drops words longer than max_len codepoints
@@ -42,8 +39,7 @@ class RemoveLongWordsMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveLongWordsMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   int64_t max_len_;
@@ -55,8 +51,7 @@ class RemoveRepeatSentencesMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveRepeatSentencesMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   int64_t min_repeat_sentence_length_;
@@ -68,8 +63,7 @@ class RemoveSpecificCharsMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveSpecificCharsMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   std::string chars_;
@@ -81,8 +75,7 @@ class RemoveWordsWithIncorrectSubstringsMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit RemoveWordsWithIncorrectSubstringsMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 
  private:
   std::vector<std::string> substrings_;
@@ -93,8 +86,7 @@ class SentenceSplitMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit SentenceSplitMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// whitespace_normalization_mapper: collapses whitespace runs.
@@ -102,8 +94,7 @@ class WhitespaceNormalizationMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit WhitespaceNormalizationMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 /// chinese_convert_mapper: traditional -> simplified Chinese for a table of
@@ -112,8 +103,7 @@ class ChineseConvertMapper : public Mapper {
  public:
   static const OpDeclaration& Declaration();
   explicit ChineseConvertMapper(const json::Value& config);
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext* ctx) const override;
+  Result<std::string> TransformText(std::string_view input) const override;
 };
 
 }  // namespace dj::ops

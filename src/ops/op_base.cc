@@ -70,8 +70,7 @@ OpDeclaration Mapper::Declare(OpSchema schema) {
 Status Mapper::ProcessRow(data::RowRef row) const {
   const json::Value* v = row.Get(text_key());
   if (v == nullptr || !v->is_string()) return Status::Ok();
-  SampleContext ctx(v->as_string());
-  DJ_ASSIGN_OR_RETURN(std::string out, TransformText(v->as_string(), &ctx));
+  DJ_ASSIGN_OR_RETURN(std::string out, TransformText(v->as_string()));
   if (out != v->as_string()) {
     DJ_RETURN_IF_ERROR(row.Set(text_key(), json::Value(std::move(out))));
   }

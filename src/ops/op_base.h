@@ -128,13 +128,11 @@ class Mapper : public Op {
   /// it reads and rewrites the configured text field.
   static OpDeclaration Declare(OpSchema schema);
 
-  /// Transforms one text value. `ctx` provides shared representations.
-  virtual Result<std::string> TransformText(std::string_view input,
-                                            SampleContext* ctx) const = 0;
+  /// Transforms one text value.
+  virtual Result<std::string> TransformText(std::string_view input) const = 0;
 
-  /// Applies the transform to the configured field of `row`, with a
-  /// context built over that field's text. Missing or non-string fields are
-  /// left untouched (returns OK).
+  /// Applies the transform to the configured field of `row`. Missing or
+  /// non-string fields are left untouched (returns OK).
   Status ProcessRow(data::RowRef row) const;
 
  protected:
@@ -152,6 +150,8 @@ class Filter : public Op {
 
   /// Computes and stores stats for one row. Skips recomputation when the
   /// stats key is already present (e.g. from a previous Analyzer pass).
+  /// `ctx` is never null: it is the row's context over this filter's field,
+  /// which the caller may share with other filters on that field.
   virtual Status ComputeStats(data::RowRef row, SampleContext* ctx) const = 0;
 
   /// Pure predicate over previously computed stats.

@@ -3,6 +3,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/histogram.h"
 #include "analysis/sampler.h"
+#include "common/thread_pool.h"
 #include "json/parser.h"
 #include "json/writer.h"
 #include "workload/generator.h"
@@ -74,6 +75,33 @@ TEST(AnalyzerTest, ProbeCoversAllNumericDimensions) {
   for (const DimensionReport& dim : probe.value().dimensions) {
     EXPECT_EQ(dim.summary.count, 40u) << dim.stat_key;
     EXPECT_GE(dim.summary.max, dim.summary.min) << dim.stat_key;
+  }
+}
+
+// The analyzer_probe example's corpus and bins: the probe does not depend on
+// the caller's pool.
+TEST(AnalyzerTest, ProbeIsTheSameWithNoPoolAndAtEveryWidth) {
+  workload::CorpusOptions corpus;
+  corpus.style = workload::Style::kWeb;
+  corpus.num_docs = 200;
+  corpus.spam_rate = 0.2;
+  corpus.short_doc_rate = 0.1;
+  corpus.seed = 5;
+  const data::Dataset ds = workload::CorpusGenerator(corpus).Generate();
+  Analyzer::Options options;
+  options.histogram_bins = 8;
+  const Analyzer analyzer(options);
+  auto probe_json = [&](ThreadPool* pool) {
+    data::Dataset copy = ds;
+    auto probe = analyzer.Analyze(&copy, pool);
+    EXPECT_TRUE(probe.ok()) << probe.status().ToString();
+    return probe.ok() ? json::Write(probe.value().ToJson()) : "";
+  };
+  const std::string inline_json = probe_json(nullptr);
+  ASSERT_NE(inline_json.find("verb_noun_diversity"), std::string::npos);
+  for (size_t width : {2, 4}) {
+    ThreadPool pool(width);
+    EXPECT_EQ(probe_json(&pool), inline_json) << "width " << width;
   }
 }
 

@@ -421,7 +421,6 @@ TEST(ExecutorTest, CacheCountersPopulated) {
     auto ops = FourteenOpPipeline();
     Executor::Options options;
     options.cache_dir = dir;
-    options.dataset_source_id = "corpus-v1";
     options.metrics = metrics;
     Executor executor(options);
     RunReport report;
@@ -442,12 +441,11 @@ TEST(ExecutorTest, OptionsFromRecipe) {
   // A directory turns its feature on only with its use_* key.
   Recipe r = MustRecipe(
       "np: 3\nuse_cache: true\ncache_dir: /tmp/x\n"
-      "checkpoint_dir: /tmp/y\ndataset_path: data.jsonl\n");
+      "checkpoint_dir: /tmp/y\n");
   Executor::Options options = Executor::OptionsFromRecipe(r);
   EXPECT_EQ(options.num_workers, 3);
   EXPECT_EQ(options.cache_dir, "/tmp/x");
   EXPECT_EQ(options.checkpoint_dir, "");
-  EXPECT_EQ(options.dataset_source_id, "data.jsonl");
 }
 
 // -------------------------------------------------------------- cache ----
@@ -455,7 +453,7 @@ TEST(ExecutorTest, OptionsFromRecipe) {
 TEST(CacheManagerTest, StoreLoadEvict) {
   CacheManager cache(TempDir("cache1"), /*compression=*/false);
   data::Dataset ds = data::Dataset::FromTexts({"cached row"});
-  uint64_t key = CacheManager::InitialKey("src");
+  uint64_t key = CacheManager::InitialKey(ds);
   EXPECT_FALSE(cache.Contains(key));
   ASSERT_TRUE(cache.Store(key, data::SerializeDataset(ds)).ok());
   EXPECT_TRUE(cache.Contains(key));
@@ -524,7 +522,7 @@ TEST(CacheManagerTest, ClearRemovesLeftoverTempFilesAndTotalBytesSkipsThem) {
 TEST(CacheManagerTest, KeyChangesWithConfig) {
   json::Value c1 = json::Parse(R"({"min": 1})").value();
   json::Value c2 = json::Parse(R"({"min": 2})").value();
-  uint64_t base = CacheManager::InitialKey("src");
+  uint64_t base = CacheManager::InitialKey(data::Dataset::FromTexts({"src"}));
   EXPECT_NE(CacheManager::ExtendKey(base, "f", c1),
             CacheManager::ExtendKey(base, "f", c2));
   EXPECT_NE(CacheManager::ExtendKey(base, "f", c1),
@@ -533,12 +531,76 @@ TEST(CacheManagerTest, KeyChangesWithConfig) {
             CacheManager::ExtendKey(base, "f", c1));
 }
 
+// `rows` rows of a string, an object and a double column, enough rows to
+// span several of the digest's row ranges.
+data::Dataset KeyedCorpus(size_t rows) {
+  std::vector<data::Sample> samples(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    json::Object meta;
+    meta.Set("id", json::Value(static_cast<int64_t>(i)));
+    meta.Set("tags", json::Value(json::Array{json::Value("a"),
+                                             json::Value(i % 2 == 0)}));
+    samples[i].Set("text", json::Value("row " + std::to_string(i)));
+    samples[i].Set("meta", json::Value(std::move(meta)));
+    samples[i].Set("score", json::Value(static_cast<double>(i) / 4));
+  }
+  return data::Dataset::FromSamples(std::move(samples));
+}
+
+TEST(CacheManagerTest, InitialKeyIsTheSameWithNoPoolAndAtEveryWidth) {
+  const data::Dataset ds = KeyedCorpus(5000);
+  const uint64_t key = CacheManager::InitialKey(ds);
+  for (size_t width : {1, 2, 3, 4, 8}) {
+    ThreadPool pool(width);
+    EXPECT_EQ(CacheManager::InitialKey(ds, &pool), key) << "width " << width;
+  }
+  // The same cells built another way key the same.
+  auto rebuilt = data::Dataset::FromColumns(
+      {"text", "meta", "score"},
+      {*ds.Column("text"), *ds.Column("meta"), *ds.Column("score")});
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(CacheManager::InitialKey(rebuilt.value()), key);
+}
+
+TEST(CacheManagerTest, InitialKeyChangesWithTheContent) {
+  const data::Dataset ds = KeyedCorpus(5000);
+  const uint64_t key = CacheManager::InitialKey(ds);
+
+  data::Dataset byte = ds;
+  byte.MutableCell("text", 4321)->as_string()[4] = '5';  // "row 5321"
+  EXPECT_NE(CacheManager::InitialKey(byte), key) << "one byte of one cell";
+
+  data::Dataset as_int = ds;
+  ASSERT_TRUE(ds.Cell("score", 4) == json::Value(1.0));
+  *as_int.MutableCell("score", 4) = json::Value(1);
+  EXPECT_NE(CacheManager::InitialKey(as_int), key) << "1 instead of 1.0";
+
+  data::Dataset renamed = ds;
+  ASSERT_TRUE(renamed.RenameColumn("score", "scores").ok());
+  EXPECT_NE(CacheManager::InitialKey(renamed), key) << "a renamed column";
+
+  auto swapped = data::Dataset::FromColumns(
+      {"meta", "text", "score"},
+      {*ds.Column("meta"), *ds.Column("text"), *ds.Column("score")});
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_NE(CacheManager::InitialKey(swapped.value()), key)
+      << "two columns swapped";
+
+  data::Dataset reordered = ds;
+  json::Object& meta = reordered.MutableCell("meta", 7)->as_object();
+  std::reverse(meta.entries().begin(), meta.entries().end());
+  EXPECT_NE(CacheManager::InitialKey(reordered), key)
+      << "the keys of one object in another order";
+
+  EXPECT_NE(CacheManager::InitialKey(ds.Slice(0, 4999)), key)
+      << "one row fewer";
+}
+
 TEST(ExecutorTest, CacheHitSkipsWork) {
   std::string dir = TempDir("cache_exec");
   auto make_options = [&] {
     Executor::Options options;
     options.cache_dir = dir;
-    options.dataset_source_id = "corpus-v1";
     return options;
   };
   auto ops1 = FourteenOpPipeline();
@@ -562,7 +624,6 @@ TEST(ExecutorTest, ConfigChangeInvalidatesSuffixOnly) {
   auto options = [&] {
     Executor::Options o;
     o.cache_dir = dir;
-    o.dataset_source_id = "corpus-v1";
     return o;
   };
   Recipe r1 = MustRecipe(R"(
@@ -587,6 +648,59 @@ process:
   RunReport report;
   ASSERT_TRUE(e2.Run(NoisyCorpus(), ops2, &report).ok());
   EXPECT_EQ(report.cache_hits, 1u);  // mapper hit, filter recomputed
+}
+
+// Runs kBasicRecipe over `input` with `options` and returns the JSONL export.
+std::string RunBasic(const Executor::Options& options,
+                     const data::Dataset& input, RunReport* report) {
+  auto ops = MustBuildOps(MustRecipe(kBasicRecipe));
+  auto result = Executor(options).Run(input, ops, report);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? data::ToJsonl(result.value()) : "";
+}
+
+TEST(ExecutorTest, EditedInputMissesTheCache) {
+  Executor::Options options;
+  options.cache_dir = TempDir("cache_edited_input");
+  const size_t units = MustBuildOps(MustRecipe(kBasicRecipe)).size();
+  const data::Dataset input = NoisyCorpus();
+  RunReport first;
+  const std::string before = RunBasic(options, input, &first);
+  EXPECT_EQ(first.cache_hits, 0u);
+
+  // One cell changes. Row 0 comes first, so exact dedup keeps it, and its
+  // longer text passes the length filter: the export changes too.
+  data::Dataset edited = input;
+  edited.MutableCell("text", 0)->as_string() += " (edited)";
+  const std::string want = RunBasic(Executor::Options{}, edited, nullptr);
+  ASSERT_NE(want, before);
+
+  RunReport second;
+  EXPECT_EQ(RunBasic(options, edited, &second), want);
+  EXPECT_EQ(second.cache_hits, 0u);
+  RunReport third;
+  EXPECT_EQ(RunBasic(options, edited, &third), want);
+  EXPECT_EQ(third.cache_hits, units);
+}
+
+TEST(ExecutorTest, InMemoryInputsShareACacheWithoutColliding) {
+  Executor::Options options;
+  options.cache_dir = TempDir("cache_in_memory");
+  const size_t units = MustBuildOps(MustRecipe(kBasicRecipe)).size();
+  const data::Dataset a = NoisyCorpus(60);
+  const data::Dataset b = NoisyCorpus(30);
+  const std::string want_a = RunBasic(Executor::Options{}, a, nullptr);
+  const std::string want_b = RunBasic(Executor::Options{}, b, nullptr);
+  ASSERT_NE(want_a, want_b);
+
+  for (size_t pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    RunReport report_a, report_b;
+    EXPECT_EQ(RunBasic(options, a, &report_a), want_a);
+    EXPECT_EQ(RunBasic(options, b, &report_b), want_b);
+    EXPECT_EQ(report_a.cache_hits, pass == 0 ? 0u : units);
+    EXPECT_EQ(report_b.cache_hits, pass == 0 ? 0u : units);
+  }
 }
 
 // --------------------------------------------------------- checkpoint ----
@@ -616,7 +730,6 @@ TEST(ExecutorTest, ResumesAfterInjectedFailure) {
   std::string dir = TempDir("ckpt_exec");
   Executor::Options options;
   options.checkpoint_dir = dir;
-  options.dataset_source_id = "corpus-v1";
   {
     // exec.op_abort is probed once per unit, so its 6th probe aborts the
     // run before unit 5, the filter stage.
@@ -649,7 +762,6 @@ TEST(ExecutorTest, RecipeChangeIgnoresIncompatibleCheckpoint) {
   std::string dir = TempDir("ckpt_incompat");
   Executor::Options o;
   o.checkpoint_dir = dir;
-  o.dataset_source_id = "corpus-v1";
   auto ops1 = FourteenOpPipeline();
   Executor first(o);
   ASSERT_TRUE(first.Run(NoisyCorpus(), ops1, nullptr).ok());
@@ -676,7 +788,6 @@ TEST(ExecutorTest, AllFeaturesCombinedUnderParallelism) {
   options.cache_dir = dir + "/cache";
   options.cache_compression = true;
   options.checkpoint_dir = dir + "/ckpt";
-  options.dataset_source_id = "combined-corpus";
   options.tracer = &tracer;
   Executor executor(options);
   RunReport report;
@@ -723,14 +834,13 @@ TEST(ExecutorTest, BoundaryBlobFeedsCacheAndCheckpointUnchanged) {
     if (use_cache) options.cache_dir = dir + "/cache";
     options.cache_compression = true;
     options.checkpoint_dir = dir + "/ckpt";
-    options.dataset_source_id = "shared-blob";
     Executor executor(options);
     RunReport report;
     auto result = executor.Run(NoisyCorpus(120), ops, &report);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const std::string djds = data::SerializeDataset(result.value());
 
-    uint64_t key = CacheManager::InitialKey("shared-blob");
+    uint64_t key = CacheManager::InitialKey(NoisyCorpus(120));
     for (const auto& op : ops) {
       key = CacheManager::ExtendKey(key, op->name(), op->config());
     }
@@ -767,11 +877,10 @@ TEST(ExecutorTest, OlderCacheFrameIsEvictedAndRecomputed) {
   Executor::Options options;
   options.cache_dir = dir;
   options.cache_compression = true;
-  options.dataset_source_id = "old-frame";
   auto ops = MustBuildOps(MustRecipe(kBasicRecipe));
   ASSERT_TRUE(Executor(options).Run(NoisyCorpus(), ops, nullptr).ok());
 
-  uint64_t key = CacheManager::InitialKey("old-frame");
+  uint64_t key = CacheManager::InitialKey(NoisyCorpus());
   for (const auto& op : ops) {
     key = CacheManager::ExtendKey(key, op->name(), op->config());
   }

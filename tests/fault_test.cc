@@ -507,7 +507,7 @@ std::vector<std::unique_ptr<ops::Op>> BackingOps() {
 // The key of the state after the first `units` units of BackingOps.
 uint64_t BackingKey(size_t units) {
   auto ops = BackingOps();
-  uint64_t key = core::CacheManager::InitialKey("backing-corpus");
+  uint64_t key = core::CacheManager::InitialKey(SmallCorpus());
   for (size_t i = 0; i < units; ++i) {
     key = core::CacheManager::ExtendKey(key, ops[i]->name(), ops[i]->config());
   }
@@ -518,7 +518,6 @@ uint64_t BackingKey(size_t units) {
 core::Executor::Options CheckpointOptions(const std::string& dir) {
   core::Executor::Options opts;
   opts.checkpoint_dir = dir + "/ckpt";
-  opts.dataset_source_id = "backing-corpus";
   return opts;
 }
 
@@ -589,6 +588,44 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// A run killed at boundary 2 leaves the state after unit 1 as its
+// checkpoint. The input is then edited in one cell: every key of the rerun
+// differs, so it resumes nothing and exports what a clean run of the edited
+// input exports.
+TEST(StaleInputTest, EditedInputDoesNotResumeAKilledRun) {
+  const std::string dir = TempDir("stale_input");
+  const core::Executor::Options opts = CheckpointOptions(dir);
+  auto ops = BackingOps();
+  auto crashed = [&] {
+    probe::Scoped faults(probe::Faults(), "exec.op_abort=n2");
+    EXPECT_TRUE(faults.status().ok());
+    return core::Executor(opts).Run(SmallCorpus(), ops);
+  }();
+  ASSERT_EQ(crashed.status().code(), StatusCode::kAborted)
+      << crashed.status().ToString();
+  ASSERT_EQ(FilesIn(opts.checkpoint_dir),
+            std::vector<std::string>{EntryName(BackingKey(1))});
+
+  // Row 0 comes first, so exact dedup keeps it, and its longer text passes
+  // the length filter: the edit shows in the export.
+  data::Dataset edited = SmallCorpus();
+  edited.MutableCell("text", 0)->as_string() += " (edited)";
+  auto clean_ops = BackingOps();
+  auto clean =
+      core::Executor(core::Executor::Options{}).Run(edited, clean_ops);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const std::string want = data::SerializeDataset(clean.value());
+  ASSERT_NE(want, CleanBackingResult());
+
+  core::RunReport report;
+  auto rerun_ops = BackingOps();
+  auto rerun = core::Executor(opts).Run(edited, rerun_ops, &report);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_EQ(report.op_reports.size(), rerun_ops.size());
+  EXPECT_EQ(data::SerializeDataset(rerun.value()), want);
+}
 
 enum class Damage { kFlip, kTruncate, kDelete };
 

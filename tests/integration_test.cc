@@ -139,7 +139,6 @@ TEST(IntegrationTest, RerunIsFullyCached) {
 
   core::Executor::Options exec_options =
       core::Executor::OptionsFromRecipe(recipe.value());
-  exec_options.dataset_source_id = "fixed-corpus";
   core::Executor executor(exec_options);
   core::RunReport r1, r2;
   ASSERT_TRUE(executor.Run(corpus, pipeline1.value(), &r1).ok());

@@ -20,8 +20,7 @@ json::Value Config(std::string_view text = "{}") {
 }
 
 std::string Apply(const Mapper& mapper, std::string_view input) {
-  SampleContext ctx(input);
-  auto r = mapper.TransformText(input, &ctx);
+  auto r = mapper.TransformText(input);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? r.value() : "";
 }

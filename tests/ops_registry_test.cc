@@ -89,7 +89,7 @@ class ShoutMapper : public dj::ops::Mapper {
       : Mapper(Declaration(), config), suffix_(Param<std::string>("suffix")) {}
 
   dj::Result<std::string> TransformText(
-      std::string_view input, dj::ops::SampleContext*) const override {
+      std::string_view input) const override {
     std::string out(input);
     for (char& c : out) c = static_cast<char>(std::toupper(c));
     return out + suffix_;
@@ -105,8 +105,7 @@ TEST(OpRegistryTest, CustomOpRegistration) {
   auto op = registry.Create("shout_mapper", Config());
   ASSERT_TRUE(op.ok());
   auto* mapper = static_cast<Mapper*>(op.value().get());
-  SampleContext ctx("hi");
-  EXPECT_EQ(mapper->TransformText("hi", &ctx).value(), "HI!");
+  EXPECT_EQ(mapper->TransformText("hi").value(), "HI!");
   // The declared default reached the effective config (and so cache keys),
   // and the linter sees the declared schema and effects.
   EXPECT_EQ(op.value()->config().GetString("suffix", ""), "!");
@@ -128,8 +127,7 @@ class WhisperMapper : public Mapper {
   explicit WhisperMapper(const json::Value& config)
       : Mapper(Declaration(), config) {}
 
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext*) const override {
+  Result<std::string> TransformText(std::string_view input) const override {
     std::string out(input);
     for (char& c : out) c = static_cast<char>(std::tolower(c));
     return out + Param<std::string>("suffix");
@@ -146,11 +144,9 @@ TEST(OpRegistryTest, ReRegisterReplaces) {
   auto op = registry.Create("shout_mapper", Config());
   ASSERT_TRUE(op.ok());
   EXPECT_EQ(&op.value()->declaration(), &WhisperMapper::Declaration());
-  SampleContext ctx("Hi");
-  EXPECT_EQ(static_cast<Mapper*>(op.value().get())
-                ->TransformText("Hi", &ctx)
-                .value(),
-            "hi...");
+  EXPECT_EQ(
+      static_cast<Mapper*>(op.value().get())->TransformText("Hi").value(),
+      "hi...");
 }
 
 // Exposes the protected param accessors of Op to the death tests below.
@@ -170,8 +166,7 @@ class ParamProbeMapper : public Mapper {
   using Op::Param;
   using Op::SetEffectiveParam;
 
-  Result<std::string> TransformText(std::string_view input,
-                                    SampleContext*) const override {
+  Result<std::string> TransformText(std::string_view input) const override {
     return std::string(input);
   }
 };

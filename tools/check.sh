@@ -22,7 +22,9 @@
 #                             failed at load and at export that must still
 #                             write both files and pass dj_trace_check, the
 #                             binary-container round-trip, the fault-matrix
-#                             crash/resume smoke, a profiled run
+#                             crash/resume smoke, cached and checkpointed
+#                             reruns of a rewritten input that must export
+#                             as a run with no store, a profiled run
 #                             (--require-profile), an injected-stall
 #                             watchdog dump listing exactly the np-4
 #                             pool's 4 workers, dj_analyze's --bins range
@@ -217,8 +219,9 @@ echo "round-trip byte-identical"
 echo "== fault-matrix smoke (crash at an OP boundary, resume, compare) =="
 # Three seeds: each run is killed at the second OP boundary via the
 # DJ_FAULTS env var, must leave an inspectable trace with a fault instant,
-# and after a --resume run must produce output byte-identical to the
-# uninterrupted export from the trace smoke-gate above.
+# and the same command run again resumes from the stored prefix and must
+# produce output byte-identical to the uninterrupted export from the trace
+# smoke-gate above.
 for seed in 1 2 3; do
   ckpt_dir="${smoke_dir}/ckpt_seed${seed}"
   if DJ_FAULTS="seed=${seed};exec.op_abort=n2" "${build_dir}/tools/dj_process" \
@@ -237,8 +240,7 @@ for seed in 1 2 3; do
     --recipe "${repo_dir}/configs/recipes/minimal_dedup.yaml" \
     --input "${smoke_dir}/in.jsonl" \
     --output "${smoke_dir}/fault_seed${seed}.jsonl" \
-    --checkpoint-dir "${ckpt_dir}" \
-    --resume
+    --checkpoint-dir "${ckpt_dir}"
   cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_seed${seed}.jsonl"
   # A checkpoint is the newest stored boundary: one entry, nothing else.
   ckpt_files="$(ls -A "${ckpt_dir}")"
@@ -267,8 +269,7 @@ for seed in 1 2 3; do
     --input "${smoke_dir}/in.jsonl" \
     --output "${smoke_dir}/fault_cache_seed${seed}.jsonl" \
     --cache-dir "${cache_dir}" \
-    --checkpoint-dir "${ckpt_dir}" \
-    --resume
+    --checkpoint-dir "${ckpt_dir}"
   cmp "${smoke_dir}/out.jsonl" "${smoke_dir}/fault_cache_seed${seed}.jsonl"
   ckpt_files="$(ls -A "${ckpt_dir}" 2> /dev/null || true)"
   if [[ -n "${ckpt_files}" ]]; then
@@ -278,6 +279,69 @@ for seed in 1 2 3; do
   fi
 done
 echo "crash+resume byte-identical for all seeds, cache off and on"
+
+echo "== stale input (a rewritten input reuses no stored boundary) =="
+# Stored boundaries are keyed by the input's content, so a run over an input
+# rewritten in place finds none of the entries an earlier run left: (a) a
+# cached run, then the same command after the rewrite; (b) a checkpointed
+# run killed at the second boundary, then the same command after the
+# rewrite, with checkpoints on through --checkpoint-dir and through the
+# recipe's use_checkpoint/checkpoint_dir keys. Every rerun must export what
+# the rewritten input exports with no store, which differs from the first
+# input's export.
+stale_dir="${smoke_dir}/stale"
+mkdir -p "${stale_dir}"
+stale_input() {  # stale_input WORD ROWS: rewrites in.jsonl in place
+  for i in $(seq 1 "$2"); do
+    printf '{"text": "%s doc %d: the reader of %s keeps %d notes on the long river road."}\n' \
+      "$1" "$i" "$1" "$((i % 4))"
+  done > "${stale_dir}/in.jsonl"
+}
+stale_run() {  # stale_run RECIPE OUT [dj_process flags...]
+  local recipe="$1" out="$2"
+  shift 2
+  "${build_dir}/tools/dj_process" --recipe "${recipe}" \
+    --input "${stale_dir}/in.jsonl" --output "${stale_dir}/${out}" "$@" \
+    > /dev/null
+}
+stale_check() {  # stale_check OUT
+  cmp "${stale_dir}/want.jsonl" "${stale_dir}/$1"
+  if cmp -s "${stale_dir}/first.jsonl" "${stale_dir}/$1"; then
+    echo "check.sh: $1 is the first input's export" >&2
+    exit 1
+  fi
+}
+dedup_recipe="${repo_dir}/configs/recipes/minimal_dedup.yaml"
+stale_input first 30
+stale_run "${dedup_recipe}" first.jsonl
+stale_input rewritten 36
+stale_run "${dedup_recipe}" want.jsonl
+stale_input first 30
+stale_run "${dedup_recipe}" cached_first.jsonl --cache-dir "${stale_dir}/cache"
+stale_input rewritten 36
+stale_run "${dedup_recipe}" cached.jsonl --cache-dir "${stale_dir}/cache"
+stale_check cached.jsonl
+{
+  printf 'use_checkpoint: true\ncheckpoint_dir: %s\n' "${stale_dir}/ckpt_recipe"
+  cat "${dedup_recipe}"
+} > "${stale_dir}/checkpointed.yaml"
+for via in flag recipe; do
+  if [[ "${via}" == flag ]]; then
+    run=("${dedup_recipe}" "resumed_${via}.jsonl"
+      --checkpoint-dir "${stale_dir}/ckpt_flag")
+  else
+    run=("${stale_dir}/checkpointed.yaml" "resumed_${via}.jsonl")
+  fi
+  stale_input first 30
+  if DJ_FAULTS="exec.op_abort=n2" stale_run "${run[@]}" 2> /dev/null; then
+    echo "check.sh: the ${via}-checkpointed run was expected to crash" >&2
+    exit 1
+  fi
+  stale_input rewritten 36
+  stale_run "${run[@]}"
+  stale_check "resumed_${via}.jsonl"
+done
+echo "rewritten input exports as a run with no store, cache and checkpoints"
 
 echo "== profiled smoke (sampling profiler + watchdog alive) =="
 # The fig8 pretrain-books recipe over a bigger corpus (the 40-doc one

@@ -36,6 +36,7 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string input, csv_path, json_path;
   dj::analysis::Analyzer::Options options;
+  int64_t np = 1;
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     auto next = [&]() -> const char* {
@@ -69,28 +70,28 @@ int main(int argc, char** argv) {
       options.histogram_bins = static_cast<size_t>(bins);
     } else if (flag == "--np") {
       const char* v = next();
-      int64_t np = 0;
       if (v == nullptr || !dj::ParseInt64(v, &np) || np < 1 ||
           np > dj::kMaxPoolThreads) {
         std::fprintf(stderr, "--np takes an integer in [1, %lld]\n",
                      static_cast<long long>(dj::kMaxPoolThreads));
         return Usage(argv[0]);
       }
-      options.num_workers = static_cast<int>(np);
     } else {
       return Usage(argv[0]);
     }
   }
   if (input.empty()) return Usage(argv[0]);
 
-  auto dataset = dj::ops::LoadDataset(input);
+  // One pool of --np workers for the load and the analysis.
+  dj::ThreadPool pool(static_cast<size_t>(np));
+  auto dataset = dj::ops::LoadDataset(input, &pool);
   if (!dataset.ok()) {
     std::fprintf(stderr, "load error: %s\n",
                  dataset.status().ToString().c_str());
     return 1;
   }
   dj::analysis::Analyzer analyzer(options);
-  auto probe = analyzer.Analyze(&dataset.value());
+  auto probe = analyzer.Analyze(&dataset.value(), &pool);
   if (!probe.ok()) {
     std::fprintf(stderr, "analyze error: %s\n",
                  probe.status().ToString().c_str());

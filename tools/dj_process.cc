@@ -6,7 +6,7 @@
 //   dj_process --recipe recipe.yaml [--input in.jsonl] [--output out.jsonl]
 //              [--np N] [--trace] [--cache-dir DIR] [--no-verify]
 //              [--trace-out trace.json] [--metrics-out metrics.json]
-//              [--checkpoint-dir DIR] [--resume] [--faults SPEC]
+//              [--checkpoint-dir DIR] [--faults SPEC]
 //              [--sched SPEC] [--profile-out profile.txt]
 //              [--watchdog SPEC]
 //
@@ -14,9 +14,9 @@
 // The recipe is linted before any data is touched; lint errors abort the
 // run unless --no-verify is given.
 //
-// --checkpoint-dir enables per-OP checkpointing; --resume (requires
-// --checkpoint-dir) continues from the deepest stored prefix of the plan
-// (a cache entry or the checkpoint), re-running only the suffix.
+// --checkpoint-dir enables per-OP checkpointing. With it or the cache on, a
+// run continues from the deepest stored prefix whose key (the input's
+// content and the OP configs) matches its plan, re-running only the suffix.
 // --faults arms fail points (same syntax as the DJ_FAULTS env var, e.g.
 // "seed=7;exec.op_abort=n2;io.write.short=p0.1"); the env var is applied
 // first, then the flag. DJ_FAULTS is also read at the first fail-point
@@ -82,7 +82,6 @@ struct Args {
   std::string trace_out;
   std::string metrics_out;
   std::string checkpoint_dir;
-  bool resume = false;
   std::string faults;
   std::string sched;
   std::string profile_out;
@@ -95,7 +94,7 @@ int Usage(const char* argv0) {
                "[--output out.jsonl] [--np N] [--trace] "
                "[--cache-dir DIR] [--no-verify] [--trace-out trace.json] "
                "[--metrics-out metrics.json] [--checkpoint-dir DIR] "
-               "[--resume] [--faults SPEC] [--sched SPEC] "
+               "[--faults SPEC] [--sched SPEC] "
                "[--profile-out profile.txt] [--watchdog SPEC]\n",
                argv0);
   return 2;
@@ -149,8 +148,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->checkpoint_dir = v;
-    } else if (flag == "--resume") {
-      args->resume = true;
     } else if (flag == "--faults") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -180,10 +177,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return Usage(argv[0]);
-  if (args.resume && args.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return 2;
-  }
 
   auto recipe = dj::core::Recipe::FromFile(args.recipe_path);
   if (!recipe.ok()) {
@@ -393,21 +386,9 @@ int main(int argc, char** argv) {
   auto ops = dj::core::BuildOps(recipe.value(), dj::ops::OpRegistry::Global());
   if (!ops.ok()) return fail("pipeline", ops.status());
 
-  if (!args.checkpoint_dir.empty() && !args.resume) {
-    // A fresh checkpointed run must not silently continue from an older
-    // run's state; that is what --resume is for.
-    dj::core::CheckpointManager(args.checkpoint_dir).Clear();
-  }
-
   auto refined =
       executor.Run(std::move(dataset).value(), ops.value(), &report);
   if (!refined.ok()) return fail("run", refined.status());
-  if (args.resume) {
-    std::printf(report.resumed_from_checkpoint
-                    ? "resumed from checkpoint in %s\n"
-                    : "no usable checkpoint in %s; ran from scratch\n",
-                args.checkpoint_dir.c_str());
-  }
   // Attribute profiler samples to OPs before printing: the report's %cpu
   // column comes from here, matching OpCpuShares keys against unit names.
   if (profile) {
