@@ -39,13 +39,37 @@ struct Fingerprint128 {
   }
 };
 
+/// lo = SplitMix64(Fnv1a64(data)), hi = SplitMix64(Fnv1a64(data,
+/// 0x9e3779b97f4a7c15) ^ data.size()).
 Fingerprint128 Fingerprint(std::string_view data);
+
+/// Fingerprint() of bytes fed one at a time, both FNV streams in one pass:
+/// a caller can fingerprint a normalized form of its input without
+/// building it.
+class FingerprintBuilder {
+ public:
+  void Add(unsigned char c) {
+    lo_ = (lo_ ^ c) * kFnv1a64Prime;
+    hi_ = (hi_ ^ c) * kFnv1a64Prime;
+    ++size_;
+  }
+  Fingerprint128 Finish() const {
+    return {SplitMix64(lo_), SplitMix64(hi_ ^ size_)};
+  }
+
+ private:
+  uint64_t lo_ = kFnv1a64Offset;
+  uint64_t hi_ = 0x9e3779b97f4a7c15ULL;
+  uint64_t size_ = 0;
+};
 
 /// Hex rendering of a fingerprint ("0123...").
 std::string FingerprintHex(const Fingerprint128& fp);
 
 /// Combines two hash values (boost::hash_combine style, 64-bit).
-uint64_t HashCombine(uint64_t a, uint64_t b);
+inline uint64_t HashCombine(uint64_t a, uint64_t b) {
+  return a ^ (SplitMix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
+}
 
 }  // namespace dj
 

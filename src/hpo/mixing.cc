@@ -16,6 +16,14 @@ uint64_t TokenCount(const data::Dataset& ds) {
   return total;
 }
 
+/// The search-space name of source `i`'s weight, "w<i>". Built by append:
+/// GCC 12 at -O3 reports a false -Wrestrict on `"w" + std::to_string(i)`.
+std::string WeightName(size_t i) {
+  std::string name = "w";
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace
 
 MixingProblem::MixingProblem(std::vector<data::Dataset> sources,
@@ -46,7 +54,7 @@ MixingProblem::MixingProblem(std::vector<data::Dataset> sources,
 SearchSpace MixingProblem::Space() const {
   SearchSpace space;
   for (size_t i = 0; i < sources_.size(); ++i) {
-    space.Add({"w" + std::to_string(i), 0.0, 1.0, false, false});
+    space.Add({WeightName(i), 0.0, 1.0, false, false});
   }
   return space;
 }
@@ -55,7 +63,7 @@ data::Dataset MixingProblem::BuildMixture(const ParamSet& weights,
                                           double budget, Rng* rng) const {
   data::Dataset mix;
   for (size_t s = 0; s < sources_.size(); ++s) {
-    double w = weights.Get("w" + std::to_string(s), 0.0);
+    double w = weights.Get(WeightName(s), 0.0);
     w = std::clamp(w * budget, 0.0, 1.0);
     const data::Dataset& source = sources_[s];
     std::vector<size_t> chosen;

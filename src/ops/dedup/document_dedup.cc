@@ -59,18 +59,16 @@ DocumentExactDeduplicator::DocumentExactDeduplicator(const json::Value& config)
 
 Fingerprint128 DocumentExactDeduplicator::FingerprintOf(
     std::string_view text) const {
-  if (!lowercase_ && !ignore_whitespace_) return Fingerprint(text);
-  std::string norm;
-  norm.reserve(text.size());
-  for (char c : text) {
+  FingerprintBuilder fp;
+  for (unsigned char c : text) {
     if (ignore_whitespace_ &&
         (c == ' ' || c == '\t' || c == '\n' || c == '\r')) {
       continue;
     }
-    if (lowercase_ && c >= 'A' && c <= 'Z') c = static_cast<char>(c + 32);
-    norm.push_back(c);
+    if (lowercase_ && c >= 'A' && c <= 'Z') c += 'a' - 'A';
+    fp.Add(c);
   }
-  return Fingerprint(norm);
+  return fp.Finish();
 }
 
 Status DocumentExactDeduplicator::ComputeHash(data::RowRef row) {
@@ -160,8 +158,7 @@ Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
   std::vector<uint64_t> keys(n * bands);
   ParallelFor(pool, n, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      std::vector<uint64_t> row_keys = LshBandKeys(signatures_[i], lsh_);
-      std::copy(row_keys.begin(), row_keys.end(), keys.begin() + i * bands);
+      LshBandKeys(signatures_[i], lsh_, keys.data() + i * bands);
     }
   });
   UnionFind uf = ClusterBuckets(keys, bands, pool, [&](size_t i, size_t j) {

@@ -24,9 +24,12 @@ class DocumentExactDeduplicator : public Deduplicator {
       data::Dataset dataset, ThreadPool* pool,
       std::vector<DuplicatePair>* pairs) override;
 
- private:
+  /// Fingerprint() of `text` after this OP's normalization (A-Z lowered
+  /// when `lowercase`; ' ', '\t', '\n' and '\r' dropped when
+  /// `ignore_whitespace`), in one pass that builds no normalized copy.
   Fingerprint128 FingerprintOf(std::string_view text) const;
 
+ private:
   bool lowercase_;
   bool ignore_whitespace_;
   std::vector<Fingerprint128> fingerprints_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <compare>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -23,37 +24,28 @@ MinHasher::MinHasher(size_t num_perm, uint64_t seed) : num_perm_(num_perm) {
   }
 }
 
-std::vector<uint64_t> MinHasher::Signature(
-    const std::vector<uint64_t>& shingles) const {
-  std::vector<uint64_t> sig(num_perm_, std::numeric_limits<uint64_t>::max());
-  if (shingles.empty()) return sig;
-  if (swar::ActiveLevel() == swar::Level::kScalar) {
-    // Reference loop nest (shingle-major), kept as the differential twin.
-    for (uint64_t shingle : shingles) {
-      for (size_t i = 0; i < num_perm_; ++i) {
-        uint64_t h = (shingle ^ xor_[i]) * mul_[i];
-        h ^= h >> 29;
-        if (h < sig[i]) sig[i] = h;
-      }
-    }
-    return sig;
-  }
-  // Batched form: permutation-major with the shingle loop unrolled 4-wide
-  // onto independent min accumulators. mul_[i]/xor_[i] load once per
-  // permutation instead of once per (shingle, permutation) pair, and the
-  // four hash chains overlap their multiply latency. min is commutative and
-  // associative, so the folded result equals the reference loop exactly.
+namespace {
+
+/// Permutations [begin, num_perm) of the signature, permutation-major with
+/// the shingle loop unrolled 4-wide onto independent min accumulators.
+/// mul[i]/xr[i] load once per permutation instead of once per (shingle,
+/// permutation) pair, and the four hash chains overlap their multiply
+/// latency. min is commutative and associative, so the folded result
+/// equals the reference loop exactly.
+void BatchedSignature(const std::vector<uint64_t>& shingles,
+                      const uint64_t* mul, const uint64_t* xr, size_t begin,
+                      size_t num_perm, uint64_t* sig) {
   const size_t batch_end = shingles.size() & ~size_t{3};
-  for (size_t i = 0; i < num_perm_; ++i) {
-    const uint64_t mul = mul_[i];
-    const uint64_t xr = xor_[i];
+  for (size_t i = begin; i < num_perm; ++i) {
+    const uint64_t mul_i = mul[i];
+    const uint64_t xor_i = xr[i];
     uint64_t m0 = std::numeric_limits<uint64_t>::max();
     uint64_t m1 = m0, m2 = m0, m3 = m0;
     for (size_t s = 0; s < batch_end; s += 4) {
-      uint64_t h0 = (shingles[s] ^ xr) * mul;
-      uint64_t h1 = (shingles[s + 1] ^ xr) * mul;
-      uint64_t h2 = (shingles[s + 2] ^ xr) * mul;
-      uint64_t h3 = (shingles[s + 3] ^ xr) * mul;
+      uint64_t h0 = (shingles[s] ^ xor_i) * mul_i;
+      uint64_t h1 = (shingles[s + 1] ^ xor_i) * mul_i;
+      uint64_t h2 = (shingles[s + 2] ^ xor_i) * mul_i;
+      uint64_t h3 = (shingles[s + 3] ^ xor_i) * mul_i;
       h0 ^= h0 >> 29;
       h1 ^= h1 >> 29;
       h2 ^= h2 >> 29;
@@ -65,12 +57,100 @@ std::vector<uint64_t> MinHasher::Signature(
     }
     uint64_t m = std::min(std::min(m0, m1), std::min(m2, m3));
     for (size_t s = batch_end; s < shingles.size(); ++s) {
-      uint64_t h = (shingles[s] ^ xr) * mul;
+      uint64_t h = (shingles[s] ^ xor_i) * mul_i;
       h ^= h >> 29;
       m = std::min(m, h);
     }
     sig[i] = m;
   }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define DJ_MINHASH_HAVE_AVX512 1
+
+/// Eight 64-bit lanes. Inside a target("avx512f,avx512dq") function GCC
+/// compiles their *, ^, >> and compare-select to vpmullq, vpxorq, vpsrlq
+/// and vpminuq, with no intrinsics.
+typedef uint64_t U64x8 __attribute__((vector_size(64)));
+
+/// Probed once, on the first signature; the binary itself targets baseline
+/// x86-64.
+bool CpuHasAvx512() {
+  static const bool has = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512dq");
+  return has;
+}
+
+/// Signature entries [0, 8 * kVectors) of `sig`: each shingle is broadcast
+/// once and hashed under 8 * kVectors permutations, each vector folding
+/// into its own min accumulator.
+template <size_t kVectors>
+__attribute__((target("avx512f,avx512dq"))) void MinBlockAvx512(
+    const uint64_t* shingles, size_t count, const uint64_t* mul,
+    const uint64_t* xr, uint64_t* sig) {
+  U64x8 m[kVectors], x[kVectors], acc[kVectors];
+  for (size_t v = 0; v < kVectors; ++v) {
+    std::memcpy(&m[v], mul + 8 * v, sizeof(U64x8));
+    std::memcpy(&x[v], xr + 8 * v, sizeof(U64x8));
+    acc[v] = ~U64x8{};
+  }
+  for (size_t s = 0; s < count; ++s) {
+    for (size_t v = 0; v < kVectors; ++v) {
+      U64x8 h = (shingles[s] ^ x[v]) * m[v];
+      h ^= h >> 29;
+      acc[v] = h < acc[v] ? h : acc[v];
+    }
+  }
+  for (size_t v = 0; v < kVectors; ++v) {
+    std::memcpy(sig + 8 * v, &acc[v], sizeof(U64x8));
+  }
+}
+
+/// Fills the signature's permutations 32 and then 8 at a time; returns how
+/// many it filled (num_perm rounded down to a multiple of 8).
+__attribute__((target("avx512f,avx512dq"))) size_t SignatureAvx512(
+    const std::vector<uint64_t>& shingles, const uint64_t* mul,
+    const uint64_t* xr, size_t num_perm, uint64_t* sig) {
+  size_t i = 0;
+  for (; i + 32 <= num_perm; i += 32) {
+    MinBlockAvx512<4>(shingles.data(), shingles.size(), mul + i, xr + i,
+                      sig + i);
+  }
+  for (; i + 8 <= num_perm; i += 8) {
+    MinBlockAvx512<1>(shingles.data(), shingles.size(), mul + i, xr + i,
+                      sig + i);
+  }
+  return i;
+}
+#endif
+
+}  // namespace
+
+std::vector<uint64_t> MinHasher::Signature(
+    const std::vector<uint64_t>& shingles) const {
+  std::vector<uint64_t> sig(num_perm_, std::numeric_limits<uint64_t>::max());
+  if (shingles.empty()) return sig;
+  const swar::Level level = swar::ActiveLevel();
+  if (level == swar::Level::kScalar) {
+    // Reference loop nest (shingle-major), kept as the differential twin.
+    for (uint64_t shingle : shingles) {
+      for (size_t i = 0; i < num_perm_; ++i) {
+        uint64_t h = (shingle ^ xor_[i]) * mul_[i];
+        h ^= h >> 29;
+        if (h < sig[i]) sig[i] = h;
+      }
+    }
+    return sig;
+  }
+  size_t done = 0;
+#ifdef DJ_MINHASH_HAVE_AVX512
+  if (level == swar::CompiledLevel() && CpuHasAvx512()) {
+    done = SignatureAvx512(shingles, mul_.data(), xor_.data(), num_perm_,
+                           sig.data());
+  }
+#endif
+  BatchedSignature(shingles, mul_.data(), xor_.data(), done, num_perm_,
+                   sig.data());
   return sig;
 }
 
@@ -84,10 +164,8 @@ double MinHasher::EstimateJaccard(const std::vector<uint64_t>& a,
   return static_cast<double>(equal) / static_cast<double>(a.size());
 }
 
-std::vector<uint64_t> LshBandKeys(const std::vector<uint64_t>& signature,
-                                  const LshParams& params) {
-  std::vector<uint64_t> keys;
-  keys.reserve(params.bands);
+void LshBandKeys(const std::vector<uint64_t>& signature,
+                 const LshParams& params, uint64_t* keys) {
   for (size_t b = 0; b < params.bands; ++b) {
     uint64_t h = 0x9e3779b97f4a7c15ULL ^ b;
     for (size_t r = 0; r < params.rows; ++r) {
@@ -95,9 +173,8 @@ std::vector<uint64_t> LshBandKeys(const std::vector<uint64_t>& signature,
       if (idx >= signature.size()) break;
       h = HashCombine(h, signature[idx]);
     }
-    keys.push_back(h);
+    keys[b] = h;
   }
-  return keys;
 }
 
 uint64_t SimHash(const std::vector<uint64_t>& features) {

@@ -20,7 +20,13 @@ class MinHasher {
   size_t num_perm() const { return num_perm_; }
 
   /// Signature of a set of shingle hashes. Empty input yields a signature
-  /// of all-max values (matches other empty docs only).
+  /// of all-max values (matches other empty docs only). The body depends
+  /// on swar::ActiveLevel(), the value never does: kScalar runs the
+  /// shingle-major reference loop; the compiled level runs eight
+  /// permutations per 512-bit vector when the CPU has AVX-512F and DQ
+  /// (x86-64 only), with any last < 8 through the batched loop; kSwar and
+  /// every other CPU run the batched loop, permutation-major over shingles
+  /// four at a time.
   std::vector<uint64_t> Signature(const std::vector<uint64_t>& shingles) const;
 
   /// Estimated Jaccard similarity between two signatures.
@@ -41,9 +47,10 @@ struct LshParams {
   size_t rows = 8;  // bands * rows must equal num_perm
 };
 
-/// Computes the band keys (hash per band) of a signature.
-std::vector<uint64_t> LshBandKeys(const std::vector<uint64_t>& signature,
-                                  const LshParams& params);
+/// Writes the band keys of a signature (one hash per band, params.bands
+/// of them) to `keys`.
+void LshBandKeys(const std::vector<uint64_t>& signature,
+                 const LshParams& params, uint64_t* keys);
 
 /// 64-bit SimHash (Charikar) over feature hashes.
 uint64_t SimHash(const std::vector<uint64_t>& features);

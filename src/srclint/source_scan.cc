@@ -308,15 +308,14 @@ class Scanner {
   void ReadPunct() {
     int start_line = line_;
     line_has_token_ = true;
-    char c = Peek();
-    std::string text(1, c);
-    if (c == ':' && Peek(1) == ':') {
-      text = "::";
-      Advance();
-    } else if (c == '-' && Peek(1) == '>') {
-      text = "->";
-      Advance();
-    }
+    // "::" and "->" are one token, any other byte is its own. The token is
+    // built once at its final length: GCC 12 at -O3 reports a false
+    // -Wmaybe-uninitialized when a one-byte string is reassigned.
+    const char c = Peek();
+    const bool pair =
+        (c == ':' && Peek(1) == ':') || (c == '-' && Peek(1) == '>');
+    std::string text(src_.substr(pos_, pair ? 2 : 1));
+    if (pair) Advance();
     Advance();
     Emit({Tok::kPunct, std::move(text)}, start_line);
   }

@@ -1,6 +1,7 @@
 #include "text/ngram.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/hash.h"
 
@@ -16,14 +17,23 @@ std::vector<uint64_t> HashedWordNgrams(const std::vector<std::string>& words,
 
 std::vector<uint64_t> HashedWordNgrams(const std::vector<uint64_t>& word_hashes,
                                        size_t n) {
-  std::vector<uint64_t> out;
-  if (n == 0 || word_hashes.size() < n) return out;
-  out.reserve(word_hashes.size() - n + 1);
-  for (size_t i = 0; i + n <= word_hashes.size(); ++i) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (size_t j = 0; j < n; ++j) h = HashCombine(h, word_hashes[i + j]);
-    out.push_back(h);
+  if (n == 0 || word_hashes.size() < n) return {};
+  // Each window is the chain h = HashCombine(h, w) from h = 0x9e37...7c15.
+  // HashCombine(h, w) adds SplitMix64(w) + 0x9e3779b97f4a7c15 to h's shifts
+  // and xors the sum into h; that term depends only on the word, so it is
+  // computed once per word, not once per window holding the word. Window i
+  // reads slots i..i+n-1 and then overwrites slot i, which no later window
+  // reads.
+  std::vector<uint64_t> out(word_hashes.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = SplitMix64(word_hashes[i]) + 0x9e3779b97f4a7c15ULL;
   }
+  for (size_t i = 0; i + n <= out.size(); ++i) {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (size_t j = 0; j < n; ++j) h ^= out[i + j] + (h << 6) + (h >> 2);
+    out[i] = h;
+  }
+  out.resize(word_hashes.size() - n + 1);
   return out;
 }
 
@@ -91,12 +101,30 @@ double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes) {
                    static_cast<double>(gram_hashes.size());
 }
 
-double JaccardSimilarity(std::vector<uint64_t> a, std::vector<uint64_t> b) {
+namespace {
+
+/// `v` itself when it is strictly increasing (a sorted set), else a sorted,
+/// deduplicated copy of it held in `*copy`.
+std::span<const uint64_t> AsSortedSet(std::span<const uint64_t> v,
+                                      std::vector<uint64_t>* copy) {
+  if (std::adjacent_find(v.begin(), v.end(), std::greater_equal<>()) ==
+      v.end()) {
+    return v;
+  }
+  copy->assign(v.begin(), v.end());
+  std::sort(copy->begin(), copy->end());
+  copy->erase(std::unique(copy->begin(), copy->end()), copy->end());
+  return *copy;
+}
+
+}  // namespace
+
+double JaccardSimilarity(std::span<const uint64_t> a,
+                         std::span<const uint64_t> b) {
   if (a.empty() && b.empty()) return 1.0;
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
+  std::vector<uint64_t> a_copy, b_copy;
+  a = AsSortedSet(a, &a_copy);
+  b = AsSortedSet(b, &b_copy);
   size_t i = 0, j = 0, inter = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] == b[j]) {

@@ -2,6 +2,7 @@
 #define DJ_TEXT_NGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,8 +28,11 @@ std::vector<uint64_t> HashedCharNgrams(std::string_view s, size_t n);
 /// Counts in one pass over a flat, reused table: no allocation per gram.
 double DuplicateNgramRatio(const std::vector<uint64_t>& gram_hashes);
 
-/// Jaccard similarity between two hashed n-gram sets.
-double JaccardSimilarity(std::vector<uint64_t> a, std::vector<uint64_t> b);
+/// Jaccard similarity between two hashed n-gram sets, each given as a
+/// sequence whose repeats count once. A strictly increasing sequence (a
+/// sorted set) is read in place; any other is sorted in a copy.
+double JaccardSimilarity(std::span<const uint64_t> a,
+                         std::span<const uint64_t> b);
 
 }  // namespace dj::text
 

@@ -1,5 +1,6 @@
 #include "text/tokenizer.h"
 
+#include <array>
 #include <cctype>
 
 #include "common/hash.h"
@@ -19,16 +20,45 @@ bool IsWordCp(uint32_t cp) {
   return false;
 }
 
+/// IsWordCp of each ASCII byte: letters, digits and '\''.
+constexpr std::array<bool, 128> kAsciiWordByte = [] {
+  std::array<bool, 128> table{};
+  for (int c = '0'; c <= '9'; ++c) table[c] = true;
+  for (int c = 'a'; c <= 'z'; ++c) table[c] = table[c - 'a' + 'A'] = true;
+  table['\''] = true;
+  return table;
+}();
+
 /// Calls `emit(word)` for each word of `s`, as a view into `s`: a word is a
 /// contiguous run of word codepoints, or a single CJK codepoint (the two
-/// classes are disjoint).
+/// classes are disjoint). An ASCII byte is a whole codepoint, classified by
+/// table, and a run of ASCII word bytes is passed in one loop; only a byte
+/// of 0x80 or more goes through the decoder.
 template <typename Emit>
 void ForEachWord(std::string_view s, Emit&& emit) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(s.data());
+  auto ascii_word = [&](size_t i) {
+    return bytes[i] < 0x80 && kAsciiWordByte[bytes[i]];
+  };
   size_t pos = 0;
   size_t word_start = 0;
   bool in_word = false;
   while (pos < s.size()) {
-    size_t start = pos;
+    const size_t start = pos;
+    if (ascii_word(pos)) {
+      do {
+        ++pos;
+      } while (pos < s.size() && ascii_word(pos));
+      if (!in_word) word_start = start;
+      in_word = true;
+      continue;
+    }
+    if (bytes[pos] < 0x80) {
+      ++pos;
+      if (in_word) emit(s.substr(word_start, start - word_start));
+      in_word = false;
+      continue;
+    }
     uint32_t cp;
     DecodeUtf8(s, &pos, &cp);
     if (IsWordCp(cp)) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <functional>
 #include <numeric>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -204,6 +205,27 @@ TEST(HashTest, SplitMix64Bijective) {
 
 TEST(HashTest, HashCombineOrderSensitive) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
+}
+
+// HashCombine feeds LSH band keys, n-gram hashes and cache keys, so its
+// values are pinned.
+TEST(HashTest, HashCombinePinnedValues) {
+  EXPECT_EQ(HashCombine(1, 2), 0x358faf979be1d322ULL);
+  EXPECT_EQ(HashCombine(0, 0), 0x805821f2fa6849c4ULL);
+  EXPECT_EQ(HashCombine(~0ULL, 0x9e3779b97f4a7c15ULL), 0xb34fe7dbdefc1e37ULL);
+  EXPECT_EQ(HashCombine(0x0123456789abcdefULL, ~0ULL), 0xcd08530b61a5da9fULL);
+}
+
+// One pass over both FNV streams gives the two-pass definition.
+TEST(HashTest, FingerprintIsTwoMixedFnvStreams) {
+  std::mt19937_64 rng(3);
+  for (size_t len = 0; len < 300; ++len) {
+    std::string s(len, '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    const Fingerprint128 fp = Fingerprint(s);
+    EXPECT_EQ(fp.lo, SplitMix64(Fnv1a64(s)));
+    EXPECT_EQ(fp.hi, SplitMix64(Fnv1a64(s, 0x9e3779b97f4a7c15ULL) ^ len));
+  }
 }
 
 // ------------------------------------------------------------- random ----

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <random>
 #include <unordered_map>
 
 #include "common/hash.h"
 #include "common/random.h"
+#include "common/swar.h"
 #include "common/thread_pool.h"
 #include "data/io.h"
 #include "json/parser.h"
@@ -56,12 +59,74 @@ TEST(MinHasherTest, DisjointSetsLowSimilarity) {
             0.15);
 }
 
+// The signature's body depends on the dispatch level: the shingle-major
+// reference loop at kScalar, the batched loop at kSwar, and at the compiled
+// level the 512-bit body where the CPU has AVX-512F and DQ. Its value must
+// not. The permutation counts run the 32-wide blocks, the 8-wide blocks and
+// tails of 1 to 7 permutations; the shingle sets hold 0, UINT64_MAX and
+// repeats, and the more permutations, the fewer shingles, to bound the work.
+TEST(MinHasherTest, SignatureIsTheSameAtEveryLevel) {
+  const size_t kPerms[] = {8, 12, 31, 32, 33, 40, 128, 4096};
+  std::vector<MinHasher> hashers;
+  for (size_t num_perm : kPerms) hashers.emplace_back(num_perm, num_perm);
+  const swar::Level levels[] = {swar::Level::kScalar, swar::Level::kSwar,
+                                swar::CompiledLevel()};
+  std::mt19937_64 rng(0x516E);
+  for (size_t c = 0; c < 10000; ++c) {
+    const MinHasher& hasher = hashers[c % hashers.size()];
+    const size_t max_size =
+        std::min<size_t>(2000, (size_t{1} << 14) / hasher.num_perm());
+    std::vector<uint64_t> shingles(c % 97 == 0 ? 0 : rng() % (max_size + 1));
+    for (size_t s = 0; s < shingles.size(); ++s) {
+      const uint64_t pick = rng() % 16;
+      shingles[s] = pick == 0   ? 0
+                    : pick == 1 ? ~uint64_t{0}
+                    : pick <= 3 && s > 0 ? shingles[rng() % s]
+                                         : rng();
+    }
+    std::vector<std::vector<uint64_t>> signatures;
+    for (swar::Level level : levels) {
+      swar::ScopedLevel pin(level);
+      signatures.push_back(hasher.Signature(shingles));
+    }
+    ASSERT_EQ(signatures[0].size(), hasher.num_perm());
+    ASSERT_EQ(signatures[1], signatures[0])
+        << "kSwar, num_perm " << hasher.num_perm() << ", " << shingles.size()
+        << " shingles";
+    ASSERT_EQ(signatures[2], signatures[0])
+        << swar::LevelName(levels[2]) << ", num_perm " << hasher.num_perm()
+        << ", " << shingles.size() << " shingles";
+  }
+}
+
 TEST(LshTest, BandKeysMatchForEqualSignatures) {
   MinHasher hasher(64);
   LshParams params{8, 8};
   std::vector<uint64_t> shingles{7, 8, 9};
-  EXPECT_EQ(LshBandKeys(hasher.Signature(shingles), params),
-            LshBandKeys(hasher.Signature(shingles), params));
+  std::vector<uint64_t> a(params.bands), b(params.bands);
+  LshBandKeys(hasher.Signature(shingles), params, a.data());
+  LshBandKeys(hasher.Signature(shingles), params, b.data());
+  EXPECT_EQ(a, b);
+}
+
+// Each band's key is the HashCombine chain of its rows, written to its own
+// slot and no further.
+TEST(LshTest, BandKeysAreTheHashCombineChainOfEachBand) {
+  MinHasher hasher(128);
+  const std::vector<uint64_t> signature = hasher.Signature({1, 2, 3, 4, 5});
+  for (const LshParams& params :
+       {LshParams{16, 8}, LshParams{8, 16}, LshParams{32, 4}}) {
+    std::vector<uint64_t> keys(params.bands + 1, 0x5e47);
+    LshBandKeys(signature, params, keys.data());
+    for (size_t b = 0; b < params.bands; ++b) {
+      uint64_t h = 0x9e3779b97f4a7c15ULL ^ b;
+      for (size_t r = 0; r < params.rows; ++r) {
+        h = HashCombine(h, signature[b * params.rows + r]);
+      }
+      EXPECT_EQ(keys[b], h) << params.bands << "x" << params.rows << " " << b;
+    }
+    EXPECT_EQ(keys[params.bands], 0x5e47u);
+  }
 }
 
 TEST(SimHashTest, SimilarFeatureSetsCloseInHamming) {
@@ -189,9 +254,9 @@ TEST(ClusterBucketsTest, MatchesMapReferenceOnMinHashBands) {
     signatures.push_back(hasher.Signature(copy));
   }
   for (int i = 0; i < 50; ++i) signatures.push_back(hasher.Signature({}));
-  std::vector<uint64_t> keys;
-  for (const auto& signature : signatures) {
-    for (uint64_t key : LshBandKeys(signature, lsh)) keys.push_back(key);
+  std::vector<uint64_t> keys(signatures.size() * lsh.bands);
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    LshBandKeys(signatures[i], lsh, keys.data() + i * lsh.bands);
   }
   std::vector<size_t> expected =
       ExpectMatchesMapReference(keys, lsh.bands, [&](size_t i, size_t j) {
@@ -287,6 +352,59 @@ TEST(DocumentExactDedupTest, NormalizationOptions) {
                                nullptr, nullptr);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2.value().NumRows(), 2u);
+}
+
+/// The normalized copy FingerprintOf used to build before hashing it.
+std::string NormalizedCopy(std::string_view text, bool lowercase,
+                           bool ignore_whitespace) {
+  std::string norm;
+  for (char c : text) {
+    if (ignore_whitespace &&
+        (c == ' ' || c == '\t' || c == '\n' || c == '\r')) {
+      continue;
+    }
+    if (lowercase && c >= 'A' && c <= 'Z') c = static_cast<char>(c + 32);
+    norm.push_back(c);
+  }
+  return norm;
+}
+
+TEST(DocumentExactDedupTest, FingerprintOfIsFingerprintOfTheNormalizedCopy) {
+  const std::string_view kPieces[] = {
+      "a", "z", "A", "Z", "M", "@", "[", "`", "{", "0", " ", "  ", "\t",
+      "\n", "\r", "\r\n", "\v", "\f", std::string_view("\0", 1),
+      "\xC3\x80", "\xC3\xA0", "\xE4\xB8\xAD", "\x80", "\xFF",
+      "Word", "WORD  word"};
+  std::mt19937_64 rng(0xF1);
+  std::vector<std::string> texts(3000);
+  for (std::string& text : texts) {
+    const size_t pieces = rng() % 40;
+    for (size_t k = 0; k < pieces; ++k) {
+      text += kPieces[rng() % std::size(kPieces)];
+    }
+  }
+  workload::CorpusOptions options;
+  options.num_docs = 100;
+  options.seed = 21;
+  data::Dataset corpus = workload::CorpusGenerator(options).Generate();
+  for (size_t i = 0; i < corpus.NumRows(); ++i) {
+    texts.emplace_back(corpus.GetTextAt(i));
+  }
+  for (bool lowercase : {false, true}) {
+    for (bool ignore_whitespace : {false, true}) {
+      json::Object config;
+      config.Set("lowercase", json::Value(lowercase));
+      config.Set("ignore_whitespace", json::Value(ignore_whitespace));
+      DocumentExactDeduplicator dedup{json::Value(config)};
+      for (const std::string& text : texts) {
+        ASSERT_EQ(dedup.FingerprintOf(text),
+                  Fingerprint(
+                      NormalizedCopy(text, lowercase, ignore_whitespace)))
+            << "lowercase " << lowercase << " ignore_whitespace "
+            << ignore_whitespace << ": " << text;
+      }
+    }
+  }
 }
 
 TEST(DocumentExactDedupTest, WritesDocHashStat) {

@@ -4,9 +4,10 @@
 // Codepoint-at-a-time reference bodies of the text kernels that now copy
 // runs of bytes: NormalizeWhitespace, FixUnicode, CodepointCount, the word
 // dropping of remove_long_words_mapper and
-// remove_words_with_incorrect_substrings_mapper, and the cut of
-// remove_bibliography_mapper. Tests compare the kernels with these, output
-// byte for byte and counts exactly.
+// remove_words_with_incorrect_substrings_mapper, the cut of
+// remove_bibliography_mapper, and the word scanner behind TokenizeWords,
+// TokenizeWordsLower, WordHashes and CountWords. Tests compare the kernels
+// with these, output byte for byte and counts exactly.
 
 #include <cctype>
 #include <random>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "text/utf8.h"
 #include "workload/generator.h"
@@ -147,6 +149,103 @@ inline std::string RemoveBibliography(std::string_view input) {
   }
   if (cut == std::string_view::npos) return std::string(input);
   return std::string(input.substr(0, cut));
+}
+
+inline bool IsWordCp(uint32_t cp) {
+  if (text::IsAsciiAlnum(cp) || cp == '\'') return true;
+  if (cp >= 0x00C0 && cp <= 0x024F && cp != 0x00D7 && cp != 0x00F7) {
+    return true;
+  }
+  if (cp >= 0x0370 && cp <= 0x04FF) return true;
+  return false;
+}
+
+/// Decodes every codepoint, ASCII included, and classifies it.
+template <typename Emit>
+void ForEachWord(std::string_view s, Emit&& emit) {
+  size_t pos = 0;
+  size_t word_start = 0;
+  bool in_word = false;
+  while (pos < s.size()) {
+    size_t start = pos;
+    uint32_t cp;
+    text::DecodeUtf8(s, &pos, &cp);
+    if (IsWordCp(cp)) {
+      if (!in_word) word_start = start;
+      in_word = true;
+      continue;
+    }
+    if (in_word) emit(s.substr(word_start, start - word_start));
+    in_word = false;
+    if (text::IsCjk(cp)) emit(s.substr(start, pos - start));
+  }
+  if (in_word) emit(s.substr(word_start));
+}
+
+inline std::vector<std::string> TokenizeWords(std::string_view s) {
+  std::vector<std::string> out;
+  ForEachWord(s, [&](std::string_view w) { out.emplace_back(w); });
+  return out;
+}
+
+inline std::vector<std::string> TokenizeWordsLower(std::string_view s) {
+  std::vector<std::string> out = TokenizeWords(s);
+  for (std::string& w : out) {
+    for (char& c : w) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return out;
+}
+
+inline std::vector<uint64_t> WordHashes(std::string_view s, bool lowercase) {
+  std::vector<uint64_t> out;
+  for (const std::string& w :
+       lowercase ? TokenizeWordsLower(s) : TokenizeWords(s)) {
+    out.push_back(Fnv1a64(w));
+  }
+  return out;
+}
+
+/// A seeded random string of the pieces the word scanner classifies:
+/// ASCII word bytes, punctuation and whitespace; Latin-1 letters and the
+/// two Latin-1 symbols inside their range; the edges of the Latin,
+/// Greek/Cyrillic and CJK ranges; U+FFFD; and invalid UTF-8 (truncated,
+/// overlong, surrogate, above U+10FFFF, stray continuation bytes).
+inline std::string WordFuzzText(std::mt19937_64& rng) {
+  static const std::vector<std::string>* kPieces = [] {
+    auto* p = new std::vector<std::string>{
+        "a", "Z", "q", "0", "9", "'", "''", "word", "Word", "WORD", "it's",
+        " ", "  ", "\t", "\n", "\r", ".", ",", "-", "!", "@", "[", "`",
+        "{", "~", "\x7f", "\x01", "_", "/", ":",
+        // invalid: truncated, overlong, surrogate, too large, stray
+        "\xC3", "\xE4\xB8", "\xF0\x9F\x98", "\xC0\x80", "\xC1\xBF",
+        "\xE0\x80\x80", "\xF0\x80\x80\x80", "\xED\xA0\x80",
+        "\xED\xBF\xBF", "\xF4\x90\x80\x80", "\xF5\x80\x80\x80", "\xFE",
+        "\xFF", "\x80", "\xBF", "\x9F",
+    };
+    for (uint32_t cp :
+         {0xA0u, 0xBFu, 0xC0u, 0xC9u, 0xD6u, 0xD7u, 0xD8u, 0xE9u, 0xF6u, 0xF7u,
+          0xF8u, 0xFFu, 0x100u, 0x24Fu, 0x250u, 0x36Fu, 0x370u, 0x3B1u, 0x416u,
+          0x4FFu, 0x500u, 0x2019u, 0x3000u, 0x3040u, 0x30FFu, 0x3400u, 0x4E00u,
+          0x4E2Du, 0x9FFFu, 0xA000u, 0xAC00u, 0xD7AFu, 0xF900u, 0xFFFDu,
+          0x1F600u, 0x20000u, 0x2A6DFu}) {
+      std::string e;
+      text::EncodeUtf8(cp, &e);
+      p->push_back(e);
+    }
+    return p;
+  }();
+  std::string s;
+  const size_t pieces = rng() % 24;
+  for (size_t k = 0; k < pieces; ++k) {
+    if (rng() % 8 == 0) {
+      s.push_back(static_cast<char>(rng() % 256));  // any byte
+    } else {
+      s += (*kPieces)[rng() % kPieces->size()];
+    }
+  }
+  return s;
 }
 
 /// A seeded random string built from the pieces the kernels treat

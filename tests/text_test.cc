@@ -157,10 +157,73 @@ TEST(NgramTest, DuplicateRatio) {
 }
 
 TEST(NgramTest, JaccardSimilarity) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2}, {3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({1, 2, 3, 3}, {2, 3, 4}), 0.5);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
+  using Set = std::vector<uint64_t>;
+  EXPECT_DOUBLE_EQ(JaccardSimilarity(Set{1, 2, 3}, Set{1, 2, 3}), 1.0);
+  EXPECT_DOUBLE_EQ(JaccardSimilarity(Set{1, 2}, Set{3, 4}), 0.0);
+  EXPECT_DOUBLE_EQ(JaccardSimilarity(Set{1, 2, 3, 3}, Set{2, 3, 4}), 0.5);
+  EXPECT_DOUBLE_EQ(JaccardSimilarity(Set{}, Set{}), 1.0);
+}
+
+// Sorted sets are read in place and anything else is sorted in a copy;
+// either way the value is that of sorting and deduplicating both copies.
+TEST(NgramTest, JaccardSimilarityMatchesSortedCopies) {
+  auto reference = [](std::vector<uint64_t> a, std::vector<uint64_t> b) {
+    if (a.empty() && b.empty()) return 1.0;
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+    std::sort(b.begin(), b.end());
+    b.erase(std::unique(b.begin(), b.end()), b.end());
+    std::vector<uint64_t> inter;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(inter));
+    const size_t uni = a.size() + b.size() - inter.size();
+    return static_cast<double>(inter.size()) / static_cast<double>(uni);
+  };
+  std::mt19937_64 rng(0x7ACC);
+  auto random_set = [&] {
+    std::vector<uint64_t> v(rng() % 40);
+    const uint64_t range = 1 + rng() % 60;
+    for (uint64_t& x : v) x = rng() % 4 == 0 ? ~0ULL - rng() % 3 : rng() % range;
+    switch (rng() % 3) {
+      case 0:  // a sorted set, as the n-gram overlap dedup passes
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+        break;
+      case 1:  // sorted with repeats
+        std::sort(v.begin(), v.end());
+        break;
+      default:  // unsorted
+        break;
+    }
+    return v;
+  };
+  for (int c = 0; c < 20000; ++c) {
+    const std::vector<uint64_t> a = random_set(), b = random_set();
+    ASSERT_EQ(JaccardSimilarity(a, b), reference(a, b));
+    ASSERT_EQ(JaccardSimilarity(b, a), reference(a, b));
+  }
+}
+
+// Mixing each word once gives the per-window HashCombine chain.
+TEST(NgramTest, HashedWordNgramsAreTheHashCombineChain) {
+  std::mt19937_64 rng(0x6E67);
+  for (size_t words = 0; words <= 40; ++words) {
+    std::vector<uint64_t> hashes(words);
+    for (uint64_t& h : hashes) {
+      const uint64_t pick = rng() % 8;
+      h = pick == 0 ? 0 : pick == 1 ? ~0ULL : rng();
+    }
+    EXPECT_TRUE(HashedWordNgrams(hashes, 0).empty());
+    for (size_t n = 1; n <= 8; ++n) {
+      std::vector<uint64_t> expected;
+      for (size_t i = 0; i + n <= words; ++i) {
+        uint64_t h = 0x9e3779b97f4a7c15ULL;
+        for (size_t j = 0; j < n; ++j) h = HashCombine(h, hashes[i + j]);
+        expected.push_back(h);
+      }
+      ASSERT_EQ(HashedWordNgrams(hashes, n), expected) << words << " " << n;
+    }
+  }
 }
 
 // ----------------------------------------------------------- sentence ----
@@ -283,6 +346,34 @@ TEST(TextKernelReferenceTest, BenchStyleDocumentsMatchTheReference) {
         << Escaped(fixed);
     ASSERT_EQ(CodepointCount(doc), reference::CodepointCount(doc))
         << Escaped(doc);
+  }
+}
+
+// The word scanner classifies ASCII bytes by table and decodes only bytes
+// of 0x80 or more; every word function must give what the reference's
+// codepoint-at-a-time scanner gives.
+void ExpectWordsMatchTheReference(const std::string& s) {
+  ASSERT_EQ(TokenizeWords(s), reference::TokenizeWords(s)) << Escaped(s);
+  ASSERT_EQ(TokenizeWordsLower(s), reference::TokenizeWordsLower(s))
+      << Escaped(s);
+  ASSERT_EQ(WordHashes(s, false), reference::WordHashes(s, false))
+      << Escaped(s);
+  ASSERT_EQ(WordHashes(s, true), reference::WordHashes(s, true))
+      << Escaped(s);
+  ASSERT_EQ(CountWords(s), reference::TokenizeWords(s).size()) << Escaped(s);
+}
+
+TEST(WordScannerReferenceTest, FuzzedStringsMatchTheReference) {
+  std::mt19937_64 rng(0x3057);
+  for (size_t c = 0; c < 100000; ++c) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectWordsMatchTheReference(reference::WordFuzzText(rng)));
+  }
+}
+
+TEST(WordScannerReferenceTest, BenchStyleDocumentsMatchTheReference) {
+  for (const std::string& doc : reference::BenchStyleDocuments(300)) {
+    ASSERT_NO_FATAL_FAILURE(ExpectWordsMatchTheReference(doc));
   }
 }
 

@@ -34,7 +34,9 @@
 #                             dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. benchmark smoke        bench/e2e built as its own Release project;
+#   9. benchmark smoke        bench/e2e built as its own Release project
+#                             with -Werror (warnings GCC raises only at
+#                             -O3, which the Debug build cannot see);
 #                             its bench_e2e_smoke ctest runs every workload
 #                             at 2% scale and cmp's each export against
 #                             dj_process (catches API breaks the benchmark
@@ -466,9 +468,12 @@ fi
 echo "== benchmark smoke (bench/e2e, Release) =="
 # bench/e2e is a standalone CMake project (the BENCHMARK.json command builds
 # it on its own); build it from this tree and run its correctness check,
-# which holds every workload's export byte-identical to dj_process's.
+# which holds every workload's export byte-identical to dj_process's. It is
+# the one -O3 build here, so it is also where warnings that only the
+# optimizer raises (GCC's -Wmaybe-uninitialized and -Wrestrict) fail.
 e2e_dir="${build_dir}-e2e"
-cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release
+cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "${e2e_dir}" -j
 ctest --test-dir "${e2e_dir}" --output-on-failure -R bench_e2e_smoke
 
