@@ -54,7 +54,8 @@ GroundTruth BuildCorpus(size_t unique, size_t exact, size_t near) {
   for (size_t i = 0; i < near; ++i) {
     std::string t = texts[rng.NextBelow(texts.size())];
     // Perturb lightly: append one sentence (~3-5% of the doc).
-    t += " " + dj::workload::CorpusGenerator::CleanSentence(&rng);
+    t += ' ';
+    t += dj::workload::CorpusGenerator::CleanSentence(&rng);
     add(std::move(t), "near_dup");
   }
   gt.num_near_dups = near;

@@ -101,10 +101,10 @@ int main() {
   const char* names[] = {"w0 (wiki, clean)", "w1 (web, light noise)",
                          "w2 (crawl, heavy spam)"};
   for (int i = 0; i < 3; ++i) {
-    importance.Row({names[i],
-                    Fmt(Correlation(random_search.trials(),
-                                    "w" + std::to_string(i)),
-                        3)});
+    std::string weight = "w";
+    weight += std::to_string(i);
+    importance.Row(
+        {names[i], Fmt(Correlation(random_search.trials(), weight), 3)});
   }
   importance.Print();
   std::printf(

@@ -90,9 +90,11 @@ int main() {
         CorpusTexts(dj::workload::Style::kChinese, 300, 5);
     dj::Rng rng(6);
     for (std::string& doc : clean) {
-      doc += "\n" + dj::workload::CorpusGenerator::SpamLine(&rng);
+      doc += '\n';
+      doc += dj::workload::CorpusGenerator::SpamLine(&rng);
       if (rng.Bernoulli(0.7)) {
-        doc += "\n" + dj::workload::CorpusGenerator::BoilerplateParagraph();
+        doc += '\n';
+        doc += dj::workload::CorpusGenerator::BoilerplateParagraph();
       }
     }
     SplitInto(clean, 0, &zh);

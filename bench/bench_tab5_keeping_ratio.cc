@@ -67,8 +67,10 @@ int main() {
         Texts(dj::workload::Style::kChinese, 300, 3);
     dj::Rng rng(4);
     for (std::string& doc : zh_neg) {
-      doc += "\n" + dj::workload::CorpusGenerator::SpamLine(&rng);
-      doc += "\n" + dj::workload::CorpusGenerator::BoilerplateParagraph();
+      doc += '\n';
+      doc += dj::workload::CorpusGenerator::SpamLine(&rng);
+      doc += '\n';
+      doc += dj::workload::CorpusGenerator::BoilerplateParagraph();
     }
     zh.Train(Texts(dj::workload::Style::kChinese, 300, 5), zh_neg);
   }
@@ -104,8 +106,10 @@ int main() {
         Texts(dj::workload::Style::kChinese, 970, 8);
     dj::Rng rng(9);
     for (std::string& doc : noisy) {
-      doc += "\n" + dj::workload::CorpusGenerator::SpamLine(&rng);
-      doc += "\n" + dj::workload::CorpusGenerator::BoilerplateParagraph();
+      doc += '\n';
+      doc += dj::workload::CorpusGenerator::SpamLine(&rng);
+      doc += '\n';
+      doc += dj::workload::CorpusGenerator::BoilerplateParagraph();
     }
     zh_crawl = std::move(noisy);
     std::vector<std::string> clean =

@@ -18,8 +18,8 @@ Status WriteStringToFile(const std::string& path, std::string_view content);
 /// is renamed over `path` (then the parent directory is fsync'd so the
 /// rename itself is durable). A crash at any step leaves either the old
 /// `path` intact or a stray .tmp file — never a torn `path`. Used for
-/// every file a checkpoint manifest can name (cache entries, through
-/// data::WriteFileAtomic, and checkpoint blobs) and for the manifest.
+/// cache entries and checkpoint blobs (through data::WriteFileAtomic) and
+/// for the srclint manifest that `dj_srclint --update-manifest` rewrites.
 Status WriteStringToFileAtomic(const std::string& path,
                                std::string_view content);
 

@@ -65,8 +65,6 @@ double RowRef::GetNumber(std::string_view dot_path, double def) const {
   return v->as_double();
 }
 
-Sample RowRef::Materialize() const { return dataset_->MaterializeRow(row_); }
-
 // --------------------------------------------------------------- Dataset --
 
 Dataset Dataset::FromSamples(std::vector<Sample> samples) {

@@ -40,9 +40,6 @@ class RowRef {
   /// The numeric value at `dot_path`, or `def`.
   double GetNumber(std::string_view dot_path, double def = 0.0) const;
 
-  /// Copies the row into a standalone Sample (null cells are skipped).
-  Sample Materialize() const;
-
  private:
   Dataset* dataset_;
   size_t row_;

@@ -71,29 +71,27 @@ Fingerprint128 DocumentExactDeduplicator::FingerprintOf(
   return fp.Finish();
 }
 
-Status DocumentExactDeduplicator::ComputeHash(data::RowRef row) {
-  Fingerprint128 fp = FingerprintOf(RowText(row, text_key()));
-  fingerprints_[row.row()] = fp;
-  // Also expose the hash as a stat for tracing and analysis.
-  return WriteStatSorted(row, "doc_hash", json::Value(FingerprintHex(fp)));
-}
-
 Result<data::Dataset> DocumentExactDeduplicator::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
-    std::vector<DuplicatePair>* pairs) {
+    std::vector<DuplicatePair>* pairs) const {
   size_t n = dataset.NumRows();
-  fingerprints_.assign(n, Fingerprint128{});
+  std::vector<Fingerprint128> fingerprints(n);
+  std::vector<uint64_t> keys(n);
   dataset.EnsureColumn(data::kStatsField);
   {
     DJ_OBS_SPAN("exact_dedup.compute_hashes");
-    DJ_RETURN_IF_ERROR(ForEachIndex(
-        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
+    DJ_RETURN_IF_ERROR(ForEachIndex(pool, n, [&](size_t i) {
+      data::RowRef row = dataset.Row(i);
+      Fingerprint128 fp = FingerprintOf(RowText(row, text_key()));
+      fingerprints[i] = fp;
+      keys[i] = fp.lo;
+      // Also expose the hash as a stat for tracing and analysis.
+      return WriteStatSorted(row, "doc_hash", json::Value(FingerprintHex(fp)));
+    }));
   }
   DJ_OBS_SPAN("exact_dedup.select_survivors");
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = fingerprints_[i].lo;
   UnionFind uf = ClusterBuckets(keys, 1, pool, [&](size_t i, size_t j) {
-    return fingerprints_[i] == fingerprints_[j];
+    return fingerprints[i] == fingerprints[j];
   });
   return CollectSurvivors(std::move(dataset), &uf, pairs, 1.0);
 }
@@ -129,40 +127,34 @@ DocumentMinHashDeduplicator::DocumentMinHashDeduplicator(
   lsh_.bands = static_cast<size_t>(num_perm_) / lsh_.rows;
 }
 
-Status DocumentMinHashDeduplicator::ComputeHash(data::RowRef row) {
-  std::vector<uint64_t> words =
-      text::WordHashes(RowText(row, text_key()), lowercase_);
-  std::vector<uint64_t> shingles =
-      text::HashedWordNgrams(words, static_cast<size_t>(shingle_size_));
-  if (shingles.empty() && !words.empty()) {
-    // Short docs: fall back to unigram shingles.
-    shingles = text::HashedWordNgrams(words, 1);
-  }
-  signatures_[row.row()] = hasher_.Signature(shingles);
-  return Status::Ok();
-}
-
 Result<data::Dataset> DocumentMinHashDeduplicator::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
-    std::vector<DuplicatePair>* pairs) {
+    std::vector<DuplicatePair>* pairs) const {
   size_t n = dataset.NumRows();
-  signatures_.assign(n, {});
+  const size_t bands = lsh_.bands;
+  std::vector<std::vector<uint64_t>> signatures(n);
+  std::vector<uint64_t> keys(n * bands);
   {
     DJ_OBS_SPAN("minhash.compute_signatures");
-    DJ_RETURN_IF_ERROR(ForEachIndex(
-        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
+    ParallelFor(pool, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        std::vector<uint64_t> words =
+            text::WordHashes(RowText(dataset.Row(i), text_key()), lowercase_);
+        std::vector<uint64_t> shingles =
+            text::HashedWordNgrams(words, static_cast<size_t>(shingle_size_));
+        if (shingles.empty() && !words.empty()) {
+          // Short docs: fall back to unigram shingles.
+          shingles = text::HashedWordNgrams(words, 1);
+        }
+        signatures[i] = hasher_.Signature(shingles);
+        LshBandKeys(signatures[i], lsh_, keys.data() + i * bands);
+      }
+    });
   }
   // LSH banding: bucket rows by band keys, verify candidates.
   DJ_OBS_SPAN("minhash.lsh_candidates");
-  const size_t bands = lsh_.bands;
-  std::vector<uint64_t> keys(n * bands);
-  ParallelFor(pool, n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      LshBandKeys(signatures_[i], lsh_, keys.data() + i * bands);
-    }
-  });
   UnionFind uf = ClusterBuckets(keys, bands, pool, [&](size_t i, size_t j) {
-    return MinHasher::EstimateJaccard(signatures_[i], signatures_[j]) >=
+    return MinHasher::EstimateJaccard(signatures[i], signatures[j]) >=
            threshold_;
   });
   return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);
@@ -186,31 +178,28 @@ DocumentSimHashDeduplicator::DocumentSimHashDeduplicator(
       shingle_size_(Param<int64_t>("shingle_size")),
       hamming_threshold_(Param<int64_t>("hamming_threshold")) {}
 
-Status DocumentSimHashDeduplicator::ComputeHash(data::RowRef row) {
-  fingerprints_[row.row()] = SimHash(text::HashedWordNgrams(
-      text::WordHashes(RowText(row, text_key()), /*lowercase=*/true),
-      static_cast<size_t>(shingle_size_)));
-  return Status::Ok();
-}
-
 Result<data::Dataset> DocumentSimHashDeduplicator::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
-    std::vector<DuplicatePair>* pairs) {
+    std::vector<DuplicatePair>* pairs) const {
   size_t n = dataset.NumRows();
-  fingerprints_.assign(n, 0);
-  DJ_RETURN_IF_ERROR(ForEachIndex(
-      pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   // Bucket by each of the four 16-bit bands; verify Hamming distance.
   constexpr size_t kBands = 4;
+  std::vector<uint64_t> fingerprints(n);
   std::vector<uint64_t> keys(n * kBands);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t band = 0; band < kBands; ++band) {
-      keys[i * kBands + band] = ((fingerprints_[i] >> (band * 16)) & 0xFFFF) |
-                                (static_cast<uint64_t>(band) << 32);
+  ParallelFor(pool, n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      fingerprints[i] = SimHash(text::HashedWordNgrams(
+          text::WordHashes(RowText(dataset.Row(i), text_key()),
+                           /*lowercase=*/true),
+          static_cast<size_t>(shingle_size_)));
+      for (size_t band = 0; band < kBands; ++band) {
+        keys[i * kBands + band] = ((fingerprints[i] >> (band * 16)) & 0xFFFF) |
+                                  (static_cast<uint64_t>(band) << 32);
+      }
     }
-  }
+  });
   UnionFind uf = ClusterBuckets(keys, kBands, pool, [&](size_t i, size_t j) {
-    return HammingDistance64(fingerprints_[i], fingerprints_[j]) <=
+    return HammingDistance64(fingerprints[i], fingerprints[j]) <=
            hamming_threshold_;
   });
   return CollectSurvivors(std::move(dataset), &uf, pairs, 1.0);
@@ -233,32 +222,26 @@ NgramOverlapDeduplicator::NgramOverlapDeduplicator(const json::Value& config)
       shingle_size_(Param<int64_t>("shingle_size")),
       threshold_(Param<double>("jaccard_threshold")) {}
 
-Status NgramOverlapDeduplicator::ComputeHash(data::RowRef row) {
-  std::vector<uint64_t> grams = text::HashedWordNgrams(
-      text::WordHashes(RowText(row, text_key()), /*lowercase=*/true),
-      static_cast<size_t>(shingle_size_));
-  std::sort(grams.begin(), grams.end());
-  grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-  shingles_[row.row()] = std::move(grams);
-  return Status::Ok();
-}
-
 Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
-    std::vector<DuplicatePair>* pairs) {
+    std::vector<DuplicatePair>* pairs) const {
   size_t n = dataset.NumRows();
-  shingles_.assign(n, {});
-  DJ_RETURN_IF_ERROR(ForEachIndex(
-      pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
   // Bucket keys: each row's first kIndexPerDoc sorted shingles, a
   // deterministic min-K sample (identical documents sample identical
   // shingles), padded with repeats of the first. A row without shingles
   // gets a key of its own, so short rows never pile into one bucket.
   constexpr size_t kIndexPerDoc = 24;
+  std::vector<std::vector<uint64_t>> shingles(n);
   std::vector<uint64_t> keys(n * kIndexPerDoc);
   ParallelFor(pool, n, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      const std::vector<uint64_t>& grams = shingles_[i];
+      std::vector<uint64_t>& grams = shingles[i];
+      grams = text::HashedWordNgrams(
+          text::WordHashes(RowText(dataset.Row(i), text_key()),
+                           /*lowercase=*/true),
+          static_cast<size_t>(shingle_size_));
+      std::sort(grams.begin(), grams.end());
+      grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
       const size_t take = std::min(grams.size(), kIndexPerDoc);
       uint64_t* row_keys = keys.data() + i * kIndexPerDoc;
       std::copy_n(grams.begin(), take, row_keys);
@@ -268,8 +251,8 @@ Result<data::Dataset> NgramOverlapDeduplicator::Deduplicate(
   });
   UnionFind uf = ClusterBuckets(
       keys, kIndexPerDoc, pool, [&](size_t i, size_t j) {
-        return !shingles_[i].empty() && !shingles_[j].empty() &&
-               text::JaccardSimilarity(shingles_[i], shingles_[j]) >=
+        return !shingles[i].empty() && !shingles[j].empty() &&
+               text::JaccardSimilarity(shingles[i], shingles[j]) >=
                    threshold_;
       });
   return CollectSurvivors(std::move(dataset), &uf, pairs, threshold_);

@@ -19,10 +19,9 @@ class DocumentExactDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentExactDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) override;
+      std::vector<DuplicatePair>* pairs) const override;
 
   /// Fingerprint() of `text` after this OP's normalization (A-Z lowered
   /// when `lowercase`; ' ', '\t', '\n' and '\r' dropped when
@@ -32,7 +31,6 @@ class DocumentExactDeduplicator : public Deduplicator {
  private:
   bool lowercase_;
   bool ignore_whitespace_;
-  std::vector<Fingerprint128> fingerprints_;
 };
 
 /// document_minhash_deduplicator: near-duplicate removal with MinHash-LSH
@@ -46,10 +44,9 @@ class DocumentMinHashDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentMinHashDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) override;
+      std::vector<DuplicatePair>* pairs) const override;
 
  private:
   int64_t num_perm_;
@@ -58,7 +55,6 @@ class DocumentMinHashDeduplicator : public Deduplicator {
   bool lowercase_;
   MinHasher hasher_;
   LshParams lsh_;
-  std::vector<std::vector<uint64_t>> signatures_;
 };
 
 /// document_simhash_deduplicator: near-duplicate removal with 64-bit
@@ -71,15 +67,13 @@ class DocumentSimHashDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit DocumentSimHashDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) override;
+      std::vector<DuplicatePair>* pairs) const override;
 
  private:
   int64_t shingle_size_;
   int64_t hamming_threshold_;
-  std::vector<uint64_t> fingerprints_;
 };
 
 /// ngram_overlap_deduplicator: vector-space duplicate detection — documents
@@ -93,15 +87,13 @@ class NgramOverlapDeduplicator : public Deduplicator {
   static const OpDeclaration& Declaration();
   explicit NgramOverlapDeduplicator(const json::Value& config);
 
-  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) override;
+      std::vector<DuplicatePair>* pairs) const override;
 
  private:
   int64_t shingle_size_;
   double threshold_;
-  std::vector<std::vector<uint64_t>> shingles_;
 };
 
 }  // namespace dj::ops

@@ -12,6 +12,18 @@
 
 namespace dj::ops {
 
+namespace {
+
+/// One unit of a row, as the parallel hash pass sees it; the serial walk
+/// marks the repeats.
+struct Unit {
+  uint64_t hash;
+  bool eligible;  ///< at least min_unit_length codepoints long
+  bool duplicate;
+};
+
+}  // namespace
+
 GranularDeduplicatorBase::GranularDeduplicatorBase(
     const OpDeclaration& declaration, const json::Value& config)
     : Deduplicator(declaration, config),
@@ -24,41 +36,38 @@ OpDeclaration GranularDeduplicatorBase::Declare(OpSchema schema) {
           OpEffects().Reads("@text_key").Writes("@text_key")};
 }
 
-Status GranularDeduplicatorBase::ComputeHash(data::RowRef row) {
-  std::vector<Unit>& units = units_[row.row()];
-  const json::Value* v = row.Get(text_key());
-  if (v == nullptr || !v->is_string()) return Status::Ok();
-  for (const std::string& unit : SplitUnits(v->as_string())) {
-    // Fnv1a64 of the unit trimmed and ASCII-lowercased, folded inline.
-    uint64_t hash = kFnv1a64Offset;
-    for (char c : StripAsciiWhitespace(unit)) {
-      hash ^= static_cast<unsigned char>(
-          std::tolower(static_cast<unsigned char>(c)));
-      hash *= kFnv1a64Prime;
-    }
-    units.push_back({hash,
-                     text::CodepointCount(unit) >=
-                         static_cast<size_t>(min_unit_length_),
-                     false});
-  }
-  return Status::Ok();
-}
-
 Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
     data::Dataset dataset, ThreadPool* pool,
-    std::vector<DuplicatePair>* pairs) {
+    std::vector<DuplicatePair>* pairs) const {
   size_t n = dataset.NumRows();
-  units_.assign(n, {});
+  std::vector<std::vector<Unit>> row_units(n);
   {
     DJ_OBS_SPAN("granular_dedup.compute_hashes");
-    DJ_RETURN_IF_ERROR(ForEachIndex(
-        pool, n, [&](size_t i) { return ComputeHash(dataset.Row(i)); }));
+    ParallelFor(pool, n, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const json::Value* v = dataset.Row(i).Get(text_key());
+        if (v == nullptr || !v->is_string()) continue;
+        for (const std::string& unit : SplitUnits(v->as_string())) {
+          // Fnv1a64 of the unit trimmed and ASCII-lowercased, folded inline.
+          uint64_t hash = kFnv1a64Offset;
+          for (char c : StripAsciiWhitespace(unit)) {
+            hash ^= static_cast<unsigned char>(
+                std::tolower(static_cast<unsigned char>(c)));
+            hash *= kFnv1a64Prime;
+          }
+          row_units[i].push_back({hash,
+                                  text::CodepointCount(unit) >=
+                                      static_cast<size_t>(min_unit_length_),
+                                  false});
+        }
+      }
+    });
   }
   DJ_OBS_SPAN("granular_dedup.rewrite_units");
   // Serial walk over the hashes alone, rows then units in order: the first
   // occurrence of each unit wins, later ones are marked for removal.
   size_t total_units = 0;
-  for (const std::vector<Unit>& units : units_) total_units += units.size();
+  for (const std::vector<Unit>& units : row_units) total_units += units.size();
   std::unordered_set<uint64_t> seen;
   seen.reserve(total_units);
   std::vector<size_t> keep_rows;
@@ -66,13 +75,13 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
   keep_rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     size_t duplicates = 0;
-    for (Unit& unit : units_[i]) {
+    for (Unit& unit : row_units[i]) {
       unit.duplicate = unit.eligible && !seen.insert(unit.hash).second;
       if (unit.duplicate) ++duplicates;
     }
     if (duplicates == 0) {
       keep_rows.push_back(i);
-    } else if (duplicates < units_[i].size()) {
+    } else if (duplicates < row_units[i].size()) {
       keep_rows.push_back(i);
       rewrite_rows.push_back(i);
     } else if (pairs != nullptr) {
@@ -84,7 +93,7 @@ Result<data::Dataset> GranularDeduplicatorBase::Deduplicate(
   // Rebuild the changed rows in parallel from their surviving units.
   DJ_RETURN_IF_ERROR(ForEachIndex(pool, rewrite_rows.size(), [&](size_t k) {
     data::RowRef row = dataset.Row(rewrite_rows[k]);
-    const std::vector<Unit>& units = units_[rewrite_rows[k]];
+    const std::vector<Unit>& units = row_units[rewrite_rows[k]];
     std::vector<std::string> texts = SplitUnits(row.GetText(text_key()));
     std::string rebuilt;
     size_t kept = 0;

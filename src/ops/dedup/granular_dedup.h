@@ -15,10 +15,9 @@ namespace dj::ops {
 /// line-level dedup that removes boilerplate repeated across web pages.
 class GranularDeduplicatorBase : public Deduplicator {
  public:
-  Status ComputeHash(data::RowRef row) override;
   Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) override;
+      std::vector<DuplicatePair>* pairs) const override;
 
  protected:
   GranularDeduplicatorBase(const OpDeclaration& declaration,
@@ -34,16 +33,7 @@ class GranularDeduplicatorBase : public Deduplicator {
   virtual std::string_view Joiner() const = 0;
 
  private:
-  /// One unit of a row, as the parallel hash pass sees it; the serial walk
-  /// marks the repeats.
-  struct Unit {
-    uint64_t hash;
-    bool eligible;  ///< at least min_unit_length codepoints long
-    bool duplicate;
-  };
-
   int64_t min_unit_length_;
-  std::vector<std::vector<Unit>> units_;
 };
 
 /// paragraph_exact_deduplicator: corpus-wide paragraph dedup.

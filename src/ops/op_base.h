@@ -167,21 +167,20 @@ class Filter : public Op {
   double ReadStat(data::RowRef row, std::string_view key, double def) const;
 };
 
-/// Deduplicator: dataset-level duplicate removal with a decoupled per-sample
-/// hash/fingerprint computation (paper Listing 1: compute_hash + process).
+/// Deduplicator: dataset-level duplicate removal (paper Listing 1:
+/// compute_hash + process). Deduplicate owns both halves: a per-row pass on
+/// `pool` hashes each row into arrays local to the call, then the
+/// dataset-level pass decides which rows or units survive. An OP keeps no
+/// run state, so one instance may run on several datasets at once.
 class Deduplicator : public Op {
  public:
   OpKind kind() const override { return OpKind::kDeduplicator; }
-
-  /// Computes this op's fingerprint(s) for one row (stored internally or in
-  /// stats, implementation-defined). Called concurrently for distinct rows.
-  virtual Status ComputeHash(data::RowRef row) = 0;
 
   /// Removes duplicates from `dataset`, returning the deduplicated dataset.
   /// `pairs` (optional) receives kept/removed row pairs for the Tracer.
   virtual Result<data::Dataset> Deduplicate(
       data::Dataset dataset, ThreadPool* pool,
-      std::vector<DuplicatePair>* pairs) = 0;
+      std::vector<DuplicatePair>* pairs) const = 0;
 
  protected:
   using Op::Op;

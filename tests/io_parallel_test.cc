@@ -737,7 +737,9 @@ TEST(FaultInjectionTest, ProbabilisticTornWritesAreSeedDeterministic) {
     EXPECT_TRUE(faults.status().ok());
     std::vector<bool> out;
     for (int i = 0; i < 32; ++i) {
-      std::string path = FaultTempFile("p" + std::to_string(i));
+      std::string name = "p";
+      name += std::to_string(i);
+      std::string path = FaultTempFile(name);
       EXPECT_TRUE(WriteFile(path, blob).ok());
       auto back = ReadFile(path);
       EXPECT_TRUE(back.ok());

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <memory>
 #include <random>
+#include <thread>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/random.h"
@@ -705,6 +709,73 @@ TEST_P(DedupMethodTest, ParallelMatchesSequential) {
     EXPECT_EQ(serial_pairs[i].kept_row, parallel_pairs[i].kept_row);
     EXPECT_EQ(serial_pairs[i].removed_row, parallel_pairs[i].removed_row);
     EXPECT_EQ(serial_pairs[i].similarity, parallel_pairs[i].similarity);
+  }
+}
+
+// A Deduplicator keeps no run state: one const instance runs on two
+// corpora of different sizes at once, from two threads sharing a 4-worker
+// pool, then on each again in turn, and every run returns the rows and
+// pairs of a fresh instance's serial run.
+TEST_P(DedupMethodTest, ConstInstanceRunsConcurrently) {
+  auto corpus = [](size_t num_docs, uint64_t seed) {
+    workload::CorpusOptions options;
+    options.num_docs = num_docs;
+    options.exact_dup_rate = 0.2;
+    options.near_dup_rate = 0.2;
+    options.boilerplate_rate = 0.3;
+    options.short_doc_rate = 0.05;
+    options.seed = seed;
+    return workload::CorpusGenerator(options).Generate();
+  };
+  const data::Dataset corpora[] = {corpus(100, 21), corpus(140, 22)};
+  using Pairs = std::vector<std::tuple<size_t, size_t, double>>;
+  auto run = [](const Deduplicator& dedup, const data::Dataset& ds,
+                ThreadPool* pool) {
+    std::vector<DuplicatePair> pairs;
+    auto result = dedup.Deduplicate(ds, pool, &pairs);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    Pairs got;
+    for (const DuplicatePair& pair : pairs) {
+      got.emplace_back(pair.kept_row, pair.removed_row, pair.similarity);
+    }
+    return std::make_pair(
+        result.ok() ? data::ToJsonl(result.value()) : std::string(), got);
+  };
+  auto create = [] {
+    auto op = OpRegistry::Global().Create(GetParam(), Config());
+    EXPECT_TRUE(op.ok()) << op.status().ToString();
+    return std::move(op).value();
+  };
+  std::pair<std::string, Pairs> expected[2];
+  for (size_t c = 0; c < 2; ++c) {
+    std::unique_ptr<Op> fresh = create();
+    expected[c] = run(static_cast<const Deduplicator&>(*fresh), corpora[c],
+                      nullptr);
+    EXPECT_FALSE(expected[c].second.empty()) << c;
+  }
+
+  const std::unique_ptr<Op> op = create();
+  const Deduplicator& shared = static_cast<const Deduplicator&>(*op);
+  ThreadPool pool(4);
+  std::pair<std::string, Pairs> got[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      got[c] = run(shared, corpora[c], &pool);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(got[c].first, expected[c].first) << "concurrent run " << c;
+    EXPECT_EQ(got[c].second, expected[c].second) << "concurrent run " << c;
+  }
+  for (size_t c : {size_t{1}, size_t{0}}) {
+    std::pair<std::string, Pairs> again = run(shared, corpora[c], nullptr);
+    EXPECT_EQ(again.first, expected[c].first) << "rerun " << c;
+    EXPECT_EQ(again.second, expected[c].second) << "rerun " << c;
   }
 }
 

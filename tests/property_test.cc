@@ -54,7 +54,9 @@ json::Value RandomValue(Rng* rng, int depth) {
       json::Object obj;
       size_t n = rng->NextBelow(4);
       for (size_t i = 0; i < n; ++i) {
-        obj.Set("k" + std::to_string(i), RandomValue(rng, depth + 1));
+        std::string key = "k";
+        key += std::to_string(i);
+        obj.Set(std::move(key), RandomValue(rng, depth + 1));
       }
       return json::Value(std::move(obj));
     }

@@ -34,14 +34,17 @@
 #                             dj_bench_diff
 #                             perf-regression gate incl. its must-fail
 #                             self-test
-#   9. benchmark smoke        bench/e2e built as its own Release project
-#                             with -Werror (warnings GCC raises only at
-#                             -O3, which the Debug build cannot see);
-#                             its bench_e2e_smoke ctest runs every workload
-#                             at 2% scale and cmp's each export against
-#                             dj_process (catches API breaks the benchmark
-#                             compiles against)
-#  10. TSan                   concurrency-heavy tests (incl. the pool's own
+#   9. Release build          the main tree (src, tools, tests, bench,
+#                             examples) as Release, the tier-1 build type,
+#                             with -Werror: warnings GCC raises only at -O3
+#                             (-Wrestrict, -Wmaybe-uninitialized), which the
+#                             Debug build cannot see
+#  10. benchmark smoke        bench/e2e built as its own Release project
+#                             with -Werror; its bench_e2e_smoke ctest runs
+#                             every workload at 2% scale and cmp's each
+#                             export against dj_process (catches API breaks
+#                             the benchmark compiles against)
+#  11. TSan                   concurrency-heavy tests (incl. the pool's own
 #                             ThreadPool* cases in common_test,
 #                             plan_diff_test and property_test's executor
 #                             invariants, whose np-4 cases run filter
@@ -465,12 +468,20 @@ if [ "${degrade_rc}" -ne 1 ]; then
   exit 1
 fi
 
+echo "== Release build of the main tree (-Werror) =="
+# The tier-1 build is Release; warnings that only the optimizer raises
+# (GCC's -Wmaybe-uninitialized and -Wrestrict) fail here, in every target
+# of the tree, not only in the sources bench/e2e compiles.
+release_dir="${build_dir}-release"
+cmake -B "${release_dir}" -S "${repo_dir}" -DCMAKE_BUILD_TYPE=Release \
+  -DDJ_WERROR=ON
+cmake --build "${release_dir}" -j
+
 echo "== benchmark smoke (bench/e2e, Release) =="
 # bench/e2e is a standalone CMake project (the BENCHMARK.json command builds
-# it on its own); build it from this tree and run its correctness check,
-# which holds every workload's export byte-identical to dj_process's. It is
-# the one -O3 build here, so it is also where warnings that only the
-# optimizer raises (GCC's -Wmaybe-uninitialized and -Wrestrict) fail.
+# it on its own); build it from this tree with -Werror and run its
+# correctness check, which holds every workload's export byte-identical to
+# dj_process's.
 e2e_dir="${build_dir}-e2e"
 cmake -B "${e2e_dir}" -S "${repo_dir}/bench/e2e" -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS=-Werror
