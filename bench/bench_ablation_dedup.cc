@@ -74,7 +74,7 @@ MethodResult Evaluate(const GroundTruth& gt, const char* method,
                       const char* params_json) {
   auto parsed = dj::json::Parse(params_json);
   auto op = dj::ops::OpRegistry::Global().Create(method, parsed.value());
-  auto* dedup = static_cast<dj::ops::Deduplicator*>(op.value().get());
+  auto* dedup = static_cast<const dj::ops::Deduplicator*>(op.value().get());
   dj::data::Dataset corpus = gt.corpus;
   dj::Stopwatch watch;
   auto result = dedup->Deduplicate(std::move(corpus), nullptr, nullptr);

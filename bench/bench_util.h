@@ -88,7 +88,7 @@ inline Result<data::Dataset> RunStagedOrPerOp(
     core::Executor& executor, data::Dataset data,
     const std::vector<std::unique_ptr<ops::Op>>& ops, bool staged,
     std::vector<core::OpReport>* units = nullptr) {
-  std::vector<std::vector<ops::Op*>> runs;
+  std::vector<std::vector<const ops::Op*>> runs;
   for (const auto& op : ops) {
     if (!staged || runs.empty()) runs.emplace_back();
     runs.back().push_back(op.get());

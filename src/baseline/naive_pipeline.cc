@@ -19,19 +19,19 @@ uint64_t SamplesBytes(const std::vector<data::Sample>& samples) {
 
 /// Runs one row-local OP on a single sample by round-tripping it through a
 /// one-row table (the per-record conversion overhead of script pipelines).
-Status ApplyRowOp(ops::Op* op, data::Sample* sample) {
+Status ApplyRowOp(const ops::Op* op, data::Sample* sample) {
   data::Dataset one = data::Dataset::FromSamples({*sample});
   one.EnsureColumn(data::kStatsField);
   data::RowRef row = one.Row(0);
   switch (op->kind()) {
     case ops::OpKind::kMapper: {
-      auto* mapper = static_cast<ops::Mapper*>(op);
+      auto* mapper = static_cast<const ops::Mapper*>(op);
       DJ_RETURN_IF_ERROR(mapper->ProcessRow(row));
       *sample = one.MaterializeRow(0);
       return Status::Ok();
     }
     case ops::OpKind::kFilter: {
-      auto* filter = static_cast<ops::Filter*>(op);
+      auto* filter = static_cast<const ops::Filter*>(op);
       ops::SampleContext ctx(row.GetText(filter->text_key()));  // fresh per call
       DJ_RETURN_IF_ERROR(filter->ComputeStats(row, &ctx));
       DJ_ASSIGN_OR_RETURN(bool keep, filter->KeepRow(row));
@@ -65,7 +65,7 @@ Result<std::vector<data::Sample>> NaivePipeline::Run(
       // Scripts materialize the whole dataset for dedup passes.
       data::Dataset full = data::Dataset::FromSamples(samples);
       full.EnsureColumn(data::kStatsField);
-      auto* dedup = static_cast<ops::Deduplicator*>(op.get());
+      auto* dedup = static_cast<const ops::Deduplicator*>(op.get());
       auto result = dedup->Deduplicate(std::move(full), &pool, nullptr);
       if (!result.ok()) return result.status();
       samples = result.value().ToSamples();

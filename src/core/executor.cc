@@ -179,7 +179,8 @@ Executor::Options Executor::OptionsFromRecipe(const Recipe& recipe) {
   return opts;
 }
 
-Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset) {
+Status Executor::RunMapper(const ops::Mapper* mapper,
+                           data::Dataset* dataset) {
   std::optional<std::vector<std::string>> before;
   if (options_.tracer != nullptr) {
     before = SnapshotTexts(dataset, mapper->text_key());
@@ -201,7 +202,7 @@ Status Executor::RunMapper(ops::Mapper* mapper, data::Dataset* dataset) {
   return Status::Ok();
 }
 
-Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
+Status Executor::RunFilters(const std::vector<const ops::Filter*>& filters,
                             data::Dataset* dataset,
                             std::vector<StageMember>* stage) {
   dataset->EnsureColumn(data::kStatsField);
@@ -264,7 +265,7 @@ Status Executor::RunFilters(const std::vector<ops::Filter*>& filters,
   return Status::Ok();
 }
 
-Status Executor::RunDeduplicator(ops::Deduplicator* dedup,
+Status Executor::RunDeduplicator(const ops::Deduplicator* dedup,
                                  data::Dataset* dataset) {
   dataset->EnsureColumn(data::kStatsField);
   std::optional<std::vector<std::string>> texts;
@@ -292,12 +293,12 @@ Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
   if (unit.is_fused()) return RunFilters(unit.fused, dataset, &report->stage);
   switch (unit.op->kind()) {
     case ops::OpKind::kMapper:
-      return RunMapper(static_cast<ops::Mapper*>(unit.op), dataset);
+      return RunMapper(static_cast<const ops::Mapper*>(unit.op), dataset);
     case ops::OpKind::kFilter:
-      return RunFilters({static_cast<ops::Filter*>(unit.op)}, dataset,
+      return RunFilters({static_cast<const ops::Filter*>(unit.op)}, dataset,
                         nullptr);
     case ops::OpKind::kDeduplicator:
-      return RunDeduplicator(static_cast<ops::Deduplicator*>(unit.op),
+      return RunDeduplicator(static_cast<const ops::Deduplicator*>(unit.op),
                              dataset);
     case ops::OpKind::kFormatter:
       return Status::InvalidArgument("formatter in pipeline");
@@ -308,14 +309,14 @@ Status Executor::RunUnit(const PlanUnit& unit, data::Dataset* dataset,
 Result<data::Dataset> Executor::Run(
     data::Dataset dataset, const std::vector<std::unique_ptr<ops::Op>>& ops,
     RunReport* report) {
-  std::vector<ops::Op*> raw;
+  std::vector<const ops::Op*> raw;
   raw.reserve(ops.size());
   for (const auto& op : ops) raw.push_back(op.get());
   return Run(std::move(dataset), raw, report);
 }
 
 Result<data::Dataset> Executor::Run(data::Dataset dataset,
-                                    const std::vector<ops::Op*>& ops,
+                                    const std::vector<const ops::Op*>& ops,
                                     RunReport* report) {
   obs::Span run_span(options_.spans, "executor.run", "executor");
   // The run's driving thread is "busy" for the watchdog the whole run and

@@ -126,19 +126,20 @@ class Executor {
 
   /// Raw-pointer overload for borrowed OP subranges.
   Result<data::Dataset> Run(data::Dataset dataset,
-                            const std::vector<ops::Op*>& ops,
+                            const std::vector<const ops::Op*>& ops,
                             RunReport* report = nullptr);
 
  private:
   Status RunUnit(const PlanUnit& unit, data::Dataset* dataset,
                  OpReport* report);
-  Status RunMapper(ops::Mapper* mapper, data::Dataset* dataset);
+  Status RunMapper(const ops::Mapper* mapper, data::Dataset* dataset);
   /// Runs `filters` (one, or a stage's members in recipe order) in one pass:
   /// each row goes through them one at a time and stops at the first
   /// rejection. `stage` (optional) receives each member's rejected rows.
-  Status RunFilters(const std::vector<ops::Filter*>& filters,
+  Status RunFilters(const std::vector<const ops::Filter*>& filters,
                     data::Dataset* dataset, std::vector<StageMember>* stage);
-  Status RunDeduplicator(ops::Deduplicator* dedup, data::Dataset* dataset);
+  Status RunDeduplicator(const ops::Deduplicator* dedup,
+                         data::Dataset* dataset);
 
   Options options_;
   ThreadPool pool_;

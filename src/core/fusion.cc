@@ -17,14 +17,14 @@ namespace {
 
 /// Flushes one run of consecutive filters into plan units: one stage when
 /// the run has at least two members, else a unit of its own.
-void FlushFilterGroup(std::vector<ops::Filter*>* group,
+void FlushFilterGroup(std::vector<const ops::Filter*>* group,
                       std::vector<PlanUnit>* plan) {
   if (group->size() >= 2) {
     PlanUnit unit;
     unit.fused = std::move(*group);
     plan->push_back(std::move(unit));
   } else {
-    for (ops::Filter* f : *group) {
+    for (const ops::Filter* f : *group) {
       PlanUnit unit;
       unit.op = f;
       plan->push_back(std::move(unit));
@@ -37,18 +37,18 @@ void FlushFilterGroup(std::vector<ops::Filter*>* group,
 
 std::vector<PlanUnit> PlanFusion(
     const std::vector<std::unique_ptr<ops::Op>>& op_list) {
-  std::vector<ops::Op*> raw;
+  std::vector<const ops::Op*> raw;
   raw.reserve(op_list.size());
   for (const auto& op : op_list) raw.push_back(op.get());
   return PlanFusion(raw);
 }
 
-std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list) {
+std::vector<PlanUnit> PlanFusion(const std::vector<const ops::Op*>& op_list) {
   std::vector<PlanUnit> plan;
-  std::vector<ops::Filter*> filter_group;
-  for (ops::Op* op : op_list) {
+  std::vector<const ops::Filter*> filter_group;
+  for (const ops::Op* op : op_list) {
     if (op->kind() == ops::OpKind::kFilter) {
-      filter_group.push_back(static_cast<ops::Filter*>(op));
+      filter_group.push_back(static_cast<const ops::Filter*>(op));
       continue;
     }
     FlushFilterGroup(&filter_group, &plan);

@@ -13,9 +13,9 @@ namespace dj::core {
 /// a run of consecutive Filters evaluated in one pass over the rows.
 struct PlanUnit {
   /// Non-null for single-OP units.
-  ops::Op* op = nullptr;
+  const ops::Op* op = nullptr;
   /// Non-empty for stages: the member Filters, in recipe order.
-  std::vector<ops::Filter*> fused;
+  std::vector<const ops::Filter*> fused;
 
   bool is_fused() const { return !fused.empty(); }
   std::string DisplayName() const;
@@ -34,7 +34,7 @@ std::vector<PlanUnit> PlanFusion(
     const std::vector<std::unique_ptr<ops::Op>>& op_list);
 
 /// Raw-pointer overload (OPs borrowed; used for pipeline subranges).
-std::vector<PlanUnit> PlanFusion(const std::vector<ops::Op*>& op_list);
+std::vector<PlanUnit> PlanFusion(const std::vector<const ops::Op*>& op_list);
 
 }  // namespace dj::core
 

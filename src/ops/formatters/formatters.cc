@@ -85,8 +85,8 @@ const OpDeclaration& JsonlFormatter::Declaration() {
 JsonlFormatter::JsonlFormatter(const json::Value& config)
     : Formatter(Declaration(), config) {}
 
-Result<data::Dataset> JsonlFormatter::LoadFromString(std::string_view content,
-                                                     std::string_view origin) {
+Result<data::Dataset> JsonlFormatter::LoadFromString(
+    std::string_view content, std::string_view origin) const {
   auto r = data::ParseJsonl(content);
   if (!r.ok()) {
     return Status::Corruption(std::string(origin) + ": " +
@@ -106,8 +106,8 @@ const OpDeclaration& JsonFormatter::Declaration() {
 JsonFormatter::JsonFormatter(const json::Value& config)
     : Formatter(Declaration(), config) {}
 
-Result<data::Dataset> JsonFormatter::LoadFromString(std::string_view content,
-                                                    std::string_view origin) {
+Result<data::Dataset> JsonFormatter::LoadFromString(
+    std::string_view content, std::string_view origin) const {
   auto r = json::ParseStrict(content);
   if (!r.ok()) {
     return Status::Corruption(std::string(origin) + ": " +
@@ -146,8 +146,8 @@ const OpDeclaration& TxtFormatter::Declaration() {
 TxtFormatter::TxtFormatter(const json::Value& config)
     : Formatter(Declaration(), config), per_line_(Param<bool>("per_line")) {}
 
-Result<data::Dataset> TxtFormatter::LoadFromString(std::string_view content,
-                                                   std::string_view origin) {
+Result<data::Dataset> TxtFormatter::LoadFromString(
+    std::string_view content, std::string_view origin) const {
   data::Dataset ds;
   auto make_sample = [&](std::string text) {
     data::Sample s = data::Sample::FromText(std::move(text));
@@ -189,8 +189,8 @@ const OpDeclaration& TsvFormatter::Declaration() {
 TsvFormatter::TsvFormatter(const json::Value& config)
     : CsvFormatter(Declaration(), config, '\t') {}
 
-Result<data::Dataset> CsvFormatter::LoadFromString(std::string_view content,
-                                                   std::string_view origin) {
+Result<data::Dataset> CsvFormatter::LoadFromString(
+    std::string_view content, std::string_view origin) const {
   size_t pos = 0;
   if (content.empty()) return data::Dataset();
   std::vector<std::string> header = ParseCsvRecord(content, &pos, sep_);
@@ -248,8 +248,8 @@ const OpDeclaration& CodeFormatter::Declaration() {
 CodeFormatter::CodeFormatter(const json::Value& config)
     : Formatter(Declaration(), config) {}
 
-Result<data::Dataset> CodeFormatter::LoadFromString(std::string_view content,
-                                                    std::string_view origin) {
+Result<data::Dataset> CodeFormatter::LoadFromString(
+    std::string_view content, std::string_view origin) const {
   std::string suffix = SuffixOf(origin);
   data::Sample s = data::Sample::FromText(std::string(content));
   s.Set("meta.source", json::Value(std::string(origin)));

@@ -14,7 +14,7 @@ class JsonlFormatter : public Formatter {
   static const OpDeclaration& Declaration();
   explicit JsonlFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
-                                       std::string_view origin) override;
+                                       std::string_view origin) const override;
 };
 
 /// json_formatter: a JSON array of objects (or one object).
@@ -23,7 +23,7 @@ class JsonFormatter : public Formatter {
   static const OpDeclaration& Declaration();
   explicit JsonFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
-                                       std::string_view origin) override;
+                                       std::string_view origin) const override;
 };
 
 /// txt_formatter: plain text. With `per_line=true` every non-empty line is a
@@ -33,7 +33,7 @@ class TxtFormatter : public Formatter {
   static const OpDeclaration& Declaration();
   explicit TxtFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
-                                       std::string_view origin) override;
+                                       std::string_view origin) const override;
 
  private:
   bool per_line_;
@@ -47,7 +47,7 @@ class CsvFormatter : public Formatter {
   static const OpDeclaration& Declaration();
   explicit CsvFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
-                                       std::string_view origin) override;
+                                       std::string_view origin) const override;
 
  protected:
   CsvFormatter(const OpDeclaration& declaration, const json::Value& config,
@@ -70,7 +70,7 @@ class CodeFormatter : public Formatter {
   static const OpDeclaration& Declaration();
   explicit CodeFormatter(const json::Value& config);
   Result<data::Dataset> LoadFromString(std::string_view content,
-                                       std::string_view origin) override;
+                                       std::string_view origin) const override;
 };
 
 /// Dispatches on the path suffix (.jsonl/.json/.txt/.md/.csv/.tsv/code

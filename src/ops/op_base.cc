@@ -109,7 +109,7 @@ double Filter::ReadStat(data::RowRef row, std::string_view key,
   return row.GetNumber(path, def);
 }
 
-Result<data::Dataset> Formatter::LoadFile(const std::string& path) {
+Result<data::Dataset> Formatter::LoadFile(const std::string& path) const {
   DJ_ASSIGN_OR_RETURN(std::string content, data::ReadFile(path));
   return LoadFromString(content, path);
 }

@@ -194,11 +194,11 @@ class Formatter : public Op {
   OpKind kind() const override { return OpKind::kFormatter; }
 
   /// Parses in-memory content.
-  virtual Result<data::Dataset> LoadFromString(std::string_view content,
-                                               std::string_view origin) = 0;
+  virtual Result<data::Dataset> LoadFromString(
+      std::string_view content, std::string_view origin) const = 0;
 
   /// Reads and parses a file.
-  Result<data::Dataset> LoadFile(const std::string& path);
+  Result<data::Dataset> LoadFile(const std::string& path) const;
 
  protected:
   using Op::Op;

@@ -289,6 +289,27 @@ TEST(ExecutorTest, FusionPreservesResults) {
   EXPECT_EQ(data::ToJsonl(staged.value()), data::ToJsonl(expected.value()));
 }
 
+TEST(ExecutorTest, BorrowedConstOpsPlanAndRunLikeOwnedOnes) {
+  // The engine only reads its OPs: a borrowed list of const pointers plans
+  // the same units and exports the same rows as the owning list.
+  auto owned = FourteenOpPipeline();
+  std::vector<const ops::Op*> borrowed;
+  for (const auto& op : owned) borrowed.push_back(op.get());
+  const std::vector<PlanUnit> owned_plan = PlanFusion(owned);
+  const std::vector<PlanUnit> borrowed_plan = PlanFusion(borrowed);
+  ASSERT_EQ(borrowed_plan.size(), owned_plan.size());
+  for (size_t i = 0; i < owned_plan.size(); ++i) {
+    EXPECT_EQ(borrowed_plan[i].DisplayName(), owned_plan[i].DisplayName());
+  }
+  auto from_borrowed =
+      Executor(Executor::Options{}).Run(NoisyCorpus(), borrowed);
+  auto from_owned = Executor(Executor::Options{}).Run(NoisyCorpus(), owned);
+  ASSERT_TRUE(from_borrowed.ok()) << from_borrowed.status().ToString();
+  ASSERT_TRUE(from_owned.ok()) << from_owned.status().ToString();
+  EXPECT_EQ(data::ToJsonl(from_borrowed.value()),
+            data::ToJsonl(from_owned.value()));
+}
+
 TEST(ExecutorTest, FusionReducesContextComputations) {
   auto per_op_ops = FourteenOpPipeline();
   ops::SampleContext::Counters::Reset();

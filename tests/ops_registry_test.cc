@@ -293,16 +293,17 @@ TEST(OpSchemaTest, ToJsonRoundTripsBasics) {
 }
 
 // ----------------------------------------------------------- formatters --
+// A formatter keeps no load state: every case loads through a const one.
 
 TEST(FormatterTest, JsonlFormatter) {
-  JsonlFormatter f(Config());
+  const JsonlFormatter f(Config());
   auto ds = f.LoadFromString("{\"text\": \"a\"}\n{\"text\": \"b\"}\n", "mem");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().NumRows(), 2u);
 }
 
 TEST(FormatterTest, JsonFormatterArrayAndObject) {
-  JsonFormatter f(Config());
+  const JsonFormatter f(Config());
   auto arr = f.LoadFromString(R"([{"text": "a"}, {"text": "b"}])", "mem");
   ASSERT_TRUE(arr.ok());
   EXPECT_EQ(arr.value().NumRows(), 2u);
@@ -313,11 +314,11 @@ TEST(FormatterTest, JsonFormatterArrayAndObject) {
 }
 
 TEST(FormatterTest, TxtFormatterWholeAndPerLine) {
-  TxtFormatter whole(Config());
+  const TxtFormatter whole(Config());
   auto w = whole.LoadFromString("line1\nline2\n", "f.txt");
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(w.value().NumRows(), 1u);
-  TxtFormatter per_line(Config(R"({"per_line": true})"));
+  const TxtFormatter per_line(Config(R"({"per_line": true})"));
   auto p = per_line.LoadFromString("line1\n\nline2\n", "f.txt");
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value().NumRows(), 2u);
@@ -325,7 +326,7 @@ TEST(FormatterTest, TxtFormatterWholeAndPerLine) {
 }
 
 TEST(FormatterTest, CsvFormatterWithQuoting) {
-  CsvFormatter f(Config());
+  const CsvFormatter f(Config());
   auto ds = f.LoadFromString(
       "text,stars,lang\n\"hello, world\",120,en\nplain,3,de\n", "x.csv");
   ASSERT_TRUE(ds.ok());
@@ -336,19 +337,19 @@ TEST(FormatterTest, CsvFormatterWithQuoting) {
 }
 
 TEST(FormatterTest, CsvFormatterRejectsRaggedRows) {
-  CsvFormatter f(Config());
+  const CsvFormatter f(Config());
   EXPECT_FALSE(f.LoadFromString("a,b\n1\n", "x.csv").ok());
 }
 
 TEST(FormatterTest, TsvFormatter) {
-  TsvFormatter f(Config());
+  const TsvFormatter f(Config());
   auto ds = f.LoadFromString("text\tn\nhello\t1\n", "x.tsv");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().GetTextAt(0), "hello");
 }
 
 TEST(FormatterTest, CodeFormatterDetectsLanguage) {
-  CodeFormatter f(Config());
+  const CodeFormatter f(Config());
   auto ds = f.LoadFromString("def f():\n  pass\n", "tool/run.py");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().GetTextAt(0, "meta.language"), "python");

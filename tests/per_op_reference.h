@@ -17,8 +17,9 @@ inline Result<data::Dataset> RunPerOp(
     core::Executor::Options options = {}) {
   core::Executor executor(std::move(options));
   for (const auto& op : ops) {
-    DJ_ASSIGN_OR_RETURN(dataset, executor.Run(std::move(dataset),
-                                              std::vector<ops::Op*>{op.get()}));
+    DJ_ASSIGN_OR_RETURN(
+        dataset, executor.Run(std::move(dataset),
+                              std::vector<const ops::Op*>{op.get()}));
   }
   return dataset;
 }

@@ -33,12 +33,15 @@
 #                             (dj_process at np 1 and 4, dj_lint), and the
 #                             dj_bench_diff
 #                             perf-regression gate incl. its must-fail
-#                             self-test
+#                             self-test and malformed --tolerance/--tol/
+#                             --degrade values that must exit 2
 #   9. Release build          the main tree (src, tools, tests, bench,
 #                             examples) as Release, the tier-1 build type,
 #                             with -Werror: warnings GCC raises only at -O3
 #                             (-Wrestrict, -Wmaybe-uninitialized), which the
-#                             Debug build cannot see
+#                             Debug build cannot see; then the Fig. 10
+#                             scalability bench, which exits 1 when a
+#                             backend's rows differ from the single-node run
 #  10. benchmark smoke        bench/e2e built as its own Release project
 #                             with -Werror; its bench_e2e_smoke ctest runs
 #                             every workload at 2% scale and cmp's each
@@ -467,6 +470,22 @@ if [ "${degrade_rc}" -ne 1 ]; then
   echo "check.sh: bench-diff gate self-test expected exit 1, got ${degrade_rc}" >&2
   exit 1
 fi
+# A malformed number must be a usage error: a NaN or garbage tolerance would
+# switch the gate off, a negative one would flag identical reports, and a
+# garbage degrade factor would zero the metric.
+for bad_flag in "--tolerance nan" "--tolerance 5x" "--tolerance -1" \
+  "--tolerance abc" "--tol parse_jsonl_serial_ms=nan" \
+  "--degrade parse_jsonl_serial_ms=abc"; do
+  bad_rc=0
+  # shellcheck disable=SC2086  # each probe is a flag and its value
+  "${build_dir}/tools/dj_bench_diff" ${bad_flag} \
+    "${bench_baseline}" "${bench_baseline}" > /dev/null 2>&1 || bad_rc=$?
+  if [ "${bad_rc}" -ne 2 ]; then
+    echo "check.sh: dj_bench_diff ${bad_flag} expected exit 2," \
+         "got ${bad_rc}" >&2
+    exit 1
+  fi
+done
 
 echo "== Release build of the main tree (-Werror) =="
 # The tier-1 build is Release; warnings that only the optimizer raises
@@ -476,6 +495,14 @@ release_dir="${build_dir}-release"
 cmake -B "${release_dir}" -S "${repo_dir}" -DCMAKE_BUILD_TYPE=Release \
   -DDJ_WERROR=ON
 cmake --build "${release_dir}" -j
+
+echo "== Fig. 10 scalability bench (rows consistent across backends) =="
+# Every backend must export the single-node run's rows at every node count;
+# the bench exits 1 otherwise. It writes its JSON report to the current
+# directory, so it runs from a temporary one.
+mkdir -p "${smoke_dir}/fig10"
+(cd "${smoke_dir}/fig10" &&
+  "${release_dir}/bench/bench_fig10_scalability" > /dev/null)
 
 echo "== benchmark smoke (bench/e2e, Release) =="
 # bench/e2e is a standalone CMake project (the BENCHMARK.json command builds

@@ -20,6 +20,10 @@
 // exists so check.sh can prove the gate actually fails: a self-compare must
 // pass, and the same compare with a hand-degraded metric must not.
 //
+// A tolerance must be a finite number >= 0 and a degrade factor a finite
+// number > 0; any other value (NaN, "5x", "-1", "abc") is a usage error,
+// never a gate quietly switched off or one that flags identical reports.
+//
 // Two reports that both record a host-shape fact (`hardware_threads`,
 // `simd_level`, or a key naming one, like `env.simd_level`) with different
 // values are not comparable: both values are printed and the tool exits 3
@@ -31,12 +35,13 @@
 #include <dirent.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/string_util.h"
 #include "json/parser.h"
 #include "json/value.h"
 #include "obs/bench_diff.h"
@@ -113,6 +118,22 @@ bool ParseKeyValue(const std::string& arg, std::string* key,
   return true;
 }
 
+/// Parses the number `flag` takes: finite, and > 0 when `positive`, else
+/// >= 0. Prints the flag and the value and returns false otherwise.
+bool ParseFlagNumber(const std::string& flag, const std::string& value,
+                     bool positive, double* out) {
+  double v = 0;
+  if (dj::ParseDouble(value, &v) && std::isfinite(v) &&
+      (positive ? v > 0 : v >= 0)) {
+    *out = v;
+    return true;
+  }
+  std::fprintf(stderr,
+               "dj_bench_diff: %s takes a finite number %s, got '%s'\n",
+               flag.c_str(), positive ? "> 0" : ">= 0", value.c_str());
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,14 +151,19 @@ int main(int argc, char** argv) {
     if (flag == "--tolerance") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      options.default_tolerance = std::atof(v);
+      if (!ParseFlagNumber(flag, v, false, &options.default_tolerance)) {
+        return 2;
+      }
     } else if (flag == "--tol") {
       const char* v = next();
       std::string key, value;
       if (v == nullptr || !ParseKeyValue(v, &key, &value)) {
         return Usage(argv[0]);
       }
-      options.per_metric_tolerance[key] = std::atof(value.c_str());
+      if (!ParseFlagNumber(flag, value, false,
+                           &options.per_metric_tolerance[key])) {
+        return 2;
+      }
     } else if (flag == "--metric") {
       const char* v = next();
       std::string key, value;
@@ -163,7 +189,7 @@ int main(int argc, char** argv) {
       if (v == nullptr || !ParseKeyValue(v, &degrade_key, &value)) {
         return Usage(argv[0]);
       }
-      degrade_factor = std::atof(value.c_str());
+      if (!ParseFlagNumber(flag, value, true, &degrade_factor)) return 2;
     } else if (flag == "--ledger") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
